@@ -610,12 +610,12 @@ type ResponderStats struct {
 // execution waits for the response instead of re-executing — the guarantee
 // that keeps RMWs exactly-once. Entries live on a free list; enc is owned
 // by the entry and reused across evict/insert cycles, and the waiters count
-// pins an entry (and its enc) against recycling while a replay still
-// references it.
+// pins an entry (and its enc) against recycling while a send — a replay's,
+// or the owner's first transmission — still references it.
 type respEntry struct {
 	enc     []byte
 	done    bool       // guarded by mu: response cached, safe to replay
-	waiters int        // guarded by mu: replays using this entry
+	waiters int        // guarded by mu: sends in progress from enc
 	next    *respEntry // guarded by mu: free-list link
 }
 
@@ -799,10 +799,17 @@ func (r *Responder) Deliver(p []byte) {
 	r.mu.Lock()
 	e.enc = enc
 	e.done = true
+	// Done makes the entry evictable; the owner's pin keeps enc from being
+	// recycled under its own send, which may re-enter Deliver with enough
+	// newer IDs (a synchronous transport) to roll the whole window over.
+	e.waiters++
 	wake := r.waiting > 0
 	r.mu.Unlock()
 	if wake {
 		r.filled.Broadcast()
 	}
 	r.pipe.Send(enc)
+	r.mu.Lock()
+	e.waiters--
+	r.mu.Unlock()
 }

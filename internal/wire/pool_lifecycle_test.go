@@ -213,3 +213,71 @@ func TestLoopbackSendBatchMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// reenterPipe models a synchronous transport under pipelining: while the
+// outermost Send is still in progress it feeds the responder newer requests,
+// then checks that the bytes it was handed did not change under it.
+type reenterPipe struct {
+	r       *Responder
+	next    uint32
+	depth   int
+	rewrote int
+	sent    []uint32
+}
+
+func (p *reenterPipe) Send(b []byte) error {
+	orig := append([]byte(nil), b...)
+	if p.depth == 0 {
+		p.depth++
+		for i := 0; i < 6; i++ {
+			p.next++
+			enc, err := (&Msg{Kind: KindRREQ, ID: p.next, Count: 64}).Encode()
+			if err != nil {
+				return err
+			}
+			p.r.Deliver(enc)
+		}
+		p.depth--
+	}
+	if !bytes.Equal(b, orig) {
+		p.rewrote++
+	}
+	var m Msg
+	if err := DecodeInto(&m, b); err == nil {
+		p.sent = append(p.sent, m.ID)
+	}
+	return nil
+}
+
+func (p *reenterPipe) Close() error { return nil }
+
+// TestResponderSendBufferPinned: an entry is done — evictable — before its
+// owner has transmitted from its buffer. With a window smaller than the
+// requests arriving under that transmission, eviction used to recycle the
+// buffer into a newer response while the first send still referenced it.
+func TestResponderSendBufferPinned(t *testing.T) {
+	pipe := &reenterPipe{}
+	// Each response carries its own ID in every payload byte, so a buffer
+	// rewritten for another ID cannot compare equal.
+	r := NewResponder(pipe, ResponderConfig{Window: 2}, func(m, resp *Msg) {
+		resp.Data = growTestData(resp.Data, int(m.Count))
+		for i := range resp.Data {
+			resp.Data[i] = byte(m.ID)
+		}
+	})
+	pipe.r = r
+	for round := 0; round < 3; round++ {
+		pipe.next++
+		enc, err := (&Msg{Kind: KindRREQ, ID: pipe.next, Count: 64}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Deliver(enc)
+	}
+	if pipe.rewrote != 0 {
+		t.Fatalf("%d of %d responses were rewritten while their Send was in progress", pipe.rewrote, len(pipe.sent))
+	}
+	if len(pipe.sent) != 21 {
+		t.Fatalf("sent %d responses (%v), want 21: one per request", len(pipe.sent), pipe.sent)
+	}
+}

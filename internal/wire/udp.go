@@ -5,9 +5,12 @@ package wire
 import (
 	"fmt"
 	"net"
-	"runtime"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // UDPClient is the client-side Pipe over a connected UDP socket. It
@@ -32,7 +35,12 @@ func DialUDP(addr string) (*UDPClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	return &UDPClient{conn: conn, bs: newBatchSender(conn)}, nil
+	bs, err := newBatchSender(conn)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+	}
+	return &UDPClient{conn: conn, bs: bs}, nil
 }
 
 // Run starts the read loop, routing every inbound datagram to deliver.
@@ -40,7 +48,10 @@ func DialUDP(addr string) (*UDPClient, error) {
 // retain its argument past the call (Conn.Deliver and rmem's client decode
 // and copy, satisfying this). Run returns when the socket closes.
 func (u *UDPClient) Run(deliver func([]byte)) {
-	r := newBatchReceiver(u.conn, false)
+	r, err := newBatchReceiver(u.conn, false)
+	if err != nil {
+		return
+	}
 	for {
 		n, err := r.recvBatch()
 		if err != nil {
@@ -75,17 +86,15 @@ func (u *UDPClient) Close() error {
 	return u.conn.Close()
 }
 
-// udpReply is the server's Pipe back to one remote client. It shares the
-// listening socket, so Close is a no-op.
+// udpReply is the server's Pipe back to one remote client, through the
+// reply batch of the loop that owns the session. The socket is shared, so
+// Close is a no-op.
 type udpReply struct {
-	conn *net.UDPConn
-	addr *net.UDPAddr
+	tx *replyBatch
+	to peerAddr
 }
 
-func (r *udpReply) Send(p []byte) error {
-	_, err := r.conn.WriteToUDP(p, r.addr)
-	return err
-}
+func (r *udpReply) Send(p []byte) error { return r.tx.add(p, &r.to) }
 
 func (r *udpReply) Close() error { return nil }
 
@@ -97,31 +106,49 @@ const sessionIdleTimeout = 5 * time.Minute
 // udpSession is one remote client's state.
 type udpSession struct {
 	deliver  func([]byte)
-	token    string    // HELLO session token; guarded by mu (the server's)
-	lastSeen time.Time // guarded by mu (the server's)
+	token    string // HELLO session token; guarded by mu (the loop's)
+	lastSeen int64  // guarded by mu (the loop's): UnixNano stamp of its last receive batch
 }
 
-// packetWork is one inbound datagram bound for a session, parked on the
-// worker queue. buf comes from pktBufPool and returns there after delivery.
-type packetWork struct {
-	buf     *[]byte
-	n       int
-	deliver func([]byte)
+// ingressLoop is one socket of the listener's group, the sessions the
+// kernel steers to it, and the reply batch their responses leave through.
+// mu is this loop's alone: run takes it once per datagram, uncontended
+// unless the janitor, Sessions or Forget is looking.
+type ingressLoop struct {
+	s    *UDPServer
+	conn *net.UDPConn
+	rx   *batchReceiver // touched by run only
+	tx   *replyBatch
+
+	mu       sync.Mutex
+	sessions map[netip.AddrPort]*udpSession // guarded by mu
 }
 
-// pktBufPool recycles the datagram copies handed to the worker pool, so the
-// server's receive path allocates no per-packet buffers in steady state.
-var pktBufPool = sync.Pool{New: func() any {
-	b := make([]byte, MaxDatagram+1)
-	return &b
-}}
-
-// UDPServer owns a listening UDP socket and demultiplexes datagrams to
-// per-remote sessions. The accept callback is invoked once per new remote
-// address with a reply Pipe and returns that session's receive path
-// (typically a Responder.Deliver); datagrams are then executed on a
-// fixed-size worker pool (GOMAXPROCS workers), so sessions run concurrently
-// without a goroutine per packet.
+// UDPServer serves one UDP address run-to-completion. On Linux it opens
+// GOMAXPROCS sockets in one SO_REUSEPORT group (elsewhere one socket), each
+// drained by its own ingress loop: receive a batch (recvmmsg), look each
+// datagram's session up in the loop's own table, call the session's receive
+// path inline on the receive buffer, send the batch's responses with one
+// sendmmsg. No copy, queue or goroutine hand-off sits between the wire and
+// the handler.
+//
+// Ownership: one session = one loop = one core. The kernel hashes the
+// 4-tuple onto the group, so a client's datagrams all reach one loop, which
+// executes them in arrival order; sessions scale across loops. Parallelism
+// within a session is given up on purpose: the work per message (~1 µs) is
+// far below a syscall, and a worker descheduled while holding a request let
+// thousands of newer IDs overtake it — out of the dedup window. A receive
+// path must not retain the buffer, nor wait for a later datagram of its own
+// session (that one is behind it in the same loop).
+//
+// accept is invoked once per new session with the remote's address and a
+// reply Pipe, and returns the session's receive path (typically a
+// Responder.Deliver). The pipe's Send copies a response that fits an
+// Ethernet frame into the loop's send arena, flushed when the receive batch
+// ends or fills; a larger one flushes the queue and leaves directly from
+// the caller's buffer. Either way per-session order holds and the buffer is
+// not referenced after Send returns. Send is safe from any goroutine;
+// outside the loop's receive batch it transmits at once.
 //
 // Session lifecycle: a (CRC-valid) HELLO carrying a token different from
 // the current session's starts a fresh session — a restarted client
@@ -136,15 +163,13 @@ var pktBufPool = sync.Pool{New: func() any {
 // immediately closes a fresh one. Sessions idle past sessionIdleTimeout
 // are reclaimed by a janitor.
 type UDPServer struct {
-	conn   *net.UDPConn
-	accept func(remote string, reply Pipe) func([]byte)
+	accept  func(remote string, reply Pipe) func([]byte)
+	loops   []*ingressLoop
+	metrics atomic.Pointer[UDPServerMetrics]
 
-	mu          sync.Mutex
-	sessions    map[string]*udpSession // guarded by mu
-	sessMetrics *UDPServerMetrics      // guarded by mu
-	closed      bool                   // guarded by mu
-	done        chan struct{}
-	wg          sync.WaitGroup
+	closeOnce sync.Once
+	done      chan struct{}
+	wg        sync.WaitGroup
 }
 
 // ListenUDP binds addr ("host:port"; port 0 picks a free one) and starts
@@ -154,17 +179,35 @@ func ListenUDP(addr string, accept func(remote string, reply Pipe) func([]byte))
 	if err != nil {
 		return nil, fmt.Errorf("wire: resolve %s: %w", addr, err)
 	}
-	conn, err := net.ListenUDP("udp", ua)
+	conns, err := listenUDPGroup(ua)
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
 	}
-	s := &UDPServer{conn: conn, accept: accept,
-		sessions: make(map[string]*udpSession), done: make(chan struct{}),
-		sessMetrics: NewUDPServerMetrics(nil)}
-	s.wg.Add(2)
-	go s.readLoop()
+	s := &UDPServer{accept: accept, done: make(chan struct{})}
+	s.metrics.Store(NewUDPServerMetrics(nil))
+	for _, c := range conns {
+		l := &ingressLoop{s: s, conn: c, sessions: make(map[netip.AddrPort]*udpSession)}
+		if l.rx, err = newBatchReceiver(c, true); err == nil {
+			l.tx, err = newReplyBatch(c)
+		}
+		if err != nil {
+			closeConns(conns)
+			return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
+		}
+		s.loops = append(s.loops, l)
+	}
+	s.wg.Add(len(s.loops) + 1)
+	for _, l := range s.loops {
+		go l.run()
+	}
 	go s.janitor()
 	return s, nil
+}
+
+func closeConns(conns []*net.UDPConn) {
+	for _, c := range conns {
+		c.Close()
+	}
 }
 
 // SetMetrics swaps in registered session-lifecycle metrics. Call it right
@@ -174,14 +217,12 @@ func (s *UDPServer) SetMetrics(m *UDPServerMetrics) {
 	if m == nil {
 		return
 	}
-	s.mu.Lock()
-	s.sessMetrics = m
-	m.Active.Set(int64(len(s.sessions)))
-	s.mu.Unlock()
+	m.Active.Set(int64(s.Sessions()))
+	s.metrics.Store(m)
 }
 
 // Addr reports the bound listen address.
-func (s *UDPServer) Addr() string { return s.conn.LocalAddr().String() }
+func (s *UDPServer) Addr() string { return s.loops[0].conn.LocalAddr().String() }
 
 // sessionControl classifies the rare session-lifecycle datagrams and
 // extracts the HELLO's session token. The kind byte sits at a fixed
@@ -195,100 +236,83 @@ func sessionControl(p []byte) (hello, bye bool, token string) {
 	if k != KindHello && k != KindBye {
 		return false, false, ""
 	}
-	m, err := Decode(p)
-	if err != nil {
-		return false, false, ""
+	m := getMsg()
+	if err := DecodeInto(m, p); err == nil {
+		// string() copies the token out of the pooled message.
+		hello, bye, token = m.Kind == KindHello, m.Kind == KindBye, string(m.Data)
 	}
-	return m.Kind == KindHello, m.Kind == KindBye, string(m.Data)
+	putMsg(m)
+	return hello, bye, token
 }
 
-// route classifies one datagram against the session table and returns the
-// session's receive path (nil when the server is closed or the session has
-// no deliver hook).
-func (s *UDPServer) route(p []byte, raddr *net.UDPAddr) func([]byte) {
-	hello, bye, token := sessionControl(p)
-	key := raddr.String()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+// run receives a batch, executes every datagram to completion in arrival
+// order and flushes the replies. One clock read stamps the whole batch.
+//
+//edmlint:hotpath once per receive batch; the body runs once per datagram
+func (l *ingressLoop) run() {
+	defer l.s.wg.Done()
+	for {
+		n, err := l.rx.recvBatch()
+		if err != nil {
+			return
+		}
+		now := time.Now().UnixNano()
+		l.tx.cork()
+		for i := 0; i < n; i++ {
+			p := l.rx.pkt(i)
+			if deliver := l.route(p, i, now); deliver != nil {
+				deliver(p)
+			}
+		}
+		l.tx.flush()
 	}
-	sess, ok := s.sessions[key]
+}
+
+// route classifies datagram i of the current batch against the loop's
+// session table and returns the session's receive path (nil when accept
+// declined the session).
+//
+//edmlint:hotpath once per datagram
+func (l *ingressLoop) route(p []byte, i int, now int64) func([]byte) {
+	hello, bye, token := sessionControl(p)
+	key := l.rx.src(i)
+	m := l.s.metrics.Load()
+	l.mu.Lock()
+	sess, ok := l.sessions[key]
 	// A HELLO resets the session unless it carries the current
 	// session's token (then it is a handshake retransmission).
 	reset := hello && (!ok || token == "" || token != sess.token)
 	if !ok || reset {
-		sess = &udpSession{
-			deliver: s.accept(key, &udpReply{conn: s.conn, addr: cloneUDPAddr(raddr)}),
-			token:   token,
-		}
-		s.sessions[key] = sess
-		s.sessMetrics.Started.Inc()
-		if ok && reset {
-			s.sessMetrics.Resets.Inc()
+		//edmlint:allow hotpath once per session, not per datagram
+		reply := &udpReply{tx: l.tx, to: l.rx.peer(i)}
+		//edmlint:allow hotpath once per session, not per datagram
+		sess = &udpSession{deliver: l.s.accept(key.String(), reply), token: token}
+		l.sessions[key] = sess
+		m.Started.Inc()
+		if ok {
+			m.Resets.Inc()
+		} else {
+			m.Active.Add(1)
 		}
 	}
-	sess.lastSeen = time.Now()
+	sess.lastSeen = now
 	if bye {
 		// Retired after this datagram's delivery; the BYE-ACK goes out via
 		// the session's own reply pipe regardless.
-		delete(s.sessions, key)
-		s.sessMetrics.Retired.Inc()
+		l.dropLocked(key, m.Retired)
 	}
-	s.sessMetrics.Active.Set(int64(len(s.sessions)))
-	s.mu.Unlock()
+	l.mu.Unlock()
 	return sess.deliver
 }
 
-// readLoop drains the socket in recvmmsg batches and fans the packets out
-// to a fixed worker pool. Ordering note: packets from one remote can
-// execute on different workers concurrently, which is safe because the
-// Responder serializes per-ID execution through its dedup window; and a
-// worker blocked on an in-progress duplicate is always waiting on an
-// execution owned by a *different* packet, never its own, so the pool
-// cannot deadlock on itself.
-func (s *UDPServer) readLoop() {
-	defer s.wg.Done()
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	work := make(chan packetWork, 4*workers)
-	var workerWG sync.WaitGroup
-	defer workerWG.Wait()
-	defer close(work)
-	for i := 0; i < workers; i++ {
-		workerWG.Add(1)
-		go func() {
-			defer workerWG.Done()
-			for w := range work {
-				w.deliver((*w.buf)[:w.n])
-				pktBufPool.Put(w.buf)
-			}
-		}()
-	}
-	r := newBatchReceiver(s.conn, true)
-	for {
-		n, err := r.recvBatch()
-		if err != nil {
-			return
-		}
-		for i := 0; i < n; i++ {
-			p := r.pkt(i)
-			deliver := s.route(p, r.src(i))
-			if deliver == nil {
-				continue
-			}
-			// Copy out of the receiver's reused buffer; the pooled copy
-			// travels to a worker and returns to the pool after delivery.
-			buf := pktBufPool.Get().(*[]byte)
-			nb := copy(*buf, p)
-			work <- packetWork{buf: buf, n: nb, deliver: deliver}
-		}
-	}
+// dropLocked removes a session, counting it under why (Retired or Expired).
+func (l *ingressLoop) dropLocked(key netip.AddrPort, why *telemetry.Counter) {
+	delete(l.sessions, key)
+	why.Inc()
+	l.s.metrics.Load().Active.Add(-1)
 }
 
-// janitor reclaims sessions idle past sessionIdleTimeout.
+// janitor reclaims sessions idle past sessionIdleTimeout on every loop.
 func (s *UDPServer) janitor() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(sessionIdleTimeout / 4)
@@ -299,54 +323,63 @@ func (s *UDPServer) janitor() {
 			return
 		case <-ticker.C:
 		}
-		cutoff := time.Now().Add(-sessionIdleTimeout)
-		s.mu.Lock()
-		for key, sess := range s.sessions {
-			if sess.lastSeen.Before(cutoff) {
-				delete(s.sessions, key)
-				s.sessMetrics.Expired.Inc()
+		s.expire(time.Now().Add(-sessionIdleTimeout).UnixNano())
+	}
+}
+
+// expire drops every session last seen before cutoff (UnixNano).
+func (s *UDPServer) expire(cutoff int64) {
+	m := s.metrics.Load()
+	for _, l := range s.loops {
+		l.mu.Lock()
+		for key, sess := range l.sessions {
+			if sess.lastSeen < cutoff {
+				l.dropLocked(key, m.Expired)
 			}
 		}
-		s.sessMetrics.Active.Set(int64(len(s.sessions)))
-		s.mu.Unlock()
+		l.mu.Unlock()
 	}
 }
 
-// cloneUDPAddr copies raddr, whose backing storage the read loop reuses.
-func cloneUDPAddr(a *net.UDPAddr) *net.UDPAddr {
-	return &net.UDPAddr{IP: append(net.IP(nil), a.IP...), Port: a.Port, Zone: a.Zone}
-}
-
-// Sessions reports the number of live sessions.
+// Sessions reports the number of live sessions across all loops.
 func (s *UDPServer) Sessions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
+	n := 0
+	for _, l := range s.loops {
+		l.mu.Lock()
+		n += len(l.sessions)
+		l.mu.Unlock()
+	}
+	return n
 }
 
-// Forget drops the session state for one remote (after a BYE, so a future
-// HELLO from the same address starts fresh).
+// Forget drops the session state for one remote, named as accept saw it
+// (after a BYE, so a future HELLO from the same address starts fresh).
 func (s *UDPServer) Forget(remote string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.sessions[remote]; ok {
-		delete(s.sessions, remote)
-		s.sessMetrics.Retired.Inc()
+	key, err := netip.ParseAddrPort(remote)
+	if err != nil {
+		return
 	}
-	s.sessMetrics.Active.Set(int64(len(s.sessions)))
+	m := s.metrics.Load()
+	for _, l := range s.loops {
+		l.mu.Lock()
+		if _, ok := l.sessions[key]; ok {
+			l.dropLocked(key, m.Retired)
+		}
+		l.mu.Unlock()
+	}
 }
 
 // Close stops the server and waits for in-flight handlers.
 func (s *UDPServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.done)
-	s.mu.Unlock()
-	err := s.conn.Close()
+	var err error
+	s.closeOnce.Do(func() {
+		close(s.done)
+		for _, l := range s.loops {
+			if cerr := l.conn.Close(); err == nil {
+				err = cerr
+			}
+		}
+	})
 	s.wg.Wait()
 	return err
 }

@@ -1,0 +1,188 @@
+//edmlint:allow walltime these tests drive real sockets and session expiry stamps
+
+package wire
+
+import (
+	"net"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// udpRawCall sends one request from sock and waits for any reply.
+func udpRawCall(t *testing.T, sock *net.UDPConn, m *Msg) {
+	t.Helper()
+	enc, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sock.Write(enc); err != nil {
+		t.Fatal(err)
+	}
+	sock.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := sock.Read(make([]byte, MaxDatagram)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUDPLoopsOwnSessions: every session lives in exactly one loop's table,
+// the SO_REUSEPORT group spreads sessions over the loops, and Sessions,
+// Forget and idle expiry see all of them.
+func TestUDPLoopsOwnSessions(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const clients = 16
+	remotes := make(chan string, clients)
+	server, err := ListenUDP("127.0.0.1:0", func(remote string, reply Pipe) func([]byte) {
+		remotes <- remote
+		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	m := NewUDPServerMetrics(nil)
+	server.SetMetrics(m)
+	saddr, err := net.ResolveUDPAddr("udp", server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < clients; i++ {
+		sock, err := net.DialUDP("udp", nil, saddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sock.Close()
+		udpRawCall(t, sock, &Msg{Kind: KindRREQ, ID: 1, Count: 8})
+		udpRawCall(t, sock, &Msg{Kind: KindRREQ, ID: 2, Count: 8})
+	}
+	if got := server.Sessions(); got != clients {
+		t.Fatalf("Sessions() = %d, want %d (a remote must map to one loop)", got, clients)
+	}
+	owners := 0
+	for _, l := range server.loops {
+		l.mu.Lock()
+		if len(l.sessions) > 0 {
+			owners++
+		}
+		l.mu.Unlock()
+	}
+	// 16 random source ports all hashing to one of 4 sockets: 4^-15.
+	if len(server.loops) > 1 && owners < 2 {
+		t.Errorf("%d loops but only %d own sessions: the group does not spread", len(server.loops), owners)
+	}
+	t.Logf("%d loops, %d own sessions", len(server.loops), owners)
+
+	server.Forget("not an address")
+	server.Forget(<-remotes)
+	if got := server.Sessions(); got != clients-1 {
+		t.Fatalf("Sessions() after Forget = %d, want %d", got, clients-1)
+	}
+	server.expire(time.Now().Add(-time.Hour).UnixNano())
+	if got := server.Sessions(); got != clients-1 {
+		t.Fatalf("expire reclaimed live sessions: %d left", got)
+	}
+	server.expire(time.Now().Add(time.Hour).UnixNano())
+	if got := server.Sessions(); got != 0 {
+		t.Fatalf("Sessions() after expiry = %d, want 0", got)
+	}
+	if m.Started.Load() != clients || m.Retired.Load() != 1 || m.Expired.Load() != clients-1 || m.Active.Load() != 0 {
+		t.Errorf("metrics started %d retired %d expired %d active %d", m.Started.Load(),
+			m.Retired.Load(), m.Expired.Load(), m.Active.Load())
+	}
+}
+
+// TestUDPReplyOutsideBatch: a reply pipe used from a goroutine that is not
+// the session's loop transmits at once instead of waiting for the loop's
+// next receive batch.
+func TestUDPReplyOutsideBatch(t *testing.T) {
+	pipes := make(chan Pipe, 1)
+	server, err := ListenUDP("127.0.0.1:0", func(_ string, reply Pipe) func([]byte) {
+		pipes <- reply
+		return func([]byte) {}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	saddr, _ := net.ResolveUDPAddr("udp", server.Addr())
+	sock, err := net.DialUDP("udp", nil, saddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sock.Close()
+	if _, err := sock.Write([]byte("knock")); err != nil {
+		t.Fatal(err)
+	}
+	reply := <-pipes
+	for _, want := range []string{"small", string(make([]byte, 3000))} {
+		if err := reply.Send([]byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		sock.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, MaxDatagram)
+		n, err := sock.Read(buf)
+		if err != nil {
+			t.Fatalf("unsolicited %d-byte reply never arrived: %v", len(want), err)
+		}
+		if string(buf[:n]) != want {
+			t.Fatalf("got %d bytes, want the %d sent", n, len(want))
+		}
+	}
+}
+
+// TestUDPBatchPathAllocs pins the per-batch machinery at zero allocations:
+// the RawConn callbacks are bound once, not closed over per call.
+func TestUDPBatchPathAllocs(t *testing.T) {
+	sconn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sconn.Close()
+	cconn, err := net.DialUDP("udp", nil, sconn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cconn.Close()
+	rx, err := newBatchReceiver(sconn, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := make([]byte, 64)
+	if allocs := testing.AllocsPerRun(200, func() {
+		for i := 0; i < 4; i++ {
+			cconn.Write(req)
+		}
+		for got := 0; got < 4; {
+			n, err := rx.recvBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got += n
+		}
+	}); allocs != 0 {
+		t.Errorf("recvBatch: %v allocs per batch, want 0", allocs)
+	}
+	if got := rx.src(0).String(); got != cconn.LocalAddr().String() {
+		t.Errorf("src = %s, want %s", got, cconn.LocalAddr())
+	}
+
+	tx, err := newReplyBatch(sconn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := rx.peer(0)
+	small, big := make([]byte, 96), make([]byte, 16<<10)
+	// The client socket is never drained; once its buffer fills the kernel
+	// drops the replies, which costs the sender nothing.
+	if allocs := testing.AllocsPerRun(200, func() {
+		tx.cork()
+		for i := 0; i < 6; i++ {
+			tx.add(small, &to)
+		}
+		tx.add(big, &to)
+		tx.add(small, &to)
+		tx.flush()
+	}); allocs != 0 {
+		t.Errorf("reply batch add/flush: %v allocs per batch, want 0", allocs)
+	}
+}

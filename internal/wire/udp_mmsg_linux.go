@@ -2,13 +2,18 @@
 
 // Batched UDP I/O via sendmmsg/recvmmsg. The raw syscalls are issued inside
 // the RawConn read/write callbacks so the netpoller keeps scheduling the
-// socket (returning false on EAGAIN parks the goroutine until readiness),
-// and the scratch msghdr/iovec arrays are heap-allocated: the kernel reads
-// them by pointer, and Go stacks — unlike the heap — can move.
+// socket (returning false on EAGAIN parks the goroutine until readiness).
+// The callbacks are method values bound once per socket, so a batch
+// allocates nothing, and the scratch msghdr/iovec arrays are heap-allocated:
+// the kernel reads them by pointer, and Go stacks — unlike the heap — can
+// move.
 package wire
 
 import (
+	"context"
 	"net"
+	"net/netip"
+	"runtime"
 	"strconv"
 	"sync"
 	"syscall"
@@ -17,6 +22,15 @@ import (
 
 // udpBatchSize is how many datagrams one sendmmsg/recvmmsg call moves.
 const udpBatchSize = 16
+
+// replySlotBytes is one slot of a loop's send arena: a response that fits
+// one Ethernet frame is copied and batched, a larger one (which IP would
+// fragment anyway) is sent straight from the caller's buffer.
+const replySlotBytes = 1536
+
+// soReusePort is SO_REUSEPORT, absent from the frozen stdlib syscall table;
+// the value is the asm-generic one both gated arches use.
+const soReusePort = 0xf
 
 // sysSendmmsg is the sendmmsg trap number (the stdlib syscall table on
 // linux/amd64 predates sendmmsg; defined per-arch in udp_mmsg_*.go).
@@ -32,203 +46,306 @@ type mmsghdr struct {
 	pad uint32
 }
 
+// peerAddr is a remote's kernel sockaddr as recvmmsg captured it, kept raw
+// so a reply names its destination without a conversion.
+type peerAddr struct {
+	sa  syscall.RawSockaddrAny
+	len uint32
+}
+
+// listenUDPGroup opens GOMAXPROCS sockets on ua as one SO_REUSEPORT group;
+// the kernel steers each remote 4-tuple to one member. The first socket
+// binds *without* the option and gets it right after: a plain bind keeps
+// the port exclusive (a second server on a taken port fails with
+// EADDRINUSE, and port 0 never lands on another group of this user, which
+// an SO_REUSEPORT autobind may), and the kernel adopts it into the group
+// when the second member binds.
+func listenUDPGroup(ua *net.UDPAddr) ([]*net.UDPConn, error) {
+	first, err := net.ListenUDP("udp", ua)
+	if err != nil {
+		return nil, err
+	}
+	conns := []*net.UDPConn{first}
+	rc, err := first.SyscallConn()
+	if err == nil {
+		err = setReusePort(rc)
+	}
+	lc := net.ListenConfig{Control: func(_, _ string, c syscall.RawConn) error { return setReusePort(c) }}
+	for len(conns) < runtime.GOMAXPROCS(0) && err == nil {
+		var pc net.PacketConn
+		if pc, err = lc.ListenPacket(context.Background(), "udp", first.LocalAddr().String()); err == nil {
+			conns = append(conns, pc.(*net.UDPConn))
+		}
+	}
+	if err != nil {
+		closeConns(conns)
+		return nil, err
+	}
+	return conns, nil
+}
+
+func setReusePort(c syscall.RawConn) error {
+	var serr error
+	if err := c.Control(func(fd uintptr) {
+		serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
+	}); err != nil {
+		return err
+	}
+	return serr
+}
+
+// mmsgTx is the sendmmsg half shared by the client's batchSender and the
+// server's replyBatch: n filled headers, transmitted in order by flush.
+type mmsgTx struct {
+	rc   syscall.RawConn
+	hdrs []mmsghdr
+	iovs []syscall.Iovec
+	n    int                   // headers filled
+	off  int                   // first header the next trap sends
+	trap func(fd uintptr) bool // sendmmsgTrap, bound once
+}
+
+func newMmsgTx(c *net.UDPConn) (*mmsgTx, error) {
+	rc, err := c.SyscallConn()
+	if err != nil {
+		return nil, err
+	}
+	t := &mmsgTx{rc: rc,
+		hdrs: make([]mmsghdr, udpBatchSize),
+		iovs: make([]syscall.Iovec, udpBatchSize)}
+	t.trap = t.sendmmsgTrap
+	return t, nil
+}
+
+// push fills the next header with datagram p, addressed to to (nil on a
+// connected socket). p must stay valid until flush returns.
+func (t *mmsgTx) push(p []byte, to *peerAddr) {
+	i := t.n
+	t.iovs[i] = syscall.Iovec{}
+	if len(p) > 0 {
+		t.iovs[i].Base = &p[0]
+		t.iovs[i].SetLen(len(p))
+	}
+	t.hdrs[i] = mmsghdr{}
+	t.hdrs[i].hdr.Iov = &t.iovs[i]
+	t.hdrs[i].hdr.Iovlen = 1
+	if to != nil {
+		t.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&to.sa))
+		t.hdrs[i].hdr.Namelen = to.len
+	}
+	t.n++
+}
+
+// flush transmits the filled headers, normally in one sendmmsg. A datagram
+// the kernel refuses is skipped as lost — the reliable layer's
+// retransmission covers it, same as any dropped datagram.
+func (t *mmsgTx) flush() error {
+	var err error
+	for t.off = 0; t.off < t.n && err == nil; {
+		err = t.rc.Write(t.trap)
+	}
+	t.n = 0
+	return err
+}
+
+func (t *mmsgTx) sendmmsgTrap(fd uintptr) bool {
+	r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&t.hdrs[t.off])), uintptr(t.n-t.off), 0, 0, 0)
+	if errno == syscall.EAGAIN {
+		return false
+	}
+	if errno != 0 || r1 == 0 {
+		r1 = 1 // the head datagram failed: drop it, carry on with the rest
+	}
+	t.off += int(r1)
+	return true
+}
+
 // batchSender coalesces sends on a connected UDP socket.
 type batchSender struct {
-	c  *net.UDPConn
-	rc syscall.RawConn // nil: sequential Write fallback
-
-	mu       sync.Mutex
-	sendHdrs []mmsghdr       // guarded by mu: syscall scratch, reused per batch
-	sendIovs []syscall.Iovec // guarded by mu
+	mu sync.Mutex
+	tx *mmsgTx // guarded by mu
 }
 
-func newBatchSender(c *net.UDPConn) *batchSender {
-	s := &batchSender{c: c,
-		sendHdrs: make([]mmsghdr, udpBatchSize),
-		sendIovs: make([]syscall.Iovec, udpBatchSize)}
-	if rc, err := c.SyscallConn(); err == nil {
-		s.rc = rc
-	}
-	return s
+func newBatchSender(c *net.UDPConn) (*batchSender, error) {
+	tx, err := newMmsgTx(c)
+	return &batchSender{tx: tx}, err
 }
 
-// send transmits ps in order, up to udpBatchSize datagrams per sendmmsg. A
-// non-EAGAIN syscall failure is treated as loss of the whole chunk — the
-// reliable layer's retransmission covers it, same as any dropped datagram.
+// send transmits ps in order, up to udpBatchSize datagrams per sendmmsg.
 func (s *batchSender) send(ps [][]byte) error {
-	if s.rc == nil {
-		for _, p := range ps {
-			if _, err := s.c.Write(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(ps) > 0 {
-		n := len(ps)
-		if n > udpBatchSize {
-			n = udpBatchSize
+		n := min(len(ps), udpBatchSize)
+		for _, p := range ps[:n] {
+			s.tx.push(p, nil)
 		}
-		for i := 0; i < n; i++ {
-			s.sendHdrs[i] = mmsghdr{}
-			s.sendIovs[i] = syscall.Iovec{}
-			if len(ps[i]) > 0 {
-				s.sendIovs[i].Base = &ps[i][0]
-				s.sendIovs[i].SetLen(len(ps[i]))
-			}
-			s.sendHdrs[i].hdr.Iov = &s.sendIovs[i]
-			s.sendHdrs[i].hdr.Iovlen = 1
-		}
-		sent := 0
-		err := s.rc.Write(func(fd uintptr) bool {
-			r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&s.sendHdrs[0])), uintptr(n), 0, 0, 0)
-			switch {
-			case errno == syscall.EAGAIN:
-				return false
-			case errno != 0:
-				sent = n // dropped chunk; retransmission recovers
-			default:
-				sent = int(r1)
-			}
-			return true
-		})
-		if err != nil {
+		if err := s.tx.flush(); err != nil {
 			return err
 		}
-		if sent <= 0 {
-			sent = n
-		}
-		ps = ps[sent:]
+		ps = ps[n:]
 	}
 	return nil
+}
+
+// replyBatch is one ingress loop's outbound half: the responses of a
+// receive batch queue here and leave in one sendmmsg. add copies a response
+// into an arena slot, so the caller's buffer is free when add returns.
+// Between cork and flush (the loop's receive batch) transmission is
+// deferred; outside it add transmits at once, so a Send from another
+// goroutine never waits for traffic.
+type replyBatch struct {
+	mu     sync.Mutex
+	tx     *mmsgTx // guarded by mu
+	arena  []byte  // guarded by mu: udpBatchSize slots of replySlotBytes
+	corked bool    // guarded by mu
+}
+
+func newReplyBatch(c *net.UDPConn) (*replyBatch, error) {
+	tx, err := newMmsgTx(c)
+	return &replyBatch{tx: tx, arena: make([]byte, udpBatchSize*replySlotBytes)}, err
+}
+
+func (b *replyBatch) cork() {
+	b.mu.Lock()
+	b.corked = true
+	b.mu.Unlock()
+}
+
+// add queues response p for to. A full batch is flushed; a response larger
+// than a slot flushes the queue and then goes out directly, so order holds.
+//
+//edmlint:hotpath once per response datagram
+func (b *replyBatch) add(p []byte, to *peerAddr) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(p) > replySlotBytes {
+		b.tx.flush() // its only error, a closed socket, fails the next flush too
+		b.tx.push(p, to)
+		return b.tx.flush()
+	}
+	slot := b.arena[b.tx.n*replySlotBytes:][:len(p)]
+	copy(slot, p)
+	b.tx.push(slot, to)
+	if b.tx.n == udpBatchSize || !b.corked {
+		return b.tx.flush()
+	}
+	return nil
+}
+
+// flush ends the loop's receive batch: uncork and transmit what queued.
+//
+//edmlint:hotpath once per receive batch
+func (b *replyBatch) flush() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.corked = false
+	return b.tx.flush()
 }
 
 // batchReceiver drains a UDP socket up to udpBatchSize datagrams per
 // recvmmsg into buffers it owns and reuses: a received packet is valid only
 // until the next recv call. With capture set it also records each packet's
-// source address (the server's demux key).
+// source address (the server's demux key and reply destination).
 type batchReceiver struct {
-	c       *net.UDPConn
-	rc      syscall.RawConn // nil: single-datagram fallback
-	capture bool
-
+	rc    syscall.RawConn
 	bufs  [][]byte
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
-	names []syscall.RawSockaddrAny
-	addrs []net.UDPAddr
+	names []syscall.RawSockaddrAny // nil without capture
+	got   int                      // datagrams in the last batch
+	errno syscall.Errno            // the last trap's failure
+	trap  func(fd uintptr) bool    // recvmmsgTrap, bound once
 }
 
-func newBatchReceiver(c *net.UDPConn, capture bool) *batchReceiver {
-	r := &batchReceiver{c: c, capture: capture,
-		bufs:  make([][]byte, udpBatchSize),
-		hdrs:  make([]mmsghdr, udpBatchSize),
-		iovs:  make([]syscall.Iovec, udpBatchSize),
-		names: make([]syscall.RawSockaddrAny, udpBatchSize),
-		addrs: make([]net.UDPAddr, udpBatchSize)}
+func newBatchReceiver(c *net.UDPConn, capture bool) (*batchReceiver, error) {
+	rc, err := c.SyscallConn()
+	if err != nil {
+		return nil, err
+	}
+	r := &batchReceiver{rc: rc,
+		bufs: make([][]byte, udpBatchSize),
+		hdrs: make([]mmsghdr, udpBatchSize),
+		iovs: make([]syscall.Iovec, udpBatchSize)}
+	if capture {
+		r.names = make([]syscall.RawSockaddrAny, udpBatchSize)
+	}
 	for i := range r.bufs {
 		r.bufs[i] = make([]byte, MaxDatagram+1)
-	}
-	if rc, err := c.SyscallConn(); err == nil {
-		r.rc = rc
-	}
-	return r
-}
-
-// recv blocks for at least one datagram and returns how many arrived.
-func (r *batchReceiver) recvBatch() (int, error) {
-	if r.rc == nil {
-		return r.recvOne()
-	}
-	for i := 0; i < udpBatchSize; i++ {
-		r.hdrs[i] = mmsghdr{}
-		r.iovs[i] = syscall.Iovec{Base: &r.bufs[i][0]}
+		r.iovs[i].Base = &r.bufs[i][0]
 		r.iovs[i].SetLen(len(r.bufs[i]))
 		r.hdrs[i].hdr.Iov = &r.iovs[i]
 		r.hdrs[i].hdr.Iovlen = 1
-		if r.capture {
+		if capture {
 			r.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
+		}
+	}
+	r.trap = r.recvmmsgTrap
+	return r, nil
+}
+
+// recvBatch blocks for at least one datagram and returns how many arrived.
+//
+//edmlint:hotpath once per receive batch
+func (r *batchReceiver) recvBatch() (int, error) {
+	if r.names != nil {
+		// Namelen is in/out: the kernel shrank it to each source's size.
+		for i := range r.hdrs {
 			r.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[i]))
 		}
 	}
-	got := 0
-	var sysErr error
-	err := r.rc.Read(func(fd uintptr) bool {
-		r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-			uintptr(unsafe.Pointer(&r.hdrs[0])), udpBatchSize, 0, 0, 0)
-		switch {
-		case errno == syscall.EAGAIN:
-			return false
-		case errno != 0:
-			sysErr = errno
-		default:
-			got = int(r1)
-		}
-		return true
-	})
-	if err != nil {
+	r.got, r.errno = 0, 0
+	if err := r.rc.Read(r.trap); err != nil {
 		return 0, err
 	}
-	if sysErr != nil {
-		return 0, sysErr
+	if r.errno != 0 {
+		return 0, r.errno
 	}
-	if r.capture {
-		for i := 0; i < got; i++ {
-			rawToUDPAddr(&r.names[i], &r.addrs[i])
-		}
-	}
-	return got, nil
+	return r.got, nil
 }
 
-// recvOne is the fallback when the socket exposes no RawConn.
-func (r *batchReceiver) recvOne() (int, error) {
-	if r.capture {
-		n, addr, err := r.c.ReadFromUDP(r.bufs[0])
-		if err != nil {
-			return 0, err
-		}
-		r.hdrs[0].n = uint32(n)
-		r.addrs[0] = *addr
-		return 1, nil
+func (r *batchReceiver) recvmmsgTrap(fd uintptr) bool {
+	r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+		uintptr(unsafe.Pointer(&r.hdrs[0])), udpBatchSize, 0, 0, 0)
+	switch {
+	case errno == syscall.EAGAIN:
+		return false
+	case errno != 0:
+		r.errno = errno
+	default:
+		r.got = int(r1)
 	}
-	n, err := r.c.Read(r.bufs[0])
-	if err != nil {
-		return 0, err
-	}
-	r.hdrs[0].n = uint32(n)
-	return 1, nil
+	return true
 }
 
 // pkt returns packet i of the last recv; valid until the next recv.
 func (r *batchReceiver) pkt(i int) []byte { return r.bufs[i][:r.hdrs[i].n] }
 
-// src returns packet i's source address; valid until the next recv.
-func (r *batchReceiver) src(i int) *net.UDPAddr { return &r.addrs[i] }
+// peer returns packet i's raw source address, for addressing replies.
+func (r *batchReceiver) peer(i int) peerAddr {
+	return peerAddr{sa: r.names[i], len: r.hdrs[i].hdr.Namelen}
+}
 
-// rawToUDPAddr decodes a kernel sockaddr into out, reusing out's IP
-// capacity. Ports arrive big-endian; the gated platforms are little-endian,
-// so the swap is unconditional.
-func rawToUDPAddr(sa *syscall.RawSockaddrAny, out *net.UDPAddr) {
-	out.Zone = ""
+// src decodes packet i's source address into the comparable session key.
+// Ports arrive big-endian; the gated platforms are little-endian, so the
+// swap is unconditional. A dual-stack socket reports IPv4 peers as
+// IPv4-mapped; Unmap gives them the same key and name a v4 socket would.
+func (r *batchReceiver) src(i int) netip.AddrPort {
+	sa := &r.names[i]
 	switch sa.Addr.Family {
 	case syscall.AF_INET:
 		a := (*syscall.RawSockaddrInet4)(unsafe.Pointer(sa))
-		out.IP = append(out.IP[:0], a.Addr[:]...)
-		out.Port = int(ntohs(a.Port))
+		return netip.AddrPortFrom(netip.AddrFrom4(a.Addr), ntohs(a.Port))
 	case syscall.AF_INET6:
 		a := (*syscall.RawSockaddrInet6)(unsafe.Pointer(sa))
-		out.IP = append(out.IP[:0], a.Addr[:]...)
-		out.Port = int(ntohs(a.Port))
+		ip := netip.AddrFrom16(a.Addr).Unmap()
 		if a.Scope_id != 0 {
-			out.Zone = strconv.FormatUint(uint64(a.Scope_id), 10)
+			ip = ip.WithZone(strconv.FormatUint(uint64(a.Scope_id), 10))
 		}
-	default:
-		out.IP = out.IP[:0]
-		out.Port = 0
+		return netip.AddrPortFrom(ip, ntohs(a.Port))
 	}
+	return netip.AddrPort{}
 }
 
 func ntohs(v uint16) uint16 { return v<<8 | v>>8 }

@@ -1,20 +1,36 @@
 //go:build !(linux && (amd64 || arm64))
 
 // Portable single-datagram stand-ins for the batched UDP I/O in
-// udp_mmsg_linux.go: same batchSender/batchReceiver API, one Write or
-// ReadFromUDP per datagram. Platforms without a verified mmsghdr layout
-// take this path; correctness is identical, only the per-datagram syscall
-// amortization is lost.
+// udp_mmsg_linux.go: same batchSender/batchReceiver/replyBatch API, one
+// socket, one ingress loop, one Write or ReadFromUDPAddrPort per datagram.
+// Platforms without a verified mmsghdr layout take this path; correctness
+// is identical, only the per-datagram syscall amortization and the
+// SO_REUSEPORT spread over cores are lost.
 package wire
 
-import "net"
+import (
+	"net"
+	"net/netip"
+)
 
 // udpBatchSize is how many datagrams one receive call can return.
 const udpBatchSize = 1
 
+// peerAddr is a reply's destination.
+type peerAddr struct{ ap netip.AddrPort }
+
+// listenUDPGroup opens the listener's one socket.
+func listenUDPGroup(ua *net.UDPAddr) ([]*net.UDPConn, error) {
+	c, err := net.ListenUDP("udp", ua)
+	if err != nil {
+		return nil, err
+	}
+	return []*net.UDPConn{c}, nil
+}
+
 type batchSender struct{ c *net.UDPConn }
 
-func newBatchSender(c *net.UDPConn) *batchSender { return &batchSender{c: c} }
+func newBatchSender(c *net.UDPConn) (*batchSender, error) { return &batchSender{c: c}, nil }
 
 // send transmits ps in order, one syscall per datagram.
 func (s *batchSender) send(ps [][]byte) error {
@@ -26,6 +42,20 @@ func (s *batchSender) send(ps [][]byte) error {
 	return nil
 }
 
+// replyBatch sends each response as it is added; there is nothing to cork.
+type replyBatch struct{ c *net.UDPConn }
+
+func newReplyBatch(c *net.UDPConn) (*replyBatch, error) { return &replyBatch{c: c}, nil }
+
+func (b *replyBatch) cork() {}
+
+func (b *replyBatch) add(p []byte, to *peerAddr) error {
+	_, err := b.c.WriteToUDPAddrPort(p, to.ap)
+	return err
+}
+
+func (b *replyBatch) flush() error { return nil }
+
 // batchReceiver reads one datagram at a time into a buffer it owns and
 // reuses: a received packet is valid only until the next recv call.
 type batchReceiver struct {
@@ -33,34 +63,36 @@ type batchReceiver struct {
 	capture bool
 	buf     []byte
 	n       int
-	from    net.UDPAddr
+	from    netip.AddrPort
 }
 
-func newBatchReceiver(c *net.UDPConn, capture bool) *batchReceiver {
-	return &batchReceiver{c: c, capture: capture, buf: make([]byte, MaxDatagram+1)}
+func newBatchReceiver(c *net.UDPConn, capture bool) (*batchReceiver, error) {
+	return &batchReceiver{c: c, capture: capture, buf: make([]byte, MaxDatagram+1)}, nil
 }
 
-// recv blocks for one datagram and returns 1.
+// recvBatch blocks for one datagram and returns 1.
 func (r *batchReceiver) recvBatch() (int, error) {
+	var err error
 	if r.capture {
-		n, addr, err := r.c.ReadFromUDP(r.buf)
-		if err != nil {
-			return 0, err
-		}
-		r.n = n
-		r.from = *addr
-		return 1, nil
+		r.n, r.from, err = r.c.ReadFromUDPAddrPort(r.buf)
+	} else {
+		r.n, err = r.c.Read(r.buf)
 	}
-	n, err := r.c.Read(r.buf)
 	if err != nil {
 		return 0, err
 	}
-	r.n = n
 	return 1, nil
 }
 
 // pkt returns packet i of the last recv; valid until the next recv.
 func (r *batchReceiver) pkt(i int) []byte { return r.buf[:r.n] }
 
-// src returns packet i's source address; valid until the next recv.
-func (r *batchReceiver) src(i int) *net.UDPAddr { return &r.from }
+// peer returns packet i's source address, for addressing replies.
+func (r *batchReceiver) peer(i int) peerAddr { return peerAddr{ap: r.from} }
+
+// src returns packet i's source address as the comparable session key. A
+// dual-stack socket reports IPv4 peers as IPv4-mapped; Unmap gives them
+// the same key and name a v4 socket would.
+func (r *batchReceiver) src(i int) netip.AddrPort {
+	return netip.AddrPortFrom(r.from.Addr().Unmap(), r.from.Port())
+}
