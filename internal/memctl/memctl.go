@@ -61,17 +61,24 @@ var (
 	ErrBadOpcode  = errors.New("memctl: unknown RMW opcode")
 )
 
-const pageBytes = 4096
+const (
+	pageBytes  = 4096
+	chunkPages = 512 // pages per second-level table: 2 MiB of address space
+)
+
+// pageChunk is one second-level page table; a nil slot is a page never
+// touched.
+type pageChunk [chunkPages]*[pageBytes]byte
 
 // Controller is a single-channel memory controller with a per-bank open-row
 // policy. It is not safe for concurrent use; the simulation kernel is
 // single-threaded by design.
 type Controller struct {
 	cfg      Config
-	pages    map[uint64]*[pageBytes]byte // guarded by caller (single-threaded by design; rmem.Server serializes under its mu)
-	openRow  []int64                     // per bank; -1 = closed; guarded by caller
-	accesses uint64                      // guarded by caller
-	rowHits  uint64                      // guarded by caller
+	pages    []*pageChunk // indexed by page number / chunkPages, filled on first touch; guarded by caller (single-threaded by design; rmem.Server serializes under its mu)
+	openRow  []int64      // per bank; -1 = closed; guarded by caller
+	accesses uint64       // guarded by caller
+	rowHits  uint64       // guarded by caller
 }
 
 // New returns a controller with the given configuration.
@@ -83,7 +90,8 @@ func New(cfg Config) *Controller {
 	for i := range open {
 		open[i] = -1
 	}
-	return &Controller{cfg: cfg, pages: make(map[uint64]*[pageBytes]byte), openRow: open}
+	chunks := (cfg.Size-1)/(pageBytes*chunkPages) + 1
+	return &Controller{cfg: cfg, pages: make([]*pageChunk, chunks), openRow: open}
 }
 
 // Size reports addressable bytes.
@@ -102,42 +110,58 @@ func (c *Controller) check(addr uint64, n int) error {
 	return nil
 }
 
-// accessTime charges bank timing for one access touching [addr, addr+n).
+// accessTime charges bank timing for one access touching [addr, addr+n), in
+// closed form per row segment (the run of bursts whose first byte lies in
+// one row of one bank): a segment's first burst hits or misses the bank's
+// open row, the rest of it are row hits by construction. Consecutive bursts
+// pipeline at TBurst each; only the access's first burst pays the full
+// column latency, so the other bursts' TCAS comes off at the end.
 //
 //edmlint:hotpath runs once per served memory access
 func (c *Controller) accessTime(addr uint64, n int) sim.Time {
 	total := c.cfg.Overhead
-	// Walk the bursts the access spans; consecutive bursts in an open row
-	// pipeline at TBurst each.
-	for off := addr &^ (BurstBytes - 1); off < addr+uint64(n); off += BurstBytes {
-		bank := int((off / c.cfg.RowBytes) % uint64(c.cfg.Banks))
-		row := int64(off / (c.cfg.RowBytes * uint64(c.cfg.Banks)))
-		c.accesses++
+	off, end := addr&^(BurstBytes-1), addr+uint64(n)
+	var bursts uint64
+	for off < end {
+		g := off / c.cfg.RowBytes // global row: banks interleave at row granularity
+		bank, row := int(g%uint64(c.cfg.Banks)), int64(g/uint64(c.cfg.Banks))
+		segEnd := (g + 1) * c.cfg.RowBytes
+		if segEnd > end {
+			segEnd = end
+		}
+		k := (segEnd - off + BurstBytes - 1) / BurstBytes
 		if c.openRow[bank] == row {
 			c.rowHits++
-			total += c.cfg.TCAS + c.cfg.TBurst
 		} else {
 			if c.openRow[bank] >= 0 {
 				total += c.cfg.TRP // close the old row
 			}
-			total += c.cfg.TRCD + c.cfg.TCAS + c.cfg.TBurst
+			total += c.cfg.TRCD
 			c.openRow[bank] = row
 		}
-		// Only the first burst pays the full column latency; subsequent
-		// bursts in the same request stream out back to back.
-		if off > addr&^(BurstBytes-1) {
-			total -= c.cfg.TCAS
-		}
+		c.rowHits += k - 1
+		bursts += k
+		off += k * BurstBytes
 	}
-	return total
+	c.accesses += bursts
+	return total + sim.Time(bursts)*c.cfg.TBurst + c.cfg.TCAS
 }
 
+// page returns the page holding addr, allocating it (zero-filled) on first
+// touch.
+//
+//edmlint:hotpath one lookup per 4 KiB of every access
 func (c *Controller) page(addr uint64) *[pageBytes]byte {
 	idx := addr / pageBytes
-	p := c.pages[idx]
+	ch := c.pages[idx/chunkPages]
+	if ch == nil {
+		ch = new(pageChunk)
+		c.pages[idx/chunkPages] = ch
+	}
+	p := ch[idx%chunkPages]
 	if p == nil {
 		p = new([pageBytes]byte)
-		c.pages[idx] = p
+		ch[idx%chunkPages] = p
 	}
 	return p
 }

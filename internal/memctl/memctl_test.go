@@ -2,11 +2,14 @@ package memctl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func newCtl(t *testing.T) *Controller {
@@ -259,5 +262,158 @@ func TestLatencyMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// accessTimeOracle is the per-burst walk the closed-form accessTime
+// replaced, kept only as the differential test's reference.
+func (c *Controller) accessTimeOracle(addr uint64, n int) sim.Time {
+	total := c.cfg.Overhead
+	for off := addr &^ (BurstBytes - 1); off < addr+uint64(n); off += BurstBytes {
+		bank := int((off / c.cfg.RowBytes) % uint64(c.cfg.Banks))
+		row := int64(off / (c.cfg.RowBytes * uint64(c.cfg.Banks)))
+		c.accesses++
+		if c.openRow[bank] == row {
+			c.rowHits++
+			total += c.cfg.TCAS + c.cfg.TBurst
+		} else {
+			if c.openRow[bank] >= 0 {
+				total += c.cfg.TRP
+			}
+			total += c.cfg.TRCD + c.cfg.TCAS + c.cfg.TBurst
+			c.openRow[bank] = row
+		}
+		if off > addr&^(BurstBytes-1) {
+			total -= c.cfg.TCAS
+		}
+	}
+	return total
+}
+
+// firstOpenRowDiff reports the first bank whose open row differs between c
+// and o, or -1.
+func (c *Controller) firstOpenRowDiff(o *Controller) int {
+	for b, row := range c.openRow {
+		if row != o.openRow[b] {
+			return b
+		}
+	}
+	return -1
+}
+
+// The closed form must agree with the per-burst walk on the returned time,
+// the counters and every bank's open row after each call — for row sizes
+// that are and are not a multiple of the burst, unaligned addresses and
+// accesses spanning many rows of the same bank.
+func TestAccessTimeMatchesPerBurstOracle(t *testing.T) {
+	const calls = 100_000
+	for _, rowBytes := range []uint64{64, 96, 1000, 4096, 8192} {
+		cfg := DefaultConfig()
+		cfg.Size, cfg.RowBytes = 1<<24, rowBytes
+		got, want := New(cfg), New(cfg)
+		rng := workload.NewRand(rowBytes)
+		for i := 0; i < calls; i++ {
+			n := 1 + rng.Intn(40_000)
+			if i%4 == 0 {
+				n = 1 + rng.Intn(256) // small accesses: row hits dominate
+			}
+			addr := rng.Uint64() % (cfg.Size - uint64(n))
+			if i%8 == 1 {
+				addr &^= BurstBytes - 1
+			}
+			tg, tw := got.accessTime(addr, n), want.accessTimeOracle(addr, n)
+			if tg != tw {
+				t.Fatalf("RowBytes=%d call %d addr=%#x n=%d: time %v, oracle %v", rowBytes, i, addr, n, tg, tw)
+			}
+			ga, gh := got.Stats()
+			wa, wh := want.Stats()
+			if ga != wa || gh != wh {
+				t.Fatalf("RowBytes=%d call %d addr=%#x n=%d: stats %d/%d, oracle %d/%d", rowBytes, i, addr, n, ga, gh, wa, wh)
+			}
+			if b := got.firstOpenRowDiff(want); b >= 0 {
+				t.Fatalf("RowBytes=%d call %d addr=%#x n=%d: bank %d's open row differs from the oracle's", rowBytes, i, addr, n, b)
+			}
+		}
+	}
+}
+
+// Never-written pages read as zero wherever they sit in the page table,
+// including next to written pages and across a chunk boundary.
+func TestPageTableZeroFill(t *testing.T) {
+	const chunkBytes = pageBytes * chunkPages
+	c := New(Config{Size: 3*chunkBytes + 100, Banks: 4, RowBytes: 2048, TBurst: 1})
+	if _, err := c.Write(chunkBytes-8, bytes.Repeat([]byte{0xee}, 16)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		addr uint64
+		n    int
+	}{{0, 4096}, {chunkBytes - 5000, 4992}, {chunkBytes + 8, 9000}, {2*chunkBytes - 100, 200}, {3 * chunkBytes, 100}} {
+		got, _, err := c.Read(r.addr, r.n)
+		if err != nil {
+			t.Fatalf("read %#x+%d: %v", r.addr, r.n, err)
+		}
+		if !bytes.Equal(got, make([]byte, r.n)) {
+			t.Fatalf("read %#x+%d of never-written memory is not zero", r.addr, r.n)
+		}
+	}
+	got, _, err := c.Read(chunkBytes-8, 16)
+	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xee}, 16)) {
+		t.Fatalf("write straddling a chunk boundary read back %x, %v", got, err)
+	}
+}
+
+// A controller whose size is not a multiple of the chunk (or of the page)
+// serves its last partial page up to the final byte and not beyond, and an
+// RMW on the final word lands there.
+func TestPageTableLastPartialPage(t *testing.T) {
+	const size = pageBytes*chunkPages + 3*pageBytes + 24
+	c := New(Config{Size: size, Banks: 4, RowBytes: 2048, TBurst: 1})
+	tail := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30}
+	if _, err := c.Write(size-uint64(len(tail)), tail); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := c.Read(size-uint64(len(tail)), len(tail))
+	if err != nil || !bytes.Equal(got, tail) {
+		t.Fatalf("tail read back %x, %v", got, err)
+	}
+	if _, err := c.Write(size-4, make([]byte, 5)); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("write past the end: %v, want ErrOutOfRange", err)
+	}
+	if _, _, err := c.Read(size, 1); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("read at the end: %v, want ErrOutOfRange", err)
+	}
+	old, _, err := c.RMW(size-WordBytes, OpFetchAdd, 5)
+	if err != nil || old != binary.LittleEndian.Uint64(tail[len(tail)-WordBytes:]) {
+		t.Fatalf("RMW on the final word: old %#x, %v", old, err)
+	}
+	word, _, err := c.Read(size-WordBytes, WordBytes)
+	if err != nil || binary.LittleEndian.Uint64(word) != old+5 {
+		t.Fatalf("final word after fetch-add: %x, %v", word, err)
+	}
+	if _, _, err := c.RMW(size, OpFetchAdd, 1); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("RMW past the end: %v, want ErrOutOfRange", err)
+	}
+}
+
+var sinkTime sim.Time
+
+// BenchmarkAccessTime is the timing model alone: one 64 B read (one burst,
+// usually a row miss) and one 16 KiB access (256 bursts over 2-3 rows).
+func BenchmarkAccessTime(b *testing.B) {
+	for _, n := range []int{64, 16384} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			c := New(DefaultConfig())
+			rng := workload.NewRand(1)
+			addrs := make([]uint64, 1024)
+			for i := range addrs {
+				addrs[i] = rng.Uint64() % (c.Size() - uint64(n)) &^ 7
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkTime += c.accessTime(addrs[i%len(addrs)], n)
+			}
+		})
 	}
 }

@@ -171,6 +171,60 @@ func BenchmarkPipelinedRead(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
+// BenchmarkBulkRoundTrip is the per-byte rung: alternating 16 KiB reads and
+// writes, one at a time, through the async API over the loopback (ops
+// complete inline, callbacks are bound once). At this size the protocol
+// work is noise; what is measured is how often each payload byte is moved
+// or checksummed between the caller's buffer and the slab. The acceptance
+// bar is 0 allocs/op in steady state.
+func BenchmarkBulkRoundTrip(b *testing.B) {
+	const size = 16384
+	client := benchPair(b, 1)
+	span := (client.Geometry().SlabBytes / 2) &^ (size - 1)
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	failed := 0
+	onRead := func(d []byte, err error) {
+		if err != nil || len(d) != size {
+			failed++
+		}
+	}
+	onWrite := func(err error) {
+		if err != nil {
+			failed++
+		}
+	}
+	op := func(i int) error {
+		addr := (uint64(i/2) * size) % span
+		if i%2 == 0 {
+			return client.Read(addr, size, onRead)
+		}
+		return client.Write(span+addr, data, onWrite)
+	}
+	// Past the dedup window, so every entry has been recycled at least once
+	// and the read entries have reached their size.
+	for i := 0; i < 2*wire.DefaultResponderWindow+64; i++ {
+		if err := op(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if failed > 0 {
+		b.Fatalf("%d ops failed", failed)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+}
+
 // BenchmarkUDPWindow32 is the real-socket rung: one session, window 32, 64 B
 // reads against an in-process wire.UDPServer on 127.0.0.1, so recvmmsg,
 // the ingress loop, the reply batch and sendmmsg are all on the path. The

@@ -123,7 +123,8 @@ func TestRetransmissionRecovers(t *testing.T) {
 	fault := func(_ sim.Time, dir wire.Dir, p []byte) wire.Fault {
 		mu.Lock()
 		defer mu.Unlock()
-		m, err := wire.Decode(p)
+		var m wire.Msg
+		err := wire.DecodeInto(&m, p)
 		if err == nil && dir == wire.ToServer && m.Kind == wire.KindWREQ && dropped < 2 {
 			dropped++
 			return wire.FaultDrop
@@ -162,8 +163,8 @@ func TestDuplicateRMWExactlyOnce(t *testing.T) {
 		if dir != wire.ToClient {
 			return wire.FaultNone
 		}
-		m, err := wire.Decode(p)
-		if err != nil || m.Kind != wire.KindRMWRESP {
+		var m wire.Msg
+		if err := wire.DecodeInto(&m, p); err != nil || m.Kind != wire.KindRMWRESP {
 			return wire.FaultNone
 		}
 		mu.Lock()
@@ -400,5 +401,82 @@ func TestUDPEndToEnd(t *testing.T) {
 	}
 	if v != 100 {
 		t.Fatalf("UDP concurrent counter = %d, want 100", v)
+	}
+}
+
+// TestReadCallbackReentrancyKeepsData: on the loopback a read callback runs
+// inside the server's Send of the very datagram its data slice views (the
+// client decodes in place). Issuing more ops than the dedup window holds
+// from inside that callback recycles every unpinned entry of the session;
+// the callback's own 16 KiB must still be intact afterwards, which is what
+// the responder's waiters pin guarantees.
+func TestReadCallbackReentrancyKeepsData(t *testing.T) {
+	const (
+		size   = 16384
+		window = 8
+		base   = 1 << 19
+	)
+	srv, err := NewServer(ServerConfig{DupWindow: window,
+		Geometry: Geometry{SlabBytes: 1 << 20, Slots: 64, SlotBytes: 1024}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, client, _ := loopClient(t, srv, ClientConfig{}, nil)
+	fill := func(seed int) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(seed + i*31)
+		}
+		return b
+	}
+	for i := 0; i <= window+1; i++ {
+		if err := client.WriteSync(uint64(i)*size, fill(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outer, inner := 0, 0
+	err = client.Read(0, size, func(d []byte, err error) {
+		outer++
+		if err != nil {
+			t.Errorf("outer read: %v", err)
+			return
+		}
+		for i := 1; i <= window+1; i++ {
+			var ierr error
+			if i%2 == 0 {
+				ierr = client.Write(base+uint64(i)*size, fill(100+i), func(err error) {
+					inner++
+					if err != nil {
+						t.Errorf("nested write %d: %v", i, err)
+					}
+				})
+			} else {
+				want := fill(i)
+				ierr = client.Read(uint64(i)*size, size, func(nd []byte, err error) {
+					inner++
+					if err != nil || !bytes.Equal(nd, want) {
+						t.Errorf("nested read %d: wrong bytes (err %v)", i, err)
+					}
+				})
+			}
+			if ierr != nil {
+				t.Errorf("nested op %d: %v", i, ierr)
+			}
+		}
+		if inner != window+1 {
+			t.Errorf("%d nested ops completed inside the callback, want %d", inner, window+1)
+		}
+		if !bytes.Equal(d, fill(0)) {
+			t.Error("the callback's own data changed under the ops it issued")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outer != 1 {
+		t.Fatalf("outer callback ran %d times", outer)
+	}
+	if st := srv.Stats(); st.Errors != 0 {
+		t.Fatalf("server errors: %+v", st)
 	}
 }

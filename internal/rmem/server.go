@@ -239,12 +239,13 @@ func statusOf(err error) wire.Status {
 	return wire.StatusProto
 }
 
-// grow returns a length-n slice reusing d's capacity.
+// grow returns a length-n slice reusing d's capacity (under a Responder:
+// the response datagram's payload window).
 //
 //edmlint:hotpath
 func grow(d []byte, n int) []byte {
 	if cap(d) < n {
-		//edmlint:allow hotpath allocates only until the recycled buffer reaches its high-water mark
+		//edmlint:allow hotpath allocates only until a direct caller's reused Msg reaches its high-water mark
 		return make([]byte, n)
 	}
 	return d[:n]
@@ -339,9 +340,12 @@ func (s *Server) rmw(addr uint64, op memctl.RMWOp, args []uint64) (uint64, sim.T
 
 // Handle executes one fresh request, filling resp in place. It is the
 // wire.Responder handler; the responder layer has already suppressed
-// duplicates, so every call here executes exactly once, and resp arrives
-// with Kind/ID pre-set and recycled Data capacity (the zero-alloc path
-// reads directly into it).
+// duplicates, so every call here executes exactly once. m.Data views the
+// request datagram, so a write is one copy, datagram to slab. resp arrives
+// with Kind/ID pre-set and resp.Data a zero-length window onto the response
+// datagram's payload bytes with room for m.Count, so a read is one copy,
+// slab to the bytes that go on the wire. A direct caller's plain Msg makes
+// grow allocate once and then reuse that capacity.
 //
 //edmlint:hotpath one Handle per served request
 func (s *Server) Handle(m, resp *wire.Msg) {

@@ -199,7 +199,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 // Msgs are pooled: a response handed to a callback (and request records
 // recycled by the client) is valid only for the duration of that callback.
-// Retaining one — or a view of its Data — requires an explicit copy
+// A decoded Msg's Data is not a copy: it views the datagram it was decoded
+// from (see DecodeInto), which the transport keeps alive for exactly that
+// long. Retaining a Msg — or a view of its Data — requires an explicit copy
 // (Clone). The pooledescape analyzer enforces this module-wide.
 //
 //edmlint:owned callback
@@ -228,15 +230,14 @@ func (m *Msg) EncodedSize() int {
 	return headerBytes + 8*len(m.Args) + len(m.Data) + crcBytes
 }
 
-// Reset clears m for reuse, retaining the Args/Data capacity. It must not
-// be used on messages whose slices alias caller-owned buffers (a pooled
-// message would then scribble over them on its next decode); those need a
-// full zero instead.
+// Reset clears m for reuse, retaining the Args capacity. Data is dropped,
+// not truncated: it may view a datagram (DecodeInto) or a caller's buffer,
+// and a recycled Msg must hold neither.
 func (m *Msg) Reset() {
 	m.Kind, m.Status, m.Op = 0, 0, 0
 	m.ID, m.Addr, m.Count = 0, 0, 0
 	m.Args = m.Args[:0]
-	m.Data = m.Data[:0]
+	m.Data = nil
 }
 
 // Clone returns a deep copy of m: the escape hatch for callbacks that need
@@ -251,13 +252,6 @@ func (m *Msg) Clone() *Msg {
 		n.Data = append([]byte(nil), m.Data...)
 	}
 	return n
-}
-
-// Encode renders m as one datagram.
-//
-//edmlint:hotpath one exactly-sized allocation per datagram
-func (m *Msg) Encode() ([]byte, error) {
-	return m.AppendEncode(nil)
 }
 
 // growBytes extends b by n bytes, reallocating only when capacity lacks.
@@ -278,6 +272,10 @@ func growBytes(b []byte, n int) []byte {
 // AppendEncode appends m's encoding to dst and returns the extended slice.
 // With a recycled dst (sliced to length 0) the steady state allocates
 // nothing; Conn and Responder keep one such buffer per call/cache record.
+// m.Data may alias dst's spare capacity past the fixed header of the new
+// encoding (the Responder hands handlers a window that starts there): a
+// payload already at its offset is not copied again, one that overlaps it is
+// moved correctly.
 //
 //edmlint:hotpath the allocation-free encode used by the pooled hot path
 func (m *Msg) AppendEncode(dst []byte) ([]byte, error) {
@@ -301,35 +299,34 @@ func (m *Msg) AppendEncode(dst []byte) ([]byte, error) {
 	binary.LittleEndian.PutUint32(b[5:], m.ID)
 	binary.LittleEndian.PutUint64(b[9:], m.Addr)
 	binary.LittleEndian.PutUint32(b[17:], m.Count)
-	off := headerBytes
-	for _, a := range m.Args {
-		binary.LittleEndian.PutUint64(b[off:], a)
-		off += 8
+	// The payload moves before the args are written: aliased, it may start
+	// where they go.
+	off := headerBytes + 8*len(m.Args)
+	if len(m.Data) > 0 && &m.Data[0] != &b[off] {
+		copy(b[off:], m.Data)
 	}
-	off += copy(b[off:], m.Data)
+	for i, a := range m.Args {
+		binary.LittleEndian.PutUint64(b[headerBytes+8*i:], a)
+	}
+	off += len(m.Data)
 	binary.LittleEndian.PutUint32(b[off:], crc32.Checksum(b[:off], castagnoli))
 	return dst, nil
 }
 
-// Decode parses one datagram into a fresh Msg. It validates the version,
-// kind, status, arg count, bounds and trailing checksum; any corruption that
-// flips a bit anywhere in the datagram is caught by the CRC, mirroring the
-// fabric's corrupted-block detection (§3.3).
+// DecodeInto parses one datagram into m, reusing m's Args capacity. It
+// validates the version, kind, status, arg count, bounds and trailing
+// checksum; any corruption that flips a bit anywhere in the datagram is
+// caught by the CRC, mirroring the fabric's corrupted-block detection
+// (§3.3).
 //
-//edmlint:hotpath
-func Decode(b []byte) (*Msg, error) {
-	//edmlint:allow hotpath one Msg per datagram is the decode contract
-	m := new(Msg)
-	if err := DecodeInto(m, b); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// DecodeInto parses one datagram into m, reusing m's Args/Data capacity.
-// The payload is copied out of b, so the caller may recycle the datagram
-// buffer immediately; m owns its slices until its next DecodeInto/Reset.
-// On error m is left in an unspecified state and must not be read.
+// The payload is not copied: m.Data views b (nil when the payload is empty,
+// capacity clipped to its length so an append cannot reach the CRC), so m is
+// valid only while the caller keeps b alive and unmodified. Every Deliver
+// runs to completion on a buffer its transport holds for the call (a UDP
+// receive slot; on the loopback the sender's buffer, pinned by call.sending
+// or respEntry.waiters), which is exactly the lifetime the pooled-Msg
+// contract already allows. On error m is left in an unspecified state and
+// must not be read.
 //
 //edmlint:hotpath the allocation-free decode used by the pooled hot path
 func DecodeInto(m *Msg, b []byte) error {
@@ -353,7 +350,7 @@ func DecodeInto(m *Msg, b []byte) error {
 	m.Addr = binary.LittleEndian.Uint64(b[9:])
 	m.Count = binary.LittleEndian.Uint32(b[17:])
 	m.Args = m.Args[:0]
-	m.Data = m.Data[:0]
+	m.Data = nil
 	if m.Kind == 0 || m.Kind > kindMax {
 		return fmt.Errorf("%w: %d", ErrBadKind, b[1])
 	}
@@ -374,7 +371,8 @@ func DecodeInto(m *Msg, b []byte) error {
 	if len(payload) > MaxData {
 		return fmt.Errorf("%w: %d payload bytes", ErrTooLarge, len(payload))
 	}
-	//edmlint:allow hotpath the datagram buffer is reused by transports; Msg must own its payload
-	m.Data = append(m.Data, payload...)
+	if len(payload) > 0 {
+		m.Data = payload[:len(payload):len(payload)]
+	}
 	return nil
 }

@@ -27,15 +27,15 @@ func sampleMsgs() []*Msg {
 
 func TestCodecRoundTrip(t *testing.T) {
 	for _, m := range sampleMsgs() {
-		enc, err := m.Encode()
+		enc, err := m.AppendEncode(nil)
 		if err != nil {
 			t.Fatalf("encode %v: %v", m.Kind, err)
 		}
 		if len(enc) != m.EncodedSize() {
 			t.Fatalf("%v: EncodedSize=%d, got %d bytes", m.Kind, m.EncodedSize(), len(enc))
 		}
-		got, err := Decode(enc)
-		if err != nil {
+		got := new(Msg)
+		if err := DecodeInto(got, enc); err != nil {
 			t.Fatalf("decode %v: %v", m.Kind, err)
 		}
 		if !reflect.DeepEqual(m, got) {
@@ -49,21 +49,21 @@ func TestCodecRoundTrip(t *testing.T) {
 // detection.
 func TestCodecDetectsBitFlips(t *testing.T) {
 	m := &Msg{Kind: KindWREQ, ID: 42, Addr: 128, Count: 16, Data: bytes.Repeat([]byte{3}, 16)}
-	enc, err := m.Encode()
+	enc, err := m.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range enc {
 		bad := append([]byte(nil), enc...)
 		bad[i] ^= 0x20
-		if _, err := Decode(bad); err == nil {
+		if err := DecodeInto(new(Msg), bad); err == nil {
 			t.Errorf("flip at byte %d of %d went undetected", i, len(enc))
 		}
 	}
 }
 
 func TestCodecRejects(t *testing.T) {
-	valid, err := (&Msg{Kind: KindRREQ, ID: 1, Count: 8}).Encode()
+	valid, err := (&Msg{Kind: KindRREQ, ID: 1, Count: 8}).AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,18 +77,18 @@ func TestCodecRejects(t *testing.T) {
 		{"oversize", make([]byte, MaxDatagram+1), ErrTooLarge},
 	}
 	for _, c := range cases {
-		if _, err := Decode(c.b); !errors.Is(err, c.want) {
+		if err := DecodeInto(new(Msg), c.b); !errors.Is(err, c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
 		}
 	}
 
-	if _, err := (&Msg{Kind: 0}).Encode(); !errors.Is(err, ErrBadKind) {
+	if _, err := (&Msg{Kind: 0}).AppendEncode(nil); !errors.Is(err, ErrBadKind) {
 		t.Errorf("encode kind 0: %v", err)
 	}
-	if _, err := (&Msg{Kind: KindRMWREQ, Args: make([]uint64, MaxArgs+1)}).Encode(); !errors.Is(err, ErrTooLarge) {
+	if _, err := (&Msg{Kind: KindRMWREQ, Args: make([]uint64, MaxArgs+1)}).AppendEncode(nil); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("encode too many args: %v", err)
 	}
-	if _, err := (&Msg{Kind: KindRRESP, Data: make([]byte, MaxData+1)}).Encode(); !errors.Is(err, ErrTooLarge) {
+	if _, err := (&Msg{Kind: KindRRESP, Data: make([]byte, MaxData+1)}).AppendEncode(nil); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("encode oversize payload: %v", err)
 	}
 }

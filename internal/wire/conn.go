@@ -606,12 +606,16 @@ type ResponderStats struct {
 }
 
 // respEntry is one duplicate-suppression slot. It is inserted before the
-// handler runs (done false, enc empty) so a retransmission racing the first
-// execution waits for the response instead of re-executing — the guarantee
-// that keeps RMWs exactly-once. Entries live on a free list; enc is owned
-// by the entry and reused across evict/insert cycles, and the waiters count
-// pins an entry (and its enc) against recycling while a send — a replay's,
-// or the owner's first transmission — still references it.
+// handler runs (done false) so a retransmission racing the first execution
+// waits for the response instead of re-executing — the guarantee that keeps
+// RMWs exactly-once. Entries live on a free list; enc is owned by the entry
+// and reused across evict/insert cycles. It is the response datagram itself:
+// reserved before the handler runs, filled in place by it, sent and replayed
+// from. The waiters count pins an entry (and its enc) against recycling
+// while a send — a replay's, or the owner's first transmission — still
+// references it. On a synchronous transport the client decodes in place
+// inside that send, so the pin is also what keeps its callback's view of
+// the payload alive while the callback rolls the window over.
 type respEntry struct {
 	enc     []byte
 	done    bool       // guarded by mu: response cached, safe to replay
@@ -640,13 +644,17 @@ type Responder struct {
 }
 
 // NewResponder builds the server half over pipe. handler serves one fresh
-// request: req carries the decoded request, resp arrives reset with Kind
-// pre-set to req's response kind and the matching ID. The handler fills in
-// status and payload — writing resp.Data via append(resp.Data[:0], ...) or
-// assigning a fresh slice (the buffer is donated to the response pool
-// either way; it must not alias memory the handler keeps). Both messages
-// are pooled: valid only for the duration of the call, never retained.
-// Protocol errors are responses with a non-OK status.
+// request: req carries the decoded request (req.Data views the request
+// datagram), resp arrives reset with Kind pre-set to req's response kind and
+// the matching ID, and resp.Data a zero-length window onto the payload bytes
+// of the response datagram, with room for the request's demand (RREQ.Count;
+// responseReserve bytes otherwise). The handler fills in status and payload.
+// What it extends the window to — resp.Data[:n], an append within capacity —
+// is already in the datagram and is not copied again; any other slice it
+// assigns (fresh, grown past the window, a subslice) is copied into place
+// when the handler returns. Both messages are pooled: valid only for the
+// duration of the call, never retained. Protocol errors are responses with
+// a non-OK status.
 func NewResponder(pipe Pipe, cfg ResponderConfig, handler func(req, resp *Msg)) *Responder {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultResponderWindow
@@ -682,8 +690,29 @@ func (r *Responder) newEntryLocked() *respEntry {
 	e.next = nil
 	e.done = false
 	e.waiters = 0
-	e.enc = e.enc[:0]
 	return e
+}
+
+// responseReserve is the payload room for a response whose size the request
+// does not state: an RMW result or the HELLO-ACK geometry.
+const responseReserve = 16
+
+// reserve sizes buf for the response to m before the handler runs and
+// returns it with the handler's payload window: zero-length, at the payload
+// offset, ending where the CRC goes. An RREQ states its demand (Count; one
+// beyond MaxData gets an error status, not a payload). Growing is the
+// entry's one allocation.
+//
+//edmlint:hotpath one call per fresh request
+func reserve(buf []byte, m *Msg) (enc, window []byte) {
+	n := responseReserve
+	if m.Kind == KindRREQ && m.Count <= MaxData {
+		n = int(m.Count)
+	}
+	if need := headerBytes + n + crcBytes; cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	return buf, buf[headerBytes : headerBytes : cap(buf)-crcBytes]
 }
 
 func (r *Responder) freeEntryLocked(e *respEntry) {
@@ -782,6 +811,7 @@ func (r *Responder) Deliver(p []byte) {
 	resp := getMsg()
 	resp.Kind = m.Kind.Response()
 	resp.ID = m.ID
+	scratch, resp.Data = reserve(scratch, m)
 	r.handler(m, resp)
 	resp.ID = m.ID
 	enc, err := resp.AppendEncode(scratch[:0])

@@ -17,7 +17,7 @@ func FuzzDecode(f *testing.F) {
 		{Kind: KindRMWREQ, ID: 9, Addr: 8, Op: 2, Args: []uint64{5, 6}},
 		{Kind: KindRRESP, ID: 7, Data: bytes.Repeat([]byte{0xfe}, 200)},
 	} {
-		enc, err := m.Encode()
+		enc, err := m.AppendEncode(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -27,11 +27,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, headerBytes+crcBytes))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := Decode(b)
-		if err != nil {
+		m := new(Msg)
+		if err := DecodeInto(m, b); err != nil {
 			return
 		}
-		enc, err := m.Encode()
+		enc, err := m.AppendEncode(nil)
 		if err != nil {
 			t.Fatalf("decoded message failed to re-encode: %v", err)
 		}
@@ -42,7 +42,7 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzRoundTrip builds structurally valid messages from fuzzed fields and
-// checks Encode/Decode is the identity on them.
+// checks AppendEncode/DecodeInto is the identity on them.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(KindRREQ), uint8(0), uint8(0), uint32(1), uint64(64), uint32(8), uint64(0), uint8(0), []byte(nil))
 	f.Add(uint8(KindRMWREQ), uint8(0), uint8(1), uint32(2), uint64(8), uint32(0), uint64(77), uint8(2), []byte(nil))
@@ -69,12 +69,12 @@ func FuzzRoundTrip(f *testing.F) {
 		if len(data) > 0 {
 			m.Data = data
 		}
-		enc, err := m.Encode()
+		enc, err := m.AppendEncode(nil)
 		if err != nil {
 			t.Fatalf("encode valid message: %v", err)
 		}
-		got, err := Decode(enc)
-		if err != nil {
+		got := new(Msg)
+		if err := DecodeInto(got, enc); err != nil {
 			t.Fatalf("decode own encoding: %v", err)
 		}
 		if !reflect.DeepEqual(m, got) {

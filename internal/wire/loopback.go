@@ -201,8 +201,11 @@ func (e *end) Send(p []byte) error {
 		out = append([]byte(nil), p...)
 		out[len(out)/2] ^= 0x10
 	default:
-		// Receivers decode-and-copy and never retain the datagram, so the
-		// clean path forwards the sender's buffer without a per-op copy.
+		// Receivers decode in place (Msg.Data views the datagram) and
+		// never retain it, so the clean path forwards the sender's buffer
+		// without a per-op copy. The sender keeps that buffer alive and
+		// unchanged until Send returns: call.sending pins a request,
+		// respEntry.waiters a response.
 		l.stats.Delivered++
 	}
 	l.mu.Unlock()

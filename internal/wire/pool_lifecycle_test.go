@@ -39,7 +39,7 @@ func (p *blackholePipe) Send(b []byte) error {
 		return nil
 	}
 	p.mu.Unlock()
-	enc, err := (&Msg{Kind: m.Kind.Response(), ID: m.ID, Status: StatusOK}).Encode()
+	enc, err := (&Msg{Kind: m.Kind.Response(), ID: m.ID, Status: StatusOK}).AppendEncode(nil)
 	if err != nil {
 		return err
 	}
@@ -174,7 +174,7 @@ func TestLoopbackSendBatchMatchesSequential(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		payload := bytes.Repeat([]byte{byte(i)}, 8+i*16)
 		enc, err := (&Msg{Kind: KindWREQ, ID: uint32(i), Addr: uint64(i) * 64,
-			Count: uint32(len(payload)), Data: payload}).Encode()
+			Count: uint32(len(payload)), Data: payload}).AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func (p *reenterPipe) Send(b []byte) error {
 		p.depth++
 		for i := 0; i < 6; i++ {
 			p.next++
-			enc, err := (&Msg{Kind: KindRREQ, ID: p.next, Count: 64}).Encode()
+			enc, err := (&Msg{Kind: KindRREQ, ID: p.next, Count: 64}).AppendEncode(nil)
 			if err != nil {
 				return err
 			}
@@ -268,7 +268,7 @@ func TestResponderSendBufferPinned(t *testing.T) {
 	pipe.r = r
 	for round := 0; round < 3; round++ {
 		pipe.next++
-		enc, err := (&Msg{Kind: KindRREQ, ID: pipe.next, Count: 64}).Encode()
+		enc, err := (&Msg{Kind: KindRREQ, ID: pipe.next, Count: 64}).AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

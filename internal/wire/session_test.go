@@ -30,7 +30,7 @@ func TestResponderEvictionKeepsInflight(t *testing.T) {
 	r := NewResponder(pipe, ResponderConfig{Window: 2}, handler)
 
 	enc := func(id uint32) []byte {
-		b, err := (&Msg{Kind: KindRREQ, ID: id, Count: 1}).Encode()
+		b, err := (&Msg{Kind: KindRREQ, ID: id, Count: 1}).AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,11 +188,11 @@ func TestUDPDuplicateHelloKeepsSession(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	helloEnc, err := (&Msg{Kind: KindHello, ID: 0, Data: []byte("token-A!")}).Encode()
+	helloEnc, err := (&Msg{Kind: KindHello, ID: 0, Data: []byte("token-A!")}).AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rmwEnc, err := (&Msg{Kind: KindRMWREQ, ID: 1, Addr: 8, Op: 2, Args: []uint64{1}}).Encode()
+	rmwEnc, err := (&Msg{Kind: KindRMWREQ, ID: 1, Addr: 8, Op: 2, Args: []uint64{1}}).AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestUDPDuplicateHelloKeepsSession(t *testing.T) {
 		t.Fatalf("handler ran %d times, want 2: duplicate HELLO reset the session", n)
 	}
 	// A *different* token is a new incarnation and must reset.
-	hello2, err := (&Msg{Kind: KindHello, ID: 0, Data: []byte("token-B!")}).Encode()
+	hello2, err := (&Msg{Kind: KindHello, ID: 0, Data: []byte("token-B!")}).AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,9 @@ func DialUDP(addr string) (*UDPClient, error) {
 
 // Run starts the read loop, routing every inbound datagram to deliver.
 // Datagrams arrive in receive buffers the loop reuses, so deliver must not
-// retain its argument past the call (Conn.Deliver and rmem's client decode
-// and copy, satisfying this). Run returns when the socket closes.
+// retain its argument past the call (Conn.Deliver decodes in place and runs
+// the completion to its end before returning, satisfying this). Run returns
+// when the socket closes.
 func (u *UDPClient) Run(deliver func([]byte)) {
 	r, err := newBatchReceiver(u.conn, false)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // udpRawCall sends one request from sock and waits for any reply.
 func udpRawCall(t *testing.T, sock *net.UDPConn, m *Msg) {
 	t.Helper()
-	enc, err := m.Encode()
+	enc, err := m.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
