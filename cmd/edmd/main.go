@@ -59,7 +59,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 	slab := fs.Int64("slab", 64<<20, "slab size in bytes (per node)")
 	slots := fs.Int("slots", 0, "kv slot count (0 = slab/slotbytes)")
 	slotBytes := fs.Int("slotbytes", 4096, "bytes per kv slot")
-	dupWindow := fs.Int("dup-window", 0, "per-session duplicate-suppression window (0 = default)")
+	dupWindow := fs.Int("dup-window", 0, "call slots a session may use, one retained response each (0 or above 4096 = 4096)")
 	duration := fs.Duration("duration", 0, "serve for this long then exit (0 = until SIGINT/SIGTERM)")
 	metricsAddr := fs.String("metrics", "", "HTTP admin address serving /metrics, /healthz, /debug/pprof (empty = off)")
 	traceOps := fs.Int("trace-ops", 0, "keep the last N per-op trace records, served at /debug/traceops (0 = off)")
@@ -190,8 +190,8 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "edmd: sessions hello %d bye %d, modeled DRAM time %v\n",
 		st.Hellos, st.Byes, st.ModeledDRAM)
 	snap := reg.Snapshot()
-	fmt.Fprintf(stdout, "edmd: wire replays %d garbage %d rejected %d, sessions started %d reset %d expired %d\n",
-		snap.Counters["wire_server_replays_total"], snap.Counters["wire_server_garbage_total"],
+	fmt.Fprintf(stdout, "edmd: wire replays %d stale %d garbage %d rejected %d, sessions started %d reset %d expired %d\n",
+		snap.Counters["wire_server_replays_total"], snap.Counters["wire_server_stale_total"], snap.Counters["wire_server_garbage_total"],
 		snap.Counters["wire_server_rejected_total"], snap.Counters["wire_udp_sessions_started_total"],
 		snap.Counters["wire_udp_session_resets_total"], snap.Counters["wire_udp_sessions_expired_total"])
 	return nil

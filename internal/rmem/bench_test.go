@@ -133,9 +133,9 @@ func (d *pipelinedDriver) drain() {
 	}
 }
 
-// warm pushes the stack past the responder's dedup window so the measured
-// region sees steady state: pools populated, free lists primed, the
-// duplicate-suppression ring at capacity and recycling entries.
+// warm runs the stack into steady state before the measured region: pools
+// populated, free lists primed, every call slot of the window in use on both
+// ends and its response entry at its size.
 func (d *pipelinedDriver) warm(b *testing.B, addrOf func(i int) uint64, size int) {
 	b.Helper()
 	for i := 0; i < wire.DefaultResponderWindow+1024; i++ {
@@ -203,8 +203,8 @@ func BenchmarkBulkRoundTrip(b *testing.B) {
 		}
 		return client.Write(span+addr, data, onWrite)
 	}
-	// Past the dedup window, so every entry has been recycled at least once
-	// and the read entries have reached their size.
+	// Long enough that the slot's response entry has reached the read size
+	// and every pool is primed.
 	for i := 0; i < 2*wire.DefaultResponderWindow+64; i++ {
 		if err := op(i); err != nil {
 			b.Fatal(err)

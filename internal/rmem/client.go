@@ -49,11 +49,11 @@ func wrapDeadline(err error) error {
 	return &deadlineError{cause: err}
 }
 
-// MaxWindow caps ClientConfig.Window. It must stay well below the server's
-// duplicate-suppression window (wire.DefaultResponderWindow): while one op
-// is still retrying, the other in-flight ops' completions churn the
-// server's cache, and the cap keeps the slow op's entry from being evicted
-// before its last retransmission.
+// MaxWindow caps ClientConfig.Window. Every outstanding op holds one of the
+// connection's wire.MaxSlots call slots, and the server retains that slot's
+// response for as long as the op can be retransmitted, so exactly-once holds
+// at any window; the cap is what a server that serves fewer call slots
+// (edmd -dup-window) can size itself by.
 const MaxWindow = 1024
 
 // ClientConfig tunes the client.
@@ -108,16 +108,12 @@ type Client struct {
 	// the same token.
 	token [8]byte
 
-	// ops recycles pendingOp completion records and reqs recycles request
-	// messages, so steady-state Read/Write/RMW allocates nothing.
-	ops  sync.Pool
-	reqs sync.Pool
-
 	mu       sync.Mutex
 	slotFree *sync.Cond
-	inflight int      // guarded by mu
-	geo      Geometry // guarded by mu
-	closed   bool     // guarded by mu
+	inflight int        // guarded by mu
+	freeOps  *pendingOp // guarded by mu: idle completion records, one per window slot ever used
+	geo      Geometry   // guarded by mu
+	closed   bool       // guarded by mu
 }
 
 // NewClient builds a client over pipe. Route inbound datagrams to Deliver
@@ -233,37 +229,50 @@ func (c *Client) Pending() int {
 	return c.inflight
 }
 
-// acquire claims a window slot. With wait it blocks until one frees (batch
-// mode); otherwise it fails fast with ErrTooManyOut, counted against the
-// WindowFull metric only when countFull is set (the batch path probes the
-// window internally and its rejections are not caller-visible backpressure).
-func (c *Client) acquire(wait, countFull bool) error {
+// acquire claims a window slot and hands out the completion record that
+// goes with it. With wait it blocks until one frees (batch mode); otherwise
+// it fails fast with ErrTooManyOut, counted against the WindowFull metric
+// only when countFull is set (the batch path probes the window internally
+// and its rejections are not caller-visible backpressure).
+func (c *Client) acquire(wait, countFull bool) (*pendingOp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.inflight >= c.cfg.Window {
 		if c.closed {
-			return ErrClosed
+			return nil, ErrClosed
 		}
 		if !wait {
 			if countFull {
 				c.metrics.WindowFull.Inc()
 			}
-			return ErrTooManyOut
+			return nil, ErrTooManyOut
 		}
 		c.slotFree.Wait()
 	}
 	if c.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	c.inflight++
 	c.metrics.Window.Set(int64(c.inflight))
 	c.metrics.Issued.Inc()
-	return nil
+	o := c.freeOps
+	if o == nil {
+		//edmlint:allow hotpath free-list miss: allocates only up to the window's high-water mark
+		return &pendingOp{c: c}, nil
+	}
+	c.freeOps, o.next = o.next, nil
+	return o, nil
 }
 
-// release frees a window slot and updates completion counters.
-func (c *Client) release(failed bool) {
+// release frees o's window slot, takes the record back and updates the
+// completion counters. Callers have saved the callback they still need.
+//
+//edmlint:allow pooledescape the free list is the records' own storage between ops
+func (c *Client) release(o *pendingOp, failed bool) {
+	o.cbMsg, o.cbRead, o.cbWrite, o.cbRMW = nil, nil, nil, nil
 	c.mu.Lock()
+	o.next = c.freeOps
+	c.freeOps = o
 	c.inflight--
 	c.metrics.Window.Set(int64(c.inflight))
 	c.slotFree.Signal()
@@ -275,9 +284,10 @@ func (c *Client) release(failed bool) {
 	}
 }
 
-// pendingOp is the pooled completion record for one in-flight operation: it
-// implements wire.Completion so the hot path needs no per-op closure. Exactly
-// one cb* field is set; Done dispatches to it after recycling the record.
+// pendingOp is the completion record of one in-flight operation, handed out
+// with its window slot: it implements wire.Completion so the hot path needs
+// no per-op closure. Exactly one cb* field is set; Done dispatches to it
+// after giving the record back.
 //
 //edmlint:owned callback
 type pendingOp struct {
@@ -289,11 +299,7 @@ type pendingOp struct {
 	cbRead  func([]byte, error)
 	cbWrite func(error)
 	cbRMW   func(uint64, error)
-}
-
-func (o *pendingOp) clear() {
-	o.c = nil
-	o.cbMsg, o.cbRead, o.cbWrite, o.cbRMW = nil, nil, nil, nil
+	next    *pendingOp // guarded by mu (the client's): free-list link
 }
 
 // Done implements wire.Completion. The response r is pooled by the reliable
@@ -311,12 +317,10 @@ func (o *pendingOp) Done(r *wire.Msg, err error) {
 			h.Observe(c.cfg.NowNS() - o.start)
 		}
 	}
-	c.release(err != nil)
-	// Recycle the record before dispatching: the callback may issue a
+	// Give the record back before dispatching: the callback may issue a
 	// follow-up op, and the saved locals keep this completion intact.
 	cbMsg, cbRead, cbWrite, cbRMW := o.cbMsg, o.cbRead, o.cbWrite, o.cbRMW
-	o.clear()
-	c.ops.Put(o)
+	c.release(o, err != nil)
 	switch {
 	case cbMsg != nil:
 		cbMsg(r, err)
@@ -342,45 +346,15 @@ func (o *pendingOp) Done(r *wire.Msg, err error) {
 	}
 }
 
-// getOp pops a pooled completion record.
-func (c *Client) getOp() *pendingOp {
-	if v := c.ops.Get(); v != nil {
-		return v.(*pendingOp)
-	}
-	//edmlint:allow hotpath pool miss; steady state recycles
-	return new(pendingOp)
-}
-
-// getReq pops a pooled request message.
-func (c *Client) getReq() *wire.Msg {
-	if v := c.reqs.Get(); v != nil {
-		return v.(*wire.Msg)
-	}
-	//edmlint:allow hotpath pool miss; steady state recycles
-	return new(wire.Msg)
-}
-
-// putReq recycles a request message. Request messages alias caller-owned
-// Data/Args slices, so this fully detaches rather than Msg.Reset (which
-// would keep the aliased memory alive inside the pool).
-func (c *Client) putReq(m *wire.Msg) {
-	*m = wire.Msg{}
-	c.reqs.Put(m)
-}
-
-// issue submits one request inside the window discipline. It consumes o in
-// every outcome: on success the reliable layer owns it until Done fires; on
-// error it is recycled and the callback is never invoked. The caller still
-// owns m afterwards (the reliable layer encodes before returning).
+// issue submits one request for the op that acquire handed out and whose
+// callback the caller has set. It consumes o in every outcome: on success
+// the reliable layer owns it until Done fires; on error it goes back with
+// its window slot and the callback is never invoked. m is the caller's, on
+// its stack: the reliable layer encodes it before returning and keeps no
+// reference.
 //
 //edmlint:hotpath every client op funnels through here
-func (c *Client) issue(wait, countFull bool, m *wire.Msg, o *pendingOp) error {
-	if err := c.acquire(wait, countFull); err != nil {
-		o.clear()
-		c.ops.Put(o)
-		return err
-	}
-	o.c = c
+func (c *Client) issue(m *wire.Msg, o *pendingOp) error {
 	o.kind = m.Kind
 	o.start = 0
 	if c.cfg.NowNS != nil {
@@ -388,9 +362,7 @@ func (c *Client) issue(wait, countFull bool, m *wire.Msg, o *pendingOp) error {
 	}
 	if _, err := c.conn.CallC(m, o); err != nil {
 		// Submit failed, so the completion will never fire.
-		c.release(true)
-		o.clear()
-		c.ops.Put(o)
+		c.release(o, true)
 		return err
 	}
 	return nil
@@ -398,10 +370,13 @@ func (c *Client) issue(wait, countFull bool, m *wire.Msg, o *pendingOp) error {
 
 // doMsg issues one request with a message-level callback (the batch path;
 // the raw async API uses the typed pendingOp fields instead).
-func (c *Client) doMsg(wait, countFull bool, m *wire.Msg, cb func(*wire.Msg, error)) error {
-	o := c.getOp()
+func (c *Client) doMsg(wait bool, m *wire.Msg, cb func(*wire.Msg, error)) error {
+	o, err := c.acquire(wait, false)
+	if err != nil {
+		return err
+	}
 	o.cbMsg = cb
-	return c.issue(wait, countFull, m, o)
+	return c.issue(m, o)
 }
 
 // Read issues an asynchronous remote read of n bytes at addr; cb fires with
@@ -412,15 +387,13 @@ func (c *Client) doMsg(wait, countFull bool, m *wire.Msg, cb func(*wire.Msg, err
 //edmlint:hotpath
 //edmlint:owned callback the data slice aliases the pooled response Msg
 func (c *Client) Read(addr uint64, n int, cb func([]byte, error)) error {
-	o := c.getOp()
+	o, err := c.acquire(false, true)
+	if err != nil {
+		return err
+	}
 	o.cbRead = cb
-	m := c.getReq()
-	m.Kind = wire.KindRREQ
-	m.Addr = addr
-	m.Count = uint32(n)
-	err := c.issue(false, true, m, o)
-	c.putReq(m)
-	return err
+	m := wire.Msg{Kind: wire.KindRREQ, Addr: addr, Count: uint32(n)}
+	return c.issue(&m, o)
 }
 
 // Write issues an asynchronous remote write; cb fires once the server acks.
@@ -428,16 +401,13 @@ func (c *Client) Read(addr uint64, n int, cb func([]byte, error)) error {
 //
 //edmlint:hotpath
 func (c *Client) Write(addr uint64, data []byte, cb func(error)) error {
-	o := c.getOp()
+	o, err := c.acquire(false, true)
+	if err != nil {
+		return err
+	}
 	o.cbWrite = cb
-	m := c.getReq()
-	m.Kind = wire.KindWREQ
-	m.Addr = addr
-	m.Count = uint32(len(data))
-	m.Data = data
-	err := c.issue(false, true, m, o)
-	c.putReq(m)
-	return err
+	m := wire.Msg{Kind: wire.KindWREQ, Addr: addr, Count: uint32(len(data)), Data: data}
+	return c.issue(&m, o)
 }
 
 // RMW issues an asynchronous atomic read-modify-write; cb receives the
@@ -445,16 +415,13 @@ func (c *Client) Write(addr uint64, data []byte, cb func(error)) error {
 //
 //edmlint:hotpath
 func (c *Client) RMW(addr uint64, op memctl.RMWOp, args []uint64, cb func(uint64, error)) error {
-	o := c.getOp()
+	o, err := c.acquire(false, true)
+	if err != nil {
+		return err
+	}
 	o.cbRMW = cb
-	m := c.getReq()
-	m.Kind = wire.KindRMWREQ
-	m.Addr = addr
-	m.Op = uint8(op)
-	m.Args = args
-	err := c.issue(false, true, m, o)
-	c.putReq(m)
-	return err
+	m := wire.Msg{Kind: wire.KindRMWREQ, Addr: addr, Op: uint8(op), Args: args}
+	return c.issue(&m, o)
 }
 
 // ReadSync is the blocking form of Read. It returns a fresh copy of the data
@@ -657,16 +624,9 @@ func (b *Batch) Flush() ([]BatchOp, error) {
 			op.Err = fmt.Errorf("%w: %d bytes into %d-byte slot", ErrTooLarge, len(op.Value), n)
 			continue
 		}
-		m := c.getReq()
+		m := wire.Msg{Kind: wire.KindRREQ, Addr: addr, Count: uint32(n)}
 		if op.Put {
-			m.Kind = wire.KindWREQ
-			m.Addr = addr
-			m.Count = uint32(len(op.Value))
-			m.Data = op.Value
-		} else {
-			m.Kind = wire.KindRREQ
-			m.Addr = addr
-			m.Count = uint32(n)
+			m = wire.Msg{Kind: wire.KindWREQ, Addr: addr, Count: uint32(len(op.Value)), Data: op.Value}
 		}
 		wg.Add(1)
 		cb := func(r *wire.Msg, err error) {
@@ -681,13 +641,12 @@ func (b *Batch) Flush() ([]BatchOp, error) {
 				op.Value = append(op.Value[:0], r.Data...)
 			}
 		}
-		err = c.doMsg(false, false, m, cb)
+		err = c.doMsg(false, &m, cb)
 		if errors.Is(err, ErrTooManyOut) {
 			c.conn.Uncork()
-			err = c.doMsg(true, false, m, cb)
+			err = c.doMsg(true, &m, cb)
 			c.conn.Cork()
 		}
-		c.putReq(m)
 		if err != nil {
 			wg.Done()
 			op.Err = err

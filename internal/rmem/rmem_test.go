@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/memctl"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -154,8 +155,8 @@ func TestRetransmissionRecovers(t *testing.T) {
 }
 
 // TestDuplicateRMWExactlyOnce: dropping every first response forces a
-// retransmission of every request; the dedup window must keep the fetch-add
-// count exact.
+// retransmission of every request; the responses the session retains must
+// keep the fetch-add count exact.
 func TestDuplicateRMWExactlyOnce(t *testing.T) {
 	seen := map[uint32]bool{}
 	var mu sync.Mutex
@@ -188,6 +189,72 @@ func TestDuplicateRMWExactlyOnce(t *testing.T) {
 	}
 	if v != rounds {
 		t.Fatalf("counter = %d after %d increments: duplicates executed", v, rounds)
+	}
+}
+
+// countingPipe counts the datagrams a session sends.
+type countingPipe struct {
+	wire.Pipe
+	sent int
+}
+
+func (p *countingPipe) Send(b []byte) error {
+	p.sent++
+	return p.Pipe.Send(b)
+}
+
+// TestStaleRequestNotReExecuted is finding F1's schedule: a copy of a
+// fetch-add request reaches the server after the client has long completed
+// it and thousands of newer ops (more than any window of recent IDs would
+// remember). It names a call slot the client has reused since, so the
+// session drops it: not executed a second time, not answered, counted.
+func TestStaleRequestNotReExecuted(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv, err := NewServer(ServerConfig{Responder: wire.NewResponderMetrics(reg),
+		Geometry: Geometry{SlabBytes: 1 << 20, Slots: 64, SlotBytes: 1024}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delayed []byte
+	lb := wire.NewLoopback(wire.LoopbackConfig{Fault: func(_ sim.Time, dir wire.Dir, p []byte) wire.Fault {
+		if dir == wire.ToServer && delayed == nil && wire.Kind(p[1]) == wire.KindRMWREQ {
+			delayed = append([]byte(nil), p...) // the network keeps a copy
+		}
+		return wire.FaultNone
+	}})
+	client := NewClient(lb.ClientPipe(), ClientConfig{})
+	reply := &countingPipe{Pipe: lb.ServerPipe()}
+	sess := srv.NewSession(reply)
+	lb.BindServer(sess.Deliver)
+	lb.BindClient(client.Deliver)
+	if err := client.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	const counter = 4096
+	if _, err := client.RMWSync(counter, memctl.OpFetchAdd, 5); err != nil {
+		t.Fatal(err)
+	}
+	if delayed == nil {
+		t.Fatal("the fault hook saw no RMWREQ")
+	}
+	for i := 0; i < wire.MaxSlots+200; i++ {
+		if err := client.WriteSync(uint64(i%64)*8, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := reply.sent
+	sess.Deliver(delayed)
+	if reply.sent != sent {
+		t.Errorf("the session answered the stale copy with %d datagrams", reply.sent-sent)
+	}
+	if v, err := client.RMWSync(counter, memctl.OpFetchAdd, 0); err != nil || v != 5 {
+		t.Errorf("counter = %d (err %v), want 5: the stale copy executed", v, err)
+	}
+	if n := reg.Counter("wire_server_stale_total").Load(); n != 1 {
+		t.Errorf("wire_server_stale_total = %d, want 1", n)
+	}
+	if st := sess.Stats(); st.Stale != 1 || st.Duplicates != 0 {
+		t.Errorf("session stats %+v", st)
 	}
 }
 
@@ -406,10 +473,11 @@ func TestUDPEndToEnd(t *testing.T) {
 
 // TestReadCallbackReentrancyKeepsData: on the loopback a read callback runs
 // inside the server's Send of the very datagram its data slice views (the
-// client decodes in place). Issuing more ops than the dedup window holds
-// from inside that callback recycles every unpinned entry of the session;
-// the callback's own 16 KiB must still be intact afterwards, which is what
-// the responder's waiters pin guarantees.
+// client decodes in place). The ops it issues from inside that callback, more
+// than the session has call slots, rebuild the session's other responses in
+// place; its own slot is held on both ends by the send it is still inside
+// (the client's sending count, the responder's waiters pin), so the
+// callback's own 16 KiB must still be intact afterwards.
 func TestReadCallbackReentrancyKeepsData(t *testing.T) {
 	const (
 		size   = 16384

@@ -74,8 +74,11 @@ type ServerConfig struct {
 	// Zero means DefaultShards; 1 restores the single-lock behaviour;
 	// values above 256 are clamped.
 	Shards int
-	// DupWindow is the per-session duplicate-suppression window
-	// (wire.DefaultResponderWindow when zero).
+	// DupWindow is how many call slots a session may use, each retaining
+	// one response for duplicate suppression (wire.ResponderConfig.Window:
+	// zero or anything above wire.MaxSlots means wire.MaxSlots). It must
+	// cover the most calls a client ever has in flight; requests naming a
+	// slot beyond it are rejected.
 	DupWindow int
 	// Metrics receives the operation counters and service-time histograms.
 	// Nil gets a private, unregistered instance, so Stats() always works.
@@ -219,8 +222,8 @@ func (s *Server) Stats() ServerStats {
 func (s *Server) Metrics() *ServerMetrics { return s.metrics }
 
 // NewSession builds the reliable server half for one client, replying over
-// pipe. Each session gets its own duplicate-suppression window; all sessions
-// share the server's responder metrics.
+// pipe. Each session gets its own call slots; all sessions share the server's
+// responder metrics.
 func (s *Server) NewSession(pipe wire.Pipe) *wire.Responder {
 	return wire.NewResponder(pipe, wire.ResponderConfig{
 		Window: s.cfg.DupWindow, Metrics: s.cfg.Responder}, s.Handle)

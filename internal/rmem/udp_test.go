@@ -80,12 +80,12 @@ func (w *window) drain(t *testing.T) {
 	w.errs = nil
 }
 
-// TestUDPExactlyOnceOneCore is the regression for a request outliving the
-// dedup window: on one core the old worker pool could park a worker holding
-// a request while thousands of newer IDs went by, so the request's own
+// TestUDPExactlyOnceOneCore is the regression for a request overtaken by
+// its own retransmission: on one core the old worker pool could park a
+// worker holding a request while thousands of newer IDs went by, and the
 // retransmission re-executed it. A loop that runs each datagram to
-// completion cannot be overtaken. Stack defaults throughout: 4096-ID dup
-// window, 20 ms x 5 retries.
+// completion cannot be overtaken. Stack defaults throughout: 4096 call
+// slots, 20 ms x 5 retries.
 //
 // Exactly-once is asserted on every op. "No reply sits for a whole retry
 // timeout" is a timing property the host can break by descheduling the

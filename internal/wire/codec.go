@@ -38,7 +38,7 @@ const (
 	KindHello Kind = iota + 1
 	KindHelloAck
 	// KindBye closes a session; the server answers KindByeAck and forgets
-	// the client's duplicate-suppression window.
+	// the client's call slots and the responses they retain.
 	KindBye
 	KindByeAck
 	// KindRREQ reads Count bytes at Addr; answered by KindRRESP carrying

@@ -33,6 +33,25 @@ type BatchPipe interface {
 var (
 	ErrClosed  = errors.New("wire: connection closed")
 	ErrTimeout = errors.New("wire: no response within the retry budget")
+	// ErrSlotsBusy fails a call issued while MaxSlots others await their
+	// responses: every call slot is in flight.
+	ErrSlotsBusy = errors.New("wire: all call slots in flight")
+)
+
+// A message ID is a table index and a use counter: seq<<slotBits | slot.
+// The slot names one of a connection's call records, and with it one of the
+// session's response entries on the server; seq rises with every use of
+// that slot, modulo 2^20. Both ends find a message's state by indexing with
+// the slot and comparing the ID, no lookup structure in between. A peer that
+// numbers its requests 0, 1, 2, ... with fewer than MaxSlots outstanding
+// speaks the same layout (slot = id mod MaxSlots, seq rising).
+const (
+	slotBits = 12
+	// MaxSlots is how many calls a connection can have in flight, and the
+	// most call slots a session's Responder serves.
+	MaxSlots = 1 << slotBits
+	slotMask = MaxSlots - 1
+	seqMask  = 1<<(32-slotBits) - 1
 )
 
 // ConnConfig tunes the client-side reliability layer.
@@ -99,17 +118,19 @@ type Completion interface {
 	Done(m *Msg, err error)
 }
 
-// call is one in-flight request awaiting its response. Records live on a
-// per-connection free list: retired calls are recycled, their encode buffer
-// and retransmission timer reused, so the steady state allocates nothing.
-// The sending count keeps a record (and its enc buffer) alive while any
-// goroutine is inside pipe.Send with it — a record is only recycled when it
-// is done AND no send references it, so a retransmission can never observe
-// a buffer being rewritten for a new call.
+// call is one call slot: the record of the request in flight in it, or of
+// the last one. A record keeps its slot index for life and idles on a
+// per-connection free list between calls, its encode buffer and
+// retransmission timer reused, so the steady state allocates nothing. Each
+// reuse raises the seq part of id. The sending count keeps a record
+// (and its enc buffer) out of the free list while any goroutine is inside
+// pipe.Send with it — a record is only recycled when it is done AND no send
+// references it, so a retransmission can never observe a buffer being
+// rewritten for a new call.
 //
 //edmlint:owned callback
 type call struct {
-	id       uint32 // guarded by mu
+	id       uint32 // guarded by mu: seq<<slotBits | slot; the slot bits never change
 	enc      []byte // cached encoding, re-sent verbatim on retry; owned by the record
 	want     Kind   // expected response kind
 	cb       func(*Msg, error)
@@ -124,16 +145,17 @@ type call struct {
 
 // queued is one corked call awaiting the Uncork flush. It carries the ID
 // alongside the record so a flush can tell a still-pending call from a
-// record that was retired and recycled under a new ID while corked.
+// slot that was retired and reused under a new ID while corked.
 type queued struct {
 	id uint32
 	cl *call
 }
 
-// Conn is the client half of the reliable layer: it assigns message IDs,
-// transmits requests over an unreliable Pipe, retransmits on a per-message
-// timer until the matching response arrives, and fails the call with
-// ErrTimeout once the retry budget is spent. Callbacks are invoked on
+// Conn is the client half of the reliable layer: it gives each request a
+// call slot and the message ID that names it, transmits requests over an
+// unreliable Pipe, retransmits on a per-message timer until the matching
+// response arrives, and fails the call with ErrTimeout once the retry
+// budget is spent. Callbacks are invoked on
 // whatever goroutine delivers the response (the transport's receive path or
 // the retry timer), never with the connection lock held — they may issue new
 // calls. The response Msg handed to a callback or Completion is pooled and
@@ -144,20 +166,21 @@ type Conn struct {
 	batch BatchPipe // pipe's batched form when it has one, else nil
 
 	mu       sync.Mutex
-	nextID   uint32           // guarded by mu
-	pending  map[uint32]*call // guarded by mu
-	free     *call            // guarded by mu: recycled call records
-	corked   int              // guarded by mu: Cork nesting depth
-	queue    []queued         // guarded by mu: sends deferred while corked
-	sendBufs [][]byte         // guarded by mu: flush scratch, reused across Uncorks
-	closed   bool             // guarded by mu
+	slots    []*call  // guarded by mu: every record, at the index its ID carries
+	free     *call    // guarded by mu: idle records, last retired first
+	newest   uint32   // guarded by mu: the highest ID issued, as int32(a-b) > 0 orders them
+	live     int      // guarded by mu: calls awaiting their response
+	corked   int      // guarded by mu: Cork nesting depth
+	queue    []queued // guarded by mu: sends deferred while corked
+	sendBufs [][]byte // guarded by mu: flush scratch, reused across Uncorks
+	closed   bool     // guarded by mu
 }
 
 // NewConn builds a reliable connection over pipe. The owner must route
 // inbound datagrams from the peer to Deliver.
 func NewConn(pipe Pipe, cfg ConnConfig) *Conn {
 	cfg.fill()
-	c := &Conn{cfg: cfg, pipe: pipe, pending: make(map[uint32]*call)}
+	c := &Conn{cfg: cfg, pipe: pipe, newest: ^uint32(0)} // the first ID, 0, is one above
 	if bp, ok := pipe.(BatchPipe); ok {
 		c.batch = bp
 	}
@@ -181,27 +204,56 @@ func (c *Conn) Stats() ConnStats {
 // Metrics returns the connection's metrics instance (never nil after NewConn).
 func (c *Conn) Metrics() *ConnMetrics { return c.cfg.Metrics }
 
-// newCallLocked draws a call record from the free list.
+// newCallLocked claims a call slot: the one retired last (a caller with one
+// call in flight stays in one record and one server entry), else a new one.
+// Nil when all MaxSlots are in flight.
+//
+// The slot's seq goes up by one, or by as much as it takes for the new ID to
+// be the connection's highest yet: successive calls carry rising IDs
+// whichever slots they land in, which is how an observer of the datagrams
+// (a trace, a capture) tells a request's first copy from a retransmission
+// and puts requests in issue order. The server only needs a slot's seq to
+// rise, not by how much; a slot left more than 2^18 behind is not pulled up
+// (that far is half of what the server accepts as newer) and counts on by
+// itself.
 func (c *Conn) newCallLocked() *call {
 	cl := c.free
 	if cl == nil {
+		if len(c.slots) == MaxSlots {
+			return nil
+		}
 		//edmlint:allow hotpath free-list miss: allocates only up to the window's high-water mark
-		return &call{}
+		cl = &call{id: uint32(len(c.slots))}
+		c.slots = append(c.slots, cl)
+	} else {
+		c.free = cl.next
+		cl.next = nil
+		cl.id += MaxSlots // wraps with the uint32; the slot bits stay
+		cl.done = false
+		cl.attempts = 0
+		cl.start = 0
 	}
-	c.free = cl.next
-	cl.next = nil
-	cl.done = false
-	cl.attempts = 0
-	cl.start = 0
+	// lead is the lowest ID of this slot above newest.
+	lead := c.newest&^slotMask | cl.id&slotMask
+	if lead <= c.newest {
+		lead += MaxSlots
+	}
+	if lead-cl.id < 1<<18<<slotBits {
+		cl.id = lead
+	}
+	if int32(cl.id-c.newest) > 0 {
+		c.newest = cl.id
+	}
 	return cl
 }
 
-// freeCallLocked recycles a retired record. Callers must have saved the
-// cb/comp/want/start fields they still need — the record may be handed to a
-// new call the moment the lock drops.
+// freeCallLocked returns a record to the free list. Callers must have saved
+// the cb/comp/want/start fields they still need — the record may be handed
+// to a new call the moment the lock drops.
 //
 //edmlint:allow pooledescape the free list is the pool's own storage for retired records
 func (c *Conn) freeCallLocked(cl *call) {
+	cl.done = true
 	cl.cb = nil
 	cl.comp = nil
 	cl.enc = cl.enc[:0]
@@ -209,12 +261,12 @@ func (c *Conn) freeCallLocked(cl *call) {
 	c.free = cl
 }
 
-// retireLocked completes a call's bookkeeping: out of pending, timer
+// retireLocked completes a call's bookkeeping: no longer live, timer
 // stopped, recycled unless a send still references its buffer (afterSend
 // recycles it then).
 func (c *Conn) retireLocked(cl *call) {
 	cl.done = true
-	delete(c.pending, cl.id)
+	c.live--
 	if cl.timer != nil {
 		cl.timer.Stop()
 	}
@@ -225,7 +277,8 @@ func (c *Conn) retireLocked(cl *call) {
 
 // Call transmits a request and invokes cb exactly once: with the response,
 // or with ErrTimeout after the retry budget, or with ErrClosed if the
-// connection closes first. The assigned message ID is returned. cb may be
+// connection closes first. The assigned message ID is returned; with
+// MaxSlots calls already in flight it fails with ErrSlotsBusy. cb may be
 // invoked synchronously (before Call returns) on transports that deliver
 // in the caller's stack, such as the loopback. The response Msg is valid
 // only during the callback; Clone it to retain it.
@@ -257,10 +310,13 @@ func (c *Conn) submit(m *Msg, cb func(*Msg, error), comp Completion) (uint32, er
 		c.mu.Unlock()
 		return 0, ErrClosed
 	}
-	id := c.nextID
-	c.nextID++
-	m.ID = id
 	cl := c.newCallLocked()
+	if cl == nil {
+		c.mu.Unlock()
+		return 0, ErrSlotsBusy
+	}
+	id := cl.id
+	m.ID = id
 	enc, err := m.AppendEncode(cl.enc[:0])
 	if err != nil {
 		c.freeCallLocked(cl)
@@ -268,7 +324,6 @@ func (c *Conn) submit(m *Msg, cb func(*Msg, error), comp Completion) (uint32, er
 		return 0, err
 	}
 	cl.enc = enc
-	cl.id = id
 	cl.want = m.Kind.Response()
 	cl.cb = cb
 	cl.comp = comp
@@ -277,7 +332,7 @@ func (c *Conn) submit(m *Msg, cb func(*Msg, error), comp Completion) (uint32, er
 		cl.start = c.cfg.NowNS()
 	}
 	start := cl.start
-	c.pending[id] = cl
+	c.live++
 	mt := c.cfg.Metrics
 	if c.corked > 0 {
 		c.queue = append(c.queue, queued{id: id, cl: cl})
@@ -339,7 +394,7 @@ func (c *Conn) Uncork() {
 	c.sendBufs = nil
 	live := queue[:0]
 	for _, q := range queue {
-		if q.cl.done || c.pending[q.id] != q.cl {
+		if q.cl.done || q.cl.id != q.id {
 			continue
 		}
 		q.cl.sending++
@@ -422,12 +477,11 @@ func (c *Conn) afterSend(cl *call) {
 
 // retry fires on the per-record timer: retransmit, or fail the call. A
 // stale firing — the timer's Stop raced a completion and the record now
-// carries a newer call — is detected by the pending check and at worst
-// costs one early retransmission, which the server's duplicate window
-// absorbs.
+// carries a newer call — at worst costs that call one early retransmission,
+// which the server answers as the duplicate it is.
 func (c *Conn) retry(cl *call) {
 	c.mu.Lock()
-	if c.closed || cl.done || c.pending[cl.id] != cl {
+	if c.closed || cl.done {
 		c.mu.Unlock()
 		return
 	}
@@ -464,10 +518,10 @@ func (c *Conn) retry(cl *call) {
 	c.afterSend(cl)
 }
 
-// Deliver is the inbound datagram path: decode, match by ID, complete the
-// call. Unmatched or undecodable datagrams are counted and dropped. The
-// decoded Msg is pooled — handed to the callback for the duration of the
-// callback only.
+// Deliver is the inbound datagram path: decode, index the slot the ID names,
+// compare the ID, complete the call. Unmatched or undecodable datagrams are
+// counted and dropped. The decoded Msg is pooled — handed to the callback
+// for the duration of the callback only.
 //
 //edmlint:hotpath one Deliver per response datagram
 func (c *Conn) Deliver(p []byte) {
@@ -478,10 +532,14 @@ func (c *Conn) Deliver(p []byte) {
 		return
 	}
 	c.mu.Lock()
-	cl, ok := c.pending[m.ID]
-	if !ok || cl.done || cl.want != m.Kind {
-		// A response for a call that already timed out, a duplicate of one
-		// already delivered, or a kind mismatch.
+	var cl *call
+	if slot := int(m.ID & slotMask); slot < len(c.slots) {
+		cl = c.slots[slot]
+	}
+	if cl == nil || cl.done || cl.id != m.ID || cl.want != m.Kind {
+		// A response for a call that already timed out (its slot idle, or
+		// reused under a newer seq), a duplicate of one already delivered,
+		// or a kind mismatch.
 		c.mu.Unlock()
 		c.cfg.Metrics.Stray.Inc()
 		putMsg(m)
@@ -513,7 +571,7 @@ func (c *Conn) Deliver(p []byte) {
 func (c *Conn) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending)
+	return c.live
 }
 
 // pendingDone is a completion target saved off a retiring call record (the
@@ -545,11 +603,11 @@ func (c *Conn) Abort(err error) {
 	}
 }
 
-// takePendingLocked retires every live pending call, returning the saved
-// completion targets.
+// takePendingLocked retires every live call, in slot order, returning the
+// saved completion targets.
 func (c *Conn) takePendingLocked() []pendingDone {
-	done := make([]pendingDone, 0, len(c.pending))
-	for _, cl := range c.pending {
+	done := make([]pendingDone, 0, c.live)
+	for _, cl := range c.slots {
 		if !cl.done {
 			done = append(done, pendingDone{cb: cl.cb, comp: cl.comp})
 			c.retireLocked(cl)
@@ -582,11 +640,12 @@ func (c *Conn) Close() error {
 
 // ResponderConfig tunes the server half.
 type ResponderConfig struct {
-	// Window is the duplicate-suppression capacity: how many recent request
-	// IDs keep their cached response for replay. With the client's bounded
-	// outstanding window far below this, a retransmitted request always
-	// finds its cached response instead of re-executing — which keeps RMWs
-	// exactly-once.
+	// Window is how many call slots the session may use: requests whose ID
+	// names a slot at or beyond it are rejected. One response is retained
+	// per slot in use, so this also caps the session's duplicate-suppression
+	// memory. Zero, or anything above MaxSlots, means MaxSlots. A Conn
+	// reuses an idle slot before it opens the next one, so it uses as many
+	// slots, from 0 up, as it ever had calls in flight at once.
 	Window int
 	// Metrics receives the responder counters. A server passes one shared
 	// instance to every session's responder, so the series aggregate over
@@ -594,39 +653,56 @@ type ResponderConfig struct {
 	Metrics *ResponderMetrics
 }
 
-// DefaultResponderWindow is the default duplicate-suppression window.
-const DefaultResponderWindow = 4096
+// DefaultResponderWindow is the default number of call slots per session:
+// all that a message ID can name.
+const DefaultResponderWindow = MaxSlots
 
 // ResponderStats counts server-side events.
 type ResponderStats struct {
 	Requests   uint64 // fresh requests executed
-	Duplicates uint64 // retransmissions answered from the cache
+	Duplicates uint64 // retransmissions answered from the retained response
+	Stale      uint64 // requests older than their slot's newest, dropped
 	Garbage    uint64 // datagrams that failed to decode
-	Rejected   uint64 // datagrams that decoded to a non-request kind
+	Rejected   uint64 // non-request kinds and slots beyond the window
 }
 
-// respEntry is one duplicate-suppression slot. It is inserted before the
-// handler runs (done false) so a retransmission racing the first execution
-// waits for the response instead of re-executing — the guarantee that keeps
-// RMWs exactly-once. Entries live on a free list; enc is owned by the entry
-// and reused across evict/insert cycles. It is the response datagram itself:
-// reserved before the handler runs, filled in place by it, sent and replayed
-// from. The waiters count pins an entry (and its enc) against recycling
-// while a send — a replay's, or the owner's first transmission — still
-// references it. On a synchronous transport the client decodes in place
-// inside that send, so the pin is also what keeps its callback's view of
-// the payload alive while the callback rolls the window over.
+// respEntry is the response of one call slot's newest request. It is claimed
+// before the handler runs (done false) so a retransmission racing the first
+// execution waits for the response instead of re-executing — the guarantee
+// that keeps RMWs exactly-once. enc is owned by the entry and is the
+// response datagram itself: reserved before the handler runs, filled in
+// place by it, sent and replayed from, then rebuilt in place for the slot's
+// next request. The waiters count pins an entry (and its enc) while anything
+// still uses it: its owner, from the claim until its first transmission has
+// returned, and every replay. A slot whose next request arrives while its
+// entry is pinned detaches the entry and takes another; whoever drops the
+// last pin frees the detached one. On a synchronous transport the client
+// decodes in place inside the owner's send, so the pin is also what keeps
+// its callback's view of the payload alive.
 type respEntry struct {
-	enc     []byte
-	done    bool       // guarded by mu: response cached, safe to replay
-	waiters int        // guarded by mu: sends in progress from enc
-	next    *respEntry // guarded by mu: free-list link
+	enc      []byte
+	done     bool       // guarded by mu: response built, safe to replay
+	waiters  int        // guarded by mu: the owner until its send returns, plus replays in progress
+	detached bool       // guarded by mu: its slot moved on; the last unpin frees it
+	next     *respEntry // guarded by mu: free-list link
+}
+
+// respSlot is the server's state for one call slot.
+type respSlot struct {
+	e   *respEntry // response to the slot's newest request; nil before the first
+	seq uint32     // that request's use counter
 }
 
 // Responder is the server half of the reliable layer for one client session:
-// it decodes inbound requests, suppresses duplicates via an ID window with
-// cached-response replay, executes fresh requests through the handler, and
-// transmits the response. The handler runs on the delivering goroutine.
+// it decodes inbound requests, indexes the call slot each ID names and
+// compares the ID's use counter with the newest that slot has seen. Newer
+// executes through the handler and its response replaces the slot's; equal
+// is a retransmission and gets the retained response again; older is a copy
+// of a call the client retired before it reused the slot, and is dropped.
+// The compare is modulo 2^20, so a copy must arrive before its slot's seq
+// has risen by 2^19, which takes the connection at least that many calls;
+// the client sends no copies once a call is over, so only the network could
+// hold one that long. The handler runs on the delivering goroutine.
 type Responder struct {
 	pipe    Pipe
 	handler func(req, resp *Msg)
@@ -636,11 +712,8 @@ type Responder struct {
 	filled  *sync.Cond // signals entries transitioning to done
 	waiting int        // guarded by mu: goroutines parked in filled.Wait
 	window  int
-	cache   map[uint32]*respEntry // guarded by mu
-	order   []uint32              // guarded by mu: ring of cached IDs, oldest first
-	head    int                   // guarded by mu: ring read position
-	count   int                   // guarded by mu: ring occupancy
-	free    *respEntry            // guarded by mu: recycled entries
+	slots   []respSlot // guarded by mu: grown on demand, up to window
+	free    *respEntry // guarded by mu: detached entries, unpinned since
 }
 
 // NewResponder builds the server half over pipe. handler serves one fresh
@@ -656,14 +729,13 @@ type Responder struct {
 // duration of the call, never retained. Protocol errors are responses with
 // a non-OK status.
 func NewResponder(pipe Pipe, cfg ResponderConfig, handler func(req, resp *Msg)) *Responder {
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultResponderWindow
+	if cfg.Window <= 0 || cfg.Window > MaxSlots {
+		cfg.Window = MaxSlots
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewResponderMetrics(nil)
 	}
-	r := &Responder{pipe: pipe, handler: handler, metrics: cfg.Metrics,
-		window: cfg.Window, cache: make(map[uint32]*respEntry, cfg.Window)}
+	r := &Responder{pipe: pipe, handler: handler, metrics: cfg.Metrics, window: cfg.Window}
 	r.filled = sync.NewCond(&r.mu)
 	return r
 }
@@ -674,23 +746,10 @@ func (r *Responder) Stats() ResponderStats {
 	return ResponderStats{
 		Requests:   r.metrics.Requests.Load(),
 		Duplicates: r.metrics.Duplicates.Load(),
+		Stale:      r.metrics.Stale.Load(),
 		Garbage:    r.metrics.Garbage.Load(),
 		Rejected:   r.metrics.Rejected.Load(),
 	}
-}
-
-// newEntryLocked draws a dedup entry from the free list.
-func (r *Responder) newEntryLocked() *respEntry {
-	e := r.free
-	if e == nil {
-		//edmlint:allow hotpath free-list miss: allocates only until the dedup window fills
-		return &respEntry{}
-	}
-	r.free = e.next
-	e.next = nil
-	e.done = false
-	e.waiters = 0
-	return e
 }
 
 // responseReserve is the payload room for a response whose size the request
@@ -715,36 +774,39 @@ func reserve(buf []byte, m *Msg) (enc, window []byte) {
 	return buf, buf[headerBytes : headerBytes : cap(buf)-crcBytes]
 }
 
-func (r *Responder) freeEntryLocked(e *respEntry) {
-	e.next = r.free
-	r.free = e
-}
-
-// pushOrderLocked appends id to the eviction ring, growing it by doubling
-// (the ring tops out at the configured window plus in-flight overshoot).
-func (r *Responder) pushOrderLocked(id uint32) {
-	if r.count == len(r.order) {
-		n := 2 * len(r.order)
-		if n == 0 {
-			n = 64
+// claimLocked makes slot's entry the one for a request newer than any the
+// slot has seen, pinned for its owner. An idle entry is rebuilt in place; a
+// pinned one — its handler still running for a call the client has since
+// aborted, or a send still reading its buffer — is detached and another
+// takes the slot.
+func (r *Responder) claimLocked(s *respSlot) *respEntry {
+	e := s.e
+	if e == nil || e.waiters > 0 {
+		if e != nil {
+			e.detached = true
 		}
-		//edmlint:allow hotpath ring growth is amortized and bounded by the dedup window
-		grown := make([]uint32, n)
-		for i := 0; i < r.count; i++ {
-			grown[i] = r.order[(r.head+i)%len(r.order)]
+		if e = r.free; e != nil {
+			r.free, e.next = e.next, nil
+		} else {
+			//edmlint:allow hotpath allocates once per slot in use, and once per entry pinned while its slot moved on
+			e = &respEntry{}
 		}
-		r.order = grown
-		r.head = 0
+		s.e = e
 	}
-	r.order[(r.head+r.count)%len(r.order)] = id
-	r.count++
+	e.done = false
+	e.waiters = 1
+	return e
 }
 
-func (r *Responder) popOrderLocked() uint32 {
-	id := r.order[r.head]
-	r.head = (r.head + 1) % len(r.order)
-	r.count--
-	return id
+// unpinLocked drops one reference to e; the last one off a detached entry
+// frees it.
+func (r *Responder) unpinLocked(e *respEntry) {
+	e.waiters--
+	if e.detached && e.waiters == 0 {
+		e.detached = false
+		e.next = r.free
+		r.free = e
+	}
 }
 
 // Deliver is the inbound datagram path for one client's requests.
@@ -757,53 +819,49 @@ func (r *Responder) Deliver(p []byte) {
 		r.metrics.Garbage.Inc()
 		return
 	}
-	if !m.Kind.IsRequest() {
+	slot, seq := int(m.ID&slotMask), m.ID>>slotBits
+	if !m.Kind.IsRequest() || slot >= r.window {
 		putMsg(m)
 		r.metrics.Rejected.Inc()
 		return
 	}
 	r.metrics.RecvByKind[m.Kind].Inc()
 	r.mu.Lock()
-	if e, ok := r.cache[m.ID]; ok {
-		// Duplicate: wait out a still-running first execution, then replay
-		// its response without re-executing. The waiters count pins the
-		// entry so eviction cannot recycle its buffer mid-replay.
-		e.waiters++
-		for !e.done {
-			r.waiting++
-			r.filled.Wait()
-			r.waiting--
-		}
-		enc := e.enc
-		r.mu.Unlock()
-		r.metrics.Duplicates.Inc()
-		putMsg(m)
-		r.pipe.Send(enc)
-		r.mu.Lock()
-		e.waiters--
-		r.mu.Unlock()
-		return
+	for len(r.slots) <= slot {
+		r.slots = append(r.slots, respSlot{})
 	}
-	e := r.newEntryLocked()
-	if r.count >= r.window {
-		// Evict the oldest *completed, unreferenced* entry. An entry whose
-		// handler is still running must survive — its retransmissions have
-		// to keep hitting the cache or the request would re-execute,
-		// breaking exactly-once. If every entry is in flight (bounded by
-		// the client's concurrency), the cache temporarily overshoots.
-		for i, n := 0, r.count; i < n; i++ {
-			oldest := r.popOrderLocked()
-			old := r.cache[oldest]
-			if old.done && old.waiters == 0 {
-				delete(r.cache, oldest)
-				r.freeEntryLocked(old)
-				break
+	s := &r.slots[slot]
+	if e := s.e; e != nil {
+		switch age := (s.seq - seq) & seqMask; {
+		case age == 0:
+			// Duplicate: wait out a still-running first execution, then
+			// replay its response without re-executing.
+			e.waiters++
+			for !e.done {
+				r.waiting++
+				r.filled.Wait()
+				r.waiting--
 			}
-			r.pushOrderLocked(oldest)
+			enc := e.enc
+			r.mu.Unlock()
+			r.metrics.Duplicates.Inc()
+			putMsg(m)
+			r.pipe.Send(enc)
+			r.mu.Lock()
+			r.unpinLocked(e)
+			r.mu.Unlock()
+			return
+		case age <= seqMask/2:
+			// The client retired this call before it reused the slot: nobody
+			// waits for an answer, and executing it would be a second time.
+			r.mu.Unlock()
+			r.metrics.Stale.Inc()
+			putMsg(m)
+			return
 		}
 	}
-	r.cache[m.ID] = e
-	r.pushOrderLocked(m.ID)
+	e := r.claimLocked(s)
+	s.seq = seq
 	scratch := e.enc
 	r.mu.Unlock()
 	r.metrics.Requests.Inc()
@@ -829,17 +887,15 @@ func (r *Responder) Deliver(p []byte) {
 	r.mu.Lock()
 	e.enc = enc
 	e.done = true
-	// Done makes the entry evictable; the owner's pin keeps enc from being
-	// recycled under its own send, which may re-enter Deliver with enough
-	// newer IDs (a synchronous transport) to roll the whole window over.
-	e.waiters++
 	wake := r.waiting > 0
 	r.mu.Unlock()
 	if wake {
 		r.filled.Broadcast()
 	}
+	// The owner's pin outlasts its send, which on a synchronous transport
+	// re-enters Deliver with the client's next calls.
 	r.pipe.Send(enc)
 	r.mu.Lock()
-	e.waiters--
+	r.unpinLocked(e)
 	r.mu.Unlock()
 }

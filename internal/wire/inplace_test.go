@@ -9,8 +9,8 @@ import (
 )
 
 // These tests pin the two aliasing contracts of the bulk path: a decoded
-// Msg views its datagram, and a response is built inside the dedup entry's
-// datagram.
+// Msg views its datagram, and a response is built inside its call slot's
+// retained datagram.
 
 func TestDecodeIntoViewsDatagram(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x11}, 300)
@@ -211,8 +211,9 @@ func pattern(n int, seed byte) []byte {
 // the window resliced, a fresh slice, a slice an append grew past the
 // window, a subslice of the window — the right bytes go on the wire, a
 // duplicate is answered with the same bytes without re-executing, and an
-// over-large response still gets an answer. Window 2 makes every request
-// after the second build its response in a recycled buffer of another size.
+// over-large response still gets an answer. Two call slots make every
+// request after the second build its response in its slot's previous
+// buffer, of another size.
 func TestResponderInPlaceResponses(t *testing.T) {
 	const n = 1000
 	type handlerCase struct {
@@ -223,22 +224,24 @@ func TestResponderInPlaceResponses(t *testing.T) {
 		status  Status
 		inPlace bool
 	}
-	fill := func(d []byte, id uint32) { copy(d, pattern(len(d), byte(id))) }
+	// seed is distinct for every request of the test (two slots, seq < 64).
+	seed := func(id uint32) byte { return byte(id>>slotBits)<<1 | byte(id&1) }
+	fill := func(d []byte, id uint32) { copy(d, pattern(len(d), seed(id))) }
 	cases := []handlerCase{
 		{name: "reslices the window", count: n, inPlace: true,
 			handler: func(req, resp *Msg) { resp.Data = resp.Data[:req.Count]; fill(resp.Data, req.ID) },
-			want:    func(id uint32) []byte { return pattern(n, byte(id)) }},
+			want:    func(id uint32) []byte { return pattern(n, seed(id)) }},
 		{name: "reslices the window short", count: n, inPlace: true,
 			handler: func(req, resp *Msg) { resp.Data = resp.Data[:req.Count/2]; fill(resp.Data, req.ID) },
-			want:    func(id uint32) []byte { return pattern(n/2, byte(id)) }},
+			want:    func(id uint32) []byte { return pattern(n/2, seed(id)) }},
 		{name: "appends within the window", count: n, inPlace: true,
-			handler: func(req, resp *Msg) { resp.Data = append(resp.Data, pattern(int(req.Count), byte(req.ID))...) },
-			want:    func(id uint32) []byte { return pattern(n, byte(id)) }},
+			handler: func(req, resp *Msg) { resp.Data = append(resp.Data, pattern(int(req.Count), seed(req.ID))...) },
+			want:    func(id uint32) []byte { return pattern(n, seed(id)) }},
 		{name: "assigns a fresh slice", count: n,
-			handler: func(req, resp *Msg) { resp.Data = pattern(int(req.Count), byte(req.ID)) },
-			want:    func(id uint32) []byte { return pattern(n, byte(id)) }},
+			handler: func(req, resp *Msg) { resp.Data = pattern(int(req.Count), seed(req.ID)) },
+			want:    func(id uint32) []byte { return pattern(n, seed(id)) }},
 		{name: "appends past the window", count: 64,
-			handler: func(req, resp *Msg) { resp.Data = append(resp.Data, pattern(cap(resp.Data)+100, byte(req.ID))...) },
+			handler: func(req, resp *Msg) { resp.Data = append(resp.Data, pattern(cap(resp.Data)+100, seed(req.ID))...) },
 			want:    nil /* length depends on the recycled buffer; checked against the pattern */},
 		{name: "returns a subslice of the window", count: n,
 			handler: func(req, resp *Msg) {
@@ -246,7 +249,7 @@ func TestResponderInPlaceResponses(t *testing.T) {
 				fill(resp.Data, req.ID)
 				resp.Data = resp.Data[8:]
 			},
-			want: func(id uint32) []byte { return pattern(n, byte(id))[8:] }},
+			want: func(id uint32) []byte { return pattern(n, seed(id))[8:] }},
 		{name: "leaves the window empty", count: n,
 			handler: func(req, resp *Msg) { resp.Status = StatusRange },
 			want:    func(uint32) []byte { return nil }, status: StatusRange},
@@ -272,11 +275,12 @@ func TestResponderInPlaceResponses(t *testing.T) {
 		window = &resp.Data[:1][0]
 		cur.handler(req, resp)
 	})
-	id := uint32(0)
+	var id, issued uint32
 	for round := 0; round < 3; round++ {
 		for i := range cases {
 			cur = &cases[i]
-			id++
+			issued++
+			id = slotID(issued%2, issued/2)
 			req, err := (&Msg{Kind: KindRREQ, ID: id, Addr: 4096, Count: cur.count}).AppendEncode(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -298,13 +302,13 @@ func TestResponderInPlaceResponses(t *testing.T) {
 				if !bytes.Equal(got.Data, cur.want(id)) {
 					t.Fatalf("%s (round %d): wrong payload on the wire (%d bytes)", cur.name, round, len(got.Data))
 				}
-			} else if !bytes.Equal(got.Data, pattern(len(got.Data), byte(id))) || len(got.Data) < 164 {
+			} else if !bytes.Equal(got.Data, pattern(len(got.Data), seed(id))) || len(got.Data) < 164 {
 				t.Fatalf("%s (round %d): wrong payload on the wire (%d bytes)", cur.name, round, len(got.Data))
 			}
 			// The entry's buffer is the datagram: an in-place payload sits in
 			// the window the handler was given.
 			r.mu.Lock()
-			enc := r.cache[id].enc
+			enc := r.slots[id&slotMask].e.enc
 			r.mu.Unlock()
 			if !bytes.Equal(enc, first) {
 				t.Fatalf("%s: cached response differs from the one sent", cur.name)
@@ -322,8 +326,8 @@ func TestResponderInPlaceResponses(t *testing.T) {
 			}
 		}
 	}
-	if st := r.Stats(); st.Requests != uint64(id) || st.Duplicates != uint64(id) {
-		t.Fatalf("responder stats %+v, want %d requests and as many duplicates", st, id)
+	if st := r.Stats(); st.Requests != uint64(issued) || st.Duplicates != uint64(issued) {
+		t.Fatalf("responder stats %+v, want %d requests and as many duplicates", st, issued)
 	}
 }
 
@@ -332,14 +336,15 @@ func TestResponderInPlaceResponses(t *testing.T) {
 // allocation tests drive it with.
 type bulkServe struct {
 	r       *Responder
-	id      uint32
+	window  uint32
+	n       uint32 // requests delivered
 	scratch []byte
 	payload []byte
 	sink    byte
 }
 
 func newBulkServe(window, size int) *bulkServe {
-	s := &bulkServe{payload: pattern(size, 1), scratch: make([]byte, 0, MaxDatagram)}
+	s := &bulkServe{window: uint32(window), payload: pattern(size, 1), scratch: make([]byte, 0, MaxDatagram)}
 	s.r = NewResponder(nullPipe{}, ResponderConfig{Window: window}, func(req, resp *Msg) {
 		switch req.Kind {
 		case KindRREQ:
@@ -352,9 +357,11 @@ func newBulkServe(window, size int) *bulkServe {
 	return s
 }
 
+// deliver sends the next request, going round the window's call slots.
 func (s *bulkServe) deliver(t testing.TB, kind Kind) {
-	s.id++
-	m := Msg{Kind: kind, ID: s.id, Addr: uint64(s.id) * 64, Count: uint32(len(s.payload))}
+	id := slotID(s.n%s.window, s.n/s.window)
+	s.n++
+	m := Msg{Kind: kind, ID: id, Addr: uint64(s.n) * 64, Count: uint32(len(s.payload))}
 	if kind == KindWREQ {
 		m.Data = s.payload
 	}
@@ -372,7 +379,7 @@ func (nullPipe) Send([]byte) error { return nil }
 func (nullPipe) Close() error      { return nil }
 
 // TestResponderBulkAllocs pins the memory behaviour of the in-place
-// response: the dedup entry's buffer is the only per-response storage, sized
+// response: a slot's entry buffer is the only per-response storage, sized
 // once from RREQ.Count before the handler runs. A handler that had to fall
 // back to its own make while the entry was small would double the warm-up
 // garbage (the 156 -> 200 MB rss of loop-bulk16k-rw this replaces).
@@ -388,7 +395,7 @@ func TestResponderBulkAllocs(t *testing.T) {
 			s.deliver(t, kind)
 		}
 	}
-	round() // fill the window: every read entry reaches its size
+	round() // every slot in use, every entry that serves reads at its size
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -396,13 +403,13 @@ func TestResponderBulkAllocs(t *testing.T) {
 		t.Errorf("steady state: %v allocs per %d alternating 16 KiB reads and writes, want 0", got, 2*window)
 	}
 
-	// Growth: a window of entries that so far held write acks. Each read
-	// now recycles one of them and must grow it exactly once.
+	// Growth: a window of slots that so far held write acks. Each read now
+	// rebuilds one of them in place and must grow it exactly once.
 	g := newBulkServe(256, size)
 	for i := 0; i < 256; i++ {
 		g.deliver(t, KindWREQ)
 	}
 	if got := testing.AllocsPerRun(100, func() { g.deliver(t, KindRREQ) }); got != 1 {
-		t.Errorf("growing a dedup entry to a 16 KiB response: %v allocs, want 1", got)
+		t.Errorf("growing a slot's entry to a 16 KiB response: %v allocs, want 1", got)
 	}
 }

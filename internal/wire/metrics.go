@@ -62,9 +62,12 @@ type ResponderMetrics struct {
 	// by kind, duplicates included.
 	Requests   *telemetry.Counter
 	RecvByKind [NumKinds]*telemetry.Counter
-	// Retransmissions answered from the dedup cache (replayed responses),
-	// undecodable datagrams, and decoded non-request kinds.
+	// Retransmissions answered with their slot's retained response, requests
+	// older than their slot's newest (dropped: the client had retired the
+	// call), undecodable datagrams, and datagrams that decoded to a
+	// non-request kind or named a call slot beyond the session's window.
 	Duplicates *telemetry.Counter
+	Stale      *telemetry.Counter
 	Garbage    *telemetry.Counter
 	Rejected   *telemetry.Counter
 }
@@ -74,6 +77,7 @@ func NewResponderMetrics(r *telemetry.Registry) *ResponderMetrics {
 	m := &ResponderMetrics{
 		Requests:   r.Counter("wire_server_requests_total"),
 		Duplicates: r.Counter("wire_server_replays_total"),
+		Stale:      r.Counter("wire_server_stale_total"),
 		Garbage:    r.Counter("wire_server_garbage_total"),
 		Rejected:   r.Counter("wire_server_rejected_total"),
 	}

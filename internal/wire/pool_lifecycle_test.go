@@ -216,6 +216,7 @@ func TestLoopbackSendBatchMatchesSequential(t *testing.T) {
 
 // reenterPipe models a synchronous transport under pipelining: while the
 // outermost Send is still in progress it feeds the responder newer requests,
+// among them the next uses of the very slot whose response is being sent,
 // then checks that the bytes it was handed did not change under it.
 type reenterPipe struct {
 	r       *Responder
@@ -225,13 +226,19 @@ type reenterPipe struct {
 	sent    []uint32
 }
 
+// nextID numbers requests over two call slots: 1, 2, 3, ... alternate
+// between them, each use of a slot one seq up.
+func (p *reenterPipe) nextID() uint32 {
+	p.next++
+	return slotID(p.next%2, p.next/2)
+}
+
 func (p *reenterPipe) Send(b []byte) error {
 	orig := append([]byte(nil), b...)
 	if p.depth == 0 {
 		p.depth++
 		for i := 0; i < 6; i++ {
-			p.next++
-			enc, err := (&Msg{Kind: KindRREQ, ID: p.next, Count: 64}).AppendEncode(nil)
+			enc, err := (&Msg{Kind: KindRREQ, ID: p.nextID(), Count: 64}).AppendEncode(nil)
 			if err != nil {
 				return err
 			}
@@ -251,24 +258,23 @@ func (p *reenterPipe) Send(b []byte) error {
 
 func (p *reenterPipe) Close() error { return nil }
 
-// TestResponderSendBufferPinned: an entry is done — evictable — before its
-// owner has transmitted from its buffer. With a window smaller than the
-// requests arriving under that transmission, eviction used to recycle the
-// buffer into a newer response while the first send still referenced it.
+// TestResponderSendBufferPinned: an entry is done before its owner has
+// transmitted from its buffer, and the slot's next request may arrive under
+// that transmission. It must not rebuild its response in the buffer the
+// first send still references.
 func TestResponderSendBufferPinned(t *testing.T) {
 	pipe := &reenterPipe{}
-	// Each response carries its own ID in every payload byte, so a buffer
-	// rewritten for another ID cannot compare equal.
+	// Each response carries its request's seq in every payload byte, so a
+	// buffer rewritten for another request cannot compare equal.
 	r := NewResponder(pipe, ResponderConfig{Window: 2}, func(m, resp *Msg) {
 		resp.Data = growTestData(resp.Data, int(m.Count))
 		for i := range resp.Data {
-			resp.Data[i] = byte(m.ID)
+			resp.Data[i] = byte(m.ID >> slotBits)
 		}
 	})
 	pipe.r = r
 	for round := 0; round < 3; round++ {
-		pipe.next++
-		enc, err := (&Msg{Kind: KindRREQ, ID: pipe.next, Count: 64}).AppendEncode(nil)
+		enc, err := (&Msg{Kind: KindRREQ, ID: pipe.nextID(), Count: 64}).AppendEncode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,5 +285,16 @@ func TestResponderSendBufferPinned(t *testing.T) {
 	}
 	if len(pipe.sent) != 21 {
 		t.Fatalf("sent %d responses (%v), want 21: one per request", len(pipe.sent), pipe.sent)
+	}
+	// The pinned entries were detached, not leaked: at most one per slot
+	// waits on the free list, the rest were taken again.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for e := r.free; e != nil; e = e.next {
+		n++
+	}
+	if n > 2 {
+		t.Fatalf("%d entries on the free list after 3 rounds over 2 slots", n)
 	}
 }

@@ -13,19 +13,23 @@ import (
 	"repro/internal/sim"
 )
 
-// TestResponderEvictionKeepsInflight: a full cache must not evict an entry
-// whose handler is still running — its retransmissions depend on it.
+// TestResponderEvictionKeepsInflight: an entry whose handler is still running
+// survives whatever the rest of the session does — the other slots turning
+// over, its own slot moving on to a newer call — because its retransmissions
+// depend on it: they must wait for the one execution, not start another.
 func TestResponderEvictionKeepsInflight(t *testing.T) {
 	var sent [][]byte
 	var mu sync.Mutex
 	pipe := collectPipe{&mu, &sent}
 	var executions atomic.Int32
 	release := make(chan struct{})
-	handler := func(m, _ *Msg) {
+	stalled := slotID(0, 7)
+	handler := func(m, resp *Msg) {
 		executions.Add(1)
-		if m.ID == 0 {
-			<-release // first request stalls mid-execution
+		if m.ID == stalled {
+			<-release // stalls mid-execution
 		}
+		resp.Data = append(resp.Data, byte(m.ID>>slotBits))
 	}
 	r := NewResponder(pipe, ResponderConfig{Window: 2}, handler)
 
@@ -40,30 +44,66 @@ func TestResponderEvictionKeepsInflight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		r.Deliver(enc(0)) // blocks in the handler
+		r.Deliver(enc(stalled)) // blocks in the handler
 	}()
 	for executions.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	// Two completed requests fill the window past capacity; under naive
-	// FIFO eviction they would evict ID 0's in-flight entry.
-	r.Deliver(enc(1))
-	r.Deliver(enc(2))
-	// A retransmission of ID 0 must hit the (in-flight) cache entry and
-	// wait, not re-execute.
+	// The session's other slot turns over several times.
+	for seq := uint32(0); seq < 5; seq++ {
+		r.Deliver(enc(slotID(1, seq)))
+	}
+	// A retransmission of the stalled request must find its in-flight entry
+	// and wait, not re-execute.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		r.Deliver(enc(0))
+		r.Deliver(enc(stalled))
 	}()
-	time.Sleep(10 * time.Millisecond)
+	for {
+		r.mu.Lock()
+		parked := r.waiting
+		r.mu.Unlock()
+		if parked == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The client gives the stalled call up and reuses its slot: the newer
+	// call executes in an entry of its own, the stalled one keeps its.
+	r.Deliver(enc(slotID(0, 8)))
 	close(release)
 	wg.Wait()
-	if n := executions.Load(); n != 3 {
-		t.Fatalf("handler ran %d times, want 3 (IDs 0, 1, 2 once each)", n)
+	if n := executions.Load(); n != 7 {
+		t.Fatalf("handler ran %d times, want 7 (each request once)", n)
 	}
-	if st := r.Stats(); st.Duplicates != 1 {
+	if st := r.Stats(); st.Duplicates != 1 || st.Stale != 0 {
 		t.Fatalf("responder stats %+v, want 1 duplicate", st)
+	}
+	// The stalled request's owner and its waiting duplicate both answered
+	// with the stalled request's own response.
+	mu.Lock()
+	defer mu.Unlock()
+	answers := 0
+	for _, b := range sent {
+		var m Msg
+		if err := DecodeInto(&m, b); err != nil {
+			t.Fatalf("a response does not decode: %v", err)
+		}
+		if m.ID == stalled {
+			answers++
+			if len(m.Data) != 1 || m.Data[0] != 7 {
+				t.Fatalf("stalled request answered with payload %v", m.Data)
+			}
+		}
+	}
+	if answers != 2 {
+		t.Fatalf("stalled request answered %d times, want 2 (owner and duplicate)", answers)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.free == nil || r.free.next != nil || r.free.waiters != 0 || r.slots[0].e == r.free {
+		t.Fatal("the detached entry was not freed exactly once after its last user")
 	}
 }
 

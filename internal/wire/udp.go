@@ -99,8 +99,8 @@ func (r *udpReply) Send(p []byte) error { return r.tx.add(p, &r.to) }
 
 func (r *udpReply) Close() error { return nil }
 
-// sessionIdleTimeout bounds how long a silent session keeps its state (the
-// duplicate-suppression cache); a client that vanished without a BYE is
+// sessionIdleTimeout bounds how long a silent session keeps its state (one
+// retained response per call slot); a client that vanished without a BYE is
 // reclaimed after this long.
 const sessionIdleTimeout = 5 * time.Minute
 
@@ -137,9 +137,9 @@ type ingressLoop struct {
 // 4-tuple onto the group, so a client's datagrams all reach one loop, which
 // executes them in arrival order; sessions scale across loops. Parallelism
 // within a session is given up on purpose: the work per message (~1 µs) is
-// far below a syscall, and a worker descheduled while holding a request let
-// thousands of newer IDs overtake it — out of the dedup window. A receive
-// path must not retain the buffer, nor wait for a later datagram of its own
+// far below a syscall, and no request is overtaken by a newer use of its own
+// call slot while a descheduled worker holds it. A receive path must not
+// retain the buffer, nor wait for a later datagram of its own
 // session (that one is behind it in the same loop).
 //
 // accept is invoked once per new session with the remote's address and a
@@ -153,12 +153,12 @@ type ingressLoop struct {
 //
 // Session lifecycle: a (CRC-valid) HELLO carrying a token different from
 // the current session's starts a fresh session — a restarted client
-// reusing its source port must not inherit the previous incarnation's
-// duplicate-suppression cache, which would replay stale responses to its
-// new message IDs. A HELLO with the *same* token is a retransmission of
-// the current session's handshake and is delivered into it unchanged (the
-// dedup cache replays the HELLO-ACK), so an in-flight duplicate cannot
-// wipe the cache out from under pipelined ops. Clients that send no token
+// reusing its source port must not inherit the previous incarnation's call
+// slots, whose use counters would take its new message IDs for duplicates
+// or stale copies. A HELLO with the *same* token is a retransmission of
+// the current session's handshake and is delivered into it unchanged (its
+// slot replays the HELLO-ACK), so an in-flight duplicate cannot wipe the
+// retained responses out from under pipelined ops. Clients that send no token
 // get the conservative always-reset behaviour. A (CRC-valid) BYE retires
 // the session after delivery; a retransmitted BYE simply opens and
 // immediately closes a fresh one. Sessions idle past sessionIdleTimeout
