@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"errors"
-
+	"flag"
+	"os"
+	"path/filepath"
 	"regexp"
 	"repro/internal/cli"
 	"strconv"
@@ -75,6 +77,35 @@ func TestLoopbackDeterministic(t *testing.T) {
 	// A different address seed must change the numbers.
 	if c := load(t, tr, "-seed", "6"); c == a {
 		t.Fatal("different seed produced an identical report")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// TestLoopbackGolden pins two loopback reports byte for byte: the virtual
+// clock makes them a pure function of the flags, so they only move when the
+// wire protocol, the timing model or the report format does. go test
+// -update rewrites the files.
+func TestLoopbackGolden(t *testing.T) {
+	for name, args := range map[string][]string{
+		"fixed64-5000-seed7":   {"-profile", "fixed64", "-count", "5000", "-seed", "7"},
+		"memcached-3000-seed3": {"-profile", "memcached", "-count", "3000", "-seed", "3"},
+	} {
+		got := load(t, "", args...)
+		path := filepath.Join("testdata", name+".golden")
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("edmload %v differs from %s (rerun with -update if the change is intended):\n%s", args, path, got)
+		}
 	}
 }
 

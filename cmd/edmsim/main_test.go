@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -27,6 +28,37 @@ func makeTrace(t *testing.T, seed uint64) string {
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// checkGolden compares got with testdata/<name>.golden byte for byte;
+// go test -update rewrites the file instead.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s (rerun with -update if the change is intended):\n%s", path, got)
+	}
+}
+
+// TestLiveScenarioGolden pins the two live backends' reports: the seeded
+// replay is a pure function of the spec, so the bytes only move when the
+// wire protocol, the timing model or the report format does.
+func TestLiveScenarioGolden(t *testing.T) {
+	for _, name := range []string{"live-loopback", "live-cluster"} {
+		checkGolden(t, name, sim16(t, "", "-scenario", name))
+	}
 }
 
 func sim16(t *testing.T, stdin string, args ...string) string {
