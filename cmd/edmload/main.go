@@ -4,10 +4,19 @@
 // and reports latency percentiles in the same rows cmd/edmsim prints, so
 // simulated and measured latencies compare directly.
 //
+// Every target — the loopback, one edmd (-addr), a dual-homed cluster of
+// them (-cluster) — is an rmem.Memory driven by the same rmem.Replay: one
+// issuing goroutine keeps -window ops in flight through the async API and
+// issues the next as soon as a slot frees (closed loop), or, with -rate,
+// issues op i at i/rate and sheds it when no slot is free at that instant
+// (open loop; shed ops are counted, never queued). Writes carry an
+// address-derived pattern and every read is checked against it; a read
+// that returns anything else counts as failed and shows as "mismatched N".
+//
 // Against the loopback endpoint the run is deterministic: arrivals are
-// replayed on the transport's virtual clock and every latency is a pure
-// function of the datagram sizes exchanged, so a fixed seed yields a
-// byte-identical report.
+// replayed on the transport's virtual clock at window 1 and every latency
+// is a pure function of the datagram sizes exchanged, so a fixed seed
+// yields a byte-identical report.
 //
 // Usage:
 //
@@ -15,6 +24,7 @@
 //	edmload -profile fixed64 -count 5000 -seed 7               # generated
 //	edmload -addr 127.0.0.1:7979 -trace t.txt -window 32       # live edmd
 //	edmload -addr 127.0.0.1:7979 -profile fixed64 -rate 50000  # paced
+//	edmload -cluster h:1,h:2,h:3,h:4 -profile memcached        # cluster
 package main
 
 import (
@@ -26,7 +36,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
@@ -43,15 +53,6 @@ import (
 
 func main() {
 	cli.Exit("edmload", run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
-}
-
-// opResult is one completed operation.
-type opResult struct {
-	read   bool
-	failed bool
-	shed   bool // rejected at issue (window exhausted in rate mode)
-	bytes  int
-	ns     float64
 }
 
 // run is the testable entry point: flags in, report out.
@@ -107,24 +108,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if len(strings.Split(*clusterAddrs, ",")) < 2 {
 			return cli.Usagef("-cluster needs at least two addresses, got %q", *clusterAddrs)
 		}
-		for _, name := range []string{"slab", "slots", "slotbytes"} {
-			if set[name] {
-				return cli.Usagef("-%s only applies to the loopback endpoint (the live servers own their geometry)", name)
-			}
+		if set["trace-ops"] {
+			return cli.Usagef("-trace-ops does not apply to cluster mode (the trace ring follows one connection)")
 		}
-		// The cluster replay is closed-loop at -window depth; pacing and the
-		// single-connection trace ring do not apply.
-		for _, name := range []string{"rate", "progress", "trace-ops"} {
-			if set[name] {
-				return cli.Usagef("-%s does not apply to cluster mode", name)
-			}
+		// A routed op can put two datagrams on one node, and a node client's
+		// window stops at rmem.MaxWindow: deeper pipelining would fail ops at
+		// issue and report them as lost.
+		if *window > rmem.MaxWindow/2 {
+			return cli.Usagef("-window must be at most %d with -cluster, got %d", rmem.MaxWindow/2, *window)
 		}
 	} else if set["evict"] || set["metrics"] {
 		return cli.Usagef("-evict and -metrics only apply with -cluster")
-	} else if *addr != "" {
+	}
+	if *clusterAddrs != "" || *addr != "" {
 		for _, name := range []string{"slab", "slots", "slotbytes"} {
 			if set[name] {
-				return cli.Usagef("-%s only applies to the loopback endpoint (the live server owns its geometry)", name)
+				return cli.Usagef("-%s only applies to the loopback endpoint (a live server owns its geometry)", name)
 			}
 		}
 	} else {
@@ -189,41 +188,237 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		Window: *window,
 		Retry:  wire.ConnConfig{RetryTimeout: *retry, MaxRetries: maxRetries},
 	}
-	opts := runOpts{progress: *progress, traceN: *traceOps, stderr: stderr}
+	if *traceOps > 0 {
+		ccfg.Trace = telemetry.NewTraceRing(*traceOps)
+	}
+
+	// Assemble the endpoint. From here on the three targets differ only in
+	// which handles of t are set.
+	var t target
+	var err error
 	switch {
 	case *clusterAddrs != "":
-		return runCluster(ops, source, *seed, strings.Split(*clusterAddrs, ","), *evict, *metricsAddr, ccfg, stdout)
-	case *addr == "":
-		return runLoopback(ops, source, *seed, *slab, *slots, *slotBytes, ccfg, opts, stdout)
+		t, err = dialCluster(strings.Split(*clusterAddrs, ","), *seed, *evict, *metricsAddr, ccfg, stdout)
+	case *addr != "":
+		t, err = dial([]string{*addr}, ccfg)
 	default:
-		return runLive(ops, source, *seed, *addr, *rate, ccfg, opts, stdout)
+		t, err = openLoopback(*slab, *slots, *slotBytes, ccfg)
+	}
+	if err != nil {
+		return err
+	}
+	defer t.close()
+	ops, addrs, err := targets(ops, *seed, t.size)
+	if err != nil {
+		return err
+	}
+
+	// The run's clock: the loopback's virtual one, with arrivals replayed at
+	// the trace's timestamps, or wall time since the first issue.
+	rc := rmem.ReplayConfig{Window: *window}
+	if t.lb != nil {
+		rc.Now = t.lb.Now
+		rc.Before = func(i int) { t.lb.AdvanceTo(ops[i].Arrival) }
+	} else {
+		start := time.Now()
+		rc.Now = func() sim.Time { return sim.Time(time.Since(start)) * sim.Nanosecond }
+		rc.WaitUntil = func(due sim.Time) { time.Sleep(time.Duration((due - rc.Now()) / sim.Nanosecond)) }
+		if *rate > 0 {
+			rc.Interval = sim.Time(float64(1000*sim.Millisecond) / *rate)
+		}
+	}
+	stopProgress := func() {}
+	if *progress > 0 {
+		stopProgress = startProgress(&t, &rc, *progress, len(ops), stderr)
+	}
+	results := rmem.Replay(t.mem, ops, addrs, rc)
+	stopProgress()
+	if err := report(stdout, &t, source, ops, results, rc.Now()); err != nil {
+		return err
+	}
+	if ccfg.Trace != nil {
+		for _, r := range ccfg.Trace.SnapshotRecords() {
+			fmt.Fprintf(stderr, "edmload: traceop seq=%d id=%d stage=%s kind=%s ts=%dns arg=%d\n",
+				r.Seq, r.ID, r.Stage, wire.Kind(r.Op), r.TS, r.Arg)
+		}
+	}
+	return nil
+}
+
+// target is an assembled endpoint: the memory the replay drives, the node
+// connections behind it, and whichever of the optional handles it has.
+type target struct {
+	endpoint string
+	clock    string // what the run's clock reads: "virtual" or "elapsed"
+	mem      rmem.Memory
+	conns    []*rmem.Client
+	size     uint64          // addressable bytes
+	lb       *wire.Loopback  // loopback: the transport whose virtual clock times the run
+	srv      *rmem.Server    // loopback: the in-process server
+	cc       *cluster.Client // cluster: the router in front of conns
+	close    func()
+}
+
+// stamp renders a reading of the run's clock: virtual time in sim.Time's
+// units, wall time as a time.Duration.
+func (t *target) stamp(now sim.Time) string {
+	if t.lb != nil {
+		return now.String()
+	}
+	return time.Duration(now / sim.Nanosecond).String()
+}
+
+// startProgress hooks progress lines into the replay and returns the func
+// that ends them. Outcomes are counted as they land, in the report's terms.
+// The loopback prints from the op that carries its virtual clock across an
+// interval, so its lines are as deterministic as its report; a wall-clock
+// run prints from a ticker, so a window stuck in retries, or a paced run
+// shedding every op, still reports.
+func startProgress(t *target, rc *rmem.ReplayConfig, every time.Duration, total int, stderr io.Writer) (stop func()) {
+	var done, failed, shed atomic.Int64
+	line := func() {
+		fmt.Fprintf(stderr, "edmload: progress done %d failed %d shed %d of %d, retransmits %d, %s %s\n",
+			done.Load(), failed.Load(), shed.Load(), total,
+			rmem.SumConnStats(t.conns).Retransmit, t.clock, t.stamp(rc.Now()))
+	}
+	next := sim.Time(every) * sim.Nanosecond
+	rc.After = func(_ int, r rmem.OpResult) {
+		switch {
+		case r.Shed:
+			shed.Add(1)
+		case r.Err != nil:
+			failed.Add(1)
+		default:
+			done.Add(1)
+		}
+		if t.lb != nil && rc.Now() >= next {
+			line()
+			for next <= rc.Now() {
+				next += sim.Time(every) * sim.Nanosecond
+			}
+		}
+	}
+	if t.lb != nil {
+		return func() {}
+	}
+	quit := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		ticker := time.NewTicker(every)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-ticker.C:
+				line()
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-exited
 	}
 }
 
-// runOpts carries the observability knobs into the run loops.
-type runOpts struct {
-	progress time.Duration
-	traceN   int
-	stderr   io.Writer
+// openLoopback builds an in-process server behind the loopback transport.
+// Latency histograms and trace timestamps read its virtual clock, so the
+// whole run — telemetry included — is deterministic for a fixed seed.
+func openLoopback(slab int64, slots, slotBytes int, ccfg rmem.ClientConfig) (target, error) {
+	if slab <= 0 {
+		return target{}, cli.Usagef("-slab must be positive, got %d", slab)
+	}
+	srv, err := rmem.NewServer(rmem.ServerConfig{
+		Geometry: rmem.Geometry{SlabBytes: uint64(slab), Slots: slots, SlotBytes: slotBytes},
+	})
+	if err != nil {
+		return target{}, cli.UsageError{S: err.Error()}
+	}
+	lb := wire.NewLoopback(wire.LoopbackConfig{})
+	ccfg.NowNS = func() int64 { return int64(lb.Now() / sim.Nanosecond) }
+	client := rmem.NewClient(lb.ClientPipe(), ccfg)
+	lb.BindServer(srv.NewSession(lb.ServerPipe()).Deliver)
+	lb.BindClient(client.Deliver)
+	if err := client.Connect(); err != nil {
+		return target{}, err
+	}
+	return target{endpoint: "loopback (virtual clock)", clock: "virtual",
+		mem: client, conns: []*rmem.Client{client}, size: srv.Geometry().SlabBytes,
+		lb: lb, srv: srv, close: func() { client.Close() }}, nil
 }
 
-// ring builds the per-op trace ring, nil when tracing is off.
-func (o runOpts) ring() *telemetry.TraceRing {
-	if o.traceN <= 0 {
-		return nil
+// dial connects one client per edmd address over UDP; with a single address
+// that client is the target's memory.
+func dial(addrs []string, ccfg rmem.ClientConfig) (target, error) {
+	ccfg.NowNS = func() int64 { return time.Now().UnixNano() }
+	t := target{endpoint: "udp " + addrs[0], clock: "elapsed"}
+	t.close = func() {
+		for _, cl := range t.conns {
+			cl.Close()
+		}
 	}
-	return telemetry.NewTraceRing(o.traceN)
+	for _, a := range addrs {
+		uc, err := wire.DialUDP(a)
+		if err != nil {
+			t.close()
+			return target{}, err
+		}
+		cl := rmem.NewClient(uc, ccfg)
+		go uc.Run(cl.Deliver)
+		if err := cl.Connect(); err != nil {
+			uc.Close()
+			t.close()
+			return target{}, fmt.Errorf("connect %s: %w", a, err)
+		}
+		t.conns = append(t.conns, cl)
+	}
+	t.mem = t.conns[0]
+	t.size = t.conns[0].Geometry().SlabBytes
+	return t, nil
 }
 
-// dumpTrace prints the ring's records oldest-first to stderr.
-func (o runOpts) dumpTrace(ring *telemetry.TraceRing) {
-	if ring == nil {
-		return
+// dialCluster puts the sharded, dual-homed cluster service in front of N
+// edmd nodes: reads route to each extent's primary and fail over to its
+// mirror, writes go through to both.
+func dialCluster(addrs []string, seed uint64, evict int, metricsAddr string, ccfg rmem.ClientConfig, stdout io.Writer) (target, error) {
+	// A routed op fans out up to two datagrams per node, and a background
+	// re-mirror shares the node windows; give them headroom.
+	ccfg.Window *= 4
+	if ccfg.Window > rmem.MaxWindow {
+		ccfg.Window = rmem.MaxWindow
 	}
-	for _, r := range ring.SnapshotRecords() {
-		fmt.Fprintf(o.stderr, "edmload: traceop seq=%d id=%d stage=%s kind=%s ts=%dns arg=%d\n",
-			r.Seq, r.ID, r.Stage, wire.Kind(r.Op), r.TS, r.Arg)
+	t, err := dial(addrs, ccfg)
+	if err != nil {
+		return target{}, err
 	}
+	reg := telemetry.NewRegistry()
+	cc, err := cluster.New(t.conns, cluster.Config{
+		Seed:      seed,
+		Metrics:   cluster.NewMetrics(reg, len(addrs)),
+		NowNS:     func() int64 { return time.Now().UnixNano() },
+		AutoEvict: evict,
+	})
+	if err != nil {
+		t.close()
+		return target{}, err
+	}
+	t.endpoint = "cluster " + strings.Join(addrs, ",")
+	t.mem = cc
+	t.cc = cc
+	t.size = cc.Size()
+	t.close = func() { cc.Close() }
+	if metricsAddr != "" {
+		ln, err := net.Listen("tcp", metricsAddr)
+		if err != nil {
+			t.close()
+			return target{}, fmt.Errorf("metrics listen %s: %w", metricsAddr, err)
+		}
+		t.close = func() { ln.Close(); cc.Close() }
+		go http.Serve(ln, telemetry.AdminMux(reg, nil))
+		fmt.Fprintf(stdout, "edmload: metrics on http://%s/metrics\n", ln.Addr())
+	}
+	return t, nil
 }
 
 // targets precomputes the (addr, size, read) triple of every op: sizes are
@@ -250,376 +445,58 @@ func targets(ops []workload.Op, seed, slabBytes uint64) ([]workload.Op, []uint64
 	return ops, addrs, nil
 }
 
-// runLoopback replays ops single-threaded against an in-process server,
-// measuring on the virtual clock: a deterministic report for a fixed seed.
-func runLoopback(ops []workload.Op, source string, seed uint64, slab int64, slots, slotBytes int, ccfg rmem.ClientConfig, opts runOpts, stdout io.Writer) error {
-	if slab <= 0 {
-		return cli.Usagef("-slab must be positive, got %d", slab)
-	}
-	srv, err := rmem.NewServer(rmem.ServerConfig{
-		Geometry: rmem.Geometry{SlabBytes: uint64(slab), Slots: slots, SlotBytes: slotBytes},
-	})
-	if err != nil {
-		return cli.UsageError{S: err.Error()}
-	}
-	lb := wire.NewLoopback(wire.LoopbackConfig{})
-	// Latency histograms and trace timestamps read the loopback's virtual
-	// clock, so the whole run — telemetry included — stays deterministic.
-	ring := opts.ring()
-	ccfg.NowNS = func() int64 { return int64(lb.Now() / sim.Nanosecond) }
-	ccfg.Trace = ring
-	client := rmem.NewClient(lb.ClientPipe(), ccfg)
-	lb.BindServer(srv.NewSession(lb.ServerPipe()).Deliver)
-	lb.BindClient(client.Deliver)
-	if err := client.Connect(); err != nil {
-		return err
-	}
-	defer client.Close()
-
-	ops, addrs, err := targets(ops, seed, srv.Geometry().SlabBytes)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, wire.MaxData)
-	results := make([]opResult, len(ops))
-	nextProgress := opts.progress
-	for i, op := range ops {
-		lb.AdvanceTo(op.Arrival)
-		start := lb.Now()
-		var opErr error
-		if op.Read {
-			_, opErr = client.ReadSync(addrs[i], op.Size)
-		} else {
-			opErr = client.WriteSync(addrs[i], buf[:op.Size])
-		}
-		results[i] = opResult{
-			read:   op.Read,
-			failed: opErr != nil,
-			bytes:  op.Size,
-			ns:     (lb.Now() - start).Nanoseconds(),
-		}
-		if opts.progress > 0 && time.Duration(lb.Now()/sim.Nanosecond) >= nextProgress {
-			fmt.Fprintf(opts.stderr, "edmload: progress %d/%d ops, virtual %v\n",
-				i+1, len(ops), lb.Now())
-			for nextProgress <= time.Duration(lb.Now()/sim.Nanosecond) {
-				nextProgress += opts.progress
-			}
-		}
-	}
-	horizon := lb.Now()
-	horizonSec := float64(horizon) / float64(1000*sim.Millisecond)
-	err = report(stdout, "loopback (virtual clock)", source, results,
-		horizon.String(), horizonSec, client, srv)
-	opts.dumpTrace(ring)
-	return err
-}
-
-// runLive replays ops against a remote edmd over UDP, measured in wall time.
-// rate 0 runs closed-loop with window-many workers; rate > 0 paces an open
-// loop, shedding ops that find the window full (the client's fail-fast).
-func runLive(ops []workload.Op, source string, seed uint64, addr string, rate float64, ccfg rmem.ClientConfig, opts runOpts, stdout io.Writer) error {
-	uc, err := wire.DialUDP(addr)
-	if err != nil {
-		return err
-	}
-	ring := opts.ring()
-	ccfg.NowNS = func() int64 { return time.Now().UnixNano() }
-	ccfg.Trace = ring
-	client := rmem.NewClient(uc, ccfg)
-	go uc.Run(client.Deliver)
-	if err := client.Connect(); err != nil {
-		uc.Close()
-		return err
-	}
-	defer client.Close()
-
-	ops, addrs, err := targets(ops, seed, client.Geometry().SlabBytes)
-	if err != nil {
-		return err
-	}
-	results := make([]opResult, len(ops))
-	start := time.Now()
-	if opts.progress > 0 {
-		stopProgress := make(chan struct{})
-		defer close(stopProgress)
-		go func() {
-			ticker := time.NewTicker(opts.progress)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopProgress:
-					return
-				case <-ticker.C:
-				}
-				st, cs := client.Stats(), client.ConnStats()
-				fmt.Fprintf(opts.stderr, "edmload: progress done %d failed %d of %d, retransmits %d, elapsed %v\n",
-					st.Done+st.Failed, st.Failed, len(ops), cs.Retransmit,
-					time.Since(start).Round(time.Millisecond))
-			}
-		}()
-	}
-	if rate > 0 {
-		interval := time.Duration(float64(time.Second) / rate)
-		var wg sync.WaitGroup
-		for i, op := range ops {
-			i, op := i, op
-			if next := start.Add(time.Duration(i) * interval); time.Until(next) > 0 {
-				time.Sleep(time.Until(next))
-			}
-			issue := time.Now()
-			wg.Add(1)
-			done := func(err error) {
-				results[i] = opResult{read: op.Read, failed: err != nil,
-					bytes: op.Size, ns: float64(time.Since(issue).Nanoseconds())}
-				wg.Done()
-			}
-			var ierr error
-			if op.Read {
-				ierr = client.Read(addrs[i], op.Size, func(_ []byte, err error) { done(err) })
-			} else {
-				ierr = client.Write(addrs[i], make([]byte, op.Size), func(err error) { done(err) })
-			}
-			if ierr != nil {
-				// Window exhausted (or closed): the op is shed, the
-				// honest open-loop behaviour at overload.
-				results[i] = opResult{read: op.Read, shed: true, failed: true, bytes: op.Size}
-				wg.Done()
-			}
-		}
-		wg.Wait()
-	} else {
-		type item struct{ i int }
-		ch := make(chan item)
-		var wg sync.WaitGroup
-		workers := ccfg.Window
-		bufs := make([][]byte, workers)
-		for w := 0; w < workers; w++ {
-			bufs[w] = make([]byte, wire.MaxData)
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for it := range ch {
-					op := ops[it.i]
-					issue := time.Now()
-					var opErr error
-					if op.Read {
-						_, opErr = client.ReadSync(addrs[it.i], op.Size)
-					} else {
-						opErr = client.WriteSync(addrs[it.i], bufs[w][:op.Size])
-					}
-					results[it.i] = opResult{read: op.Read, failed: opErr != nil,
-						bytes: op.Size, ns: float64(time.Since(issue).Nanoseconds())}
-				}
-			}()
-		}
-		for i := range ops {
-			ch <- item{i}
-		}
-		close(ch)
-		wg.Wait()
-	}
-	elapsed := time.Since(start)
-	err = report(stdout, "udp "+addr, source, results,
-		elapsed.String(), elapsed.Seconds(), client, nil)
-	opts.dumpTrace(ring)
-	return err
-}
-
-// runCluster replays ops closed-loop at -window depth against the sharded,
-// dual-homed cluster service over N edmd nodes: reads route to each extent's
-// primary and fail over to its mirror, writes go through to both.
-func runCluster(ops []workload.Op, source string, seed uint64, nodeAddrs []string, evict int, metricsAddr string, ccfg rmem.ClientConfig, stdout io.Writer) error {
-	reg := telemetry.NewRegistry()
-	workers := ccfg.Window
-	// A routed op fans out up to two datagrams per node; give the node
-	// clients headroom so concurrent workers do not trip the window.
-	nodeCfg := ccfg
-	nodeCfg.Window = 4 * workers
-	if nodeCfg.Window > rmem.MaxWindow {
-		nodeCfg.Window = rmem.MaxWindow
-	}
-	nodeCfg.NowNS = func() int64 { return time.Now().UnixNano() }
-	clients := make([]*rmem.Client, len(nodeAddrs))
-	closeAll := func() {
-		for _, cl := range clients {
-			if cl != nil {
-				cl.Close()
-			}
-		}
-	}
-	for i, a := range nodeAddrs {
-		uc, err := wire.DialUDP(a)
-		if err != nil {
-			closeAll()
-			return err
-		}
-		cl := rmem.NewClient(uc, nodeCfg)
-		go uc.Run(cl.Deliver)
-		if err := cl.Connect(); err != nil {
-			uc.Close()
-			closeAll()
-			return fmt.Errorf("edmload: connect node %d (%s): %w", i, a, err)
-		}
-		clients[i] = cl
-	}
-	cc, err := cluster.New(clients, cluster.Config{
-		Seed:      seed,
-		Metrics:   cluster.NewMetrics(reg, len(nodeAddrs)),
-		NowNS:     func() int64 { return time.Now().UnixNano() },
-		AutoEvict: evict,
-	})
-	if err != nil {
-		closeAll()
-		return err
-	}
-	defer cc.Close()
-
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			return fmt.Errorf("edmload: metrics listen %s: %w", metricsAddr, err)
-		}
-		defer ln.Close()
-		go http.Serve(ln, telemetry.AdminMux(reg, nil))
-		fmt.Fprintf(stdout, "edmload: metrics on http://%s/metrics\n", ln.Addr())
-	}
-
-	ops, addrs, err := targets(ops, seed, cc.Size())
-	if err != nil {
-		return err
-	}
-	results := make([]opResult, len(ops))
-	ch := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		buf := make([]byte, wire.MaxData)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				op := ops[i]
-				issue := time.Now()
-				var opErr error
-				if op.Read {
-					_, opErr = cc.ReadSync(addrs[i], op.Size)
-				} else {
-					opErr = cc.WriteSync(addrs[i], buf[:op.Size])
-				}
-				results[i] = opResult{read: op.Read, failed: opErr != nil,
-					bytes: op.Size, ns: float64(time.Since(issue).Nanoseconds())}
-			}
-		}()
-	}
-	start := time.Now()
-	for i := range ops {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	elapsed := time.Since(start)
-	return reportCluster(stdout, nodeAddrs, source, results, elapsed, clients, cc)
-}
-
-// reportCluster renders the cluster-mode percentile table: the same latency
-// rows as the single-endpoint report plus the map/replication summary.
-func reportCluster(w io.Writer, nodeAddrs []string, source string, results []opResult, elapsed time.Duration, clients []*rmem.Client, cc *cluster.Client) error {
+// report renders the percentile table, mirroring cmd/edmsim's summary rows;
+// the histogram, server and cluster rows print when the target has the
+// handle they read.
+func report(w io.Writer, t *target, source string, ops []workload.Op, results []rmem.OpResult, horizon sim.Time) error {
 	var all, reads, writes []float64
-	var done, failed int
+	var done, failed, shed, mismatched int
 	var bytesRead, bytesWritten uint64
-	for _, r := range results {
-		if r.failed {
-			failed++
-			continue
-		}
-		done++
-		all = append(all, r.ns)
-		if r.read {
-			reads = append(reads, r.ns)
-			bytesRead += uint64(r.bytes)
-		} else {
-			writes = append(writes, r.ns)
-			bytesWritten += uint64(r.bytes)
-		}
-	}
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "endpoint\tcluster %s\n", strings.Join(nodeAddrs, ","))
-	fmt.Fprintf(tw, "source\t%s\n", source)
-	fmt.Fprintf(tw, "operations\tissued %d done %d failed %d\n", len(results), done, failed)
-	fmt.Fprintf(tw, "horizon\t%s\n", elapsed)
-	fmt.Fprintf(tw, "data\tread %d B written %d B\n", bytesRead, bytesWritten)
-	if s := stats.Summarize(all); s.N > 0 {
-		fmt.Fprintf(tw, "latency (ns) (all)\t%s\n", s.Row())
-	}
-	if s := stats.Summarize(reads); s.N > 0 {
-		fmt.Fprintf(tw, "latency (ns) (reads)\t%s\n", s.Row())
-	}
-	if s := stats.Summarize(writes); s.N > 0 {
-		fmt.Fprintf(tw, "latency (ns) (writes)\t%s\n", s.Row())
-	}
-	if elapsed > 0 {
-		fmt.Fprintf(tw, "throughput\t%.0f ops/s\n", float64(done)/elapsed.Seconds())
-	}
-	var cs wire.ConnStats
-	for _, cl := range clients {
-		c := cl.ConnStats()
-		cs.Sent += c.Sent
-		cs.Retransmit += c.Retransmit
-		cs.Timeouts += c.Timeouts
-	}
-	fmt.Fprintf(tw, "transport\tsent %d retransmits %d timeouts %d\n",
-		cs.Sent, cs.Retransmit, cs.Timeouts)
-	m := cc.Metrics()
-	fmt.Fprintf(tw, "cluster\tnodes %d extents %d x %d B epoch %d\n",
-		len(clients), cc.Map().Extents(), cc.ExtentBytes(), cc.Epoch())
-	fmt.Fprintf(tw, "cluster faults\tfailovers %d splits %d evictions %d\n",
-		m.Failovers.Load(), m.SplitOps.Load(), m.Evictions.Load())
-	return tw.Flush()
-}
-
-// report renders the percentile table, mirroring cmd/edmsim's summary rows.
-func report(w io.Writer, endpoint, source string, results []opResult, horizon string, horizonSec float64, client *rmem.Client, srv *rmem.Server) error {
-	var all, reads, writes []float64
-	var done, failed, shed int
-	var bytesRead, bytesWritten uint64
-	for _, r := range results {
+	for i, r := range results {
 		switch {
-		case r.shed:
+		case r.Shed:
 			shed++
-		case r.failed:
+		case r.Err != nil:
 			failed++
+			if errors.Is(r.Err, rmem.ErrMismatch) {
+				mismatched++
+			}
 		default:
 			done++
-			all = append(all, r.ns)
-			if r.read {
-				reads = append(reads, r.ns)
-				bytesRead += uint64(r.bytes)
+			ns := r.Latency.Nanoseconds()
+			all = append(all, ns)
+			if ops[i].Read {
+				reads = append(reads, ns)
+				bytesRead += uint64(ops[i].Size)
 			} else {
-				writes = append(writes, r.ns)
-				bytesWritten += uint64(r.bytes)
+				writes = append(writes, ns)
+				bytesWritten += uint64(ops[i].Size)
 			}
 		}
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "endpoint\t%s\n", endpoint)
+	fmt.Fprintf(tw, "endpoint\t%s\n", t.endpoint)
 	fmt.Fprintf(tw, "source\t%s\n", source)
-	fmt.Fprintf(tw, "operations\tissued %d done %d failed %d shed %d\n",
-		len(results), done, failed, shed)
-	fmt.Fprintf(tw, "horizon\t%s\n", horizon)
+	fmt.Fprintf(tw, "operations\tissued %d done %d failed %d shed %d", len(results), done, failed, shed)
+	if mismatched > 0 {
+		// Reads whose data was not what this run wrote (counted in failed).
+		fmt.Fprintf(tw, " mismatched %d", mismatched)
+	}
+	fmt.Fprintf(tw, "\nhorizon\t%s\n", t.stamp(horizon))
 	fmt.Fprintf(tw, "data\tread %d B written %d B\n", bytesRead, bytesWritten)
-	if s := stats.Summarize(all); s.N > 0 {
-		fmt.Fprintf(tw, "latency (ns) (all)\t%s\n", s.Row())
+	for _, row := range []struct {
+		label string
+		ns    []float64
+	}{{"all", all}, {"reads", reads}, {"writes", writes}} {
+		if s := stats.Summarize(row.ns); s.N > 0 {
+			fmt.Fprintf(tw, "latency (ns) (%s)\t%s\n", row.label, s.Row())
+		}
 	}
-	if s := stats.Summarize(reads); s.N > 0 {
-		fmt.Fprintf(tw, "latency (ns) (reads)\t%s\n", s.Row())
-	}
-	if s := stats.Summarize(writes); s.N > 0 {
-		fmt.Fprintf(tw, "latency (ns) (writes)\t%s\n", s.Row())
-	}
-	// The client's telemetry histograms observed the same completions on
-	// the same clock; their rows cross-check the exact percentiles above
-	// within the histogram's 1/16-bucket resolution.
-	if m := client.Metrics(); m != nil {
+	// A single connection's telemetry histograms observed the same
+	// completions on the same clock; their rows cross-check the exact
+	// percentiles above within the histogram's 1/16-bucket resolution.
+	if t.cc == nil {
+		m := t.conns[0].Metrics()
 		for _, h := range []struct {
 			label string
 			kind  wire.Kind
@@ -633,16 +510,23 @@ func report(w io.Writer, endpoint, source string, results []opResult, horizon st
 			}
 		}
 	}
-	if horizonSec > 0 {
-		fmt.Fprintf(tw, "throughput\t%.0f ops/s\n", float64(done)/horizonSec)
+	if horizon > 0 {
+		fmt.Fprintf(tw, "throughput\t%.0f ops/s\n", float64(done)/(float64(horizon)/float64(1000*sim.Millisecond)))
 	}
-	cs := client.ConnStats()
+	cs := rmem.SumConnStats(t.conns)
 	fmt.Fprintf(tw, "transport\tsent %d retransmits %d timeouts %d\n",
 		cs.Sent, cs.Retransmit, cs.Timeouts)
-	if srv != nil {
-		st := srv.Stats()
+	if t.srv != nil {
+		st := t.srv.Stats()
 		fmt.Fprintf(tw, "server\treads %d writes %d rmws %d errors %d, modeled DRAM %v\n",
 			st.Reads, st.Writes, st.RMWs, st.Errors, st.ModeledDRAM)
+	}
+	if cc := t.cc; cc != nil {
+		m := cc.Metrics()
+		fmt.Fprintf(tw, "cluster\tnodes %d extents %d x %d B epoch %d\n",
+			len(t.conns), cc.Map().Extents(), cc.ExtentBytes(), cc.Epoch())
+		fmt.Fprintf(tw, "cluster faults\tfailovers %d splits %d evictions %d\n",
+			m.Failovers.Load(), m.SplitOps.Load(), m.Evictions.Load())
 	}
 	return tw.Flush()
 }

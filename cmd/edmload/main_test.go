@@ -144,7 +144,8 @@ func TestEdmloadUsageErrors(t *testing.T) {
 		{"-addr", "h:1", "-cluster", "h:2,h:3"},    // conflicting endpoints
 		{"-cluster", "h:1"},                        // a cluster needs two nodes
 		{"-cluster", "h:1,h:2", "-slab", "64"},     // live servers own their geometry
-		{"-cluster", "h:1,h:2", "-rate", "100"},    // cluster replay is closed-loop
+		{"-cluster", "h:1,h:2", "-trace-ops", "8"}, // the trace ring follows one connection
+		{"-cluster", "h:1,h:2", "-window", "513"},  // two datagrams per node per op must fit MaxWindow
 		{"-evict", "3"},                            // cluster knob without -cluster
 		{"-metrics", "127.0.0.1:0"},                // cluster knob without -cluster
 	}
@@ -233,6 +234,62 @@ func TestClusterEndpoint(t *testing.T) {
 			t.Errorf("node %d never saw traffic: %+v", i, st)
 		}
 	}
+
+	// The cluster is paced and reports progress like any other target: the
+	// open loop issues on schedule and accounts for every op.
+	var out2, errb bytes.Buffer
+	start := time.Now()
+	if err := run([]string{"-cluster", strings.Join(addrs, ","), "-profile", "fixed64", "-count", "200",
+		"-rate", "20000", "-window", "16", "-progress", "2ms", "-retry", "100ms", "-retries", "10"},
+		strings.NewReader(""), &out2, &errb); err != nil {
+		t.Fatalf("paced cluster run: %v (%s)", err, errb.String())
+	}
+	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
+		t.Errorf("paced run finished implausibly fast: %v", elapsed)
+	}
+	m := regexp.MustCompile(`operations\s+issued (\d+) done (\d+) failed 0 shed (\d+)\n`).FindStringSubmatch(out2.String())
+	if m == nil {
+		t.Fatalf("paced cluster report missing op counts:\n%s", out2.String())
+	}
+	issued, _ := strconv.Atoi(m[1])
+	done, _ := strconv.Atoi(m[2])
+	shed, _ := strconv.Atoi(m[3])
+	if done == 0 || done+shed != issued {
+		t.Errorf("paced cluster accounting: issued %d done %d shed %d", issued, done, shed)
+	}
+	if !regexp.MustCompile(`edmload: progress done \d+ failed 0 shed \d+ of \d+, retransmits \d+, elapsed \S+s\n`).MatchString(errb.String()) {
+		t.Errorf("paced cluster run printed no progress line:\n%s", errb.String())
+	}
+}
+
+// TestProgressLoopback: on the loopback progress counts on the virtual
+// clock, so the lines are as deterministic as the report: one per interval
+// crossed, printed by the op that crossed it.
+func TestProgressLoopback(t *testing.T) {
+	args := []string{"-profile", "fixed64", "-count", "400", "-seed", "2", "-progress", "50us"}
+	a, b := loadBoth(t, args...), loadBoth(t, args...)
+	if a != b {
+		t.Fatalf("progress output is nondeterministic:\n%s\n---\n%s", a, b)
+	}
+	lines := regexp.MustCompile(`(?m)^edmload: progress done (\d+) failed 0 shed 0 of (\d+), retransmits 0, virtual (\S+)us$`).FindAllStringSubmatch(a, -1)
+	hm := regexp.MustCompile(`horizon\s+(\S+)us`).FindStringSubmatch(a)
+	if hm == nil {
+		t.Fatalf("no horizon row:\n%s", a)
+	}
+	horizon, _ := strconv.ParseFloat(hm[1], 64)
+	if want := int(horizon / 50); len(lines) != want || want < 3 {
+		t.Fatalf("%d progress lines over a %vus horizon, want %d:\n%s", len(lines), horizon, want, a)
+	}
+	prev := 0
+	for i, l := range lines {
+		n, _ := strconv.Atoi(l[1])
+		at, _ := strconv.ParseFloat(l[3], 64)
+		// Line i is printed by the first op to complete at or past (i+1) intervals.
+		if n <= prev || l[2] != lines[0][2] || at < float64(50*(i+1)) || at >= float64(50*(i+2)) {
+			t.Errorf("progress line %d out of order or off schedule: %v", i, l[0])
+		}
+		prev = n
+	}
 }
 
 // TestLiveRatePaced exercises the open-loop path (and its shed accounting).
@@ -246,6 +303,18 @@ func TestLiveRatePaced(t *testing.T) {
 	}
 	if !regexp.MustCompile(`operations\s+issued 1\d\d done`).MatchString(out) {
 		t.Errorf("report missing issue count:\n%s", out)
+	}
+
+	// Wall-clock progress runs on a ticker, not on op completions: three ops
+	// 10 ms apart still report every 2 ms in between, and the horizon prints
+	// as a time.Duration.
+	both := loadBoth(t, "-addr", addr, "-profile", "fixed64", "-count", "3", "-rate", "100", "-progress", "2ms")
+	lines := regexp.MustCompile(`(?m)^edmload: progress done [0-3] failed 0 shed 0 of 3, retransmits 0, elapsed \S+ms$`).FindAllString(both, -1)
+	if len(lines) < 5 {
+		t.Errorf("%d progress lines over a 20 ms paced run, want at least 5:\n%s", len(lines), both)
+	}
+	if !regexp.MustCompile(`horizon\s+2\d\.\d+ms\n`).MatchString(both) {
+		t.Errorf("horizon row is not a ~20 ms time.Duration:\n%s", both)
 	}
 }
 

@@ -937,48 +937,14 @@ func (c *Client) RMW(addr uint64, op memctl.RMWOp, args []uint64, cb func(uint64
 	return o.releaseHold(issueErr)
 }
 
-// ReadSync is the blocking form of Read; it returns a fresh copy of the
-// data.
-func (c *Client) ReadSync(addr uint64, n int) ([]byte, error) {
-	type res struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan res, 1)
-	if err := c.Read(addr, n, func(d []byte, err error) {
-		// Copy into a fresh variable: d aliases the pooled aggregation
-		// buffer and must not leave the callback.
-		var data []byte
-		if err == nil {
-			data = append([]byte(nil), d...)
-		}
-		ch <- res{data, err}
-	}); err != nil {
-		return nil, err
-	}
-	r := <-ch
-	return r.data, r.err
-}
+// ReadSync, WriteSync and RMWSync are the blocking forms, shared with the
+// single-node client through rmem.Memory.
+func (c *Client) ReadSync(addr uint64, n int) ([]byte, error) { return rmem.ReadSync(c, addr, n) }
 
 // WriteSync is the blocking form of Write.
-func (c *Client) WriteSync(addr uint64, data []byte) error {
-	ch := make(chan error, 1)
-	if err := c.Write(addr, data, func(err error) { ch <- err }); err != nil {
-		return err
-	}
-	return <-ch
-}
+func (c *Client) WriteSync(addr uint64, data []byte) error { return rmem.WriteSync(c, addr, data) }
 
 // RMWSync is the blocking form of RMW.
 func (c *Client) RMWSync(addr uint64, op memctl.RMWOp, args ...uint64) (uint64, error) {
-	type res struct {
-		v   uint64
-		err error
-	}
-	ch := make(chan res, 1)
-	if err := c.RMW(addr, op, args, func(v uint64, err error) { ch <- res{v, err} }); err != nil {
-		return 0, err
-	}
-	r := <-ch
-	return r.v, r.err
+	return rmem.RMWSync(c, addr, op, args...)
 }

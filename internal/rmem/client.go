@@ -424,50 +424,16 @@ func (c *Client) RMW(addr uint64, op memctl.RMWOp, args []uint64, cb func(uint64
 	return c.issue(&m, o)
 }
 
-// ReadSync is the blocking form of Read. It returns a fresh copy of the data
-// (the async callback's view is only transiently valid).
-func (c *Client) ReadSync(addr uint64, n int) ([]byte, error) {
-	type res struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan res, 1)
-	if err := c.Read(addr, n, func(d []byte, err error) {
-		// Copy into a fresh variable: d aliases the pooled response and
-		// must not leave the callback (pooledescape proves this form).
-		var data []byte
-		if err == nil {
-			data = append([]byte(nil), d...)
-		}
-		ch <- res{data, err}
-	}); err != nil {
-		return nil, err
-	}
-	r := <-ch
-	return r.data, r.err
-}
+// ReadSync, WriteSync and RMWSync are the blocking forms (see the package
+// functions of the same names).
+func (c *Client) ReadSync(addr uint64, n int) ([]byte, error) { return ReadSync(c, addr, n) }
 
 // WriteSync is the blocking form of Write.
-func (c *Client) WriteSync(addr uint64, data []byte) error {
-	ch := make(chan error, 1)
-	if err := c.Write(addr, data, func(err error) { ch <- err }); err != nil {
-		return err
-	}
-	return <-ch
-}
+func (c *Client) WriteSync(addr uint64, data []byte) error { return WriteSync(c, addr, data) }
 
 // RMWSync is the blocking form of RMW.
 func (c *Client) RMWSync(addr uint64, op memctl.RMWOp, args ...uint64) (uint64, error) {
-	type res struct {
-		v   uint64
-		err error
-	}
-	ch := make(chan res, 1)
-	if err := c.RMW(addr, op, args, func(v uint64, err error) { ch <- res{v, err} }); err != nil {
-		return 0, err
-	}
-	r := <-ch
-	return r.v, r.err
+	return RMWSync(c, addr, op, args...)
 }
 
 // slotAddr maps a key to its slab address under the effective geometry.
@@ -496,15 +462,24 @@ func (c *Client) Get(key int, cb func([]byte, error)) error {
 	return c.Read(addr, n, cb)
 }
 
+// putAddr maps key to its slab address and checks that value fits the slot.
+func (c *Client) putAddr(key int, value []byte) (uint64, error) {
+	addr, n, err := c.slotAddr(key)
+	if err != nil {
+		return 0, err
+	}
+	if len(value) > n {
+		return 0, fmt.Errorf("%w: %d bytes into %d-byte slot", ErrTooLarge, len(value), n)
+	}
+	return addr, nil
+}
+
 // Put writes value into key's slot; values shorter than the slot leave the
 // tail untouched.
 func (c *Client) Put(key int, value []byte, cb func(error)) error {
-	addr, n, err := c.slotAddr(key)
+	addr, err := c.putAddr(key, value)
 	if err != nil {
 		return err
-	}
-	if len(value) > n {
-		return fmt.Errorf("%w: %d bytes into %d-byte slot", ErrTooLarge, len(value), n)
 	}
 	return c.Write(addr, value, cb)
 }
@@ -520,11 +495,11 @@ func (c *Client) GetSync(key int) ([]byte, error) {
 
 // PutSync is the blocking form of Put.
 func (c *Client) PutSync(key int, value []byte) error {
-	ch := make(chan error, 1)
-	if err := c.Put(key, value, func(err error) { ch <- err }); err != nil {
+	addr, err := c.putAddr(key, value)
+	if err != nil {
 		return err
 	}
-	return <-ch
+	return c.WriteSync(addr, value)
 }
 
 // Close tears the session down (best-effort BYE) and fails any pending

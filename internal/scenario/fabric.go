@@ -6,7 +6,6 @@ import (
 	"repro/internal/edm"
 	"repro/internal/memctl"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -105,26 +104,6 @@ func runFabric(spec *Spec) (*Report, error) {
 		}
 	}
 
-	// Fault-window exposure per op, for the phase counters and the recovery
-	// summary: which ops were issued while a fault affecting their src or
-	// dst was active (or within DetectDelay of an outage's end).
-	corrupt := probWindows(events, CorruptBurst)
-	inOutage := func(op workload.Op) bool {
-		for _, n := range []int{op.Src, op.Dst} {
-			for _, w := range down[n] {
-				if op.Arrival >= w.start && op.Arrival < w.end+spec.DetectDelay {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	inCorrupt := func(op workload.Op) bool {
-		_, a := coveringProb(corrupt, op.Src, op.Arrival)
-		_, b := coveringProb(corrupt, op.Dst, op.Arrival)
-		return a || b
-	}
-
 	// Issue the trace. Completion state is recorded per op index.
 	type opDone struct {
 		done    bool
@@ -165,45 +144,12 @@ func runFabric(spec *Spec) (*Report, error) {
 	for i := 0; i < spec.Nodes; i++ {
 		rep.Timeouts += fabric.Host(i).Stats().Timeouts
 	}
-	type phaseAcc struct{ absNs []float64 }
-	acc := make([]phaseAcc, len(spec.Phases))
-	var recovery []float64
-	prs := make([]PhaseReport, len(spec.Phases))
-	for i, ph := range spec.Phases {
-		prs[i].Name = ph.Name
-		prs[i].Start = bounds[i].start
-		prs[i].End = bounds[i].end
-	}
-	for i, t := range tagged {
-		pr := &prs[t.meta.phase]
-		pr.Issued++
-		r := results[i]
-		outage := inOutage(t.op)
-		if inCorrupt(t.op) {
-			pr.Corrupt++
-			rep.Corrupted++
-		}
-		if r.done && !r.failed {
-			rep.Completed++
-			pr.Done++
-			acc[t.meta.phase].absNs = append(acc[t.meta.phase].absNs, r.latency.Nanoseconds())
-			if outage {
-				// The op rode out a fault window and still completed: its
-				// latency is the failover tail the fault imposed.
-				pr.Failover++
-				rep.Failovers++
-				recovery = append(recovery, r.latency.Microseconds())
-			}
-		} else {
-			// Timed-out reads and writes lost on a dead link.
-			rep.Dropped++
-			pr.Dropped++
-		}
-	}
-	rep.Recovery = stats.Summarize(recovery)
-	for i := range prs {
-		prs[i].AbsNs = stats.Summarize(acc[i].absNs)
-	}
-	rep.Phases = prs
+	// Fault exposure is read off the windows of the op's src and dst.
+	corrupt := probWindows(events, CorruptBurst)
+	rep.tally(spec, bounds, tagged, func(i int) opOutcome {
+		o := opOutcome{completed: results[i].done && !results[i].failed, latency: results[i].latency}
+		o.outage, o.corrupted = exposure(&tagged[i].op, down, corrupt, spec.DetectDelay)
+		return o
+	})
 	return rep, nil
 }

@@ -20,10 +20,8 @@ func Run(spec *Spec) (*Report, error) {
 	switch spec.Backend {
 	case BackendFabric:
 		return runFabric(spec)
-	case BackendLive:
+	case BackendLive, BackendLiveCluster:
 		return runLive(spec)
-	case BackendLiveCluster:
-		return runLiveCluster(spec)
 	default:
 		return runNetsim(spec)
 	}

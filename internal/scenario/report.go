@@ -8,6 +8,7 @@ import (
 	"repro/internal/edm"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // PhaseReport summarizes one load phase's completions (grouped by the phase
@@ -52,9 +53,12 @@ type Report struct {
 	Issued    int
 	Completed int
 	Dropped   int
-	Failovers int
-	Corrupted int
-	Timeouts  uint64 // fabric backend: reads answered by NULL (§3.3)
+	// Mismatched counts, among Dropped, the live backends' reads whose data
+	// was not what the replay wrote there.
+	Mismatched int
+	Failovers  int
+	Corrupted  int
+	Timeouts   uint64 // fabric backend: reads answered by NULL (§3.3)
 	// Recovery summarizes fault-window ops in microseconds. On the netsim
 	// backend each sample is a rerouted op's deferral: how long after its
 	// intended arrival it could be issued. On the fabric backend each
@@ -86,6 +90,72 @@ type ClusterReport struct {
 	RecoveryUS stats.Summary
 }
 
+// opOutcome is how one op of a block-level or live run ended, as the report
+// counts it.
+type opOutcome struct {
+	completed bool     // done, without error
+	latency   sim.Time // issue to completion, when completed
+	// Fault exposure: the op arrived while an outage affecting it was active
+	// (or within DetectDelay of its end), or during a corrupt burst.
+	outage, corrupted bool
+}
+
+// exposure is the fault exposure of an op by its two endpoints' windows.
+func exposure(op *workload.Op, down map[int][]interval, corrupt map[int][]probWindow, detect sim.Time) (outage, corrupted bool) {
+	for _, n := range [2]int{op.Src, op.Dst} {
+		for _, w := range down[n] {
+			if op.Arrival >= w.start && op.Arrival < w.end+detect {
+				outage = true
+			}
+		}
+		if _, hit := coveringProb(corrupt, n, op.Arrival); hit {
+			corrupted = true
+		}
+	}
+	return outage, corrupted
+}
+
+// tally fills in the op counters, the recovery summary and the per-phase
+// rows from the outcome of every op of the trace.
+func (r *Report) tally(spec *Spec, bounds []interval, tagged []taggedOp, outcome func(i int) opOutcome) {
+	prs := make([]PhaseReport, len(spec.Phases))
+	absNs := make([][]float64, len(spec.Phases))
+	for i, ph := range spec.Phases {
+		prs[i] = PhaseReport{Name: ph.Name, Start: bounds[i].start, End: bounds[i].end}
+	}
+	var recovery []float64
+	for i, t := range tagged {
+		pr := &prs[t.meta.phase]
+		pr.Issued++
+		o := outcome(i)
+		if o.corrupted {
+			pr.Corrupt++
+			r.Corrupted++
+		}
+		if !o.completed {
+			// Timed-out reads, writes lost on a dead link, failed data checks.
+			r.Dropped++
+			pr.Dropped++
+			continue
+		}
+		r.Completed++
+		pr.Done++
+		absNs[t.meta.phase] = append(absNs[t.meta.phase], o.latency.Nanoseconds())
+		if o.outage {
+			// The op rode out a fault window and still completed: its
+			// latency is the failover tail the fault imposed.
+			pr.Failover++
+			r.Failovers++
+			recovery = append(recovery, o.latency.Microseconds())
+		}
+	}
+	r.Recovery = stats.Summarize(recovery)
+	for i := range prs {
+		prs[i].AbsNs = stats.Summarize(absNs[i])
+	}
+	r.Phases = prs
+}
+
 // Format renders the report as an aligned text table.
 func (r *Report) Format(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -98,8 +168,11 @@ func (r *Report) Format(w io.Writer) error {
 	fmt.Fprintf(tw, "seed\t%d\n", r.Seed)
 	fmt.Fprintf(tw, "horizon\t%v\n", r.Horizon)
 	fmt.Fprintf(tw, "fault events\t%d\n", r.Events)
-	fmt.Fprintf(tw, "ops\tissued %d completed %d dropped %d\n",
-		r.Issued, r.Completed, r.Dropped)
+	fmt.Fprintf(tw, "ops\tissued %d completed %d dropped %d", r.Issued, r.Completed, r.Dropped)
+	if r.Mismatched > 0 {
+		fmt.Fprintf(tw, " mismatched %d", r.Mismatched)
+	}
+	fmt.Fprintln(tw)
 	fmt.Fprintf(tw, "faults\tfailovers %d corrupted %d timeouts %d\n",
 		r.Failovers, r.Corrupted, r.Timeouts)
 	if r.Links.Sent+r.Links.Dropped > 0 {

@@ -13,9 +13,10 @@
 //     in the paper's fabric (§3.3);
 //   - Conn (conn.go): client-side reliability — per-message retransmission
 //     with configurable timeout/retry, response matching by message ID;
-//   - Responder (conn.go): server-side duplicate suppression via an ID
-//     window with a cached-response replay, so retransmitted RMWREQs stay
-//     exactly-once.
+//   - Responder (conn.go): server-side duplicate suppression indexed by the
+//     message ID's call slot — one retained response per slot, replayed to
+//     a retransmission and dropped for a stale copy — so retransmitted
+//     RMWREQs stay exactly-once.
 //
 // Transports: real UDP (udp.go) and a deterministic in-process loopback with
 // a virtual clock and fault hooks (loopback.go).
