@@ -29,6 +29,13 @@ type testNode struct {
 // tight retry budget (a dead-node sub fails over in ~2ms).
 func newTestCluster(t *testing.T, n int, cfg Config) (*Client, []*testNode) {
 	t.Helper()
+	return newTestClusterRetry(t, n, cfg, wire.ConnConfig{RetryTimeout: time.Millisecond, MaxRetries: 1})
+}
+
+// newTestClusterRetry is newTestCluster with the node clients' retry budget
+// chosen by the caller (a long one keeps requests to a dead node pending).
+func newTestClusterRetry(t *testing.T, n int, cfg Config, retry wire.ConnConfig) (*Client, []*testNode) {
+	t.Helper()
 	if cfg.ExtentBytes == 0 {
 		cfg.ExtentBytes = testExtentBytes
 	}
@@ -50,7 +57,7 @@ func newTestCluster(t *testing.T, n int, cfg Config) (*Client, []*testNode) {
 		})
 		cl := rmem.NewClient(lb.ClientPipe(), rmem.ClientConfig{
 			Window: 8,
-			Retry:  wire.ConnConfig{RetryTimeout: time.Millisecond, MaxRetries: 1},
+			Retry:  retry,
 		})
 		lb.BindServer(srv.NewSession(lb.ServerPipe()).Deliver)
 		lb.BindClient(cl.Deliver)
@@ -409,4 +416,216 @@ func TestClusterRebalanceRemirrors(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nodeOps sums the requests routed to every node: the sub-op count.
+func nodeOps(cc *Client) uint64 {
+	var n uint64
+	for _, c := range cc.Metrics().NodeOps {
+		n += c.Load()
+	}
+	return n
+}
+
+// TestClusterClientContract pins the edges of Read/Write/RMW that the
+// scenario-level tests never reach: what is refused inline, what is answered
+// by the node, how many sub-ops and splits an op costs, and what a fan-out
+// that fails half way leaves behind.
+func TestClusterClientContract(t *testing.T) {
+	t.Run("bad range is refused inline", func(t *testing.T) {
+		cc, _ := newTestCluster(t, 4, Config{Seed: 42})
+		size := cc.Size()
+		fired := 0
+		rcb := func([]byte, error) { fired++ }
+		wcb := func(error) { fired++ }
+		mcb := func(uint64, error) { fired++ }
+		before := nodeOps(cc)
+		for _, tc := range []struct {
+			name string
+			err  error
+		}{
+			{"read negative n", cc.Read(64, -1, rcb)},
+			{"read negative n at 0", cc.Read(0, -4096, rcb)},
+			{"read past size", cc.Read(size-8, 9, rcb)},
+			{"read at size", cc.Read(size, 1, rcb)},
+			{"read wrapping", cc.Read(^uint64(0)-3, 8, rcb)},
+			{"write past size", cc.Write(size-8, make([]byte, 9), wcb)},
+			{"write far past size", cc.Write(size+testExtentBytes, make([]byte, 8), wcb)},
+			{"write wrapping", cc.Write(^uint64(0)-3, make([]byte, 8), wcb)},
+			{"rmw past size", cc.RMW(size-4, memctl.OpFetchAdd, []uint64{1}, mcb)},
+			{"rmw at size", cc.RMW(size, memctl.OpFetchAdd, []uint64{1}, mcb)},
+			{"rmw wrapping", cc.RMW(^uint64(0)-3, memctl.OpFetchAdd, []uint64{1}, mcb)},
+		} {
+			if !errors.Is(tc.err, ErrBadExtent) {
+				t.Errorf("%s: inline err = %v, want ErrBadExtent", tc.name, tc.err)
+			}
+		}
+		if fired != 0 {
+			t.Fatalf("callbacks fired %d times for ops refused inline", fired)
+		}
+		if n := nodeOps(cc) - before; n != 0 {
+			t.Fatalf("%d sub-ops issued for ops refused inline", n)
+		}
+		// The last byte and the last word are in range.
+		if err := cc.WriteSync(size-8, pattern(8, 1)); err != nil {
+			t.Fatalf("write of the last word: %v", err)
+		}
+		if got, err := cc.ReadSync(size-1, 1); err != nil || got[0] != pattern(8, 1)[7] {
+			t.Fatalf("read of the last byte = %v, %v", got, err)
+		}
+	})
+
+	// An empty op is in range, so it is routed: one sub-op per replica, and
+	// the node's out-of-range status comes back through the callback.
+	t.Run("empty op is answered by the node", func(t *testing.T) {
+		cc, _ := newTestCluster(t, 4, Config{Seed: 42})
+		var rerr, werr error
+		fired := 0
+		before := nodeOps(cc)
+		if err := cc.Read(100, 0, func(d []byte, err error) { fired++; rerr = err }); err != nil {
+			t.Fatalf("empty read refused inline: %v", err)
+		}
+		if err := cc.Write(100, nil, func(err error) { fired++; werr = err }); err != nil {
+			t.Fatalf("empty write refused inline: %v", err)
+		}
+		if fired != 2 || !errors.Is(rerr, wire.ErrRemote) || !errors.Is(werr, wire.ErrRemote) {
+			t.Fatalf("fired %d, read err %v, write err %v; want 2 status errors", fired, rerr, werr)
+		}
+		if n := nodeOps(cc) - before; n != 3 {
+			t.Fatalf("%d sub-ops, want 3 (one read, two write replicas)", n)
+		}
+		if n := cc.Metrics().SplitOps.Load(); n != 0 {
+			t.Fatalf("empty ops counted %d splits", n)
+		}
+	})
+
+	t.Run("op over four extents is one split", func(t *testing.T) {
+		const eb = 4096
+		cc, nodes := newTestCluster(t, 4, Config{Seed: 42, ExtentBytes: eb})
+		addr := uint64(5*eb + 1000)
+		want := pattern(3*eb, 17) // ends 1000 bytes into the fourth extent
+		before := nodeOps(cc)
+		if err := cc.WriteSync(addr, want); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if n := nodeOps(cc) - before; n != 8 {
+			t.Fatalf("write issued %d sub-ops, want 8 (4 segments x 2 replicas)", n)
+		}
+		got, err := cc.ReadSync(addr, len(want))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read back: equal=%v err=%v", bytes.Equal(got, want), err)
+		}
+		if n := nodeOps(cc) - before; n != 12 {
+			t.Fatalf("write+read issued %d sub-ops, want 12", n)
+		}
+		if n := cc.Metrics().SplitOps.Load(); n != 2 {
+			t.Fatalf("split ops %d, want 2 (one per op, however many extents)", n)
+		}
+		// Every segment sits at its own address on both of its replicas.
+		m := cc.Map()
+		for off := 0; off < len(want); {
+			a := addr + uint64(off)
+			ln := int(eb - a%eb)
+			if ln > len(want)-off {
+				ln = len(want) - off
+			}
+			e, _ := m.Locate(a)
+			pri, mir := m.Extent(e)
+			for _, n := range []int{pri, mir} {
+				got, err := nodes[n].cl.ReadSync(a, ln)
+				if err != nil || !bytes.Equal(got, want[off:off+ln]) {
+					t.Fatalf("extent %d replica on node %d does not hold its segment: %v", e, n, err)
+				}
+			}
+			off += ln
+		}
+	})
+
+	// An RMW is never split: a word straddling an extent boundary goes to the
+	// first extent's primary as it is, and the node refuses it.
+	t.Run("unaligned RMW across a boundary is one sub-op", func(t *testing.T) {
+		cc, _ := newTestCluster(t, 4, Config{Seed: 42})
+		var got error
+		fired := 0
+		before := nodeOps(cc)
+		err := cc.RMW(testExtentBytes-4, memctl.OpFetchAdd, []uint64{1}, func(v uint64, err error) { fired++; got = err })
+		if err != nil {
+			t.Fatalf("inline err %v, want the node's answer through the callback", err)
+		}
+		if fired != 1 || !errors.Is(got, wire.ErrRemote) {
+			t.Fatalf("fired %d with %v, want one status error", fired, got)
+		}
+		if n := nodeOps(cc) - before; n != 1 {
+			t.Fatalf("%d sub-ops, want 1", n)
+		}
+		if n := cc.Metrics().SplitOps.Load(); n != 0 {
+			t.Fatalf("RMW counted as %d split ops", n)
+		}
+	})
+
+	// A node whose window is full fails the fan-out half way: the error comes
+	// back inline, the callback stays silent, the segments that were issued
+	// land anyway (a split op is not atomic), and the next op is unaffected.
+	t.Run("window exhausted mid-fan-out", func(t *testing.T) {
+		// A 20 s budget keeps the filler requests pending for the whole test.
+		cc, nodes := newTestClusterRetry(t, 4, Config{Seed: 42}, wire.ConnConfig{RetryTimeout: 10 * time.Second, MaxRetries: 1})
+		const full = 2
+		nodes[full].dead.Store(true)
+		for i := 0; i < 8; i++ { // the test clients' window
+			if err := nodes[full].cl.Read(0, 8, func([]byte, error) {}); err != nil {
+				t.Fatalf("filler %d: %v", i, err)
+			}
+		}
+		nodes[full].dead.Store(false)
+		if err := nodes[full].cl.Read(0, 8, func([]byte, error) {}); !errors.Is(err, rmem.ErrTooManyOut) {
+			t.Fatalf("node %d window not full: %v", full, err)
+		}
+		// Adjacent extents: the first homed away from the full node, the
+		// second with the full node as its primary.
+		m := cc.Map()
+		first := -1
+		for e := 0; e+1 < m.Extents(); e++ {
+			p0, m0 := m.Extent(e)
+			if p1, _ := m.Extent(e + 1); p0 != full && m0 != full && p1 == full {
+				first = e
+				break
+			}
+		}
+		if first < 0 {
+			t.Fatal("no extent pair with the wanted homes under this seed")
+		}
+		addr := uint64(first+1)*testExtentBytes - 100
+		want := pattern(200, 23)
+		fired := 0
+		if err := cc.Write(addr, want, func(error) { fired++ }); !errors.Is(err, rmem.ErrTooManyOut) {
+			t.Fatalf("split write inline err = %v, want rmem.ErrTooManyOut", err)
+		}
+		if err := cc.Read(addr, len(want), func([]byte, error) { fired++ }); !errors.Is(err, rmem.ErrTooManyOut) {
+			t.Fatalf("split read inline err = %v, want rmem.ErrTooManyOut", err)
+		}
+		if fired != 0 {
+			t.Fatalf("callback fired %d times for ops that failed inline", fired)
+		}
+		pri, mir := m.Extent(first)
+		for _, n := range []int{pri, mir} {
+			got, err := nodes[n].cl.ReadSync(addr, 100)
+			if err != nil || !bytes.Equal(got, want[:100]) {
+				t.Fatalf("segment issued before the failure did not land on node %d: %v", n, err)
+			}
+		}
+		// The records those ops used go round again: ops that avoid the full
+		// node complete, exactly once each, with the right bytes.
+		var got []byte
+		var rerr, werr error
+		next := pattern(100, 29)
+		if err := cc.Write(addr, next, func(err error) { fired++; werr = err }); err != nil {
+			t.Fatalf("write after the failed fan-out: %v", err)
+		}
+		if err := cc.Read(addr, 100, func(d []byte, err error) { fired++; got, rerr = append([]byte(nil), d...), err }); err != nil {
+			t.Fatalf("read after the failed fan-out: %v", err)
+		}
+		if fired != 2 || werr != nil || rerr != nil || !bytes.Equal(got, next) {
+			t.Fatalf("after the failed fan-out: fired %d, write %v, read %v, equal %v", fired, werr, rerr, bytes.Equal(got, next))
+		}
+	})
 }
