@@ -49,18 +49,11 @@ type Config struct {
 }
 
 // Client stripes the flat cluster address space over N rmem.Clients by
-// extent: reads route to the extent's primary and fail over to its mirror
-// on retry-budget timeout; writes go through to primary and mirror and
-// succeed while at least one replica acks; RMWs execute on the primary and
-// write the computed value through to the mirror. Ops that span an extent
-// boundary are split and completed as one. The routed hot path recycles its
-// fan-out records through pools, so steady state allocates nothing.
-//
-// Atomicity caveat (the cross-shard note one level up): a split op is not
-// atomic across extents, and an RMW is atomic only on its primary — the
-// mirror's copy is a write-through that can lag or be lost with the
-// primary. Failover assumes fail-stop nodes: a merely-slow primary that
-// executes a timed-out RMW after the client failed over can double-apply.
+// extent and runs the package comment's pipeline: fanOut cuts an op into
+// segments and issues them, subOp.done is the kind x outcome table, and the
+// op's callback fires when the last segment is in. The routed hot path
+// recycles its fan-out records through pools, so steady state allocates
+// nothing. The atomicity caveats are the package comment's.
 type Client struct {
 	nodes   []*rmem.Client
 	cfg     Config
@@ -166,28 +159,24 @@ func (c *Client) ApplyMap(m *Map) error {
 // returns the (old, new) maps for a follow-up Rebalance. Marking an
 // already-dead node is a pure epoch bump.
 func (c *Client) MarkDead(node int) (old, cur *Map, err error) {
-	c.mu.Lock()
-	old = c.m
-	cur, err = old.Leave(node)
-	if err == nil {
-		c.m = cur
-		c.streak[node] = 0
+	if old, cur, err = c.advance(node, (*Map).Leave); err == nil {
+		c.metrics.Evictions.Inc()
 	}
-	c.mu.Unlock()
-	if err != nil {
-		return nil, nil, err
-	}
-	c.metrics.Evictions.Inc()
-	c.metrics.Epoch.Set(int64(cur.Epoch()))
-	return old, cur, nil
+	return old, cur, err
 }
 
 // Rejoin re-admits node (a join event) and returns the (old, new) maps for
 // a follow-up Rebalance that copies the node's newly assigned extents in.
 func (c *Client) Rejoin(node int) (old, cur *Map, err error) {
+	return c.advance(node, (*Map).Join)
+}
+
+// advance installs the active map's successor under step (Leave or Join of
+// node) and restarts the node's deadline streak.
+func (c *Client) advance(node int, step func(*Map, int) (*Map, error)) (old, cur *Map, err error) {
 	c.mu.Lock()
 	old = c.m
-	cur, err = old.Join(node)
+	cur, err = step(old, node)
 	if err == nil {
 		c.m = cur
 		c.streak[node] = 0
@@ -233,16 +222,24 @@ func (c *Client) noteOK(node int) {
 // noteDeadline counts a retry-budget timeout against node and, at the
 // auto-evict threshold, kicks off an eviction + rebalance in the
 // background. The threshold fires on equality so one burst of timeouts
-// evicts once. Deadlines below the threshold re-arm the retry of any
-// earlier failed background rebalance, so affected extents do not stay
-// single-homed until the next membership change.
+// evicts once; when the eviction cannot run then (the node is one of the
+// last two alive, or already out of the map) the streak starts over, so the
+// threshold comes round again once it can. Deadlines that evict nothing
+// re-arm the retry of any earlier failed background rebalance, so affected
+// extents do not stay single-homed until the next membership change.
 func (c *Client) noteDeadline(node int) {
 	if c.cfg.AutoEvict <= 0 {
 		return
 	}
 	c.mu.Lock()
 	c.streak[node]++
-	hit := c.streak[node] == c.cfg.AutoEvict && c.m.Alive(node) && c.m.AliveCount() > 2
+	hit := false
+	if c.streak[node] == c.cfg.AutoEvict {
+		hit = c.m.Alive(node) && c.m.AliveCount() > 2
+		if !hit {
+			c.streak[node] = 0
+		}
+	}
 	retry := !hit && c.pendingOld != nil && !c.rebalBusy
 	if retry {
 		c.rebalBusy = true
@@ -313,31 +310,35 @@ type segState struct {
 	fails int // replicas that timed out
 }
 
+// opCB is the caller's callback: exactly one field is set.
+type opCB struct {
+	read  func([]byte, error)
+	write func(error)
+	rmw   func(uint64, error)
+}
+
 // clusterOp is the pooled join record for one routed operation: it fans out
 // to per-segment subOps and dispatches the caller's callback when the last
-// one completes. Exactly one cb* field is set per use. The record (and the
-// data slice handed to a read callback, which aliases it) is callback-scoped
-// pooled memory: it recycles as soon as the dispatch returns.
+// one completes. The record (and the data slice handed to a read callback,
+// which aliases it) is callback-scoped pooled memory: it recycles as soon as
+// the dispatch returns.
 type clusterOp struct {
 	c *Client
 
 	mu        sync.Mutex
 	remaining int        // guarded by mu: outstanding subOps plus the issuer's hold
-	err       error      // guarded by mu: first hard (non-deadline) failure
+	err       error      // guarded by mu: first fatal (non-deadline) failure
 	dlErr     error      // guarded by mu: last deadline, reported when a segment loses all replicas
-	silent    bool       // guarded by mu: issue failed, error went to the caller inline — no dispatch
 	failovers int        // guarded by mu: re-routed segments, flushed to metrics at completion
 	segs      []segState // guarded by mu: per-segment replica outcomes (capacity reused)
-	rmwVal    uint64     // guarded by mu: the RMW result
+	cb        opCB       // guarded by mu: cleared when the fan-out fails and the error goes back inline
 
-	// data is the read aggregation buffer. It is owned by the record and
-	// reused across recycles; sub-completions copy into disjoint segment
-	// ranges before taking mu.
-	data []byte
-
-	cbRead  func([]byte, error)
-	cbWrite func(error)
-	cbRMW   func(uint64, error)
+	// data is the read aggregation buffer and rmwVal the RMW result. Both
+	// belong to the sub-completions until the last subDone: reads copy into
+	// disjoint segment ranges of data, the op's one RMW sub stores rmwVal.
+	// data is owned by the record and reused across recycles.
+	data   []byte
+	rmwVal uint64
 }
 
 // subOp is the pooled per-segment request record. Its rmem callbacks are
@@ -370,31 +371,21 @@ func (c *Client) getOp() *clusterOp {
 		return v.(*clusterOp)
 	}
 	//edmlint:allow hotpath pool miss; steady state recycles
-	return new(clusterOp)
+	return &clusterOp{c: c}
 }
 
 // getSub pops a pooled fan-out record; a pool miss binds the completion
-// closures once for the record's lifetime.
+// closures once for the record's lifetime. All three forward to done.
 func (c *Client) getSub() *subOp {
 	if v := c.subs.Get(); v != nil {
 		return v.(*subOp)
 	}
 	//edmlint:allow hotpath pool miss; steady state recycles
-	s := new(subOp)
-	s.readCB = func(d []byte, err error) { s.onRead(d, err) }
-	s.writeCB = func(err error) { s.onWrite(err) }
-	s.rmwCB = func(v uint64, err error) { s.onRMW(v, err) }
+	s := &subOp{c: c}
+	s.readCB = func(d []byte, err error) { s.done(d, 0, err) }
+	s.writeCB = func(err error) { s.done(nil, 0, err) }
+	s.rmwCB = func(v uint64, err error) { s.done(nil, v, err) }
 	return s
-}
-
-// putSub recycles a fan-out record (the bound closures stay).
-//
-//edmlint:hotpath one recycle per completed segment
-func (c *Client) putSub(s *subOp) {
-	s.op = nil
-	s.wdata = nil
-	s.rmwArgs = nil
-	c.subs.Put(s)
 }
 
 // route reads the active map once; the op is routed entirely under that
@@ -452,76 +443,97 @@ func (c *Client) issueSub(s *subOp) error {
 	}
 }
 
-// subDone records one segment completion: err nil acks the segment, a
-// deadline marks a replica miss, hard marks an operation-fatal error. It
-// drops one remaining count and finishes the op on the last one.
+// done is the completion of every segment request: the package comment's
+// kind x outcome table, in its row order. A request that goes out again (to
+// the other replica after a deadline, or as the kMirror write-through of an
+// RMW that changed memory) keeps its record and its remaining count; every
+// other outcome ends in subDone.
 //
-//edmlint:hotpath one call per completed segment
-func (o *clusterOp) subDone(seg int, err error, hard bool) {
-	o.mu.Lock()
+//edmlint:hotpath one completion per routed segment
+func (s *subOp) done(data []byte, value uint64, err error) {
+	c, o := s.c, s.op
+	fatal, again := false, false // again: the record goes out once more, to the extent's other replica
 	switch {
 	case err == nil:
-		o.segs[seg].acks++
-	case hard:
+		c.noteOK(s.node)
+		switch s.kind {
+		case kRead:
+			// data is transient, so the copy happens here, inside the rmem
+			// callback.
+			copy(o.data[s.off:s.off+s.n], data)
+		case kRMW:
+			o.rmwVal = value
+			if stored, mutated := rmwStore(s.rmwOp, s.rmwArgs, value); mutated && s.attempt == 0 {
+				binary.LittleEndian.PutUint64(s.val8[:], stored)
+				again = true
+			}
+		}
+	case errors.Is(err, rmem.ErrDeadline):
+		c.noteDeadline(s.node)
+		again = s.attempt == 0 && (s.kind == kRead || s.kind == kRMW)
+	default:
+		fatal = true
+	}
+	if again {
+		if alt, ok := c.altFor(s); ok {
+			o.mu.Lock()
+			if err == nil {
+				// The primary's ack is banked; the record carries the
+				// remaining count on as the mirror write-through.
+				o.segs[s.seg].acks++
+				s.kind, s.wdata = kMirror, s.val8[:]
+			} else {
+				o.failovers++
+				s.attempt = 1
+			}
+			o.mu.Unlock()
+			s.node = alt
+			if err = c.issueSub(s); err == nil {
+				return // still outstanding
+			}
+			fatal = true
+		}
+	}
+	o.subDone(s, err, fatal)
+}
+
+// subDone takes back one remaining count and finishes the op on the last.
+// With a segment's record s, which it recycles (the bound closures stay):
+// err nil acks the segment, a deadline marks a replica miss, fatal an error
+// that fails the whole op. With no segment it is the issuer's release after
+// fan-out: a non-nil err (window exhausted) has gone back to the caller
+// inline, so the callback must never fire. Segments issued around the
+// failure still land; a partially issued write is not rolled back, matching
+// the split-op atomicity caveat.
+//
+//edmlint:hotpath one call per completed segment, one per routed op
+func (o *clusterOp) subDone(s *subOp, err error, fatal bool) {
+	o.mu.Lock()
+	switch {
+	case s == nil:
+		if err != nil {
+			o.cb = opCB{}
+		}
+	case err == nil:
+		o.segs[s.seg].acks++
+	case fatal:
 		if o.err == nil {
 			o.err = err
 		}
 	default:
-		o.segs[seg].fails++
+		o.segs[s.seg].fails++
 		o.dlErr = err
 	}
 	o.remaining--
 	fire := o.remaining == 0
 	o.mu.Unlock()
+	if s != nil {
+		s.op, s.wdata, s.rmwArgs = nil, nil, nil
+		o.c.subs.Put(s)
+	}
 	if fire {
 		o.finish()
 	}
-}
-
-// ackSeg acks a segment without consuming a remaining count (the RMW
-// primary ack, while its mirror write-through is still outstanding).
-func (o *clusterOp) ackSeg(seg int) {
-	o.mu.Lock()
-	o.segs[seg].acks++
-	o.mu.Unlock()
-}
-
-// addFailover counts one re-routed segment.
-func (o *clusterOp) addFailover() {
-	o.mu.Lock()
-	o.failovers++
-	o.mu.Unlock()
-}
-
-// setRMW stores the RMW result.
-func (o *clusterOp) setRMW(v uint64) {
-	o.mu.Lock()
-	o.rmwVal = v
-	o.mu.Unlock()
-}
-
-// releaseHold drops the issuer's remaining count after fan-out. A non-nil
-// issueErr (window exhausted, client closed) silences the op: the error
-// goes back to the caller inline and the callback never fires. Segments
-// issued before the failure still land — a partially issued write is not
-// rolled back, matching the split-op atomicity caveat.
-//
-//edmlint:hotpath one call per routed op
-func (o *clusterOp) releaseHold(issueErr error) error {
-	o.mu.Lock()
-	if issueErr != nil {
-		o.silent = true
-		if o.err == nil {
-			o.err = issueErr
-		}
-	}
-	o.remaining--
-	fire := o.remaining == 0
-	o.mu.Unlock()
-	if fire {
-		o.finish()
-	}
-	return issueErr
 }
 
 // finish resolves the op outcome, recycles the record, and dispatches the
@@ -531,187 +543,47 @@ func (o *clusterOp) releaseHold(issueErr error) error {
 func (o *clusterOp) finish() {
 	c := o.c
 	o.mu.Lock()
-	err := o.err
-	if err == nil {
-		for i := range o.segs {
-			if o.segs[i].acks == 0 {
-				err = o.dlErr
-				if err == nil {
+	err, failovers := o.err, o.failovers
+	for _, sg := range o.segs {
+		switch {
+		case sg.acks == 0:
+			if err == nil {
+				if err = o.dlErr; err == nil {
 					err = ErrNoReplica
 				}
-				break
 			}
-		}
-	}
-	failovers := o.failovers
-	// Replica misses on segments that still acked are failovers too: the op
-	// survived on one home of a dual-homed extent. (A segment never counts
-	// twice — an explicitly re-routed sub only reaches subDone with its
-	// final outcome, so a re-route that acked leaves fails at zero.)
-	for i := range o.segs {
-		if o.segs[i].acks > 0 && o.segs[i].fails > 0 {
+		case sg.fails > 0:
+			// A replica miss on a segment that still acked is a failover
+			// too: the op survived on one home of a dual-homed extent. (A
+			// segment never counts twice: a re-routed sub reaches subDone
+			// only with its final outcome, so a re-route that acked leaves
+			// fails at zero.)
 			failovers++
 		}
 	}
 	if failovers > 0 {
 		c.metrics.Failovers.Add(uint64(failovers))
 	}
-	silent := o.silent
-	data, rmwVal := o.data, o.rmwVal
-	cbRead, cbWrite, cbRMW := o.cbRead, o.cbWrite, o.cbRMW
-	n := 0
-	if cbRead != nil {
-		n = len(data)
-	}
-	o.silent = false
-	o.err, o.dlErr = nil, nil
-	o.failovers = 0
-	o.cbRead, o.cbWrite, o.cbRMW = nil, nil, nil
+	cb, data, rmwVal := o.cb, o.data, o.rmwVal
+	o.cb, o.err, o.dlErr, o.failovers = opCB{}, nil, nil, 0
 	o.mu.Unlock()
-	if silent {
-		c.ops.Put(o)
-		return
-	}
-	switch {
-	case cbRead != nil:
+	if cb.read != nil && err == nil {
 		// The record is lent to the callback (the data slice aliases its
 		// buffer) and recycles only after the dispatch returns.
-		if err != nil {
-			c.ops.Put(o)
-			cbRead(nil, err)
-			return
-		}
-		cbRead(data[:n], nil)
+		cb.read(data, nil)
 		c.ops.Put(o)
-	case cbWrite != nil:
-		c.ops.Put(o)
-		cbWrite(err)
-	case cbRMW != nil:
-		c.ops.Put(o)
-		if err != nil {
-			cbRMW(0, err)
-			return
-		}
-		cbRMW(rmwVal, nil)
-	}
-}
-
-// onRead is the kRead completion: copy the segment into the aggregation
-// buffer, or fail over to the other replica on a retry-budget timeout.
-//
-//edmlint:hotpath one completion per read segment
-func (s *subOp) onRead(d []byte, err error) {
-	c, op, seg := s.c, s.op, s.seg
-	if err == nil {
-		c.noteOK(s.node)
-		// Disjoint per-segment range of the record-owned buffer; the copy
-		// happens inside the rmem callback because d is transient.
-		copy(op.data[s.off:s.off+s.n], d)
-		c.putSub(s)
-		op.subDone(seg, nil, false)
 		return
 	}
-	if errors.Is(err, rmem.ErrDeadline) {
-		c.noteDeadline(s.node)
-		if s.attempt == 0 {
-			if alt, ok := c.altFor(s); ok {
-				s.attempt = 1
-				s.node = alt
-				op.addFailover()
-				err2 := c.issueSub(s)
-				if err2 == nil {
-					return // re-routed; still outstanding
-				}
-				c.putSub(s)
-				op.subDone(seg, err2, true)
-				return
-			}
-		}
-		c.putSub(s)
-		op.subDone(seg, err, false)
-		return
-	}
-	c.putSub(s)
-	op.subDone(seg, err, true)
-}
-
-// onWrite is the kWrite/kMirror completion: one replica of a write-through
-// pair (or of an RMW's mirror copy) landing or missing.
-//
-//edmlint:hotpath one completion per write replica
-func (s *subOp) onWrite(err error) {
-	c, op, seg := s.c, s.op, s.seg
+	c.ops.Put(o)
 	switch {
-	case err == nil:
-		c.noteOK(s.node)
-		c.putSub(s)
-		op.subDone(seg, nil, false)
-	case errors.Is(err, rmem.ErrDeadline):
-		c.noteDeadline(s.node)
-		c.putSub(s)
-		op.subDone(seg, err, false)
-	default:
-		c.putSub(s)
-		op.subDone(seg, err, true)
-	}
-}
-
-// onRMW is the kRMW completion: on success the result is recorded and the
-// computed stored value written through to the mirror; on a retry-budget
-// timeout the atomic fails over to the other replica.
-//
-//edmlint:hotpath one completion per RMW
-func (s *subOp) onRMW(v uint64, err error) {
-	c, op, seg := s.c, s.op, s.seg
-	switch {
-	case err == nil:
-		c.noteOK(s.node)
-		op.setRMW(v)
-		newVal, mutated := rmwStore(s.rmwOp, s.rmwArgs, v)
-		if s.attempt == 0 && mutated {
-			if mir, ok := c.altFor(s); ok {
-				// The primary ack is banked; the same record becomes the
-				// mirror write-through and carries the remaining count.
-				op.ackSeg(seg)
-				s.kind = kMirror
-				s.node = mir
-				binary.LittleEndian.PutUint64(s.val8[:], newVal)
-				s.wdata = s.val8[:]
-				err2 := c.issueSub(s)
-				if err2 == nil {
-					return
-				}
-				c.putSub(s)
-				op.subDone(seg, err2, true)
-				return
-			}
-		}
-		c.putSub(s)
-		op.subDone(seg, nil, false)
-	case errors.Is(err, rmem.ErrDeadline):
-		c.noteDeadline(s.node)
-		if s.attempt == 0 {
-			if alt, ok := c.altFor(s); ok {
-				// Atomic failover: execute on the surviving replica. No
-				// write-through follows — the timed-out home is presumed
-				// dead (fail-stop), and a rebalance will re-home the extent.
-				s.attempt = 1
-				s.node = alt
-				op.addFailover()
-				err2 := c.issueSub(s)
-				if err2 == nil {
-					return
-				}
-				c.putSub(s)
-				op.subDone(seg, err2, true)
-				return
-			}
-		}
-		c.putSub(s)
-		op.subDone(seg, err, false)
-	default:
-		c.putSub(s)
-		op.subDone(seg, err, true)
+	case cb.read != nil:
+		cb.read(nil, err)
+	case cb.write != nil:
+		cb.write(err)
+	case cb.rmw != nil && err != nil:
+		cb.rmw(0, err)
+	case cb.rmw != nil:
+		cb.rmw(rmwVal, nil)
 	}
 }
 
@@ -749,62 +621,80 @@ func rmwStore(op memctl.RMWOp, args []uint64, result uint64) (val uint64, mutate
 	return 0, false
 }
 
-// checkRange bounds [addr, addr+n) against the cluster address space.
-func (c *Client) checkRange(addr uint64, n int) error {
+// fanOut routes one operation: range check, one map read, then one segment
+// per extent touched (an RMW is one segment whatever its address: a word that
+// straddles an extent boundary is the node's to refuse), each issued to its
+// primary and, for writes, its mirror. Every segment and the issuer's own
+// hold are charged before the first issue, so a synchronous transport
+// (loopback) cannot finish the op mid-fan-out. An issue that fails inline
+// (window exhausted) is returned inline and silences cb.
+//
+//edmlint:hotpath one call per routed op
+func (c *Client) fanOut(cb opCB, kind opKind, addr uint64, n int, data []byte, rmwOp memctl.RMWOp, args []uint64) error {
 	if n < 0 || addr+uint64(n) > c.cfg.Size || addr+uint64(n) < addr {
 		return fmt.Errorf("%w: [%d, %d+%d)", ErrBadExtent, addr, addr, n)
 	}
-	return nil
-}
-
-// prep charges the op with its segment count and the issuer's hold. It runs
-// before any sub is issued so a synchronous transport (loopback) cannot
-// finish the op mid-fan-out.
-func (o *clusterOp) prep(nseg int) {
+	m, err := c.route()
+	if err != nil {
+		return err
+	}
+	eb := c.cfg.ExtentBytes
+	nseg, homes := 1, 1
+	if kind != kRMW && n > 0 {
+		nseg = int((addr+uint64(n)-1)/eb-addr/eb) + 1
+	}
+	if nseg > 1 {
+		c.metrics.SplitOps.Inc()
+	}
+	if kind == kWrite {
+		homes = 2
+	}
+	o := c.getOp()
+	if kind == kRead {
+		if cap(o.data) < n {
+			//edmlint:allow hotpath buffer growth; steady state reuses capacity
+			o.data = make([]byte, n)
+		}
+		o.data = o.data[:n]
+	}
 	o.mu.Lock()
+	o.cb = cb
 	o.segs = o.segs[:0]
 	for i := 0; i < nseg; i++ {
 		o.segs = append(o.segs, segState{})
 	}
+	o.remaining = homes*nseg + 1 // +1: the issuer's hold
 	o.mu.Unlock()
-}
-
-// charge adds outstanding remaining counts under the lock.
-func (o *clusterOp) charge(n int) {
-	o.mu.Lock()
-	o.remaining += n
-	o.mu.Unlock()
-}
-
-// segments walks [addr, addr+n) in extent-sized pieces, calling visit with
-// each (segment index, address, length, offset).
-//
-//edmlint:hotpath one walk per routed op
-func (c *Client) segments(addr uint64, n int, visit func(seg int, a uint64, ln, off int)) int {
-	eb := c.cfg.ExtentBytes
-	seg, off := 0, 0
-	for {
+	var issueErr error
+	for seg, off := 0, 0; seg < nseg; seg++ {
 		ln := n - off
-		if rem := int(eb - addr%eb); ln > rem {
+		if rem := int(eb - addr%eb); kind != kRMW && ln > rem {
 			ln = rem
 		}
-		visit(seg, addr, ln, off)
-		seg++
+		e, _ := m.Locate(addr)
+		pri, mir := m.Extent(e)
+		replicas := [2]int{pri, mir}
+		for _, node := range replicas[:homes] {
+			s := c.getSub()
+			s.op, s.seg = o, seg
+			s.kind, s.node, s.attempt = kind, node, 0
+			s.addr, s.n, s.off = addr, ln, off
+			s.rmwOp, s.rmwArgs = rmwOp, args
+			if kind == kWrite {
+				s.wdata = data[off : off+ln]
+			}
+			if err := c.issueSub(s); err != nil {
+				o.subDone(s, err, true)
+				if issueErr == nil {
+					issueErr = err
+				}
+			}
+		}
 		off += ln
 		addr += uint64(ln)
-		if off >= n {
-			return seg
-		}
 	}
-}
-
-// nsegs counts the extent-sized pieces of [addr, addr+n).
-func (c *Client) nsegs(addr uint64, n int) int {
-	eb := c.cfg.ExtentBytes
-	if n <= 0 {
-		return 1
-	}
-	return int((addr+uint64(n)-1)/eb-addr/eb) + 1
+	o.subDone(nil, issueErr, false)
+	return issueErr
 }
 
 // Read issues an asynchronous routed read of n bytes at addr: one segment
@@ -815,126 +705,28 @@ func (c *Client) nsegs(addr uint64, n int) int {
 //edmlint:hotpath
 //edmlint:owned callback the data slice aliases the pooled aggregation buffer
 func (c *Client) Read(addr uint64, n int, cb func([]byte, error)) error {
-	if err := c.checkRange(addr, n); err != nil {
-		return err
-	}
-	m, err := c.route()
-	if err != nil {
-		return err
-	}
-	op := c.getOp()
-	op.c = c
-	op.cbRead = cb
-	if cap(op.data) < n {
-		//edmlint:allow hotpath buffer growth; steady state reuses capacity
-		op.data = make([]byte, n)
-	}
-	op.data = op.data[:n]
-	nseg := c.nsegs(addr, n)
-	if nseg > 1 {
-		c.metrics.SplitOps.Inc()
-	}
-	op.prep(nseg)
-	op.charge(nseg + 1) // +1: the issuer's hold
-	var issueErr error
-	c.segments(addr, n, func(seg int, a uint64, ln, off int) {
-		e, _ := m.Locate(a)
-		pri, _ := m.Extent(e)
-		s := c.getSub()
-		s.c, s.op, s.seg = c, op, seg
-		s.kind, s.node, s.attempt = kRead, pri, 0
-		s.addr, s.n, s.off = a, ln, off
-		if err := c.issueSub(s); err != nil {
-			c.putSub(s)
-			op.subDone(seg, err, true)
-			if issueErr == nil {
-				issueErr = err
-			}
-		}
-	})
-	return op.releaseHold(issueErr)
+	return c.fanOut(opCB{read: cb}, kRead, addr, n, nil, 0, nil)
 }
 
 // Write issues an asynchronous routed write-through: each segment goes to
 // its extent's primary and mirror, and the op succeeds while every segment
-// is acked by at least one replica with no hard error. data is captured
+// is acked by at least one replica with no fatal error. data is captured
 // into the datagrams before Write returns.
 //
 //edmlint:hotpath
 func (c *Client) Write(addr uint64, data []byte, cb func(error)) error {
-	n := len(data)
-	if err := c.checkRange(addr, n); err != nil {
-		return err
-	}
-	m, err := c.route()
-	if err != nil {
-		return err
-	}
-	op := c.getOp()
-	op.c = c
-	op.cbWrite = cb
-	nseg := c.nsegs(addr, n)
-	if nseg > 1 {
-		c.metrics.SplitOps.Inc()
-	}
-	op.prep(nseg)
-	op.charge(2*nseg + 1) // two replicas per segment, +1 issuer hold
-	var issueErr error
-	c.segments(addr, n, func(seg int, a uint64, ln, off int) {
-		e, _ := m.Locate(a)
-		pri, mir := m.Extent(e)
-		for _, node := range [2]int{pri, mir} {
-			s := c.getSub()
-			s.c, s.op, s.seg = c, op, seg
-			s.kind, s.node, s.attempt = kWrite, node, 0
-			s.addr, s.n = a, ln
-			s.wdata = data[off : off+ln]
-			if err := c.issueSub(s); err != nil {
-				c.putSub(s)
-				op.subDone(seg, err, true)
-				if issueErr == nil {
-					issueErr = err
-				}
-			}
-		}
-	})
-	return op.releaseHold(issueErr)
+	return c.fanOut(opCB{write: cb}, kWrite, addr, len(data), data, 0, nil)
 }
 
 // RMW issues an asynchronous routed atomic: it executes on the extent's
 // primary, and the computed stored value is written through to the mirror
 // before the callback fires. On a primary retry-budget timeout the atomic
-// fails over to the mirror. Aligned words never span extents, so an RMW is
-// always a single segment.
+// fails over to the mirror. An RMW is always a single segment: an aligned
+// word never spans extents, and an unaligned one is the node's to refuse.
 //
 //edmlint:hotpath
 func (c *Client) RMW(addr uint64, op memctl.RMWOp, args []uint64, cb func(uint64, error)) error {
-	if err := c.checkRange(addr, 8); err != nil {
-		return err
-	}
-	m, err := c.route()
-	if err != nil {
-		return err
-	}
-	o := c.getOp()
-	o.c = c
-	o.cbRMW = cb
-	o.prep(1)
-	o.charge(2) // the single sub + the issuer's hold
-	e, _ := m.Locate(addr)
-	pri, _ := m.Extent(e)
-	s := c.getSub()
-	s.c, s.op, s.seg = c, o, 0
-	s.kind, s.node, s.attempt = kRMW, pri, 0
-	s.addr = addr
-	s.rmwOp, s.rmwArgs = op, args
-	var issueErr error
-	if err := c.issueSub(s); err != nil {
-		c.putSub(s)
-		o.subDone(0, err, true)
-		issueErr = err
-	}
-	return o.releaseHold(issueErr)
+	return c.fanOut(opCB{rmw: cb}, kRMW, addr, 8, nil, op, args)
 }
 
 // ReadSync, WriteSync and RMWSync are the blocking forms, shared with the

@@ -27,14 +27,14 @@ type testNode struct {
 
 // newTestCluster builds a connected cluster over n loopback nodes with a
 // tight retry budget (a dead-node sub fails over in ~2ms).
-func newTestCluster(t *testing.T, n int, cfg Config) (*Client, []*testNode) {
+func newTestCluster(t testing.TB, n int, cfg Config) (*Client, []*testNode) {
 	t.Helper()
 	return newTestClusterRetry(t, n, cfg, wire.ConnConfig{RetryTimeout: time.Millisecond, MaxRetries: 1})
 }
 
 // newTestClusterRetry is newTestCluster with the node clients' retry budget
 // chosen by the caller (a long one keeps requests to a dead node pending).
-func newTestClusterRetry(t *testing.T, n int, cfg Config, retry wire.ConnConfig) (*Client, []*testNode) {
+func newTestClusterRetry(t testing.TB, n int, cfg Config, retry wire.ConnConfig) (*Client, []*testNode) {
 	t.Helper()
 	if cfg.ExtentBytes == 0 {
 		cfg.ExtentBytes = testExtentBytes
@@ -628,4 +628,128 @@ func TestClusterClientContract(t *testing.T) {
 			t.Fatalf("after the failed fan-out: fired %d, write %v, read %v, equal %v", fired, werr, rerr, bytes.Equal(got, next))
 		}
 	})
+}
+
+// TestClusterFlappedReplicaServesStale names the fail-stop gap: a replica
+// that was only unreachable for a while (not evicted, not re-mirrored)
+// misses the writes its partner acked alone, and serves its old bytes once
+// it is back. Epoch fencing with re-mirroring of a flapped node (ROADMAP
+// item 1(c)) is the change that flips the last assertion to the new bytes.
+func TestClusterFlappedReplicaServesStale(t *testing.T) {
+	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
+	addr := uint64(11 * testExtentBytes)
+	e, _ := cc.Map().Locate(addr)
+	pri, mir := cc.Map().Extent(e)
+	stale, fresh := pattern(64, 31), pattern(64, 37)
+	if err := cc.WriteSync(addr, stale); err != nil {
+		t.Fatalf("first write: %v", err)
+	}
+	nodes[pri].dead.Store(true)
+	if err := cc.WriteSync(addr, fresh); err != nil {
+		t.Fatalf("write with the primary dark: %v", err)
+	}
+	if n := cc.Metrics().Failovers.Load(); n != 1 {
+		t.Fatalf("cluster_failover_total = %d, want 1 (the write the mirror acked alone)", n)
+	}
+	if got, err := nodes[mir].cl.ReadSync(addr, 64); err != nil || !bytes.Equal(got, fresh) {
+		t.Fatalf("mirror does not hold the write it acked: %v", err)
+	}
+	nodes[pri].dead.Store(false)
+	got, err := cc.ReadSync(addr, 64)
+	if err != nil {
+		t.Fatalf("read after the link came back: %v", err)
+	}
+	if !bytes.Equal(got, stale) {
+		t.Fatalf("the flapped primary served %x...; today it serves the bytes from before the flap (%x...)", got[:4], stale[:4])
+	}
+	if cc.Epoch() != 0 || cc.Metrics().Failovers.Load() != 1 {
+		t.Fatalf("epoch %d, failovers %d: the stale read was noticed by nothing", cc.Epoch(), cc.Metrics().Failovers.Load())
+	}
+}
+
+// TestClusterAutoEvictAfterSkippedThreshold: a node whose deadline streak
+// reaches the threshold while only two nodes are alive cannot be evicted
+// then, and must still be evicted once a third node is back.
+//
+//edmlint:allow walltime the test polls for the asynchronous eviction under real wall-clock deadlines
+func TestClusterAutoEvictAfterSkippedThreshold(t *testing.T) {
+	cc, nodes := newTestCluster(t, 3, Config{Seed: 42, AutoEvict: 2})
+	const a, b = 0, 1
+	// readHomedOn costs node one retry-budget timeout; false once the map
+	// homes nothing on it (the background evictor got there first).
+	readHomedOn := func(node int) bool {
+		m := cc.Map()
+		for e := 0; e < m.Extents(); e++ {
+			if pri, _ := m.Extent(e); pri == node {
+				cc.ReadSync(uint64(e)*cc.ExtentBytes(), 64)
+				return true
+			}
+		}
+		return false
+	}
+	// evicted hammers node until the map drops it as the nth eviction, at
+	// most 20 timeouts and two seconds of waiting for the background evictor
+	// (which counts the eviction just after it installs the map).
+	evicted := func(node int, nth uint64) bool {
+		t.Helper()
+		gone := func() bool { return !cc.Map().Alive(node) && cc.Metrics().Evictions.Load() == nth }
+		for i := 0; i < 20 && readHomedOn(node); i++ {
+		}
+		for wait := time.Now().Add(2 * time.Second); !gone() && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
+		return gone()
+	}
+	nodes[a].dead.Store(true)
+	if !evicted(a, 1) {
+		t.Fatal("first dead node never evicted")
+	}
+	nodes[b].dead.Store(true)
+	for i := 0; i < 6; i++ { // well past the threshold
+		if !readHomedOn(b) {
+			t.Fatalf("no extent has node %d as its primary", b)
+		}
+	}
+	if !cc.Map().Alive(b) || cc.Metrics().Evictions.Load() != 1 {
+		t.Fatalf("node %d evicted with only two nodes alive (evictions %d)", b, cc.Metrics().Evictions.Load())
+	}
+	nodes[a].dead.Store(false)
+	if _, _, err := cc.Rejoin(a); err != nil {
+		t.Fatal(err)
+	}
+	if !evicted(b, 2) {
+		t.Fatalf("node %d, dead since before node %d rejoined, is never evicted (cluster_evictions_total %d, want 2)", b, a, cc.Metrics().Evictions.Load())
+	}
+}
+
+// TestClusterReadCallbackKeepsData: the join record is lent to a read
+// callback until it returns, so an op issued from inside the callback gets
+// another record and the callback's bytes stay put.
+func TestClusterReadCallbackKeepsData(t *testing.T) {
+	cc, _ := newTestCluster(t, 4, Config{Seed: 42})
+	outer, inner := pattern(256, 41), pattern(256, 43)
+	if err := cc.WriteSync(0, outer); err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.WriteSync(testExtentBytes, inner); err != nil {
+		t.Fatal(err)
+	}
+	nested := false
+	err := cc.Read(0, len(outer), func(d []byte, err error) {
+		if err != nil {
+			t.Errorf("outer read: %v", err)
+			return
+		}
+		if err := cc.Read(testExtentBytes, len(inner), func(d2 []byte, err error) {
+			nested = err == nil && bytes.Equal(d2, inner)
+		}); err != nil {
+			t.Errorf("nested read: %v", err)
+		}
+		if !bytes.Equal(d, outer) {
+			t.Error("a nested read rewrote the bytes its enclosing callback was handed")
+		}
+	})
+	if err != nil || !nested {
+		t.Fatalf("outer read %v, nested read completed intact %v", err, nested)
+	}
 }

@@ -6,6 +6,35 @@
 // runs out. The assignment is a versioned, seed-deterministic rendezvous
 // hash, so joins and leaves move only the extents that must move and every
 // routing decision is stamped with the map epoch that produced it.
+//
+// The client has one pipeline for the three request kinds. An op is cut
+// into one segment per extent it touches (an RMW is always one), each
+// segment is issued to the extent's primary (a write also to its mirror),
+// and every segment request completes through one table, kind x outcome:
+//
+//	                  read                write, RMW write-through   RMW
+//	ok                copy into the       ack                        keep the result; if memory changed
+//	                  join buffer, ack                               and it ran where it was routed: bank
+//	                                                                 the ack, write the stored value
+//	                                                                 through to the mirror; otherwise ack
+//	rmem.ErrDeadline  count against the   count against the node,    as read
+//	                  node; first time:   replica miss
+//	                  re-route to the
+//	                  other replica;
+//	                  after that: miss
+//	anything else     fatal               fatal                      fatal
+//
+// A re-issue that fails inline is fatal. An op succeeds when no outcome was
+// fatal and every segment was acked by at least one replica; a segment that
+// was re-routed, or acked by one replica and missed by the other, counts
+// one cluster_failover_total.
+//
+// Atomicity caveats: a split op is not atomic across extents; an RMW is
+// atomic only on its primary, the mirror's copy being a write-through that
+// can lag under concurrent RMWs or be lost with the primary; and failover
+// assumes fail-stop nodes, so a merely-slow primary that executes a
+// timed-out RMW after the client failed over double-applies it, and an RMW
+// that failed over gets no write-through.
 package cluster
 
 import (

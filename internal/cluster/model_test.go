@@ -1,0 +1,267 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"repro/internal/memctl"
+)
+
+// The model's cluster: 16 extents of 512 B over 4 nodes, so a few hundred
+// ops hit every extent and every replica pair many times over. The last
+// extent holds counters that only fetch-adds touch.
+const (
+	modelNodes    = 4
+	modelExtent   = 512
+	modelSize     = 16 * modelExtent
+	modelCounters = modelSize - modelExtent
+)
+
+// clusterModel drives a cluster.Client one op at a time from a byte script
+// and checks every outcome against a flat reference slab (one
+// memctl.Controller, the same word semantics the nodes run): a read returns
+// the slab's bytes, an RMW the slab's result, nothing fails while at most
+// one node is down. The script kills one node, the driver evicts it and
+// re-mirrors a few ops later, and the script may let it rejoin. At the end
+// both replicas of every extent hold the slab's bytes and every counter
+// holds the sum of its acked fetch-adds.
+type clusterModel struct {
+	t     testing.TB
+	cc    *Client
+	nodes []*testNode
+	ref   *memctl.Controller
+	sums  map[uint64]uint64 // counter word -> acked fetch-add total
+
+	down    int // the killed node, -1 before the kill
+	evictIn int // ops left until the driver evicts it; -1: not pending
+	healed  bool
+	rejoin  bool
+	ops     [8]int // ops run, by script opcode
+}
+
+func newClusterModel(t testing.TB) *clusterModel {
+	cfg := memctl.DefaultConfig()
+	cfg.Size = modelSize
+	m := &clusterModel{t: t, ref: memctl.New(cfg), sums: map[uint64]uint64{}, down: -1, evictIn: -1}
+	m.cc, m.nodes = newTestCluster(t, modelNodes, Config{Seed: 42, Size: modelSize, ExtentBytes: modelExtent})
+	return m
+}
+
+// fill derives n payload bytes from the step's script bytes. Unlike pattern
+// it does not repeat every 256 bytes, so a segment landing one or two
+// half-extents off is seen.
+func fill(n int, a, b byte) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = a + byte(i)*b + byte(i>>8)
+	}
+	return p
+}
+
+func (m *clusterModel) read(addr uint64, n int) {
+	m.t.Helper()
+	got, err := m.cc.ReadSync(addr, n)
+	want, _, _ := m.ref.Read(addr, n)
+	if err != nil || !bytes.Equal(got, want) {
+		m.t.Fatalf("read [%d,+%d): err %v, equal to the model %v", addr, n, err, bytes.Equal(got, want))
+	}
+}
+
+func (m *clusterModel) write(addr uint64, data []byte) {
+	m.t.Helper()
+	if err := m.cc.WriteSync(addr, data); err != nil {
+		m.t.Fatalf("write [%d,+%d): %v", addr, len(data), err)
+	}
+	m.ref.Write(addr, data)
+}
+
+func (m *clusterModel) rmw(addr uint64, op memctl.RMWOp, args ...uint64) {
+	m.t.Helper()
+	got, err := m.cc.RMWSync(addr, op, args...)
+	want, _, _ := m.ref.RMW(addr, op, args...)
+	if err != nil || got != want {
+		m.t.Fatalf("%v %v at %d = %d, %v; the model says %d", op, args, addr, got, err, want)
+	}
+}
+
+// word reads the model's 64-bit word at addr.
+func (m *clusterModel) word(addr uint64) uint64 {
+	b, _, _ := m.ref.Read(addr, 8)
+	return binary.LittleEndian.Uint64(b)
+}
+
+// evict declares the killed node dead and re-mirrors its extents.
+func (m *clusterModel) evict() {
+	m.t.Helper()
+	old, cur, err := m.cc.MarkDead(m.down)
+	if err != nil {
+		m.t.Fatalf("evict node %d: %v", m.down, err)
+	}
+	if st, err := m.cc.Rebalance(old, cur); err != nil || st.Lost != 0 {
+		m.t.Fatalf("re-mirror after node %d: %+v, %v", m.down, st, err)
+	}
+	m.evictIn, m.healed = -1, true
+}
+
+// member is the script's membership step: the first kills a node (evicted
+// 0..7 ops later), the next one after the eviction lets it rejoin.
+func (m *clusterModel) member(a, b byte) {
+	m.t.Helper()
+	switch {
+	case m.down < 0:
+		m.down, m.evictIn = int(a)%modelNodes, int(b)%8
+		m.nodes[m.down].dead.Store(true)
+	case m.healed && !m.rejoin:
+		m.rejoin = true
+		m.nodes[m.down].dead.Store(false)
+		old, cur, err := m.cc.Rejoin(m.down)
+		if err != nil {
+			m.t.Fatalf("rejoin node %d: %v", m.down, err)
+		}
+		if _, err := m.cc.Rebalance(old, cur); err != nil {
+			m.t.Fatalf("copy-in for node %d: %v", m.down, err)
+		}
+	}
+}
+
+// run interprets script four bytes at a time: opcode, then three operands.
+func (m *clusterModel) run(script []byte) {
+	m.t.Helper()
+	for ; len(script) >= 4; script = script[4:] {
+		if m.evictIn == 0 {
+			m.evict()
+		} else if m.evictIn > 0 {
+			m.evictIn--
+		}
+		op, a, b, c := script[0]%8, script[1], script[2], script[3]
+		m.ops[op]++
+		at := uint64(a)<<8 | uint64(b)
+		switch op {
+		case 0, 1: // read anywhere, counters included
+			addr := at % modelSize
+			m.read(addr, min(1+int(c), modelSize-int(addr)))
+		case 2, 3: // write below the counters
+			addr := at % modelCounters
+			m.write(addr, fill(min(1+int(c), modelCounters-int(addr)), a, b))
+		case 4: // any of the eight atomics on a word below the counters
+			addr := at % (modelCounters / 8) * 8
+			rop := memctl.OpCAS + memctl.RMWOp(c%8)
+			arg := uint64(c)<<56 ^ uint64(b)<<20 ^ uint64(a) // both signs for min/max
+			switch {
+			case rop != memctl.OpCAS:
+				m.rmw(addr, rop, arg)
+			case c&8 != 0: // a CAS that hits
+				m.rmw(addr, rop, m.word(addr), arg)
+			default:
+				m.rmw(addr, rop, arg, arg+1)
+			}
+		case 5: // fetch-add on a counter
+			addr := modelCounters + uint64(a)%(modelExtent/8)*8
+			m.rmw(addr, memctl.OpFetchAdd, uint64(c))
+			m.sums[addr] += uint64(c)
+		case 6: // an op that crosses an extent boundary, over up to four extents
+			edge := (1 + uint64(a)%(modelCounters/modelExtent-1)) * modelExtent
+			addr := edge - 1 - uint64(b)%64
+			n := min(int(edge-addr)+1+6*int(c), modelCounters-int(addr))
+			if b&64 != 0 {
+				m.write(addr, fill(n, c, a))
+			} else {
+				m.read(addr, n)
+			}
+		case 7:
+			m.member(a, b)
+		}
+	}
+}
+
+// check is the end-of-script sweep.
+func (m *clusterModel) check() {
+	m.t.Helper()
+	if m.down >= 0 && !m.healed {
+		m.evict()
+	}
+	if m.down < 0 {
+		if n := m.cc.Metrics().Failovers.Load(); n != 0 {
+			m.t.Fatalf("%d failovers with every node up", n)
+		}
+	}
+	cur := m.cc.Map()
+	for e := 0; e < cur.Extents(); e++ {
+		addr := uint64(e) * modelExtent
+		want, _, _ := m.ref.Read(addr, modelExtent)
+		pri, mir := cur.Extent(e)
+		for _, n := range []int{pri, mir} {
+			if m.nodes[n].dead.Load() {
+				m.t.Fatalf("extent %d homed on dead node %d", e, n)
+			}
+			got, err := m.nodes[n].cl.ReadSync(addr, modelExtent)
+			if err != nil || !bytes.Equal(got, want) {
+				m.t.Fatalf("extent %d on node %d differs from the model (err %v)", e, n, err)
+			}
+		}
+	}
+	for addr, sum := range m.sums {
+		if got := m.word(addr); got != sum {
+			m.t.Fatalf("model counter %d = %d, acked adds sum to %d", addr, got, sum)
+		}
+		if got, err := m.cc.RMWSync(addr, memctl.OpFetchAdd, 0); err != nil || got != sum {
+			m.t.Fatalf("counter %d = %d, %v; acked adds sum to %d", addr, got, err, sum)
+		}
+	}
+}
+
+// modelScript is a seeded script of steps ops with the kill a third of the
+// way in and the rejoin at two thirds; no other membership steps.
+func modelScript(seed uint64, steps int) []byte {
+	script := make([]byte, 4*steps)
+	x := seed * 0x9e3779b97f4a7c15
+	for i := range script {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		script[i] = byte(x >> 32)
+		if i%4 == 0 && script[i]%8 == 7 {
+			script[i]--
+		}
+	}
+	kill, rejoin := steps/3+int(x%16), 2*steps/3+int(x>>8%16)
+	script[4*kill], script[4*rejoin] = 7, 7
+	script[4*kill+2] |= 4 // at least four ops with the node down and not yet evicted
+	return script
+}
+
+// TestClusterModel runs seeded scripts through the model and makes sure
+// each one reached every op kind, the failover window and the rejoin.
+func TestClusterModel(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		m := newClusterModel(t)
+		m.run(modelScript(seed, 400))
+		m.check()
+		for op, n := range m.ops {
+			if n == 0 {
+				t.Fatalf("seed %d: script never ran opcode %d", seed, op)
+			}
+		}
+		if !m.healed || !m.rejoin {
+			t.Fatalf("seed %d: evicted %v, rejoined %v", seed, m.healed, m.rejoin)
+		}
+		mt := m.cc.Metrics()
+		if mt.Failovers.Load() == 0 || mt.SplitOps.Load() == 0 || mt.Evictions.Load() != 1 {
+			t.Fatalf("seed %d: failovers %d, splits %d, evictions %d", seed, mt.Failovers.Load(), mt.SplitOps.Load(), mt.Evictions.Load())
+		}
+	}
+}
+
+// FuzzClusterModel lets the fuzzer write the script; the seed corpus runs
+// under plain go test.
+func FuzzClusterModel(f *testing.F) {
+	f.Add([]byte{2, 1, 250, 255, 0, 1, 250, 255, 7, 1, 3, 0, 6, 3, 70, 200, 4, 0, 8, 9, 5, 2, 0, 7, 0, 0, 0, 255, 7, 0, 0, 0, 6, 3, 6, 200})
+	f.Add([]byte{7, 0, 0, 0, 4, 0, 0, 1, 4, 0, 0, 9, 5, 0, 0, 3, 5, 0, 0, 4, 6, 0, 65, 255, 6, 0, 1, 255})
+	f.Add(modelScript(7, 120))
+	f.Fuzz(func(t *testing.T, script []byte) {
+		m := newClusterModel(t)
+		m.run(script)
+		m.check()
+	})
+}

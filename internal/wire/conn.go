@@ -133,7 +133,6 @@ type call struct {
 	id       uint32 // guarded by mu: seq<<slotBits | slot; the slot bits never change
 	enc      []byte // cached encoding, re-sent verbatim on retry; owned by the record
 	want     Kind   // expected response kind
-	cb       func(*Msg, error)
 	comp     Completion
 	timer    *time.Timer // allocated once per record, Reset across reuses
 	start    int64       // NowNS at issue (0 when no clock is wired)
@@ -248,13 +247,12 @@ func (c *Conn) newCallLocked() *call {
 }
 
 // freeCallLocked returns a record to the free list. Callers must have saved
-// the cb/comp/want/start fields they still need — the record may be handed
+// the comp/want/start fields they still need — the record may be handed
 // to a new call the moment the lock drops.
 //
 //edmlint:allow pooledescape the free list is the pool's own storage for retired records
 func (c *Conn) freeCallLocked(cl *call) {
 	cl.done = true
-	cl.cb = nil
 	cl.comp = nil
 	cl.enc = cl.enc[:0]
 	cl.next = c.free
@@ -285,15 +283,27 @@ func (c *Conn) retireLocked(cl *call) {
 //
 //edmlint:hotpath one Call per client operation
 func (c *Conn) Call(m *Msg, cb func(*Msg, error)) (uint32, error) {
-	return c.submit(m, cb, nil)
+	return c.CallC(m, funcCompletion(cb))
+}
+
+// funcCompletion is a callback as a Completion; a nil one drops the outcome.
+// A func value is pointer-shaped, so the conversion to the interface
+// allocates nothing.
+type funcCompletion func(*Msg, error)
+
+func (f funcCompletion) Done(m *Msg, err error) {
+	if f != nil {
+		f(m, err)
+	}
 }
 
 // CallC is Call with a Completion instead of a closure: the caller supplies
-// a reusable per-op struct, so issuing a request allocates nothing.
+// a reusable per-op struct, so issuing a request allocates nothing. comp
+// must not be nil.
 //
 //edmlint:hotpath one CallC per client operation
 func (c *Conn) CallC(m *Msg, comp Completion) (uint32, error) {
-	return c.submit(m, nil, comp)
+	return c.submit(m, comp)
 }
 
 // submit encodes m into a pooled call record and either transmits it or,
@@ -301,7 +311,7 @@ func (c *Conn) CallC(m *Msg, comp Completion) (uint32, error) {
 // it may be pooled or reused the moment submit returns.
 //
 //edmlint:hotpath the one submission path for every request
-func (c *Conn) submit(m *Msg, cb func(*Msg, error), comp Completion) (uint32, error) {
+func (c *Conn) submit(m *Msg, comp Completion) (uint32, error) {
 	if !m.Kind.IsRequest() {
 		return 0, fmt.Errorf("%w: %v is not a request", ErrBadMsg, m.Kind)
 	}
@@ -325,7 +335,6 @@ func (c *Conn) submit(m *Msg, cb func(*Msg, error), comp Completion) (uint32, er
 	}
 	cl.enc = enc
 	cl.want = m.Kind.Response()
-	cl.cb = cb
 	cl.comp = comp
 	cl.attempts = 1
 	if c.cfg.NowNS != nil {
@@ -488,7 +497,7 @@ func (c *Conn) retry(cl *call) {
 	id, want := cl.id, cl.want
 	if cl.attempts > c.cfg.MaxRetries {
 		attempts := cl.attempts
-		cb, comp := cl.cb, cl.comp
+		comp := cl.comp
 		c.retireLocked(cl)
 		c.mu.Unlock()
 		c.cfg.Metrics.Timeouts.Inc()
@@ -496,12 +505,7 @@ func (c *Conn) retry(cl *call) {
 		if c.cfg.Trace != nil {
 			c.cfg.Trace.Record(uint64(id), telemetry.StageTimeout, uint8(want), c.timestamp(), uint64(attempts))
 		}
-		err := fmt.Errorf("%w (after %d attempts)", ErrTimeout, attempts)
-		if comp != nil {
-			comp.Done(nil, err)
-		} else if cb != nil {
-			cb(nil, err)
-		}
+		comp.Done(nil, fmt.Errorf("%w (after %d attempts)", ErrTimeout, attempts))
 		return
 	}
 	cl.attempts++
@@ -545,7 +549,7 @@ func (c *Conn) Deliver(p []byte) {
 		putMsg(m)
 		return
 	}
-	cb, comp, start := cl.cb, cl.comp, cl.start
+	comp, start := cl.comp, cl.start
 	c.retireLocked(cl)
 	c.mu.Unlock()
 	c.cfg.Metrics.Responses.Inc()
@@ -559,11 +563,7 @@ func (c *Conn) Deliver(p []byte) {
 		}
 		c.cfg.Trace.Record(uint64(m.ID), telemetry.StageComplete, uint8(m.Kind), now, lat)
 	}
-	if comp != nil {
-		comp.Done(m, nil)
-	} else if cb != nil {
-		cb(m, nil)
-	}
+	comp.Done(m, nil)
 	putMsg(m)
 }
 
@@ -572,13 +572,6 @@ func (c *Conn) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.live
-}
-
-// pendingDone is a completion target saved off a retiring call record (the
-// record itself may be recycled before the callback runs).
-type pendingDone struct {
-	cb   func(*Msg, error)
-	comp Completion
 }
 
 // Abort fails every pending call with err (ErrClosed if nil) without
@@ -594,22 +587,19 @@ func (c *Conn) Abort(err error) {
 	done := c.takePendingLocked()
 	c.mu.Unlock()
 	c.cfg.Metrics.InFlight.Add(-int64(len(done)))
-	for _, d := range done {
-		if d.comp != nil {
-			d.comp.Done(nil, err)
-		} else if d.cb != nil {
-			d.cb(nil, err)
-		}
+	for _, comp := range done {
+		comp.Done(nil, err)
 	}
 }
 
-// takePendingLocked retires every live call, in slot order, returning the
-// saved completion targets.
-func (c *Conn) takePendingLocked() []pendingDone {
-	done := make([]pendingDone, 0, c.live)
+// takePendingLocked retires every live call, in slot order, returning their
+// completions (saved off the records, which may be recycled before those
+// run).
+func (c *Conn) takePendingLocked() []Completion {
+	done := make([]Completion, 0, c.live)
 	for _, cl := range c.slots {
 		if !cl.done {
-			done = append(done, pendingDone{cb: cl.cb, comp: cl.comp})
+			done = append(done, cl.comp)
 			c.retireLocked(cl)
 		}
 	}
@@ -628,12 +618,8 @@ func (c *Conn) Close() error {
 	done := c.takePendingLocked()
 	c.mu.Unlock()
 	c.cfg.Metrics.InFlight.Add(-int64(len(done)))
-	for _, d := range done {
-		if d.comp != nil {
-			d.comp.Done(nil, ErrClosed)
-		} else if d.cb != nil {
-			d.cb(nil, ErrClosed)
-		}
+	for _, comp := range done {
+		comp.Done(nil, ErrClosed)
 	}
 	return c.pipe.Close()
 }
