@@ -194,5 +194,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 		snap.Counters["wire_server_replays_total"], snap.Counters["wire_server_stale_total"], snap.Counters["wire_server_garbage_total"],
 		snap.Counters["wire_server_rejected_total"], snap.Counters["wire_udp_sessions_started_total"],
 		snap.Counters["wire_udp_session_resets_total"], snap.Counters["wire_udp_sessions_expired_total"])
+	fmt.Fprintf(stdout, "edmd: udp rx parks %d empty polls %d\n",
+		snap.Counters["wire_udp_rx_parks_total"], snap.Counters["wire_udp_rx_empty_polls_total"])
 	return nil
 }

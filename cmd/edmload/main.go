@@ -252,10 +252,11 @@ type target struct {
 	clock    string // what the run's clock reads: "virtual" or "elapsed"
 	mem      rmem.Memory
 	conns    []*rmem.Client
-	size     uint64          // addressable bytes
-	lb       *wire.Loopback  // loopback: the transport whose virtual clock times the run
-	srv      *rmem.Server    // loopback: the in-process server
-	cc       *cluster.Client // cluster: the router in front of conns
+	udps     []*wire.UDPClient // udp: the sockets under conns
+	size     uint64            // addressable bytes
+	lb       *wire.Loopback    // loopback: the transport whose virtual clock times the run
+	srv      *rmem.Server      // loopback: the in-process server
+	cc       *cluster.Client   // cluster: the router in front of conns
 	close    func()
 }
 
@@ -372,6 +373,7 @@ func dial(addrs []string, ccfg rmem.ClientConfig) (target, error) {
 			return target{}, fmt.Errorf("connect %s: %w", a, err)
 		}
 		t.conns = append(t.conns, cl)
+		t.udps = append(t.udps, uc)
 	}
 	t.mem = t.conns[0]
 	t.size = t.conns[0].Geometry().SlabBytes
@@ -514,8 +516,16 @@ func report(w io.Writer, t *target, source string, ops []workload.Op, results []
 		fmt.Fprintf(tw, "throughput\t%.0f ops/s\n", float64(done)/(float64(horizon)/float64(1000*sim.Millisecond)))
 	}
 	cs := rmem.SumConnStats(t.conns)
-	fmt.Fprintf(tw, "transport\tsent %d retransmits %d timeouts %d\n",
-		cs.Sent, cs.Retransmit, cs.Timeouts)
+	fmt.Fprintf(tw, "transport\tsent %d retransmits %d timeouts %d", cs.Sent, cs.Retransmit, cs.Timeouts)
+	if len(t.udps) > 0 {
+		var parks, polls uint64
+		for _, uc := range t.udps {
+			p, e := uc.RxStats()
+			parks, polls = parks+p, polls+e
+		}
+		fmt.Fprintf(tw, ", rx parks %d empty polls %d", parks, polls)
+	}
+	fmt.Fprintln(tw)
 	if t.srv != nil {
 		st := t.srv.Stats()
 		fmt.Fprintf(tw, "server\treads %d writes %d rmws %d errors %d, modeled DRAM %v\n",

@@ -230,8 +230,15 @@ func BenchmarkBulkRoundTrip(b *testing.B) {
 // the ingress loop, the reply batch and sendmmsg are all on the path. The
 // name deliberately matches none of the bench gate's patterns: a kernel
 // round trip spreads wider than the gate's 15 %.
-func BenchmarkUDPWindow32(b *testing.B) {
-	const size, window = 64, 32
+func BenchmarkUDPWindow32(b *testing.B) { benchUDPWindow(b, 32) }
+
+// BenchmarkUDPWindow1 is the unloaded rung of the same path: one read in
+// flight, so ns/op is the socket round trip and every op crosses both
+// receivers' wait (polled inside wire's poll window, parked past it).
+func BenchmarkUDPWindow1(b *testing.B) { benchUDPWindow(b, 1) }
+
+func benchUDPWindow(b *testing.B, window int) {
+	const size = 64
 	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 24, Slots: 4096, SlotBytes: 1024}})
 	if err != nil {
 		b.Fatal(err)

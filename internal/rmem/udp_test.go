@@ -4,10 +4,12 @@ package rmem
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/memctl"
 	"repro/internal/wire"
@@ -291,4 +293,51 @@ func checkPattern(b []byte, addr uint64, tag byte) error {
 
 func patternWord(addr uint64, tag byte) uint64 {
 	return (addr/8+1)*0x9E3779B97F4A7C15 ^ uint64(tag)<<56
+}
+
+// TestUDPClientSurvivesServerRestart is the cluster Rejoin path over a real
+// socket: the memory node goes away (its port answers with ICMP
+// port-unreachable, a read burns its retry budget), comes back on the same
+// port, and the same UDPClient — same socket, same read loop — connects and
+// reads again.
+func TestUDPClientSurvivesServerRestart(t *testing.T) {
+	listen := func(addr string) (*wire.UDPServer, error) {
+		srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 20}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire.ListenUDP(addr, func(_ string, reply wire.Pipe) func([]byte) {
+			return srv.NewSession(reply).Deliver
+		})
+	}
+	us, err := listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := us.Addr()
+	client := udpDial(t, addr, ClientConfig{
+		Retry: wire.ConnConfig{RetryTimeout: 5 * time.Millisecond, MaxRetries: 3}})
+	defer client.Close()
+	if err := client.WriteSync(0, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+
+	us.Close()
+	if _, err := client.ReadSync(0, 6); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("read against a closed server: %v, want ErrDeadline", err)
+	}
+
+	if us, err = listen(addr); err != nil {
+		t.Skipf("the port was taken while it was free: %v", err)
+	}
+	defer us.Close()
+	if err := client.Connect(); err != nil {
+		t.Fatalf("Connect after the server came back: %v", err)
+	}
+	if err := client.WriteSync(0, []byte("after!")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := client.ReadSync(0, 6); err != nil || string(got) != "after!" {
+		t.Fatalf("read after the restart: %q, %v", got, err)
+	}
 }

@@ -89,13 +89,31 @@ func NewResponderMetrics(r *telemetry.Registry) *ResponderMetrics {
 	return m
 }
 
-// UDPServerMetrics counts session lifecycle events on the UDP listener.
+// UDPRxMetrics counts how a UDP receive loop waits on an empty socket (see
+// pollWindow). Parks per op near 1 is the parked regime — every op pays a
+// wake-up — and near 0 the polled one; empty polls per op is what the
+// polling costs.
+type UDPRxMetrics struct {
+	Parks      *telemetry.Counter // waits in the netpoller, the poll window having passed
+	EmptyPolls *telemetry.Counter // polls that found nothing and yielded
+}
+
+func newUDPRxMetrics(r *telemetry.Registry) UDPRxMetrics {
+	return UDPRxMetrics{
+		Parks:      r.Counter("wire_udp_rx_parks_total"),
+		EmptyPolls: r.Counter("wire_udp_rx_empty_polls_total"),
+	}
+}
+
+// UDPServerMetrics counts session lifecycle events on the UDP listener, and
+// how its ingress loops wait (Rx, summed over the loops).
 type UDPServerMetrics struct {
 	Started *telemetry.Counter // sessions opened (first datagram from a remote)
 	Resets  *telemetry.Counter // sessions torn down by a fresh HELLO (token mismatch)
 	Expired *telemetry.Counter // sessions reaped by the idle janitor
 	Retired *telemetry.Counter // sessions closed by BYE
 	Active  *telemetry.Gauge   // live sessions
+	Rx      UDPRxMetrics
 }
 
 // NewUDPServerMetrics registers the listener family (`wire_udp_*`) in r.
@@ -106,5 +124,6 @@ func NewUDPServerMetrics(r *telemetry.Registry) *UDPServerMetrics {
 		Expired: r.Counter("wire_udp_sessions_expired_total"),
 		Retired: r.Counter("wire_udp_sessions_retired_total"),
 		Active:  r.Gauge("wire_udp_sessions_active"),
+		Rx:      newUDPRxMetrics(r),
 	}
 }

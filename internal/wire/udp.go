@@ -19,6 +19,7 @@ import (
 type UDPClient struct {
 	conn *net.UDPConn
 	bs   *batchSender
+	rx   UDPRxMetrics // what Run's receiver counts
 
 	mu     sync.Mutex
 	closed bool
@@ -40,16 +41,22 @@ func DialUDP(addr string) (*UDPClient, error) {
 		conn.Close()
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	return &UDPClient{conn: conn, bs: bs}, nil
+	return &UDPClient{conn: conn, bs: bs, rx: newUDPRxMetrics(nil)}, nil
 }
 
-// Run starts the read loop, routing every inbound datagram to deliver.
-// Datagrams arrive in receive buffers the loop reuses, so deliver must not
-// retain its argument past the call (Conn.Deliver decodes in place and runs
-// the completion to its end before returning, satisfying this). Run returns
-// when the socket closes.
+// Run is the read loop: it routes every inbound datagram to deliver until
+// the socket closes, and returns then. On Linux it waits poll-then-park (see
+// pollWindow): for a window after each response it polls the socket,
+// yielding the P and the CPU on every empty poll, so the next response of a
+// request/response exchange needs no wake-up; idle past the window, it blocks
+// in the netpoller. A refused datagram (ICMP port-unreachable: the server is
+// down or restarting) does not end the loop; the socket hears the server
+// again once it is back. Datagrams arrive in receive buffers the loop reuses,
+// so deliver must not retain its argument past the call (Conn.Deliver decodes
+// in place and runs the completion to its end before returning, satisfying
+// this).
 func (u *UDPClient) Run(deliver func([]byte)) {
-	r, err := newBatchReceiver(u.conn, false)
+	r, err := newBatchReceiver(u.conn, false, func() *UDPRxMetrics { return &u.rx })
 	if err != nil {
 		return
 	}
@@ -64,7 +71,15 @@ func (u *UDPClient) Run(deliver func([]byte)) {
 	}
 }
 
-// Send transmits one datagram.
+// RxStats reports how Run has waited so far: parks in the netpoller, and
+// polls that found the socket empty (always 0 off Linux).
+func (u *UDPClient) RxStats() (parks, emptyPolls uint64) {
+	return u.rx.Parks.Load(), u.rx.EmptyPolls.Load()
+}
+
+// Send transmits one datagram. An error is this datagram's alone: a write
+// refused because of an earlier ICMP port-unreachable consumes that pending
+// error, so the datagram is lost and the next one goes out.
 func (u *UDPClient) Send(p []byte) error {
 	_, err := u.conn.Write(p)
 	return err
@@ -133,6 +148,14 @@ type ingressLoop struct {
 // sendmmsg. No copy, queue or goroutine hand-off sits between the wire and
 // the handler.
 //
+// Waiting: on Linux a loop polls its socket for pollWindow after traffic,
+// yielding the P and the CPU on every empty poll, before it blocks in the
+// netpoller, so a client in a request/response exchange does not pay a
+// wake-up of the server per op. An idle server is blocked and costs nothing;
+// a burst costs one window of polling after its last datagram, and the first
+// datagram after idle still pays the wake-up. UDPServerMetrics.Rx counts
+// both. Elsewhere every receive is a blocking read.
+//
 // Ownership: one session = one loop = one core. The kernel hashes the
 // 4-tuple onto the group, so a client's datagrams all reach one loop, which
 // executes them in arrival order; sessions scale across loops. Parallelism
@@ -186,9 +209,10 @@ func ListenUDP(addr string, accept func(remote string, reply Pipe) func([]byte))
 	}
 	s := &UDPServer{accept: accept, done: make(chan struct{})}
 	s.metrics.Store(NewUDPServerMetrics(nil))
+	rxStats := func() *UDPRxMetrics { return &s.metrics.Load().Rx }
 	for _, c := range conns {
 		l := &ingressLoop{s: s, conn: c, sessions: make(map[netip.AddrPort]*udpSession)}
-		if l.rx, err = newBatchReceiver(c, true); err == nil {
+		if l.rx, err = newBatchReceiver(c, true, rxStats); err == nil {
 			l.tx, err = newReplyBatch(c)
 		}
 		if err != nil {

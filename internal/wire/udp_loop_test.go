@@ -143,7 +143,8 @@ func TestUDPBatchPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cconn.Close()
-	rx, err := newBatchReceiver(sconn, true)
+	rxm := newUDPRxMetrics(nil)
+	rx, err := newBatchReceiver(sconn, true, func() *UDPRxMetrics { return &rxm })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,5 +185,72 @@ func TestUDPBatchPathAllocs(t *testing.T) {
 		tx.flush()
 	}); allocs != 0 {
 		t.Errorf("reply batch add/flush: %v allocs per batch, want 0", allocs)
+	}
+}
+
+// TestUDPClientSurvivesRefused: an ICMP port-unreachable (the server is down
+// or restarting) leaves a pending error on the connected socket. It is not a
+// closed socket: the read loop must outlive it, and once something listens on
+// the address again its datagrams must reach deliver. A Send that trips over
+// the pending error loses that one datagram and no other.
+func TestUDPClientSurvivesRefused(t *testing.T) {
+	// A port nobody listens on: bind one, note it, close it.
+	probe, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.LocalAddr().(*net.UDPAddr)
+	probe.Close()
+
+	uc, err := DialUDP(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uc.Close()
+	got := make(chan string, 16)
+	ran := make(chan struct{})
+	go func() {
+		uc.Run(func(p []byte) { got <- string(p) })
+		close(ran)
+	}()
+	uc.Send([]byte("anyone?")) // refused; the error is the read loop's or the next Send's to find
+	select {
+	case <-ran:
+		t.Fatal("Run returned on a refused datagram: the socket is still open")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	echo, err := net.ListenUDP("udp", addr)
+	if err != nil {
+		t.Skipf("port %d was taken while it was free: %v", addr.Port, err)
+	}
+	defer echo.Close()
+	go func() {
+		buf := make([]byte, MaxDatagram)
+		for {
+			n, from, err := echo.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				return
+			}
+			echo.WriteToUDPAddrPort(buf[:n], from)
+		}
+	}()
+	lost := 0
+	for _, want := range []string{"one", "two", "three"} {
+		for uc.Send([]byte(want)) != nil {
+			if lost++; lost > 1 {
+				t.Fatalf("Send failed %d times: one refusal poisons more than one datagram", lost)
+			}
+		}
+		select {
+		case p := <-got:
+			if p != want {
+				t.Fatalf("delivered %q, want %q", p, want)
+			}
+		case <-ran:
+			t.Fatal("Run returned while the socket is open")
+		case <-time.After(5 * time.Second):
+			t.Fatalf("echo of %q never delivered: the read loop is deaf after a refusal", want)
+		}
 	}
 }

@@ -3,6 +3,7 @@
 // Batched UDP I/O via sendmmsg/recvmmsg. The raw syscalls are issued inside
 // the RawConn read/write callbacks so the netpoller keeps scheduling the
 // socket (returning false on EAGAIN parks the goroutine until readiness).
+// The receive side polls before it parks: see pollWindow.
 // The callbacks are method values bound once per socket, so a batch
 // allocates nothing, and the scratch msghdr/iovec arrays are heap-allocated:
 // the kernel reads them by pointer, and Go stacks — unlike the heap — can
@@ -17,6 +18,7 @@ import (
 	"strconv"
 	"sync"
 	"syscall"
+	"time"
 	"unsafe"
 )
 
@@ -27,6 +29,20 @@ const udpBatchSize = 16
 // one Ethernet frame is copied and batched, a larger one (which IP would
 // fragment anyway) is sent straight from the caller's buffer.
 const replySlotBytes = 1536
+
+// pollWindow is how long a receiver keeps polling an empty socket, counted
+// from its first empty poll after a datagram, before it parks in the
+// netpoller. Parked, each end of a request/response exchange halts its CPU
+// and the peer's next send pays a cross-CPU wake-up inside its own syscall;
+// polling, the datagram is picked up by the next recvmmsg. The window must be
+// longer than one parked round trip (~50 us between two processes on
+// loopback): the closed loop is bistable, and a receiver whose window ends
+// before the reply to a parked peer can arrive parks again itself, so the
+// pair never leaves the parked regime. Measured on udp-read64-w1: 10 us stays
+// parked for good, 25 us keeps falling out, 50/100/200 us are alike; 100 us
+// leaves a factor of two. It is also all an idle socket costs: one window of
+// polite polling per burst of traffic. A constant with that rule, not a knob.
+const pollWindow = 100 * time.Microsecond
 
 // soReusePort is SO_REUSEPORT, absent from the frozen stdlib syscall table;
 // the value is the asm-generic one both gated arches use.
@@ -247,7 +263,8 @@ func (b *replyBatch) flush() error {
 // batchReceiver drains a UDP socket up to udpBatchSize datagrams per
 // recvmmsg into buffers it owns and reuses: a received packet is valid only
 // until the next recv call. With capture set it also records each packet's
-// source address (the server's demux key and reply destination).
+// source address (the server's demux key and reply destination). It is one
+// goroutine's: only the counters may be read from outside.
 type batchReceiver struct {
 	rc    syscall.RawConn
 	bufs  [][]byte
@@ -257,14 +274,20 @@ type batchReceiver struct {
 	got   int                      // datagrams in the last batch
 	errno syscall.Errno            // the last trap's failure
 	trap  func(fd uintptr) bool    // recvmmsgTrap, bound once
+
+	idleSince time.Time // the first empty poll since the last datagram; zero: none yet
+	park      bool      // idleSince is pollWindow old: the next empty poll parks
+	stats     func() *UDPRxMetrics
 }
 
-func newBatchReceiver(c *net.UDPConn, capture bool) (*batchReceiver, error) {
+// newBatchReceiver's stats names the counters of the moment: a server's can
+// be swapped while its loops run (UDPServer.SetMetrics).
+func newBatchReceiver(c *net.UDPConn, capture bool, stats func() *UDPRxMetrics) (*batchReceiver, error) {
 	rc, err := c.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
-	r := &batchReceiver{rc: rc,
+	r := &batchReceiver{rc: rc, stats: stats,
 		bufs: make([][]byte, udpBatchSize),
 		hdrs: make([]mmsghdr, udpBatchSize),
 		iovs: make([]syscall.Iovec, udpBatchSize)}
@@ -285,9 +308,17 @@ func newBatchReceiver(c *net.UDPConn, capture bool) (*batchReceiver, error) {
 	return r, nil
 }
 
-// recvBatch blocks for at least one datagram and returns how many arrived.
+// recvBatch waits for at least one datagram and returns how many arrived.
+// It waits by poll-then-park: for pollWindow after traffic an empty socket is
+// polled again, and every empty poll first yields both the P (Gosched: the
+// issuer, retry timers and sibling loops of a GOMAXPROCS-1 process run) and
+// the CPU (sched_yield: a peer process sharing the core runs; without it two
+// pollers on one CPU each wait out the other's timeslice). Past the window it
+// parks in the netpoller. The clock is read once per empty poll, never per
+// datagram or per non-empty batch.
 //
 //edmlint:hotpath once per receive batch
+//edmlint:allow walltime the poll window is real time by nature: it is sized against a kernel wake-up
 func (r *batchReceiver) recvBatch() (int, error) {
 	if r.names != nil {
 		// Namelen is in/out: the kernel shrank it to each source's size.
@@ -295,22 +326,44 @@ func (r *batchReceiver) recvBatch() (int, error) {
 			r.hdrs[i].hdr.Namelen = uint32(unsafe.Sizeof(r.names[i]))
 		}
 	}
-	r.got, r.errno = 0, 0
-	if err := r.rc.Read(r.trap); err != nil {
-		return 0, err
+	for {
+		r.got, r.errno = 0, 0
+		if err := r.rc.Read(r.trap); err != nil {
+			return 0, err
+		}
+		if r.errno != 0 {
+			return 0, r.errno
+		}
+		if r.got > 0 {
+			r.idleSince, r.park = time.Time{}, false
+			return r.got, nil
+		}
+		switch {
+		case r.idleSince.IsZero():
+			r.idleSince = time.Now()
+		case time.Since(r.idleSince) >= pollWindow:
+			r.park = true
+			continue
+		}
+		runtime.Gosched()
+		syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0)
 	}
-	if r.errno != 0 {
-		return 0, r.errno
-	}
-	return r.got, nil
 }
 
+// recvmmsgTrap returns false only to park: on an empty socket past the poll
+// window. ECONNREFUSED is the pending error an ICMP port-unreachable left on
+// a connected socket (the peer is down or restarting); the call that reports
+// it consumes it, the socket is as good as before, and it reads as an empty
+// poll. Any other errno ends the receiver.
 func (r *batchReceiver) recvmmsgTrap(fd uintptr) bool {
 	r1, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
 		uintptr(unsafe.Pointer(&r.hdrs[0])), udpBatchSize, 0, 0, 0)
 	switch {
-	case errno == syscall.EAGAIN:
+	case errno == syscall.EAGAIN && r.park:
+		r.stats().Parks.Inc()
 		return false
+	case errno == syscall.EAGAIN || errno == syscall.ECONNREFUSED:
+		r.stats().EmptyPolls.Inc()
 	case errno != 0:
 		r.errno = errno
 	default:

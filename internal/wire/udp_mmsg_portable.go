@@ -2,15 +2,18 @@
 
 // Portable single-datagram stand-ins for the batched UDP I/O in
 // udp_mmsg_linux.go: same batchSender/batchReceiver/replyBatch API, one
-// socket, one ingress loop, one Write or ReadFromUDPAddrPort per datagram.
-// Platforms without a verified mmsghdr layout take this path; correctness
-// is identical, only the per-datagram syscall amortization and the
-// SO_REUSEPORT spread over cores are lost.
+// socket, one ingress loop, one Write or ReadFromUDPAddrPort per datagram:
+// blocking reads; no poll window. Platforms without a verified mmsghdr layout
+// take this path; correctness is identical, only the per-datagram syscall
+// amortization, the SO_REUSEPORT spread over cores and the wake-up the poll
+// window saves per unloaded round trip are lost.
 package wire
 
 import (
+	"errors"
 	"net"
 	"net/netip"
+	"syscall"
 )
 
 // udpBatchSize is how many datagrams one receive call can return.
@@ -64,24 +67,33 @@ type batchReceiver struct {
 	buf     []byte
 	n       int
 	from    netip.AddrPort
+	stats   func() *UDPRxMetrics
 }
 
-func newBatchReceiver(c *net.UDPConn, capture bool) (*batchReceiver, error) {
-	return &batchReceiver{c: c, capture: capture, buf: make([]byte, MaxDatagram+1)}, nil
+func newBatchReceiver(c *net.UDPConn, capture bool, stats func() *UDPRxMetrics) (*batchReceiver, error) {
+	return &batchReceiver{c: c, capture: capture, stats: stats, buf: make([]byte, MaxDatagram+1)}, nil
 }
 
-// recvBatch blocks for one datagram and returns 1.
+// recvBatch blocks for one datagram and returns 1. Every read counts as a
+// park (it cannot be seen whether it waited) and none as an empty poll. A
+// read refused because of an earlier ICMP port-unreachable consumed that
+// pending error; the socket is as good as before, so it reads again.
 func (r *batchReceiver) recvBatch() (int, error) {
-	var err error
-	if r.capture {
-		r.n, r.from, err = r.c.ReadFromUDPAddrPort(r.buf)
-	} else {
-		r.n, err = r.c.Read(r.buf)
+	for {
+		var err error
+		r.stats().Parks.Inc()
+		if r.capture {
+			r.n, r.from, err = r.c.ReadFromUDPAddrPort(r.buf)
+		} else {
+			r.n, err = r.c.Read(r.buf)
+		}
+		if err == nil {
+			return 1, nil
+		}
+		if !errors.Is(err, syscall.ECONNREFUSED) {
+			return 0, err
+		}
 	}
-	if err != nil {
-		return 0, err
-	}
-	return 1, nil
 }
 
 // pkt returns packet i of the last recv; valid until the next recv.

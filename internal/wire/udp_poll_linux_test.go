@@ -1,0 +1,201 @@
+//go:build linux && (amd64 || arm64)
+
+//edmlint:allow walltime these tests time a real socket's poll window
+
+package wire
+
+import (
+	"net"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// echoServer listens on an ephemeral port and returns the server with the
+// metrics instance its loops have counted on since they started.
+func echoServer(t *testing.T) (*UDPServer, *UDPServerMetrics) {
+	t.Helper()
+	server, err := ListenUDP("127.0.0.1:0", func(_ string, reply Pipe) func([]byte) {
+		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { server.Close() })
+	return server, server.metrics.Load()
+}
+
+// waitFor polls cond until it holds or d passes, and reports whether it held.
+func waitFor(d time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(d); !cond(); {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return true
+}
+
+// TestUDPReceiverParksWhenIdle: the poll window is all a burst costs. Once
+// the traffic stops, the loop that served it parks within 10 ms (100
+// windows) and polls no more. The host can deschedule the test for longer
+// than a window, mid-burst or after it, so this must hold on one of three
+// bursts.
+func TestUDPReceiverParksWhenIdle(t *testing.T) {
+	server, m := echoServer(t)
+	saddr, _ := net.ResolveUDPAddr("udp", server.Addr())
+	sock, err := net.DialUDP("udp", nil, saddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sock.Close()
+	// Every loop polls one window at start-up, then parks.
+	loops := uint64(len(server.loops))
+	if !waitFor(5*time.Second, func() bool { return m.Rx.Parks.Load() >= loops }) {
+		t.Fatalf("%d loops, %d parks: an untouched server never parked", loops, m.Rx.Parks.Load())
+	}
+	const burstLen = 64
+	buf := make([]byte, MaxDatagram)
+	good := false
+	for burst := uint32(0); burst < 3 && !good; burst++ {
+		parked, polled := m.Rx.Parks.Load(), m.Rx.EmptyPolls.Load()
+		for i := uint32(0); i < burstLen; i++ {
+			enc, err := (&Msg{Kind: KindRREQ, ID: burst<<12 | i, Count: 8}).AppendEncode(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sock.Write(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sock.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for i := 0; i < burstLen; i++ {
+			if _, err := sock.Read(buf); err != nil {
+				t.Fatalf("burst %d: response %d: %v", burst, i, err)
+			}
+		}
+		end := time.Now()
+		if !waitFor(5*time.Second, func() bool { return m.Rx.Parks.Load() > parked }) {
+			t.Fatalf("burst %d: the loop never parked after its traffic stopped", burst)
+		}
+		took := time.Since(end)
+		if m.Rx.EmptyPolls.Load() == polled {
+			t.Errorf("burst %d: the loop parked without an empty poll: it does not poll", burst)
+		}
+		polled = m.Rx.EmptyPolls.Load()
+		time.Sleep(5 * time.Millisecond)
+		late := m.Rx.EmptyPolls.Load() - polled
+		t.Logf("burst %d: parked %v after the last response, %d empty polls in the 5 ms after", burst, took, late)
+		good = took <= 10*time.Millisecond && late == 0
+	}
+	if !good {
+		t.Errorf("after each of three bursts the loop took more than 10 ms to park or polled on while parked (pollWindow %v)", pollWindow)
+	}
+}
+
+// TestUDPCloseWhilePolling: Close on either end returns promptly when the
+// receive loops are inside their poll window (not parked in the netpoller,
+// where closing the socket wakes them), and the client's Run returns.
+func TestUDPCloseWhilePolling(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		server, _ := echoServer(t)
+		uc, err := DialUDP(server.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := NewConn(uc, ConnConfig{RetryTimeout: 100 * time.Millisecond, MaxRetries: 10})
+		ran := make(chan struct{})
+		go func() {
+			uc.Run(conn.Deliver)
+			close(ran)
+		}()
+		// The response restarts both windows: the closes land inside them.
+		udpCallSync(t, conn, &Msg{Kind: KindRREQ, Count: 8})
+		closed := make(chan struct{})
+		go func() {
+			if i%2 == 0 {
+				uc.Close()
+				server.Close()
+			} else {
+				server.Close()
+				uc.Close()
+			}
+			<-ran
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close while polling did not return", i)
+		}
+	}
+}
+
+// dropPipe loses the next datagram after arm.
+type dropPipe struct {
+	Pipe
+	armed atomic.Bool
+}
+
+func (p *dropPipe) arm() { p.armed.Store(true) }
+
+func (p *dropPipe) Send(b []byte) error {
+	if p.armed.CompareAndSwap(true, false) {
+		return nil
+	}
+	return p.Pipe.Send(b)
+}
+
+// TestUDPPollOneP is the Gosched half of "polls politely": with one P, a
+// server loop and a client read loop both polling must not starve the
+// issuer (20 000 window-1 reads complete) nor the runtime's timers: a lost
+// request whose retry timeout is half the poll window is retransmitted and
+// answered while the client's read loop still polls, i.e. without a park.
+// Starved timers could fire only once every poller had parked, so each lost
+// request would cost a park; the host can add a park of its own, so one
+// clean recovery in fifty shows the timer ran.
+func TestUDPPollOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	server, _ := echoServer(t)
+	dial := func(cfg ConnConfig) (*UDPClient, *dropPipe, *Conn) {
+		uc, err := DialUDP(server.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { uc.Close() })
+		pipe := &dropPipe{Pipe: uc}
+		conn := NewConn(pipe, cfg)
+		go uc.Run(conn.Deliver)
+		return uc, pipe, conn
+	}
+
+	_, _, conn := dial(ConnConfig{RetryTimeout: 100 * time.Millisecond, MaxRetries: 50})
+	for i := 0; i < 20000; i++ {
+		if r := udpCallSync(t, conn, &Msg{Kind: KindRREQ, Count: 64}); len(r.Data) != 64 {
+			t.Fatalf("read %d returned %d bytes", i, len(r.Data))
+		}
+	}
+
+	// A two-second per-call deadline in 50 us attempts: spurious
+	// retransmissions (the timeout is near the round trip) are only replays.
+	uc, pipe, conn := dial(ConnConfig{RetryTimeout: pollWindow / 2, MaxRetries: 40000})
+	udpCallSync(t, conn, &Msg{Kind: KindRREQ, Count: 64})
+	clean := 0
+	for i := 0; i < 50; i++ {
+		parks, _ := uc.RxStats()
+		retx := conn.Stats().Retransmit
+		pipe.arm()
+		udpCallSync(t, conn, &Msg{Kind: KindRREQ, Count: 64})
+		if conn.Stats().Retransmit == retx {
+			t.Fatalf("lost request %d completed without a retransmission", i)
+		}
+		if after, _ := uc.RxStats(); after == parks {
+			clean++
+		}
+	}
+	t.Logf("%d of 50 lost requests were retransmitted and answered inside the poll window", clean)
+	if clean == 0 {
+		t.Errorf("every lost request waited for the read loop to park: retry timers do not run while the loops poll")
+	}
+}

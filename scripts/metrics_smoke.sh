@@ -47,6 +47,8 @@ for want in \
     'rmem_server_op_latency_ns_bucket{op="read"' \
     'rmem_server_op_latency_ns_bucket{op="write"' \
     'wire_udp_sessions_started_total' \
+    'wire_udp_rx_parks_total' \
+    'wire_udp_rx_empty_polls_total' \
     'wire_server_requests_total'; do
     if ! printf '%s\n' "$metrics" | grep -qF "$want"; then
         echo "metrics_smoke: /metrics missing $want" >&2
