@@ -518,12 +518,13 @@ func report(w io.Writer, t *target, source string, ops []workload.Op, results []
 	cs := rmem.SumConnStats(t.conns)
 	fmt.Fprintf(tw, "transport\tsent %d retransmits %d timeouts %d", cs.Sent, cs.Retransmit, cs.Timeouts)
 	if len(t.udps) > 0 {
-		var parks, polls uint64
+		var parks, polls, datagrams, msgs uint64
 		for _, uc := range t.udps {
 			p, e := uc.RxStats()
-			parks, polls = parks+p, polls+e
+			d, m := uc.TxStats()
+			parks, polls, datagrams, msgs = parks+p, polls+e, datagrams+d, msgs+m
 		}
-		fmt.Fprintf(tw, ", rx parks %d empty polls %d", parks, polls)
+		fmt.Fprintf(tw, ", rx parks %d empty polls %d, tx datagrams %d msgs %d", parks, polls, datagrams, msgs)
 	}
 	fmt.Fprintln(tw)
 	if t.srv != nil {

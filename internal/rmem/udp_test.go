@@ -273,6 +273,107 @@ func TestUDPOversizeRepliesKeepOrder(t *testing.T) {
 	w.drain(t)
 }
 
+// TestUDPBundlesForm: with one P, a window of 32 mixed 64 B ops over a real
+// socket keeps both ends bundling — each response batch's completions free
+// the issuer, whose next requests ride the client's cork, and each request
+// bundle is answered in one — at 4 or more messages per datagram each way,
+// with every byte and every fetch-add checked.
+func TestUDPBundlesForm(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const (
+		ops      = 20000
+		window   = 32
+		block    = 64
+		region   = 64 << 10 // [0, region) prefilled and read; [region, 2*region) written
+		counters = 8        // fetch-added words at 2*region
+	)
+	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 2*region + 4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := udpListen(t, srv)
+	sm := wire.NewUDPServerMetrics(nil)
+	us.SetMetrics(sm)
+	uc, err := wire.DialUDP(us.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(uc, ClientConfig{Window: window})
+	defer client.Close()
+	go uc.Run(client.Deliver)
+	if err := client.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, block)
+	for addr := uint64(0); addr < region; addr += block {
+		fillPattern(buf, addr, 0xA5)
+		if err := client.WriteSync(addr, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cd0, cm0 := uc.TxStats()
+	sd0, sm0 := sm.Tx.Datagrams.Load(), sm.Tx.Msgs.Load()
+	w := newWindow(window)
+	wcb := func(err error) { w.done(err) }
+	rmwcb := func(_ uint64, err error) { w.done(err) }
+	one := []uint64{1}
+	var adds [counters]uint64
+	for i := uint64(0); i < ops; i++ {
+		w.acquire()
+		switch i % 10 {
+		case 0, 1, 2, 3, 4, 5:
+			addr := (i * 7919 * block) % region
+			err = client.Read(addr, block, func(d []byte, err error) {
+				if err == nil {
+					err = checkPattern(d, addr, 0xA5)
+				}
+				w.done(err)
+			})
+		case 6, 7, 8: // over 20000 ops these cover every block of the region
+			addr := region + (i*block)%region
+			fillPattern(buf, addr, 0x3C)
+			err = client.Write(addr, buf, wcb)
+		default:
+			adds[i%counters]++
+			err = client.RMW(2*region+(i%counters)*8, memctl.OpFetchAdd, one, rmwcb)
+		}
+		if err != nil {
+			w.done(err)
+		}
+	}
+	w.drain(t)
+	cd, cm := uc.TxStats()
+	sd, smsgs := sm.Tx.Datagrams.Load(), sm.Tx.Msgs.Load()
+	cd, cm, sd, smsgs = cd-cd0, cm-cm0, sd-sd0, smsgs-sm0
+	t.Logf("client %d msgs in %d datagrams, server %d in %d", cm, cd, smsgs, sd)
+	if cm < ops || smsgs < ops {
+		t.Fatalf("counted %d client and %d server messages for %d ops", cm, smsgs, ops)
+	}
+	// Bundling is built where sendmmsg is (wire's udp_mmsg_linux.go build
+	// tag); elsewhere every message is a datagram and only the data is checked.
+	bundles := runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")
+	if bundles && (cm < 4*cd || smsgs < 4*sd) {
+		t.Errorf("messages per datagram: client %.2f, server %.2f, want >= 4 each way",
+			float64(cm)/float64(cd), float64(smsgs)/float64(sd))
+	}
+
+	for addr := uint64(region); addr < 2*region; addr += block {
+		got, err := client.ReadSync(addr, block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkPattern(got, addr, 0x3C); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c, want := range adds {
+		if v, err := client.RMWSync(2*region+uint64(c)*8, memctl.OpFetchAdd, 0); err != nil || v != want {
+			t.Errorf("counter %d = %d (%v), want %d: fetch-adds not exactly-once", c, v, err, want)
+		}
+	}
+}
+
 // fillPattern writes the 8-byte word pattern for addr (a multiple of 8):
 // each word holds its own address mixed with tag, so bytes returned for the
 // wrong address or from the wrong session never match.

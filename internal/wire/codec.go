@@ -7,10 +7,11 @@
 // (cmd/edmd) and a load generator (cmd/edmload) can exchange the messages
 // the simulator only models. Three pieces:
 //
-//   - the codec (this file): one message per datagram, fixed little-endian
+//   - the codec (this file): one message per frame, fixed little-endian
 //     header + RMW args + payload + CRC-32, with strict decode validation so
-//     corrupted datagrams are detected and dropped like a failed PCS decode
-//     in the paper's fabric (§3.3);
+//     corrupted frames are detected and dropped like a failed PCS decode
+//     in the paper's fabric (§3.3); the UDP transport may bundle frames
+//     (see bundleMarker in udp.go);
 //   - Conn (conn.go): client-side reliability — per-message retransmission
 //     with configurable timeout/retry, response matching by message ID;
 //   - Responder (conn.go): server-side duplicate suppression indexed by the

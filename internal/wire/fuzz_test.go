@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // FuzzDecode throws arbitrary datagrams at the decoder: it must never panic,
@@ -79,6 +81,99 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(m, got) {
 			t.Fatalf("round trip mismatch:\n sent %+v\n got  %+v", m, got)
+		}
+	})
+}
+
+// appendBundle appends the bundle of msgs to dst, laid out as bundleMarker
+// documents it.
+func appendBundle(dst []byte, msgs ...[]byte) []byte {
+	dst = append(dst, bundleMarker)
+	for _, m := range msgs {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m)))
+		dst = append(dst, m...)
+	}
+	return dst
+}
+
+// splitAll returns every frame framesOf yields for p.
+func splitAll(p []byte) [][]byte {
+	var out [][]byte
+	for f := framesOf(p); f.ok; f.next() {
+		out = append(out, f.cur)
+	}
+	return out
+}
+
+func mustEncode(t testing.TB, m *Msg) []byte {
+	t.Helper()
+	enc, err := m.AppendEncode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// FuzzBundleSplit: on any datagram the splitter never panics and yields only
+// capacity-clipped views inside the datagram, in order and without overlap;
+// and any concatenation of valid frames, bundled, splits back into exactly
+// those frames (one frame also round-trips as a plain datagram).
+func FuzzBundleSplit(f *testing.F) {
+	if bundleMarker == Version {
+		f.Fatal("bundleMarker must differ from the Version every message starts with")
+	}
+	f.Add([]byte{})
+	f.Add([]byte{bundleMarker})
+	f.Add([]byte{bundleMarker, 5, 0, 1})
+	f.Add([]byte{bundleMarker, 2, 0, 1, 2, 0})
+	f.Add(appendBundle(nil, []byte("ab"), []byte("c"), nil))
+	f.Add(mustEncode(f, &Msg{Kind: KindRREQ, ID: 7, Addr: 64, Count: 8}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := data[:len(data):len(data)]
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(p)))
+		end := 0
+		n := 0
+		for _, fr := range splitAll(p) {
+			if n++; n > len(p)/bundleLenBytes+1 {
+				t.Fatalf("%d frames from a %d-byte datagram", n, len(p))
+			}
+			if cap(fr) != len(fr) {
+				t.Fatalf("frame of %d bytes has capacity %d: an append could overwrite the next", len(fr), cap(fr))
+			}
+			if len(fr) == 0 {
+				continue
+			}
+			off := int(uintptr(unsafe.Pointer(unsafe.SliceData(fr))) - base)
+			if off < end || off+len(fr) > len(p) {
+				t.Fatalf("frame [%d, %d) outside the datagram's unread bytes [%d, %d)", off, off+len(fr), end, len(p))
+			}
+			end = off + len(fr)
+		}
+
+		var msgs [][]byte
+		for rest := data; len(rest) > 0 && len(msgs) < 40; {
+			k := min(int(rest[0]), len(rest)-1)
+			msgs = append(msgs, mustEncode(t, &Msg{Kind: KindWREQ, ID: uint32(len(msgs)), Count: uint32(k), Data: rest[1 : 1+k]}))
+			rest = rest[1+k:]
+		}
+		if len(msgs) == 0 {
+			return
+		}
+		if got := splitAll(msgs[0]); len(got) != 1 || !bytes.Equal(got[0], msgs[0]) {
+			t.Fatalf("a plain message split into %d frames", len(got))
+		}
+		got := splitAll(appendBundle(nil, msgs...))
+		if len(got) != len(msgs) {
+			t.Fatalf("bundle of %d frames split into %d", len(msgs), len(got))
+		}
+		for i := range msgs {
+			if !bytes.Equal(got[i], msgs[i]) {
+				t.Fatalf("frame %d: got %x, want %x", i, got[i], msgs[i])
+			}
+			if err := DecodeInto(new(Msg), got[i]); err != nil {
+				t.Fatalf("frame %d does not decode: %v", i, err)
+			}
 		}
 	})
 }

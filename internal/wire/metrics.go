@@ -105,8 +105,24 @@ func newUDPRxMetrics(r *telemetry.Registry) UDPRxMetrics {
 	}
 }
 
-// UDPServerMetrics counts session lifecycle events on the UDP listener, and
-// how its ingress loops wait (Rx, summed over the loops).
+// UDPTxMetrics counts what a UDP send arena transmits, in its flush.
+// Messages per datagram is the bundle factor: 1 when every message left in
+// a datagram of its own, up to the number of replies a receive batch
+// produced (or requests a client queued) when they bundle.
+type UDPTxMetrics struct {
+	Datagrams *telemetry.Counter // datagrams sent, bundles and lone messages alike
+	Msgs      *telemetry.Counter // messages those datagrams carried
+}
+
+func newUDPTxMetrics(r *telemetry.Registry) UDPTxMetrics {
+	return UDPTxMetrics{
+		Datagrams: r.Counter("wire_udp_tx_datagrams_total"),
+		Msgs:      r.Counter("wire_udp_tx_msgs_total"),
+	}
+}
+
+// UDPServerMetrics counts session lifecycle events on the UDP listener, how
+// its ingress loops wait (Rx) and what they send (Tx), summed over the loops.
 type UDPServerMetrics struct {
 	Started *telemetry.Counter // sessions opened (first datagram from a remote)
 	Resets  *telemetry.Counter // sessions torn down by a fresh HELLO (token mismatch)
@@ -114,6 +130,7 @@ type UDPServerMetrics struct {
 	Retired *telemetry.Counter // sessions closed by BYE
 	Active  *telemetry.Gauge   // live sessions
 	Rx      UDPRxMetrics
+	Tx      UDPTxMetrics
 }
 
 // NewUDPServerMetrics registers the listener family (`wire_udp_*`) in r.
@@ -125,5 +142,6 @@ func NewUDPServerMetrics(r *telemetry.Registry) *UDPServerMetrics {
 		Retired: r.Counter("wire_udp_sessions_retired_total"),
 		Active:  r.Gauge("wire_udp_sessions_active"),
 		Rx:      newUDPRxMetrics(r),
+		Tx:      newUDPTxMetrics(r),
 	}
 }

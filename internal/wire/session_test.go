@@ -159,7 +159,11 @@ func TestUDPSessionResetOnHello(t *testing.T) {
 	}
 	port := sock1.LocalAddr().(*net.UDPAddr).Port
 	conn1 := NewConn(&rawUDPPipe{sock1}, ConnConfig{RetryTimeout: 100 * time.Millisecond, MaxRetries: 10})
-	go (&UDPClient{conn: sock1, rx: newUDPRxMetrics(nil)}).Run(conn1.Deliver)
+	uc1, err := newUDPClient(sock1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go uc1.Run(conn1.Deliver)
 	first := udpCallSync(t, conn1, &Msg{Kind: KindHello})
 	if first.Kind != KindHelloAck {
 		t.Fatalf("handshake got %v", first.Kind)
@@ -179,7 +183,11 @@ func TestUDPSessionResetOnHello(t *testing.T) {
 	}
 	defer sock2.Close()
 	conn2 := NewConn(&rawUDPPipe{sock2}, ConnConfig{RetryTimeout: 100 * time.Millisecond, MaxRetries: 10})
-	go (&UDPClient{conn: sock2, rx: newUDPRxMetrics(nil)}).Run(conn2.Deliver)
+	uc2, err := newUDPClient(sock2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go uc2.Run(conn2.Deliver)
 	if h := udpCallSync(t, conn2, &Msg{Kind: KindHello}); h.Kind != KindHelloAck {
 		t.Fatalf("re-handshake got %v", h.Kind)
 	}

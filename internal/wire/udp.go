@@ -3,9 +3,11 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,13 +15,70 @@ import (
 	"repro/internal/telemetry"
 )
 
+// A bundle is one datagram carrying several messages to one peer:
+//
+//	bundleMarker | len0 (u16 LE) | msg0 | len1 | msg1 | ...
+//
+// Every message starts with its Version byte, which is never bundleMarker,
+// so a datagram is a bundle exactly when its first byte is the marker; any
+// other datagram is one plain message. A sender bundles only what queued to
+// one peer between cork and flush (see txBatch), so a lone message still
+// leaves as a plain datagram, byte for byte what a peer from before bundling
+// sends. Such a peer drops a bundle at its version check and never misparses
+// it: mixed-version peers are unsupported, not corrupted.
+const (
+	bundleMarker   = 0xB5
+	bundleLenBytes = 2
+	// bundleHead is the marker and the first entry's length.
+	bundleHead = 1 + bundleLenBytes
+	// maxBundle is one Ethernet frame's UDP payload (1500 - 20 IPv4 - 8
+	// UDP): bundling never builds a datagram IP would fragment.
+	maxBundle = 1472
+)
+
+// frames is a cursor over the messages one received datagram carries: the
+// datagram itself when it is plain, each entry in order when it is a bundle.
+// The walk stops at the first length prefix that overruns the datagram: the
+// frames before it are delivered, nothing after. A frame is a
+// capacity-clipped view of the datagram, decoded and CRC-checked on its own
+// like any datagram. Every build's receive paths split with it.
+//
+//	for f := framesOf(p); f.ok; f.next() { deliver(f.cur) }
+type frames struct {
+	cur, rest []byte // the current frame; the bundle entries after it
+	ok        bool   // cur is a frame
+}
+
+func framesOf(p []byte) frames {
+	if len(p) > 0 && p[0] == bundleMarker {
+		f := frames{rest: p[1:]}
+		f.next()
+		return f
+	}
+	return frames{cur: p, ok: true}
+}
+
+// next advances to the following frame; ok turns false once none is left.
+func (f *frames) next() {
+	if f.ok = len(f.rest) >= bundleLenBytes; !f.ok {
+		return
+	}
+	end := bundleLenBytes + int(binary.LittleEndian.Uint16(f.rest))
+	if f.ok = end <= len(f.rest); f.ok {
+		f.cur, f.rest = f.rest[bundleLenBytes:end:end], f.rest[end:]
+	}
+}
+
 // UDPClient is the client-side Pipe over a connected UDP socket. It
-// implements BatchPipe: a corked window flush goes out as one sendmmsg on
-// platforms that have it.
+// implements BatchPipe. Its sends go through the same corked arena as the
+// server's replies (txBatch): outside Run's receive batch a message leaves
+// at once, inside it the batch's messages leave together when it ends,
+// bundled (see bundleMarker), in one sendmmsg on platforms that have it.
 type UDPClient struct {
 	conn *net.UDPConn
-	bs   *batchSender
+	tx   *txBatch
 	rx   UDPRxMetrics // what Run's receiver counts
+	txm  UDPTxMetrics // what tx counts
 
 	mu     sync.Mutex
 	closed bool
@@ -36,25 +95,41 @@ func DialUDP(addr string) (*UDPClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	bs, err := newBatchSender(conn)
+	u, err := newUDPClient(conn)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	return &UDPClient{conn: conn, bs: bs, rx: newUDPRxMetrics(nil)}, nil
+	return u, nil
 }
 
-// Run is the read loop: it routes every inbound datagram to deliver until
-// the socket closes, and returns then. On Linux it waits poll-then-park (see
-// pollWindow): for a window after each response it polls the socket,
-// yielding the P and the CPU on every empty poll, so the next response of a
-// request/response exchange needs no wake-up; idle past the window, it blocks
-// in the netpoller. A refused datagram (ICMP port-unreachable: the server is
-// down or restarting) does not end the loop; the socket hears the server
-// again once it is back. Datagrams arrive in receive buffers the loop reuses,
-// so deliver must not retain its argument past the call (Conn.Deliver decodes
-// in place and runs the completion to its end before returning, satisfying
-// this).
+// newUDPClient wraps a connected socket.
+func newUDPClient(conn *net.UDPConn) (*UDPClient, error) {
+	u := &UDPClient{conn: conn, rx: newUDPRxMetrics(nil), txm: newUDPTxMetrics(nil)}
+	var err error
+	u.tx, err = newTxBatch(conn, func() *UDPTxMetrics { return &u.txm })
+	return u, err
+}
+
+// Run is the read loop: it routes every message of every inbound datagram
+// (each frame of a bundle) to deliver until the socket closes, and returns
+// then. On Linux it waits poll-then-park (see pollWindow): for a window
+// after each response it polls the socket, yielding the P and the CPU on
+// every empty poll, so the next response of a request/response exchange
+// needs no wake-up; idle past the window, it blocks in the netpoller. A
+// refused datagram (ICMP port-unreachable: the server is down or restarting)
+// does not end the loop; the socket hears the server again once it is back.
+// Datagrams arrive in receive buffers the loop reuses, so deliver must not
+// retain its argument past the call (Conn.Deliver decodes in place and runs
+// the completion to its end before returning, satisfying this).
+//
+// Each receive batch is corked: what the completions send — and what
+// issuers they woke send meanwhile — leaves in one flush when the batch
+// ends. A batch that delivered more than one message yields the P once
+// before that flush, so an issuer those completions freed queues its next
+// requests into the cork (with one P it would otherwise run only after the
+// flush, and send them one datagram each). A batch of one message does not
+// yield: window-1 traffic pays nothing for the cork.
 func (u *UDPClient) Run(deliver func([]byte)) {
 	r, err := newBatchReceiver(u.conn, false, func() *UDPRxMetrics { return &u.rx })
 	if err != nil {
@@ -65,9 +140,18 @@ func (u *UDPClient) Run(deliver func([]byte)) {
 		if err != nil {
 			return
 		}
+		u.tx.cork()
+		msgs := 0
 		for i := 0; i < n; i++ {
-			deliver(r.pkt(i))
+			for f := framesOf(r.pkt(i)); f.ok; f.next() {
+				deliver(f.cur)
+				msgs++
+			}
 		}
+		if msgs > 1 {
+			runtime.Gosched()
+		}
+		u.tx.flush()
 	}
 }
 
@@ -77,18 +161,28 @@ func (u *UDPClient) RxStats() (parks, emptyPolls uint64) {
 	return u.rx.Parks.Load(), u.rx.EmptyPolls.Load()
 }
 
-// Send transmits one datagram. An error is this datagram's alone: a write
-// refused because of an earlier ICMP port-unreachable consumes that pending
-// error, so the datagram is lost and the next one goes out.
-func (u *UDPClient) Send(p []byte) error {
-	_, err := u.conn.Write(p)
-	return err
+// TxStats reports what Send and SendBatch have transmitted so far: datagrams,
+// and the messages they carried (their ratio is the bundle factor).
+func (u *UDPClient) TxStats() (datagrams, msgs uint64) {
+	return u.txm.Datagrams.Load(), u.txm.Msgs.Load()
 }
 
-// SendBatch transmits ps in order, coalescing datagrams into batched
-// syscalls where the platform supports it.
+// Send queues p: inside Run's receive batch it leaves when the batch ends,
+// outside it at once. An error is its datagram's alone: a send refused
+// because of an earlier ICMP port-unreachable consumes that pending error,
+// so the datagram is lost and the next one goes out.
+func (u *UDPClient) Send(p []byte) error {
+	return u.tx.add(p, nil)
+}
+
+// SendBatch queues ps in order inside one cork, so they leave bundled in as
+// few syscalls as the platform allows. Its error is the closing flush's.
 func (u *UDPClient) SendBatch(ps [][]byte) error {
-	return u.bs.send(ps)
+	u.tx.cork()
+	for _, p := range ps {
+		u.tx.add(p, nil)
+	}
+	return u.tx.flush()
 }
 
 // Close shuts the socket down, stopping the read loop.
@@ -106,7 +200,7 @@ func (u *UDPClient) Close() error {
 // reply batch of the loop that owns the session. The socket is shared, so
 // Close is a no-op.
 type udpReply struct {
-	tx *replyBatch
+	tx *txBatch
 	to peerAddr
 }
 
@@ -127,14 +221,14 @@ type udpSession struct {
 }
 
 // ingressLoop is one socket of the listener's group, the sessions the
-// kernel steers to it, and the reply batch their responses leave through.
-// mu is this loop's alone: run takes it once per datagram, uncontended
+// kernel steers to it, and the send arena their responses leave through.
+// mu is this loop's alone: run takes it once per message, uncontended
 // unless the janitor, Sessions or Forget is looking.
 type ingressLoop struct {
 	s    *UDPServer
 	conn *net.UDPConn
 	rx   *batchReceiver // touched by run only
-	tx   *replyBatch
+	tx   *txBatch
 
 	mu       sync.Mutex
 	sessions map[netip.AddrPort]*udpSession // guarded by mu
@@ -143,10 +237,10 @@ type ingressLoop struct {
 // UDPServer serves one UDP address run-to-completion. On Linux it opens
 // GOMAXPROCS sockets in one SO_REUSEPORT group (elsewhere one socket), each
 // drained by its own ingress loop: receive a batch (recvmmsg), look each
-// datagram's session up in the loop's own table, call the session's receive
-// path inline on the receive buffer, send the batch's responses with one
-// sendmmsg. No copy, queue or goroutine hand-off sits between the wire and
-// the handler.
+// message's session up in the loop's own table (a bundle's frames one by
+// one), call the session's receive path inline on the receive buffer, send
+// the batch's responses with one sendmmsg, bundled per peer. No copy, queue
+// or goroutine hand-off sits between the wire and the handler.
 //
 // Waiting: on Linux a loop polls its socket for pollWindow after traffic,
 // yielding the P and the CPU on every empty poll, before it blocks in the
@@ -168,10 +262,10 @@ type ingressLoop struct {
 // accept is invoked once per new session with the remote's address and a
 // reply Pipe, and returns the session's receive path (typically a
 // Responder.Deliver). The pipe's Send copies a response that fits an
-// Ethernet frame into the loop's send arena, flushed when the receive batch
-// ends or fills; a larger one flushes the queue and leaves directly from
-// the caller's buffer. Either way per-session order holds and the buffer is
-// not referenced after Send returns. Send is safe from any goroutine;
+// Ethernet frame into the loop's send arena (txBatch), flushed when the
+// receive batch ends or fills; a larger one flushes the queue and leaves
+// directly from the caller's buffer. Either way per-session order holds and
+// the buffer is not referenced after Send returns. Send is safe from any goroutine;
 // outside the loop's receive batch it transmits at once.
 //
 // Session lifecycle: a (CRC-valid) HELLO carrying a token different from
@@ -210,10 +304,11 @@ func ListenUDP(addr string, accept func(remote string, reply Pipe) func([]byte))
 	s := &UDPServer{accept: accept, done: make(chan struct{})}
 	s.metrics.Store(NewUDPServerMetrics(nil))
 	rxStats := func() *UDPRxMetrics { return &s.metrics.Load().Rx }
+	txStats := func() *UDPTxMetrics { return &s.metrics.Load().Tx }
 	for _, c := range conns {
 		l := &ingressLoop{s: s, conn: c, sessions: make(map[netip.AddrPort]*udpSession)}
 		if l.rx, err = newBatchReceiver(c, true, rxStats); err == nil {
-			l.tx, err = newReplyBatch(c)
+			l.tx, err = newTxBatch(c, txStats)
 		}
 		if err != nil {
 			closeConns(conns)
@@ -270,10 +365,11 @@ func sessionControl(p []byte) (hello, bye bool, token string) {
 	return hello, bye, token
 }
 
-// run receives a batch, executes every datagram to completion in arrival
-// order and flushes the replies. One clock read stamps the whole batch.
+// run receives a batch, executes every message (each frame of a bundle) to
+// completion in arrival order and flushes the replies. One clock read stamps
+// the whole batch.
 //
-//edmlint:hotpath once per receive batch; the body runs once per datagram
+//edmlint:hotpath once per receive batch; the body runs once per message
 func (l *ingressLoop) run() {
 	defer l.s.wg.Done()
 	for {
@@ -284,20 +380,22 @@ func (l *ingressLoop) run() {
 		now := time.Now().UnixNano()
 		l.tx.cork()
 		for i := 0; i < n; i++ {
-			p := l.rx.pkt(i)
-			if deliver := l.route(p, i, now); deliver != nil {
-				deliver(p)
+			for f := framesOf(l.rx.pkt(i)); f.ok; f.next() {
+				if deliver := l.route(f.cur, i, now); deliver != nil {
+					deliver(f.cur)
+				}
 			}
 		}
 		l.tx.flush()
 	}
 }
 
-// route classifies datagram i of the current batch against the loop's
-// session table and returns the session's receive path (nil when accept
-// declined the session).
+// route classifies message p, carried by datagram i of the current batch,
+// against the loop's session table and returns the session's receive path
+// (nil when accept declined the session). Each frame of a bundle is routed
+// on its own, so HELLO, BYE and session reset act per message.
 //
-//edmlint:hotpath once per datagram
+//edmlint:hotpath once per message
 func (l *ingressLoop) route(p []byte, i int, now int64) func([]byte) {
 	hello, bye, token := sessionControl(p)
 	key := l.rx.src(i)

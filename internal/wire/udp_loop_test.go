@@ -3,6 +3,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"net"
 	"runtime"
 	"testing"
@@ -167,7 +168,8 @@ func TestUDPBatchPathAllocs(t *testing.T) {
 		t.Errorf("src = %s, want %s", got, cconn.LocalAddr())
 	}
 
-	tx, err := newReplyBatch(sconn)
+	txm := newUDPTxMetrics(nil)
+	tx, err := newTxBatch(sconn, func() *UDPTxMetrics { return &txm })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +186,7 @@ func TestUDPBatchPathAllocs(t *testing.T) {
 		tx.add(small, &to)
 		tx.flush()
 	}); allocs != 0 {
-		t.Errorf("reply batch add/flush: %v allocs per batch, want 0", allocs)
+		t.Errorf("tx batch add/flush: %v allocs per batch, want 0", allocs)
 	}
 }
 
@@ -253,4 +255,122 @@ func TestUDPClientSurvivesRefused(t *testing.T) {
 			t.Fatalf("echo of %q never delivered: the read loop is deaf after a refusal", want)
 		}
 	}
+}
+
+// bundleSentinel is the ID of the plain request bundleExchange sends after
+// the datagram under test.
+const bundleSentinel = 4000
+
+// bundleExchange sends datagram p on sock, then a plain RREQ, and returns
+// every response that arrived before the RREQ's, in order. The session's
+// loop executes its messages in arrival order, so a response to p that is
+// not back by then was never going to be sent.
+func bundleExchange(t *testing.T, sock *net.UDPConn, p []byte) []*Msg {
+	t.Helper()
+	for _, d := range [][]byte{p, mustEncode(t, &Msg{Kind: KindRREQ, ID: bundleSentinel, Count: 1})} {
+		if _, err := sock.Write(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []*Msg
+	buf := make([]byte, MaxDatagram)
+	for {
+		sock.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := sock.Read(buf)
+		if err != nil {
+			t.Fatalf("after %d responses: %v", len(got), err)
+		}
+		for _, fr := range splitAll(buf[:n]) {
+			m := new(Msg)
+			if err := DecodeInto(m, fr); err != nil {
+				t.Fatalf("undecodable response frame: %v", err)
+			}
+			if m.ID == bundleSentinel {
+				return got
+			}
+			got = append(got, m.Clone())
+		}
+	}
+}
+
+// TestUDPBundleFrames: the server routes each frame of a received bundle as
+// it would a datagram of its own — corruption, truncation, HELLO and BYE act
+// per message.
+func TestUDPBundleFrames(t *testing.T) {
+	server, err := ListenUDP("127.0.0.1:0", func(_ string, reply Pipe) func([]byte) {
+		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	m := NewUDPServerMetrics(nil)
+	server.SetMetrics(m)
+	saddr, _ := net.ResolveUDPAddr("udp", server.Addr())
+	dial := func(t *testing.T) *net.UDPConn {
+		sock, err := net.DialUDP("udp", nil, saddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sock.Close() })
+		return sock
+	}
+	rreq := func(id uint32) []byte { return mustEncode(t, &Msg{Kind: KindRREQ, ID: id, Count: 8}) }
+	type resp struct {
+		kind Kind
+		id   uint32
+	}
+	check := func(t *testing.T, got []*Msg, want ...resp) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%d responses, want %d", len(got), len(want))
+		}
+		for i, w := range want {
+			if got[i].Kind != w.kind || got[i].ID != w.id {
+				t.Fatalf("response %d is %v %d, want %v %d", i, got[i].Kind, got[i].ID, w.kind, w.id)
+			}
+		}
+	}
+
+	t.Run("corrupt middle frame", func(t *testing.T) {
+		mid := rreq(2)
+		mid[headerBytes-1] ^= 0x40
+		got := bundleExchange(t, dial(t), appendBundle(nil, rreq(1), mid, rreq(3)))
+		check(t, got, resp{KindRRESP, 1}, resp{KindRRESP, 3})
+	})
+
+	t.Run("truncated length prefix", func(t *testing.T) {
+		p := appendBundle(nil, rreq(1), rreq(2))
+		p = binary.LittleEndian.AppendUint16(p, 0xffff)
+		p = append(p, rreq(3)...) // a whole frame behind the bad length is not resynchronised on
+		check(t, bundleExchange(t, dial(t), p), resp{KindRRESP, 1}, resp{KindRRESP, 2})
+		p = append(appendBundle(nil, rreq(4)), 9) // one byte of a length prefix
+		check(t, bundleExchange(t, dial(t), p), resp{KindRRESP, 4})
+	})
+
+	t.Run("hello and read", func(t *testing.T) {
+		before, sessions := m.Started.Load(), server.Sessions()
+		hello := mustEncode(t, &Msg{Kind: KindHello, ID: 0, Data: []byte("token-A!")})
+		got := bundleExchange(t, dial(t), appendBundle(nil, hello, rreq(1)))
+		check(t, got, resp{KindHelloAck, 0}, resp{KindRRESP, 1})
+		if len(got[1].Data) != 8 {
+			t.Errorf("read answered with %d bytes, want 8", len(got[1].Data))
+		}
+		if m.Started.Load() != before+1 || server.Sessions() != sessions+1 {
+			t.Errorf("sessions started %d -> %d, live %d -> %d: want one new session", before, m.Started.Load(), sessions, server.Sessions())
+		}
+	})
+
+	t.Run("bye mid-bundle", func(t *testing.T) {
+		started, retired, sessions := m.Started.Load(), m.Retired.Load(), server.Sessions()
+		bye := mustEncode(t, &Msg{Kind: KindBye, ID: 2})
+		got := bundleExchange(t, dial(t), appendBundle(nil, rreq(1), bye, rreq(3)))
+		check(t, got, resp{KindRRESP, 1}, resp{KindByeAck, 2}, resp{KindRRESP, 3})
+		// The BYE retired the session that served it; the read behind it
+		// opened a fresh one, which the sentinel found.
+		if m.Retired.Load() != retired+1 || m.Started.Load() != started+2 || server.Sessions() != sessions+1 {
+			t.Errorf("retired +%d started +%d live +%d, want +1 +2 +1",
+				m.Retired.Load()-retired, m.Started.Load()-started, server.Sessions()-sessions)
+		}
+	})
 }

@@ -12,6 +12,7 @@ package wire
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
 	"net/netip"
 	"runtime"
@@ -25,10 +26,11 @@ import (
 // udpBatchSize is how many datagrams one sendmmsg/recvmmsg call moves.
 const udpBatchSize = 16
 
-// replySlotBytes is one slot of a loop's send arena: a response that fits
-// one Ethernet frame is copied and batched, a larger one (which IP would
-// fragment anyway) is sent straight from the caller's buffer.
-const replySlotBytes = 1536
+// txSlotBytes is one slot of a send arena: a message that fits one Ethernet
+// frame is copied and batched (at bundleHead into the slot, so it can open a
+// bundle without a move), a larger one (which IP would fragment anyway) is
+// sent straight from the caller's buffer.
+const txSlotBytes = 1536
 
 // pollWindow is how long a receiver keeps polling an empty socket, counted
 // from its first empty poll after a datagram, before it parks in the
@@ -110,15 +112,16 @@ func setReusePort(c syscall.RawConn) error {
 	return serr
 }
 
-// mmsgTx is the sendmmsg half shared by the client's batchSender and the
-// server's replyBatch: n filled headers, transmitted in order by flush.
+// mmsgTx is a txBatch's sendmmsg vector: n filled headers, transmitted in
+// order by flush.
 type mmsgTx struct {
-	rc   syscall.RawConn
-	hdrs []mmsghdr
-	iovs []syscall.Iovec
-	n    int                   // headers filled
-	off  int                   // first header the next trap sends
-	trap func(fd uintptr) bool // sendmmsgTrap, bound once
+	rc    syscall.RawConn
+	hdrs  []mmsghdr
+	iovs  []syscall.Iovec
+	n     int                   // headers filled
+	off   int                   // first header the next trap sends
+	errno syscall.Errno         // the first datagram the kernel refused in this flush
+	trap  func(fd uintptr) bool // sendmmsgTrap, bound once
 }
 
 func newMmsgTx(c *net.UDPConn) (*mmsgTx, error) {
@@ -137,11 +140,6 @@ func newMmsgTx(c *net.UDPConn) (*mmsgTx, error) {
 // connected socket). p must stay valid until flush returns.
 func (t *mmsgTx) push(p []byte, to *peerAddr) {
 	i := t.n
-	t.iovs[i] = syscall.Iovec{}
-	if len(p) > 0 {
-		t.iovs[i].Base = &p[0]
-		t.iovs[i].SetLen(len(p))
-	}
 	t.hdrs[i] = mmsghdr{}
 	t.hdrs[i].hdr.Iov = &t.iovs[i]
 	t.hdrs[i].hdr.Iovlen = 1
@@ -150,17 +148,33 @@ func (t *mmsgTx) push(p []byte, to *peerAddr) {
 		t.hdrs[i].hdr.Namelen = to.len
 	}
 	t.n++
+	t.setLast(p)
+}
+
+// setLast points the last filled header at p: its datagram grew.
+func (t *mmsgTx) setLast(p []byte) {
+	iov := &t.iovs[t.n-1]
+	*iov = syscall.Iovec{}
+	if len(p) > 0 {
+		iov.Base = &p[0]
+		iov.SetLen(len(p))
+	}
 }
 
 // flush transmits the filled headers, normally in one sendmmsg. A datagram
 // the kernel refuses is skipped as lost — the reliable layer's
-// retransmission covers it, same as any dropped datagram.
+// retransmission covers it, same as any dropped datagram — and the first
+// refusal is returned once the rest are out.
 func (t *mmsgTx) flush() error {
 	var err error
+	t.errno = 0
 	for t.off = 0; t.off < t.n && err == nil; {
 		err = t.rc.Write(t.trap)
 	}
 	t.n = 0
+	if err == nil && t.errno != 0 {
+		err = t.errno
+	}
 	return err
 }
 
@@ -171,92 +185,113 @@ func (t *mmsgTx) sendmmsgTrap(fd uintptr) bool {
 		return false
 	}
 	if errno != 0 || r1 == 0 {
+		if t.errno == 0 {
+			t.errno = errno
+		}
 		r1 = 1 // the head datagram failed: drop it, carry on with the rest
 	}
 	t.off += int(r1)
 	return true
 }
 
-// batchSender coalesces sends on a connected UDP socket.
-type batchSender struct {
-	mu sync.Mutex
-	tx *mmsgTx // guarded by mu
-}
-
-func newBatchSender(c *net.UDPConn) (*batchSender, error) {
-	tx, err := newMmsgTx(c)
-	return &batchSender{tx: tx}, err
-}
-
-// send transmits ps in order, up to udpBatchSize datagrams per sendmmsg.
-func (s *batchSender) send(ps [][]byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(ps) > 0 {
-		n := min(len(ps), udpBatchSize)
-		for _, p := range ps[:n] {
-			s.tx.push(p, nil)
-		}
-		if err := s.tx.flush(); err != nil {
-			return err
-		}
-		ps = ps[n:]
-	}
-	return nil
-}
-
-// replyBatch is one ingress loop's outbound half: the responses of a
-// receive batch queue here and leave in one sendmmsg. add copies a response
-// into an arena slot, so the caller's buffer is free when add returns.
-// Between cork and flush (the loop's receive batch) transmission is
-// deferred; outside it add transmits at once, so a Send from another
-// goroutine never waits for traffic.
-type replyBatch struct {
+// txBatch is one socket's outbound half, the same type at both ends: a
+// client's requests (UDPClient.Send/SendBatch) and an ingress loop's replies
+// queue here. add copies a message into an arena slot, so the caller's
+// buffer is free when add returns. Between cork and flush transmission is
+// deferred and consecutive messages to one peer share a datagram, a bundle
+// of up to maxBundle bytes (see bundleMarker); flush sends the arena in one
+// sendmmsg. Nothing waits for more: a flush sends what is there, and there
+// is no timer. Uncorked, add transmits at once, so a Send from another
+// goroutine never waits for traffic. cork/flush pairs nest: a client's
+// SendBatch inside its read loop's cork queues into it.
+type txBatch struct {
 	mu     sync.Mutex
-	tx     *mmsgTx // guarded by mu
-	arena  []byte  // guarded by mu: udpBatchSize slots of replySlotBytes
-	corked bool    // guarded by mu
+	tx     *mmsgTx   // guarded by mu
+	arena  []byte    // guarded by mu: udpBatchSize slots of txSlotBytes
+	to     *peerAddr // guarded by mu: the destination of the last queued datagram
+	open   int       // guarded by mu: that datagram's length as a bundle; 0: it cannot grow
+	msgs   int       // guarded by mu: messages queued since the last flush
+	corked int       // guarded by mu: cork nesting depth
+	stats  func() *UDPTxMetrics
 }
 
-func newReplyBatch(c *net.UDPConn) (*replyBatch, error) {
+// newTxBatch's stats names the counters of the moment: a server's can be
+// swapped while its loops run (UDPServer.SetMetrics).
+func newTxBatch(c *net.UDPConn, stats func() *UDPTxMetrics) (*txBatch, error) {
 	tx, err := newMmsgTx(c)
-	return &replyBatch{tx: tx, arena: make([]byte, udpBatchSize*replySlotBytes)}, err
+	return &txBatch{tx: tx, stats: stats, arena: make([]byte, udpBatchSize*txSlotBytes)}, err
 }
 
-func (b *replyBatch) cork() {
+func (b *txBatch) cork() {
 	b.mu.Lock()
-	b.corked = true
+	b.corked++
 	b.mu.Unlock()
 }
 
-// add queues response p for to. A full batch is flushed; a response larger
-// than a slot flushes the queue and then goes out directly, so order holds.
+// add queues message p for to. It joins the last queued datagram when that
+// one goes to the same peer and has room, else takes a slot of its own (a
+// full arena is flushed first) with the marker and its length written in
+// front, so the lone message is sent plain and a second one turns the slot
+// into a bundle in place. A message larger than a slot flushes the queue
+// and then goes out directly, so order holds.
 //
-//edmlint:hotpath once per response datagram
-func (b *replyBatch) add(p []byte, to *peerAddr) error {
+//edmlint:hotpath once per message
+func (b *txBatch) add(p []byte, to *peerAddr) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(p) > replySlotBytes {
-		b.tx.flush() // its only error, a closed socket, fails the next flush too
+	if len(p) > txSlotBytes-bundleHead {
+		b.flushLocked() // its only error, a closed socket, fails the next flush too
 		b.tx.push(p, to)
-		return b.tx.flush()
+		b.msgs = 1
+		return b.flushLocked()
 	}
-	slot := b.arena[b.tx.n*replySlotBytes:][:len(p)]
-	copy(slot, p)
-	b.tx.push(slot, to)
-	if b.tx.n == udpBatchSize || !b.corked {
-		return b.tx.flush()
+	if b.open > 0 && to == b.to && b.open+bundleLenBytes+len(p) <= maxBundle {
+		slot := b.arena[(b.tx.n-1)*txSlotBytes:]
+		binary.LittleEndian.PutUint16(slot[b.open:], uint16(len(p)))
+		b.open += bundleLenBytes + copy(slot[b.open+bundleLenBytes:], p)
+		b.tx.setLast(slot[:b.open])
+	} else {
+		if b.tx.n == udpBatchSize {
+			b.flushLocked()
+		}
+		slot := b.arena[b.tx.n*txSlotBytes:]
+		slot[0] = bundleMarker
+		binary.LittleEndian.PutUint16(slot[1:], uint16(len(p)))
+		b.open = bundleHead + copy(slot[bundleHead:], p)
+		b.to = to
+		b.tx.push(slot[bundleHead:b.open], to)
+	}
+	b.msgs++
+	if b.corked == 0 {
+		return b.flushLocked()
 	}
 	return nil
 }
 
-// flush ends the loop's receive batch: uncork and transmit what queued.
+// flush ends a cork: the outermost one transmits what queued.
 //
 //edmlint:hotpath once per receive batch
-func (b *replyBatch) flush() error {
+func (b *txBatch) flush() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.corked = false
+	if b.corked > 0 {
+		b.corked--
+	}
+	if b.corked > 0 {
+		return nil
+	}
+	return b.flushLocked()
+}
+
+// flushLocked transmits the arena and counts what it sent.
+func (b *txBatch) flushLocked() error {
+	if b.tx.n == 0 {
+		return nil
+	}
+	m := b.stats()
+	m.Datagrams.Add(uint64(b.tx.n))
+	m.Msgs.Add(uint64(b.msgs))
+	b.open, b.msgs, b.to = 0, 0, nil
 	return b.tx.flush()
 }
 

@@ -1,12 +1,14 @@
 //go:build !(linux && (amd64 || arm64))
 
 // Portable single-datagram stand-ins for the batched UDP I/O in
-// udp_mmsg_linux.go: same batchSender/batchReceiver/replyBatch API, one
-// socket, one ingress loop, one Write or ReadFromUDPAddrPort per datagram:
-// blocking reads; no poll window. Platforms without a verified mmsghdr layout
-// take this path; correctness is identical, only the per-datagram syscall
-// amortization, the SO_REUSEPORT spread over cores and the wake-up the poll
-// window saves per unloaded round trip are lost.
+// udp_mmsg_linux.go: same txBatch/batchReceiver API, one socket, one ingress
+// loop, one Write or ReadFromUDPAddrPort per datagram: blocking reads; no
+// poll window; no bundling on send (the receive paths still split a bundle
+// from a Linux peer: the splitter is shared). Platforms without a verified
+// mmsghdr layout take this path; correctness is identical, only the
+// per-datagram syscall amortization, the bundling, the SO_REUSEPORT spread
+// over cores and the wake-up the poll window saves per unloaded round trip
+// are lost.
 package wire
 
 import (
@@ -31,33 +33,34 @@ func listenUDPGroup(ua *net.UDPAddr) ([]*net.UDPConn, error) {
 	return []*net.UDPConn{c}, nil
 }
 
-type batchSender struct{ c *net.UDPConn }
-
-func newBatchSender(c *net.UDPConn) (*batchSender, error) { return &batchSender{c: c}, nil }
-
-// send transmits ps in order, one syscall per datagram.
-func (s *batchSender) send(ps [][]byte) error {
-	for _, p := range ps {
-		if _, err := s.c.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
+// txBatch sends each message as it is added, in a datagram of its own:
+// there is nothing to cork and nothing to bundle.
+type txBatch struct {
+	c     *net.UDPConn
+	stats func() *UDPTxMetrics
 }
 
-// replyBatch sends each response as it is added; there is nothing to cork.
-type replyBatch struct{ c *net.UDPConn }
+func newTxBatch(c *net.UDPConn, stats func() *UDPTxMetrics) (*txBatch, error) {
+	return &txBatch{c: c, stats: stats}, nil
+}
 
-func newReplyBatch(c *net.UDPConn) (*replyBatch, error) { return &replyBatch{c: c}, nil }
+func (b *txBatch) cork() {}
 
-func (b *replyBatch) cork() {}
-
-func (b *replyBatch) add(p []byte, to *peerAddr) error {
-	_, err := b.c.WriteToUDPAddrPort(p, to.ap)
+// add sends p to to, or over the connected socket when to is nil.
+func (b *txBatch) add(p []byte, to *peerAddr) error {
+	var err error
+	if to == nil {
+		_, err = b.c.Write(p)
+	} else {
+		_, err = b.c.WriteToUDPAddrPort(p, to.ap)
+	}
+	m := b.stats()
+	m.Datagrams.Inc()
+	m.Msgs.Inc()
 	return err
 }
 
-func (b *replyBatch) flush() error { return nil }
+func (b *txBatch) flush() error { return nil }
 
 // batchReceiver reads one datagram at a time into a buffer it owns and
 // reuses: a received packet is valid only until the next recv call.

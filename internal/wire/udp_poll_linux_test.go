@@ -5,6 +5,7 @@
 package wire
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -70,10 +71,12 @@ func TestUDPReceiverParksWhenIdle(t *testing.T) {
 			}
 		}
 		sock.SetReadDeadline(time.Now().Add(5 * time.Second))
-		for i := 0; i < burstLen; i++ {
-			if _, err := sock.Read(buf); err != nil {
-				t.Fatalf("burst %d: response %d: %v", burst, i, err)
+		for got := 0; got < burstLen; {
+			n, err := sock.Read(buf)
+			if err != nil {
+				t.Fatalf("burst %d: response %d: %v", burst, got, err)
 			}
+			got += len(splitAll(buf[:n]))
 		}
 		end := time.Now()
 		if !waitFor(5*time.Second, func() bool { return m.Rx.Parks.Load() > parked }) {
@@ -197,5 +200,76 @@ func TestUDPPollOneP(t *testing.T) {
 	t.Logf("%d of 50 lost requests were retransmitted and answered inside the poll window", clean)
 	if clean == 0 {
 		t.Errorf("every lost request waited for the read loop to park: retry timers do not run while the loops poll")
+	}
+}
+
+// TestTxBatchBundles pins what a corked arena puts on the wire: consecutive
+// messages to one peer share a datagram of at most maxBundle bytes laid out
+// as bundleMarker documents; a lone message is sent plain, byte for byte; a
+// message larger than a slot leaves directly, after what queued before it;
+// and the counters see every datagram and message.
+func TestTxBatchBundles(t *testing.T) {
+	rconn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rconn.Close()
+	sconn, err := net.DialUDP("udp", nil, rconn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sconn.Close()
+	txm := newUDPTxMetrics(nil)
+	tx, err := newTxBatch(sconn, func() *UDPTxMetrics { return &txm })
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := func(n int, b byte) []byte {
+		p := bytes.Repeat([]byte{b}, n)
+		p[0] = Version
+		return p
+	}
+	small := [][]byte{msg(64, 1), msg(33, 2), msg(200, 3)}
+	big := msg(4000, 4)
+	var run [][]byte // 100 B each: 14 entries fill 1 + 14*102 = 1429 B, the 15th does not fit
+	for i := 0; i < 20; i++ {
+		run = append(run, msg(100, byte(10+i)))
+	}
+	lone := msg(48, 5)
+
+	tx.cork()
+	for _, p := range small {
+		tx.add(p, nil)
+	}
+	tx.add(big, nil)
+	for _, p := range run {
+		tx.add(p, nil)
+	}
+	tx.flush()
+	tx.add(lone, nil) // uncorked: sent at once
+
+	want := [][]byte{
+		appendBundle(nil, small...),
+		big,
+		appendBundle(nil, run[:14]...),
+		appendBundle(nil, run[14:]...),
+		lone,
+	}
+	buf := make([]byte, MaxDatagram)
+	for i, w := range want {
+		rconn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := rconn.Read(buf)
+		if err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+		if n > maxBundle && n != len(big) {
+			t.Errorf("datagram %d is %d bytes, above one frame's %d", i, n, maxBundle)
+		}
+		if !bytes.Equal(buf[:n], w) {
+			t.Fatalf("datagram %d: got %d bytes % x..., want %d bytes % x...", i, n, buf[:min(n, 8)], len(w), w[:8])
+		}
+	}
+	if d, m := txm.Datagrams.Load(), txm.Msgs.Load(); d != uint64(len(want)) || m != uint64(len(small)+1+len(run)+1) {
+		t.Errorf("counted %d datagrams %d messages, want %d %d", d, m, len(want), len(small)+len(run)+2)
 	}
 }

@@ -49,6 +49,8 @@ for want in \
     'wire_udp_sessions_started_total' \
     'wire_udp_rx_parks_total' \
     'wire_udp_rx_empty_polls_total' \
+    'wire_udp_tx_datagrams_total' \
+    'wire_udp_tx_msgs_total' \
     'wire_server_requests_total'; do
     if ! printf '%s\n' "$metrics" | grep -qF "$want"; then
         echo "metrics_smoke: /metrics missing $want" >&2
