@@ -15,6 +15,11 @@ var perCallTimers = map[string]bool{
 	"After": true, "Tick": true,
 }
 
+// timerMethods are the *time.Timer methods that re-queue or dequeue the
+// timer in the runtime's timer heap. Called once per message, they churn
+// that heap, which every scheduler pass then walks.
+var timerMethods = map[string]bool{"(*time.Timer).Reset": true, "(*time.Timer).Stop": true}
+
 // registryLookups are the telemetry registry's string-keyed lookup methods.
 // The lookups take a mutex and hash a name — setup-time work. The atomic
 // operations on the metrics they return (Inc, Add, Observe, Set) are
@@ -38,7 +43,9 @@ const telemetryPath = "repro/internal/telemetry"
 //     outlives the frame;
 //   - make(map/chan) and make([]T, 0) with no useful capacity;
 //   - append([]T(nil), src...) defensive copies;
-//   - per-call timers (time.NewTimer and friends);
+//   - per-call timers (time.NewTimer and friends), and (*time.Timer).Reset
+//     and Stop, which re-queue a timer per op (resolved through type
+//     information, so only in typed packages);
 //   - telemetry registry lookups (Counter/Gauge/Histogram by name) in files
 //     importing repro/internal/telemetry: string-keyed map lookups behind a
 //     mutex per op. Pre-register the metric and hold the pointer — the
@@ -75,6 +82,12 @@ func isRegistryLookup(p *Package, sel *ast.SelectorExpr) bool {
 	fn, ok := p.selObj(sel).(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == telemetryPath &&
 		registryLookups[fn.Name()]
+}
+
+// isTimerMethod resolves a method call to (*time.Timer).Reset or Stop.
+func isTimerMethod(p *Package, sel *ast.SelectorExpr) bool {
+	fn, ok := p.selObj(sel).(*types.Func)
+	return ok && timerMethods[fn.FullName()]
 }
 
 // span is a position range, used to mark return statements so error
@@ -151,6 +164,9 @@ func checkHot(p *Package, fn *ast.FuncDecl, fmtName, timeName string, hasTelemet
 				}
 				if isTime && perCallTimers[sel.Sel.Name] {
 					out = append(out, finding(node.Pos(), "time.%s allocates a timer per op", sel.Sel.Name))
+				}
+				if p.Info != nil && isTimerMethod(p, sel) {
+					out = append(out, finding(node.Pos(), "(*time.Timer).%s re-queues a runtime timer per op", sel.Sel.Name))
 				}
 				return true
 			}

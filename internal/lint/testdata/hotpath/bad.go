@@ -21,6 +21,7 @@ func serve(id uint64, payload []byte) *msg {
 	copyOf := append([]byte(nil), payload...) // want "append([]T(nil), ...) copies per op"
 	_ = copyOf
 	t := time.NewTimer(time.Second) // want "time.NewTimer allocates a timer per op"
-	_ = t
-	return &msg{id: id} // want "composite literal escapes"
+	t.Reset(time.Millisecond)       // want "(*time.Timer).Reset re-queues a runtime timer per op"
+	t.Stop()                        // want "(*time.Timer).Stop re-queues a runtime timer per op"
+	return &msg{id: id}             // want "composite literal escapes"
 }

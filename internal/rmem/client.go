@@ -62,8 +62,9 @@ type ClientConfig struct {
 	// MaxWindow). Requests beyond it fail fast with ErrTooManyOut, like
 	// edm.Host's bounded-outstanding-ID discipline.
 	Window int
-	// Retry tunes the reliable layer; RetryTimeout*(MaxRetries+1) is the
-	// per-ID deadline after which an operation fails with wire.ErrTimeout.
+	// Retry tunes the reliable layer; an operation fails with
+	// wire.ErrTimeout between RetryTimeout*(MaxRetries+1) and 1.5 times
+	// that after its issue (wire.ConnConfig).
 	Retry wire.ConnConfig
 	// HandshakeTimeout bounds Connect (default 5 s).
 	HandshakeTimeout time.Duration
@@ -515,7 +516,7 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.slotFree.Broadcast()
 	c.mu.Unlock()
-	// Quiesce in-flight ops (and their retransmission timers) before the
+	// Quiesce in-flight ops (and their retransmissions) before the
 	// BYE: the server forgets the session on BYE, and a stale request
 	// retried into a fresh session would re-execute — a duplicate RMW.
 	c.conn.Abort(wire.ErrClosed)

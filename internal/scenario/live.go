@@ -17,7 +17,7 @@ import (
 )
 
 // liveRetry tunes the reliable layer for single-node live runs: a short real
-// retransmission timer (the virtual clock, not the wall clock, is what the
+// retransmission timeout (the virtual clock, not the wall clock, is what the
 // report measures) and enough retries to ride out a fault window a few
 // microseconds of virtual time wide. clusterRetry is tighter: every op that
 // touches a dead node burns the whole budget in wall time before failing

@@ -23,7 +23,8 @@ type Pipe interface {
 // as calling Send on each element in order — same delivery order, same
 // fault accounting — merely amortizing the per-datagram cost (one sendmmsg
 // syscall on Linux UDP). Conn.Uncork uses it to flush a corked window in
-// one call.
+// one call; nothing else does, so a batch carries first copies only, sent
+// from the goroutine that uncorked. Retransmissions go out one Send each.
 type BatchPipe interface {
 	Pipe
 	SendBatch(ps [][]byte) error
@@ -56,12 +57,16 @@ const (
 
 // ConnConfig tunes the client-side reliability layer.
 type ConnConfig struct {
-	// RetryTimeout is the per-attempt retransmission timeout.
+	// RetryTimeout is the per-attempt retransmission timeout. A connection
+	// keeps one retransmission clock ticking every RetryTimeout/2 while any
+	// call is live, so a call is retransmitted between RetryTimeout and
+	// 1.5×RetryTimeout after its last send.
 	RetryTimeout time.Duration
 	// MaxRetries is how many retransmissions follow the first attempt
-	// before the call fails with ErrTimeout. The per-ID deadline is thus
-	// RetryTimeout * (MaxRetries + 1). Zero means the default; a negative
-	// value disables retransmission entirely (single-attempt fail-fast).
+	// before the call fails with ErrTimeout. The per-ID deadline thus lies
+	// in [RT·(MaxRetries+1), 1.5·RT·(MaxRetries+1)) for RT = RetryTimeout.
+	// Zero means the default; a negative value disables retransmission
+	// entirely (single-attempt fail-fast).
 	MaxRetries int
 	// Metrics receives the reliability counters. Nil gets a private,
 	// unregistered instance, so Stats() works either way; pass a shared
@@ -120,13 +125,12 @@ type Completion interface {
 
 // call is one call slot: the record of the request in flight in it, or of
 // the last one. A record keeps its slot index for life and idles on a
-// per-connection free list between calls, its encode buffer and
-// retransmission timer reused, so the steady state allocates nothing. Each
-// reuse raises the seq part of id. The sending count keeps a record
-// (and its enc buffer) out of the free list while any goroutine is inside
-// pipe.Send with it — a record is only recycled when it is done AND no send
-// references it, so a retransmission can never observe a buffer being
-// rewritten for a new call.
+// per-connection free list between calls, its encode buffer reused, so the
+// steady state allocates nothing. Each reuse raises the seq part of id. The
+// sending count keeps a record (and its enc buffer) out of the free list
+// while any goroutine is inside pipe.Send with it — a record is only
+// recycled when it is done AND no send references it, so a retransmission
+// can never observe a buffer being rewritten for a new call.
 //
 //edmlint:owned callback
 type call struct {
@@ -134,31 +138,54 @@ type call struct {
 	enc      []byte // cached encoding, re-sent verbatim on retry; owned by the record
 	want     Kind   // expected response kind
 	comp     Completion
-	timer    *time.Timer // allocated once per record, Reset across reuses
-	start    int64       // NowNS at issue (0 when no clock is wired)
-	attempts int         // guarded by mu
-	sending  int         // guarded by mu: goroutines inside pipe.Send with enc
-	done     bool        // guarded by mu
-	next     *call       // guarded by mu: free-list link
+	start    int64  // NowNS at issue (0 when no clock is wired)
+	attempts int    // guarded by mu: datagrams sent or being sent; 0 while corked
+	sentTick uint32 // guarded by mu: the clock's tick count when the last send returned
+	sending  int    // guarded by mu: goroutines inside pipe.Send with enc
+	done     bool   // guarded by mu
+	next     *call  // guarded by mu: free-list link
 }
 
-// queued is one corked call awaiting the Uncork flush. It carries the ID
-// alongside the record so a flush can tell a still-pending call from a
-// slot that was retired and reused under a new ID while corked.
+// queued is one call awaiting a send: corked until the Uncork flush, or due
+// for retransmission at a clock tick. It carries the ID alongside the record
+// so a flush can tell a still-pending call from a slot that was retired and
+// reused under a new ID while corked; attempt numbers a retransmission for
+// the trace.
 type queued struct {
-	id uint32
-	cl *call
+	id      uint32
+	attempt int
+	cl      *call
 }
+
+// expiry is a call a clock tick failed: what its completion needs, saved off
+// the record before the record is recycled.
+type expiry struct {
+	comp     Completion
+	id       uint32
+	want     Kind
+	attempts int
+}
+
+// retryTicks is how many clock ticks a call waits after its last send for
+// its response: the tick that many beats on retransmits it or times it out.
+// With ticks RetryTimeout/2 apart, a send lands somewhere inside a tick
+// interval, so that is between RetryTimeout and 1.5×RetryTimeout later. A
+// send that arms an idle clock opens an interval and is counted from the
+// tick before it: due two ticks on, RetryTimeout later.
+const retryTicks = 3
 
 // Conn is the client half of the reliable layer: it gives each request a
 // call slot and the message ID that names it, transmits requests over an
-// unreliable Pipe, retransmits on a per-message timer until the matching
-// response arrives, and fails the call with ErrTimeout once the retry
-// budget is spent. Callbacks are invoked on
-// whatever goroutine delivers the response (the transport's receive path or
-// the retry timer), never with the connection lock held — they may issue new
-// calls. The response Msg handed to a callback or Completion is pooled and
-// valid only during that invocation; Clone it to retain it.
+// unreliable Pipe, retransmits until the matching response arrives, and
+// fails the call with ErrTimeout once the retry budget is spent. One
+// retransmission clock per connection, not one timer per call, paces the
+// retries (RFC 6298 §5's rule for TCP): it ticks while any call is live and
+// retransmits what has gone retryTicks ticks unanswered. Callbacks are
+// invoked on whatever goroutine delivers the response (the transport's
+// receive path or the clock's tick), never with the connection lock held —
+// they may issue new calls. The response Msg handed to a callback or
+// Completion is pooled and valid only during that invocation; Clone it to
+// retain it.
 type Conn struct {
 	cfg   ConnConfig
 	pipe  Pipe
@@ -173,6 +200,19 @@ type Conn struct {
 	queue    []queued // guarded by mu: sends deferred while corked
 	sendBufs [][]byte // guarded by mu: flush scratch, reused across Uncorks
 	closed   bool     // guarded by mu
+
+	// The retransmission clock. It is on while its timer is armed or its
+	// tick is running; a tick re-arms it while calls are live and turns it
+	// off once none is, so ticks never overlap and an idle connection has
+	// no timer armed.
+	clock    *time.Timer
+	clockOn  bool      // guarded by mu
+	ticks    uint32    // guarded by mu: ticks so far, compared with call.sentTick
+	nextTick time.Time // guarded by mu: when the armed tick is due
+	// Tick scratch, reused across ticks; only the running tick touches it.
+	resend     []queued
+	resendBufs [][]byte
+	expired    []expiry
 }
 
 // NewConn builds a reliable connection over pipe. The owner must route
@@ -183,6 +223,10 @@ func NewConn(pipe Pipe, cfg ConnConfig) *Conn {
 	if bp, ok := pipe.(BatchPipe); ok {
 		c.batch = bp
 	}
+	// The clock is built off: afterSend arms it on the first send.
+	//edmlint:allow walltime retransmission deadlines are wall time by contract
+	c.clock = time.AfterFunc(time.Hour, c.tick)
+	c.clock.Stop()
 	return c
 }
 
@@ -259,15 +303,12 @@ func (c *Conn) freeCallLocked(cl *call) {
 	c.free = cl
 }
 
-// retireLocked completes a call's bookkeeping: no longer live, timer
-// stopped, recycled unless a send still references its buffer (afterSend
-// recycles it then).
+// retireLocked completes a call's bookkeeping: no longer live, recycled
+// unless a send still references its buffer (afterSend recycles it then).
+// The clock notices the last retirement at its next tick.
 func (c *Conn) retireLocked(cl *call) {
 	cl.done = true
 	c.live--
-	if cl.timer != nil {
-		cl.timer.Stop()
-	}
 	if cl.sending == 0 {
 		c.freeCallLocked(cl)
 	}
@@ -336,7 +377,6 @@ func (c *Conn) submit(m *Msg, comp Completion) (uint32, error) {
 	cl.enc = enc
 	cl.want = m.Kind.Response()
 	cl.comp = comp
-	cl.attempts = 1
 	if c.cfg.NowNS != nil {
 		cl.start = c.cfg.NowNS()
 	}
@@ -351,6 +391,7 @@ func (c *Conn) submit(m *Msg, comp Completion) (uint32, error) {
 		c.cfg.Trace.Record(uint64(id), telemetry.StageEnqueue, uint8(m.Kind), start, 0)
 		return id, nil
 	}
+	cl.attempts = 1
 	cl.sending++
 	c.mu.Unlock()
 	mt.Datagrams.Inc()
@@ -359,8 +400,8 @@ func (c *Conn) submit(m *Msg, comp Completion) (uint32, error) {
 	c.cfg.Trace.Record(uint64(id), telemetry.StageEnqueue, uint8(m.Kind), start, 0)
 	// Send outside the lock: a synchronous transport (loopback) delivers
 	// the response in this same stack, re-entering Deliver. A transport
-	// error is treated like a lost datagram — the retry timer armed in
-	// afterSend will either get through or time the call out.
+	// error is treated like a lost datagram — the retransmission clock
+	// will either get it through or time the call out.
 	c.pipe.Send(enc)
 	if c.cfg.Trace != nil {
 		c.cfg.Trace.Record(uint64(id), telemetry.StageSend, uint8(m.Kind), c.timestamp(), 0)
@@ -372,9 +413,9 @@ func (c *Conn) submit(m *Msg, comp Completion) (uint32, error) {
 // Cork suspends transmission: subsequent calls are encoded and registered
 // as pending but their datagrams queue until the matching Uncork, which
 // flushes them as one batch (a single sendmmsg on batching transports).
-// Cork/Uncork pairs nest; only the outermost Uncork flushes. Retransmission
-// timers arm at flush time, so a corked call's retry clock starts when its
-// datagram first hits the wire.
+// Cork/Uncork pairs nest; only the outermost Uncork flushes. A corked call's
+// retransmission count starts at flush time, when its datagram first hits
+// the wire.
 func (c *Conn) Cork() {
 	c.mu.Lock()
 	c.corked++
@@ -406,36 +447,15 @@ func (c *Conn) Uncork() {
 		if q.cl.done || q.cl.id != q.id {
 			continue
 		}
+		q.cl.attempts = 1
 		q.cl.sending++
 		live = append(live, q)
 		bufs = append(bufs, q.cl.enc)
 	}
 	c.mu.Unlock()
-	if len(live) > 0 {
-		c.cfg.Metrics.Datagrams.Add(uint64(len(live)))
-		if c.batch != nil {
-			c.batch.SendBatch(bufs)
-		} else {
-			for _, b := range bufs {
-				c.pipe.Send(b)
-			}
-		}
-		if c.cfg.Trace != nil {
-			now := c.timestamp()
-			for _, q := range live {
-				c.cfg.Trace.Record(uint64(q.id), telemetry.StageSend, uint8(q.cl.want), now, 0)
-			}
-		}
-	}
-	for _, q := range live {
-		c.afterSend(q.cl)
-	}
-	for i := range bufs {
-		bufs[i] = nil
-	}
-	for i := range queue {
-		queue[i] = queued{}
-	}
+	c.transmit(live, bufs, telemetry.StageSend)
+	clear(bufs)
+	clear(queue)
 	c.mu.Lock()
 	if c.queue == nil {
 		c.queue = queue[:0]
@@ -444,6 +464,33 @@ func (c *Conn) Uncork() {
 		c.sendBufs = bufs[:0]
 	}
 	c.mu.Unlock()
+}
+
+// transmit sends the encodings of records pinned by the caller (sending
+// raised under the lock) and then releases each through afterSend. A flush
+// of first copies (StageSend) goes out as one SendBatch when the pipe has
+// one; retransmissions go out one Send each (see BatchPipe).
+func (c *Conn) transmit(out []queued, bufs [][]byte, stage telemetry.Stage) {
+	if len(out) == 0 {
+		return
+	}
+	c.cfg.Metrics.Datagrams.Add(uint64(len(out)))
+	if c.batch != nil && stage == telemetry.StageSend {
+		c.batch.SendBatch(bufs)
+	} else {
+		for _, b := range bufs {
+			c.pipe.Send(b)
+		}
+	}
+	if c.cfg.Trace != nil {
+		now := c.timestamp()
+		for _, q := range out {
+			c.cfg.Trace.Record(uint64(q.id), stage, uint8(q.cl.want), now, uint64(q.attempt))
+		}
+	}
+	for _, q := range out {
+		c.afterSend(q.cl)
+	}
 }
 
 // timestamp reads the configured clock; zero when none is wired.
@@ -456,14 +503,13 @@ func (c *Conn) timestamp() int64 {
 
 // afterSend runs once a send attempt referencing cl.enc has returned: drop
 // the send reference, recycle the record if the call completed while the
-// datagram was in flight, otherwise (re)arm the retransmission timer.
-// Arming after the send — not before — matters for synchronous transports:
-// the response may already have been delivered in the send's own stack, and
-// a pre-armed timer could race it under scheduler jitter, retransmitting a
-// message that was never lost.
+// datagram was in flight, otherwise stamp it with the clock's tick count and
+// arm the clock if it is off. Stamping after the send — not before — matters
+// for synchronous transports: the response may already have been delivered
+// in the send's own stack, and the record must not look due to a tick racing
+// that delivery.
 //
-//edmlint:hotpath runs once per send attempt; the timer is allocated once then Reset
-//edmlint:allow walltime,hotpath retransmission deadlines are wall time by contract
+//edmlint:hotpath runs once per send attempt; a stamp under the lock already held
 func (c *Conn) afterSend(cl *call) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -477,49 +523,102 @@ func (c *Conn) afterSend(cl *call) {
 	if c.closed {
 		return
 	}
-	if cl.timer == nil {
-		cl.timer = time.AfterFunc(c.cfg.RetryTimeout, func() { c.retry(cl) })
-	} else {
-		cl.timer.Reset(c.cfg.RetryTimeout)
+	cl.sentTick = c.ticks
+	if !c.clockOn {
+		// The clock's first tick comes one period after this send, so the
+		// send opens a tick interval: counted from the tick before, it is
+		// due RetryTimeout from now, not 1.5×RetryTimeout.
+		cl.sentTick--
+		c.clockOn = true
+		//edmlint:allow walltime retransmission deadlines are wall time by contract
+		c.nextTick = time.Now().Add(c.cfg.RetryTimeout / 2)
+		//edmlint:allow hotpath arms the clock only when an idle connection sends; ticks re-arm it while calls are live
+		c.clock.Reset(c.cfg.RetryTimeout / 2)
 	}
 }
 
-// retry fires on the per-record timer: retransmit, or fail the call. A
-// stale firing — the timer's Stop raced a completion and the record now
-// carries a newer call — at worst costs that call one early retransmission,
-// which the server answers as the duplicate it is.
-func (c *Conn) retry(cl *call) {
+// rearmLocked arms the clock for the tick after the one just run; a tick
+// already due fires at once.
+func (c *Conn) rearmLocked() {
+	//edmlint:allow walltime retransmission deadlines are wall time by contract
+	now := time.Now()
+	c.nextTick = nextTickDue(c.nextTick, now, c.cfg.RetryTimeout/2)
+	c.clock.Reset(c.nextTick.Sub(now))
+}
+
+// nextTickDue is when the tick after one due at last is due: a period after
+// last, not after the tick ran, so a late firing does not push back the ones
+// after it and a retransmission waits for one firing's lateness, not for
+// the sum of its ticks'. A clock more than a period behind (a stalled
+// process) takes one tick now and keeps time from there: every missed tick
+// fired back to back would spend a call's retry budget with no time for
+// its response to arrive.
+func nextTickDue(last, now time.Time, period time.Duration) time.Time {
+	next := last.Add(period)
+	if next.Before(now.Add(-period)) {
+		return now
+	}
+	return next
+}
+
+// tick is one beat of the retransmission clock. Under the lock it finds
+// every live call sent retryTicks or more ticks ago and not inside a send:
+// one out of retries is retired for ErrTimeout, any other is pinned (its
+// sending count raised) for retransmission in that same hold. A pinned
+// record cannot be recycled, so a call completed after the scan costs at
+// most one duplicate the server answers from its retained response, and a
+// slot retired and reused between scan and send is never retransmitted
+// under its new call. After the tick's sends and failures, the clock
+// re-arms while calls are live and turns off once none is.
+func (c *Conn) tick() {
 	c.mu.Lock()
-	if c.closed || cl.done {
+	if c.closed {
 		c.mu.Unlock()
 		return
 	}
-	id, want := cl.id, cl.want
-	if cl.attempts > c.cfg.MaxRetries {
-		attempts := cl.attempts
-		comp := cl.comp
-		c.retireLocked(cl)
-		c.mu.Unlock()
+	c.ticks++
+	resend, bufs, expired := c.resend[:0], c.resendBufs[:0], c.expired[:0]
+	for _, cl := range c.slots {
+		if cl.done || cl.attempts == 0 || cl.sending > 0 || c.ticks-cl.sentTick < retryTicks {
+			continue
+		}
+		if cl.attempts > c.cfg.MaxRetries {
+			expired = append(expired, expiry{comp: cl.comp, id: cl.id, want: cl.want, attempts: cl.attempts})
+			c.retireLocked(cl)
+			continue
+		}
+		cl.attempts++
+		cl.sending++
+		resend = append(resend, queued{id: cl.id, attempt: cl.attempts, cl: cl})
+		bufs = append(bufs, cl.enc)
+	}
+	c.mu.Unlock()
+
+	c.cfg.Metrics.Retransmits.Add(uint64(len(resend)))
+	c.transmit(resend, bufs, telemetry.StageRetry)
+	for _, e := range expired {
 		c.cfg.Metrics.Timeouts.Inc()
 		c.cfg.Metrics.InFlight.Add(-1)
 		if c.cfg.Trace != nil {
-			c.cfg.Trace.Record(uint64(id), telemetry.StageTimeout, uint8(want), c.timestamp(), uint64(attempts))
+			c.cfg.Trace.Record(uint64(e.id), telemetry.StageTimeout, uint8(e.want), c.timestamp(), uint64(e.attempts))
 		}
-		comp.Done(nil, fmt.Errorf("%w (after %d attempts)", ErrTimeout, attempts))
-		return
+		e.comp.Done(nil, fmt.Errorf("%w (after %d attempts)", ErrTimeout, e.attempts))
 	}
-	cl.attempts++
-	attempts := cl.attempts
-	cl.sending++
-	enc := cl.enc
+	clear(resend)
+	clear(bufs)
+	clear(expired)
+
+	c.mu.Lock()
+	c.resend, c.resendBufs, c.expired = resend[:0], bufs[:0], expired[:0]
+	switch {
+	case c.closed:
+	case c.live > 0:
+		c.rearmLocked()
+	default:
+		c.clock.Stop() // a tick driven by hand may find the timer armed
+		c.clockOn = false
+	}
 	c.mu.Unlock()
-	c.cfg.Metrics.Datagrams.Inc()
-	c.cfg.Metrics.Retransmits.Inc()
-	c.pipe.Send(enc)
-	if c.cfg.Trace != nil {
-		c.cfg.Trace.Record(uint64(id), telemetry.StageRetry, uint8(want), c.timestamp(), uint64(attempts))
-	}
-	c.afterSend(cl)
 }
 
 // Deliver is the inbound datagram path: decode, index the slot the ID names,
@@ -576,7 +675,7 @@ func (c *Conn) Pending() int {
 
 // Abort fails every pending call with err (ErrClosed if nil) without
 // closing the connection; new calls proceed normally. Use it to quiesce
-// in-flight traffic — and its retransmission timers — before a teardown
+// in-flight traffic — and its retransmissions — before a teardown
 // exchange, so no stale request can be retried into a peer that has
 // already forgotten the session.
 func (c *Conn) Abort(err error) {
@@ -594,7 +693,8 @@ func (c *Conn) Abort(err error) {
 
 // takePendingLocked retires every live call, in slot order, returning their
 // completions (saved off the records, which may be recycled before those
-// run).
+// run), and turns the clock off. A tick already running keeps the clock on
+// until it ends, finds no live call and turns it off itself.
 func (c *Conn) takePendingLocked() []Completion {
 	done := make([]Completion, 0, c.live)
 	for _, cl := range c.slots {
@@ -602,6 +702,9 @@ func (c *Conn) takePendingLocked() []Completion {
 			done = append(done, cl.comp)
 			c.retireLocked(cl)
 		}
+	}
+	if c.clockOn && c.clock.Stop() {
+		c.clockOn = false
 	}
 	return done
 }

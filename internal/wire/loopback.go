@@ -22,8 +22,8 @@ type Fault int
 const (
 	// FaultNone delivers the datagram unharmed.
 	FaultNone Fault = iota
-	// FaultDrop loses the datagram; the reliable layer's retry timer is the
-	// only way forward.
+	// FaultDrop loses the datagram; the reliable layer's retransmission
+	// clock is the only way forward.
 	FaultDrop
 	// FaultCorrupt flips one bit before delivery; the receiver's CRC check
 	// detects it and drops the datagram, so a corruption behaves like a
@@ -101,7 +101,7 @@ type LoopbackStats struct {
 // and latency is charged to a virtual clock instead of wall time: with a
 // single-threaded (closed-loop) client, every measured latency is a pure
 // function of the datagram sizes exchanged, so runs are byte-reproducible.
-// Retransmission timers remain real-time; a retried datagram charges the
+// The retransmission clock remains real-time; a retried datagram charges the
 // virtual clock once per attempt that is actually delivered or dropped,
 // which keeps virtual measurements deterministic even under injected loss.
 type Loopback struct {

@@ -12,8 +12,8 @@ import (
 
 // blackholePipe answers every request except the first one it sees (the
 // victim), whose datagrams it swallows and records. The victim's call record
-// therefore stays pending with a live retransmission timer while other
-// calls churn the connection's free list.
+// therefore stays pending, retransmitted by the connection's clock, while
+// other calls churn the connection's free list.
 type blackholePipe struct {
 	conn *Conn
 
@@ -51,8 +51,8 @@ func (p *blackholePipe) Close() error { return nil }
 
 // TestRetransmitBufferStableUnderChurn is the pooled-buffer lifecycle check:
 // a call record's encode buffer must not be recycled (and rewritten by a new
-// call) while a retransmission timer still references it. The victim call is
-// never answered, so its buffer stays owned across many timer firings; the
+// call) while a retransmission still references it. The victim call is
+// never answered, so its buffer stays owned across many clock ticks; the
 // churn calls complete synchronously and recycle records through the free
 // list the whole time. Every victim transmission must be byte-identical to
 // the first — any reuse of its buffer would show up as a corrupted or
@@ -91,12 +91,12 @@ func TestRetransmitBufferStableUnderChurn(t *testing.T) {
 			t.Fatal("synchronous pipe did not complete the churn call")
 		}
 		if i%100 == 0 {
-			//edmlint:allow walltime the retransmission timer under test is real wall-clock time
-			time.Sleep(3 * time.Millisecond) // let the victim's timer fire mid-churn
+			//edmlint:allow walltime the retransmission clock under test is real wall-clock time
+			time.Sleep(3 * time.Millisecond) // let the clock tick mid-churn
 		}
 	}
 	// Collect a few more retransmissions with the free list fully primed.
-	//edmlint:allow walltime the retransmission timer under test is real wall-clock time
+	//edmlint:allow walltime the retransmission clock under test is real wall-clock time
 	time.Sleep(10 * time.Millisecond)
 	c.Close()
 	if err := <-victimDone; err == nil {

@@ -1,4 +1,4 @@
-//edmlint:allow walltime these tests exercise real retransmission timers and session expiry
+//edmlint:allow walltime these tests exercise the real retransmission clock and session expiry
 
 package wire
 

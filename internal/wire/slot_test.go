@@ -1,4 +1,4 @@
-//edmlint:allow walltime these tests wait on real retry timers and goroutine hand-offs
+//edmlint:allow walltime these tests wait on the real retransmission clock and goroutine hand-offs
 
 package wire
 

@@ -346,7 +346,7 @@ func newBatchReceiver(c *net.UDPConn, capture bool, stats func() *UDPRxMetrics) 
 // recvBatch waits for at least one datagram and returns how many arrived.
 // It waits by poll-then-park: for pollWindow after traffic an empty socket is
 // polled again, and every empty poll first yields both the P (Gosched: the
-// issuer, retry timers and sibling loops of a GOMAXPROCS-1 process run) and
+// issuer, retransmission clock and sibling loops of a GOMAXPROCS-1 process run) and
 // the CPU (sched_yield: a peer process sharing the core runs; without it two
 // pollers on one CPU each wait out the other's timeslice). Past the window it
 // parks in the netpoller. The clock is read once per empty poll, never per

@@ -199,7 +199,7 @@ func TestUDPPollOneP(t *testing.T) {
 	}
 	t.Logf("%d of 50 lost requests were retransmitted and answered inside the poll window", clean)
 	if clean == 0 {
-		t.Errorf("every lost request waited for the read loop to park: retry timers do not run while the loops poll")
+		t.Errorf("every lost request waited for the read loop to park: the retransmission clock does not run while the loops poll")
 	}
 }
 
