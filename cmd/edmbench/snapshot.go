@@ -211,9 +211,6 @@ func printDelta(old, cur Snapshot) error {
 // gated reports whether a benchmark's metrics are regression-gated: the
 // round-trip latency and pipelined throughput benches are the repo's key
 // perf indicators (ROADMAP "Performance"), everything else is informational.
-// BenchmarkClientPipelining is deliberately NOT gated: its concurrent-issuer
-// shape makes it scheduling-noise-bound (±40% run to run on small machines);
-// BenchmarkPipelinedRead* carries the pipelined-throughput gate instead.
 func gated(name string) bool {
 	return strings.Contains(name, "RoundTrip") ||
 		strings.Contains(name, "Pipelined")

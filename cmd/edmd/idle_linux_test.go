@@ -32,7 +32,7 @@ func TestEdmdIdleBurnsNothing(t *testing.T) {
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-slab", "1048576", "-slotbytes", "256"},
+		done <- run([]string{"-listen", "127.0.0.1:0", "-slab", "1048576"},
 			stop, out, out)
 	}()
 	defer func() {

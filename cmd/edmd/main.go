@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	edmd -listen 127.0.0.1:7979 -slab 67108864 -slotbytes 4096
+//	edmd -listen 127.0.0.1:7979 -slab 67108864
 //	edmd -listen 127.0.0.1:0 -duration 10s   # ephemeral port, timed run
 package main
 
@@ -57,8 +57,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 	listen := fs.String("listen", "127.0.0.1:7979", "UDP listen address (host:port; port 0 picks a free one)")
 	nodes := fs.Int("nodes", 1, "memory nodes served by this process, each its own slab, on consecutive ports from -listen (port 0: all ephemeral)")
 	slab := fs.Int64("slab", 64<<20, "slab size in bytes (per node)")
-	slots := fs.Int("slots", 0, "kv slot count (0 = slab/slotbytes)")
-	slotBytes := fs.Int("slotbytes", 4096, "bytes per kv slot")
 	dupWindow := fs.Int("dup-window", 0, "call slots a session may use, one retained response each (0 or above 4096 = 4096)")
 	duration := fs.Duration("duration", 0, "serve for this long then exit (0 = until SIGINT/SIGTERM)")
 	metricsAddr := fs.String("metrics", "", "HTTP admin address serving /metrics, /healthz, /debug/pprof (empty = off)")
@@ -114,9 +112,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 	}
 	for i := range servers {
 		srv, err := rmem.NewServer(rmem.ServerConfig{
-			Geometry: rmem.Geometry{
-				SlabBytes: uint64(*slab), Slots: *slots, SlotBytes: *slotBytes,
-			},
+			Geometry:  rmem.Geometry{SlabBytes: uint64(*slab)},
 			DupWindow: *dupWindow,
 			Metrics:   rmem.NewServerMetrics(reg),
 			Responder: wire.NewResponderMetrics(reg),
@@ -144,11 +140,9 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 		servers[i], listeners[i] = srv, us
 		g := srv.Geometry()
 		if *nodes == 1 {
-			fmt.Fprintf(stdout, "edmd: listening on %s (slab %d B, %d slots x %d B)\n",
-				us.Addr(), g.SlabBytes, g.Slots, g.SlotBytes)
+			fmt.Fprintf(stdout, "edmd: listening on %s (slab %d B)\n", us.Addr(), g.SlabBytes)
 		} else {
-			fmt.Fprintf(stdout, "edmd: node %d listening on %s (slab %d B, %d slots x %d B)\n",
-				i, us.Addr(), g.SlabBytes, g.Slots, g.SlotBytes)
+			fmt.Fprintf(stdout, "edmd: node %d listening on %s (slab %d B)\n", i, us.Addr(), g.SlabBytes)
 		}
 	}
 	srv := servers[0]

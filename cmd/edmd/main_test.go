@@ -52,7 +52,6 @@ func TestEdmdUsageErrors(t *testing.T) {
 		{"-slab", "-1"},      // invalid slab
 		{"-duration", "-1s"}, // negative duration
 		{"stray-arg"},        // unexpected positional
-		{"-slab", "4096", "-slots", "8", "-slotbytes", "4096"}, // slots overflow slab
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer
@@ -71,7 +70,7 @@ func TestEdmdServesAndReportsStats(t *testing.T) {
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-slab", "1048576", "-slotbytes", "256"},
+		done <- run([]string{"-listen", "127.0.0.1:0", "-slab", "1048576"},
 			stop, out, out)
 	}()
 
@@ -99,7 +98,7 @@ func TestEdmdServesAndReportsStats(t *testing.T) {
 	if err := client.Connect(); err != nil {
 		t.Fatalf("connect to daemon: %v", err)
 	}
-	if g := client.Geometry(); g.SlabBytes != 1048576 || g.SlotBytes != 256 {
+	if g := client.Geometry(); g.SlabBytes != 1048576 {
 		t.Fatalf("advertised geometry %+v", g)
 	}
 	if err := client.WriteSync(0, []byte("daemon")); err != nil {
@@ -225,7 +224,7 @@ func TestEdmdMetricsEndpoint(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{"-listen", "127.0.0.1:0", "-metrics", "127.0.0.1:0",
-			"-trace-ops", "64", "-slab", "1048576", "-slotbytes", "256"},
+			"-trace-ops", "64", "-slab", "1048576"},
 			stop, out, out)
 	}()
 	t.Cleanup(func() {

@@ -74,8 +74,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	window := fs.Int("window", 1, "outstanding-operation window (pipelining depth; live mode)")
 	rate := fs.Float64("rate", 0, "target issue rate in ops/s (live mode; 0 = closed loop)")
 	slab := fs.Int64("slab", 64<<20, "loopback server: slab size in bytes")
-	slots := fs.Int("slots", 0, "loopback server: kv slot count (0 = slab/slotbytes)")
-	slotBytes := fs.Int("slotbytes", 4096, "loopback server: bytes per kv slot")
 	retry := fs.Duration("retry", 20*time.Millisecond, "per-attempt retransmission timeout")
 	retries := fs.Int("retries", 5, "max retransmissions per operation")
 	progress := fs.Duration("progress", 0, "print progress every interval (stderr; loopback counts on the virtual clock)")
@@ -121,10 +119,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return cli.Usagef("-evict and -metrics only apply with -cluster")
 	}
 	if *clusterAddrs != "" || *addr != "" {
-		for _, name := range []string{"slab", "slots", "slotbytes"} {
-			if set[name] {
-				return cli.Usagef("-%s only applies to the loopback endpoint (a live server owns its geometry)", name)
-			}
+		if set["slab"] {
+			return cli.Usagef("-slab only applies to the loopback endpoint (a live server owns its geometry)")
 		}
 	} else {
 		// The loopback replay is strictly closed-loop at depth 1 on the
@@ -202,7 +198,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	case *addr != "":
 		t, err = dial([]string{*addr}, ccfg)
 	default:
-		t, err = openLoopback(*slab, *slots, *slotBytes, ccfg)
+		t, err = openLoopback(*slab, ccfg)
 	}
 	if err != nil {
 		return err
@@ -326,13 +322,11 @@ func startProgress(t *target, rc *rmem.ReplayConfig, every time.Duration, total 
 // openLoopback builds an in-process server behind the loopback transport.
 // Latency histograms and trace timestamps read its virtual clock, so the
 // whole run — telemetry included — is deterministic for a fixed seed.
-func openLoopback(slab int64, slots, slotBytes int, ccfg rmem.ClientConfig) (target, error) {
+func openLoopback(slab int64, ccfg rmem.ClientConfig) (target, error) {
 	if slab <= 0 {
 		return target{}, cli.Usagef("-slab must be positive, got %d", slab)
 	}
-	srv, err := rmem.NewServer(rmem.ServerConfig{
-		Geometry: rmem.Geometry{SlabBytes: uint64(slab), Slots: slots, SlotBytes: slotBytes},
-	})
+	srv, err := rmem.NewServer(rmem.ServerConfig{Geometry: rmem.Geometry{SlabBytes: uint64(slab)}})
 	if err != nil {
 		return target{}, cli.UsageError{S: err.Error()}
 	}

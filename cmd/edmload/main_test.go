@@ -171,7 +171,7 @@ func TestEdmloadUsageErrors(t *testing.T) {
 func startServer(t *testing.T) (addr string, srv *rmem.Server) {
 	t.Helper()
 	srv, err := rmem.NewServer(rmem.ServerConfig{
-		Geometry: rmem.Geometry{SlabBytes: 1 << 22, SlotBytes: 1024}})
+		Geometry: rmem.Geometry{SlabBytes: 1 << 22}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,14 @@
 //
 //	go test -bench=. -benchmem ./internal/rmem
 //
-// BenchmarkClientPipelining is the headline number: sustained slot-read
-// throughput through the bounded-outstanding window over the in-process
-// loopback (no kernel UDP cost), reported as ops/s and MB/s.
+// BenchmarkPipelinedRead is the headline number: sustained asynchronous
+// reads through the bounded-outstanding window over the in-process loopback
+// (no kernel UDP cost), reported as ops/s at 0 allocs/op.
 package rmem
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,7 +20,7 @@ import (
 
 func benchPair(b *testing.B, window int) *Client {
 	b.Helper()
-	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 24, Slots: 4096, SlotBytes: 1024}})
+	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 24}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,39 +56,6 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
-}
-
-// BenchmarkClientPipelining measures batched slot reads pushed through the
-// outstanding window from concurrent issuers — the live analogue of the
-// paper's pipelined remote reads.
-func BenchmarkClientPipelining(b *testing.B) {
-	for _, window := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			client := benchPair(b, window)
-			slot := client.Geometry().SlotBytes
-			b.SetBytes(int64(slot))
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			issuers := 4
-			per := b.N / issuers
-			for g := 0; g < issuers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						batch := client.NewBatch()
-						batch.Get((g*per + i) % 4096)
-						if _, err := batch.Flush(); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			b.ReportMetric(float64(per*issuers)/b.Elapsed().Seconds(), "ops/s")
 		})
 	}
 }
@@ -239,7 +205,7 @@ func BenchmarkUDPWindow1(b *testing.B) { benchUDPWindow(b, 1) }
 
 func benchUDPWindow(b *testing.B, window int) {
 	const size = 64
-	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 24, Slots: 4096, SlotBytes: 1024}})
+	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 24}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,7 +238,7 @@ func benchUDPWindow(b *testing.B, window int) {
 func BenchmarkPipelinedReadParallel(b *testing.B) {
 	const size, window = 64, 64
 	const slab = 1 << 26
-	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: slab, Slots: 4096, SlotBytes: 1024}})
+	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: slab}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -344,7 +310,7 @@ func BenchmarkClientRoundTripTelemetry(b *testing.B) {
 			//edmlint:allow walltime the benchmark measures the real cost of wall-clock instrumentation
 			nowNS := func() int64 { return time.Now().UnixNano() }
 			srv, err := NewServer(ServerConfig{
-				Geometry:  Geometry{SlabBytes: 1 << 24, Slots: 4096, SlotBytes: 1024},
+				Geometry:  Geometry{SlabBytes: 1 << 24},
 				Metrics:   NewServerMetrics(reg),
 				Responder: wire.NewResponderMetrics(reg),
 				NowNS:     nowNS, Trace: ring,

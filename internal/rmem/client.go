@@ -19,8 +19,6 @@ var (
 	// window is exhausted, mirroring edm.ErrTooManyOut: the caller is
 	// overdriving the node and must back off or widen the window.
 	ErrTooManyOut = errors.New("rmem: too many outstanding operations")
-	ErrBadKey     = errors.New("rmem: key out of range")
-	ErrTooLarge   = errors.New("rmem: value exceeds slot")
 	ErrClosed     = errors.New("rmem: client closed")
 
 	// ErrDeadline marks an operation that exhausted its retry budget: the
@@ -68,9 +66,6 @@ type ClientConfig struct {
 	Retry wire.ConnConfig
 	// HandshakeTimeout bounds Connect (default 5 s).
 	HandshakeTimeout time.Duration
-	// Slots and SlotBytes override the server-advertised slot geometry for
-	// the Get/Put API (zero adopts the HELLO-ACK values).
-	Slots, SlotBytes int
 	// Metrics receives the window/completion counters and per-opcode latency
 	// histograms. Nil gets a private, unregistered instance; its embedded
 	// ConnMetrics backs the reliable layer unless Retry.Metrics overrides.
@@ -91,14 +86,13 @@ type ClientStats struct {
 	WindowFull uint64 // fail-fast rejections
 }
 
-// Client is the compute-node handle to a live memory node: raw Read/Write/
-// RMW plus the kvstore-shaped Get/Put, all asynchronously pipelined behind a
-// bounded outstanding window.
+// Client is the compute-node handle to a live memory node: the Memory API
+// (Read, Write, RMW), asynchronously pipelined behind a bounded outstanding
+// window.
 //
 // Callback data-lifetime contract: the []byte handed to a Read callback (and
 // the *wire.Msg behind it) is owned by the transport and valid only for the
-// duration of the callback. Copy it out to retain it; ReadSync and Batch.Get
-// already do.
+// duration of the callback. Copy it out to retain it; ReadSync already does.
 type Client struct {
 	conn    *wire.Conn
 	cfg     ClientConfig
@@ -110,7 +104,6 @@ type Client struct {
 	token [8]byte
 
 	mu       sync.Mutex
-	slotFree *sync.Cond
 	inflight int        // guarded by mu
 	freeOps  *pendingOp // guarded by mu: idle completion records, one per window slot ever used
 	geo      Geometry   // guarded by mu
@@ -146,7 +139,6 @@ func NewClient(pipe wire.Pipe, cfg ClientConfig) *Client {
 	}
 	c := &Client{conn: wire.NewConn(pipe, cfg.Retry), cfg: cfg, metrics: cfg.Metrics}
 	rand.Read(c.token[:])
-	c.slotFree = sync.NewCond(&c.mu)
 	return c
 }
 
@@ -154,9 +146,8 @@ func NewClient(pipe wire.Pipe, cfg ClientConfig) *Client {
 func (c *Client) Deliver(p []byte) { c.conn.Deliver(p) }
 
 // Connect performs the HELLO handshake and adopts the server's advertised
-// geometry (unless overridden in the config). The geometry is decoded inside
-// the completion callback: the response message is pooled and only valid for
-// the callback's duration.
+// geometry. The geometry is decoded inside the completion callback: the
+// response message is pooled and only valid for the callback's duration.
 //
 //edmlint:allow walltime the handshake deadline bounds a real network exchange
 func (c *Client) Connect() error {
@@ -185,12 +176,6 @@ func (c *Client) Connect() error {
 		}
 		c.mu.Lock()
 		c.geo = r.geo
-		if c.cfg.Slots > 0 {
-			c.geo.Slots = c.cfg.Slots
-		}
-		if c.cfg.SlotBytes > 0 {
-			c.geo.SlotBytes = c.cfg.SlotBytes
-		}
 		c.mu.Unlock()
 		return nil
 	case <-time.After(c.cfg.HandshakeTimeout):
@@ -198,7 +183,7 @@ func (c *Client) Connect() error {
 	}
 }
 
-// Geometry reports the effective slab/slot layout (valid after Connect).
+// Geometry reports the server's advertised slab (valid after Connect).
 func (c *Client) Geometry() Geometry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -231,27 +216,17 @@ func (c *Client) Pending() int {
 }
 
 // acquire claims a window slot and hands out the completion record that
-// goes with it. With wait it blocks until one frees (batch mode); otherwise
-// it fails fast with ErrTooManyOut, counted against the WindowFull metric
-// only when countFull is set (the batch path probes the window internally
-// and its rejections are not caller-visible backpressure).
-func (c *Client) acquire(wait, countFull bool) (*pendingOp, error) {
+// goes with it. It never waits: after Close it fails with ErrClosed, and
+// with the window full it fails with ErrTooManyOut, counted in WindowFull.
+func (c *Client) acquire() (*pendingOp, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.inflight >= c.cfg.Window {
-		if c.closed {
-			return nil, ErrClosed
-		}
-		if !wait {
-			if countFull {
-				c.metrics.WindowFull.Inc()
-			}
-			return nil, ErrTooManyOut
-		}
-		c.slotFree.Wait()
-	}
 	if c.closed {
 		return nil, ErrClosed
+	}
+	if c.inflight >= c.cfg.Window {
+		c.metrics.WindowFull.Inc()
+		return nil, ErrTooManyOut
 	}
 	c.inflight++
 	c.metrics.Window.Set(int64(c.inflight))
@@ -270,13 +245,12 @@ func (c *Client) acquire(wait, countFull bool) (*pendingOp, error) {
 //
 //edmlint:allow pooledescape the free list is the records' own storage between ops
 func (c *Client) release(o *pendingOp, failed bool) {
-	o.cbMsg, o.cbRead, o.cbWrite, o.cbRMW = nil, nil, nil, nil
+	o.cbRead, o.cbWrite, o.cbRMW = nil, nil, nil
 	c.mu.Lock()
 	o.next = c.freeOps
 	c.freeOps = o
 	c.inflight--
 	c.metrics.Window.Set(int64(c.inflight))
-	c.slotFree.Signal()
 	c.mu.Unlock()
 	if failed {
 		c.metrics.Failed.Inc()
@@ -296,7 +270,6 @@ type pendingOp struct {
 	kind  wire.Kind
 	start int64
 	// Exactly one of these is non-nil per use.
-	cbMsg   func(*wire.Msg, error)
 	cbRead  func([]byte, error)
 	cbWrite func(error)
 	cbRMW   func(uint64, error)
@@ -320,11 +293,9 @@ func (o *pendingOp) Done(r *wire.Msg, err error) {
 	}
 	// Give the record back before dispatching: the callback may issue a
 	// follow-up op, and the saved locals keep this completion intact.
-	cbMsg, cbRead, cbWrite, cbRMW := o.cbMsg, o.cbRead, o.cbWrite, o.cbRMW
+	cbRead, cbWrite, cbRMW := o.cbRead, o.cbWrite, o.cbRMW
 	c.release(o, err != nil)
 	switch {
-	case cbMsg != nil:
-		cbMsg(r, err)
 	case cbRead != nil:
 		if err != nil {
 			cbRead(nil, err)
@@ -369,17 +340,6 @@ func (c *Client) issue(m *wire.Msg, o *pendingOp) error {
 	return nil
 }
 
-// doMsg issues one request with a message-level callback (the batch path;
-// the raw async API uses the typed pendingOp fields instead).
-func (c *Client) doMsg(wait bool, m *wire.Msg, cb func(*wire.Msg, error)) error {
-	o, err := c.acquire(wait, false)
-	if err != nil {
-		return err
-	}
-	o.cbMsg = cb
-	return c.issue(m, o)
-}
-
 // Read issues an asynchronous remote read of n bytes at addr; cb fires with
 // the data or an error (wire.ErrTimeout past the per-ID deadline). It fails
 // fast with ErrTooManyOut when the window is exhausted. The data slice is
@@ -388,7 +348,7 @@ func (c *Client) doMsg(wait bool, m *wire.Msg, cb func(*wire.Msg, error)) error 
 //edmlint:hotpath
 //edmlint:owned callback the data slice aliases the pooled response Msg
 func (c *Client) Read(addr uint64, n int, cb func([]byte, error)) error {
-	o, err := c.acquire(false, true)
+	o, err := c.acquire()
 	if err != nil {
 		return err
 	}
@@ -402,7 +362,7 @@ func (c *Client) Read(addr uint64, n int, cb func([]byte, error)) error {
 //
 //edmlint:hotpath
 func (c *Client) Write(addr uint64, data []byte, cb func(error)) error {
-	o, err := c.acquire(false, true)
+	o, err := c.acquire()
 	if err != nil {
 		return err
 	}
@@ -416,7 +376,7 @@ func (c *Client) Write(addr uint64, data []byte, cb func(error)) error {
 //
 //edmlint:hotpath
 func (c *Client) RMW(addr uint64, op memctl.RMWOp, args []uint64, cb func(uint64, error)) error {
-	o, err := c.acquire(false, true)
+	o, err := c.acquire()
 	if err != nil {
 		return err
 	}
@@ -437,72 +397,6 @@ func (c *Client) RMWSync(addr uint64, op memctl.RMWOp, args ...uint64) (uint64, 
 	return RMWSync(c, addr, op, args...)
 }
 
-// slotAddr maps a key to its slab address under the effective geometry.
-func (c *Client) slotAddr(key int) (uint64, int, error) {
-	c.mu.Lock()
-	geo := c.geo
-	c.mu.Unlock()
-	if geo.SlotBytes <= 0 {
-		return 0, 0, fmt.Errorf("rmem: no slot geometry (Connect first)")
-	}
-	if key < 0 || key >= geo.Slots {
-		return 0, 0, fmt.Errorf("%w: %d of %d", ErrBadKey, key, geo.Slots)
-	}
-	return uint64(key) * uint64(geo.SlotBytes), geo.SlotBytes, nil
-}
-
-// Get reads the fixed-size slot for key (the kvstore-shaped API). The data
-// slice passed to cb is only valid for the duration of the callback.
-//
-//edmlint:owned callback the data slice aliases the pooled response Msg
-func (c *Client) Get(key int, cb func([]byte, error)) error {
-	addr, n, err := c.slotAddr(key)
-	if err != nil {
-		return err
-	}
-	return c.Read(addr, n, cb)
-}
-
-// putAddr maps key to its slab address and checks that value fits the slot.
-func (c *Client) putAddr(key int, value []byte) (uint64, error) {
-	addr, n, err := c.slotAddr(key)
-	if err != nil {
-		return 0, err
-	}
-	if len(value) > n {
-		return 0, fmt.Errorf("%w: %d bytes into %d-byte slot", ErrTooLarge, len(value), n)
-	}
-	return addr, nil
-}
-
-// Put writes value into key's slot; values shorter than the slot leave the
-// tail untouched.
-func (c *Client) Put(key int, value []byte, cb func(error)) error {
-	addr, err := c.putAddr(key, value)
-	if err != nil {
-		return err
-	}
-	return c.Write(addr, value, cb)
-}
-
-// GetSync and PutSync are the blocking slot forms.
-func (c *Client) GetSync(key int) ([]byte, error) {
-	addr, n, err := c.slotAddr(key)
-	if err != nil {
-		return nil, err
-	}
-	return c.ReadSync(addr, n)
-}
-
-// PutSync is the blocking form of Put.
-func (c *Client) PutSync(key int, value []byte) error {
-	addr, err := c.putAddr(key, value)
-	if err != nil {
-		return err
-	}
-	return c.WriteSync(addr, value)
-}
-
 // Close tears the session down (best-effort BYE) and fails any pending
 // operations with wire.ErrClosed.
 //
@@ -514,7 +408,6 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.slotFree.Broadcast()
 	c.mu.Unlock()
 	// Quiesce in-flight ops (and their retransmissions) before the
 	// BYE: the server forgets the session on BYE, and a stale request
@@ -536,104 +429,4 @@ func (c *Client) Close() error {
 		}
 	}
 	return c.conn.Close()
-}
-
-// BatchOp identifies one operation in a Batch.
-type BatchOp struct {
-	// Get: Value receives the slot contents. Put: Value is what was stored.
-	Key   int
-	Put   bool
-	Value []byte
-	Err   error
-}
-
-// Batch accumulates slot operations and issues them as one pipelined burst:
-// client-side batching for the Get/Put API. Unlike the raw async calls a
-// batch never fails fast — it throttles itself to the window, blocking
-// until slots free.
-type Batch struct {
-	c   *Client
-	ops []BatchOp
-}
-
-// NewBatch starts an empty batch.
-func (c *Client) NewBatch() *Batch { return &Batch{c: c} }
-
-// Get queues a slot read.
-func (b *Batch) Get(key int) *Batch {
-	b.ops = append(b.ops, BatchOp{Key: key})
-	return b
-}
-
-// Put queues a slot write.
-func (b *Batch) Put(key int, value []byte) *Batch {
-	b.ops = append(b.ops, BatchOp{Key: key, Put: true, Value: value})
-	return b
-}
-
-// Len reports the queued operation count.
-func (b *Batch) Len() int { return len(b.ops) }
-
-// Flush issues every queued operation pipelined, waits for all completions,
-// and returns the per-op outcomes. The first error encountered (if any) is
-// also returned; the batch is reset for reuse.
-//
-// Flush corks the reliable layer while it enqueues, so the burst leaves the
-// client as coalesced datagram batches rather than one send per op. When the
-// window fills mid-batch it uncorks first (corked ops cannot complete, so
-// blocking while corked would deadlock), blocks for a free slot, and corks
-// again for the remainder.
-func (b *Batch) Flush() ([]BatchOp, error) {
-	ops := b.ops
-	b.ops = nil
-	c := b.c
-	var wg sync.WaitGroup
-	c.conn.Cork()
-	for i := range ops {
-		op := &ops[i]
-		addr, n, err := c.slotAddr(op.Key)
-		if err != nil {
-			op.Err = err
-			continue
-		}
-		if op.Put && len(op.Value) > n {
-			op.Err = fmt.Errorf("%w: %d bytes into %d-byte slot", ErrTooLarge, len(op.Value), n)
-			continue
-		}
-		m := wire.Msg{Kind: wire.KindRREQ, Addr: addr, Count: uint32(n)}
-		if op.Put {
-			m = wire.Msg{Kind: wire.KindWREQ, Addr: addr, Count: uint32(len(op.Value)), Data: op.Value}
-		}
-		wg.Add(1)
-		cb := func(r *wire.Msg, err error) {
-			defer wg.Done()
-			if err != nil {
-				op.Err = err
-				return
-			}
-			if !op.Put {
-				// r is pooled: copy the payload out, reusing the op's
-				// Value capacity across batch reuses.
-				op.Value = append(op.Value[:0], r.Data...)
-			}
-		}
-		err = c.doMsg(false, &m, cb)
-		if errors.Is(err, ErrTooManyOut) {
-			c.conn.Uncork()
-			err = c.doMsg(true, &m, cb)
-			c.conn.Cork()
-		}
-		if err != nil {
-			wg.Done()
-			op.Err = err
-		}
-	}
-	c.conn.Uncork()
-	wg.Wait()
-	for i := range ops {
-		if ops[i].Err != nil {
-			return ops, ops[i].Err
-		}
-	}
-	return ops, nil
 }

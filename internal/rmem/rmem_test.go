@@ -2,9 +2,11 @@ package rmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,7 +22,7 @@ func loopClient(t *testing.T, srv *Server, ccfg ClientConfig, fault func(sim.Tim
 	t.Helper()
 	if srv == nil {
 		var err error
-		srv, err = NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 20, Slots: 64, SlotBytes: 1024}})
+		srv, err = NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 20}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +213,7 @@ func (p *countingPipe) Send(b []byte) error {
 func TestStaleRequestNotReExecuted(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv, err := NewServer(ServerConfig{Responder: wire.NewResponderMetrics(reg),
-		Geometry: Geometry{SlabBytes: 1 << 20, Slots: 64, SlotBytes: 1024}})
+		Geometry: Geometry{SlabBytes: 1 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +263,7 @@ func TestStaleRequestNotReExecuted(t *testing.T) {
 // TestRMWAtomicityConcurrentClients hammers one counter word from several
 // concurrent client sessions; the slab lock must keep every increment.
 func TestRMWAtomicityConcurrentClients(t *testing.T) {
-	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 20, Slots: 16, SlotBytes: 64}})
+	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,62 +336,117 @@ func TestWindowFailFast(t *testing.T) {
 	darkClient.Close()
 }
 
-func TestKVAndBatch(t *testing.T) {
-	_, client, _ := loopClient(t, nil, ClientConfig{}, nil)
-	geo := client.Geometry()
-	if err := client.PutSync(3, []byte("value-3")); err != nil {
-		t.Fatal(err)
+// TestClientIssueContract pins what issuing an op promises, for each kind of
+// op: at a full window it fails with ErrTooManyOut, counted once in
+// WindowFull and not in Issued; an op in flight at Close completes exactly
+// once, with wire.ErrClosed; an op issued after Close fails with ErrClosed.
+// The callback of an op that fails at issue never runs.
+func TestClientIssueContract(t *testing.T) {
+	const depth = 2
+	for _, tc := range []struct {
+		kind  string
+		issue func(c *Client, done func(error)) error
+	}{
+		{"read", func(c *Client, done func(error)) error {
+			return c.Read(0, 8, func(_ []byte, err error) { done(err) })
+		}},
+		{"write", func(c *Client, done func(error)) error {
+			return c.Write(0, []byte{1}, done)
+		}},
+		{"rmw", func(c *Client, done func(error)) error {
+			return c.RMW(0, memctl.OpFetchAdd, []uint64{1}, func(_ uint64, err error) { done(err) })
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			var dark atomic.Bool
+			_, c, _ := loopClient(t, nil, ClientConfig{Window: depth,
+				Retry: wire.ConnConfig{RetryTimeout: time.Minute, MaxRetries: 1}},
+				func(_ sim.Time, dir wire.Dir, _ []byte) wire.Fault {
+					if dark.Load() && dir == wire.ToServer {
+						return wire.FaultDrop
+					}
+					return wire.FaultNone
+				})
+			// Op i's callback runs and last outcome: depth ops in flight,
+			// then one past the window, then one after Close.
+			var runs [depth + 2]int
+			var errs [depth + 2]error
+			issue := func(i int) error {
+				return tc.issue(c, func(err error) { runs[i]++; errs[i] = err })
+			}
+			dark.Store(true) // requests vanish, so issued ops stay in flight
+			for i := 0; i < depth; i++ {
+				if err := issue(i); err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+			}
+			before := c.Stats()
+			if err := issue(depth); !errors.Is(err, ErrTooManyOut) {
+				t.Fatalf("op past the window: %v, want ErrTooManyOut", err)
+			}
+			if st := c.Stats(); st.WindowFull != before.WindowFull+1 || st.Issued != before.Issued {
+				t.Errorf("a rejection moved WindowFull %d -> %d and Issued %d -> %d, want +1 and +0",
+					before.WindowFull, st.WindowFull, before.Issued, st.Issued)
+			}
+			dark.Store(false) // the BYE gets through
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := issue(depth + 1); !errors.Is(err, ErrClosed) {
+				t.Errorf("op after Close: %v, want ErrClosed", err)
+			}
+			for i := 0; i < depth; i++ {
+				if runs[i] != 1 || !errors.Is(errs[i], wire.ErrClosed) {
+					t.Errorf("op %d in flight at Close: callback ran %d times, last with %v; want once with wire.ErrClosed",
+						i, runs[i], errs[i])
+				}
+			}
+			if runs[depth] != 0 || runs[depth+1] != 0 {
+				t.Errorf("callbacks of ops that failed at issue ran %d and %d times", runs[depth], runs[depth+1])
+			}
+		})
 	}
-	got, err := client.GetSync(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != geo.SlotBytes || string(got[:7]) != "value-3" {
-		t.Fatalf("slot read %d bytes, prefix %q", len(got), got[:7])
-	}
-	if err := client.PutSync(geo.Slots, []byte("x")); !errors.Is(err, ErrBadKey) {
-		t.Errorf("put past last slot: %v", err)
-	}
-	if err := client.PutSync(0, make([]byte, geo.SlotBytes+1)); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("oversize put: %v", err)
-	}
+}
 
-	// Batch: pipelined puts then gets across the window boundary.
-	b := client.NewBatch()
-	for k := 0; k < 40; k++ {
-		b.Put(k, []byte(fmt.Sprintf("slot-%02d", k)))
-	}
-	if _, err := b.Flush(); err != nil {
-		t.Fatalf("batch put: %v", err)
-	}
-	for k := 0; k < 40; k++ {
-		b.Get(k)
-	}
-	ops, err := b.Flush()
+// TestHelloAckLayout pins the HELLO-ACK payload: 16 bytes, the slab size
+// then eight zero bytes. A payload from an older edmd, whose last eight
+// bytes carried a slot layout, decodes to its slab size alone; a payload of
+// any other length is rejected.
+func TestHelloAckLayout(t *testing.T) {
+	const slab = 1 << 20
+	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: slab}})
 	if err != nil {
-		t.Fatalf("batch get: %v", err)
+		t.Fatal(err)
 	}
-	for _, op := range ops {
-		want := fmt.Sprintf("slot-%02d", op.Key)
-		if string(op.Value[:len(want)]) != want {
-			t.Fatalf("slot %d read back %q", op.Key, op.Value[:len(want)])
+	var ack wire.Msg
+	srv.Handle(&wire.Msg{Kind: wire.KindHello}, &ack)
+	for _, p := range [][]byte{Geometry{SlabBytes: slab}.Encode(), ack.Data} {
+		if len(p) != 16 || binary.LittleEndian.Uint64(p) != slab || !bytes.Equal(p[8:], make([]byte, 8)) {
+			t.Errorf("payload %x, want the slab size and eight zero bytes", p)
+		}
+	}
+	older := binary.LittleEndian.AppendUint64(nil, slab)
+	older = binary.LittleEndian.AppendUint32(older, 256)  // slots
+	older = binary.LittleEndian.AppendUint32(older, 4096) // bytes per slot
+	if g, err := DecodeGeometry(older); err != nil || g != (Geometry{SlabBytes: slab}) {
+		t.Errorf("older payload decoded to %+v, %v", g, err)
+	}
+	for _, n := range []int{0, 8, 15, 17, 24} {
+		if _, err := DecodeGeometry(make([]byte, n)); err == nil {
+			t.Errorf("%d-byte payload accepted", n)
 		}
 	}
 }
 
 func TestServerConfigValidation(t *testing.T) {
-	if _, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 20, Slots: 10, SlotBytes: 1 << 19}}); err == nil {
-		t.Error("slots overflowing the slab accepted")
-	}
-	if _, err := NewServer(ServerConfig{Geometry: Geometry{SlotBytes: wire.MaxData + 1}}); err == nil {
-		t.Error("slot larger than a datagram accepted")
+	if _, err := NewServer(ServerConfig{Shards: -1}); err == nil {
+		t.Error("negative shard count accepted")
 	}
 	srv, err := NewServer(ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := srv.Geometry()
-	if g.SlabBytes == 0 || g.Slots == 0 || g.SlotBytes == 0 {
+	if g := srv.Geometry(); g.SlabBytes == 0 {
 		t.Fatalf("defaults not filled: %+v", g)
 	}
 }
@@ -397,7 +454,7 @@ func TestServerConfigValidation(t *testing.T) {
 // TestUDPEndToEnd runs the full stack over real sockets: UDP server glue,
 // handshake, reads/writes/RMWs from two concurrent clients.
 func TestUDPEndToEnd(t *testing.T) {
-	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 20, Slots: 32, SlotBytes: 256}})
+	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,9 +479,9 @@ func TestUDPEndToEnd(t *testing.T) {
 		return client
 	}
 
-	// The shared counter lives in the last slot so it cannot collide with
-	// the per-client kv slots written below.
-	counter := uint64(31) * 256
+	// The shared counter sits at address 0, below the per-client addresses
+	// written after it.
+	const counter = 0
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -441,17 +498,18 @@ func TestUDPEndToEnd(t *testing.T) {
 				}
 			}
 			val := []byte(fmt.Sprintf("client-%d", i))
-			if err := client.PutSync(i, val); err != nil {
+			addr := uint64(i+1) * 256
+			if err := client.WriteSync(addr, val); err != nil {
 				errs <- err
 				return
 			}
-			got, err := client.GetSync(i)
+			got, err := client.ReadSync(addr, len(val))
 			if err != nil {
 				errs <- err
 				return
 			}
-			if string(got[:len(val)]) != string(val) {
-				errs <- fmt.Errorf("client %d read back %q", i, got[:len(val)])
+			if !bytes.Equal(got, val) {
+				errs <- fmt.Errorf("client %d read back %q", i, got)
 			}
 		}()
 	}
@@ -485,7 +543,7 @@ func TestReadCallbackReentrancyKeepsData(t *testing.T) {
 		base   = 1 << 19
 	)
 	srv, err := NewServer(ServerConfig{DupWindow: window,
-		Geometry: Geometry{SlabBytes: 1 << 20, Slots: 64, SlotBytes: 1024}})
+		Geometry: Geometry{SlabBytes: 1 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,7 @@
 // of §3.2.1), and a client library that mirrors edm.Host's
 // bounded-outstanding-ID discipline — asynchronous pipelining, per-ID
 // deadlines via the reliable layer's retry budget, and a fail-fast error
-// when the window is exhausted. On top of the raw byte API the client
-// exposes the kvstore-shaped fixed-slot Get/Put of §4.2.2 with optional
-// batching.
+// when the window is exhausted.
 //
 // The server is transport-agnostic: cmd/edmd mounts it on wire.UDPServer,
 // tests and the scenario runner's live backend mount it on wire.Loopback.
@@ -24,26 +22,23 @@ import (
 	"repro/internal/wire"
 )
 
-// Geometry describes the server's memory slab and its kvstore-compatible
-// slot layout. It rides in the HELLO-ACK payload so clients self-configure.
+// Geometry describes the server's memory slab. It rides in the HELLO-ACK
+// payload so clients self-configure.
 type Geometry struct {
 	// SlabBytes is the byte-addressable memory size.
 	SlabBytes uint64
-	// Slots and SlotBytes define the fixed-slot key-value layout carved
-	// from the front of the slab (key k lives at [k*SlotBytes, (k+1)*SlotBytes)).
-	Slots     int
-	SlotBytes int
 }
 
-// geometryBytes is the encoded HELLO-ACK payload size.
+// geometryBytes is the encoded HELLO-ACK payload size: the slab size, then
+// eight bytes sent as zero and ignored on receipt (an older edmd put a slot
+// layout there). The loopback charges its virtual clock by datagram size,
+// so the payload keeps its length.
 const geometryBytes = 16
 
 // Encode renders the geometry as the HELLO-ACK payload.
 func (g Geometry) Encode() []byte {
 	b := make([]byte, geometryBytes)
 	binary.LittleEndian.PutUint64(b, g.SlabBytes)
-	binary.LittleEndian.PutUint32(b[8:], uint32(g.Slots))
-	binary.LittleEndian.PutUint32(b[12:], uint32(g.SlotBytes))
 	return b
 }
 
@@ -52,11 +47,7 @@ func DecodeGeometry(b []byte) (Geometry, error) {
 	if len(b) != geometryBytes {
 		return Geometry{}, fmt.Errorf("rmem: geometry payload %d bytes, want %d", len(b), geometryBytes)
 	}
-	return Geometry{
-		SlabBytes: binary.LittleEndian.Uint64(b),
-		Slots:     int(binary.LittleEndian.Uint32(b[8:])),
-		SlotBytes: int(binary.LittleEndian.Uint32(b[12:])),
-	}, nil
+	return Geometry{SlabBytes: binary.LittleEndian.Uint64(b)}, nil
 }
 
 // DefaultShards is the default slab-lock shard count. It is a fixed
@@ -97,21 +88,6 @@ type ServerConfig struct {
 func (c *ServerConfig) fill() error {
 	if c.SlabBytes == 0 {
 		c.SlabBytes = 64 << 20
-	}
-	if c.SlotBytes == 0 {
-		c.SlotBytes = 4096
-	}
-	if c.Slots == 0 {
-		c.Slots = int(c.SlabBytes) / c.SlotBytes
-	}
-	if c.Slots < 0 || c.SlotBytes <= 0 {
-		return fmt.Errorf("rmem: invalid slot geometry %d x %d", c.Slots, c.SlotBytes)
-	}
-	if c.SlotBytes > wire.MaxData {
-		return fmt.Errorf("rmem: slot %d bytes exceeds the %d-byte datagram payload", c.SlotBytes, wire.MaxData)
-	}
-	if need := uint64(c.Slots) * uint64(c.SlotBytes); need > c.SlabBytes {
-		return fmt.Errorf("rmem: %d x %d slots need %d bytes, slab has %d", c.Slots, c.SlotBytes, need, c.SlabBytes)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("rmem: invalid shard count %d", c.Shards)
@@ -169,7 +145,7 @@ type Server struct {
 	shards     []shard
 }
 
-// NewServer builds a memory node with the given slab/slot geometry.
+// NewServer builds a memory node with the given slab.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -199,7 +175,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Shards reports the effective shard count.
 func (s *Server) Shards() int { return len(s.shards) }
 
-// Geometry reports the slab layout advertised to clients.
+// Geometry reports the slab advertised to clients.
 func (s *Server) Geometry() Geometry { return s.cfg.Geometry }
 
 // Stats snapshots the operation counters from the server's metrics.

@@ -1,5 +1,4 @@
-// Concurrency stress for the sharded server and determinism regression for
-// the corked batch path. Run with -race: the point of the stress test is to
+// Concurrency stress for the sharded server. Run with -race: the point is to
 // drive every shard-lock path (single-shard RMW, spanning reads/writes,
 // overlapping and disjoint ranges) from enough concurrent sessions that the
 // race detector sees any unguarded slab access.
@@ -7,13 +6,11 @@ package rmem
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/memctl"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -47,7 +44,7 @@ func TestShardedServerConcurrentSessions(t *testing.T) {
 		opsPer   = 300
 		slab     = 1 << 22
 	)
-	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: slab, Slots: 1024, SlotBytes: 1024}})
+	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: slab}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,59 +119,5 @@ func TestShardedServerConcurrentSessions(t *testing.T) {
 	}
 	if want := uint64(sessions / 2 * opsPer); got != want {
 		t.Fatalf("shared counter = %d, want %d (lost or duplicated RMWs)", got, want)
-	}
-}
-
-// TestBatchFlushDeterministic: the corked Batch.Flush path (queue, window
-// spill, SendBatch flush) must leave seeded loopback runs byte-identical —
-// same virtual-clock reading, same values — across repeated runs. This is
-// the regression guard for datagram batching vs loopback determinism.
-func TestBatchFlushDeterministic(t *testing.T) {
-	run := func() (sim.Time, string) {
-		srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 22, Slots: 256, SlotBytes: 512}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb := wire.NewLoopback(wire.LoopbackConfig{})
-		// Window 8 against a 40-op batch forces several cork/uncork spill
-		// cycles per flush.
-		c := NewClient(lb.ClientPipe(), ClientConfig{Window: 8,
-			Retry: wire.ConnConfig{RetryTimeout: time.Second, MaxRetries: 3}})
-		lb.BindServer(srv.NewSession(lb.ServerPipe()).Deliver)
-		lb.BindClient(c.Deliver)
-		if err := c.Connect(); err != nil {
-			t.Fatal(err)
-		}
-		batch := c.NewBatch()
-		for k := 0; k < 20; k++ {
-			batch.Put(k, bytes.Repeat([]byte{byte(k + 1)}, 64+k))
-		}
-		if _, err := batch.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		batch = c.NewBatch()
-		for k := 0; k < 40; k++ {
-			batch.Get(k % 20)
-		}
-		ops, err := batch.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum bytes.Buffer
-		for _, op := range ops {
-			fmt.Fprintf(&sum, "%d:%x\n", op.Key, op.Value)
-		}
-		return lb.Now(), sum.String()
-	}
-	now1, vals1 := run()
-	now2, vals2 := run()
-	if now1 != now2 {
-		t.Errorf("virtual clock diverged across identical runs: %v vs %v", now1, now2)
-	}
-	if vals1 != vals2 {
-		t.Errorf("batch values diverged across identical runs:\n%s\n---\n%s", vals1, vals2)
-	}
-	if now1 == 0 {
-		t.Error("virtual clock never advanced")
 	}
 }

@@ -10,17 +10,13 @@ import (
 // has an hour-long RetryTimeout, so its real timer never fires under the
 // test and the ticks below are the only ones.
 
-// tickPipe loses every datagram and records the message ID of each, plus
-// how the datagrams left: one Send each, or SendBatch calls of some size.
+// tickPipe loses every datagram and records the message ID of each.
 type tickPipe struct {
-	ids     []uint32
-	sends   int
-	batches []int
-	onSend  func(id uint32) // if set, runs inside each Send
+	ids    []uint32
+	onSend func(id uint32) // if set, runs inside each Send
 }
 
 func (p *tickPipe) Send(b []byte) error {
-	p.sends++
 	id := p.record(b)
 	if p.onSend != nil {
 		p.onSend(id)
@@ -38,17 +34,6 @@ func (p *tickPipe) record(b []byte) uint32 {
 }
 
 func (p *tickPipe) Close() error { return nil }
-
-// tickBatchPipe is a tickPipe with a batched send.
-type tickBatchPipe struct{ tickPipe }
-
-func (p *tickBatchPipe) SendBatch(bs [][]byte) error {
-	p.batches = append(p.batches, len(bs))
-	for _, b := range bs {
-		p.record(b)
-	}
-	return nil
-}
 
 // hourConn is a Conn over pipe whose clock only ticks by hand.
 func hourConn(t *testing.T, pipe Pipe, maxRetries int) *Conn {
@@ -110,30 +95,6 @@ func TestClockRetransmitTicks(t *testing.T) {
 	}
 	if st := c.Stats(); st.Retransmit != 2 || st.Sent != 3 {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-// TestClockCountsFromFlush: a corked call is not resent before its first
-// send, however many ticks pass; its count starts at the Uncork flush,
-// whose send arms the clock.
-func TestClockCountsFromFlush(t *testing.T) {
-	pipe := &tickPipe{}
-	c := hourConn(t, pipe, 5)
-	var got error
-	c.Cork()
-	id := issue(t, c, &got)
-	ticks(c, 2*retryTicks)
-	if len(pipe.ids) != 0 {
-		t.Fatalf("a corked call was sent: %#x", pipe.ids)
-	}
-	c.Uncork()
-	c.tick()
-	if len(pipe.ids) != 1 {
-		t.Fatalf("sent %#x, want only the flush", pipe.ids)
-	}
-	c.tick()
-	if len(pipe.ids) != 2 || pipe.ids[1] != id {
-		t.Fatalf("sent %#x, want the flush and one retransmission of %#x", pipe.ids, id)
 	}
 }
 
@@ -283,26 +244,6 @@ func TestClockAbortAndCloseDisarm(t *testing.T) {
 	}
 }
 
-// TestClockResendsOneSendEach: k calls due at one tick leave in k Sends,
-// even on a batching pipe, whose SendBatch carries an Uncork's first copies
-// only; a corked flush still leaves in one SendBatch.
-func TestClockResendsOneSendEach(t *testing.T) {
-	const k = 5
-	pipe := &tickBatchPipe{}
-	c := hourConn(t, pipe, 5)
-	errs := make([]error, k)
-	c.Cork()
-	for i := range errs {
-		issue(t, c, &errs[i])
-	}
-	c.Uncork()
-	ticks(c, retryTicks)
-	if pipe.sends != k || len(pipe.batches) != 1 || pipe.batches[0] != k || len(pipe.ids) != 2*k {
-		t.Fatalf("%d sends, batches %v, %d datagrams; want one flush batch of %d and %d retransmission sends",
-			pipe.sends, pipe.batches, len(pipe.ids), k, k)
-	}
-}
-
 // TestNextTickDue: ticks keep their schedule through a late firing, so
 // lateness does not add up across ticks, and a clock more than a period
 // behind takes one tick now instead of firing every missed one.
@@ -327,7 +268,7 @@ func TestNextTickDue(t *testing.T) {
 // TestClockTickAllocs: ticks allocate nothing, whether or not a call is
 // due; the scan scratch is the connection's, reused.
 func TestClockTickAllocs(t *testing.T) {
-	pipe := &tickBatchPipe{}
+	pipe := &tickPipe{}
 	c := hourConn(t, pipe, 1<<30)
 	errs := make([]error, 8)
 	for i := range errs {
@@ -335,7 +276,6 @@ func TestClockTickAllocs(t *testing.T) {
 	}
 	ticks(c, retryTicks) // size the scratch
 	pipe.ids = make([]uint32, 0, 1<<12)
-	pipe.batches = make([]int, 0, 1<<10)
 	if n := testing.AllocsPerRun(300, c.tick); n != 0 {
 		t.Fatalf("%v allocs per tick", n)
 	}

@@ -19,12 +19,8 @@ type Pipe interface {
 	Close() error
 }
 
-// BatchPipe extends Pipe with a batched send. SendBatch must behave exactly
-// as calling Send on each element in order — same delivery order, same
-// fault accounting — merely amortizing the per-datagram cost (one sendmmsg
-// syscall on Linux UDP). Conn.Uncork uses it to flush a corked window in
-// one call; nothing else does, so a batch carries first copies only, sent
-// from the goroutine that uncorked. Retransmissions go out one Send each.
+// BatchPipe is a Pipe with a batched send. Nothing in the stack implements
+// or calls it.
 type BatchPipe interface {
 	Pipe
 	SendBatch(ps [][]byte) error
@@ -139,18 +135,16 @@ type call struct {
 	want     Kind   // expected response kind
 	comp     Completion
 	start    int64  // NowNS at issue (0 when no clock is wired)
-	attempts int    // guarded by mu: datagrams sent or being sent; 0 while corked
+	attempts int    // guarded by mu: datagrams sent or being sent
 	sentTick uint32 // guarded by mu: the clock's tick count when the last send returned
 	sending  int    // guarded by mu: goroutines inside pipe.Send with enc
 	done     bool   // guarded by mu
 	next     *call  // guarded by mu: free-list link
 }
 
-// queued is one call awaiting a send: corked until the Uncork flush, or due
-// for retransmission at a clock tick. It carries the ID alongside the record
-// so a flush can tell a still-pending call from a slot that was retired and
-// reused under a new ID while corked; attempt numbers a retransmission for
-// the trace.
+// queued is one call a clock tick found due for retransmission, pinned for
+// the send. It carries the ID, read under the lock, and the attempt the
+// retransmission is, for the trace.
 type queued struct {
 	id      uint32
 	attempt int
@@ -187,19 +181,15 @@ const retryTicks = 3
 // Completion is pooled and valid only during that invocation; Clone it to
 // retain it.
 type Conn struct {
-	cfg   ConnConfig
-	pipe  Pipe
-	batch BatchPipe // pipe's batched form when it has one, else nil
+	cfg  ConnConfig
+	pipe Pipe
 
-	mu       sync.Mutex
-	slots    []*call  // guarded by mu: every record, at the index its ID carries
-	free     *call    // guarded by mu: idle records, last retired first
-	newest   uint32   // guarded by mu: the highest ID issued, as int32(a-b) > 0 orders them
-	live     int      // guarded by mu: calls awaiting their response
-	corked   int      // guarded by mu: Cork nesting depth
-	queue    []queued // guarded by mu: sends deferred while corked
-	sendBufs [][]byte // guarded by mu: flush scratch, reused across Uncorks
-	closed   bool     // guarded by mu
+	mu     sync.Mutex
+	slots  []*call // guarded by mu: every record, at the index its ID carries
+	free   *call   // guarded by mu: idle records, last retired first
+	newest uint32  // guarded by mu: the highest ID issued, as int32(a-b) > 0 orders them
+	live   int     // guarded by mu: calls awaiting their response
+	closed bool    // guarded by mu
 
 	// The retransmission clock. It is on while its timer is armed or its
 	// tick is running; a tick re-arms it while calls are live and turns it
@@ -210,9 +200,8 @@ type Conn struct {
 	ticks    uint32    // guarded by mu: ticks so far, compared with call.sentTick
 	nextTick time.Time // guarded by mu: when the armed tick is due
 	// Tick scratch, reused across ticks; only the running tick touches it.
-	resend     []queued
-	resendBufs [][]byte
-	expired    []expiry
+	resend  []queued
+	expired []expiry
 }
 
 // NewConn builds a reliable connection over pipe. The owner must route
@@ -220,9 +209,6 @@ type Conn struct {
 func NewConn(pipe Pipe, cfg ConnConfig) *Conn {
 	cfg.fill()
 	c := &Conn{cfg: cfg, pipe: pipe, newest: ^uint32(0)} // the first ID, 0, is one above
-	if bp, ok := pipe.(BatchPipe); ok {
-		c.batch = bp
-	}
 	// The clock is built off: afterSend arms it on the first send.
 	//edmlint:allow walltime retransmission deadlines are wall time by contract
 	c.clock = time.AfterFunc(time.Hour, c.tick)
@@ -347,9 +333,8 @@ func (c *Conn) CallC(m *Msg, comp Completion) (uint32, error) {
 	return c.submit(m, comp)
 }
 
-// submit encodes m into a pooled call record and either transmits it or,
-// while corked, queues it for the Uncork flush. m itself is not retained:
-// it may be pooled or reused the moment submit returns.
+// submit encodes m into a pooled call record and transmits it. m itself is
+// not retained: it may be pooled or reused the moment submit returns.
 //
 //edmlint:hotpath the one submission path for every request
 func (c *Conn) submit(m *Msg, comp Completion) (uint32, error) {
@@ -383,14 +368,6 @@ func (c *Conn) submit(m *Msg, comp Completion) (uint32, error) {
 	start := cl.start
 	c.live++
 	mt := c.cfg.Metrics
-	if c.corked > 0 {
-		c.queue = append(c.queue, queued{id: id, cl: cl})
-		c.mu.Unlock()
-		mt.Requests[m.Kind].Inc()
-		mt.InFlight.Add(1)
-		c.cfg.Trace.Record(uint64(id), telemetry.StageEnqueue, uint8(m.Kind), start, 0)
-		return id, nil
-	}
 	cl.attempts = 1
 	cl.sending++
 	c.mu.Unlock()
@@ -408,89 +385,6 @@ func (c *Conn) submit(m *Msg, comp Completion) (uint32, error) {
 	}
 	c.afterSend(cl)
 	return id, nil
-}
-
-// Cork suspends transmission: subsequent calls are encoded and registered
-// as pending but their datagrams queue until the matching Uncork, which
-// flushes them as one batch (a single sendmmsg on batching transports).
-// Cork/Uncork pairs nest; only the outermost Uncork flushes. A corked call's
-// retransmission count starts at flush time, when its datagram first hits
-// the wire.
-func (c *Conn) Cork() {
-	c.mu.Lock()
-	c.corked++
-	c.mu.Unlock()
-}
-
-// Uncork flushes the corked queue. Calls that were completed or aborted
-// while corked (a synchronous transport cannot complete them, but Abort or
-// Close can fail them) are skipped.
-//
-//edmlint:hotpath one Uncork per batch flush
-func (c *Conn) Uncork() {
-	c.mu.Lock()
-	if c.corked > 0 {
-		c.corked--
-	}
-	if c.corked > 0 || len(c.queue) == 0 {
-		c.mu.Unlock()
-		return
-	}
-	// Steal the queue and the buffer scratch; both return below so repeat
-	// flushes reuse their capacity.
-	queue := c.queue
-	c.queue = nil
-	bufs := c.sendBufs[:0]
-	c.sendBufs = nil
-	live := queue[:0]
-	for _, q := range queue {
-		if q.cl.done || q.cl.id != q.id {
-			continue
-		}
-		q.cl.attempts = 1
-		q.cl.sending++
-		live = append(live, q)
-		bufs = append(bufs, q.cl.enc)
-	}
-	c.mu.Unlock()
-	c.transmit(live, bufs, telemetry.StageSend)
-	clear(bufs)
-	clear(queue)
-	c.mu.Lock()
-	if c.queue == nil {
-		c.queue = queue[:0]
-	}
-	if c.sendBufs == nil {
-		c.sendBufs = bufs[:0]
-	}
-	c.mu.Unlock()
-}
-
-// transmit sends the encodings of records pinned by the caller (sending
-// raised under the lock) and then releases each through afterSend. A flush
-// of first copies (StageSend) goes out as one SendBatch when the pipe has
-// one; retransmissions go out one Send each (see BatchPipe).
-func (c *Conn) transmit(out []queued, bufs [][]byte, stage telemetry.Stage) {
-	if len(out) == 0 {
-		return
-	}
-	c.cfg.Metrics.Datagrams.Add(uint64(len(out)))
-	if c.batch != nil && stage == telemetry.StageSend {
-		c.batch.SendBatch(bufs)
-	} else {
-		for _, b := range bufs {
-			c.pipe.Send(b)
-		}
-	}
-	if c.cfg.Trace != nil {
-		now := c.timestamp()
-		for _, q := range out {
-			c.cfg.Trace.Record(uint64(q.id), stage, uint8(q.cl.want), now, uint64(q.attempt))
-		}
-	}
-	for _, q := range out {
-		c.afterSend(q.cl)
-	}
 }
 
 // timestamp reads the configured clock; zero when none is wired.
@@ -577,9 +471,9 @@ func (c *Conn) tick() {
 		return
 	}
 	c.ticks++
-	resend, bufs, expired := c.resend[:0], c.resendBufs[:0], c.expired[:0]
+	resend, expired := c.resend[:0], c.expired[:0]
 	for _, cl := range c.slots {
-		if cl.done || cl.attempts == 0 || cl.sending > 0 || c.ticks-cl.sentTick < retryTicks {
+		if cl.done || cl.sending > 0 || c.ticks-cl.sentTick < retryTicks {
 			continue
 		}
 		if cl.attempts > c.cfg.MaxRetries {
@@ -590,12 +484,28 @@ func (c *Conn) tick() {
 		cl.attempts++
 		cl.sending++
 		resend = append(resend, queued{id: cl.id, attempt: cl.attempts, cl: cl})
-		bufs = append(bufs, cl.enc)
 	}
 	c.mu.Unlock()
 
-	c.cfg.Metrics.Retransmits.Add(uint64(len(resend)))
-	c.transmit(resend, bufs, telemetry.StageRetry)
+	// One Send per retransmission, from the ticking goroutine; bundling
+	// several messages into a datagram is the transport's business.
+	if len(resend) > 0 {
+		mt := c.cfg.Metrics
+		mt.Retransmits.Add(uint64(len(resend)))
+		mt.Datagrams.Add(uint64(len(resend)))
+		for _, q := range resend {
+			c.pipe.Send(q.cl.enc)
+		}
+		if c.cfg.Trace != nil {
+			now := c.timestamp()
+			for _, q := range resend {
+				c.cfg.Trace.Record(uint64(q.id), telemetry.StageRetry, uint8(q.cl.want), now, uint64(q.attempt))
+			}
+		}
+		for _, q := range resend {
+			c.afterSend(q.cl)
+		}
+	}
 	for _, e := range expired {
 		c.cfg.Metrics.Timeouts.Inc()
 		c.cfg.Metrics.InFlight.Add(-1)
@@ -605,11 +515,10 @@ func (c *Conn) tick() {
 		e.comp.Done(nil, fmt.Errorf("%w (after %d attempts)", ErrTimeout, e.attempts))
 	}
 	clear(resend)
-	clear(bufs)
 	clear(expired)
 
 	c.mu.Lock()
-	c.resend, c.resendBufs, c.expired = resend[:0], bufs[:0], expired[:0]
+	c.resend, c.expired = resend[:0], expired[:0]
 	switch {
 	case c.closed:
 	case c.live > 0:
@@ -717,7 +626,6 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.queue = nil
 	done := c.takePendingLocked()
 	c.mu.Unlock()
 	c.cfg.Metrics.InFlight.Add(-int64(len(done)))

@@ -215,19 +215,6 @@ func (e *end) Send(p []byte) error {
 	return nil
 }
 
-// SendBatch delivers each datagram in order through the exact Send path —
-// same virtual-clock charge, same fault adjudication, same synchronous
-// delivery — so a corked flush is byte-identical to sequential sends and
-// seeded loopback runs stay reproducible across the batching change.
-func (e *end) SendBatch(ps [][]byte) error {
-	for _, p := range ps {
-		if err := e.Send(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (e *end) Close() error {
 	l := e.l
 	l.mu.Lock()

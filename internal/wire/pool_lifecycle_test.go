@@ -159,61 +159,6 @@ func TestEscapeAnalyzerCatchesRetention(t *testing.T) {
 	}
 }
 
-// TestLoopbackSendBatchMatchesSequential: the loopback's SendBatch is the
-// batched transport used by corked flushes, and seeded runs stay
-// reproducible only if it is indistinguishable from sequential sends — same
-// delivered bytes, same order, same virtual-clock charge, same stats.
-func TestLoopbackSendBatchMatchesSequential(t *testing.T) {
-	mk := func() (*Loopback, *[][]byte) {
-		lb := NewLoopback(LoopbackConfig{})
-		got := &[][]byte{}
-		lb.BindServer(func(p []byte) { *got = append(*got, append([]byte(nil), p...)) })
-		return lb, got
-	}
-	var msgs [][]byte
-	for i := 0; i < 12; i++ {
-		payload := bytes.Repeat([]byte{byte(i)}, 8+i*16)
-		enc, err := (&Msg{Kind: KindWREQ, ID: uint32(i), Addr: uint64(i) * 64,
-			Count: uint32(len(payload)), Data: payload}).AppendEncode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msgs = append(msgs, enc)
-	}
-
-	seqLB, seqGot := mk()
-	seqPipe := seqLB.ClientPipe()
-	for _, p := range msgs {
-		if err := seqPipe.Send(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	batchLB, batchGot := mk()
-	bp, ok := batchLB.ClientPipe().(BatchPipe)
-	if !ok {
-		t.Fatal("loopback pipe does not implement BatchPipe")
-	}
-	if err := bp.SendBatch(msgs); err != nil {
-		t.Fatal(err)
-	}
-
-	if seqLB.Now() != batchLB.Now() {
-		t.Errorf("virtual clock diverged: sequential %v, batched %v", seqLB.Now(), batchLB.Now())
-	}
-	if seqLB.Stats() != batchLB.Stats() {
-		t.Errorf("stats diverged: sequential %+v, batched %+v", seqLB.Stats(), batchLB.Stats())
-	}
-	if len(*seqGot) != len(*batchGot) {
-		t.Fatalf("delivered %d sequential vs %d batched datagrams", len(*seqGot), len(*batchGot))
-	}
-	for i := range *seqGot {
-		if !bytes.Equal((*seqGot)[i], (*batchGot)[i]) {
-			t.Fatalf("datagram %d differs between sequential and batched delivery", i)
-		}
-	}
-}
-
 // reenterPipe models a synchronous transport under pipelining: while the
 // outermost Send is still in progress it feeds the responder newer requests,
 // among them the next uses of the very slot whose response is being sent,

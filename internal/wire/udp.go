@@ -69,8 +69,8 @@ func (f *frames) next() {
 	}
 }
 
-// UDPClient is the client-side Pipe over a connected UDP socket. It
-// implements BatchPipe. Its sends go through the same corked arena as the
+// UDPClient is the client-side Pipe over a connected UDP socket. Its sends
+// go through the same corked arena as the
 // server's replies (txBatch): outside Run's receive batch a message leaves
 // at once, inside it the batch's messages leave together when it ends,
 // bundled (see bundleMarker), in one sendmmsg on platforms that have it.
@@ -161,7 +161,7 @@ func (u *UDPClient) RxStats() (parks, emptyPolls uint64) {
 	return u.rx.Parks.Load(), u.rx.EmptyPolls.Load()
 }
 
-// TxStats reports what Send and SendBatch have transmitted so far: datagrams,
+// TxStats reports what Send has transmitted so far: datagrams,
 // and the messages they carried (their ratio is the bundle factor).
 func (u *UDPClient) TxStats() (datagrams, msgs uint64) {
 	return u.txm.Datagrams.Load(), u.txm.Msgs.Load()
@@ -173,16 +173,6 @@ func (u *UDPClient) TxStats() (datagrams, msgs uint64) {
 // so the datagram is lost and the next one goes out.
 func (u *UDPClient) Send(p []byte) error {
 	return u.tx.add(p, nil)
-}
-
-// SendBatch queues ps in order inside one cork, so they leave bundled in as
-// few syscalls as the platform allows. Its error is the closing flush's.
-func (u *UDPClient) SendBatch(ps [][]byte) error {
-	u.tx.cork()
-	for _, p := range ps {
-		u.tx.add(p, nil)
-	}
-	return u.tx.flush()
 }
 
 // Close shuts the socket down, stopping the read loop.

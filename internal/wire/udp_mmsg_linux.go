@@ -195,15 +195,14 @@ func (t *mmsgTx) sendmmsgTrap(fd uintptr) bool {
 }
 
 // txBatch is one socket's outbound half, the same type at both ends: a
-// client's requests (UDPClient.Send/SendBatch) and an ingress loop's replies
+// client's requests (UDPClient.Send) and an ingress loop's replies
 // queue here. add copies a message into an arena slot, so the caller's
 // buffer is free when add returns. Between cork and flush transmission is
 // deferred and consecutive messages to one peer share a datagram, a bundle
 // of up to maxBundle bytes (see bundleMarker); flush sends the arena in one
 // sendmmsg. Nothing waits for more: a flush sends what is there, and there
 // is no timer. Uncorked, add transmits at once, so a Send from another
-// goroutine never waits for traffic. cork/flush pairs nest: a client's
-// SendBatch inside its read loop's cork queues into it.
+// goroutine never waits for traffic. cork/flush pairs nest.
 type txBatch struct {
 	mu     sync.Mutex
 	tx     *mmsgTx   // guarded by mu

@@ -13,7 +13,7 @@ go build -o /tmp/edmload_smoke ./cmd/edmload
 
 log=$(mktemp)
 /tmp/edmd_smoke -listen 127.0.0.1:0 -metrics 127.0.0.1:0 -trace-ops 64 \
-    -slab 1048576 -slotbytes 256 >"$log" 2>&1 &
+    -slab 1048576 >"$log" 2>&1 &
 pid=$!
 trap 'kill "$pid" 2>/dev/null || true; rm -f "$log"' EXIT
 
