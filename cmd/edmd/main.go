@@ -129,14 +129,13 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 		}
 		// Session lifecycle (fresh session per HELLO, retirement on BYE,
 		// idle expiry) is handled by wire.UDPServer itself.
-		us, err := wire.ListenUDP(addr, func(_ string, reply wire.Pipe) func([]byte) {
+		us, err := wire.ListenUDP(addr, wire.NewUDPServerMetrics(reg), func(_ string, reply wire.Pipe) func([]byte) {
 			return srv.NewSession(reply).Deliver
 		})
 		if err != nil {
 			closeAll()
 			return err
 		}
-		us.SetMetrics(wire.NewUDPServerMetrics(reg))
 		servers[i], listeners[i] = srv, us
 		g := srv.Geometry()
 		if *nodes == 1 {

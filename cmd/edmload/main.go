@@ -248,11 +248,12 @@ type target struct {
 	clock    string // what the run's clock reads: "virtual" or "elapsed"
 	mem      rmem.Memory
 	conns    []*rmem.Client
-	udps     []*wire.UDPClient // udp: the sockets under conns
-	size     uint64            // addressable bytes
-	lb       *wire.Loopback    // loopback: the transport whose virtual clock times the run
-	srv      *rmem.Server      // loopback: the in-process server
-	cc       *cluster.Client   // cluster: the router in front of conns
+	metrics  *rmem.ClientMetrics // what every one of conns counts on
+	udps     []*wire.UDPClient   // udp: the sockets under conns
+	size     uint64              // addressable bytes
+	lb       *wire.Loopback      // loopback: the transport whose virtual clock times the run
+	srv      *rmem.Server        // loopback: the in-process server
+	cc       *cluster.Client     // cluster: the router in front of conns
 	close    func()
 }
 
@@ -276,7 +277,7 @@ func startProgress(t *target, rc *rmem.ReplayConfig, every time.Duration, total 
 	line := func() {
 		fmt.Fprintf(stderr, "edmload: progress done %d failed %d shed %d of %d, retransmits %d, %s %s\n",
 			done.Load(), failed.Load(), shed.Load(), total,
-			rmem.SumConnStats(t.conns).Retransmit, t.clock, t.stamp(rc.Now()))
+			t.metrics.Conn.Retransmits.Load(), t.clock, t.stamp(rc.Now()))
 	}
 	next := sim.Time(every) * sim.Nanosecond
 	rc.After = func(_ int, r rmem.OpResult) {
@@ -339,15 +340,19 @@ func openLoopback(slab int64, ccfg rmem.ClientConfig) (target, error) {
 		return target{}, err
 	}
 	return target{endpoint: "loopback (virtual clock)", clock: "virtual",
-		mem: client, conns: []*rmem.Client{client}, size: srv.Geometry().SlabBytes,
+		mem: client, conns: []*rmem.Client{client}, metrics: client.Metrics(), size: srv.Geometry().SlabBytes,
 		lb: lb, srv: srv, close: func() { client.Close() }}, nil
 }
 
-// dial connects one client per edmd address over UDP; with a single address
-// that client is the target's memory.
+// dial connects one client per edmd address over UDP, all counting on
+// ccfg.Metrics (nil: one private instance); with a single address that
+// client is the target's memory.
 func dial(addrs []string, ccfg rmem.ClientConfig) (target, error) {
 	ccfg.NowNS = func() int64 { return time.Now().UnixNano() }
-	t := target{endpoint: "udp " + addrs[0], clock: "elapsed"}
+	if ccfg.Metrics == nil {
+		ccfg.Metrics = rmem.NewClientMetrics(nil)
+	}
+	t := target{endpoint: "udp " + addrs[0], clock: "elapsed", metrics: ccfg.Metrics}
 	t.close = func() {
 		for _, cl := range t.conns {
 			cl.Close()
@@ -376,7 +381,9 @@ func dial(addrs []string, ccfg rmem.ClientConfig) (target, error) {
 
 // dialCluster puts the sharded, dual-homed cluster service in front of N
 // edmd nodes: reads route to each extent's primary and fail over to its
-// mirror, writes go through to both.
+// mirror, writes go through to both. One registry holds the router's
+// cluster_* series and the node clients' shared rmem_client_*/wire_client_*
+// ones; -metrics serves it.
 func dialCluster(addrs []string, seed uint64, evict int, metricsAddr string, ccfg rmem.ClientConfig, stdout io.Writer) (target, error) {
 	// A routed op fans out up to two datagrams per node, and a background
 	// re-mirror shares the node windows; give them headroom.
@@ -384,11 +391,12 @@ func dialCluster(addrs []string, seed uint64, evict int, metricsAddr string, ccf
 	if ccfg.Window > rmem.MaxWindow {
 		ccfg.Window = rmem.MaxWindow
 	}
+	reg := telemetry.NewRegistry()
+	ccfg.Metrics = rmem.NewClientMetrics(reg)
 	t, err := dial(addrs, ccfg)
 	if err != nil {
 		return target{}, err
 	}
-	reg := telemetry.NewRegistry()
 	cc, err := cluster.New(t.conns, cluster.Config{
 		Seed:      seed,
 		Metrics:   cluster.NewMetrics(reg, len(addrs)),
@@ -492,7 +500,7 @@ func report(w io.Writer, t *target, source string, ops []workload.Op, results []
 	// completions on the same clock; their rows cross-check the exact
 	// percentiles above within the histogram's 1/16-bucket resolution.
 	if t.cc == nil {
-		m := t.conns[0].Metrics()
+		m := t.metrics
 		for _, h := range []struct {
 			label string
 			kind  wire.Kind
@@ -509,8 +517,8 @@ func report(w io.Writer, t *target, source string, ops []workload.Op, results []
 	if horizon > 0 {
 		fmt.Fprintf(tw, "throughput\t%.0f ops/s\n", float64(done)/(float64(horizon)/float64(1000*sim.Millisecond)))
 	}
-	cs := rmem.SumConnStats(t.conns)
-	fmt.Fprintf(tw, "transport\tsent %d retransmits %d timeouts %d", cs.Sent, cs.Retransmit, cs.Timeouts)
+	c := t.metrics.Conn
+	fmt.Fprintf(tw, "transport\tsent %d retransmits %d timeouts %d", c.Datagrams.Load(), c.Retransmits.Load(), c.Timeouts.Load())
 	if len(t.udps) > 0 {
 		var parks, polls, datagrams, msgs uint64
 		for _, uc := range t.udps {

@@ -209,7 +209,7 @@ func benchUDPWindow(b *testing.B, window int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	us := udpListen(b, srv)
+	us := udpListen(b, srv, nil)
 	client := udpDial(b, us.Addr(), ClientConfig{Window: window,
 		Retry: wire.ConnConfig{RetryTimeout: time.Second, MaxRetries: 3}})
 	defer client.Close()

@@ -54,6 +54,9 @@ func wrapDeadline(err error) error {
 // (edmd -dup-window) can size itself by.
 const MaxWindow = 1024
 
+// handshakeTimeout bounds Connect.
+const handshakeTimeout = 5 * time.Second
+
 // ClientConfig tunes the client.
 type ClientConfig struct {
 	// Window bounds the outstanding operations (default 32, capped at
@@ -64,11 +67,11 @@ type ClientConfig struct {
 	// wire.ErrTimeout between RetryTimeout*(MaxRetries+1) and 1.5 times
 	// that after its issue (wire.ConnConfig).
 	Retry wire.ConnConfig
-	// HandshakeTimeout bounds Connect (default 5 s).
-	HandshakeTimeout time.Duration
 	// Metrics receives the window/completion counters and per-opcode latency
 	// histograms. Nil gets a private, unregistered instance; its embedded
 	// ConnMetrics backs the reliable layer unless Retry.Metrics overrides.
+	// Several clients may share one instance (a cluster's node clients):
+	// the series, Window included, then sum over them.
 	Metrics *ClientMetrics
 	// NowNS supplies timestamps for the latency histograms and the trace
 	// ring (nanoseconds; wall or virtual — a loopback passes its virtual
@@ -119,9 +122,6 @@ func NewClient(pipe wire.Pipe, cfg ClientConfig) *Client {
 	}
 	if cfg.Window > MaxWindow {
 		cfg.Window = MaxWindow
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewClientMetrics(nil)
@@ -178,7 +178,7 @@ func (c *Client) Connect() error {
 		c.geo = r.geo
 		c.mu.Unlock()
 		return nil
-	case <-time.After(c.cfg.HandshakeTimeout):
+	case <-time.After(handshakeTimeout):
 		return fmt.Errorf("rmem: handshake: %w", wire.ErrTimeout)
 	}
 }
@@ -229,7 +229,7 @@ func (c *Client) acquire() (*pendingOp, error) {
 		return nil, ErrTooManyOut
 	}
 	c.inflight++
-	c.metrics.Window.Set(int64(c.inflight))
+	c.metrics.Window.Add(1)
 	c.metrics.Issued.Inc()
 	o := c.freeOps
 	if o == nil {
@@ -250,7 +250,7 @@ func (c *Client) release(o *pendingOp, failed bool) {
 	o.next = c.freeOps
 	c.freeOps = o
 	c.inflight--
-	c.metrics.Window.Set(int64(c.inflight))
+	c.metrics.Window.Add(-1)
 	c.mu.Unlock()
 	if failed {
 		c.metrics.Failed.Inc()

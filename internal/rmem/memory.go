@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/memctl"
 	"repro/internal/sim"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -66,20 +65,6 @@ func RMWSync(m Memory, addr uint64, op memctl.RMWOp, args ...uint64) (uint64, er
 	}
 	r := <-ch
 	return r.v, r.err
-}
-
-// SumConnStats adds up the reliable layer's send, retransmission and timeout
-// counters over the connections behind one Memory: a single client's, or a
-// cluster's node clients'.
-func SumConnStats(conns []*Client) wire.ConnStats {
-	var s wire.ConnStats
-	for _, c := range conns {
-		cs := c.ConnStats()
-		s.Sent += cs.Sent
-		s.Retransmit += cs.Retransmit
-		s.Timeouts += cs.Timeouts
-	}
-	return s
 }
 
 // ErrMismatch fails a replayed read whose data is not what the replay's

@@ -62,14 +62,15 @@ func NewServerMetrics(r *telemetry.Registry) *ServerMetrics {
 
 // ClientMetrics holds the client's window/completion counters and per-opcode
 // end-to-end latency histograms, plus the underlying reliable layer's
-// ConnMetrics (the two register as one coherent family set).
+// ConnMetrics (the two register as one coherent family set). One instance
+// may back several clients; the series then aggregate over them.
 type ClientMetrics struct {
 	Issued     *telemetry.Counter
 	Done       *telemetry.Counter
 	Failed     *telemetry.Counter
 	WindowFull *telemetry.Counter
 	// Window tracks the in-flight operation count (the occupied share of the
-	// bounded outstanding window).
+	// bounded outstanding window), summed over the clients sharing it.
 	Window  *telemetry.Gauge
 	Latency [wire.NumKinds]*telemetry.Histogram // ns; populated only when a clock is wired
 	Conn    *wire.ConnMetrics

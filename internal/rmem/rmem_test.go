@@ -255,8 +255,8 @@ func TestStaleRequestNotReExecuted(t *testing.T) {
 	if n := reg.Counter("wire_server_stale_total").Load(); n != 1 {
 		t.Errorf("wire_server_stale_total = %d, want 1", n)
 	}
-	if st := sess.Stats(); st.Stale != 1 || st.Duplicates != 0 {
-		t.Errorf("session stats %+v", st)
+	if n := reg.Counter("wire_server_replays_total").Load(); n != 0 {
+		t.Errorf("wire_server_replays_total = %d, want 0", n)
 	}
 }
 
@@ -334,6 +334,47 @@ func TestWindowFailFast(t *testing.T) {
 		t.Errorf("client stats %+v", st)
 	}
 	darkClient.Close()
+}
+
+// TestSharedMetricsWindowSums: clients sharing one ClientMetrics (a
+// cluster's node clients) move its Window gauge by their own in-flight ops,
+// so it reads the sum over them, and 0 once every op has completed.
+func TestSharedMetricsWindowSums(t *testing.T) {
+	var dark atomic.Bool
+	fault := func(_ sim.Time, dir wire.Dir, _ []byte) wire.Fault {
+		if dir == wire.ToServer && dark.Load() {
+			return wire.FaultDrop
+		}
+		return wire.FaultNone
+	}
+	m := NewClientMetrics(nil)
+	ccfg := ClientConfig{Metrics: m, Retry: wire.ConnConfig{RetryTimeout: 2 * time.Millisecond, MaxRetries: 1000}}
+	_, a, _ := loopClient(t, nil, ccfg, fault)
+	_, b, _ := loopClient(t, nil, ccfg, fault)
+	defer a.Close()
+	defer b.Close()
+
+	dark.Store(true)
+	var wg sync.WaitGroup
+	for i, c := range []*Client{a, a, a, b, b} {
+		wg.Add(1)
+		if err := c.Read(uint64(i)*8, 8, func(_ []byte, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			wg.Done()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Window.Load(); got != 5 {
+		t.Errorf("Window with 3 + 2 ops in flight = %d, want 5", got)
+	}
+	dark.Store(false)
+	wg.Wait()
+	if got := m.Window.Load(); got != 0 {
+		t.Errorf("Window after both drained = %d, want 0", got)
+	}
 }
 
 // TestClientIssueContract pins what issuing an op promises, for each kind of
@@ -439,9 +480,6 @@ func TestHelloAckLayout(t *testing.T) {
 }
 
 func TestServerConfigValidation(t *testing.T) {
-	if _, err := NewServer(ServerConfig{Shards: -1}); err == nil {
-		t.Error("negative shard count accepted")
-	}
 	srv, err := NewServer(ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +496,7 @@ func TestUDPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := wire.ListenUDP("127.0.0.1:0", func(_ string, reply wire.Pipe) func([]byte) {
+	us, err := wire.ListenUDP("127.0.0.1:0", nil, func(_ string, reply wire.Pipe) func([]byte) {
 		return srv.NewSession(reply).Deliver
 	})
 	if err != nil {

@@ -50,21 +50,17 @@ func DecodeGeometry(b []byte) (Geometry, error) {
 	return Geometry{SlabBytes: binary.LittleEndian.Uint64(b)}, nil
 }
 
-// DefaultShards is the default slab-lock shard count. It is a fixed
-// constant — not derived from GOMAXPROCS — so the shard map, and with it
-// the per-shard DRAM-model state, is identical on every machine and
+// DefaultShards is the slab-lock shard count: the slab is split into
+// contiguous byte ranges, each with its own lock and DRAM model, so
+// concurrent sessions touching different ranges never serialize. It is a
+// fixed constant — not derived from GOMAXPROCS — so the shard map, and with
+// it the per-shard DRAM-model state, is identical on every machine and
 // loopback runs stay seed-deterministic.
 const DefaultShards = 16
 
 // ServerConfig sizes the memory node.
 type ServerConfig struct {
 	Geometry
-	// Shards is the slab-lock shard count: the slab is split into
-	// contiguous byte ranges, each with its own lock and DRAM model, so
-	// concurrent sessions touching different ranges never serialize.
-	// Zero means DefaultShards; 1 restores the single-lock behaviour;
-	// values above 256 are clamped.
-	Shards int
 	// DupWindow is how many call slots a session may use, each retaining
 	// one response for duplicate suppression (wire.ResponderConfig.Window:
 	// zero or anything above wire.MaxSlots means wire.MaxSlots). It must
@@ -72,7 +68,7 @@ type ServerConfig struct {
 	// slot beyond it are rejected.
 	DupWindow int
 	// Metrics receives the operation counters and service-time histograms.
-	// Nil gets a private, unregistered instance, so Stats() always works.
+	// Nil gets a private, unregistered instance.
 	Metrics *ServerMetrics
 	// Responder, when set, aggregates every session's reliability counters.
 	// Nil gets a private instance shared across sessions all the same.
@@ -82,23 +78,6 @@ type ServerConfig struct {
 	NowNS func() int64
 	// Trace, when non-nil, receives one StageServe record per request.
 	Trace *telemetry.TraceRing
-}
-
-// fill applies defaults and validates.
-func (c *ServerConfig) fill() error {
-	if c.SlabBytes == 0 {
-		c.SlabBytes = 64 << 20
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("rmem: invalid shard count %d", c.Shards)
-	}
-	if c.Shards == 0 {
-		c.Shards = DefaultShards
-	}
-	if c.Shards > 256 {
-		c.Shards = 256
-	}
-	return nil
 }
 
 // ServerStats counts served operations.
@@ -145,10 +124,10 @@ type Server struct {
 	shards     []shard
 }
 
-// NewServer builds a memory node with the given slab.
+// NewServer builds a memory node with the given slab (64 MiB when zero).
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
+	if cfg.SlabBytes == 0 {
+		cfg.SlabBytes = 64 << 20
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewServerMetrics(nil)
@@ -156,7 +135,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Responder == nil {
 		cfg.Responder = wire.NewResponderMetrics(nil)
 	}
-	shardBytes := (cfg.SlabBytes + uint64(cfg.Shards) - 1) / uint64(cfg.Shards)
+	shardBytes := (cfg.SlabBytes + DefaultShards - 1) / DefaultShards
 	shardBytes = (shardBytes + shardAlign - 1) &^ uint64(shardAlign-1)
 	shards := make([]shard, int((cfg.SlabBytes+shardBytes-1)/shardBytes))
 	for i := range shards {

@@ -15,10 +15,11 @@ import (
 	"repro/internal/wire"
 )
 
-// udpListen mounts srv on a UDP listener the way cmd/edmd does.
-func udpListen(t testing.TB, srv *Server) *wire.UDPServer {
+// udpListen mounts srv on a UDP listener the way cmd/edmd does, counting on
+// m (nil: a private instance).
+func udpListen(t testing.TB, srv *Server, m *wire.UDPServerMetrics) *wire.UDPServer {
 	t.Helper()
-	us, err := wire.ListenUDP("127.0.0.1:0", func(_ string, reply wire.Pipe) func([]byte) {
+	us, err := wire.ListenUDP("127.0.0.1:0", m, func(_ string, reply wire.Pipe) func([]byte) {
 		return srv.NewSession(reply).Deliver
 	})
 	if err != nil {
@@ -105,7 +106,7 @@ func TestUDPExactlyOnceOneCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us := udpListen(t, srv)
+	us := udpListen(t, srv, nil)
 	one := []uint64{1}
 	ran, replays := 0, uint64(0)
 	for ran < rounds {
@@ -166,7 +167,7 @@ func TestUDPSessionsAcrossLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us := udpListen(t, srv)
+	us := udpListen(t, srv, nil)
 	clients := make([]*Client, sessions)
 	for s := range clients {
 		clients[s] = udpDial(t, us.Addr(), ClientConfig{Window: 32})
@@ -230,7 +231,7 @@ func TestUDPOversizeRepliesKeepOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us := udpListen(t, srv)
+	us := udpListen(t, srv, nil)
 	client := udpDial(t, us.Addr(), ClientConfig{Window: 16})
 	defer client.Close()
 	buf := make([]byte, big)
@@ -291,9 +292,8 @@ func TestUDPBundlesForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us := udpListen(t, srv)
 	sm := wire.NewUDPServerMetrics(nil)
-	us.SetMetrics(sm)
+	us := udpListen(t, srv, sm)
 	uc, err := wire.DialUDP(us.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestUDPClientSurvivesServerRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return wire.ListenUDP(addr, func(_ string, reply wire.Pipe) func([]byte) {
+		return wire.ListenUDP(addr, nil, func(_ string, reply wire.Pipe) func([]byte) {
 			return srv.NewSession(reply).Deliver
 		})
 	}

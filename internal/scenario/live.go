@@ -264,6 +264,9 @@ func runLive(spec *Spec) (*Report, error) {
 	// One clock across every transport: each delivered or dropped datagram
 	// anywhere charges the same timebase.
 	clock := wire.NewVirtualClock()
+	// Every node client counts on one ClientMetrics: its series are the sums
+	// the report's transport rows read.
+	cm := rmem.NewClientMetrics(nil)
 	var conns []*rmem.Client
 	var lbs []*wire.Loopback
 	connect := func(node int, slab uint64, ccfg rmem.ClientConfig) error {
@@ -272,6 +275,7 @@ func runLive(spec *Spec) (*Report, error) {
 			return err
 		}
 		lb := wire.NewLoopback(wire.LoopbackConfig{Fault: fs.hook(node), Clock: clock})
+		ccfg.Metrics = cm
 		cl := rmem.NewClient(lb.ClientPipe(), ccfg)
 		lb.BindServer(srv.NewSession(lb.ServerPipe()).Deliver)
 		lb.BindClient(cl.Deliver)
@@ -338,20 +342,21 @@ func runLive(spec *Spec) (*Report, error) {
 	}
 	deltas := make([]WireDelta, len(spec.Phases))
 	lastPhase := -1
-	var snapCS wire.ConnStats
+	var sent, retransmits, timeouts uint64 // cm.Conn's counters at the last boundary
 	var snapLS wire.LoopbackStats
 	boundary := func(next int) {
-		cs := rmem.SumConnStats(conns)
+		c := cm.Conn
+		s, r, to := c.Datagrams.Load(), c.Retransmits.Load(), c.Timeouts.Load()
 		ls := links()
 		if lastPhase >= 0 {
 			d := &deltas[lastPhase]
-			d.Sent += cs.Sent - snapCS.Sent
-			d.Retransmits += cs.Retransmit - snapCS.Retransmit
-			d.Timeouts += cs.Timeouts - snapCS.Timeouts
+			d.Sent += s - sent
+			d.Retransmits += r - retransmits
+			d.Timeouts += to - timeouts
 			d.Dropped += ls.Dropped - snapLS.Dropped
 			d.Corrupted += ls.Corrupted - snapLS.Corrupted
 		}
-		snapCS = cs
+		sent, retransmits, timeouts = s, r, to
 		snapLS = ls
 		lastPhase = next
 	}
@@ -400,7 +405,7 @@ func runLive(spec *Spec) (*Report, error) {
 		Nodes: spec.Nodes, Seed: spec.Seed,
 		Horizon: clock.Now(), Issued: len(ops),
 		Events:   len(events),
-		Timeouts: snapCS.Timeouts,
+		Timeouts: timeouts,
 	}
 	// The single session says BYE before the link counters are read (its
 	// teardown round trip has always been part of its "link blocks sent");

@@ -1,4 +1,4 @@
-package hwsim
+package sched
 
 import (
 	"sort"
@@ -9,7 +9,7 @@ import (
 )
 
 func TestOrderedListBasics(t *testing.T) {
-	var l OrderedList[string]
+	var l orderedList[string]
 	l.Insert(30, "c")
 	l.Insert(10, "a")
 	l.Insert(20, "b")
@@ -34,7 +34,7 @@ func TestOrderedListBasics(t *testing.T) {
 }
 
 func TestOrderedListFIFOTies(t *testing.T) {
-	var l OrderedList[int]
+	var l orderedList[int]
 	for i := 0; i < 10; i++ {
 		l.Insert(5, i)
 	}
@@ -47,7 +47,7 @@ func TestOrderedListFIFOTies(t *testing.T) {
 }
 
 func TestOrderedListPeekWhere(t *testing.T) {
-	var l OrderedList[int]
+	var l orderedList[int]
 	l.Insert(1, 100)
 	l.Insert(2, 200)
 	l.Insert(3, 300)
@@ -62,7 +62,7 @@ func TestOrderedListPeekWhere(t *testing.T) {
 }
 
 func TestOrderedListDeleteWhere(t *testing.T) {
-	var l OrderedList[int]
+	var l orderedList[int]
 	for i := 0; i < 5; i++ {
 		l.Insert(int64(i), i)
 	}
@@ -76,7 +76,7 @@ func TestOrderedListDeleteWhere(t *testing.T) {
 }
 
 func TestOrderedListUpdateKey(t *testing.T) {
-	var l OrderedList[string]
+	var l orderedList[string]
 	l.Insert(10, "x")
 	l.Insert(20, "y")
 	if !l.UpdateKey(func(v string) bool { return v == "y" }, 5) {
@@ -88,10 +88,10 @@ func TestOrderedListUpdateKey(t *testing.T) {
 	}
 }
 
-// Property: OrderedList drains in nondecreasing key order for any input.
+// Property: orderedList drains in nondecreasing key order for any input.
 func TestOrderedListSortProperty(t *testing.T) {
 	f := func(keys []int16) bool {
-		var l OrderedList[int]
+		var l orderedList[int]
 		for i, k := range keys {
 			l.Insert(int64(k), i)
 		}
@@ -123,7 +123,7 @@ func TestOrderedListStableAgainstReference(t *testing.T) {
 			id  int
 		}
 		items := make([]item, n)
-		var l OrderedList[int]
+		var l orderedList[int]
 		for i := range items {
 			items[i] = item{key: int64(rng.Intn(8)), id: i}
 			l.Insert(items[i].key, items[i].id)
@@ -139,25 +139,8 @@ func TestOrderedListStableAgainstReference(t *testing.T) {
 	}
 }
 
-func TestPriorityEncoder(t *testing.T) {
-	p := NewPriorityEncoder(8)
-	if _, ok := p.Encode(); ok {
-		t.Fatal("empty encoder returned a value")
-	}
-	p.Set(5)
-	p.Set(2)
-	p.Set(7)
-	if i, ok := p.Encode(); !ok || i != 2 {
-		t.Fatalf("Encode = %d,%v want 2", i, ok)
-	}
-	p.ClearAll()
-	if _, ok := p.Encode(); ok {
-		t.Fatal("encoder not cleared")
-	}
-}
-
 func TestSortedArrayArbitrate(t *testing.T) {
-	s := NewSortedArray(8)
+	s := &sortedArray{}
 	// dst 3 has priority 50, dst 1 has 10 (best), dst 6 has 30.
 	s.Update(3, 50)
 	s.Update(1, 10)
@@ -176,7 +159,7 @@ func TestSortedArrayArbitrate(t *testing.T) {
 }
 
 func TestSortedArrayUpdateMovesPriority(t *testing.T) {
-	s := NewSortedArray(4)
+	s := &sortedArray{}
 	s.Update(0, 100)
 	s.Update(1, 200)
 	// Re-update dst 1 to the best priority; must win arbitration now.
@@ -201,7 +184,7 @@ func TestSortedArrayArbitrateProperty(t *testing.T) {
 		if len(keys) > 8 {
 			keys = keys[:8]
 		}
-		s := NewSortedArray(8)
+		s := &sortedArray{}
 		for d, k := range keys {
 			s.Update(d, int64(k))
 		}
@@ -232,8 +215,8 @@ func TestCycleCostConstants(t *testing.T) {
 	// The paper's 3-cycle PIM iteration decomposes as: 1 cycle queue peek,
 	// 1 cycle encoder arbitration, 1 cycle busy-mark. Guard the data
 	// structure costs that claim rests on.
-	if PeekCycles != 1 || EncodeCycles != 1 {
-		t.Fatalf("peek=%d encode=%d; PIM iteration budget broken", PeekCycles, EncodeCycles)
+	if PeekCycles != 1 || IterationCycles != PeekCycles+2 {
+		t.Fatalf("peek=%d iteration=%d; PIM iteration budget broken", PeekCycles, IterationCycles)
 	}
 	if InsertCycles != 2 || DeleteCycles != 2 {
 		t.Fatalf("insert=%d delete=%d; pipelined op cost broken", InsertCycles, DeleteCycles)

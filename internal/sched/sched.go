@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/hwsim"
 	"repro/internal/sim"
 )
 
@@ -146,8 +145,8 @@ type Scheduler struct {
 	// grant propagation to the sender.
 	OnGrant func(Grant)
 
-	queues    []*hwsim.OrderedList[*message] // per destination port
-	srcArrays []*hwsim.SortedArray           // per source port
+	queues    []*orderedList[*message] // per destination port
+	srcArrays []*sortedArray           // per source port
 	busySrc   []bool
 	busyDst   []bool
 	pairs     map[pairKey][]*message
@@ -174,15 +173,15 @@ func New(engine *sim.Engine, cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:       cfg,
 		engine:    engine,
-		queues:    make([]*hwsim.OrderedList[*message], cfg.Ports),
-		srcArrays: make([]*hwsim.SortedArray, cfg.Ports),
+		queues:    make([]*orderedList[*message], cfg.Ports),
+		srcArrays: make([]*sortedArray, cfg.Ports),
 		busySrc:   make([]bool, cfg.Ports),
 		busyDst:   make([]bool, cfg.Ports),
 		pairs:     make(map[pairKey][]*message),
 	}
 	for i := range s.queues {
-		s.queues[i] = &hwsim.OrderedList[*message]{}
-		s.srcArrays[i] = hwsim.NewSortedArray(cfg.Ports)
+		s.queues[i] = &orderedList[*message]{}
+		s.srcArrays[i] = &sortedArray{}
 	}
 	return s
 }

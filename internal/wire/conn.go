@@ -65,8 +65,8 @@ type ConnConfig struct {
 	// entirely (single-attempt fail-fast).
 	MaxRetries int
 	// Metrics receives the reliability counters. Nil gets a private,
-	// unregistered instance, so Stats() works either way; pass a shared
-	// instance to aggregate several connections into one family.
+	// unregistered instance (Conn.Metrics reads it); pass a shared instance
+	// to aggregate several connections into one family.
 	Metrics *ConnMetrics
 	// NowNS supplies timestamps (nanoseconds; wall or virtual — the layer
 	// never reads a clock itself, keeping deterministic transports
@@ -654,15 +654,6 @@ type ResponderConfig struct {
 // all that a message ID can name.
 const DefaultResponderWindow = MaxSlots
 
-// ResponderStats counts server-side events.
-type ResponderStats struct {
-	Requests   uint64 // fresh requests executed
-	Duplicates uint64 // retransmissions answered from the retained response
-	Stale      uint64 // requests older than their slot's newest, dropped
-	Garbage    uint64 // datagrams that failed to decode
-	Rejected   uint64 // non-request kinds and slots beyond the window
-}
-
 // respEntry is the response of one call slot's newest request. It is claimed
 // before the handler runs (done false) so a retransmission racing the first
 // execution waits for the response instead of re-executing — the guarantee
@@ -735,18 +726,6 @@ func NewResponder(pipe Pipe, cfg ResponderConfig, handler func(req, resp *Msg)) 
 	r := &Responder{pipe: pipe, handler: handler, metrics: cfg.Metrics, window: cfg.Window}
 	r.filled = sync.NewCond(&r.mu)
 	return r
-}
-
-// Stats snapshots the responder counters from its metrics (shared
-// ResponderMetrics aggregate across every session they back).
-func (r *Responder) Stats() ResponderStats {
-	return ResponderStats{
-		Requests:   r.metrics.Requests.Load(),
-		Duplicates: r.metrics.Duplicates.Load(),
-		Stale:      r.metrics.Stale.Load(),
-		Garbage:    r.metrics.Garbage.Load(),
-		Rejected:   r.metrics.Rejected.Load(),
-	}
 }
 
 // responseReserve is the payload room for a response whose size the request

@@ -32,6 +32,13 @@ func growTestData(d []byte, n int) []byte {
 }
 
 // pair wires a Conn and a Responder over a fresh loopback.
+// responderCounts reads a ResponderMetrics' counters as one comparable value.
+type responderCounts struct{ Requests, Duplicates, Stale, Garbage, Rejected uint64 }
+
+func countsOf(m *ResponderMetrics) responderCounts {
+	return responderCounts{m.Requests.Load(), m.Duplicates.Load(), m.Stale.Load(), m.Garbage.Load(), m.Rejected.Load()}
+}
+
 func pair(t *testing.T, lcfg LoopbackConfig, ccfg ConnConfig, handler func(req, resp *Msg)) (*Loopback, *Conn, *Responder) {
 	t.Helper()
 	if handler == nil {
@@ -78,7 +85,7 @@ func TestConnRoundTrip(t *testing.T) {
 	if r.Kind != KindRRESP || len(r.Data) != 64 {
 		t.Fatalf("got %v with %d bytes", r.Kind, len(r.Data))
 	}
-	if st := resp.Stats(); st.Requests != 1 || st.Duplicates != 0 {
+	if st := countsOf(resp.metrics); st.Requests != 1 || st.Duplicates != 0 {
 		t.Errorf("responder stats %+v", st)
 	}
 	if st := conn.Stats(); st.Responses != 1 || st.Retransmit != 0 {
@@ -108,7 +115,7 @@ func TestConnRetransmitAfterDrop(t *testing.T) {
 	if st := conn.Stats(); st.Retransmit != 1 {
 		t.Errorf("want 1 retransmit, stats %+v", st)
 	}
-	if st := resp.Stats(); st.Requests != 1 {
+	if st := countsOf(resp.metrics); st.Requests != 1 {
 		t.Errorf("server should have executed once, stats %+v", st)
 	}
 	if st := lb.Stats(); st.Dropped != 1 {
@@ -140,7 +147,7 @@ func TestConnDuplicateSuppression(t *testing.T) {
 	if executions != 1 {
 		t.Fatalf("handler executed %d times; duplicate suppression failed", executions)
 	}
-	st := resp.Stats()
+	st := countsOf(resp.metrics)
 	if st.Requests != 1 || st.Duplicates != 1 {
 		t.Errorf("responder stats %+v", st)
 	}
@@ -285,7 +292,7 @@ func TestConnPipelined(t *testing.T) {
 // echo, close.
 func TestUDPRoundTrip(t *testing.T) {
 	var server *UDPServer
-	server, err := ListenUDP("127.0.0.1:0", func(_ string, reply Pipe) func([]byte) {
+	server, err := ListenUDP("127.0.0.1:0", nil, func(_ string, reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
 	})
 	if err != nil {

@@ -264,7 +264,8 @@ func TestResponderInPlaceResponses(t *testing.T) {
 	var cur *handlerCase
 	var window *byte // first byte of the window the handler was given
 	executed := 0
-	r := NewResponder(pipe, ResponderConfig{Window: 2}, func(req, resp *Msg) {
+	rm := NewResponderMetrics(nil)
+	r := NewResponder(pipe, ResponderConfig{Window: 2, Metrics: rm}, func(req, resp *Msg) {
 		executed++
 		if len(resp.Data) != 0 {
 			t.Errorf("%s: resp.Data arrives with length %d, want a zero-length window", cur.name, len(resp.Data))
@@ -326,7 +327,7 @@ func TestResponderInPlaceResponses(t *testing.T) {
 			}
 		}
 	}
-	if st := r.Stats(); st.Requests != uint64(issued) || st.Duplicates != uint64(issued) {
+	if st := countsOf(rm); st.Requests != uint64(issued) || st.Duplicates != uint64(issued) {
 		t.Fatalf("responder stats %+v, want %d requests and as many duplicates", st, issued)
 	}
 }

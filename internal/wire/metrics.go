@@ -14,7 +14,7 @@ func kindLabel(base string, k Kind) string {
 // ConnMetrics holds the client reliability layer's counters, pre-registered
 // so the hot path only touches atomics. One instance may back several Conns
 // (the series then aggregate); passing nil to NewConn builds a private,
-// unregistered instance so Stats() always works.
+// unregistered instance.
 type ConnMetrics struct {
 	// Datagrams transmitted, including retransmissions.
 	Datagrams *telemetry.Counter

@@ -31,7 +31,8 @@ func TestResponderEvictionKeepsInflight(t *testing.T) {
 		}
 		resp.Data = append(resp.Data, byte(m.ID>>slotBits))
 	}
-	r := NewResponder(pipe, ResponderConfig{Window: 2}, handler)
+	rm := NewResponderMetrics(nil)
+	r := NewResponder(pipe, ResponderConfig{Window: 2, Metrics: rm}, handler)
 
 	enc := func(id uint32) []byte {
 		b, err := (&Msg{Kind: KindRREQ, ID: id, Count: 1}).AppendEncode(nil)
@@ -77,7 +78,7 @@ func TestResponderEvictionKeepsInflight(t *testing.T) {
 	if n := executions.Load(); n != 7 {
 		t.Fatalf("handler ran %d times, want 7 (each request once)", n)
 	}
-	if st := r.Stats(); st.Duplicates != 1 || st.Stale != 0 {
+	if st := countsOf(rm); st.Duplicates != 1 || st.Stale != 0 {
 		t.Fatalf("responder stats %+v, want 1 duplicate", st)
 	}
 	// The stalled request's owner and its waiting duplicate both answered
@@ -139,7 +140,7 @@ func TestUDPSessionResetOnHello(t *testing.T) {
 			resp.Data = append(resp.Data[:0], byte(n))
 		}
 	}
-	server, err := ListenUDP("127.0.0.1:0", func(_ string, reply Pipe) func([]byte) {
+	server, err := ListenUDP("127.0.0.1:0", nil, func(_ string, reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, handler).Deliver
 	})
 	if err != nil {
@@ -211,7 +212,7 @@ func TestUDPDuplicateHelloKeepsSession(t *testing.T) {
 	handler := func(_, _ *Msg) {
 		executions.Add(1)
 	}
-	server, err := ListenUDP("127.0.0.1:0", func(_ string, reply Pipe) func([]byte) {
+	server, err := ListenUDP("127.0.0.1:0", nil, func(_ string, reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, handler).Deliver
 	})
 	if err != nil {

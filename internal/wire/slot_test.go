@@ -23,18 +23,19 @@ func slotID(slot, seq uint32) uint32 { return seq&seqMask<<slotBits | slot }
 type slotModel struct {
 	t        testing.TB
 	r        *Responder
+	metrics  *ResponderMetrics // r's
 	pipe     *capturePipe
 	window   uint32
 	executed int // handler runs during the current Deliver
 	serial   uint64
 	newest   map[uint32]uint64 // slot -> unwrapped seq of its newest request
 	answer   map[uint32][]byte // slot -> response datagram to that request
-	want     ResponderStats
+	want     responderCounts
 }
 
 func newSlotModel(t testing.TB, window int) *slotModel {
-	m := &slotModel{t: t, pipe: &capturePipe{}, newest: map[uint32]uint64{}, answer: map[uint32][]byte{}}
-	m.r = NewResponder(m.pipe, ResponderConfig{Window: window}, func(req, resp *Msg) {
+	m := &slotModel{t: t, pipe: &capturePipe{}, metrics: NewResponderMetrics(nil), newest: map[uint32]uint64{}, answer: map[uint32][]byte{}}
+	m.r = NewResponder(m.pipe, ResponderConfig{Window: window, Metrics: m.metrics}, func(req, resp *Msg) {
 		// The payload differs on every execution, so a re-execution cannot
 		// pass for a replay.
 		m.executed++
@@ -87,7 +88,7 @@ func (m *slotModel) deliver(slot uint32, seq uint64) {
 			m.t.Fatalf("stale (slot %d, seq %d, newest %d): executed %d, sent %d", slot, seq, newest, m.executed, len(sent))
 		}
 	}
-	if got := m.r.Stats(); got != m.want {
+	if got := countsOf(m.metrics); got != m.want {
 		m.t.Fatalf("after (slot %d, seq %d): stats %+v, want %+v", slot, seq, got, m.want)
 	}
 }
@@ -548,7 +549,7 @@ func TestSeqWrapEndToEnd(t *testing.T) {
 	if ids[2] != slotID(0, seqMask) || ids[3] != slotID(0, 0) || ids[7] != slotID(0, 4) {
 		t.Fatalf("IDs across the wrap: %#x", ids)
 	}
-	if st := r.Stats(); executions != 9 || st.Requests != 9 || st.Stale != 0 || st.Duplicates != 0 {
+	if st := countsOf(r.metrics); executions != 9 || st.Requests != 9 || st.Stale != 0 || st.Duplicates != 0 {
 		t.Fatalf("%d executions, responder %+v", executions, st)
 	}
 	if st := conn.Stats(); st.Stray != 0 || st.Responses != 9 {

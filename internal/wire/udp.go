@@ -9,7 +9,6 @@ import (
 	"net/netip"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -78,7 +77,6 @@ type UDPClient struct {
 	conn *net.UDPConn
 	tx   *txBatch
 	rx   UDPRxMetrics // what Run's receiver counts
-	txm  UDPTxMetrics // what tx counts
 
 	mu     sync.Mutex
 	closed bool
@@ -105,9 +103,9 @@ func DialUDP(addr string) (*UDPClient, error) {
 
 // newUDPClient wraps a connected socket.
 func newUDPClient(conn *net.UDPConn) (*UDPClient, error) {
-	u := &UDPClient{conn: conn, rx: newUDPRxMetrics(nil), txm: newUDPTxMetrics(nil)}
+	u := &UDPClient{conn: conn, rx: newUDPRxMetrics(nil)}
 	var err error
-	u.tx, err = newTxBatch(conn, func() *UDPTxMetrics { return &u.txm })
+	u.tx, err = newTxBatch(conn, newUDPTxMetrics(nil))
 	return u, err
 }
 
@@ -131,7 +129,7 @@ func newUDPClient(conn *net.UDPConn) (*UDPClient, error) {
 // flush, and send them one datagram each). A batch of one message does not
 // yield: window-1 traffic pays nothing for the cork.
 func (u *UDPClient) Run(deliver func([]byte)) {
-	r, err := newBatchReceiver(u.conn, false, func() *UDPRxMetrics { return &u.rx })
+	r, err := newBatchReceiver(u.conn, false, u.rx)
 	if err != nil {
 		return
 	}
@@ -164,7 +162,7 @@ func (u *UDPClient) RxStats() (parks, emptyPolls uint64) {
 // TxStats reports what Send has transmitted so far: datagrams,
 // and the messages they carried (their ratio is the bundle factor).
 func (u *UDPClient) TxStats() (datagrams, msgs uint64) {
-	return u.txm.Datagrams.Load(), u.txm.Msgs.Load()
+	return u.tx.m.Datagrams.Load(), u.tx.m.Msgs.Load()
 }
 
 // Send queues p: inside Run's receive batch it leaves when the batch ends,
@@ -273,7 +271,7 @@ type ingressLoop struct {
 type UDPServer struct {
 	accept  func(remote string, reply Pipe) func([]byte)
 	loops   []*ingressLoop
-	metrics atomic.Pointer[UDPServerMetrics]
+	metrics *UDPServerMetrics
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -281,8 +279,10 @@ type UDPServer struct {
 }
 
 // ListenUDP binds addr ("host:port"; port 0 picks a free one) and starts
-// serving. Use Addr for the bound address and Close to stop.
-func ListenUDP(addr string, accept func(remote string, reply Pipe) func([]byte)) (*UDPServer, error) {
+// serving. m receives the session-lifecycle, receive and send counters of
+// every loop; nil gets a private, unregistered instance. Use Addr for the
+// bound address and Close to stop.
+func ListenUDP(addr string, m *UDPServerMetrics, accept func(remote string, reply Pipe) func([]byte)) (*UDPServer, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: resolve %s: %w", addr, err)
@@ -291,14 +291,14 @@ func ListenUDP(addr string, accept func(remote string, reply Pipe) func([]byte))
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
 	}
-	s := &UDPServer{accept: accept, done: make(chan struct{})}
-	s.metrics.Store(NewUDPServerMetrics(nil))
-	rxStats := func() *UDPRxMetrics { return &s.metrics.Load().Rx }
-	txStats := func() *UDPTxMetrics { return &s.metrics.Load().Tx }
+	if m == nil {
+		m = NewUDPServerMetrics(nil)
+	}
+	s := &UDPServer{accept: accept, metrics: m, done: make(chan struct{})}
 	for _, c := range conns {
 		l := &ingressLoop{s: s, conn: c, sessions: make(map[netip.AddrPort]*udpSession)}
-		if l.rx, err = newBatchReceiver(c, true, rxStats); err == nil {
-			l.tx, err = newTxBatch(c, txStats)
+		if l.rx, err = newBatchReceiver(c, true, m.Rx); err == nil {
+			l.tx, err = newTxBatch(c, m.Tx)
 		}
 		if err != nil {
 			closeConns(conns)
@@ -318,17 +318,6 @@ func closeConns(conns []*net.UDPConn) {
 	for _, c := range conns {
 		c.Close()
 	}
-}
-
-// SetMetrics swaps in registered session-lifecycle metrics. Call it right
-// after ListenUDP, before clients connect; events counted on the default
-// (unregistered) instance are not carried over.
-func (s *UDPServer) SetMetrics(m *UDPServerMetrics) {
-	if m == nil {
-		return
-	}
-	m.Active.Set(int64(s.Sessions()))
-	s.metrics.Store(m)
 }
 
 // Addr reports the bound listen address.
@@ -389,7 +378,7 @@ func (l *ingressLoop) run() {
 func (l *ingressLoop) route(p []byte, i int, now int64) func([]byte) {
 	hello, bye, token := sessionControl(p)
 	key := l.rx.src(i)
-	m := l.s.metrics.Load()
+	m := l.s.metrics
 	l.mu.Lock()
 	sess, ok := l.sessions[key]
 	// A HELLO resets the session unless it carries the current
@@ -422,7 +411,7 @@ func (l *ingressLoop) route(p []byte, i int, now int64) func([]byte) {
 func (l *ingressLoop) dropLocked(key netip.AddrPort, why *telemetry.Counter) {
 	delete(l.sessions, key)
 	why.Inc()
-	l.s.metrics.Load().Active.Add(-1)
+	l.s.metrics.Active.Add(-1)
 }
 
 // janitor reclaims sessions idle past sessionIdleTimeout on every loop.
@@ -442,12 +431,11 @@ func (s *UDPServer) janitor() {
 
 // expire drops every session last seen before cutoff (UnixNano).
 func (s *UDPServer) expire(cutoff int64) {
-	m := s.metrics.Load()
 	for _, l := range s.loops {
 		l.mu.Lock()
 		for key, sess := range l.sessions {
 			if sess.lastSeen < cutoff {
-				l.dropLocked(key, m.Expired)
+				l.dropLocked(key, s.metrics.Expired)
 			}
 		}
 		l.mu.Unlock()
@@ -472,11 +460,10 @@ func (s *UDPServer) Forget(remote string) {
 	if err != nil {
 		return
 	}
-	m := s.metrics.Load()
 	for _, l := range s.loops {
 		l.mu.Lock()
 		if _, ok := l.sessions[key]; ok {
-			l.dropLocked(key, m.Retired)
+			l.dropLocked(key, s.metrics.Retired)
 		}
 		l.mu.Unlock()
 	}

@@ -33,7 +33,8 @@ func TestUDPLoopsOwnSessions(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const clients = 16
 	remotes := make(chan string, clients)
-	server, err := ListenUDP("127.0.0.1:0", func(remote string, reply Pipe) func([]byte) {
+	m := NewUDPServerMetrics(nil)
+	server, err := ListenUDP("127.0.0.1:0", m, func(remote string, reply Pipe) func([]byte) {
 		remotes <- remote
 		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
 	})
@@ -41,8 +42,6 @@ func TestUDPLoopsOwnSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	m := NewUDPServerMetrics(nil)
-	server.SetMetrics(m)
 	saddr, err := net.ResolveUDPAddr("udp", server.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestUDPLoopsOwnSessions(t *testing.T) {
 // next receive batch.
 func TestUDPReplyOutsideBatch(t *testing.T) {
 	pipes := make(chan Pipe, 1)
-	server, err := ListenUDP("127.0.0.1:0", func(_ string, reply Pipe) func([]byte) {
+	server, err := ListenUDP("127.0.0.1:0", nil, func(_ string, reply Pipe) func([]byte) {
 		pipes <- reply
 		return func([]byte) {}
 	})
@@ -145,7 +144,7 @@ func TestUDPBatchPathAllocs(t *testing.T) {
 	}
 	defer cconn.Close()
 	rxm := newUDPRxMetrics(nil)
-	rx, err := newBatchReceiver(sconn, true, func() *UDPRxMetrics { return &rxm })
+	rx, err := newBatchReceiver(sconn, true, rxm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func TestUDPBatchPathAllocs(t *testing.T) {
 	}
 
 	txm := newUDPTxMetrics(nil)
-	tx, err := newTxBatch(sconn, func() *UDPTxMetrics { return &txm })
+	tx, err := newTxBatch(sconn, txm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,15 +296,14 @@ func bundleExchange(t *testing.T, sock *net.UDPConn, p []byte) []*Msg {
 // it would a datagram of its own — corruption, truncation, HELLO and BYE act
 // per message.
 func TestUDPBundleFrames(t *testing.T) {
-	server, err := ListenUDP("127.0.0.1:0", func(_ string, reply Pipe) func([]byte) {
+	m := NewUDPServerMetrics(nil)
+	server, err := ListenUDP("127.0.0.1:0", m, func(_ string, reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	m := NewUDPServerMetrics(nil)
-	server.SetMetrics(m)
 	saddr, _ := net.ResolveUDPAddr("udp", server.Addr())
 	dial := func(t *testing.T) *net.UDPConn {
 		sock, err := net.DialUDP("udp", nil, saddr)

@@ -205,20 +205,18 @@ func (t *mmsgTx) sendmmsgTrap(fd uintptr) bool {
 // goroutine never waits for traffic. cork/flush pairs nest.
 type txBatch struct {
 	mu     sync.Mutex
-	tx     *mmsgTx   // guarded by mu
-	arena  []byte    // guarded by mu: udpBatchSize slots of txSlotBytes
-	to     *peerAddr // guarded by mu: the destination of the last queued datagram
-	open   int       // guarded by mu: that datagram's length as a bundle; 0: it cannot grow
-	msgs   int       // guarded by mu: messages queued since the last flush
-	corked int       // guarded by mu: cork nesting depth
-	stats  func() *UDPTxMetrics
+	tx     *mmsgTx      // guarded by mu
+	arena  []byte       // guarded by mu: udpBatchSize slots of txSlotBytes
+	to     *peerAddr    // guarded by mu: the destination of the last queued datagram
+	open   int          // guarded by mu: that datagram's length as a bundle; 0: it cannot grow
+	msgs   int          // guarded by mu: messages queued since the last flush
+	corked int          // guarded by mu: cork nesting depth
+	m      UDPTxMetrics // set at construction; its counters are atomic
 }
 
-// newTxBatch's stats names the counters of the moment: a server's can be
-// swapped while its loops run (UDPServer.SetMetrics).
-func newTxBatch(c *net.UDPConn, stats func() *UDPTxMetrics) (*txBatch, error) {
+func newTxBatch(c *net.UDPConn, m UDPTxMetrics) (*txBatch, error) {
 	tx, err := newMmsgTx(c)
-	return &txBatch{tx: tx, stats: stats, arena: make([]byte, udpBatchSize*txSlotBytes)}, err
+	return &txBatch{tx: tx, m: m, arena: make([]byte, udpBatchSize*txSlotBytes)}, err
 }
 
 func (b *txBatch) cork() {
@@ -287,9 +285,8 @@ func (b *txBatch) flushLocked() error {
 	if b.tx.n == 0 {
 		return nil
 	}
-	m := b.stats()
-	m.Datagrams.Add(uint64(b.tx.n))
-	m.Msgs.Add(uint64(b.msgs))
+	b.m.Datagrams.Add(uint64(b.tx.n))
+	b.m.Msgs.Add(uint64(b.msgs))
 	b.open, b.msgs, b.to = 0, 0, nil
 	return b.tx.flush()
 }
@@ -311,17 +308,15 @@ type batchReceiver struct {
 
 	idleSince time.Time // the first empty poll since the last datagram; zero: none yet
 	park      bool      // idleSince is pollWindow old: the next empty poll parks
-	stats     func() *UDPRxMetrics
+	m         UDPRxMetrics
 }
 
-// newBatchReceiver's stats names the counters of the moment: a server's can
-// be swapped while its loops run (UDPServer.SetMetrics).
-func newBatchReceiver(c *net.UDPConn, capture bool, stats func() *UDPRxMetrics) (*batchReceiver, error) {
+func newBatchReceiver(c *net.UDPConn, capture bool, m UDPRxMetrics) (*batchReceiver, error) {
 	rc, err := c.SyscallConn()
 	if err != nil {
 		return nil, err
 	}
-	r := &batchReceiver{rc: rc, stats: stats,
+	r := &batchReceiver{rc: rc, m: m,
 		bufs: make([][]byte, udpBatchSize),
 		hdrs: make([]mmsghdr, udpBatchSize),
 		iovs: make([]syscall.Iovec, udpBatchSize)}
@@ -394,10 +389,10 @@ func (r *batchReceiver) recvmmsgTrap(fd uintptr) bool {
 		uintptr(unsafe.Pointer(&r.hdrs[0])), udpBatchSize, 0, 0, 0)
 	switch {
 	case errno == syscall.EAGAIN && r.park:
-		r.stats().Parks.Inc()
+		r.m.Parks.Inc()
 		return false
 	case errno == syscall.EAGAIN || errno == syscall.ECONNREFUSED:
-		r.stats().EmptyPolls.Inc()
+		r.m.EmptyPolls.Inc()
 	case errno != 0:
 		r.errno = errno
 	default:

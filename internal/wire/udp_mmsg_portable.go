@@ -36,12 +36,12 @@ func listenUDPGroup(ua *net.UDPAddr) ([]*net.UDPConn, error) {
 // txBatch sends each message as it is added, in a datagram of its own:
 // there is nothing to cork and nothing to bundle.
 type txBatch struct {
-	c     *net.UDPConn
-	stats func() *UDPTxMetrics
+	c *net.UDPConn
+	m UDPTxMetrics
 }
 
-func newTxBatch(c *net.UDPConn, stats func() *UDPTxMetrics) (*txBatch, error) {
-	return &txBatch{c: c, stats: stats}, nil
+func newTxBatch(c *net.UDPConn, m UDPTxMetrics) (*txBatch, error) {
+	return &txBatch{c: c, m: m}, nil
 }
 
 func (b *txBatch) cork() {}
@@ -54,9 +54,8 @@ func (b *txBatch) add(p []byte, to *peerAddr) error {
 	} else {
 		_, err = b.c.WriteToUDPAddrPort(p, to.ap)
 	}
-	m := b.stats()
-	m.Datagrams.Inc()
-	m.Msgs.Inc()
+	b.m.Datagrams.Inc()
+	b.m.Msgs.Inc()
 	return err
 }
 
@@ -70,11 +69,11 @@ type batchReceiver struct {
 	buf     []byte
 	n       int
 	from    netip.AddrPort
-	stats   func() *UDPRxMetrics
+	m       UDPRxMetrics
 }
 
-func newBatchReceiver(c *net.UDPConn, capture bool, stats func() *UDPRxMetrics) (*batchReceiver, error) {
-	return &batchReceiver{c: c, capture: capture, stats: stats, buf: make([]byte, MaxDatagram+1)}, nil
+func newBatchReceiver(c *net.UDPConn, capture bool, m UDPRxMetrics) (*batchReceiver, error) {
+	return &batchReceiver{c: c, capture: capture, m: m, buf: make([]byte, MaxDatagram+1)}, nil
 }
 
 // recvBatch blocks for one datagram and returns 1. Every read counts as a
@@ -84,7 +83,7 @@ func newBatchReceiver(c *net.UDPConn, capture bool, stats func() *UDPRxMetrics) 
 func (r *batchReceiver) recvBatch() (int, error) {
 	for {
 		var err error
-		r.stats().Parks.Inc()
+		r.m.Parks.Inc()
 		if r.capture {
 			r.n, r.from, err = r.c.ReadFromUDPAddrPort(r.buf)
 		} else {

@@ -14,17 +14,18 @@ import (
 )
 
 // echoServer listens on an ephemeral port and returns the server with the
-// metrics instance its loops have counted on since they started.
+// metrics its loops count on.
 func echoServer(t *testing.T) (*UDPServer, *UDPServerMetrics) {
 	t.Helper()
-	server, err := ListenUDP("127.0.0.1:0", func(_ string, reply Pipe) func([]byte) {
+	m := NewUDPServerMetrics(nil)
+	server, err := ListenUDP("127.0.0.1:0", m, func(_ string, reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { server.Close() })
-	return server, server.metrics.Load()
+	return server, m
 }
 
 // waitFor polls cond until it holds or d passes, and reports whether it held.
@@ -220,7 +221,7 @@ func TestTxBatchBundles(t *testing.T) {
 	}
 	defer sconn.Close()
 	txm := newUDPTxMetrics(nil)
-	tx, err := newTxBatch(sconn, func() *UDPTxMetrics { return &txm })
+	tx, err := newTxBatch(sconn, txm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@
 # Cluster failover smoke: boot a 4-node memory cluster as two edmd processes
 # (three nodes in one via -nodes, plus a separate victim process), drive the
 # sharded dual-homed cluster service over real UDP with edmload, kill the
-# victim mid-run, and assert that the run completes with zero failed ops and
-# that cluster_failover_total went positive on the client's /metrics.
+# victim mid-run, and assert that the run completes with zero failed ops,
+# that the client's /metrics serves its node clients' shared rmem_client_* and
+# wire_client_* families next to cluster_*, and that cluster_failover_total
+# went positive there.
 #
 # Usage: scripts/cluster_smoke.sh
 set -eu
@@ -61,6 +63,18 @@ if [ -z "$admin" ]; then
     exit 1
 fi
 sleep 0.3
+
+# The node clients' shared families are on the same endpoint, counting.
+scrape=$(curl -fsS "http://$admin/metrics" 2>/dev/null || true)
+for series in rmem_client_issued_total wire_client_datagrams_total; do
+    v=$(printf '%s\n' "$scrape" | sed -n "s/^$series \([0-9]*\)\$/\1/p")
+    if [ "${v:-0}" -eq 0 ]; then
+        echo "cluster_smoke: edmload's /metrics has no counting $series:" >&2
+        printf '%s\n' "$scrape" >&2
+        exit 1
+    fi
+done
+
 kill "$victimpid"
 
 # The failover counter must go positive while the run is still in flight.
