@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/rmem"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -101,7 +102,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 	if err != nil {
 		return cli.UsageError{S: err.Error()}
 	}
-	servers := make([]*rmem.Server, *nodes)
 	listeners := make([]*wire.UDPServer, *nodes)
 	closeAll := func() {
 		for _, us := range listeners {
@@ -110,12 +110,13 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	for i := range servers {
+	sm, rm, um := rmem.NewServerMetrics(reg), wire.NewResponderMetrics(reg), wire.NewUDPServerMetrics(reg)
+	for i := range listeners {
 		srv, err := rmem.NewServer(rmem.ServerConfig{
 			Geometry:  rmem.Geometry{SlabBytes: uint64(*slab)},
 			DupWindow: *dupWindow,
-			Metrics:   rmem.NewServerMetrics(reg),
-			Responder: wire.NewResponderMetrics(reg),
+			Metrics:   sm,
+			Responder: rm,
 			NowNS:     nowNS,
 			Trace:     ring,
 		})
@@ -128,15 +129,15 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 			addr = net.JoinHostPort(host, strconv.Itoa(basePort+i))
 		}
 		// Session lifecycle (fresh session per HELLO, retirement on BYE,
-		// idle expiry) is handled by wire.UDPServer itself.
-		us, err := wire.ListenUDP(addr, wire.NewUDPServerMetrics(reg), func(_ string, reply wire.Pipe) func([]byte) {
+		// idle expiry) is handled by wire.UDPServer's ingress loops.
+		us, err := wire.ListenUDP(addr, um, func(reply wire.Pipe) func([]byte) {
 			return srv.NewSession(reply).Deliver
 		})
 		if err != nil {
 			closeAll()
 			return err
 		}
-		servers[i], listeners[i] = srv, us
+		listeners[i] = us
 		g := srv.Geometry()
 		if *nodes == 1 {
 			fmt.Fprintf(stdout, "edmd: listening on %s (slab %d B)\n", us.Addr(), g.SlabBytes)
@@ -144,8 +145,6 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "edmd: node %d listening on %s (slab %d B)\n", i, us.Addr(), g.SlabBytes)
 		}
 	}
-	srv := servers[0]
-
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
@@ -175,13 +174,13 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 		return closeErr
 	}
 	// The exit log is a view of the same registry the /metrics endpoint
-	// serves: srv.Stats() loads the telemetry counters, which every node's
-	// server shares, so the totals span all -nodes.
-	st := srv.Stats()
+	// serves: every node counts on the one sm, so the totals span all -nodes.
+	ops := sm.Ops
 	fmt.Fprintf(stdout, "edmd: served reads %d writes %d rmws %d (%d B out, %d B in), errors %d\n",
-		st.Reads, st.Writes, st.RMWs, st.BytesRead, st.BytesWritten, st.Errors)
+		ops[wire.KindRREQ].Load(), ops[wire.KindWREQ].Load(), ops[wire.KindRMWREQ].Load(),
+		sm.BytesRead.Load(), sm.BytesWritten.Load(), sm.Errors.Load())
 	fmt.Fprintf(stdout, "edmd: sessions hello %d bye %d, modeled DRAM time %v\n",
-		st.Hellos, st.Byes, st.ModeledDRAM)
+		ops[wire.KindHello].Load(), ops[wire.KindBye].Load(), sim.Time(sm.ModeledDRAMPS.Load()))
 	snap := reg.Snapshot()
 	fmt.Fprintf(stdout, "edmd: wire replays %d stale %d garbage %d rejected %d, sessions started %d reset %d expired %d\n",
 		snap.Counters["wire_server_replays_total"], snap.Counters["wire_server_stale_total"], snap.Counters["wire_server_garbage_total"],

@@ -252,7 +252,7 @@ type target struct {
 	udps     []*wire.UDPClient   // udp: the sockets under conns
 	size     uint64              // addressable bytes
 	lb       *wire.Loopback      // loopback: the transport whose virtual clock times the run
-	srv      *rmem.Server        // loopback: the in-process server
+	srv      *rmem.ServerMetrics // loopback: the in-process server's counters
 	cc       *cluster.Client     // cluster: the router in front of conns
 	close    func()
 }
@@ -341,7 +341,7 @@ func openLoopback(slab int64, ccfg rmem.ClientConfig) (target, error) {
 	}
 	return target{endpoint: "loopback (virtual clock)", clock: "virtual",
 		mem: client, conns: []*rmem.Client{client}, metrics: client.Metrics(), size: srv.Geometry().SlabBytes,
-		lb: lb, srv: srv, close: func() { client.Close() }}, nil
+		lb: lb, srv: srv.Metrics(), close: func() { client.Close() }}, nil
 }
 
 // dial connects one client per edmd address over UDP, all counting on
@@ -529,10 +529,10 @@ func report(w io.Writer, t *target, source string, ops []workload.Op, results []
 		fmt.Fprintf(tw, ", rx parks %d empty polls %d, tx datagrams %d msgs %d", parks, polls, datagrams, msgs)
 	}
 	fmt.Fprintln(tw)
-	if t.srv != nil {
-		st := t.srv.Stats()
+	if sm := t.srv; sm != nil {
 		fmt.Fprintf(tw, "server\treads %d writes %d rmws %d errors %d, modeled DRAM %v\n",
-			st.Reads, st.Writes, st.RMWs, st.Errors, st.ModeledDRAM)
+			sm.Ops[wire.KindRREQ].Load(), sm.Ops[wire.KindWREQ].Load(), sm.Ops[wire.KindRMWREQ].Load(),
+			sm.Errors.Load(), sim.Time(sm.ModeledDRAMPS.Load()))
 	}
 	if cc := t.cc; cc != nil {
 		m := cc.Metrics()

@@ -175,7 +175,7 @@ func startServer(t *testing.T) (addr string, srv *rmem.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := wire.ListenUDP("127.0.0.1:0", nil, func(_ string, reply wire.Pipe) func([]byte) {
+	us, err := wire.ListenUDP("127.0.0.1:0", nil, func(reply wire.Pipe) func([]byte) {
 		return srv.NewSession(reply).Deliver
 	})
 	if err != nil {

@@ -8,14 +8,15 @@ import (
 
 	"repro/internal/memctl"
 	"repro/internal/rmem"
+	"repro/internal/wire"
 )
 
 // Client errors.
 var (
 	// ErrNoReplica means every replica of a segment exhausted its retry
 	// budget: the address range is unreachable until a rebalance re-homes
-	// it. (When a concrete deadline error is available it is returned
-	// instead, so errors.Is(err, rmem.ErrDeadline) is the usual triage.)
+	// it. (When a concrete timeout is available it is returned instead, so
+	// errors.Is(err, wire.ErrTimeout) is the usual triage.)
 	ErrNoReplica = errors.New("cluster: no reachable replica")
 	ErrClosed    = errors.New("cluster: client closed")
 )
@@ -141,19 +142,6 @@ func (c *Client) ExtentBytes() uint64 { return c.cfg.ExtentBytes }
 
 // Metrics returns the client's metrics (never nil after New).
 func (c *Client) Metrics() *Metrics { return c.metrics }
-
-// ApplyMap installs a successor route table; in-flight ops finish under the
-// map they were routed with, new ops route under m.
-func (c *Client) ApplyMap(m *Map) error {
-	if m.Nodes() != len(c.nodes) {
-		return fmt.Errorf("cluster: map for %d nodes applied to %d-node client", m.Nodes(), len(c.nodes))
-	}
-	c.mu.Lock()
-	c.m = m
-	c.mu.Unlock()
-	c.metrics.Epoch.Set(int64(m.Epoch()))
-	return nil
-}
 
 // MarkDead advances the map epoch without node (a leave/kill event) and
 // returns the (old, new) maps for a follow-up Rebalance. Marking an
@@ -468,7 +456,7 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 				again = true
 			}
 		}
-	case errors.Is(err, rmem.ErrDeadline):
+	case errors.Is(err, wire.ErrTimeout):
 		c.noteDeadline(s.node)
 		again = s.attempt == 0 && (s.kind == kRead || s.kind == kRMW)
 	default:

@@ -223,11 +223,11 @@ func TestClusterAllReplicasDead(t *testing.T) {
 	if err == nil {
 		t.Fatal("read with every replica dead succeeded")
 	}
-	if !errors.Is(err, rmem.ErrDeadline) {
-		t.Fatalf("err = %v, want a rmem.ErrDeadline", err)
+	if !errors.Is(err, wire.ErrTimeout) {
+		t.Fatalf("err = %v, want a wire.ErrTimeout", err)
 	}
-	if err := cc.WriteSync(0, make([]byte, 64)); !errors.Is(err, rmem.ErrDeadline) {
-		t.Fatalf("write err = %v, want a rmem.ErrDeadline", err)
+	if err := cc.WriteSync(0, make([]byte, 64)); !errors.Is(err, wire.ErrTimeout) {
+		t.Fatalf("write err = %v, want a wire.ErrTimeout", err)
 	}
 }
 

@@ -17,7 +17,7 @@
 //	                  join buffer, ack                               and it ran where it was routed: bank
 //	                                                                 the ack, write the stored value
 //	                                                                 through to the mirror; otherwise ack
-//	rmem.ErrDeadline  count against the   count against the node,    as read
+//	wire.ErrTimeout   count against the   count against the node,    as read
 //	                  node; first time:   replica miss
 //	                  re-route to the
 //	                  other replica;

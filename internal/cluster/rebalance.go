@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/rmem"
+	"repro/internal/wire"
 )
 
 // rebalanceChunk bounds one bulk-copy request; it divides the extent size
@@ -76,7 +76,7 @@ func (c *Client) copyChunk(mv Move, a uint64, n int) ([]byte, error) {
 	if err == nil {
 		return data, nil
 	}
-	if errors.Is(err, rmem.ErrDeadline) {
+	if errors.Is(err, wire.ErrTimeout) {
 		return nil, fmt.Errorf("cluster: rebalance source node %d unreachable for extent %d: %w", mv.From, mv.Extent, err)
 	}
 	return nil, fmt.Errorf("cluster: rebalance read extent %d from node %d: %w", mv.Extent, mv.From, err)

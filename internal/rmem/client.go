@@ -20,32 +20,7 @@ var (
 	// overdriving the node and must back off or widen the window.
 	ErrTooManyOut = errors.New("rmem: too many outstanding operations")
 	ErrClosed     = errors.New("rmem: client closed")
-
-	// ErrDeadline marks an operation that exhausted its retry budget: the
-	// node is unreachable (dead, partitioned, or overloaded past the
-	// per-ID deadline), as opposed to a request the node rejected. Failover
-	// layers (cluster.Client) key on it to distinguish "node dead" from
-	// "bad request". Errors matching it still match wire.ErrTimeout, so
-	// existing callers are unaffected.
-	ErrDeadline = errors.New("rmem: retry budget exhausted")
 )
-
-// deadlineError stamps ErrDeadline onto a reliable-layer timeout while
-// keeping the original chain (wire.ErrTimeout and its attempt count).
-type deadlineError struct{ cause error }
-
-func (e *deadlineError) Error() string   { return "rmem: deadline: " + e.cause.Error() }
-func (e *deadlineError) Unwrap() error   { return e.cause }
-func (e *deadlineError) Is(t error) bool { return t == ErrDeadline }
-
-// wrapDeadline tags retry-budget timeouts with ErrDeadline.
-func wrapDeadline(err error) error {
-	if err == nil || !errors.Is(err, wire.ErrTimeout) {
-		return err
-	}
-	//edmlint:allow hotpath cold path: only timed-out ops allocate the wrapper
-	return &deadlineError{cause: err}
-}
 
 // MaxWindow caps ClientConfig.Window. Every outstanding op holds one of the
 // connection's wire.MaxSlots call slots, and the server retains that slot's
@@ -285,7 +260,6 @@ func (o *pendingOp) Done(r *wire.Msg, err error) {
 	if err == nil {
 		err = r.Status.Err()
 	}
-	err = wrapDeadline(err)
 	if c.cfg.NowNS != nil && err == nil {
 		if h := c.metrics.Latency[o.kind]; h != nil {
 			h.Observe(c.cfg.NowNS() - o.start)

@@ -2,6 +2,7 @@ package rmem
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,9 +12,9 @@ import (
 )
 
 // TestErrDeadlineTyped pins the retry-budget-exhaustion contract: the error
-// matches both rmem.ErrDeadline (the service-level triage the cluster layer
-// keys failover on) and wire.ErrTimeout (the transport cause), while status
-// errors from the server do not masquerade as deadlines.
+// matches wire.ErrTimeout (the triage the cluster layer keys failover on) and
+// reaches the caller as the reliable layer reported it, while status errors
+// from the server do not masquerade as deadlines.
 func TestErrDeadlineTyped(t *testing.T) {
 	var dark atomic.Bool
 	fault := func(sim.Time, wire.Dir, []byte) wire.Fault {
@@ -31,8 +32,8 @@ func TestErrDeadlineTyped(t *testing.T) {
 	if err == nil {
 		t.Fatal("out-of-range read succeeded")
 	}
-	if errors.Is(err, ErrDeadline) {
-		t.Fatalf("status error %v matches ErrDeadline", err)
+	if errors.Is(err, wire.ErrTimeout) {
+		t.Fatalf("status error %v matches wire.ErrTimeout", err)
 	}
 
 	// Darken the link: the retry budget burns down and the failure is typed.
@@ -41,13 +42,13 @@ func TestErrDeadlineTyped(t *testing.T) {
 	if err == nil {
 		t.Fatal("read over dark link succeeded")
 	}
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("err = %v, want match for rmem.ErrDeadline", err)
-	}
 	if !errors.Is(err, wire.ErrTimeout) {
-		t.Fatalf("err = %v, want the wire.ErrTimeout cause preserved", err)
+		t.Fatalf("err = %v, want match for wire.ErrTimeout", err)
 	}
-	if err := client.WriteSync(0, make([]byte, 8)); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("write err = %v, want match for rmem.ErrDeadline", err)
+	if !strings.HasSuffix(err.Error(), "(after 2 attempts)") {
+		t.Fatalf("err = %v, want the reliable layer's attempt count preserved", err)
+	}
+	if err := client.WriteSync(0, make([]byte, 8)); !errors.Is(err, wire.ErrTimeout) {
+		t.Fatalf("write err = %v, want match for wire.ErrTimeout", err)
 	}
 }

@@ -496,7 +496,7 @@ func TestUDPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := wire.ListenUDP("127.0.0.1:0", nil, func(_ string, reply wire.Pipe) func([]byte) {
+	us, err := wire.ListenUDP("127.0.0.1:0", nil, func(reply wire.Pipe) func([]byte) {
 		return srv.NewSession(reply).Deliver
 	})
 	if err != nil {

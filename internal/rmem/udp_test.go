@@ -19,7 +19,7 @@ import (
 // m (nil: a private instance).
 func udpListen(t testing.TB, srv *Server, m *wire.UDPServerMetrics) *wire.UDPServer {
 	t.Helper()
-	us, err := wire.ListenUDP("127.0.0.1:0", m, func(_ string, reply wire.Pipe) func([]byte) {
+	us, err := wire.ListenUDP("127.0.0.1:0", m, func(reply wire.Pipe) func([]byte) {
 		return srv.NewSession(reply).Deliver
 	})
 	if err != nil {
@@ -167,13 +167,14 @@ func TestUDPSessionsAcrossLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us := udpListen(t, srv, nil)
+	m := wire.NewUDPServerMetrics(nil)
+	us := udpListen(t, srv, m)
 	clients := make([]*Client, sessions)
 	for s := range clients {
 		clients[s] = udpDial(t, us.Addr(), ClientConfig{Window: 32})
 	}
-	if got := us.Sessions(); got != sessions {
-		t.Fatalf("Sessions() = %d, want %d", got, sessions)
+	if got := m.Active.Load(); got != sessions {
+		t.Fatalf("live sessions = %d, want %d", got, sessions)
 	}
 	var wg sync.WaitGroup
 	for s, client := range clients {
@@ -211,8 +212,8 @@ func TestUDPSessionsAcrossLoops(t *testing.T) {
 	for _, client := range clients {
 		client.Close()
 	}
-	if got := us.Sessions(); got != 0 {
-		t.Errorf("Sessions() after every BYE = %d, want 0", got)
+	if got, retired := m.Active.Load(), m.Retired.Load(); got != 0 || retired != sessions {
+		t.Errorf("after every BYE: %d sessions live, %d retired; want 0, %d", got, retired, sessions)
 	}
 }
 
@@ -407,7 +408,7 @@ func TestUDPClientSurvivesServerRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return wire.ListenUDP(addr, nil, func(_ string, reply wire.Pipe) func([]byte) {
+		return wire.ListenUDP(addr, nil, func(reply wire.Pipe) func([]byte) {
 			return srv.NewSession(reply).Deliver
 		})
 	}
@@ -424,8 +425,8 @@ func TestUDPClientSurvivesServerRestart(t *testing.T) {
 	}
 
 	us.Close()
-	if _, err := client.ReadSync(0, 6); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("read against a closed server: %v, want ErrDeadline", err)
+	if _, err := client.ReadSync(0, 6); !errors.Is(err, wire.ErrTimeout) {
+		t.Fatalf("read against a closed server: %v, want wire.ErrTimeout", err)
 	}
 
 	if us, err = listen(addr); err != nil {

@@ -291,8 +291,8 @@ func TestConnPipelined(t *testing.T) {
 // TestUDPRoundTrip exercises the real-socket path: dial, handshake-free
 // echo, close.
 func TestUDPRoundTrip(t *testing.T) {
-	var server *UDPServer
-	server, err := ListenUDP("127.0.0.1:0", nil, func(_ string, reply Pipe) func([]byte) {
+	sm := NewUDPServerMetrics(nil)
+	server, err := ListenUDP("127.0.0.1:0", sm, func(reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
 	})
 	if err != nil {
@@ -317,7 +317,7 @@ func TestUDPRoundTrip(t *testing.T) {
 			t.Fatalf("call %d: %v %d bytes", i, r.Kind, len(r.Data))
 		}
 	}
-	if server.Sessions() != 1 {
-		t.Errorf("sessions = %d", server.Sessions())
+	if sm.Active.Load() != 1 || sm.Started.Load() != 1 {
+		t.Errorf("sessions live %d started %d, want 1 1", sm.Active.Load(), sm.Started.Load())
 	}
 }

@@ -31,14 +31,15 @@ const (
 	FaultCorrupt
 )
 
+// What one datagram charges the virtual clock: loopBaseLatency, the scale of
+// one EDM fabric traversal, plus loopPerByte per byte, a 100 Gbps line rate.
+const (
+	loopBaseLatency = 300 * sim.Nanosecond
+	loopPerByte     = 80 * sim.Picosecond
+)
+
 // LoopbackConfig tunes the in-process transport.
 type LoopbackConfig struct {
-	// BaseLatency is charged to the virtual clock per datagram (default
-	// 300 ns, the scale of one EDM fabric traversal).
-	BaseLatency sim.Time
-	// PerByte is the serialization cost per datagram byte (default 80 ps,
-	// a 100 Gbps line rate).
-	PerByte sim.Time
 	// Fault, when non-nil, adjudicates every datagram. It runs with the
 	// loopback lock held and must not call back into the loopback.
 	Fault func(now sim.Time, dir Dir, p []byte) Fault
@@ -116,12 +117,6 @@ type Loopback struct {
 // NewLoopback builds the pair. Bind the two receive paths with BindServer
 // and BindClient before sending.
 func NewLoopback(cfg LoopbackConfig) *Loopback {
-	if cfg.BaseLatency <= 0 {
-		cfg.BaseLatency = 300 * sim.Nanosecond
-	}
-	if cfg.PerByte <= 0 {
-		cfg.PerByte = 80 * sim.Picosecond
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = NewVirtualClock()
@@ -180,7 +175,7 @@ func (e *end) Send(p []byte) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	now := l.clock.advance(l.cfg.BaseLatency + sim.Time(len(p))*l.cfg.PerByte)
+	now := l.clock.advance(loopBaseLatency + sim.Time(len(p))*loopPerByte)
 	verdict := FaultNone
 	if l.cfg.Fault != nil {
 		verdict = l.cfg.Fault(now, e.dir, p)

@@ -126,7 +126,7 @@ func newUDPTxMetrics(r *telemetry.Registry) UDPTxMetrics {
 type UDPServerMetrics struct {
 	Started *telemetry.Counter // sessions opened (first datagram from a remote)
 	Resets  *telemetry.Counter // sessions torn down by a fresh HELLO (token mismatch)
-	Expired *telemetry.Counter // sessions reaped by the idle janitor
+	Expired *telemetry.Counter // sessions reclaimed idle by their loop's sweep
 	Retired *telemetry.Counter // sessions closed by BYE
 	Active  *telemetry.Gauge   // live sessions
 	Rx      UDPRxMetrics

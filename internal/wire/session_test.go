@@ -140,7 +140,8 @@ func TestUDPSessionResetOnHello(t *testing.T) {
 			resp.Data = append(resp.Data[:0], byte(n))
 		}
 	}
-	server, err := ListenUDP("127.0.0.1:0", nil, func(_ string, reply Pipe) func([]byte) {
+	sm := NewUDPServerMetrics(nil)
+	server, err := ListenUDP("127.0.0.1:0", sm, func(reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, handler).Deliver
 	})
 	if err != nil {
@@ -199,8 +200,9 @@ func TestUDPSessionResetOnHello(t *testing.T) {
 	if r2.Data[0] == r1.Data[0] {
 		t.Fatalf("restarted client received the old incarnation's cached response (tag %d)", r2.Data[0])
 	}
-	if server.Sessions() != 1 {
-		t.Errorf("sessions = %d, want 1 (HELLO replaced, not added)", server.Sessions())
+	if sm.Active.Load() != 1 || sm.Started.Load() != 2 || sm.Resets.Load() != 1 {
+		t.Errorf("sessions live %d started %d reset %d, want 1 2 1 (HELLO replaced, not added)",
+			sm.Active.Load(), sm.Started.Load(), sm.Resets.Load())
 	}
 }
 
@@ -212,7 +214,7 @@ func TestUDPDuplicateHelloKeepsSession(t *testing.T) {
 	handler := func(_, _ *Msg) {
 		executions.Add(1)
 	}
-	server, err := ListenUDP("127.0.0.1:0", nil, func(_ string, reply Pipe) func([]byte) {
+	server, err := ListenUDP("127.0.0.1:0", nil, func(reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, handler).Deliver
 	})
 	if err != nil {

@@ -4,9 +4,11 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
+	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -198,28 +200,29 @@ func (r *udpReply) Close() error { return nil }
 
 // sessionIdleTimeout bounds how long a silent session keeps its state (one
 // retained response per call slot); a client that vanished without a BYE is
-// reclaimed after this long.
-const sessionIdleTimeout = 5 * time.Minute
+// reclaimed after this long, at its loop's next sweep (every quarter of it).
+// ListenUDP reads it once; a variable only so tests can shorten it.
+var sessionIdleTimeout = 5 * time.Minute
 
 // udpSession is one remote client's state.
 type udpSession struct {
 	deliver  func([]byte)
-	token    string // HELLO session token; guarded by mu (the loop's)
-	lastSeen int64  // guarded by mu (the loop's): UnixNano stamp of its last receive batch
+	token    string // HELLO session token
+	lastSeen int64  // UnixNano stamp of its last receive batch
 }
 
 // ingressLoop is one socket of the listener's group, the sessions the
 // kernel steers to it, and the send arena their responses leave through.
-// mu is this loop's alone: run takes it once per message, uncontended
-// unless the janitor, Sessions or Forget is looking.
+// Everything but tx is run's alone: no other goroutine touches the session
+// table, so routing a message takes no lock.
 type ingressLoop struct {
-	s    *UDPServer
-	conn *net.UDPConn
-	rx   *batchReceiver // touched by run only
-	tx   *txBatch
-
-	mu       sync.Mutex
-	sessions map[netip.AddrPort]*udpSession // guarded by mu
+	s        *UDPServer
+	conn     *net.UDPConn
+	rx       *batchReceiver
+	tx       *txBatch
+	sessions map[netip.AddrPort]*udpSession
+	idle     time.Duration // sessionIdleTimeout as ListenUDP read it
+	sweep    time.Time     // when run next expires idle sessions; the socket's read deadline
 }
 
 // UDPServer serves one UDP address run-to-completion. On Linux it opens
@@ -227,8 +230,8 @@ type ingressLoop struct {
 // drained by its own ingress loop: receive a batch (recvmmsg), look each
 // message's session up in the loop's own table (a bundle's frames one by
 // one), call the session's receive path inline on the receive buffer, send
-// the batch's responses with one sendmmsg, bundled per peer. No copy, queue
-// or goroutine hand-off sits between the wire and the handler.
+// the batch's responses with one sendmmsg, bundled per peer. No copy, queue,
+// lock or goroutine hand-off sits between the wire and the handler.
 //
 // Waiting: on Linux a loop polls its socket for pollWindow after traffic,
 // yielding the P and the CPU on every empty poll, before it blocks in the
@@ -247,14 +250,14 @@ type ingressLoop struct {
 // retain the buffer, nor wait for a later datagram of its own
 // session (that one is behind it in the same loop).
 //
-// accept is invoked once per new session with the remote's address and a
-// reply Pipe, and returns the session's receive path (typically a
-// Responder.Deliver). The pipe's Send copies a response that fits an
-// Ethernet frame into the loop's send arena (txBatch), flushed when the
-// receive batch ends or fills; a larger one flushes the queue and leaves
-// directly from the caller's buffer. Either way per-session order holds and
-// the buffer is not referenced after Send returns. Send is safe from any goroutine;
-// outside the loop's receive batch it transmits at once.
+// accept is invoked once per new session with a reply Pipe, and returns the
+// session's receive path (typically a Responder.Deliver). The pipe's Send
+// copies a response that fits an Ethernet frame into the loop's send arena
+// (txBatch), flushed when the receive batch ends or fills; a larger one
+// flushes the queue and leaves directly from the caller's buffer. Either way
+// per-session order holds and the buffer is not referenced after Send
+// returns. Send is safe from any goroutine; outside the loop's receive batch
+// it transmits at once.
 //
 // Session lifecycle: a (CRC-valid) HELLO carrying a token different from
 // the current session's starts a fresh session — a restarted client
@@ -266,15 +269,18 @@ type ingressLoop struct {
 // retained responses out from under pipelined ops. Clients that send no token
 // get the conservative always-reset behaviour. A (CRC-valid) BYE retires
 // the session after delivery; a retransmitted BYE simply opens and
-// immediately closes a fresh one. Sessions idle past sessionIdleTimeout
-// are reclaimed by a janitor.
+// immediately closes a fresh one. Each loop reclaims its own sessions idle
+// past sessionIdleTimeout: it sweeps its table every quarter of that, on the
+// clock reading that stamps a receive batch, and its socket's read deadline
+// is the next sweep, so a loop that hears nothing still sweeps on time.
+// UDPServerMetrics counts every session's start, reset, retirement and
+// expiry.
 type UDPServer struct {
-	accept  func(remote string, reply Pipe) func([]byte)
+	accept  func(reply Pipe) func([]byte)
 	loops   []*ingressLoop
 	metrics *UDPServerMetrics
 
 	closeOnce sync.Once
-	done      chan struct{}
 	wg        sync.WaitGroup
 }
 
@@ -282,7 +288,7 @@ type UDPServer struct {
 // serving. m receives the session-lifecycle, receive and send counters of
 // every loop; nil gets a private, unregistered instance. Use Addr for the
 // bound address and Close to stop.
-func ListenUDP(addr string, m *UDPServerMetrics, accept func(remote string, reply Pipe) func([]byte)) (*UDPServer, error) {
+func ListenUDP(addr string, m *UDPServerMetrics, accept func(reply Pipe) func([]byte)) (*UDPServer, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: resolve %s: %w", addr, err)
@@ -294,9 +300,9 @@ func ListenUDP(addr string, m *UDPServerMetrics, accept func(remote string, repl
 	if m == nil {
 		m = NewUDPServerMetrics(nil)
 	}
-	s := &UDPServer{accept: accept, metrics: m, done: make(chan struct{})}
+	s := &UDPServer{accept: accept, metrics: m}
 	for _, c := range conns {
-		l := &ingressLoop{s: s, conn: c, sessions: make(map[netip.AddrPort]*udpSession)}
+		l := &ingressLoop{s: s, conn: c, sessions: make(map[netip.AddrPort]*udpSession), idle: sessionIdleTimeout}
 		if l.rx, err = newBatchReceiver(c, true, m.Rx); err == nil {
 			l.tx, err = newTxBatch(c, m.Tx)
 		}
@@ -306,11 +312,10 @@ func ListenUDP(addr string, m *UDPServerMetrics, accept func(remote string, repl
 		}
 		s.loops = append(s.loops, l)
 	}
-	s.wg.Add(len(s.loops) + 1)
+	s.wg.Add(len(s.loops))
 	for _, l := range s.loops {
 		go l.run()
 	}
-	go s.janitor()
 	return s, nil
 }
 
@@ -346,17 +351,23 @@ func sessionControl(p []byte) (hello, bye bool, token string) {
 
 // run receives a batch, executes every message (each frame of a bundle) to
 // completion in arrival order and flushes the replies. One clock read stamps
-// the whole batch.
+// the whole batch and tells whether the idle sweep is due; a receive that
+// hit the sweep's read deadline is an empty batch that runs the sweep.
 //
 //edmlint:hotpath once per receive batch; the body runs once per message
 func (l *ingressLoop) run() {
 	defer l.s.wg.Done()
+	l.expire(time.Now())
 	for {
 		n, err := l.rx.recvBatch()
-		if err != nil {
+		if err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
 			return
 		}
-		now := time.Now().UnixNano()
+		t := time.Now()
+		if err != nil || !t.Before(l.sweep) {
+			l.expire(t)
+		}
+		now := t.UnixNano()
 		l.tx.cork()
 		for i := 0; i < n; i++ {
 			for f := framesOf(l.rx.pkt(i)); f.ok; f.next() {
@@ -379,7 +390,6 @@ func (l *ingressLoop) route(p []byte, i int, now int64) func([]byte) {
 	hello, bye, token := sessionControl(p)
 	key := l.rx.src(i)
 	m := l.s.metrics
-	l.mu.Lock()
 	sess, ok := l.sessions[key]
 	// A HELLO resets the session unless it carries the current
 	// session's token (then it is a handshake retransmission).
@@ -388,7 +398,7 @@ func (l *ingressLoop) route(p []byte, i int, now int64) func([]byte) {
 		//edmlint:allow hotpath once per session, not per datagram
 		reply := &udpReply{tx: l.tx, to: l.rx.peer(i)}
 		//edmlint:allow hotpath once per session, not per datagram
-		sess = &udpSession{deliver: l.s.accept(key.String(), reply), token: token}
+		sess = &udpSession{deliver: l.s.accept(reply), token: token}
 		l.sessions[key] = sess
 		m.Started.Inc()
 		if ok {
@@ -401,79 +411,35 @@ func (l *ingressLoop) route(p []byte, i int, now int64) func([]byte) {
 	if bye {
 		// Retired after this datagram's delivery; the BYE-ACK goes out via
 		// the session's own reply pipe regardless.
-		l.dropLocked(key, m.Retired)
+		l.drop(key, m.Retired)
 	}
-	l.mu.Unlock()
 	return sess.deliver
 }
 
-// dropLocked removes a session, counting it under why (Retired or Expired).
-func (l *ingressLoop) dropLocked(key netip.AddrPort, why *telemetry.Counter) {
+// drop removes a session, counting it under why (Retired or Expired).
+func (l *ingressLoop) drop(key netip.AddrPort, why *telemetry.Counter) {
 	delete(l.sessions, key)
 	why.Inc()
 	l.s.metrics.Active.Add(-1)
 }
 
-// janitor reclaims sessions idle past sessionIdleTimeout on every loop.
-func (s *UDPServer) janitor() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(sessionIdleTimeout / 4)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
+// expire drops the sessions last seen more than idle before t and schedules
+// the next sweep a quarter of idle after t, as the socket's read deadline.
+func (l *ingressLoop) expire(t time.Time) {
+	cutoff := t.Add(-l.idle).UnixNano()
+	for key, sess := range l.sessions {
+		if sess.lastSeen < cutoff {
+			l.drop(key, l.s.metrics.Expired)
 		}
-		s.expire(time.Now().Add(-sessionIdleTimeout).UnixNano())
 	}
-}
-
-// expire drops every session last seen before cutoff (UnixNano).
-func (s *UDPServer) expire(cutoff int64) {
-	for _, l := range s.loops {
-		l.mu.Lock()
-		for key, sess := range l.sessions {
-			if sess.lastSeen < cutoff {
-				l.dropLocked(key, s.metrics.Expired)
-			}
-		}
-		l.mu.Unlock()
-	}
-}
-
-// Sessions reports the number of live sessions across all loops.
-func (s *UDPServer) Sessions() int {
-	n := 0
-	for _, l := range s.loops {
-		l.mu.Lock()
-		n += len(l.sessions)
-		l.mu.Unlock()
-	}
-	return n
-}
-
-// Forget drops the session state for one remote, named as accept saw it
-// (after a BYE, so a future HELLO from the same address starts fresh).
-func (s *UDPServer) Forget(remote string) {
-	key, err := netip.ParseAddrPort(remote)
-	if err != nil {
-		return
-	}
-	for _, l := range s.loops {
-		l.mu.Lock()
-		if _, ok := l.sessions[key]; ok {
-			l.dropLocked(key, s.metrics.Retired)
-		}
-		l.mu.Unlock()
-	}
+	l.sweep = t.Add(l.idle / 4)
+	l.conn.SetReadDeadline(l.sweep) // fails only on a closed socket, which ends run anyway
 }
 
 // Close stops the server and waits for in-flight handlers.
 func (s *UDPServer) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
-		close(s.done)
 		for _, l := range s.loops {
 			if cerr := l.conn.Close(); err == nil {
 				err = cerr

@@ -27,15 +27,14 @@ func udpRawCall(t *testing.T, sock *net.UDPConn, m *Msg) {
 }
 
 // TestUDPLoopsOwnSessions: every session lives in exactly one loop's table,
-// the SO_REUSEPORT group spreads sessions over the loops, and Sessions,
-// Forget and idle expiry see all of them.
+// the SO_REUSEPORT group spreads sessions over the loops, a BYE retires its
+// session and each loop's sweep expires the idle ones. The tables are read
+// only once Close has stopped the loops that own them.
 func TestUDPLoopsOwnSessions(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const clients = 16
-	remotes := make(chan string, clients)
 	m := NewUDPServerMetrics(nil)
-	server, err := ListenUDP("127.0.0.1:0", m, func(remote string, reply Pipe) func([]byte) {
-		remotes <- remote
+	server, err := ListenUDP("127.0.0.1:0", m, func(reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
 	})
 	if err != nil {
@@ -46,7 +45,8 @@ func TestUDPLoopsOwnSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < clients; i++ {
+	socks := make([]*net.UDPConn, clients)
+	for i := range socks {
 		sock, err := net.DialUDP("udp", nil, saddr)
 		if err != nil {
 			t.Fatal(err)
@@ -54,17 +54,27 @@ func TestUDPLoopsOwnSessions(t *testing.T) {
 		defer sock.Close()
 		udpRawCall(t, sock, &Msg{Kind: KindRREQ, ID: 1, Count: 8})
 		udpRawCall(t, sock, &Msg{Kind: KindRREQ, ID: 2, Count: 8})
+		socks[i] = sock
 	}
-	if got := server.Sessions(); got != clients {
-		t.Fatalf("Sessions() = %d, want %d (a remote must map to one loop)", got, clients)
+	if m.Started.Load() != clients || m.Active.Load() != clients {
+		t.Fatalf("sessions started %d live %d, want %d each (a remote must map to one loop)",
+			m.Started.Load(), m.Active.Load(), clients)
 	}
-	owners := 0
+	udpRawCall(t, socks[0], &Msg{Kind: KindBye, ID: 3})
+	if m.Retired.Load() != 1 || m.Active.Load() != clients-1 {
+		t.Fatalf("after a BYE: retired %d live %d, want 1 and %d", m.Retired.Load(), m.Active.Load(), clients-1)
+	}
+
+	server.Close()
+	owners, held := 0, 0
 	for _, l := range server.loops {
-		l.mu.Lock()
+		held += len(l.sessions)
 		if len(l.sessions) > 0 {
 			owners++
 		}
-		l.mu.Unlock()
+	}
+	if held != clients-1 {
+		t.Fatalf("loop tables hold %d sessions, want %d", held, clients-1)
 	}
 	// 16 random source ports all hashing to one of 4 sockets: 4^-15.
 	if len(server.loops) > 1 && owners < 2 {
@@ -72,22 +82,66 @@ func TestUDPLoopsOwnSessions(t *testing.T) {
 	}
 	t.Logf("%d loops, %d own sessions", len(server.loops), owners)
 
-	server.Forget("not an address")
-	server.Forget(<-remotes)
-	if got := server.Sessions(); got != clients-1 {
-		t.Fatalf("Sessions() after Forget = %d, want %d", got, clients-1)
+	now := time.Now()
+	for _, l := range server.loops {
+		l.expire(now)
 	}
-	server.expire(time.Now().Add(-time.Hour).UnixNano())
-	if got := server.Sessions(); got != clients-1 {
-		t.Fatalf("expire reclaimed live sessions: %d left", got)
+	if m.Expired.Load() != 0 || m.Active.Load() != clients-1 {
+		t.Fatalf("a sweep expired live sessions: expired %d, %d left", m.Expired.Load(), m.Active.Load())
 	}
-	server.expire(time.Now().Add(time.Hour).UnixNano())
-	if got := server.Sessions(); got != 0 {
-		t.Fatalf("Sessions() after expiry = %d, want 0", got)
+	for _, l := range server.loops {
+		l.expire(now.Add(time.Hour))
+		if len(l.sessions) != 0 {
+			t.Fatalf("a sweep an hour on left %d sessions", len(l.sessions))
+		}
 	}
 	if m.Started.Load() != clients || m.Retired.Load() != 1 || m.Expired.Load() != clients-1 || m.Active.Load() != 0 {
 		t.Errorf("metrics started %d retired %d expired %d active %d", m.Started.Load(),
 			m.Retired.Load(), m.Expired.Load(), m.Active.Load())
+	}
+}
+
+// TestUDPIdleLoopExpiresSilentSession: a client that vanishes without a BYE
+// is reclaimed after sessionIdleTimeout although no datagram arrives to run
+// its loop (the read deadline does), and the loop serves on afterwards.
+func TestUDPIdleLoopExpiresSilentSession(t *testing.T) {
+	defer func(d time.Duration) { sessionIdleTimeout = d }(sessionIdleTimeout)
+	sessionIdleTimeout = 200 * time.Millisecond
+	m := NewUDPServerMetrics(nil)
+	server, err := ListenUDP("127.0.0.1:0", m, func(reply Pipe) func([]byte) {
+		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	saddr, _ := net.ResolveUDPAddr("udp", server.Addr())
+	sock, err := net.DialUDP("udp", nil, saddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sock.Close()
+
+	before := time.Now()
+	udpRawCall(t, sock, &Msg{Kind: KindRREQ, ID: 1, Count: 8})
+	if m.Active.Load() != 1 {
+		t.Fatalf("%d sessions live after a call, want 1", m.Active.Load())
+	}
+	for m.Expired.Load() == 0 {
+		if time.Since(before) > 50*sessionIdleTimeout {
+			t.Fatalf("silent session not expired after %v: %d live", time.Since(before), m.Active.Load())
+		}
+		time.Sleep(sessionIdleTimeout / 20)
+	}
+	if idle := time.Since(before); idle < sessionIdleTimeout {
+		t.Errorf("session expired after %v of silence, before the %v timeout", idle, sessionIdleTimeout)
+	}
+	if m.Active.Load() != 0 || m.Expired.Load() != 1 || m.Retired.Load() != 0 {
+		t.Fatalf("live %d expired %d retired %d, want 0 1 0", m.Active.Load(), m.Expired.Load(), m.Retired.Load())
+	}
+	udpRawCall(t, sock, &Msg{Kind: KindRREQ, ID: 2, Count: 8})
+	if m.Started.Load() != 2 || m.Active.Load() != 1 {
+		t.Errorf("after expiry the remote's next call: started %d live %d, want 2 1", m.Started.Load(), m.Active.Load())
 	}
 }
 
@@ -96,7 +150,7 @@ func TestUDPLoopsOwnSessions(t *testing.T) {
 // next receive batch.
 func TestUDPReplyOutsideBatch(t *testing.T) {
 	pipes := make(chan Pipe, 1)
-	server, err := ListenUDP("127.0.0.1:0", nil, func(_ string, reply Pipe) func([]byte) {
+	server, err := ListenUDP("127.0.0.1:0", nil, func(reply Pipe) func([]byte) {
 		pipes <- reply
 		return func([]byte) {}
 	})
@@ -297,7 +351,7 @@ func bundleExchange(t *testing.T, sock *net.UDPConn, p []byte) []*Msg {
 // per message.
 func TestUDPBundleFrames(t *testing.T) {
 	m := NewUDPServerMetrics(nil)
-	server, err := ListenUDP("127.0.0.1:0", m, func(_ string, reply Pipe) func([]byte) {
+	server, err := ListenUDP("127.0.0.1:0", m, func(reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
 	})
 	if err != nil {
@@ -347,28 +401,28 @@ func TestUDPBundleFrames(t *testing.T) {
 	})
 
 	t.Run("hello and read", func(t *testing.T) {
-		before, sessions := m.Started.Load(), server.Sessions()
+		before, sessions := m.Started.Load(), m.Active.Load()
 		hello := mustEncode(t, &Msg{Kind: KindHello, ID: 0, Data: []byte("token-A!")})
 		got := bundleExchange(t, dial(t), appendBundle(nil, hello, rreq(1)))
 		check(t, got, resp{KindHelloAck, 0}, resp{KindRRESP, 1})
 		if len(got[1].Data) != 8 {
 			t.Errorf("read answered with %d bytes, want 8", len(got[1].Data))
 		}
-		if m.Started.Load() != before+1 || server.Sessions() != sessions+1 {
-			t.Errorf("sessions started %d -> %d, live %d -> %d: want one new session", before, m.Started.Load(), sessions, server.Sessions())
+		if m.Started.Load() != before+1 || m.Active.Load() != sessions+1 {
+			t.Errorf("sessions started %d -> %d, live %d -> %d: want one new session", before, m.Started.Load(), sessions, m.Active.Load())
 		}
 	})
 
 	t.Run("bye mid-bundle", func(t *testing.T) {
-		started, retired, sessions := m.Started.Load(), m.Retired.Load(), server.Sessions()
+		started, retired, sessions := m.Started.Load(), m.Retired.Load(), m.Active.Load()
 		bye := mustEncode(t, &Msg{Kind: KindBye, ID: 2})
 		got := bundleExchange(t, dial(t), appendBundle(nil, rreq(1), bye, rreq(3)))
 		check(t, got, resp{KindRRESP, 1}, resp{KindByeAck, 2}, resp{KindRRESP, 3})
 		// The BYE retired the session that served it; the read behind it
 		// opened a fresh one, which the sentinel found.
-		if m.Retired.Load() != retired+1 || m.Started.Load() != started+2 || server.Sessions() != sessions+1 {
+		if m.Retired.Load() != retired+1 || m.Started.Load() != started+2 || m.Active.Load() != sessions+1 {
 			t.Errorf("retired +%d started +%d live +%d, want +1 +2 +1",
-				m.Retired.Load()-retired, m.Started.Load()-started, server.Sessions()-sessions)
+				m.Retired.Load()-retired, m.Started.Load()-started, m.Active.Load()-sessions)
 		}
 	})
 }

@@ -18,7 +18,7 @@ import (
 func echoServer(t *testing.T) (*UDPServer, *UDPServerMetrics) {
 	t.Helper()
 	m := NewUDPServerMetrics(nil)
-	server, err := ListenUDP("127.0.0.1:0", m, func(_ string, reply Pipe) func([]byte) {
+	server, err := ListenUDP("127.0.0.1:0", m, func(reply Pipe) func([]byte) {
 		return NewResponder(reply, ResponderConfig{}, echoHandler).Deliver
 	})
 	if err != nil {

@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end observability smoke: boot edmd with the HTTP admin endpoint,
 # push a short edmload run through it over real UDP, then assert that
-# /healthz answers and /metrics exposes the per-opcode series the run must
-# have populated. Exercises the full path a dashboard would scrape.
+# /healthz answers, /metrics exposes the per-opcode series the run must
+# have populated, and the run's BYE retired its session. Exercises the full
+# path a dashboard would scrape.
 #
 # Usage: scripts/metrics_smoke.sh
 set -eu
@@ -58,6 +59,17 @@ for want in \
         exit 1
     fi
 done
+
+# Session lifecycle: edmload's run ends in a BYE, which retires the one
+# session it opened, so none is left live.
+active=$(printf '%s\n' "$metrics" | sed -n 's/^wire_udp_sessions_active \([0-9-]*\)$/\1/p')
+retired=$(printf '%s\n' "$metrics" | sed -n 's/^wire_udp_sessions_retired_total \([0-9]*\)$/\1/p')
+if [ "$active" != "0" ] || [ -z "$retired" ] || [ "$retired" -lt 1 ]; then
+    echo "metrics_smoke: after the run's BYE want wire_udp_sessions_active 0 and" \
+        "wire_udp_sessions_retired_total >= 1, got '$active' and '$retired'" >&2
+    printf '%s\n' "$metrics" | grep '^wire_udp_session' >&2
+    exit 1
+fi
 
 traces=$(curl -fsS "http://$admin/debug/traceops")
 if ! printf '%s\n' "$traces" | grep -q '"stage"'; then
