@@ -75,7 +75,7 @@ type pageChunk [chunkPages]*[pageBytes]byte
 // single-threaded by design.
 type Controller struct {
 	cfg      Config
-	pages    []*pageChunk // indexed by page number / chunkPages, filled on first touch; guarded by caller (single-threaded by design; rmem.Server serializes under its mu)
+	pages    []*pageChunk // indexed by page number / chunkPages, filled on first touch; guarded by caller (single-threaded by design; each rmem shard serializes its own controller under its mu)
 	openRow  []int64      // per bank; -1 = closed; guarded by caller
 	accesses uint64       // guarded by caller
 	rowHits  uint64       // guarded by caller
@@ -148,22 +148,27 @@ func (c *Controller) accessTime(addr uint64, n int) sim.Time {
 }
 
 // page returns the page holding addr, allocating it (zero-filled) on first
-// touch.
+// touch, as a slice made where the compiler knows the pointer is non-nil:
+// past the nil test, or fresh from new. Slicing a *[pageBytes]byte it cannot
+// prove non-nil emits a nil check that loads from the page; on memory never
+// touched that load maps the shared zero page, and the copy's store behind
+// it then takes a second, copy-on-write fault. Callers copy through the
+// slice, so a fresh page faults once, on the store (TestFreshPageFaultsOnce).
 //
 //edmlint:hotpath one lookup per 4 KiB of every access
-func (c *Controller) page(addr uint64) *[pageBytes]byte {
+func (c *Controller) page(addr uint64) []byte {
 	idx := addr / pageBytes
 	ch := c.pages[idx/chunkPages]
 	if ch == nil {
 		ch = new(pageChunk)
 		c.pages[idx/chunkPages] = ch
 	}
-	p := ch[idx%chunkPages]
-	if p == nil {
-		p = new([pageBytes]byte)
-		ch[idx%chunkPages] = p
+	if p := ch[idx%chunkPages]; p != nil {
+		return p[:]
 	}
-	return p
+	p := new([pageBytes]byte)
+	ch[idx%chunkPages] = p
+	return p[:]
 }
 
 func (c *Controller) copyOut(dst []byte, addr uint64) {

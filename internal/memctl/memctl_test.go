@@ -340,7 +340,6 @@ func TestAccessTimeMatchesPerBurstOracle(t *testing.T) {
 // Never-written pages read as zero wherever they sit in the page table,
 // including next to written pages and across a chunk boundary.
 func TestPageTableZeroFill(t *testing.T) {
-	const chunkBytes = pageBytes * chunkPages
 	c := New(Config{Size: 3*chunkBytes + 100, Banks: 4, RowBytes: 2048, TBurst: 1})
 	if _, err := c.Write(chunkBytes-8, bytes.Repeat([]byte{0xee}, 16)); err != nil {
 		t.Fatal(err)
