@@ -5,13 +5,15 @@
 // controller interface requiring an explicit byte count per access. This
 // model provides a byte-addressable store with bank/row timing (row-buffer
 // hits are fast, conflicts pay precharge+activate) and the NIC-side atomic
-// read-modify-write operations of §3.2.1.
+// read-modify-write operations of §3.2.1. The store is one flat mapping:
+// an access is one copy, with no translation on its path.
 package memctl
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -61,37 +63,41 @@ var (
 	ErrBadOpcode  = errors.New("memctl: unknown RMW opcode")
 )
 
-const (
-	pageBytes  = 4096
-	chunkPages = 512 // pages per second-level table: 2 MiB of address space
-)
-
-// pageChunk is one second-level page table; a nil slot is a page never
-// touched.
-type pageChunk [chunkPages]*[pageBytes]byte
-
 // Controller is a single-channel memory controller with a per-bank open-row
-// policy. It is not safe for concurrent use; the simulation kernel is
-// single-threaded by design.
+// policy. It is not safe for concurrent use: the simulation kernel is
+// single-threaded, and each rmem shard locks its own controller.
+//
+// Its DRAM is one private anonymous mapping of Size bytes outside the Go
+// heap (a heap slice where there is no mmap), zero-filled lazily by the
+// kernel: a read of never-written memory maps the shared zero page and adds
+// no RSS, and a page faults once, on its first store. A cleanup unmaps it
+// once the controller is unreachable, so no method returns a view into it
+// (Read and ReadInto copy: an escaped view would be a use after unmap), and
+// every access charges its timing after its copy, which keeps the
+// controller reachable through it. The race detector does not watch that
+// memory, but every access also writes openRow and accesses, so -race still
+// catches a controller used without its caller's lock.
 type Controller struct {
 	cfg      Config
-	pages    []*pageChunk // indexed by page number / chunkPages, filled on first touch; guarded by caller (single-threaded by design; each rmem shard serializes its own controller under its mu)
-	openRow  []int64      // per bank; -1 = closed; guarded by caller
-	accesses uint64       // guarded by caller
-	rowHits  uint64       // guarded by caller
+	mem      []byte  // cfg.Size bytes, mapped by New; guarded by caller
+	openRow  []int64 // per bank; -1 = closed; guarded by caller
+	accesses uint64  // guarded by caller
+	rowHits  uint64  // guarded by caller
 }
 
 // New returns a controller with the given configuration.
 func New(cfg Config) *Controller {
-	if cfg.Banks <= 0 || cfg.RowBytes == 0 || cfg.Size == 0 {
+	if cfg.Banks <= 0 || cfg.RowBytes == 0 || cfg.Size == 0 || cfg.Size > math.MaxInt {
 		panic("memctl: invalid config")
 	}
 	open := make([]int64, cfg.Banks)
 	for i := range open {
 		open[i] = -1
 	}
-	chunks := (cfg.Size-1)/(pageBytes*chunkPages) + 1
-	return &Controller{cfg: cfg, pages: make([]*pageChunk, chunks), openRow: open}
+	c := &Controller{cfg: cfg, openRow: open}
+	//edmlint:allow lockcheck c is not yet published; no other goroutine can observe it
+	c.mem = mapMemory(c, int(cfg.Size))
+	return c
 }
 
 // Size reports addressable bytes.
@@ -147,50 +153,6 @@ func (c *Controller) accessTime(addr uint64, n int) sim.Time {
 	return total + sim.Time(bursts)*c.cfg.TBurst + c.cfg.TCAS
 }
 
-// page returns the page holding addr, allocating it (zero-filled) on first
-// touch, as a slice made where the compiler knows the pointer is non-nil:
-// past the nil test, or fresh from new. Slicing a *[pageBytes]byte it cannot
-// prove non-nil emits a nil check that loads from the page; on memory never
-// touched that load maps the shared zero page, and the copy's store behind
-// it then takes a second, copy-on-write fault. Callers copy through the
-// slice, so a fresh page faults once, on the store (TestFreshPageFaultsOnce).
-//
-//edmlint:hotpath one lookup per 4 KiB of every access
-func (c *Controller) page(addr uint64) []byte {
-	idx := addr / pageBytes
-	ch := c.pages[idx/chunkPages]
-	if ch == nil {
-		ch = new(pageChunk)
-		c.pages[idx/chunkPages] = ch
-	}
-	if p := ch[idx%chunkPages]; p != nil {
-		return p[:]
-	}
-	p := new([pageBytes]byte)
-	ch[idx%chunkPages] = p
-	return p[:]
-}
-
-func (c *Controller) copyOut(dst []byte, addr uint64) {
-	for len(dst) > 0 {
-		p := c.page(addr)
-		off := addr % pageBytes
-		n := copy(dst, p[off:])
-		dst = dst[n:]
-		addr += uint64(n)
-	}
-}
-
-func (c *Controller) copyIn(addr uint64, src []byte) {
-	for len(src) > 0 {
-		p := c.page(addr)
-		off := addr % pageBytes
-		n := copy(p[off:], src)
-		src = src[n:]
-		addr += uint64(n)
-	}
-}
-
 // Read returns n bytes at addr and the access latency.
 //
 //edmlint:hotpath
@@ -216,7 +178,7 @@ func (c *Controller) ReadInto(addr uint64, dst []byte) (sim.Time, error) {
 	if err := c.check(addr, len(dst)); err != nil {
 		return 0, err
 	}
-	c.copyOut(dst, addr)
+	copy(dst, c.mem[addr:])
 	return c.accessTime(addr, len(dst)), nil
 }
 
@@ -227,7 +189,7 @@ func (c *Controller) Write(addr uint64, data []byte) (sim.Time, error) {
 	if err := c.check(addr, len(data)); err != nil {
 		return 0, err
 	}
-	c.copyIn(addr, data)
+	copy(c.mem[addr:], data)
 	return c.accessTime(addr, len(data)), nil
 }
 
@@ -301,9 +263,8 @@ func (c *Controller) RMW(addr uint64, op RMWOp, args ...uint64) (uint64, sim.Tim
 	if len(args) != want {
 		return 0, 0, fmt.Errorf("memctl: %v needs %d args, got %d", op, want, len(args))
 	}
-	var buf [WordBytes]byte
-	c.copyOut(buf[:], addr)
-	old := binary.LittleEndian.Uint64(buf[:])
+	word := c.mem[addr : addr+WordBytes]
+	old := binary.LittleEndian.Uint64(word)
 	var newVal, result uint64
 	switch op {
 	case OpCAS:
@@ -333,8 +294,7 @@ func (c *Controller) RMW(addr uint64, op RMWOp, args ...uint64) (uint64, sim.Tim
 			newVal = args[0]
 		}
 	}
-	binary.LittleEndian.PutUint64(buf[:], newVal)
-	c.copyIn(addr, buf[:])
+	binary.LittleEndian.PutUint64(word, newVal)
 	// Read + write to the same open row: one activate, two column accesses.
 	t := c.accessTime(addr, WordBytes) + c.cfg.TCAS + c.cfg.TBurst
 	return result, t, nil

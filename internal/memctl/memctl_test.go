@@ -337,9 +337,10 @@ func TestAccessTimeMatchesPerBurstOracle(t *testing.T) {
 	}
 }
 
-// Never-written pages read as zero wherever they sit in the page table,
-// including next to written pages and across a chunk boundary.
-func TestPageTableZeroFill(t *testing.T) {
+// Never-written memory reads as zero wherever it sits, including next to
+// written bytes and across a huge-page boundary, and a write straddling
+// that boundary reads back whole.
+func TestUnwrittenMemoryReadsZero(t *testing.T) {
 	c := New(Config{Size: 3*chunkBytes + 100, Banks: 4, RowBytes: 2048, TBurst: 1})
 	if _, err := c.Write(chunkBytes-8, bytes.Repeat([]byte{0xee}, 16)); err != nil {
 		t.Fatal(err)
@@ -358,15 +359,15 @@ func TestPageTableZeroFill(t *testing.T) {
 	}
 	got, _, err := c.Read(chunkBytes-8, 16)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xee}, 16)) {
-		t.Fatalf("write straddling a chunk boundary read back %x, %v", got, err)
+		t.Fatalf("write straddling a huge-page boundary read back %x, %v", got, err)
 	}
 }
 
-// A controller whose size is not a multiple of the chunk (or of the page)
-// serves its last partial page up to the final byte and not beyond, and an
-// RMW on the final word lands there.
-func TestPageTableLastPartialPage(t *testing.T) {
-	const size = pageBytes*chunkPages + 3*pageBytes + 24
+// A controller whose size is not a multiple of the page serves its last
+// partial page up to the final byte and not beyond, and an RMW on the final
+// word lands there.
+func TestLastPartialPage(t *testing.T) {
+	const size = chunkBytes + 3*pageBytes + 24
 	c := New(Config{Size: size, Banks: 4, RowBytes: 2048, TBurst: 1})
 	tail := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30}
 	if _, err := c.Write(size-uint64(len(tail)), tail); err != nil {

@@ -9,10 +9,21 @@ import (
 	"repro/internal/workload"
 )
 
-const chunkBytes = pageBytes * chunkPages
+// pageBytes is the granularity the kernel fills a controller's mapping at,
+// and chunkBytes a huge page's span (and the second level of the page table
+// the mapping replaced).
+const (
+	pageBytes  = 4096
+	chunkBytes = 2 << 20
+)
+
+// modelBytes is the bulk of a model controller: enough pages for 16 KiB
+// accesses to straddle several, small enough that reading all of it back,
+// one zero-page fault per page never written, stays cheap per fuzz input.
+const modelBytes = 16 * pageBytes
 
 // controllerModel replays a byte script against a Controller and a flat
-// []byte of the same size, which is what the two-level page table must be
+// []byte of the same size, which is what the controller must be
 // indistinguishable from: every write lands at its address, everything
 // else reads as zero, out-of-range accesses fail and change nothing.
 type controllerModel struct {
@@ -22,15 +33,14 @@ type controllerModel struct {
 	buf  []byte
 }
 
-// modelFlat backs every model's flat reference in turn (tests using it do
-// not run in parallel): clearing 2 MiB is much cheaper per fuzz input than
-// allocating it.
-var modelFlat = make([]byte, chunkBytes+5*pageBytes/2+2*255+1)
+// modelFlat and modelGot back every model's flat reference and final
+// read-back in turn (tests using them do not run in parallel).
+var modelFlat, modelGot = make([]byte, modelBytes+5*pageBytes/2+2*255+1), make([]byte, len(modelFlat))
 
 // newControllerModel sizes the controller from b: always odd, so the last
-// page is partial, and past the first chunk boundary.
+// page is partial.
 func newControllerModel(t testing.TB, b byte) *controllerModel {
-	size := chunkBytes + 5*pageBytes/2 + 2*uint64(b) + 1
+	size := modelBytes + 5*pageBytes/2 + 2*uint64(b) + 1
 	flat := modelFlat[:size]
 	clear(flat)
 	return &controllerModel{
@@ -40,8 +50,9 @@ func newControllerModel(t testing.TB, b byte) *controllerModel {
 	}
 }
 
-// span decodes an access from three script bytes: an anchor (a page or
-// chunk boundary, the end of memory, or a scattered address), a signed
+// span decodes an access from three script bytes: an anchor (a page
+// boundary, the start or the 16th page of memory, its end, or a scattered
+// address), a signed
 // offset from it, and a length of 1 to 16 KiB that is small more often
 // than not. addr may leave the controller; ok reports whether it fits.
 func (m *controllerModel) span(sel, off, n byte) (addr uint64, length int, ok bool) {
@@ -50,9 +61,9 @@ func (m *controllerModel) span(sel, off, n byte) (addr uint64, length int, ok bo
 	var anchor uint64
 	switch sel & 3 {
 	case 0:
-		anchor = uint64(sel>>2) * pageBytes * 17 % size
+		anchor = uint64(sel>>2) * pageBytes % size
 	case 1:
-		anchor = uint64(sel>>2) % 2 * chunkBytes
+		anchor = uint64(sel>>2) % 2 * modelBytes
 	case 2:
 		anchor = size
 	case 3:
@@ -173,38 +184,20 @@ func (m *controllerModel) wantOutOfRange(i int, what string, addr uint64, n int,
 	}
 }
 
-// run replays script, four bytes a step, then compares all of memory with
-// the model: a page the controller never allocated must be zero there, and
-// the others are read back (which allocates nothing more).
+// run replays script, four bytes a step, then reads all of memory back and
+// compares it with the model.
 func (m *controllerModel) run(script []byte) {
 	for i := 0; len(script) >= 4; i++ {
 		m.step(i, script[:4])
 		script = script[4:]
 	}
-	var zero [pageBytes]byte
-	got := make([]byte, pageBytes)
-	for addr := uint64(0); addr < uint64(len(m.flat)); addr += pageBytes {
-		want := m.flat[addr:min(addr+pageBytes, uint64(len(m.flat)))]
-		if !m.c.resident(addr) {
-			if !bytes.Equal(want, zero[:len(want)]) {
-				m.t.Fatalf("page %#x was never allocated but the model wrote it", addr)
-			}
-			continue
-		}
-		if _, err := m.c.ReadInto(addr, got[:len(want)]); err != nil {
-			m.t.Fatalf("final read of page %#x: %v", addr, err)
-		}
-		if !bytes.Equal(got[:len(want)], want) {
-			m.t.Fatalf("final memory differs from the flat model at %#x", addr+uint64(firstDiff(got, want)))
-		}
+	got := modelGot[:len(m.flat)]
+	if _, err := m.c.ReadInto(0, got); err != nil {
+		m.t.Fatalf("final read: %v", err)
 	}
-}
-
-// resident reports whether the page holding addr was ever allocated.
-func (c *Controller) resident(addr uint64) bool {
-	idx := addr / pageBytes
-	ch := c.pages[idx/chunkPages]
-	return ch != nil && ch[idx%chunkPages] != nil
+	if i := firstDiff(got, m.flat); i >= 0 {
+		m.t.Fatalf("final memory differs from the flat model at %#x", i)
+	}
 }
 
 func firstDiff(a, b []byte) int {
@@ -227,7 +220,7 @@ func controllerScript(seed uint64, steps int) []byte {
 }
 
 // TestControllerModel replays seeded scripts: long enough to overlap
-// writes, straddle page and chunk boundaries, run every atomic and read
+// writes, straddle page boundaries, run every atomic and read
 // memory no step wrote.
 func TestControllerModel(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
@@ -239,7 +232,7 @@ func TestControllerModel(t *testing.T) {
 // FuzzControllerModel lets the fuzzer write the script; the seed corpus runs
 // under plain go test.
 func FuzzControllerModel(f *testing.F) {
-	// Overlapping writes across the first chunk boundary, a read of their
+	// Overlapping writes, a read of their
 	// untouched neighbours, an RMW on the last word and a write off the end.
 	f.Add([]byte{7, 0, 5, 0, 200, 0, 5, 40, 90, 1, 5, 200, 255, 2, 2, 0, 0, 0, 2, 253, 10, 1, 0, 0, 255})
 	f.Add([]byte{0, 0, 0, 0, 255, 0, 4, 128, 255, 1, 0, 128, 255, 34, 1, 0, 7, 8, 1, 0, 7})

@@ -94,13 +94,16 @@ type ServerStats struct {
 }
 
 // shardAlign is the shard-boundary granularity. A multiple of the RMW word
-// size (and of memctl's page size), so an aligned 8-byte RMW can never span
-// two shards — every atomic executes under exactly one shard lock.
+// size, so an aligned 8-byte RMW can never span two shards — every atomic
+// executes under exactly one shard lock — and of the kernel's page size, so
+// each shard's controller maps whole pages.
 const shardAlign = 4096
 
-// shard is one contiguous byte range of the slab with its own lock and
-// DRAM-timing model. Padded to a cache line so neighbouring shard locks
-// don't false-share under multi-core contention.
+// shard is one contiguous byte range of the slab with its own lock and its
+// own memctl.Controller: the DRAM-timing model and the bytes, one mapping
+// the kernel fills a page at a time on first write. Padded to a cache line
+// so neighbouring shard locks don't false-share under multi-core
+// contention.
 type shard struct {
 	mu  sync.Mutex
 	mem *memctl.Controller // guarded by mu (Controller is not itself thread-safe)
