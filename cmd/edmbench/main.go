@@ -19,85 +19,90 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which experiment to run")
-	nodes := flag.Int("nodes", 144, "cluster size for fig8 simulations")
-	ops := flag.Int("ops", 20000, "operations per simulation run")
-	seed := flag.Uint64("seed", 1, "trace seed")
-	fig7ops := flag.Int("fig7ops", 400, "YCSB operations per fig7 ratio")
-	snapshot := flag.String("snapshot", "", "run the wire/rmem benchmarks and write a JSON snapshot to this file")
-	baseline := flag.String("baseline", "", "with -snapshot: print deltas against this earlier snapshot")
-	count := flag.Int("count", 1, "with -snapshot: benchmark repetitions; the snapshot records the best of N")
-	benchtime := flag.String("benchtime", "", "with -snapshot: -benchtime passed to go test (e.g. 100ms)")
-	threshold := flag.Float64("threshold", 0, "with -snapshot and -baseline: exit nonzero when key metrics regress beyond this percentage")
-	flag.Parse()
+	cli.Exit("edmbench", run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: flags in, report out.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("edmbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("experiment", "all", "which experiment to run")
+	nodes := fs.Int("nodes", 144, "cluster size for fig8 simulations")
+	ops := fs.Int("ops", 20000, "operations per simulation run")
+	seed := fs.Uint64("seed", 1, "trace seed")
+	fig7ops := fs.Int("fig7ops", 400, "YCSB operations per fig7 ratio")
+	snapshot := fs.String("snapshot", "", "run the wire/rmem benchmarks and write a JSON snapshot to this file")
+	baseline := fs.String("baseline", "", "with -snapshot: print deltas against this earlier snapshot")
+	count := fs.Int("count", 1, "with -snapshot: benchmark repetitions; the snapshot records the best of N")
+	benchtime := fs.String("benchtime", "", "with -snapshot: -benchtime passed to go test (e.g. 100ms)")
+	threshold := fs.Float64("threshold", 0, "with -snapshot and -baseline: exit nonzero when key metrics regress beyond this percentage")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return cli.ErrFlagParse
+	}
 
 	if *snapshot != "" {
-		if err := runSnapshot(*snapshot, *baseline, *count, *benchtime, *threshold); err != nil {
-			fmt.Fprintf(os.Stderr, "edmbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		return runSnapshot(*snapshot, *baseline, *count, *benchtime, *threshold, stdout, stderr)
 	}
 	if *threshold != 0 || *baseline != "" {
-		fmt.Fprintln(os.Stderr, "edmbench: -baseline/-threshold require -snapshot")
-		os.Exit(2)
+		return cli.Usagef("-baseline/-threshold require -snapshot")
 	}
 
 	cfg := experiments.Fig8Config{Nodes: *nodes, Bandwidth: 100, OpsPerRun: *ops, Seed: *seed}
 
-	runners := map[string]func() error{
+	runners := map[string]func(io.Writer) error{
 		"table1":    table1,
 		"fig5":      fig5,
 		"fig6":      fig6,
-		"fig7":      func() error { return fig7(*fig7ops) },
-		"fig8a":     func() error { return fig8a(cfg) },
-		"fig8b":     func() error { return fig8b(cfg) },
-		"ablations": func() error { return ablations(cfg) },
-		"incast":    func() error { return incast(cfg) },
+		"fig7":      func(w io.Writer) error { return fig7(w, *fig7ops) },
+		"fig8a":     func(w io.Writer) error { return fig8a(w, cfg) },
+		"fig8b":     func(w io.Writer) error { return fig8b(w, cfg) },
+		"ablations": func(w io.Writer) error { return ablations(w, cfg) },
+		"incast":    func(w io.Writer) error { return incast(w, cfg) },
 	}
 	order := []string{"table1", "fig5", "fig6", "fig7", "fig8a", "fig8b", "ablations", "incast"}
 
 	if *exp == "all" {
 		for _, name := range order {
-			fmt.Printf("\n================ %s ================\n", name)
-			if err := runners[name](); err != nil {
-				fmt.Fprintf(os.Stderr, "edmbench: %s: %v\n", name, err)
-				os.Exit(1)
+			fmt.Fprintf(stdout, "\n================ %s ================\n", name)
+			if err := runners[name](stdout); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
 			}
 		}
-		return
+		return nil
 	}
-	run, ok := runners[*exp]
+	runExp, ok := runners[*exp]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "edmbench: unknown experiment %q (want one of %v or all)\n", *exp, order)
-		os.Exit(2)
+		return cli.Usagef("unknown experiment %q (want one of %v or all)", *exp, order)
 	}
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "edmbench: %v\n", err)
-		os.Exit(1)
-	}
+	return runExp(stdout)
 }
 
-func tab() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+func tab(out io.Writer) *tabwriter.Writer {
+	return tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 }
 
-func table1() error {
+func table1(out io.Writer) error {
 	rows, err := experiments.Table1()
 	if err != nil {
 		return err
 	}
-	w := tab()
+	w := tab(out)
 	fmt.Fprintln(w, "Stack\tOp\tNetwork stack\tTotal fabric\tPaper\tMeasured (block-level)\tvs EDM")
 	for _, r := range rows {
 		op := "read"
@@ -114,8 +119,8 @@ func table1() error {
 	return w.Flush()
 }
 
-func fig5() error {
-	w := tab()
+func fig5(out io.Writer) error {
+	w := tab(out)
 	fmt.Fprintln(w, "Location\tOp\tStage\tCycles\tTime")
 	for _, s := range experiments.Fig5() {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%v\n", s.Location, s.Op, s.Name, s.Cycles, s.Time)
@@ -126,8 +131,8 @@ func fig5() error {
 	return w.Flush()
 }
 
-func fig6() error {
-	w := tab()
+func fig6(out io.Writer) error {
+	w := tab(out)
 	fmt.Fprintln(w, "Workload\tEDM (Mreq/s)\tRDMA (Mreq/s)\tEDM/RDMA")
 	for _, r := range experiments.Fig6() {
 		fmt.Fprintf(w, "%v\t%.1f\t%.1f\t%.2fx\n", r.Workload, r.EDMMrps, r.RDMAMrps, r.Ratio)
@@ -135,12 +140,12 @@ func fig6() error {
 	return w.Flush()
 }
 
-func fig7(ops int) error {
+func fig7(out io.Writer, ops int) error {
 	rows, err := experiments.Fig7(ops)
 	if err != nil {
 		return err
 	}
-	w := tab()
+	w := tab(out)
 	fmt.Fprintln(w, "Local:Remote\tEDM (ns)\tpaper\tCXL (ns)\tpaper\tRDMA (ns)\tpaper")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\n",
@@ -149,12 +154,12 @@ func fig7(ops int) error {
 	return w.Flush()
 }
 
-func fig8a(cfg experiments.Fig8Config) error {
+func fig8a(out io.Writer, cfg experiments.Fig8Config) error {
 	rows, err := experiments.Fig8a(cfg, nil)
 	if err != nil {
 		return err
 	}
-	w := tab()
+	w := tab(out)
 	fmt.Fprintln(w, "Protocol\tLoad\tReads (norm)\tWrites (norm)")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%.1f\t%.3f\t%.3f\n", r.Proto, r.Load, r.ReadsNorm, r.WritesNorm)
@@ -162,12 +167,12 @@ func fig8a(cfg experiments.Fig8Config) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Println("\nMixed write:read at load 0.8:")
+	fmt.Fprintln(out, "\nMixed write:read at load 0.8:")
 	mix, err := experiments.Fig8aMix(cfg, nil)
 	if err != nil {
 		return err
 	}
-	w = tab()
+	w = tab(out)
 	fmt.Fprintln(w, "Protocol\tWrite:Read\tNormalized latency")
 	for _, r := range mix {
 		fmt.Fprintf(w, "%s\t%.0f:%.0f\t%.3f\n", r.Proto, r.WriteFrac*100, (1-r.WriteFrac)*100, r.Norm)
@@ -175,12 +180,12 @@ func fig8a(cfg experiments.Fig8Config) error {
 	return w.Flush()
 }
 
-func fig8b(cfg experiments.Fig8Config) error {
+func fig8b(out io.Writer, cfg experiments.Fig8Config) error {
 	rows, err := experiments.Fig8b(cfg)
 	if err != nil {
 		return err
 	}
-	w := tab()
+	w := tab(out)
 	fmt.Fprintln(w, "Application\tProtocol\tNormalized MCT\tAbsolute mean MCT")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%s\t%.3f\t%.0fns\n", r.App, r.Proto, r.NormMCT, r.AbsMeanNs)
@@ -188,8 +193,8 @@ func fig8b(cfg experiments.Fig8Config) error {
 	return w.Flush()
 }
 
-func ablations(cfg experiments.Fig8Config) error {
-	w := tab()
+func ablations(out io.Writer, cfg experiments.Fig8Config) error {
+	w := tab(out)
 	fmt.Fprintln(w, "Ablation\tValue\tNormalized latency/MCT")
 	for _, run := range []func(experiments.Fig8Config) ([]experiments.AblationRow, error){
 		experiments.AblationChunkSize,
@@ -209,12 +214,12 @@ func ablations(cfg experiments.Fig8Config) error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Println("\nIntra-frame preemption (block-level testbed):")
+	fmt.Fprintln(out, "\nIntra-frame preemption (block-level testbed):")
 	pre, err := experiments.AblationPreemption(20)
 	if err != nil {
 		return err
 	}
-	w = tab()
+	w = tab(out)
 	fmt.Fprintln(w, "Mux policy\tMean 64B read\tMax 64B read")
 	for _, p := range pre {
 		fmt.Fprintf(w, "%s\t%.0fns\t%.0fns\n", p.Policy, p.MeanReadNs, p.MaxReadNs)
@@ -222,12 +227,12 @@ func ablations(cfg experiments.Fig8Config) error {
 	return w.Flush()
 }
 
-func incast(cfg experiments.Fig8Config) error {
+func incast(out io.Writer, cfg experiments.Fig8Config) error {
 	rows, err := experiments.Incast(cfg, 16, 50)
 	if err != nil {
 		return err
 	}
-	w := tab()
+	w := tab(out)
 	fmt.Fprintln(w, "Protocol\tMean norm\tP99 norm")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%.2f\t%.2f\n", r.Proto, r.MeanNorm, r.P99Norm)

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -40,7 +41,7 @@ type Snapshot struct {
 // baseline) prints the delta table. A positive threshold additionally turns
 // the baseline comparison into a gate: key metrics regressing beyond
 // threshold percent make it return an error (nonzero exit).
-func runSnapshot(outPath, baselinePath string, count int, benchtime string, threshold float64) error {
+func runSnapshot(outPath, baselinePath string, count int, benchtime string, threshold float64, stdout, stderr io.Writer) error {
 	if count < 1 {
 		count = 1
 	}
@@ -49,7 +50,7 @@ func runSnapshot(outPath, baselinePath string, count int, benchtime string, thre
 		args = append(args, "-benchtime", benchtime)
 	}
 	cmd := exec.Command("go", append(args, benchPackages...)...)
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = stderr
 	out, err := cmd.Output()
 	if err != nil {
 		return fmt.Errorf("edmbench: bench run: %w", err)
@@ -65,7 +66,7 @@ func runSnapshot(outPath, baselinePath string, count int, benchtime string, thre
 	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d benchmarks to %s (count=%d, best-of-N)\n", len(snap.Benchmarks), outPath, count)
+	fmt.Fprintf(stdout, "wrote %d benchmarks to %s (count=%d, best-of-N)\n", len(snap.Benchmarks), outPath, count)
 	if baselinePath == "" {
 		return nil
 	}
@@ -73,12 +74,16 @@ func runSnapshot(outPath, baselinePath string, count int, benchtime string, thre
 	if err != nil {
 		return err
 	}
-	if err := printDelta(old, snap); err != nil {
+	if err := printDelta(stdout, old, snap); err != nil {
 		return err
 	}
-	if threshold > 0 {
-		return checkThreshold(old, snap, threshold)
+	if threshold <= 0 {
+		return nil
 	}
+	if err := checkThreshold(old, snap, threshold); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "bench gate: key metrics within %.0f%% of baseline\n", threshold)
 	return nil
 }
 
@@ -184,12 +189,12 @@ func loadSnapshot(path string) (Snapshot, error) {
 }
 
 // printDelta compares ns/op and allocs/op against a baseline snapshot.
-func printDelta(old, cur Snapshot) error {
+func printDelta(out io.Writer, old, cur Snapshot) error {
 	byKey := make(map[string]Benchmark, len(old.Benchmarks))
 	for _, b := range old.Benchmarks {
 		byKey[b.Pkg+" "+b.Name] = b
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Benchmark\tns/op\tbaseline\tdelta\tallocs/op\tbaseline")
 	for _, b := range cur.Benchmarks {
 		o, ok := byKey[b.Pkg+" "+b.Name]
@@ -273,6 +278,5 @@ func checkThreshold(old, cur Snapshot, pct float64) error {
 		return fmt.Errorf("bench gate: %d key-metric regression(s) beyond %.0f%%:\n  %s",
 			len(fails), pct, strings.Join(fails, "\n  "))
 	}
-	fmt.Printf("bench gate: key metrics within %.0f%% of baseline\n", pct)
 	return nil
 }
