@@ -322,8 +322,7 @@ func BenchmarkNetsimEDM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := netsim.Config{Nodes: 48, Bandwidth: 100,
-		Prop: 10 * sim.Nanosecond, PMA: 19 * sim.Nanosecond, MTU: 1500}
+	cfg := netsim.Config{Nodes: 48, Bandwidth: 100}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&netsim.EDM{}).Run(cfg, ops); err != nil {

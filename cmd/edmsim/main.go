@@ -102,10 +102,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		return fmt.Errorf("empty trace")
 	}
 
-	cfg := netsim.Config{
-		Nodes: *nodes, Bandwidth: sim.Gbps(*bw),
-		Prop: 10 * sim.Nanosecond, PMA: 19 * sim.Nanosecond, MTU: 1500,
-	}
+	cfg := netsim.Config{Nodes: *nodes, Bandwidth: sim.Gbps(*bw)}
 	res, err := netsim.RunNormalized(p, cfg, ops)
 	if err != nil {
 		return err

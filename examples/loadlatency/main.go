@@ -9,16 +9,12 @@ import (
 	"log"
 
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 func main() {
-	cfg := netsim.Config{
-		Nodes: 32, Bandwidth: 100,
-		Prop: 10 * sim.Nanosecond, PMA: 19 * sim.Nanosecond, MTU: 1500,
-	}
-	protocols := []netsim.Protocol{&netsim.EDM{}, &netsim.CXL{}, &netsim.Fastpass{}}
+	cfg := netsim.Config{Nodes: 32, Bandwidth: 100}
+	protocols := []netsim.Protocol{&netsim.EDM{}, netsim.CXL{}, netsim.Fastpass{}}
 
 	fmt.Println("64B random reads+writes, 32 nodes x 100Gbps, normalized mean latency")
 	fmt.Printf("%-6s", "load")

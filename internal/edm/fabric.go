@@ -34,8 +34,6 @@ type Config struct {
 	MuxPolicy phy.MuxPolicy
 	// ReadTimeout bounds outstanding reads; expiry yields a NULL response.
 	ReadTimeout sim.Time
-	// MaxPIMIterations caps matching iterations (0 = maximal, the default).
-	MaxPIMIterations int
 }
 
 // DefaultConfig is the 25 GbE testbed configuration.

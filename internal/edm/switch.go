@@ -59,7 +59,6 @@ func newSwitch(engine *sim.Engine, cfg Config) *Switch {
 		ClockPeriod:      cfg.SchedClockPeriod,
 		Policy:           cfg.Policy,
 		MaxActivePerPair: cfg.MaxActivePerPair,
-		MaxIterations:    cfg.MaxPIMIterations,
 	})
 	sw.sched.OnGrant = sw.onGrant
 	sw.ports = make([]*swPort, cfg.Ports)

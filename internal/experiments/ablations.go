@@ -225,11 +225,8 @@ func Incast(cfg Fig8Config, senders, opsEach int) ([]IncastResult, error) {
 		}
 	}
 	var out []IncastResult
-	for _, p := range []netsim.Protocol{&netsim.EDM{}, &netsim.DCTCP{}, &netsim.CXL{}} {
-		res, err := netsim.RunNormalized(p, netsim.Config{
-			Nodes: senders + 1, Bandwidth: cfg.Bandwidth,
-			Prop: 10 * sim.Nanosecond, PMA: 19 * sim.Nanosecond, MTU: 1500,
-		}, ops)
+	for _, p := range []netsim.Protocol{&netsim.EDM{}, netsim.DCTCP{}, netsim.CXL{}} {
+		res, err := netsim.RunNormalized(p, netsim.Config{Nodes: senders + 1, Bandwidth: cfg.Bandwidth}, ops)
 		if err != nil {
 			return nil, fmt.Errorf("incast %s: %w", p.Name(), err)
 		}

@@ -23,10 +23,7 @@ func DefaultFig8Config() Fig8Config {
 }
 
 func (c Fig8Config) netCfg() netsim.Config {
-	return netsim.Config{
-		Nodes: c.Nodes, Bandwidth: c.Bandwidth,
-		Prop: 10 * sim.Nanosecond, PMA: 19 * sim.Nanosecond, MTU: 1500,
-	}
+	return netsim.Config{Nodes: c.Nodes, Bandwidth: c.Bandwidth}
 }
 
 // Fig8aRow is one (protocol, load) point of Figure 8a: mean normalized

@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -14,53 +12,36 @@ import (
 // holds flits in ingress queues, those flits pin credits, and the deficit
 // blocks every other flow crossing the same ingress — head-of-line
 // blocking equivalent to PFC's.
-type CXL struct {
-	// FlitBytes is the transfer granularity (default 256, CXL 3.0 flit).
-	FlitBytes int
-	// Credits per sender link (default 8 flits).
-	Credits int
-	// HopLatency is the per-switch-hop latency (default 100 ns, Pond).
-	HopLatency sim.Time
-	// StackLatency is the endpoint controller latency (default 70 ns).
-	StackLatency sim.Time
-}
+type CXL struct{}
+
+// CXL's §4.3 parameters.
+const (
+	// cxlFlitBytes is the transfer granularity: a CXL 3.0 flit.
+	cxlFlitBytes = 256
+	// cxlCredits is the credit pool of each sender link, in flits.
+	cxlCredits = 8
+	// cxlHopLatency is the per-switch-hop latency (Pond's 100 ns).
+	cxlHopLatency = 100 * sim.Nanosecond
+	// cxlStackLatency is the endpoint controller latency.
+	cxlStackLatency = 70 * sim.Nanosecond
+	// cxlFlitOverhead is the per-flit framing (CRC, sequence, DLLP share).
+	cxlFlitOverhead = 16
+)
 
 // Name implements Protocol.
-func (c *CXL) Name() string { return "CXL" }
+func (CXL) Name() string { return "CXL" }
 
 // WireBytes implements Protocol.
-func (c *CXL) WireBytes(n int) int {
-	flit := c.FlitBytes
-	if flit == 0 {
-		flit = 256
-	}
+func (CXL) WireBytes(n int) int {
 	total := 0
-	for _, f := range packetize(n, flit) {
+	for _, f := range packetize(n, cxlFlitBytes) {
 		total += f + cxlFlitOverhead
 	}
 	return total
 }
 
 // ReqWireBytes implements Protocol.
-func (c *CXL) ReqWireBytes() int { return 64 + cxlFlitOverhead }
-
-func (c *CXL) defaults() {
-	if c.FlitBytes == 0 {
-		c.FlitBytes = 256
-	}
-	if c.Credits == 0 {
-		c.Credits = 8
-	}
-	if c.HopLatency == 0 {
-		c.HopLatency = 100 * sim.Nanosecond
-	}
-	if c.StackLatency == 0 {
-		c.StackLatency = 70 * sim.Nanosecond
-	}
-}
-
-// cxlFlitOverhead is the per-flit framing (CRC, sequence, DLLP share).
-const cxlFlitOverhead = 16
+func (CXL) ReqWireBytes() int { return 64 + cxlFlitOverhead }
 
 type cxlFlit struct {
 	opIdx int
@@ -78,7 +59,6 @@ type cxlIngress struct {
 }
 
 type cxlRun struct {
-	p       *CXL
 	cfg     Config
 	eng     *sim.Engine
 	nicQ    [][]*cxlFlit
@@ -92,36 +72,25 @@ type cxlRun struct {
 }
 
 // Run implements Protocol.
-func (c *CXL) Run(cfg Config, ops []workload.Op) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c.defaults()
-	eng := sim.NewEngine()
-	r := &cxlRun{p: c, cfg: cfg, eng: eng, track: newTracker(eng, c.Name(), ops)}
-	r.nicQ = make([][]*cxlFlit, cfg.Nodes)
-	r.nicBusy = make([]bool, cfg.Nodes)
-	r.credits = make([]int, cfg.Nodes)
-	r.ingress = make([]*cxlIngress, cfg.Nodes)
-	r.egBusy = make([]bool, cfg.Nodes)
-	r.rr = make([]int, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		r.credits[i] = c.Credits
-		r.ingress[i] = &cxlIngress{}
-	}
-	for _, op := range ops {
-		op := op
-		eng.At(op.Arrival, func() { r.arrive(op) })
-	}
-	eng.Run()
-	if r.track.res.Completed != len(ops) {
-		return nil, fmt.Errorf("cxl run: %d of %d ops completed", r.track.res.Completed, len(ops))
-	}
-	return r.track.finish(), nil
+func (c CXL) Run(cfg Config, ops []workload.Op) (*Result, error) {
+	return drive(c.Name(), cfg, ops, func(eng *sim.Engine, track *tracker) func(workload.Op) {
+		r := &cxlRun{cfg: cfg, eng: eng, track: track}
+		r.nicQ = make([][]*cxlFlit, cfg.Nodes)
+		r.nicBusy = make([]bool, cfg.Nodes)
+		r.credits = make([]int, cfg.Nodes)
+		r.ingress = make([]*cxlIngress, cfg.Nodes)
+		r.egBusy = make([]bool, cfg.Nodes)
+		r.rr = make([]int, cfg.Nodes)
+		for i := 0; i < cfg.Nodes; i++ {
+			r.credits[i] = cxlCredits
+			r.ingress[i] = &cxlIngress{}
+		}
+		return r.arrive
+	})
 }
 
 func (r *cxlRun) arrive(op workload.Op) {
-	r.eng.After(r.p.StackLatency, func() {
+	r.eng.After(cxlStackLatency, func() {
 		if op.Read {
 			// Read request flit c->m; the memory side streams data back.
 			f := &cxlFlit{opIdx: op.Index, isReq: true, size: op.Size, src: op.Src, dst: op.Dst}
@@ -134,7 +103,7 @@ func (r *cxlRun) arrive(op workload.Op) {
 }
 
 func (r *cxlRun) enqueueData(src, dst, opIdx, size int) {
-	for _, n := range packetize(size, r.p.FlitBytes) {
+	for _, n := range packetize(size, cxlFlitBytes) {
 		f := &cxlFlit{opIdx: opIdx, data: n, size: size, src: src, dst: dst}
 		f.wire = n + cxlFlitOverhead // per-flit framing (CRC, sequence)
 		r.nicEnqueue(f)
@@ -164,7 +133,7 @@ func (r *cxlRun) nicPump(src int) {
 		r.nicBusy[src] = false
 		r.nicPump(src)
 	})
-	r.eng.After(tx+r.cfg.linkLat(), func() { r.ingressArrive(f) })
+	r.eng.After(tx+linkLat, func() { r.ingressArrive(f) })
 }
 
 func (r *cxlRun) ingressArrive(f *cxlFlit) {
@@ -192,7 +161,7 @@ func (r *cxlRun) tryForward(d int) {
 		ing.q = ing.q[1:]
 		ing.bytes -= int64(f.wire)
 		// Credit return to sender i.
-		r.eng.After(r.cfg.Prop, func() {
+		r.eng.After(propDelay, func() {
 			r.credits[i]++
 			r.nicPump(i)
 		})
@@ -202,7 +171,7 @@ func (r *cxlRun) tryForward(d int) {
 		// pipelined.
 		r.eng.After(tx, func() {
 			r.egBusy[d] = false
-			r.eng.After(r.p.HopLatency+r.cfg.linkLat(), func() { r.deliver(f) })
+			r.eng.After(cxlHopLatency+linkLat, func() { r.deliver(f) })
 			r.tryForwardAll()
 		})
 		return
@@ -216,7 +185,7 @@ func (r *cxlRun) tryForwardAll() {
 }
 
 func (r *cxlRun) deliver(f *cxlFlit) {
-	r.eng.After(r.p.StackLatency, func() {
+	r.eng.After(cxlStackLatency, func() {
 		if f.isReq {
 			r.enqueueData(f.dst, f.src, f.opIdx, f.size)
 			return

@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -13,52 +11,31 @@ import (
 // output-queued switch with finite buffers; drops recover by timeout
 // (single-packet messages cannot trigger 3-dupACK fast retransmit, §2.4
 // limitation 6).
-type DCTCP struct {
-	// MarkThresholdBytes is the ECN marking threshold K (default 30 KB).
-	MarkThresholdBytes int64
-	// BufferBytes is the per-egress buffer (default 256 KB).
-	BufferBytes int64
-	// RTO is the retransmission timeout (default 200 us; datacenter TCP
-	// stacks use hundreds of microseconds to milliseconds).
-	RTO sim.Time
-	// InitCwnd in packets (default 10).
-	InitCwnd float64
-	// Gain is DCTCP's g (default 1/16).
-	Gain float64
-}
+type DCTCP struct{}
+
+// DCTCP's §4.3 parameters.
+const (
+	// dctcpMarkThreshold is the ECN marking threshold K, in bytes.
+	dctcpMarkThreshold = 30 << 10
+	// dctcpBufferBytes is the per-egress buffer.
+	dctcpBufferBytes = 256 << 10
+	// dctcpRTO is the retransmission timeout; datacenter TCP stacks use
+	// hundreds of microseconds to milliseconds.
+	dctcpRTO = 200 * sim.Microsecond
+	// dctcpInitCwnd is the initial window, in packets.
+	dctcpInitCwnd = 10
+	// dctcpGain is DCTCP's g.
+	dctcpGain = 1.0 / 16
+)
 
 // Name implements Protocol.
-func (d *DCTCP) Name() string { return "DCTCP" }
+func (DCTCP) Name() string { return "DCTCP" }
 
 // WireBytes implements Protocol.
-func (d *DCTCP) WireBytes(n int) int {
-	total := 0
-	for _, p := range packetize(n, 1500) {
-		total += transport.WireBytes(transport.StackTCP, p)
-	}
-	return total
-}
+func (DCTCP) WireBytes(n int) int { return stackWire(transport.StackTCP, n) }
 
 // ReqWireBytes implements Protocol.
-func (d *DCTCP) ReqWireBytes() int { return transport.WireBytes(transport.StackTCP, 8) }
-
-func (d *DCTCP) defaults() {
-	if d.MarkThresholdBytes == 0 {
-		d.MarkThresholdBytes = 30 << 10
-	}
-	if d.BufferBytes == 0 {
-		d.BufferBytes = 256 << 10
-	}
-	if d.RTO == 0 {
-		d.RTO = 200 * sim.Microsecond
-	}
-	if d.InitCwnd == 0 {
-		d.InitCwnd = 10
-	}
-	if d.Gain == 0 {
-		d.Gain = 1.0 / 16
-	}
-}
+func (DCTCP) ReqWireBytes() int { return transport.WireBytes(transport.StackTCP, 8) }
 
 type tcpPkt struct {
 	opIdx    int
@@ -84,7 +61,6 @@ type tcpConn struct {
 }
 
 type dctcpRun struct {
-	p      *DCTCP
 	cfg    Config
 	eng    *sim.Engine
 	up     []*pipe
@@ -95,37 +71,24 @@ type dctcpRun struct {
 }
 
 // Run implements Protocol.
-func (d *DCTCP) Run(cfg Config, ops []workload.Op) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	d.defaults()
-	eng := sim.NewEngine()
-	r := &dctcpRun{p: d, cfg: cfg, eng: eng,
-		conns: make(map[[2]int]*tcpConn),
-		track: newTracker(eng, d.Name(), ops)}
-	r.up = make([]*pipe, cfg.Nodes)
-	r.egress = make([]*pipe, cfg.Nodes)
-	for i := range r.up {
-		r.up[i] = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-		r.egress[i] = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-	}
-	for _, op := range ops {
-		op := op
-		eng.At(op.Arrival, func() { r.arrive(op) })
-	}
-	eng.Run()
-	if r.track.res.Completed != len(ops) {
-		return nil, fmt.Errorf("dctcp run: %d of %d ops completed", r.track.res.Completed, len(ops))
-	}
-	return r.track.finish(), nil
+func (d DCTCP) Run(cfg Config, ops []workload.Op) (*Result, error) {
+	return drive(d.Name(), cfg, ops, func(eng *sim.Engine, track *tracker) func(workload.Op) {
+		r := &dctcpRun{cfg: cfg, eng: eng, conns: make(map[[2]int]*tcpConn), track: track}
+		r.up = make([]*pipe, cfg.Nodes)
+		r.egress = make([]*pipe, cfg.Nodes)
+		for i := range r.up {
+			r.up[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.egress[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+		}
+		return r.arrive
+	})
 }
 
 func (r *dctcpRun) conn(src, dst int) *tcpConn {
 	key := [2]int{src, dst}
 	c := r.conns[key]
 	if c == nil {
-		c = &tcpConn{src: src, dst: dst, cwnd: r.p.InitCwnd}
+		c = &tcpConn{src: src, dst: dst, cwnd: dctcpInitCwnd}
 		r.conns[key] = c
 	}
 	return c
@@ -147,7 +110,7 @@ func (r *dctcpRun) arrive(op workload.Op) {
 
 func (r *dctcpRun) enqueueData(src, dst, opIdx, size int) {
 	c := r.conn(src, dst)
-	for _, n := range packetize(size, r.cfg.MTU) {
+	for _, n := range packetize(size, mtu) {
 		c.q = append(c.q, &tcpPkt{opIdx: opIdx, data: n, size: size, conn: c})
 	}
 	r.pump(c)
@@ -178,12 +141,12 @@ func (r *dctcpRun) sendPkt(pkt *tcpPkt) {
 		// At the switch after L2 parsing: drop if the egress buffer is
 		// full, else enqueue (ECN mark above K).
 		eg := r.egress[c.dst]
-		if eg.queuedBytes()+int64(wire) > r.p.BufferBytes {
+		if eg.queuedBytes()+int64(wire) > dctcpBufferBytes {
 			pkt.dropped = true
 			r.stats.drops++
 			return // recovery via RTO below
 		}
-		if eg.queuedBytes() > r.p.MarkThresholdBytes {
+		if eg.queuedBytes() > dctcpMarkThreshold {
 			pkt.marked = true
 			r.stats.marks++
 		}
@@ -192,7 +155,7 @@ func (r *dctcpRun) sendPkt(pkt *tcpPkt) {
 		})
 	})
 	// Arm the retransmission timeout.
-	r.eng.After(r.p.RTO, func() {
+	r.eng.After(dctcpRTO, func() {
 		if pkt.acked {
 			return
 		}
@@ -216,7 +179,7 @@ func (r *dctcpRun) deliver(pkt *tcpPkt) {
 	c := pkt.conn
 	// ACK returns after one propagation (ACKs ride the reverse path; their
 	// 64 B frames are negligible next to data and not serialized here).
-	r.eng.After(2*r.cfg.linkLat()+transport.L2ForwardingLatency, func() { r.ack(pkt) })
+	r.eng.After(2*linkLat+transport.L2ForwardingLatency, func() { r.ack(pkt) })
 	r.eng.After(transport.TCPStackLatency, func() {
 		if pkt.credited {
 			return // duplicate of a retransmitted packet
@@ -249,7 +212,7 @@ func (r *dctcpRun) ack(pkt *tcpPkt) {
 	c.windowSz++
 	if float64(c.windowSz) >= c.cwnd {
 		frac := float64(c.ackMark) / float64(c.ackSeen)
-		c.alpha = (1-r.p.Gain)*c.alpha + r.p.Gain*frac
+		c.alpha = (1-dctcpGain)*c.alpha + dctcpGain*frac
 		if c.ackMark > 0 {
 			c.cwnd *= 1 - c.alpha/2
 			if c.cwnd < 1 {

@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"fmt"
-
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -82,17 +80,14 @@ type edmRun struct {
 	sch      *sched.Scheduler
 	up, down []*pipe
 	track    *tracker
+	x        int // per-pair window
 	pairs    map[[2]int]*edmPair
 	ops      map[int]workload.Op
 	groups   map[int]*megaGroup // keyed by lead op index
-	err      error              // first notification error (always a bug if set)
 }
 
 // Run implements Protocol.
 func (e *EDM) Run(cfg Config, ops []workload.Op) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	chunk := e.ChunkBytes
 	if chunk <= 0 {
 		chunk = 256
@@ -101,50 +96,43 @@ func (e *EDM) Run(cfg Config, ops []workload.Op) (*Result, error) {
 	if x <= 0 {
 		x = 3
 	}
-	eng := sim.NewEngine()
-	r := &edmRun{
-		p:      e,
-		cfg:    cfg,
-		eng:    eng,
-		track:  newTracker(eng, e.Name(), ops),
-		pairs:  make(map[[2]int]*edmPair),
-		ops:    make(map[int]workload.Op, len(ops)),
-		groups: make(map[int]*megaGroup),
-	}
-	r.sch = sched.New(eng, sched.Config{
-		Ports:            cfg.Nodes,
-		ChunkBytes:       int64(chunk),
-		LinkBandwidth:    cfg.Bandwidth,
-		ClockPeriod:      333 * sim.Picosecond, // 3 GHz ASIC scheduler
-		Policy:           e.Policy,
-		MaxActivePerPair: x,
-		MaxIterations:    e.MaxIterations,
-		// Pace grants at the chunk's true line occupancy, including the
-		// 66-bit block framing.
-		ChunkTime: func(l int64) sim.Time {
-			return sim.TransmissionTime(edmWire(int(l)), cfg.Bandwidth)
-		},
+	return drive(e.Name(), cfg, ops, func(eng *sim.Engine, track *tracker) func(workload.Op) {
+		r := &edmRun{
+			p:      e,
+			cfg:    cfg,
+			eng:    eng,
+			track:  track,
+			x:      x,
+			pairs:  make(map[[2]int]*edmPair),
+			ops:    make(map[int]workload.Op, len(ops)),
+			groups: make(map[int]*megaGroup),
+		}
+		r.sch = sched.New(eng, sched.Config{
+			Ports:            cfg.Nodes,
+			ChunkBytes:       int64(chunk),
+			LinkBandwidth:    cfg.Bandwidth,
+			ClockPeriod:      333 * sim.Picosecond, // 3 GHz ASIC scheduler
+			Policy:           e.Policy,
+			MaxActivePerPair: x,
+			MaxIterations:    e.MaxIterations,
+			// Pace grants at the chunk's true line occupancy, including the
+			// 66-bit block framing.
+			ChunkTime: func(l int64) sim.Time {
+				return sim.TransmissionTime(edmWire(int(l)), cfg.Bandwidth)
+			},
+		})
+		r.sch.OnGrant = r.onGrant
+		r.up = make([]*pipe, cfg.Nodes)
+		r.down = make([]*pipe, cfg.Nodes)
+		for i := range r.up {
+			r.up[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.down[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+		}
+		for _, op := range ops {
+			r.ops[op.Index] = op
+		}
+		return r.arrive
 	})
-	r.sch.OnGrant = r.onGrant
-	r.up = make([]*pipe, cfg.Nodes)
-	r.down = make([]*pipe, cfg.Nodes)
-	for i := range r.up {
-		r.up[i] = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-		r.down[i] = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-	}
-	for _, op := range ops {
-		op := op
-		r.ops[op.Index] = op
-		eng.At(op.Arrival, func() { r.arrive(op) })
-	}
-	eng.Run()
-	if r.err != nil {
-		return nil, fmt.Errorf("edm run: %w", r.err)
-	}
-	if r.track.res.Completed != len(ops) {
-		return nil, fmt.Errorf("edm run: %d of %d ops completed", r.track.res.Completed, len(ops))
-	}
-	return r.track.finish(), nil
 }
 
 // pairKeyOf keys the window by the DATA direction (for a read the data
@@ -165,7 +153,7 @@ func (r *edmRun) arrive(op workload.Op) {
 		p = &edmPair{}
 		r.pairs[pk] = p
 	}
-	if p.active >= r.windowX() {
+	if p.active >= r.x {
 		p.wait = append(p.wait, op)
 		return
 	}
@@ -173,11 +161,12 @@ func (r *edmRun) arrive(op workload.Op) {
 	r.start(op)
 }
 
-func (r *edmRun) windowX() int {
-	if r.p.X > 0 {
-		return r.p.X
+// notify hands a demand to the scheduler; a rejection is a model bug the
+// run reports.
+func (r *edmRun) notify(m sched.MsgRef) {
+	if err := r.sch.Notify(m); err != nil {
+		r.track.fail(err)
 	}
-	return 3
 }
 
 // start sends the demand toward the switch: an RREQ for reads, an /N/ block
@@ -188,23 +177,14 @@ func (r *edmRun) start(op workload.Op) {
 		// RREQ c->switch; interception notifies the RRES (m->c) demand.
 		r.eng.After(edmHostTx, func() {
 			r.up[src].send(edmRreqWire, func() {
-				if err := r.sch.Notify(sched.MsgRef{
-					Src: dst, Dst: src, ID: uint64(op.Index), Size: int64(op.Size),
-					Tag: op,
-				}); err != nil && r.err == nil {
-					r.err = err
-				}
+				r.notify(sched.MsgRef{Src: dst, Dst: src, ID: uint64(op.Index), Size: int64(op.Size), Tag: op})
 			})
 		})
 		return
 	}
 	r.eng.After(edmHostTx, func() {
 		r.up[src].send(edmNotifyLen, func() {
-			if err := r.sch.Notify(sched.MsgRef{
-				Src: src, Dst: dst, ID: uint64(op.Index), Size: int64(op.Size), Tag: op,
-			}); err != nil && r.err == nil {
-				r.err = err
-			}
+			r.notify(sched.MsgRef{Src: src, Dst: dst, ID: uint64(op.Index), Size: int64(op.Size), Tag: op})
 		})
 	})
 }
@@ -287,11 +267,7 @@ func (r *edmRun) retire(idx int) {
 	src, dst := next.Src, next.Dst
 	r.eng.After(edmHostTx, func() {
 		r.up[src].send(edmNotifyLen, func() {
-			if err := r.sch.Notify(sched.MsgRef{
-				Src: src, Dst: dst, ID: uint64(next.Index), Size: int64(total),
-			}); err != nil && r.err == nil {
-				r.err = err
-			}
+			r.notify(sched.MsgRef{Src: src, Dst: dst, ID: uint64(next.Index), Size: int64(total)})
 		})
 	})
 }

@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -15,26 +13,24 @@ import (
 // control traffic and hundreds of nodes, that NIC is the bottleneck — the
 // aggregate cluster bandwidth is >100x the server's — so control messages
 // queue for ages even though the data plane is perfectly scheduled.
-type Fastpass struct {
-	// ControlBytes is the wire size of a request or grant (default: one
-	// minimum Ethernet frame, 84 B).
-	ControlBytes int
-	// Stack is the endpoint stack latency (default RoCE-class).
-	Stack sim.Time
-}
+type Fastpass struct{}
+
+// fastpassControlBytes is the wire size of a request or grant: one minimum
+// Ethernet frame. Endpoints run a RoCE-class stack
+// (transport.RoCEStackLatency).
+const fastpassControlBytes = 84
 
 // Name implements Protocol.
-func (f *Fastpass) Name() string { return "Fastpass" }
+func (Fastpass) Name() string { return "Fastpass" }
 
 // WireBytes implements Protocol.
-func (f *Fastpass) WireBytes(n int) int { return dataWireRoCE(n, 1500) }
+func (Fastpass) WireBytes(n int) int { return stackWire(transport.StackRoCE, n) }
 
 // ReqWireBytes implements Protocol: the request/grant pair rides the
 // arbiter links, not the data path.
-func (f *Fastpass) ReqWireBytes() int { return 0 }
+func (Fastpass) ReqWireBytes() int { return 0 }
 
 type fpRun struct {
-	p        *Fastpass
 	cfg      Config
 	eng      *sim.Engine
 	up, down []*pipe
@@ -47,63 +43,45 @@ type fpRun struct {
 }
 
 // Run implements Protocol.
-func (f *Fastpass) Run(cfg Config, ops []workload.Op) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ctl := f.ControlBytes
-	if ctl == 0 {
-		ctl = 84
-	}
-	stack := f.Stack
-	if stack == 0 {
-		stack = transport.RoCEStackLatency
-	}
-	eng := sim.NewEngine()
-	r := &fpRun{p: f, cfg: cfg, eng: eng, track: newTracker(eng, f.Name(), ops)}
-	r.up = make([]*pipe, cfg.Nodes)
-	r.down = make([]*pipe, cfg.Nodes)
-	r.srcFree = make([]sim.Time, cfg.Nodes)
-	r.dstFree = make([]sim.Time, cfg.Nodes)
-	for i := range r.up {
-		r.up[i] = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-		r.down[i] = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-	}
-	r.arbIn = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-	r.arbOut = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-	for _, op := range ops {
-		op := op
-		eng.At(op.Arrival, func() {
-			eng.After(stack, func() { r.request(op, ctl, stack) })
-		})
-	}
-	eng.Run()
-	if r.track.res.Completed != len(ops) {
-		return nil, fmt.Errorf("fastpass run: %d of %d ops completed", r.track.res.Completed, len(ops))
-	}
-	return r.track.finish(), nil
+func (f Fastpass) Run(cfg Config, ops []workload.Op) (*Result, error) {
+	return drive(f.Name(), cfg, ops, func(eng *sim.Engine, track *tracker) func(workload.Op) {
+		r := &fpRun{cfg: cfg, eng: eng, track: track}
+		r.up = make([]*pipe, cfg.Nodes)
+		r.down = make([]*pipe, cfg.Nodes)
+		r.srcFree = make([]sim.Time, cfg.Nodes)
+		r.dstFree = make([]sim.Time, cfg.Nodes)
+		for i := range r.up {
+			r.up[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.down[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+		}
+		r.arbIn = newPipe(eng, cfg.Bandwidth, linkLat)
+		r.arbOut = newPipe(eng, cfg.Bandwidth, linkLat)
+		return func(op workload.Op) {
+			eng.After(transport.RoCEStackLatency, func() { r.request(op) })
+		}
+	})
 }
 
 // request sends the demand to the arbiter. For reads the data sender is the
 // memory node; the requesting side's ask covers it (Fastpass would have the
 // memory node ask, adding RTT/2, modelled as one extra propagation).
-func (r *fpRun) request(op workload.Op, ctl int, stack sim.Time) {
+func (r *fpRun) request(op workload.Op) {
 	src, dst := op.Src, op.Dst
 	if op.Read {
 		src, dst = op.Dst, op.Src
 	}
 	extra := sim.Time(0)
 	if op.Read {
-		extra = 2 * r.cfg.Prop // request leg to the memory node
+		extra = 2 * propDelay // request leg to the memory node
 	}
 	r.eng.After(extra, func() {
 		// Request: sender uplink -> switch -> arbiter ingress (the choke
 		// point: requests from all N nodes serialize here).
-		r.up[op.Src].send(ctl, func() {
-			r.arbIn.send(ctl, func() {
+		r.up[op.Src].send(fastpassControlBytes, func() {
+			r.arbIn.send(fastpassControlBytes, func() {
 				// Infinitely fast matching: allocate the earliest
 				// conflict-free timeslot.
-				wire := dataWireRoCE(op.Size, r.cfg.MTU)
+				wire := stackWire(transport.StackRoCE, op.Size)
 				slot := r.eng.Now()
 				if r.srcFree[src] > slot {
 					slot = r.srcFree[src]
@@ -115,13 +93,13 @@ func (r *fpRun) request(op workload.Op, ctl int, stack sim.Time) {
 				r.srcFree[src] = slot + txAll
 				r.dstFree[dst] = slot + txAll
 				// Grant: arbiter egress -> switch -> sender.
-				r.arbOut.send(ctl, func() {
-					r.down[src].send(ctl, func() {
+				r.arbOut.send(fastpassControlBytes, func() {
+					r.down[src].send(fastpassControlBytes, func() {
 						start := slot
 						if now := r.eng.Now(); now > start {
 							start = now
 						}
-						r.eng.At(start, func() { r.sendData(src, dst, op, stack) })
+						r.eng.At(start, func() { r.sendData(src, dst, op) })
 					})
 				})
 			})
@@ -129,26 +107,17 @@ func (r *fpRun) request(op workload.Op, ctl int, stack sim.Time) {
 	})
 }
 
-// dataWireRoCE is the total wire bytes of a message packetized at the MTU.
-func dataWireRoCE(size, mtu int) int {
-	total := 0
-	for _, n := range packetize(size, mtu) {
-		total += transport.WireBytes(transport.StackRoCE, n)
-	}
-	return total
-}
-
 // sendData streams the scheduled message; by construction the path is
 // conflict-free, so only serialization and propagation apply.
-func (r *fpRun) sendData(src, dst int, op workload.Op, stack sim.Time) {
-	for _, n := range packetize(op.Size, r.cfg.MTU) {
+func (r *fpRun) sendData(src, dst int, op workload.Op) {
+	for _, n := range packetize(op.Size, mtu) {
 		n := n
 		wire := transport.WireBytes(transport.StackRoCE, n)
 		r.up[src].send(wire, nil)
-		arrive := r.up[src].busyUntil + r.cfg.Prop + 2*r.cfg.PMA + transport.L2ForwardingLatency
+		arrive := r.up[src].busyUntil + linkLat + transport.L2ForwardingLatency
 		r.eng.At(arrive, func() {
 			r.down[dst].send(wire, func() {
-				r.eng.After(stack, func() { r.track.delivered(op.Index, n) })
+				r.eng.After(transport.RoCEStackLatency, func() { r.track.delivered(op.Index, n) })
 			})
 		})
 	}

@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -17,29 +15,22 @@ import (
 // message's sender is busy serving someone else, the receiver's downlink
 // sits unused even though other traffic could have filled it. EDM's central
 // scheduler exists to eliminate exactly this under-utilization.
-type IRD struct {
-	// Stack is the per-endpoint latency (default RoCE-class 230 ns).
-	Stack sim.Time
-	// Window is the receiver's grant overcommitment (default 8): how many
-	// granted-but-unfinished messages it keeps in flight to cover the
-	// grant RTT, as receiver-driven protocols do with their credit BDP.
-	Window int
-}
+type IRD struct{}
+
+// irdWindow is the receiver's grant overcommitment: how many
+// granted-but-unfinished messages it keeps in flight to cover the grant RTT,
+// as receiver-driven protocols do with their credit BDP. Endpoints run a
+// RoCE-class stack (transport.RoCEStackLatency).
+const irdWindow = 8
 
 // Name implements Protocol.
-func (i *IRD) Name() string { return "IRD" }
+func (IRD) Name() string { return "IRD" }
 
 // WireBytes implements Protocol.
-func (i *IRD) WireBytes(n int) int {
-	total := 0
-	for _, k := range packetize(n, 1500) {
-		total += transport.WireBytes(transport.StackRoCE, k)
-	}
-	return total
-}
+func (IRD) WireBytes(n int) int { return stackWire(transport.StackRoCE, n) }
 
 // ReqWireBytes implements Protocol: notifications are idealized (free).
-func (i *IRD) ReqWireBytes() int { return 0 }
+func (IRD) ReqWireBytes() int { return 0 }
 
 type irdMsg struct {
 	opIdx    int
@@ -48,14 +39,12 @@ type irdMsg struct {
 }
 
 type irdRun struct {
-	p       *IRD
 	cfg     Config
 	eng     *sim.Engine
 	up      []*pipe
 	down    []*pipe
 	pending [][]*irdMsg // per receiver: ungranted messages
 	rxOut   []int       // receiver's outstanding grants
-	window  int
 	sendQ   [][]*irdMsg // per sender: granted messages, FIFO
 	txBusy  []bool
 	track   *tracker
@@ -65,50 +54,32 @@ type irdRun struct {
 }
 
 // Run implements Protocol.
-func (i *IRD) Run(cfg Config, ops []workload.Op) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	stack := i.Stack
-	if stack == 0 {
-		stack = transport.RoCEStackLatency
-	}
-	eng := sim.NewEngine()
-	r := &irdRun{p: i, cfg: cfg, eng: eng, track: newTracker(eng, i.Name(), ops)}
-	r.window = i.Window
-	if r.window <= 0 {
-		r.window = 8
-	}
-	r.up = make([]*pipe, cfg.Nodes)
-	r.down = make([]*pipe, cfg.Nodes)
-	r.pending = make([][]*irdMsg, cfg.Nodes)
-	r.rxOut = make([]int, cfg.Nodes)
-	r.sendQ = make([][]*irdMsg, cfg.Nodes)
-	r.txBusy = make([]bool, cfg.Nodes)
-	for k := range r.up {
-		r.up[k] = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-		r.down[k] = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-	}
-	for _, op := range ops {
-		op := op
-		eng.At(op.Arrival, func() { r.arrive(op, stack) })
-	}
-	eng.Run()
-	if r.track.res.Completed != len(ops) {
-		return nil, fmt.Errorf("ird run: %d of %d ops completed", r.track.res.Completed, len(ops))
-	}
-	return r.track.finish(), nil
+func (i IRD) Run(cfg Config, ops []workload.Op) (*Result, error) {
+	return drive(i.Name(), cfg, ops, func(eng *sim.Engine, track *tracker) func(workload.Op) {
+		r := &irdRun{cfg: cfg, eng: eng, track: track}
+		r.up = make([]*pipe, cfg.Nodes)
+		r.down = make([]*pipe, cfg.Nodes)
+		r.pending = make([][]*irdMsg, cfg.Nodes)
+		r.rxOut = make([]int, cfg.Nodes)
+		r.sendQ = make([][]*irdMsg, cfg.Nodes)
+		r.txBusy = make([]bool, cfg.Nodes)
+		for k := range r.up {
+			r.up[k] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.down[k] = newPipe(eng, cfg.Bandwidth, linkLat)
+		}
+		return r.arrive
+	})
 }
 
 // arrive registers the data message at its receiver. For reads the data
 // sender is the memory node and the receiver is the requester (the request
 // leg is covered by the zero-time notification idealization).
-func (r *irdRun) arrive(op workload.Op, stack sim.Time) {
+func (r *irdRun) arrive(op workload.Op) {
 	m := &irdMsg{opIdx: op.Index, size: op.Size, src: op.Src, dst: op.Dst}
 	if op.Read {
 		m.src, m.dst = op.Dst, op.Src
 	}
-	r.eng.After(stack, func() {
+	r.eng.After(transport.RoCEStackLatency, func() {
 		r.pending[m.dst] = append(r.pending[m.dst], m)
 		r.rxSchedule(m.dst)
 	})
@@ -118,7 +89,7 @@ func (r *irdRun) arrive(op workload.Op, stack sim.Time) {
 // sender is idle right now. If every pending sender is busy, the receiver
 // waits (under-utilization) until a sender frees.
 func (r *irdRun) rxSchedule(dst int) {
-	if r.rxOut[dst] >= r.window || len(r.pending[dst]) == 0 {
+	if r.rxOut[dst] >= irdWindow || len(r.pending[dst]) == 0 {
 		return
 	}
 	best := -1
@@ -138,7 +109,7 @@ func (r *irdRun) rxSchedule(dst int) {
 	r.rxOut[dst]++
 	// The grant travels one hop to the sender; two receivers may commit to
 	// the same sender in the same instant — the loser queues (conflict).
-	r.eng.After(r.cfg.linkLat(), func() {
+	r.eng.After(linkLat, func() {
 		if r.txBusy[m.src] {
 			r.Conflicts++
 		}
@@ -162,11 +133,11 @@ func (r *irdRun) txPump(src int) {
 // next grant's data lands back to back), and all receivers rescan because a
 // sender is about to become idle.
 func (r *irdRun) sendMsg(src int, m *irdMsg) {
-	for _, n := range packetize(m.size, r.cfg.MTU) {
+	for _, n := range packetize(m.size, mtu) {
 		n := n
 		wire := transport.WireBytes(transport.StackRoCE, n)
 		r.up[src].send(wire, nil)
-		arrive := r.up[src].busyUntil + r.cfg.Prop + transport.L2ForwardingLatency
+		arrive := r.up[src].busyUntil + propDelay + transport.L2ForwardingLatency
 		r.eng.At(arrive, func() {
 			r.down[m.dst].send(wire, func() {
 				r.track.delivered(m.opIdx, n)

@@ -7,13 +7,21 @@
 // It is message/packet-level (like the paper's C simulator), in contrast to
 // the block-level testbed in internal/edm: protocol dynamics and queueing
 // are modelled exactly, per-block pipelines by their published constants.
+//
+// Each baseline runs at one parameter set, held as named constants beside
+// its model; only EDM's scheduler knobs, which the ablations sweep, are
+// fields. A protocol value holds no state: every Run
+// builds its model afresh, so one value may run traces from several
+// goroutines at once.
 package netsim
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -22,31 +30,28 @@ import (
 type Config struct {
 	Nodes     int
 	Bandwidth sim.Gbps
-	// Prop is the host-switch propagation delay (one hop).
-	Prop sim.Time
-	// PMA is the PMA/PMD+transceiver delay per crossing (each link
+}
+
+// The §4.3 link and packet parameters every protocol shares.
+const (
+	// propDelay is the host-switch propagation delay (one hop).
+	propDelay = 10 * sim.Nanosecond
+	// pmaDelay is the PMA/PMD+transceiver delay per crossing (each link
 	// traversal crosses twice); Table 1 measures 19 ns.
-	PMA sim.Time
-	// MTU bounds packet payloads for the MAC-based protocols.
-	MTU int
-}
-
-// linkLat is the fixed one-way latency of a link traversal after
-// serialization: TX PMA + propagation + RX PMA.
-func (c Config) linkLat() sim.Time { return c.Prop + 2*c.PMA }
-
-// DefaultConfig returns the §4.3 parameters.
-func DefaultConfig() Config {
-	return Config{Nodes: 144, Bandwidth: 100, Prop: 10 * sim.Nanosecond,
-		PMA: 19 * sim.Nanosecond, MTU: 1500}
-}
+	pmaDelay = 19 * sim.Nanosecond
+	// linkLat is the fixed one-way latency of a link traversal after
+	// serialization: TX PMA + propagation + RX PMA.
+	linkLat = propDelay + 2*pmaDelay
+	// mtu bounds packet payloads for the MAC-based protocols.
+	mtu = 1500
+)
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Nodes < 2 {
 		return fmt.Errorf("netsim: nodes=%d", c.Nodes)
 	}
-	if c.Bandwidth <= 0 || c.MTU <= 0 || c.Prop < 0 {
+	if c.Bandwidth <= 0 {
 		return fmt.Errorf("netsim: invalid config %+v", c)
 	}
 	return nil
@@ -149,7 +154,7 @@ func (p *pipe) send(n int, then func()) sim.Time {
 	return start - now
 }
 
-// packetize splits n bytes into MTU-bounded packet payloads.
+// packetize splits n bytes into payloads of at most mtu bytes.
 func packetize(n, mtu int) []int {
 	if n <= 0 {
 		return nil
@@ -162,12 +167,23 @@ func packetize(n, mtu int) []int {
 	return append(out, n)
 }
 
+// stackWire is the total wire bytes of an n-byte message packetized at the
+// MTU over the given stack.
+func stackWire(s transport.Stack, n int) int {
+	total := 0
+	for _, k := range packetize(n, mtu) {
+		total += transport.WireBytes(s, k)
+	}
+	return total
+}
+
 // tracker counts remaining bytes per op and records completion.
 type tracker struct {
 	res     *Result
 	pending map[int]*OpResult
 	left    map[int]int
 	eng     *sim.Engine
+	err     error
 }
 
 func newTracker(eng *sim.Engine, proto string, ops []workload.Op) *tracker {
@@ -204,8 +220,37 @@ func (t *tracker) delivered(idx, n int) {
 	t.res.Completed++
 }
 
-// finish seals the result.
-func (t *tracker) finish() *Result {
-	t.res.Horizon = t.eng.Now()
-	return t.res
+// fail records the first internal error of a run (always a model bug);
+// drive reports it in place of the result.
+func (t *tracker) fail(err error) {
+	if t.err == nil {
+		t.err = err
+	}
+}
+
+// drive is the run every protocol shares: it validates cfg, lets build set
+// up the model's state on a fresh engine and tracker, schedules every op's
+// arrival in trace order through the step build returns, runs the engine,
+// and fails unless every op completed.
+func drive(name string, cfg Config, ops []workload.Op,
+	build func(eng *sim.Engine, track *tracker) func(workload.Op)) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	eng := sim.NewEngine()
+	track := newTracker(eng, name, ops)
+	arrive := build(eng, track)
+	for _, op := range ops {
+		eng.At(op.Arrival, func() { arrive(op) })
+	}
+	eng.Run()
+	what := strings.ToLower(name) + " run"
+	if track.err != nil {
+		return nil, fmt.Errorf("%s: %w", what, track.err)
+	}
+	if track.res.Completed != len(ops) {
+		return nil, fmt.Errorf("%s: %d of %d ops completed", what, track.res.Completed, len(ops))
+	}
+	track.res.Horizon = eng.Now()
+	return track.res, nil
 }

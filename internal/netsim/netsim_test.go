@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -8,7 +10,7 @@ import (
 )
 
 func smallCfg() Config {
-	return Config{Nodes: 16, Bandwidth: 100, Prop: 10 * sim.Nanosecond, PMA: 19 * sim.Nanosecond, MTU: 1500}
+	return Config{Nodes: 16, Bandwidth: 100}
 }
 
 func smallTrace(t *testing.T, load float64, count int, readFrac float64) []workload.Op {
@@ -319,18 +321,16 @@ func TestFastpassArbiterBottleneck(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{Nodes: 1, Bandwidth: 100, MTU: 1500},
-		{Nodes: 4, Bandwidth: 0, MTU: 1500},
-		{Nodes: 4, Bandwidth: 100, MTU: 0},
-		{Nodes: 4, Bandwidth: 100, MTU: 1500, Prop: -1},
+		{Nodes: 1, Bandwidth: 100},
+		{Nodes: 4, Bandwidth: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config rejected: %v", err)
+	if err := (Config{Nodes: 144, Bandwidth: 100}).Validate(); err != nil {
+		t.Errorf("the §4.3 config rejected: %v", err)
 	}
 }
 
@@ -462,6 +462,41 @@ func TestIdealModelLinearity(t *testing.T) {
 		t.Logf("%s: fit %v vs direct %v (%.1f%%)", p.Name(), fit, d, dev*100)
 		if dev > 0.05 {
 			t.Errorf("%s: linear ideal deviates %.1f%% at %dB", p.Name(), dev*100, mid)
+		}
+	}
+}
+
+// TestProtocolsRunConcurrently: a protocol value holds no state, so one
+// value may run traces from several goroutines at once and each run matches
+// a sequential one. Under -race this also catches a Run that writes its
+// receiver.
+func TestProtocolsRunConcurrently(t *testing.T) {
+	ops := smallTrace(t, 0.6, 300, 0.5)
+	for _, p := range Protocols() {
+		// The sequential run uses a value of its own, so the shared one is
+		// first used by the concurrent runs.
+		want, err := RunNormalized(ProtocolByName(p.Name()), smallCfg(), ops)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		got := make([]*Result, 4)
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = RunNormalized(p, smallCfg(), ops)
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("%s run %d: %v", p.Name(), i, errs[i])
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("%s run %d differs from the sequential run", p.Name(), i)
+			}
 		}
 	}
 }

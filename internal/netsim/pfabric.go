@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/sim"
@@ -16,45 +15,30 @@ import (
 // paper runs pFabric "on top of DCTCP"). With uniform single-packet
 // messages its SRPT degenerates to FIFO, which is why the paper finds it
 // tracks DCTCP on the 64 B microbenchmark.
-type PFabric struct {
-	// BufferBytes is the per-egress buffer (default 24 KB, pFabric's
-	// shallow-buffer regime).
-	BufferBytes int64
-	// RTO is the retransmission timeout, default 45 us (the pFabric
-	// paper's setting; smaller values cause spurious retransmissions for
-	// multi-packet messages whose ACKs are delayed by their own queueing).
-	RTO sim.Time
-	// Window bounds a sender pair's packets in flight (default 12,
-	// approximately one BDP of line-rate probing).
-	Window int
-}
+type PFabric struct{}
+
+// pFabric's §4.3 parameters.
+const (
+	// pfabricBufferBytes is the per-egress buffer: pFabric's
+	// shallow-buffer regime.
+	pfabricBufferBytes = 24 << 10
+	// pfabricRTO is the retransmission timeout, the pFabric paper's
+	// setting; smaller values cause spurious retransmissions for
+	// multi-packet messages whose ACKs are delayed by their own queueing.
+	pfabricRTO = 45 * sim.Microsecond
+	// pfabricWindow bounds a sender pair's packets in flight:
+	// approximately one BDP of line-rate probing.
+	pfabricWindow = 12
+)
 
 // Name implements Protocol.
-func (p *PFabric) Name() string { return "pFabric" }
+func (PFabric) Name() string { return "pFabric" }
 
 // WireBytes implements Protocol.
-func (p *PFabric) WireBytes(n int) int {
-	total := 0
-	for _, k := range packetize(n, 1500) {
-		total += transport.WireBytes(transport.StackTCP, k)
-	}
-	return total
-}
+func (PFabric) WireBytes(n int) int { return stackWire(transport.StackTCP, n) }
 
 // ReqWireBytes implements Protocol.
-func (p *PFabric) ReqWireBytes() int { return transport.WireBytes(transport.StackTCP, 8) }
-
-func (p *PFabric) defaults() {
-	if p.BufferBytes == 0 {
-		p.BufferBytes = 24 << 10
-	}
-	if p.RTO == 0 {
-		p.RTO = 45 * sim.Microsecond
-	}
-	if p.Window == 0 {
-		p.Window = 12
-	}
-}
+func (PFabric) ReqWireBytes() int { return transport.WireBytes(transport.StackTCP, 8) }
 
 type pfPkt struct {
 	opIdx    int
@@ -82,7 +66,6 @@ type pfEgress struct {
 }
 
 type pfabricRun struct {
-	p     *PFabric
 	cfg   Config
 	eng   *sim.Engine
 	up    []*pipe
@@ -93,30 +76,17 @@ type pfabricRun struct {
 }
 
 // Run implements Protocol.
-func (p *PFabric) Run(cfg Config, ops []workload.Op) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	p.defaults()
-	eng := sim.NewEngine()
-	r := &pfabricRun{p: p, cfg: cfg, eng: eng,
-		conns: make(map[[2]int]*pfConn),
-		track: newTracker(eng, p.Name(), ops)}
-	r.up = make([]*pipe, cfg.Nodes)
-	r.eg = make([]*pfEgress, cfg.Nodes)
-	for i := range r.up {
-		r.up[i] = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-		r.eg[i] = &pfEgress{}
-	}
-	for _, op := range ops {
-		op := op
-		eng.At(op.Arrival, func() { r.arrive(op) })
-	}
-	eng.Run()
-	if r.track.res.Completed != len(ops) {
-		return nil, fmt.Errorf("pfabric run: %d of %d ops completed", r.track.res.Completed, len(ops))
-	}
-	return r.track.finish(), nil
+func (p PFabric) Run(cfg Config, ops []workload.Op) (*Result, error) {
+	return drive(p.Name(), cfg, ops, func(eng *sim.Engine, track *tracker) func(workload.Op) {
+		r := &pfabricRun{cfg: cfg, eng: eng, conns: make(map[[2]int]*pfConn), track: track}
+		r.up = make([]*pipe, cfg.Nodes)
+		r.eg = make([]*pfEgress, cfg.Nodes)
+		for i := range r.up {
+			r.up[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.eg[i] = &pfEgress{}
+		}
+		return r.arrive
+	})
 }
 
 func (r *pfabricRun) conn(src, dst int) *pfConn {
@@ -146,7 +116,7 @@ func (r *pfabricRun) arrive(op workload.Op) {
 func (r *pfabricRun) enqueueData(src, dst, opIdx, size int) {
 	c := r.conn(src, dst)
 	remain := size
-	for _, n := range packetize(size, r.cfg.MTU) {
+	for _, n := range packetize(size, mtu) {
 		pkt := &pfPkt{opIdx: opIdx, data: n, size: size, remain: remain, conn: c}
 		pkt.wire = transport.WireBytes(transport.StackTCP, n)
 		remain -= n
@@ -156,7 +126,7 @@ func (r *pfabricRun) enqueueData(src, dst, opIdx, size int) {
 }
 
 func (r *pfabricRun) pump(c *pfConn) {
-	for len(c.q) > 0 && c.inflight < r.p.Window {
+	for len(c.q) > 0 && c.inflight < pfabricWindow {
 		pkt := c.q[0]
 		c.q = c.q[1:]
 		c.inflight++
@@ -169,7 +139,7 @@ func (r *pfabricRun) sendPkt(pkt *pfPkt) {
 	r.up[c.src].send(pkt.wire, func() {
 		r.eng.After(transport.L2ForwardingLatency, func() { r.egEnqueue(r.eg[c.dst], c.dst, pkt) })
 	})
-	r.eng.After(r.p.RTO, func() {
+	r.eng.After(pfabricRTO, func() {
 		if pkt.acked {
 			return
 		}
@@ -188,7 +158,7 @@ func (r *pfabricRun) egEnqueue(eg *pfEgress, port int, pkt *pfPkt) {
 	eg.q = append(eg.q, pkt)
 	eg.bytes += int64(pkt.wire)
 	sort.SliceStable(eg.q, func(i, j int) bool { return eg.q[i].remain < eg.q[j].remain })
-	for eg.bytes > r.p.BufferBytes && len(eg.q) > 0 {
+	for eg.bytes > pfabricBufferBytes && len(eg.q) > 0 {
 		victim := eg.q[len(eg.q)-1]
 		eg.q = eg.q[:len(eg.q)-1]
 		eg.bytes -= int64(victim.wire)
@@ -208,14 +178,14 @@ func (r *pfabricRun) egServe(eg *pfEgress, port int) {
 	tx := sim.TransmissionTime(pkt.wire, r.cfg.Bandwidth)
 	r.eng.After(tx, func() {
 		eg.serving = false
-		r.eng.After(r.cfg.linkLat(), func() { r.deliver(pkt) })
+		r.eng.After(linkLat, func() { r.deliver(pkt) })
 		r.egServe(eg, port)
 	})
 }
 
 func (r *pfabricRun) deliver(pkt *pfPkt) {
 	c := pkt.conn
-	r.eng.After(2*r.cfg.linkLat()+transport.L2ForwardingLatency, func() {
+	r.eng.After(2*linkLat+transport.L2ForwardingLatency, func() {
 		if pkt.acked {
 			return
 		}

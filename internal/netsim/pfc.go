@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -15,36 +13,23 @@ import (
 // packet behind it, including traffic for idle egresses — the failure mode
 // §2.4 limitation 6 describes. (DCQCN's rate control is subsumed by the
 // pause behaviour at this timescale.)
-type PFC struct {
-	// XoffBytes pauses the sender when the ingress queue exceeds it
-	// (default 20 KB); XonBytes resumes below it (default 10 KB).
-	XoffBytes int64
-	XonBytes  int64
-}
+type PFC struct{}
+
+// PFC's §4.3 pause thresholds: the ingress queue pauses its sender above
+// pfcXoffBytes and resumes it below pfcXonBytes.
+const (
+	pfcXoffBytes = 20 << 10
+	pfcXonBytes  = 10 << 10
+)
 
 // Name implements Protocol.
-func (p *PFC) Name() string { return "PFC" }
+func (PFC) Name() string { return "PFC" }
 
 // WireBytes implements Protocol.
-func (p *PFC) WireBytes(n int) int {
-	total := 0
-	for _, k := range packetize(n, 1500) {
-		total += transport.WireBytes(transport.StackRoCE, k)
-	}
-	return total
-}
+func (PFC) WireBytes(n int) int { return stackWire(transport.StackRoCE, n) }
 
 // ReqWireBytes implements Protocol.
-func (p *PFC) ReqWireBytes() int { return transport.WireBytes(transport.StackRoCE, 8) }
-
-func (p *PFC) defaults() {
-	if p.XoffBytes == 0 {
-		p.XoffBytes = 20 << 10
-	}
-	if p.XonBytes == 0 {
-		p.XonBytes = 10 << 10
-	}
-}
+func (PFC) ReqWireBytes() int { return transport.WireBytes(transport.StackRoCE, 8) }
 
 type pfcPkt struct {
 	opIdx int
@@ -65,7 +50,6 @@ type pfcIngress struct {
 }
 
 type pfcRun struct {
-	p       *PFC
 	cfg     Config
 	eng     *sim.Engine
 	up      []*pipe // sender NIC serializers
@@ -79,32 +63,21 @@ type pfcRun struct {
 }
 
 // Run implements Protocol.
-func (p *PFC) Run(cfg Config, ops []workload.Op) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	p.defaults()
-	eng := sim.NewEngine()
-	r := &pfcRun{p: p, cfg: cfg, eng: eng, track: newTracker(eng, p.Name(), ops)}
-	r.up = make([]*pipe, cfg.Nodes)
-	r.nicQ = make([][]*pfcPkt, cfg.Nodes)
-	r.nicBusy = make([]bool, cfg.Nodes)
-	r.ingress = make([]*pfcIngress, cfg.Nodes)
-	r.egBusy = make([]bool, cfg.Nodes)
-	r.rr = make([]int, cfg.Nodes)
-	for i := range r.up {
-		r.up[i] = newPipe(eng, cfg.Bandwidth, cfg.linkLat())
-		r.ingress[i] = &pfcIngress{}
-	}
-	for _, op := range ops {
-		op := op
-		eng.At(op.Arrival, func() { r.arrive(op) })
-	}
-	eng.Run()
-	if r.track.res.Completed != len(ops) {
-		return nil, fmt.Errorf("pfc run: %d of %d ops completed", r.track.res.Completed, len(ops))
-	}
-	return r.track.finish(), nil
+func (p PFC) Run(cfg Config, ops []workload.Op) (*Result, error) {
+	return drive(p.Name(), cfg, ops, func(eng *sim.Engine, track *tracker) func(workload.Op) {
+		r := &pfcRun{cfg: cfg, eng: eng, track: track}
+		r.up = make([]*pipe, cfg.Nodes)
+		r.nicQ = make([][]*pfcPkt, cfg.Nodes)
+		r.nicBusy = make([]bool, cfg.Nodes)
+		r.ingress = make([]*pfcIngress, cfg.Nodes)
+		r.egBusy = make([]bool, cfg.Nodes)
+		r.rr = make([]int, cfg.Nodes)
+		for i := range r.up {
+			r.up[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.ingress[i] = &pfcIngress{}
+		}
+		return r.arrive
+	})
 }
 
 func (r *pfcRun) arrive(op workload.Op) {
@@ -120,7 +93,7 @@ func (r *pfcRun) arrive(op workload.Op) {
 }
 
 func (r *pfcRun) enqueueData(src, dst, opIdx, size int) {
-	for _, n := range packetize(size, r.cfg.MTU) {
+	for _, n := range packetize(size, mtu) {
 		pkt := &pfcPkt{opIdx: opIdx, data: n, size: size, src: src, dst: dst}
 		pkt.wire = transport.WireBytes(transport.StackRoCE, n)
 		r.nicEnqueue(pkt)
@@ -145,7 +118,7 @@ func (r *pfcRun) nicPump(src int) {
 		r.nicBusy[src] = false
 		r.nicPump(src) // pipeline next packet while this one propagates
 	})
-	r.eng.After(tx+r.cfg.linkLat(), func() { r.ingressArrive(pkt) })
+	r.eng.After(tx+linkLat, func() { r.ingressArrive(pkt) })
 }
 
 // ingressArrive appends to the ingress FIFO and manages pause state.
@@ -153,7 +126,7 @@ func (r *pfcRun) ingressArrive(pkt *pfcPkt) {
 	ing := r.ingress[pkt.src]
 	ing.q = append(ing.q, pkt)
 	ing.bytes += int64(pkt.wire)
-	if !ing.paused && ing.bytes > r.p.XoffBytes {
+	if !ing.paused && ing.bytes > pfcXoffBytes {
 		// Pause frame reaches the sender after one propagation; modelled
 		// as taking effect now at the NIC pump (conservatively early) —
 		// in-flight packets still land, as with real PFC headroom.
@@ -181,7 +154,7 @@ func (r *pfcRun) tryForward(egressHint int) {
 			pkt := ing.q[0]
 			ing.q = ing.q[1:]
 			ing.bytes -= int64(pkt.wire)
-			if ing.paused && ing.bytes < r.p.XonBytes {
+			if ing.paused && ing.bytes < pfcXonBytes {
 				ing.paused = false
 				r.nicPump(i)
 			}
@@ -191,7 +164,7 @@ func (r *pfcRun) tryForward(egressHint int) {
 			// L2 pipeline latency is pipelined, not occupancy.
 			r.eng.After(tx, func() {
 				r.egBusy[d] = false
-				r.eng.After(transport.L2ForwardingLatency+r.cfg.linkLat(), func() { r.deliver(pkt) })
+				r.eng.After(transport.L2ForwardingLatency+linkLat, func() { r.deliver(pkt) })
 				// Freeing this egress may unblock several ingress heads.
 				r.tryForwardAll()
 			})

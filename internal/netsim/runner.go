@@ -9,16 +9,16 @@ import (
 )
 
 // Protocols returns the seven §4.3 protocols in the paper's presentation
-// order, with default parameters.
+// order, at their §4.3 parameters.
 func Protocols() []Protocol {
 	return []Protocol{
 		&EDM{},
-		&IRD{},
-		&PFabric{},
-		&PFC{},
-		&DCTCP{},
-		&CXL{},
-		&Fastpass{},
+		IRD{},
+		PFabric{},
+		PFC{},
+		DCTCP{},
+		CXL{},
+		Fastpass{},
 	}
 }
 
@@ -218,14 +218,4 @@ func scaleTime(t sim.Time, num, den int64) sim.Time {
 		return sim.Time(math.MaxInt64)
 	}
 	return sim.Time(q)
-}
-
-// RunTrace is a convenience wrapper: generate a trace and run it
-// normalized.
-func RunTrace(p Protocol, cfg Config, gen workload.GenConfig) (*Result, error) {
-	ops, err := workload.Generate(gen)
-	if err != nil {
-		return nil, err
-	}
-	return RunNormalized(p, cfg, ops)
 }

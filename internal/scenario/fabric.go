@@ -34,9 +34,7 @@ func runFabric(spec *Spec) (*Report, error) {
 		expandChaos(part.Sub("chaos"), spec.Chaos, spec.Nodes, horizon)...)
 	sortEvents(events)
 
-	cfg := edm.DefaultConfig(spec.Nodes)
-	cfg.LinkBandwidth = spec.Bandwidth
-	fabric := edm.New(cfg)
+	fabric := edm.New(edm.DefaultConfig(spec.Nodes))
 	memCfg := memctl.DefaultConfig()
 	for i := 0; i < spec.Nodes; i++ {
 		fabric.AttachMemory(i, memctl.New(memCfg))

@@ -230,10 +230,7 @@ func runNetsim(spec *Spec) (*Report, error) {
 		return nil, fmt.Errorf("scenario %s: every op was dropped", spec.Name)
 	}
 
-	cfg := netsim.Config{
-		Nodes: spec.Nodes, Bandwidth: spec.Bandwidth,
-		Prop: 10 * sim.Nanosecond, PMA: 19 * sim.Nanosecond, MTU: spec.MTU,
-	}
+	cfg := netsim.Config{Nodes: spec.Nodes, Bandwidth: spec.Bandwidth}
 	res, err := netsim.RunNormalized(proto, cfg, ops)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)

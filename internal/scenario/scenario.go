@@ -135,8 +135,9 @@ type Chaos struct {
 func (c Chaos) enabled() bool { return c.LinkFlaps > 0 || c.CorruptBursts > 0 }
 
 // Spec is a complete scenario description. The zero value of optional
-// fields is filled by Validate: netsim backend, 100 Gbps, MTU 1500, EDM
-// protocol, failover policy with 10 us detection delay.
+// fields is filled by Validate: netsim backend, 100 Gbps (25 Gbps on the
+// other backends), EDM protocol, failover policy with 10 us detection
+// delay.
 type Spec struct {
 	Name        string  `json:"name"`
 	Description string  `json:"description,omitempty"`
@@ -152,7 +153,6 @@ type Spec struct {
 	// runs the EDM block-level stack.
 	Protocol  string   `json:"protocol,omitempty"`
 	Bandwidth sim.Gbps `json:"bandwidth,omitempty"`
-	MTU       int      `json:"mtu,omitempty"`
 	Phases    []Phase  `json:"phases"`
 	Events    []Event  `json:"events,omitempty"`
 	Chaos     Chaos    `json:"chaos,omitempty"`
@@ -196,8 +196,10 @@ func (s *Spec) Validate() error {
 			s.Bandwidth = 25
 		}
 	}
-	if s.MTU <= 0 {
-		s.MTU = 1500
+	// The block-level testbed clocks its hosts and switch at 25 GbE
+	// (edm.BlockPeriod); another bandwidth would only reshape the trace.
+	if s.Backend == BackendFabric && s.Bandwidth != 25 {
+		return fmt.Errorf("scenario %s: bandwidth=%d, the fabric backend runs 25 Gbps links", s.Name, s.Bandwidth)
 	}
 	if s.Policy == "" {
 		s.Policy = Failover

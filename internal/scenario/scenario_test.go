@@ -263,6 +263,8 @@ func TestSpecValidation(t *testing.T) {
 			Events: []Event{{Kind: "meteor", Node: 0, At: 0, Until: 1}}},
 		{Name: "x", Nodes: 4, Phases: []Phase{{Count: 1, Load: 0.5}},
 			Events: []Event{{Kind: LinkDown, Node: 0, At: 5, Until: 5}}},
+		// The block-level testbed's links are 25 GbE whatever the spec says.
+		{Name: "x", Nodes: 4, Backend: BackendFabric, Bandwidth: 100, Phases: []Phase{{Count: 1, Load: 0.5}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
