@@ -14,7 +14,7 @@ import (
 // blocking equivalent to PFC's.
 type CXL struct{}
 
-// CXL's §4.3 parameters.
+// CXL's parameters.
 const (
 	// cxlFlitBytes is the transfer granularity: a CXL 3.0 flit.
 	cxlFlitBytes = 256

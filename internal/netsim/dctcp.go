@@ -13,7 +13,7 @@ import (
 // limitation 6).
 type DCTCP struct{}
 
-// DCTCP's §4.3 parameters.
+// DCTCP's parameters.
 const (
 	// dctcpMarkThreshold is the ECN marking threshold K, in bytes.
 	dctcpMarkThreshold = 30 << 10

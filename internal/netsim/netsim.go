@@ -32,7 +32,7 @@ type Config struct {
 	Bandwidth sim.Gbps
 }
 
-// The §4.3 link and packet parameters every protocol shares.
+// The link and packet parameters every protocol shares (the §4.3 setup).
 const (
 	// propDelay is the host-switch propagation delay (one hop).
 	propDelay = 10 * sim.Nanosecond

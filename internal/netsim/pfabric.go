@@ -17,7 +17,7 @@ import (
 // tracks DCTCP on the 64 B microbenchmark.
 type PFabric struct{}
 
-// pFabric's §4.3 parameters.
+// pFabric's parameters.
 const (
 	// pfabricBufferBytes is the per-egress buffer: pFabric's
 	// shallow-buffer regime.

@@ -15,7 +15,7 @@ import (
 // pause behaviour at this timescale.)
 type PFC struct{}
 
-// PFC's §4.3 pause thresholds: the ingress queue pauses its sender above
+// PFC's pause thresholds: the ingress queue pauses its sender above
 // pfcXoffBytes and resumes it below pfcXonBytes.
 const (
 	pfcXoffBytes = 20 << 10

@@ -9,7 +9,7 @@ import (
 )
 
 // Protocols returns the seven §4.3 protocols in the paper's presentation
-// order, at their §4.3 parameters.
+// order, each at its one parameter set.
 func Protocols() []Protocol {
 	return []Protocol{
 		&EDM{},
