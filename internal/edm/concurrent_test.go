@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/memctl"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -72,9 +73,7 @@ func TestBidirectionalPairNoIDCollision(t *testing.T) {
 // window. Every read must return its own data.
 func TestConcurrentReadsCircuitOrder(t *testing.T) {
 	const ports = 8
-	cfg := DefaultConfig(ports)
-	cfg.SchedClockPeriod = 333 * sim.Picosecond
-	f := New(cfg)
+	f := newFabric(DefaultConfig(ports), sched.ASICClockPeriod)
 	mem := memctl.New(memctl.DefaultConfig())
 	f.AttachMemory(0, mem)
 	// Give each reader a distinct pattern at a distinct address.

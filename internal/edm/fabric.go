@@ -5,31 +5,15 @@ import (
 
 	"repro/internal/memctl"
 	"repro/internal/phy"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// Config parameterizes a Fabric. The defaults reproduce the paper's 25 GbE
-// FPGA testbed (§4.1, Table 1).
+// Config parameterizes a Fabric. Everything else about the testbed is fixed
+// at the paper's 25 GbE FPGA setup (§4.1, Table 1): see the constants in
+// latency.go.
 type Config struct {
 	// Ports is the number of hosts on the single switch.
 	Ports int
-	// ChunkBytes is the scheduler's maximum grant size c.
-	ChunkBytes int
-	// MaxActivePerPair is X, the sender-side notification window.
-	MaxActivePerPair int
-	// BlockPeriod is the PCS cycle (2.56 ns at 25 GbE).
-	BlockPeriod sim.Time
-	// SchedClockPeriod is the scheduler pipeline clock.
-	SchedClockPeriod sim.Time
-	// LinkBandwidth in Gbps, used for busy-release pacing.
-	LinkBandwidth sim.Gbps
-	// PropDelay is the one-hop propagation delay.
-	PropDelay sim.Time
-	// PMADelay is the PMA/PMD+transceiver delay per crossing.
-	PMADelay sim.Time
-	// Policy is the scheduling policy (FCFS or SRPT).
-	Policy sched.Policy
 	// MuxPolicy controls memory/frame interleaving on every TX path.
 	MuxPolicy phy.MuxPolicy
 	// ReadTimeout bounds outstanding reads; expiry yields a NULL response.
@@ -39,17 +23,9 @@ type Config struct {
 // DefaultConfig is the 25 GbE testbed configuration.
 func DefaultConfig(ports int) Config {
 	return Config{
-		Ports:            ports,
-		ChunkBytes:       64,
-		MaxActivePerPair: 3,
-		BlockPeriod:      BlockPeriod,
-		SchedClockPeriod: BlockPeriod, // FPGA prototype clocks the scheduler at the PCS clock
-		LinkBandwidth:    25,
-		PropDelay:        DefaultPropDelay,
-		PMADelay:         PMAPMDDelay,
-		Policy:           sched.SRPT,
-		MuxPolicy:        phy.PolicyFair,
-		ReadTimeout:      100 * sim.Microsecond,
+		Ports:       ports,
+		MuxPolicy:   phy.PolicyFair,
+		ReadTimeout: 100 * sim.Microsecond,
 	}
 }
 
@@ -66,28 +42,24 @@ type Fabric struct {
 }
 
 // New builds a fabric with cfg.Ports hosts, none of which has memory
-// attached yet (see AttachMemory).
-func New(cfg Config) *Fabric { return NewWithEngine(cfg, sim.NewEngine()) }
+// attached yet (see AttachMemory). As on the FPGA prototype, the scheduler
+// runs at the PCS clock.
+func New(cfg Config) *Fabric { return newFabric(cfg, BlockPeriod) }
 
-// NewWithEngine builds a fabric on an existing event engine, so multiple
-// fabrics can share one simulated timeline (used by DualFabric for the
-// redundant-ToR design of §3.3).
-func NewWithEngine(cfg Config, engine *sim.Engine) *Fabric {
+// newFabric is New with the scheduler clocked at schedClock.
+func newFabric(cfg Config, schedClock sim.Time) *Fabric {
 	if cfg.Ports < 2 || cfg.Ports > MaxPorts {
 		panic(fmt.Sprintf("edm: invalid port count %d", cfg.Ports))
 	}
-	if cfg.ChunkBytes <= 0 || cfg.BlockPeriod <= 0 || cfg.LinkBandwidth <= 0 {
-		panic("edm: invalid config")
-	}
-	f := &Fabric{Engine: engine, cfg: cfg}
-	f.sw = newSwitch(f.Engine, cfg)
+	f := &Fabric{Engine: sim.NewEngine(), cfg: cfg}
+	f.sw = newSwitch(f.Engine, cfg, schedClock)
 	f.hosts = make([]*Host, cfg.Ports)
 	f.up = make([]*Link, cfg.Ports)
 	f.down = make([]*Link, cfg.Ports)
 	for i := 0; i < cfg.Ports; i++ {
 		i := i
-		up := NewLink(f.Engine, cfg.PropDelay, cfg.PMADelay)
-		down := NewLink(f.Engine, cfg.PropDelay, cfg.PMADelay)
+		up := newLink(f.Engine)
+		down := newLink(f.Engine)
 		h := newHost(f.Engine, cfg, i, up)
 		up.Deliver = func(b phy.Block) { f.sw.receive(i, b) }
 		down.Deliver = h.receive
@@ -101,9 +73,6 @@ func NewWithEngine(cfg Config, engine *sim.Engine) *Fabric {
 	}
 	return f
 }
-
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
 
 // Host returns the host at port i.
 func (f *Fabric) Host(i int) *Host { return f.hosts[i] }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/memctl"
 	"repro/internal/phy"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -162,7 +163,7 @@ func (h *Host) Stats() HostStats { return h.stats }
 func (h *Host) Memory() *memctl.Controller { return h.mem }
 
 // cycles converts pipeline cycles to time.
-func (h *Host) cycles(n int) sim.Time { return sim.Time(n) * h.cfg.BlockPeriod }
+func (h *Host) cycles(n int) sim.Time { return sim.Time(n) * BlockPeriod }
 
 // Read issues a remote read of n bytes at addr on the memory node at port
 // dst. cb fires with the data, or with ErrTimeout after the read deadline.
@@ -253,7 +254,7 @@ func (h *Host) submit(m *Message, rcb ReadCallback, wcb WriteCallback) {
 		// entry only appears later, at the message pump).
 		h.writeCBs[key] = &writeState{cb: wcb}
 	}
-	if h.active[m.Dst] >= h.cfg.MaxActivePerPair {
+	if h.active[m.Dst] >= sched.DefaultMaxActivePerPair {
 		h.waitQ[m.Dst] = append(h.waitQ[m.Dst], m)
 		return
 	}
@@ -366,7 +367,7 @@ func (h *Host) kickPump() {
 		return
 	}
 	h.pumpBusy = true
-	h.engine.After(h.cfg.BlockPeriod, h.pumpStep)
+	h.engine.After(BlockPeriod, h.pumpStep)
 }
 
 func (h *Host) pumpStep() {
@@ -385,7 +386,7 @@ func (h *Host) pumpStep() {
 			h.stats.FrameBlocksTX++
 		}
 	}
-	h.engine.After(h.cfg.BlockPeriod, h.pumpStep)
+	h.engine.After(BlockPeriod, h.pumpStep)
 }
 
 // feedFrames moves pending frame blocks into the mux as back-pressure
@@ -481,8 +482,8 @@ func (h *Host) handleRequest(w phy.MemMsg) {
 	st := &sendState{msg: res}
 	h.sendTab[key] = st
 	firstChunk := demand
-	if firstChunk > h.cfg.ChunkBytes {
-		firstChunk = h.cfg.ChunkBytes
+	if firstChunk > ChunkBytes {
+		firstChunk = ChunkBytes
 	}
 	h.engine.After(h.cycles(RxReqToMemCycles), func() {
 		// The forwarded RREQ *is* the first grant. It must take its grant-

@@ -23,13 +23,25 @@ const (
 	SwForwardCycles  = 4 // data movement RX clock domain -> TX clock domain
 )
 
-// Physical-layer timing of the 25 GbE testbed (Table 1).
+// Physical-layer timing of the 25 GbE testbed (Table 1). The flow-level
+// models in internal/netsim share the link delays.
 const (
 	// BlockPeriod is the PCS clock: one 66-bit block per cycle.
 	BlockPeriod = 2560 * sim.Picosecond
+	// LinkBandwidth is the testbed's line rate (§4.1); the scheduler paces
+	// busy-release at it.
+	LinkBandwidth sim.Gbps = 25
 	// PMAPMDDelay is the PMA+PMD+transceiver latency per crossing; each
 	// link traversal crosses twice (TX serializer, RX deserializer).
 	PMAPMDDelay = 19 * sim.Nanosecond
 	// DefaultPropDelay is the one-hop propagation delay used in Table 1.
 	DefaultPropDelay = 10 * sim.Nanosecond
+	// LinkLatency is the fixed one-way latency of a link traversal after
+	// serialization: TX PMA + propagation + RX PMA.
+	LinkLatency = PMAPMDDelay + DefaultPropDelay + PMAPMDDelay
 )
+
+// ChunkBytes is the grant unit c of the 25 GbE testbed's scheduler (§4.1).
+// The rest of its setup is the paper's: X = sched.DefaultMaxActivePerPair
+// and SRPT.
+const ChunkBytes = 64

@@ -8,12 +8,10 @@ import (
 // Link is one direction of an Ethernet link at block granularity. The
 // sender's block pump paces transmissions at one block per PCS cycle, so the
 // link itself only models latency: PMA/PMD+transceiver at each end plus
-// propagation. It also provides the fault hooks of §3.3: administrative
+// propagation (LinkLatency). It also provides the fault hooks of §3.3: administrative
 // disable and periodic corruption injection.
 type Link struct {
 	engine *sim.Engine
-	prop   sim.Time
-	pma    sim.Time
 	// Deliver receives each block at the far end.
 	Deliver func(phy.Block)
 
@@ -39,15 +37,7 @@ func (s *LinkStats) Add(o LinkStats) {
 	s.Corrupted += o.Corrupted
 }
 
-// NewLink returns a link with the given one-way propagation delay and
-// per-crossing PMA/PMD delay.
-func NewLink(engine *sim.Engine, prop, pma sim.Time) *Link {
-	return &Link{engine: engine, prop: prop, pma: pma}
-}
-
-// Latency reports the fixed one-way latency a block experiences after
-// serialization: TX PMA + propagation + RX PMA.
-func (l *Link) Latency() sim.Time { return 2*l.pma + l.prop }
+func newLink(engine *sim.Engine) *Link { return &Link{engine: engine} }
 
 // Disable makes the link silently drop all traffic — the paper's response
 // to persistent data corruption (§3.3).
@@ -89,7 +79,7 @@ func (l *Link) Send(b phy.Block) {
 		l.corrupted++
 		b.Payload[1] ^= 0x40 // single bit error on the line
 	}
-	l.engine.After(l.Latency(), func() {
+	l.engine.After(LinkLatency, func() {
 		if l.Deliver != nil {
 			l.Deliver(b)
 		}

@@ -34,7 +34,6 @@ type SwitchStats struct {
 // grants established.
 type Switch struct {
 	engine *sim.Engine
-	cfg    Config
 	sched  *sched.Scheduler
 	ports  []*swPort
 	stats  SwitchStats
@@ -50,15 +49,15 @@ type swPort struct {
 	circuits []int // FIFO of egress ports for inbound chunks, in grant order
 }
 
-func newSwitch(engine *sim.Engine, cfg Config) *Switch {
-	sw := &Switch{engine: engine, cfg: cfg}
+func newSwitch(engine *sim.Engine, cfg Config, schedClock sim.Time) *Switch {
+	sw := &Switch{engine: engine}
 	sw.sched = sched.New(engine, sched.Config{
 		Ports:            cfg.Ports,
-		ChunkBytes:       int64(cfg.ChunkBytes),
-		LinkBandwidth:    cfg.LinkBandwidth,
-		ClockPeriod:      cfg.SchedClockPeriod,
-		Policy:           cfg.Policy,
-		MaxActivePerPair: cfg.MaxActivePerPair,
+		ChunkBytes:       ChunkBytes,
+		LinkBandwidth:    LinkBandwidth,
+		ClockPeriod:      schedClock,
+		Policy:           sched.SRPT,
+		MaxActivePerPair: sched.DefaultMaxActivePerPair,
 	})
 	sw.sched.OnGrant = sw.onGrant
 	sw.ports = make([]*swPort, cfg.Ports)
@@ -74,7 +73,7 @@ func (sw *Switch) Stats() SwitchStats { return sw.stats }
 // Scheduler exposes the embedded scheduler (read-only use in experiments).
 func (sw *Switch) Scheduler() *sched.Scheduler { return sw.sched }
 
-func (sw *Switch) cycles(n int) sim.Time { return sim.Time(n) * sw.cfg.BlockPeriod }
+func (sw *Switch) cycles(n int) sim.Time { return sim.Time(n) * BlockPeriod }
 
 // receive is the ingress path for port p.
 func (sw *Switch) receive(p int, b phy.Block) {
@@ -204,7 +203,7 @@ func (p *swPort) enqueue(blocks ...phy.Block) {
 		return
 	}
 	p.pumpBusy = true
-	p.sw.engine.After(p.sw.cfg.BlockPeriod, p.pumpStep)
+	p.sw.engine.After(BlockPeriod, p.pumpStep)
 }
 
 func (p *swPort) pumpStep() {
@@ -216,5 +215,5 @@ func (p *swPort) pumpStep() {
 	if src != phy.SrcIdle && p.egress != nil {
 		p.egress.Send(b)
 	}
-	p.sw.engine.After(p.sw.cfg.BlockPeriod, p.pumpStep)
+	p.sw.engine.After(BlockPeriod, p.pumpStep)
 }

@@ -14,8 +14,7 @@ import (
 // remote reads from many compute nodes to one memory node.
 func TestZeroQueuingAtSwitch(t *testing.T) {
 	const computes = 8
-	cfg := DefaultConfig(computes + 1)
-	f := New(cfg)
+	f := New(DefaultConfig(computes + 1))
 	f.AttachMemory(computes, fastMem())
 	mem := f.Host(computes).Memory()
 	for i := 0; i < computes; i++ {
@@ -44,7 +43,7 @@ func TestZeroQueuingAtSwitch(t *testing.T) {
 	// One 64 B chunk is 10 blocks; with the RREQ forwards and grant blocks
 	// interleaved the bound is ~2 chunks' worth. A store-and-forward
 	// shared-queue switch would have accumulated an 8-deep incast here.
-	chunkBlocks := 2 + (cfg.ChunkBytes+7)/8
+	chunkBlocks := 2 + (ChunkBytes+7)/8
 	if st.MaxEgressBacklog > 3*chunkBlocks {
 		t.Fatalf("max egress backlog %d blocks exceeds ~%d (zero-queuing violated)",
 			st.MaxEgressBacklog, 3*chunkBlocks)

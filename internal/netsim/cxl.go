@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"repro/internal/edm"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -68,7 +69,6 @@ type cxlRun struct {
 	egBusy  []bool
 	rr      []int
 	track   *tracker
-	stalls  uint64 // sends blocked on zero credits
 }
 
 // Run implements Protocol.
@@ -121,7 +121,6 @@ func (r *cxlRun) nicPump(src int) {
 		return
 	}
 	if r.credits[src] == 0 {
-		r.stalls++
 		return // resumed by credit return
 	}
 	r.nicBusy[src] = true
@@ -133,7 +132,7 @@ func (r *cxlRun) nicPump(src int) {
 		r.nicBusy[src] = false
 		r.nicPump(src)
 	})
-	r.eng.After(tx+linkLat, func() { r.ingressArrive(f) })
+	r.eng.After(tx+edm.LinkLatency, func() { r.ingressArrive(f) })
 }
 
 func (r *cxlRun) ingressArrive(f *cxlFlit) {
@@ -161,7 +160,7 @@ func (r *cxlRun) tryForward(d int) {
 		ing.q = ing.q[1:]
 		ing.bytes -= int64(f.wire)
 		// Credit return to sender i.
-		r.eng.After(propDelay, func() {
+		r.eng.After(edm.DefaultPropDelay, func() {
 			r.credits[i]++
 			r.nicPump(i)
 		})
@@ -171,7 +170,7 @@ func (r *cxlRun) tryForward(d int) {
 		// pipelined.
 		r.eng.After(tx, func() {
 			r.egBusy[d] = false
-			r.eng.After(cxlHopLatency+linkLat, func() { r.deliver(f) })
+			r.eng.After(cxlHopLatency+edm.LinkLatency, func() { r.deliver(f) })
 			r.tryForwardAll()
 		})
 		return

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"repro/internal/edm"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -67,7 +68,6 @@ type dctcpRun struct {
 	egress []*pipe // switch egress ports (output-queued)
 	conns  map[[2]int]*tcpConn
 	track  *tracker
-	stats  struct{ drops, marks, rtos uint64 }
 }
 
 // Run implements Protocol.
@@ -77,8 +77,8 @@ func (d DCTCP) Run(cfg Config, ops []workload.Op) (*Result, error) {
 		r.up = make([]*pipe, cfg.Nodes)
 		r.egress = make([]*pipe, cfg.Nodes)
 		for i := range r.up {
-			r.up[i] = newPipe(eng, cfg.Bandwidth, linkLat)
-			r.egress[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.up[i] = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
+			r.egress[i] = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
 		}
 		return r.arrive
 	})
@@ -143,12 +143,10 @@ func (r *dctcpRun) sendPkt(pkt *tcpPkt) {
 		eg := r.egress[c.dst]
 		if eg.queuedBytes()+int64(wire) > dctcpBufferBytes {
 			pkt.dropped = true
-			r.stats.drops++
 			return // recovery via RTO below
 		}
 		if eg.queuedBytes() > dctcpMarkThreshold {
 			pkt.marked = true
-			r.stats.marks++
 		}
 		r.eng.After(transport.L2ForwardingLatency, func() {
 			eg.send(wire, func() { r.deliver(pkt) })
@@ -159,7 +157,6 @@ func (r *dctcpRun) sendPkt(pkt *tcpPkt) {
 		if pkt.acked {
 			return
 		}
-		r.stats.rtos++
 		pkt.dropped = false
 		c.inflight--
 		if c.inflight < 0 {
@@ -179,7 +176,7 @@ func (r *dctcpRun) deliver(pkt *tcpPkt) {
 	c := pkt.conn
 	// ACK returns after one propagation (ACKs ride the reverse path; their
 	// 64 B frames are negligible next to data and not serialized here).
-	r.eng.After(2*linkLat+transport.L2ForwardingLatency, func() { r.ack(pkt) })
+	r.eng.After(2*edm.LinkLatency+transport.L2ForwardingLatency, func() { r.ack(pkt) })
 	r.eng.After(transport.TCPStackLatency, func() {
 		if pkt.credited {
 			return // duplicate of a retransmitted packet

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"repro/internal/edm"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -9,14 +10,16 @@ import (
 
 // EDM is the paper's fabric at message level: demand notifications and
 // RREQ interception feed the central PIM scheduler; granted chunks flow
-// through virtual circuits with no switch queueing. Parameters follow §4.3
-// (chunk 256 B, X=3, SRPT).
+// through virtual circuits with no switch queueing. The zero value runs the
+// §4.3 scheduler: sched.DefaultChunkBytes, sched.DefaultMaxActivePerPair,
+// SRPT and sched.ASICClockPeriod.
 type EDM struct {
-	// ChunkBytes is the scheduler grant unit (default 256).
+	// ChunkBytes is the scheduler grant unit (0: sched.DefaultChunkBytes).
 	ChunkBytes int
-	// X is the per-pair active notification bound (default 3).
+	// X is the per-pair active notification bound (0:
+	// sched.DefaultMaxActivePerPair).
 	X int
-	// Policy is FCFS or SRPT (default SRPT).
+	// Policy is FCFS or SRPT (the zero value, SRPT).
 	Policy sched.Policy
 	// MaxIterations caps PIM iterations per round (0 = maximal matching).
 	MaxIterations int
@@ -34,12 +37,8 @@ func (e *EDM) Name() string { return "EDM" }
 // WireBytes implements Protocol: data is chunked, each chunk framed in
 // 66-bit blocks.
 func (e *EDM) WireBytes(n int) int {
-	chunk := e.ChunkBytes
-	if chunk <= 0 {
-		chunk = 256
-	}
 	total := 0
-	for _, c := range packetize(n, chunk) {
+	for _, c := range packetize(n, e.chunk()) {
 		total += edmWire(c)
 	}
 	return total
@@ -48,8 +47,18 @@ func (e *EDM) WireBytes(n int) int {
 // ReqWireBytes implements Protocol: an 8 B RREQ in three blocks.
 func (e *EDM) ReqWireBytes() int { return edmRreqWire }
 
-// Fixed host/switch pipeline costs at 100 Gbps (the Table 1 cycle budgets,
-// scaled to the 100 GbE block clock).
+// chunk is the scheduler grant unit a run uses.
+func (e *EDM) chunk() int {
+	if e.ChunkBytes > 0 {
+		return e.ChunkBytes
+	}
+	return sched.DefaultChunkBytes
+}
+
+// Fixed host/switch pipeline costs at every bandwidth. They are this
+// model's chosen values, not derived: no whole number of Table 1 cycles
+// (internal/edm/latency.go) gives 8 ns or 11 ns at either the 2.56 ns
+// 25 GbE or the 0.64 ns 100 GbE block clock.
 const (
 	edmHostTx    = 8 * sim.Nanosecond
 	edmHostRx    = 8 * sim.Nanosecond
@@ -88,32 +97,23 @@ type edmRun struct {
 
 // Run implements Protocol.
 func (e *EDM) Run(cfg Config, ops []workload.Op) (*Result, error) {
-	chunk := e.ChunkBytes
-	if chunk <= 0 {
-		chunk = 256
-	}
-	x := e.X
-	if x <= 0 {
-		x = 3
-	}
 	return drive(e.Name(), cfg, ops, func(eng *sim.Engine, track *tracker) func(workload.Op) {
 		r := &edmRun{
 			p:      e,
 			cfg:    cfg,
 			eng:    eng,
 			track:  track,
-			x:      x,
 			pairs:  make(map[[2]int]*edmPair),
 			ops:    make(map[int]workload.Op, len(ops)),
 			groups: make(map[int]*megaGroup),
 		}
 		r.sch = sched.New(eng, sched.Config{
 			Ports:            cfg.Nodes,
-			ChunkBytes:       int64(chunk),
+			ChunkBytes:       int64(e.chunk()),
 			LinkBandwidth:    cfg.Bandwidth,
-			ClockPeriod:      333 * sim.Picosecond, // 3 GHz ASIC scheduler
+			ClockPeriod:      sched.ASICClockPeriod,
 			Policy:           e.Policy,
-			MaxActivePerPair: x,
+			MaxActivePerPair: e.X,
 			MaxIterations:    e.MaxIterations,
 			// Pace grants at the chunk's true line occupancy, including the
 			// 66-bit block framing.
@@ -122,11 +122,12 @@ func (e *EDM) Run(cfg Config, ops []workload.Op) (*Result, error) {
 			},
 		})
 		r.sch.OnGrant = r.onGrant
+		r.x = r.sch.Config().MaxActivePerPair
 		r.up = make([]*pipe, cfg.Nodes)
 		r.down = make([]*pipe, cfg.Nodes)
 		for i := range r.up {
-			r.up[i] = newPipe(eng, cfg.Bandwidth, linkLat)
-			r.down[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.up[i] = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
+			r.down[i] = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
 		}
 		for _, op := range ops {
 			r.ops[op.Index] = op

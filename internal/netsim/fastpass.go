@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"repro/internal/edm"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -51,11 +52,11 @@ func (f Fastpass) Run(cfg Config, ops []workload.Op) (*Result, error) {
 		r.srcFree = make([]sim.Time, cfg.Nodes)
 		r.dstFree = make([]sim.Time, cfg.Nodes)
 		for i := range r.up {
-			r.up[i] = newPipe(eng, cfg.Bandwidth, linkLat)
-			r.down[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.up[i] = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
+			r.down[i] = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
 		}
-		r.arbIn = newPipe(eng, cfg.Bandwidth, linkLat)
-		r.arbOut = newPipe(eng, cfg.Bandwidth, linkLat)
+		r.arbIn = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
+		r.arbOut = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
 		return func(op workload.Op) {
 			eng.After(transport.RoCEStackLatency, func() { r.request(op) })
 		}
@@ -72,7 +73,7 @@ func (r *fpRun) request(op workload.Op) {
 	}
 	extra := sim.Time(0)
 	if op.Read {
-		extra = 2 * propDelay // request leg to the memory node
+		extra = 2 * edm.DefaultPropDelay // request leg to the memory node
 	}
 	r.eng.After(extra, func() {
 		// Request: sender uplink -> switch -> arbiter ingress (the choke
@@ -114,7 +115,7 @@ func (r *fpRun) sendData(src, dst int, op workload.Op) {
 		n := n
 		wire := transport.WireBytes(transport.StackRoCE, n)
 		r.up[src].send(wire, nil)
-		arrive := r.up[src].busyUntil + linkLat + transport.L2ForwardingLatency
+		arrive := r.up[src].busyUntil + edm.LinkLatency + transport.L2ForwardingLatency
 		r.eng.At(arrive, func() {
 			r.down[dst].send(wire, func() {
 				r.eng.After(transport.RoCEStackLatency, func() { r.track.delivered(op.Index, n) })

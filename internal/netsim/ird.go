@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"repro/internal/edm"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -48,9 +49,6 @@ type irdRun struct {
 	sendQ   [][]*irdMsg // per sender: granted messages, FIFO
 	txBusy  []bool
 	track   *tracker
-	// Conflicts counts grants that found their sender already busy (two
-	// receivers granted the same sender in the same instant).
-	Conflicts uint64
 }
 
 // Run implements Protocol.
@@ -64,8 +62,8 @@ func (i IRD) Run(cfg Config, ops []workload.Op) (*Result, error) {
 		r.sendQ = make([][]*irdMsg, cfg.Nodes)
 		r.txBusy = make([]bool, cfg.Nodes)
 		for k := range r.up {
-			r.up[k] = newPipe(eng, cfg.Bandwidth, linkLat)
-			r.down[k] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.up[k] = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
+			r.down[k] = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
 		}
 		return r.arrive
 	})
@@ -109,10 +107,7 @@ func (r *irdRun) rxSchedule(dst int) {
 	r.rxOut[dst]++
 	// The grant travels one hop to the sender; two receivers may commit to
 	// the same sender in the same instant — the loser queues (conflict).
-	r.eng.After(linkLat, func() {
-		if r.txBusy[m.src] {
-			r.Conflicts++
-		}
+	r.eng.After(edm.LinkLatency, func() {
 		r.sendQ[m.src] = append(r.sendQ[m.src], m)
 		r.txPump(m.src)
 	})
@@ -137,7 +132,7 @@ func (r *irdRun) sendMsg(src int, m *irdMsg) {
 		n := n
 		wire := transport.WireBytes(transport.StackRoCE, n)
 		r.up[src].send(wire, nil)
-		arrive := r.up[src].busyUntil + propDelay + transport.L2ForwardingLatency
+		arrive := r.up[src].busyUntil + edm.DefaultPropDelay + transport.L2ForwardingLatency
 		r.eng.At(arrive, func() {
 			r.down[m.dst].send(wire, func() {
 				r.track.delivered(m.opIdx, n)

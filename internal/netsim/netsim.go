@@ -32,19 +32,10 @@ type Config struct {
 	Bandwidth sim.Gbps
 }
 
-// The link and packet parameters every protocol shares (the §4.3 setup).
-const (
-	// propDelay is the host-switch propagation delay (one hop).
-	propDelay = 10 * sim.Nanosecond
-	// pmaDelay is the PMA/PMD+transceiver delay per crossing (each link
-	// traversal crosses twice); Table 1 measures 19 ns.
-	pmaDelay = 19 * sim.Nanosecond
-	// linkLat is the fixed one-way latency of a link traversal after
-	// serialization: TX PMA + propagation + RX PMA.
-	linkLat = propDelay + 2*pmaDelay
-	// mtu bounds packet payloads for the MAC-based protocols.
-	mtu = 1500
-)
+// mtu bounds packet payloads for the MAC-based protocols. Every protocol
+// shares it, and the testbed's link delays (edm.DefaultPropDelay per hop,
+// edm.LinkLatency per link traversal).
+const mtu = 1500
 
 // Validate checks the configuration.
 func (c Config) Validate() error {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"sort"
 
+	"repro/internal/edm"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -72,7 +73,6 @@ type pfabricRun struct {
 	eg    []*pfEgress
 	conns map[[2]int]*pfConn
 	track *tracker
-	drops uint64
 }
 
 // Run implements Protocol.
@@ -82,7 +82,7 @@ func (p PFabric) Run(cfg Config, ops []workload.Op) (*Result, error) {
 		r.up = make([]*pipe, cfg.Nodes)
 		r.eg = make([]*pfEgress, cfg.Nodes)
 		for i := range r.up {
-			r.up[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.up[i] = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
 			r.eg[i] = &pfEgress{}
 		}
 		return r.arrive
@@ -162,7 +162,7 @@ func (r *pfabricRun) egEnqueue(eg *pfEgress, port int, pkt *pfPkt) {
 		victim := eg.q[len(eg.q)-1]
 		eg.q = eg.q[:len(eg.q)-1]
 		eg.bytes -= int64(victim.wire)
-		r.drops++ // victim recovers via its sender's RTO
+		// The victim recovers via its sender's RTO.
 	}
 	r.egServe(eg, port)
 }
@@ -178,14 +178,14 @@ func (r *pfabricRun) egServe(eg *pfEgress, port int) {
 	tx := sim.TransmissionTime(pkt.wire, r.cfg.Bandwidth)
 	r.eng.After(tx, func() {
 		eg.serving = false
-		r.eng.After(linkLat, func() { r.deliver(pkt) })
+		r.eng.After(edm.LinkLatency, func() { r.deliver(pkt) })
 		r.egServe(eg, port)
 	})
 }
 
 func (r *pfabricRun) deliver(pkt *pfPkt) {
 	c := pkt.conn
-	r.eng.After(2*linkLat+transport.L2ForwardingLatency, func() {
+	r.eng.After(2*edm.LinkLatency+transport.L2ForwardingLatency, func() {
 		if pkt.acked {
 			return
 		}

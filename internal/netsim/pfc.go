@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"repro/internal/edm"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -59,7 +60,6 @@ type pfcRun struct {
 	egBusy  []bool
 	rr      []int // per-egress round-robin ingress pointer
 	track   *tracker
-	pauses  uint64
 }
 
 // Run implements Protocol.
@@ -73,7 +73,7 @@ func (p PFC) Run(cfg Config, ops []workload.Op) (*Result, error) {
 		r.egBusy = make([]bool, cfg.Nodes)
 		r.rr = make([]int, cfg.Nodes)
 		for i := range r.up {
-			r.up[i] = newPipe(eng, cfg.Bandwidth, linkLat)
+			r.up[i] = newPipe(eng, cfg.Bandwidth, edm.LinkLatency)
 			r.ingress[i] = &pfcIngress{}
 		}
 		return r.arrive
@@ -118,7 +118,7 @@ func (r *pfcRun) nicPump(src int) {
 		r.nicBusy[src] = false
 		r.nicPump(src) // pipeline next packet while this one propagates
 	})
-	r.eng.After(tx+linkLat, func() { r.ingressArrive(pkt) })
+	r.eng.After(tx+edm.LinkLatency, func() { r.ingressArrive(pkt) })
 }
 
 // ingressArrive appends to the ingress FIFO and manages pause state.
@@ -131,50 +131,44 @@ func (r *pfcRun) ingressArrive(pkt *pfcPkt) {
 		// as taking effect now at the NIC pump (conservatively early) —
 		// in-flight packets still land, as with real PFC headroom.
 		ing.paused = true
-		r.pauses++
 	}
 	r.tryForward(pkt.dst)
 }
 
-// tryForward matches free egresses to ingress heads, round-robin.
-func (r *pfcRun) tryForward(egressHint int) {
-	for _, d := range r.candidates(egressHint) {
-		if r.egBusy[d] {
+// tryForward starts egress d, if free, on the first ingress HEAD that
+// targets it, round-robin from the egress's pointer.
+func (r *pfcRun) tryForward(d int) {
+	if r.egBusy[d] {
+		return
+	}
+	n := r.cfg.Nodes
+	for k := 0; k < n; k++ {
+		i := (r.rr[d] + k) % n
+		ing := r.ingress[i]
+		if len(ing.q) == 0 || ing.q[0].dst != d {
 			continue
 		}
-		// Find an ingress whose HEAD targets d, starting at the RR pointer.
-		n := r.cfg.Nodes
-		for k := 0; k < n; k++ {
-			i := (r.rr[d] + k) % n
-			ing := r.ingress[i]
-			if len(ing.q) == 0 || ing.q[0].dst != d {
-				continue
-			}
-			r.rr[d] = (i + 1) % n
-			pkt := ing.q[0]
-			ing.q = ing.q[1:]
-			ing.bytes -= int64(pkt.wire)
-			if ing.paused && ing.bytes < pfcXonBytes {
-				ing.paused = false
-				r.nicPump(i)
-			}
-			r.egBusy[d] = true
-			tx := sim.TransmissionTime(pkt.wire, r.cfg.Bandwidth)
-			// The egress is occupied for the serialization time only; the
-			// L2 pipeline latency is pipelined, not occupancy.
-			r.eng.After(tx, func() {
-				r.egBusy[d] = false
-				r.eng.After(transport.L2ForwardingLatency+linkLat, func() { r.deliver(pkt) })
-				// Freeing this egress may unblock several ingress heads.
-				r.tryForwardAll()
-			})
-			break
+		r.rr[d] = (i + 1) % n
+		pkt := ing.q[0]
+		ing.q = ing.q[1:]
+		ing.bytes -= int64(pkt.wire)
+		if ing.paused && ing.bytes < pfcXonBytes {
+			ing.paused = false
+			r.nicPump(i)
 		}
+		r.egBusy[d] = true
+		tx := sim.TransmissionTime(pkt.wire, r.cfg.Bandwidth)
+		// The egress is occupied for the serialization time only; the
+		// L2 pipeline latency is pipelined, not occupancy.
+		r.eng.After(tx, func() {
+			r.egBusy[d] = false
+			r.eng.After(transport.L2ForwardingLatency+edm.LinkLatency, func() { r.deliver(pkt) })
+			// Freeing this egress may unblock several ingress heads.
+			r.tryForwardAll()
+		})
+		return
 	}
 }
-
-// candidates returns the egress set to try: just the hinted one normally.
-func (r *pfcRun) candidates(hint int) []int { return []int{hint} }
 
 // tryForwardAll rescans every egress (after an egress frees, any ingress
 // head may now be forwardable).

@@ -19,6 +19,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/edm"
 	"repro/internal/sim"
 )
 
@@ -193,13 +194,13 @@ func (s *Spec) Validate() error {
 		if s.Backend == BackendNetsim {
 			s.Bandwidth = 100
 		} else {
-			s.Bandwidth = 25
+			s.Bandwidth = edm.LinkBandwidth
 		}
 	}
 	// The block-level testbed clocks its hosts and switch at 25 GbE
 	// (edm.BlockPeriod); another bandwidth would only reshape the trace.
-	if s.Backend == BackendFabric && s.Bandwidth != 25 {
-		return fmt.Errorf("scenario %s: bandwidth=%d, the fabric backend runs 25 Gbps links", s.Name, s.Bandwidth)
+	if s.Backend == BackendFabric && s.Bandwidth != edm.LinkBandwidth {
+		return fmt.Errorf("scenario %s: bandwidth=%d, the fabric backend runs %d Gbps links", s.Name, s.Bandwidth, edm.LinkBandwidth)
 	}
 	if s.Policy == "" {
 		s.Policy = Failover

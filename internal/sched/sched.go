@@ -47,17 +47,18 @@ type Config struct {
 	Ports int
 	// ChunkBytes is c, the maximum bytes granted at once. The paper sets
 	// it so the chunk's transmission time covers one maximal matching
-	// (§3.1.3): 128 B minimum for a 512x100G switch, 256 B in simulations.
+	// (§3.1.3): 128 B minimum for a 512x100G switch, DefaultChunkBytes in
+	// simulations.
 	ChunkBytes int64
 	// LinkBandwidth is B, used for the l/B busy-release optimization.
 	LinkBandwidth sim.Gbps
-	// ClockPeriod is the scheduler pipeline clock (333 ps at the 3 GHz
-	// ASIC synthesis; 2.56 ns on the 25 GbE FPGA prototype).
+	// ClockPeriod is the scheduler pipeline clock (ASICClockPeriod; the
+	// 25 GbE FPGA prototype clocks it at the PCS clock, 2.56 ns).
 	ClockPeriod sim.Time
 	// Policy selects FCFS or SRPT.
 	Policy Policy
-	// MaxActivePerPair is X, the per source-destination notification bound
-	// (paper finds X=3 best). Notify returns ErrPairLimit beyond it.
+	// MaxActivePerPair is X, the per source-destination notification bound;
+	// 0 means DefaultMaxActivePerPair. Notify returns ErrPairLimit beyond it.
 	MaxActivePerPair int
 	// MaxIterations caps PIM iterations per matching round; 0 means iterate
 	// to a maximal matching (the paper's behaviour, ~log N iterations on
@@ -70,15 +71,26 @@ type Config struct {
 	ChunkTime func(l int64) sim.Time
 }
 
+// The scheduler of the paper's simulations (§4.3), with SRPT: the one
+// definition DefaultConfig and the flow-level model (internal/netsim) share.
+const (
+	// DefaultChunkBytes is c in the simulations.
+	DefaultChunkBytes = 256
+	// DefaultMaxActivePerPair is X; the paper finds X = 3 best.
+	DefaultMaxActivePerPair = 3
+	// ASICClockPeriod is the pipeline clock of the 3 GHz ASIC synthesis.
+	ASICClockPeriod = 333 * sim.Picosecond
+)
+
 // DefaultConfig mirrors the paper's simulation parameters (§4.3).
 func DefaultConfig(ports int) Config {
 	return Config{
 		Ports:            ports,
-		ChunkBytes:       256,
+		ChunkBytes:       DefaultChunkBytes,
 		LinkBandwidth:    100,
-		ClockPeriod:      333 * sim.Picosecond,
+		ClockPeriod:      ASICClockPeriod,
 		Policy:           SRPT,
-		MaxActivePerPair: 3,
+		MaxActivePerPair: DefaultMaxActivePerPair,
 	}
 }
 
@@ -168,7 +180,7 @@ func New(engine *sim.Engine, cfg Config) *Scheduler {
 		panic("sched: invalid config")
 	}
 	if cfg.MaxActivePerPair <= 0 {
-		cfg.MaxActivePerPair = 3
+		cfg.MaxActivePerPair = DefaultMaxActivePerPair
 	}
 	s := &Scheduler{
 		cfg:       cfg,
