@@ -52,11 +52,12 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestLiveScenarioGolden pins the two live backends' reports: the seeded
-// replay is a pure function of the spec, so the bytes only move when the
-// wire protocol, the timing model or the report format does.
-func TestLiveScenarioGolden(t *testing.T) {
-	for _, name := range []string{"live-loopback", "live-cluster"} {
+// TestScenarioGolden pins the reports of every builtin scenario but
+// protocol-storm (3 s; scripts/sim_identical.sh covers it): each seeded run
+// is a pure function of its spec, so the bytes only move when a simulator,
+// the wire protocol, the timing model or the report format does.
+func TestScenarioGolden(t *testing.T) {
+	for _, name := range []string{"failover-16", "corruption-soak", "chaos-1024", "live-loopback", "live-cluster"} {
 		checkGolden(t, name, sim16(t, "", "-scenario", name))
 	}
 }
