@@ -27,6 +27,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/cli"
+	"repro/internal/edm"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 )
@@ -127,7 +128,7 @@ func fig5(out io.Writer) error {
 	}
 	rc, wc := experiments.Fig5Totals()
 	fmt.Fprintf(w, "\t\tpipeline total (excl. serialization/links)\tread=%d write=%d\t%v / %v\n",
-		rc, wc, sim.Time(rc)*2560*sim.Picosecond, sim.Time(wc)*2560*sim.Picosecond)
+		rc, wc, sim.Time(rc)*edm.BlockPeriod, sim.Time(wc)*edm.BlockPeriod)
 	return w.Flush()
 }
 

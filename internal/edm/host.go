@@ -13,7 +13,6 @@ import (
 // Client-visible errors.
 var (
 	ErrTimeout    = errors.New("edm: read timed out (NULL response)")
-	ErrNoMemory   = errors.New("edm: destination is not a memory node")
 	ErrTooManyOut = errors.New("edm: too many outstanding operations to destination")
 )
 
@@ -415,8 +414,8 @@ func (h *Host) feedFrames() {
 func (h *Host) receive(b phy.Block) {
 	ev, err := h.demux.Feed(b)
 	if err != nil {
-		// Corrupted or out-of-protocol block: count and resynchronize, as
-		// the scrambler-based corruption detection would (§3.3).
+		// Corrupted or out-of-protocol block: the demux's protocol checks
+		// caught it. Count it and resynchronize (§3.3).
 		h.stats.RxErrors++
 		h.demux = phy.RxDemux{}
 		return

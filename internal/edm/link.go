@@ -46,12 +46,9 @@ func (l *Link) Disable() { l.disabled = true }
 // Enable re-enables a disabled link.
 func (l *Link) Enable() { l.disabled = false }
 
-// Disabled reports the administrative state.
-func (l *Link) Disabled() bool { return l.disabled }
-
 // CorruptOneIn makes every nth block arrive with a flipped payload byte
-// (n=0 disables injection). Corruption is detected by the receiver's
-// descrambler/decode path.
+// (n=0 disables injection). The receiver's demux detects the corruption
+// when the block breaks its protocol checks.
 func (l *Link) CorruptOneIn(n uint64) { l.corruptEvery = n }
 
 // DropOneIn makes every nth block vanish on the line (n=0 disables) — the

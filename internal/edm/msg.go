@@ -162,16 +162,6 @@ func (m *Message) Body() ([]byte, error) {
 	return nil, fmt.Errorf("%w: kind %v", ErrBadWire, m.Kind)
 }
 
-// WireSize reports the body length in bytes — the quantity the scheduler
-// reserves bandwidth for.
-func (m *Message) WireSize() (int, error) {
-	b, err := m.Body()
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
-}
-
 func (m *Message) validate() error {
 	if m.Src < 0 || m.Src >= MaxPorts || m.Dst < 0 || m.Dst >= MaxPorts {
 		return fmt.Errorf("%w: src=%d dst=%d", ErrBadPort, m.Src, m.Dst)
@@ -320,11 +310,8 @@ func UnmarshalRREQ(w phy.MemMsg) (m *Message, demand int, err error) {
 	return m, int(h.size), nil
 }
 
-// PeekKind inspects the kind of a wire message without full decoding — the
-// one-cycle block classification the switch performs (§3.2.2).
-func PeekKind(w phy.MemMsg) Kind { return unpackHeader(w.Header).kind }
-
-// PeekHeader exposes the routing fields the switch needs.
+// PeekHeader exposes the routing fields the switch needs without full
+// decoding — the one-cycle block classification it performs (§3.2.2).
 func PeekHeader(w phy.MemMsg) (kind Kind, src, dst int, id uint8, size int, cont bool) {
 	h := unpackHeader(w.Header)
 	return h.kind, h.src, h.dst, h.id, int(h.size), h.cont

@@ -205,8 +205,8 @@ func TestPeekKindMatchesUnmarshal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", m.Kind, err)
 		}
-		if got := PeekKind(w); got != m.Kind {
-			t.Errorf("PeekKind = %v, want %v", got, m.Kind)
+		if got, _, _, _, _, _ := PeekHeader(w); got != m.Kind {
+			t.Errorf("PeekHeader kind = %v, want %v", got, m.Kind)
 		}
 	}
 }
@@ -222,9 +222,10 @@ func TestKindString(t *testing.T) {
 }
 
 func TestWireSizeMatchesBody(t *testing.T) {
+	// A WREQ's body is its 8-byte address followed by the data.
 	m := &Message{Kind: KindWREQ, Src: 0, Dst: 1, Addr: 4, Data: make([]byte, 100)}
-	n, err := m.WireSize()
-	if err != nil || n != 108 {
-		t.Fatalf("WireSize = %d, %v", n, err)
+	w, err := m.Marshal()
+	if err != nil || len(w.Body) != 108 {
+		t.Fatalf("marshalled body = %d bytes, %v", len(w.Body), err)
 	}
 }

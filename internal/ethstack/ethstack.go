@@ -13,39 +13,12 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/edm"
 	"repro/internal/mac"
 	"repro/internal/memctl"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
-
-// Config parameterizes the frame-level network. Defaults reproduce the
-// 25 GbE testbed constants of Table 1.
-type Config struct {
-	Ports     int
-	Bandwidth sim.Gbps
-	Prop      sim.Time // one-hop propagation
-	PMA       sim.Time // per PMA/PMD crossing
-	MACLat    sim.Time // MAC latency per traversal
-	PCSLat    sim.Time // PCS latency per traversal
-	L2Lat     sim.Time // switch forwarding pipeline
-	// ReadTimeout bounds outstanding reads.
-	ReadTimeout sim.Time
-}
-
-// DefaultConfig returns the Table 1 baseline constants.
-func DefaultConfig(ports int) Config {
-	return Config{
-		Ports:       ports,
-		Bandwidth:   25,
-		Prop:        10 * sim.Nanosecond,
-		PMA:         19 * sim.Nanosecond,
-		MACLat:      transport.MACLatency,
-		PCSLat:      transport.PCSLatency,
-		L2Lat:       transport.L2ForwardingLatency,
-		ReadTimeout: 100 * sim.Microsecond,
-	}
-}
 
 // Frame payload opcodes.
 const (
@@ -70,11 +43,14 @@ type ReadCallback func(data []byte, err error)
 type WriteCallback func(err error)
 
 // Network is the frame-level cluster: hosts, their links, and one layer-2
-// switch with per-egress output queues.
+// switch with per-egress output queues. It runs on the 25 GbE testbed of
+// Table 1: links at edm.LinkBandwidth and edm.LinkLatency, and transport's
+// MAC, PCS and layer-2 forwarding latencies.
 type Network struct {
 	Engine *sim.Engine
-	cfg    Config
-	hosts  []*Host
+	// readTimeout bounds outstanding reads.
+	readTimeout sim.Time
+	hosts       []*Host
 	// egress[i] serializes frames leaving the switch toward host i.
 	egress []*serializer
 	// egressQueueMax tracks the deepest egress backlog in bytes — the
@@ -106,28 +82,30 @@ func (s *serializer) send(wire int, deliver func()) (queued int64) {
 	return backlog
 }
 
-// New builds the network.
-func New(cfg Config) *Network {
-	if cfg.Ports < 2 {
+// New builds a network of the given number of ports.
+func New(ports int) *Network {
+	if ports < 2 {
 		panic("ethstack: need at least 2 ports")
 	}
-	n := &Network{Engine: sim.NewEngine(), cfg: cfg}
-	n.hosts = make([]*Host, cfg.Ports)
-	n.egress = make([]*serializer, cfg.Ports)
+	n := &Network{Engine: sim.NewEngine(), readTimeout: 100 * sim.Microsecond}
+	n.hosts = make([]*Host, ports)
+	n.egress = make([]*serializer, ports)
 	for i := range n.hosts {
 		n.hosts[i] = &Host{
 			net: n, port: i,
-			uplink:   &serializer{eng: n.Engine, bw: cfg.Bandwidth, lat: n.linkLat()},
+			uplink:   n.link(),
 			readTab:  make(map[uint8]*pendingRead),
 			writeTab: make(map[uint8]WriteCallback),
 		}
-		n.egress[i] = &serializer{eng: n.Engine, bw: cfg.Bandwidth, lat: n.linkLat()}
+		n.egress[i] = n.link()
 	}
 	return n
 }
 
-// linkLat is the fixed one-way link latency after serialization.
-func (n *Network) linkLat() sim.Time { return n.cfg.Prop + 2*n.cfg.PMA }
+// link returns an idle one-way testbed link.
+func (n *Network) link() *serializer {
+	return &serializer{eng: n.Engine, bw: edm.LinkBandwidth, lat: edm.LinkLatency}
+}
 
 // Host returns the host at port i.
 func (n *Network) Host(i int) *Host { return n.hosts[i] }
@@ -142,7 +120,7 @@ func (n *Network) Run() { n.Engine.Run() }
 // queue toward the destination (store-and-forward: the frame was fully
 // received before this is called).
 func (n *Network) forward(dstPort int, wire []byte) {
-	n.Engine.After(n.cfg.MACLat+n.cfg.PCSLat+n.cfg.L2Lat, func() {
+	n.Engine.After(transport.MACLatency+transport.PCSLatency+transport.L2ForwardingLatency, func() {
 		q := n.egress[dstPort].send(len(wire)+mac.PreambleBytes+mac.IFGBytes, func() {
 			n.hosts[dstPort].receive(wire)
 		})
@@ -202,7 +180,7 @@ func (h *Host) send(dst int, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	h.net.Engine.After(h.net.cfg.MACLat+h.net.cfg.PCSLat, func() {
+	h.net.Engine.After(transport.MACLatency+transport.PCSLatency, func() {
 		h.uplink.send(len(wire)+mac.PreambleBytes+mac.IFGBytes, func() {
 			h.net.forward(dst, wire)
 		})
@@ -216,7 +194,7 @@ func (h *Host) Read(dst int, addr uint64, length int, cb ReadCallback) error {
 	h.nextID++
 	pr := &pendingRead{cb: cb}
 	h.readTab[id] = pr
-	h.net.Engine.After(h.net.cfg.ReadTimeout, func() {
+	h.net.Engine.After(h.net.readTimeout, func() {
 		if pr.done {
 			return
 		}
@@ -244,7 +222,7 @@ func (h *Host) Write(dst int, addr uint64, data []byte, cb WriteCallback) error 
 
 // receive terminates a frame: MAC+PCS on the way up, then the operation.
 func (h *Host) receive(wire []byte) {
-	h.net.Engine.After(h.net.cfg.MACLat+h.net.cfg.PCSLat, func() {
+	h.net.Engine.After(transport.MACLatency+transport.PCSLatency, func() {
 		f, err := mac.Unmarshal(wire)
 		if err != nil {
 			return // corrupted frame: dropped, requester times out

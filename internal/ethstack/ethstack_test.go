@@ -19,7 +19,7 @@ func fastMem() *memctl.Controller {
 
 func newNet(t *testing.T, ports int) *Network {
 	t.Helper()
-	n := New(DefaultConfig(ports))
+	n := New(ports)
 	n.Host(ports - 1).AttachMemory(fastMem())
 	return n
 }
@@ -92,7 +92,7 @@ func TestIncastQueuesAtSwitch(t *testing.T) {
 	// queue must grow (limitation 6) — contrast with EDM's zero-queue
 	// switch (edm.TestZeroQueuingAtSwitch).
 	const senders = 8
-	n := New(DefaultConfig(senders + 1))
+	n := New(senders + 1)
 	n.Host(senders).AttachMemory(fastMem())
 	done := 0
 	for i := 0; i < senders; i++ {
@@ -141,9 +141,8 @@ func TestSmallMessagePaysMinFrame(t *testing.T) {
 }
 
 func TestReadTimeout(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.ReadTimeout = 2 * sim.Microsecond
-	n := New(cfg) // no memory attached anywhere
+	n := New(2) // no memory attached anywhere
+	n.readTimeout = 2 * sim.Microsecond
 	var gotErr error
 	if err := n.Host(0).Read(1, 0, 64, func(_ []byte, err error) { gotErr = err }); err != nil {
 		t.Fatal(err)

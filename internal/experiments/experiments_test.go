@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/edm"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -65,21 +66,48 @@ func TestTable1Ratios(t *testing.T) {
 	}
 }
 
+// TestFig5BreakdownConsistent checks Table 1's six EDM PCS cells against
+// Figure 5 exactly: each cell is the cycles of the Figure 5 stages at that
+// location, plus 2 cycles per PCS crossing there, plus a residual.
 func TestFig5BreakdownConsistent(t *testing.T) {
-	stages := Fig5()
-	if len(stages) == 0 {
-		t.Fatal("no stages")
-	}
-	readC, writeC := Fig5Totals()
-	t.Logf("read pipeline %d cycles, write pipeline %d cycles", readC, writeC)
-	// The stage cycles must account for the bulk of the measured
-	// network-stack time (the remainder is block serialization).
-	if readC < 15 || readC > 45 || writeC < 15 || writeC > 45 {
-		t.Fatalf("cycle totals out of plausible range: read=%d write=%d", readC, writeC)
-	}
-	for _, s := range stages {
-		if s.Time != sim.Time(s.Cycles)*2560*sim.Picosecond {
+	stageCycles := map[string]int{} // "location op" -> cycles
+	for _, s := range Fig5() {
+		if s.Time != sim.Time(s.Cycles)*edm.BlockPeriod {
 			t.Errorf("stage %q time mismatch", s.Name)
+		}
+		stageCycles[s.Location+" "+s.Op] += s.Cycles
+	}
+	// The residuals are cycles Table 1 has and the Figure 5 stage list does
+	// not itemize; every other cell's residual is 0.
+	const (
+		switchReadResidual  = 2
+		memoryReadResidual  = 3
+		switchWriteResidual = 5
+	)
+	cells := []struct {
+		loc       string
+		write     bool
+		crossings int // PCS crossings at the location (Table 1's 2x, 4x, ...)
+		residual  int
+		cell      func(transport.Breakdown) sim.Time
+	}{
+		{"compute", false, 2, 0, func(b transport.Breakdown) sim.Time { return b.ComputePCS }},
+		{"switch", false, 4, switchReadResidual, func(b transport.Breakdown) sim.Time { return b.SwitchPCS }},
+		{"memory", false, 2, memoryReadResidual, func(b transport.Breakdown) sim.Time { return b.MemoryPCS }},
+		{"compute", true, 3, 0, func(b transport.Breakdown) sim.Time { return b.ComputePCS }},
+		{"switch", true, 4, switchWriteResidual, func(b transport.Breakdown) sim.Time { return b.SwitchPCS }},
+		{"memory", true, 1, 0, func(b transport.Breakdown) sim.Time { return b.MemoryPCS }},
+	}
+	for _, c := range cells {
+		op := "read"
+		if c.write {
+			op = "write"
+		}
+		stages := stageCycles[c.loc+" "+op]
+		want := sim.Time(stages+2*c.crossings+c.residual) * edm.BlockPeriod
+		if got := c.cell(transport.Table1(transport.StackEDM, c.write)); got != want {
+			t.Errorf("%s %s PCS = %v, want %d stage + 2x%d crossing + %d residual cycles = %v",
+				c.loc, op, got, stages, c.crossings, c.residual, want)
 		}
 	}
 }

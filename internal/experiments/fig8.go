@@ -17,11 +17,6 @@ type Fig8Config struct {
 	Seed      uint64
 }
 
-// DefaultFig8Config returns the paper-scale setup.
-func DefaultFig8Config() Fig8Config {
-	return Fig8Config{Nodes: 144, Bandwidth: 100, OpsPerRun: 20000, Seed: 1}
-}
-
 func (c Fig8Config) netCfg() netsim.Config {
 	return netsim.Config{Nodes: c.Nodes, Bandwidth: c.Bandwidth}
 }

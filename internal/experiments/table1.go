@@ -78,7 +78,7 @@ func MeasureEDMUnloaded() (read, write sim.Time, err error) {
 // MeasureRawEthernetUnloaded runs one 64 B read and write through the
 // frame-level MAC/L2 fabric.
 func MeasureRawEthernetUnloaded() (read, write sim.Time, err error) {
-	n := ethstack.New(ethstack.DefaultConfig(2))
+	n := ethstack.New(2)
 	n.Host(1).AttachMemory(zeroLatencyMemory())
 	if _, err := n.Host(1).Memory().Write(0, make([]byte, 64)); err != nil {
 		return 0, 0, err

@@ -23,7 +23,6 @@ const (
 	MinFrameBytes = 64   // including FCS; enforced by padding
 	MTUBytes      = 1500 // maximum payload
 	MaxFrameBytes = HeaderBytes + MTUBytes + FCSBytes
-	JumboMTUBytes = 9000
 	PreambleBytes = 8  // preamble + SFD, sent before every frame
 	IFGBytes      = 12 // minimum inter-frame gap (96 bit times)
 	// MinPayloadBytes is the smallest payload that avoids padding.
@@ -77,17 +76,8 @@ var (
 // 64 B minimum, and CRC-32 FCS. The preamble and IFG are not part of the
 // returned bytes; use WireBytes for full bandwidth accounting.
 func (f *Frame) Marshal() ([]byte, error) {
-	return f.marshalMTU(MTUBytes)
-}
-
-// MarshalJumbo is Marshal with the 9000 B jumbo MTU.
-func (f *Frame) MarshalJumbo() ([]byte, error) {
-	return f.marshalMTU(JumboMTUBytes)
-}
-
-func (f *Frame) marshalMTU(mtu int) ([]byte, error) {
-	if len(f.Payload) > mtu {
-		return nil, fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, len(f.Payload), mtu)
+	if len(f.Payload) > MTUBytes {
+		return nil, fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, len(f.Payload), MTUBytes)
 	}
 	n := HeaderBytes + len(f.Payload)
 	if n+FCSBytes < MinFrameBytes {

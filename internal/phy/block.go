@@ -8,7 +8,11 @@
 //   - EDM's extended vocabulary (/MS/, /MD/, /MT/, /MST/, /N/, /G/),
 //   - a frame encoder/decoder (MAC frame bytes <-> block sequence, with
 //     inter-frame-gap idle insertion), and
-//   - the x^58 self-synchronizing scrambler used on the line side.
+//   - EDM's TX mux and RX demux, which interleave memory blocks with frame
+//     blocks on one line.
+//
+// The line-side scrambler is not modeled: it is transparent to everything
+// above it.
 //
 // One block serializes in one PCS clock cycle: 2.56 ns at 25 GbE.
 package phy

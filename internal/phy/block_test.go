@@ -1,9 +1,6 @@
 package phy
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestBlockConstructors(t *testing.T) {
 	d := DataBlock([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -98,79 +95,5 @@ func TestBlockString(t *testing.T) {
 		if got := c.b.String(); got != c.want {
 			t.Errorf("String = %q, want %q", got, c.want)
 		}
-	}
-}
-
-func TestScramblerRoundTrip(t *testing.T) {
-	s := NewScrambler(^uint64(0))
-	d := NewDescrambler(^uint64(0))
-	blocks := []Block{
-		DataBlock([]byte{0, 0, 0, 0, 0, 0, 0, 0}),
-		DataBlock([]byte{1, 2, 3, 4, 5, 6, 7, 8}),
-		IdleBlock(),
-		ControlBlock(BTMemStart, []byte{9, 8, 7}),
-	}
-	for _, in := range blocks {
-		sc := s.ScrambleBlock(in)
-		out := d.DescrambleBlock(sc)
-		if out != in {
-			t.Fatalf("round trip failed: in=%v out=%v", in, out)
-		}
-	}
-}
-
-func TestScramblerWhitens(t *testing.T) {
-	// 8 idle blocks (all-zero payloads) must not come out all-zero: the
-	// scrambler exists precisely to give the line transitions during IFG.
-	s := NewScrambler(^uint64(0))
-	nonZero := false
-	for i := 0; i < 8; i++ {
-		b := s.ScrambleBlock(IdleBlock())
-		for _, x := range b.Payload[1:] { // skip type byte
-			if x != 0 {
-				nonZero = true
-			}
-		}
-	}
-	if !nonZero {
-		t.Fatal("scrambler produced all-zero output for idle stream")
-	}
-}
-
-func TestDescramblerSelfSynchronizes(t *testing.T) {
-	// Seed the descrambler differently from the scrambler: after 58 bits
-	// (8 bytes covers it) the output must match the plaintext again.
-	s := NewScrambler(^uint64(0))
-	d := NewDescrambler(0x123456789)
-	var in []Block
-	for i := 0; i < 4; i++ {
-		in = append(in, DataBlock([]byte{byte(i), 1, 2, 3, 4, 5, 6, 7}))
-	}
-	var out []Block
-	for _, b := range in {
-		out = append(out, d.DescrambleBlock(s.ScrambleBlock(b)))
-	}
-	// First block may be corrupted; all subsequent blocks must be exact.
-	for i := 1; i < len(in); i++ {
-		if out[i] != in[i] {
-			t.Fatalf("block %d not recovered after sync window", i)
-		}
-	}
-}
-
-func TestScramblerProperty(t *testing.T) {
-	f := func(payloads [][8]byte, seed uint64) bool {
-		s := NewScrambler(seed)
-		d := NewDescrambler(seed)
-		for _, p := range payloads {
-			in := DataBlock(p[:])
-			if d.DescrambleBlock(s.ScrambleBlock(in)) != in {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

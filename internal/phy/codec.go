@@ -26,59 +26,18 @@ func FrameToBlocks(frame []byte) []Block {
 	return blocks
 }
 
-// FrameBlockCount reports how many PCS blocks FrameToBlocks produces for an
-// n-byte frame, without allocating.
-func FrameBlockCount(n int) int { return 2 + n/BlockPayloadBytes }
-
 // Decode errors.
 var (
-	ErrNoFrame       = errors.New("phy: block stream held no frame")
-	ErrTruncated     = errors.New("phy: frame truncated (missing /T/)")
 	ErrUnexpected    = errors.New("phy: unexpected block in frame body")
 	ErrStrayData     = errors.New("phy: data block outside a frame")
-	ErrBadStart      = errors.New("phy: frame did not begin with /S/")
 	ErrMemoryInFrame = errors.New("phy: memory block inside a frame body (demux it first)")
 )
 
-// BlocksToFrame decodes exactly one frame from blocks, skipping leading
-// idles, and returns the frame bytes plus the number of blocks consumed.
-func BlocksToFrame(blocks []Block) (frame []byte, consumed int, err error) {
-	i := 0
-	for i < len(blocks) && blocks[i].IsControl() && blocks[i].Type() == BTIdle {
-		i++
-	}
-	if i == len(blocks) {
-		return nil, i, ErrNoFrame
-	}
-	if !blocks[i].IsControl() || blocks[i].Type() != BTStart {
-		return nil, i, ErrBadStart
-	}
-	i++
-	for i < len(blocks) {
-		b := blocks[i]
-		if b.IsData() {
-			frame = append(frame, b.Payload[:]...)
-			i++
-			continue
-		}
-		bt := b.Type()
-		if n, ok := TermBytes(bt); ok {
-			p := b.ControlPayload()
-			frame = append(frame, p[:n]...)
-			return frame, i + 1, nil
-		}
-		if IsEDMType(bt) {
-			return nil, i, ErrMemoryInFrame
-		}
-		return nil, i, fmt.Errorf("%w: %v", ErrUnexpected, b)
-	}
-	return nil, i, ErrTruncated
-}
-
-// FrameDecoder is the streaming form of BlocksToFrame: feed blocks one at a
-// time (as a receiver would each cycle) and collect completed frames. It is
-// the decoder that sits above EDM's RX demux, so it only ever sees standard
-// blocks; memory blocks are an error here.
+// FrameDecoder decodes MAC frames from a block stream: feed blocks one at a
+// time (as a receiver would each cycle) and collect completed frames; idles
+// between frames are skipped. It is the decoder that sits above EDM's RX
+// demux, so it only ever sees standard blocks; memory blocks are an error
+// here.
 type FrameDecoder struct {
 	inFrame bool
 	buf     []byte

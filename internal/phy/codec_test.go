@@ -7,6 +7,23 @@ import (
 	"testing/quick"
 )
 
+// blocksToFrame feeds blocks through a FrameDecoder, one per cycle as a
+// receiver would, and returns the first frame it completes with the number
+// of blocks fed up to and including its /T/.
+func blocksToFrame(blocks []Block) ([]byte, int, error) {
+	var d FrameDecoder
+	for i, b := range blocks {
+		frame, done, err := d.Feed(b)
+		if err != nil {
+			return nil, i, err
+		}
+		if done {
+			return frame, i + 1, nil
+		}
+	}
+	return nil, len(blocks), errors.New("no frame completed")
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	for _, n := range []int{64, 65, 71, 72, 100, 1500, 9000} {
 		frame := make([]byte, n)
@@ -14,10 +31,10 @@ func TestFrameRoundTrip(t *testing.T) {
 			frame[i] = byte(i * 7)
 		}
 		blocks := FrameToBlocks(frame)
-		if len(blocks) != FrameBlockCount(n) {
-			t.Errorf("n=%d: %d blocks, want %d", n, len(blocks), FrameBlockCount(n))
+		if want := 2 + n/BlockPayloadBytes; len(blocks) != want {
+			t.Errorf("n=%d: %d blocks, want %d", n, len(blocks), want)
 		}
-		got, consumed, err := BlocksToFrame(blocks)
+		got, consumed, err := blocksToFrame(blocks)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -34,37 +51,20 @@ func TestMinFrameBlockCount(t *testing.T) {
 	// A 64 B minimum Ethernet frame spans /S/ + 8x/D/ + /T0/ = 10 blocks.
 	// The MAC layer cannot go below this; an EDM memory message can be a
 	// single block (see memmsg tests) — the heart of limitation 1 vs D1.
-	if got := FrameBlockCount(64); got != 10 {
-		t.Fatalf("FrameBlockCount(64) = %d, want 10", got)
+	if got := len(FrameToBlocks(make([]byte, 64))); got != 10 {
+		t.Fatalf("64 B frame = %d blocks, want 10", got)
 	}
 }
 
 func TestBlocksToFrameSkipsIdles(t *testing.T) {
 	frame := make([]byte, 64)
 	blocks := append([]Block{IdleBlock(), IdleBlock()}, FrameToBlocks(frame)...)
-	got, consumed, err := BlocksToFrame(blocks)
+	got, consumed, err := blocksToFrame(blocks)
 	if err != nil || !bytes.Equal(got, frame) {
 		t.Fatalf("decode with leading idles: %v", err)
 	}
 	if consumed != len(blocks) {
 		t.Fatalf("consumed %d, want %d", consumed, len(blocks))
-	}
-}
-
-func TestBlocksToFrameErrors(t *testing.T) {
-	if _, _, err := BlocksToFrame([]Block{IdleBlock()}); !errors.Is(err, ErrNoFrame) {
-		t.Errorf("idle-only: %v", err)
-	}
-	if _, _, err := BlocksToFrame([]Block{DataBlock(make([]byte, 8))}); !errors.Is(err, ErrBadStart) {
-		t.Errorf("no /S/: %v", err)
-	}
-	trunc := FrameToBlocks(make([]byte, 64))[:5]
-	if _, _, err := BlocksToFrame(trunc); !errors.Is(err, ErrTruncated) {
-		t.Errorf("truncated: %v", err)
-	}
-	memInside := []Block{StartBlock(nil), ControlBlock(BTMemSingle, nil)}
-	if _, _, err := BlocksToFrame(memInside); !errors.Is(err, ErrMemoryInFrame) {
-		t.Errorf("memory inside: %v", err)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(body []byte) bool {
 		frame := append(make([]byte, 0, len(body)+64), bytes.Repeat([]byte{0}, 64)...)
 		frame = append(frame, body...)
-		got, _, err := BlocksToFrame(FrameToBlocks(frame))
+		got, _, err := blocksToFrame(FrameToBlocks(frame))
 		return err == nil && bytes.Equal(got, frame)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -7,9 +7,9 @@ import (
 
 // FuzzMemMsgRoundTrip checks the block-level memory-message codec is the
 // identity over arbitrary headers and bodies: Encode must produce exactly
-// WireBlocks blocks, and DecodeMemMsg must consume them all and reproduce
-// the message — the PHY-granularity analogue of the wire codec's datagram
-// round trip.
+// WireBlocks blocks, and an RxDemux fed them must complete the message on
+// the last one and reproduce it — the PHY-granularity analogue of the wire
+// codec's datagram round trip.
 func FuzzMemMsgRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, []byte(nil))
 	f.Add([]byte{0xff, 0, 0xff, 0, 0xff, 0, 0xff}, []byte{0xaa})
@@ -32,7 +32,7 @@ func FuzzMemMsgRoundTrip(f *testing.F) {
 		if w := MemMsgWireBlocks(len(body)); w != len(blocks) {
 			t.Fatalf("MemMsgWireBlocks(%d) = %d, Encode produced %d", len(body), w, len(blocks))
 		}
-		got, n, err := DecodeMemMsg(blocks)
+		got, n, err := demux(blocks)
 		if err != nil {
 			t.Fatalf("decode own encoding: %v", err)
 		}

@@ -26,12 +26,7 @@ type MemMsg struct {
 }
 
 // WireBlocks reports how many 66-bit blocks the message occupies on the wire.
-func (m MemMsg) WireBlocks() int {
-	if len(m.Body) == 0 {
-		return 1
-	}
-	return 2 + (len(m.Body)+BlockPayloadBytes-1)/BlockPayloadBytes
-}
+func (m MemMsg) WireBlocks() int { return MemMsgWireBlocks(len(m.Body)) }
 
 // MemMsgWireBlocks reports the wire size in blocks of a message with an
 // n-byte body, without building it.
@@ -67,7 +62,6 @@ func (m MemMsg) Encode() []Block {
 
 // Demux errors.
 var (
-	ErrMemTruncated  = errors.New("phy: memory message truncated")
 	ErrMemBadTerm    = errors.New("phy: /MT/ with invalid trailing count")
 	ErrMemUnexpected = errors.New("phy: unexpected block inside memory message")
 )
@@ -152,23 +146,4 @@ func (d *RxDemux) Feed(b Block) (RxEvent, error) {
 		}
 		return RxEvent{FrameBlock: &b}, nil
 	}
-}
-
-// DecodeMemMsg decodes one complete memory message from the front of blocks
-// and reports how many blocks it consumed.
-func DecodeMemMsg(blocks []Block) (MemMsg, int, error) {
-	var d RxDemux
-	for i, b := range blocks {
-		ev, err := d.Feed(b)
-		if err != nil {
-			return MemMsg{}, i, err
-		}
-		if ev.Msg != nil {
-			return *ev.Msg, i + 1, nil
-		}
-		if ev.FrameBlock != nil {
-			return MemMsg{}, i, fmt.Errorf("%w: %v", ErrMemUnexpected, b)
-		}
-	}
-	return MemMsg{}, len(blocks), ErrMemTruncated
 }

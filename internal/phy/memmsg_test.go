@@ -3,6 +3,7 @@ package phy
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -16,6 +17,27 @@ func mkMsg(hdr byte, body []byte) MemMsg {
 	return m
 }
 
+// demux feeds blocks through a fresh RxDemux, one per cycle as a receiver
+// would, and returns the memory message it completes with the number of
+// blocks fed up to and including its last block. A block the demux passes
+// on to the frame stream is an error.
+func demux(blocks []Block) (MemMsg, int, error) {
+	var d RxDemux
+	for i, b := range blocks {
+		ev, err := d.Feed(b)
+		if err != nil {
+			return MemMsg{}, i, err
+		}
+		if ev.FrameBlock != nil {
+			return MemMsg{}, i, fmt.Errorf("block %d (%v) passed to the frame stream", i, b)
+		}
+		if ev.Msg != nil {
+			return *ev.Msg, i + 1, nil
+		}
+	}
+	return MemMsg{}, len(blocks), errors.New("no memory message completed")
+}
+
 func TestMemMsgRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 6, 7, 8, 9, 15, 16, 63, 64, 256, 1024} {
 		body := make([]byte, n)
@@ -27,7 +49,7 @@ func TestMemMsgRoundTrip(t *testing.T) {
 		if len(blocks) != in.WireBlocks() || len(blocks) != MemMsgWireBlocks(n) {
 			t.Errorf("n=%d: encoded %d blocks, WireBlocks=%d", n, len(blocks), in.WireBlocks())
 		}
-		out, consumed, err := DecodeMemMsg(blocks)
+		out, consumed, err := demux(blocks)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -147,18 +169,10 @@ func TestRxDemuxErrors(t *testing.T) {
 	}
 }
 
-func TestDecodeMemMsgTruncated(t *testing.T) {
-	m := mkMsg(1, make([]byte, 16))
-	blocks := m.Encode()
-	if _, _, err := DecodeMemMsg(blocks[:len(blocks)-1]); !errors.Is(err, ErrMemTruncated) {
-		t.Errorf("truncated: %v", err)
-	}
-}
-
 func TestMemMsgRoundTripProperty(t *testing.T) {
 	f := func(hdr [MemHeaderBytes]byte, body []byte) bool {
 		in := MemMsg{Header: hdr, Body: body}
-		out, n, err := DecodeMemMsg(in.Encode())
+		out, n, err := demux(in.Encode())
 		if err != nil || n != in.WireBlocks() {
 			return false
 		}

@@ -195,7 +195,7 @@ func TestRxReorderBuffer(t *testing.T) {
 	if released == nil {
 		t.Fatal("frame never released")
 	}
-	got, _, err := BlocksToFrame(released)
+	got, _, err := blocksToFrame(released)
 	if err != nil || !bytes.Equal(got, frame) {
 		t.Fatalf("reordered frame corrupt: %v", err)
 	}

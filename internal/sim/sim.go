@@ -163,26 +163,6 @@ func (e *Engine) step() {
 	ev.fn()
 }
 
-// Clock converts between cycle counts of a fixed-frequency digital pipeline
-// and simulated time.
-type Clock struct {
-	period Time
-}
-
-// NewClock returns a clock with the given cycle period.
-func NewClock(period Time) Clock {
-	if period <= 0 {
-		panic("sim: clock period must be positive")
-	}
-	return Clock{period: period}
-}
-
-// Period reports the cycle time.
-func (c Clock) Period() Time { return c.period }
-
-// Cycles reports the duration of n cycles.
-func (c Clock) Cycles(n int) Time { return Time(n) * c.period }
-
 // Gbps is a link bandwidth in gigabits per second.
 type Gbps int64
 

@@ -102,16 +102,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestClock(t *testing.T) {
-	c := NewClock(2560 * Picosecond) // 25 GbE PCS cycle
-	if got := c.Cycles(3); got != 7680*Picosecond {
-		t.Fatalf("Cycles(3) = %v, want 7.68ns", got)
-	}
-	if c.Period() != 2560*Picosecond {
-		t.Fatalf("Period = %v", c.Period())
-	}
-}
-
 func TestTransmissionTime(t *testing.T) {
 	cases := []struct {
 		bytes int

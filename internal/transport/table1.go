@@ -6,12 +6,15 @@
 package transport
 
 import (
+	"repro/internal/edm"
 	"repro/internal/mac"
+	"repro/internal/phy"
 	"repro/internal/sim"
 )
 
 // Component latencies measured on the paper's testbed (Table 1 and its
-// caption). All four stacks run on the same 25 GbE PHY.
+// caption). All four stacks run on the same 25 GbE PHY, whose PMA/PMD and
+// propagation delays are edm.PMAPMDDelay and edm.DefaultPropDelay.
 const (
 	// Per-traversal protocol stack data-path latency.
 	TCPStackLatency  = 666200 * sim.Picosecond // hardware TCP/IP
@@ -26,13 +29,11 @@ const (
 	// Layer-2 forwarding pipeline of the baseline switch:
 	// parser 87 ns + match-action 202 ns + packet manager 93 ns +
 	// crossbar 18 ns = 400 ns.
-	L2ParserLatency       = 87 * sim.Nanosecond
-	L2MatchActionLatency  = 202 * sim.Nanosecond
-	L2PacketMgrLatency    = 93 * sim.Nanosecond
-	L2CrossbarLatency     = 18 * sim.Nanosecond
-	L2ForwardingLatency   = L2ParserLatency + L2MatchActionLatency + L2PacketMgrLatency + L2CrossbarLatency
-	PMAPMDTransceiverEach = 19 * sim.Nanosecond
-	PropagationPerHop     = 10 * sim.Nanosecond
+	L2ParserLatency      = 87 * sim.Nanosecond
+	L2MatchActionLatency = 202 * sim.Nanosecond
+	L2PacketMgrLatency   = 93 * sim.Nanosecond
+	L2CrossbarLatency    = 18 * sim.Nanosecond
+	L2ForwardingLatency  = L2ParserLatency + L2MatchActionLatency + L2PacketMgrLatency + L2CrossbarLatency
 )
 
 // Stack identifies one of the compared network stacks.
@@ -90,22 +91,21 @@ func (b Breakdown) StackTotal() sim.Time {
 // Total is the full fabric latency.
 func (b Breakdown) Total() sim.Time { return b.StackTotal() + b.PMAPMD + b.Propagation }
 
-// edmPCS* are EDM's PCS-path latencies from Table 1's blue cells, derived
-// from the Figure 5 cycle counts at 2.56 ns per cycle.
+// edmPCS* are EDM's PCS-path latencies from Table 1's blue cells: 2 cycles
+// per PCS crossing plus the location's pipeline cycles, one edm.BlockPeriod
+// each.
 const (
-	cyc = 2560 * sim.Picosecond
+	// Read: compute node 2x2 + 5 cycles; switch 4x2 + 11; memory node
+	// 2x2 + 10.
+	edmReadComputePCS = (2*2 + 5) * edm.BlockPeriod
+	edmReadSwitchPCS  = (4*2 + 11) * edm.BlockPeriod
+	edmReadMemoryPCS  = (2*2 + 10) * edm.BlockPeriod
 
-	// Read: compute node 2x2cyc + 5cyc; switch 4x2cyc + 11cyc;
-	// memory node 2x2cyc + 10cyc.
-	edmReadComputePCS = 2*2*cyc + 5*cyc
-	edmReadSwitchPCS  = 4*2*cyc + 11*cyc
-	edmReadMemoryPCS  = 2*2*cyc + 10*cyc
-
-	// Write: compute node 3x2cyc + 11cyc; switch 4x2cyc + 11cyc;
-	// memory node 1x2cyc + 3cyc.
-	edmWriteComputePCS = 3*2*cyc + 11*cyc
-	edmWriteSwitchPCS  = 4*2*cyc + 11*cyc
-	edmWriteMemoryPCS  = 1*2*cyc + 3*cyc
+	// Write: compute node 3x2 + 11 cycles; switch 4x2 + 11; memory node
+	// 1x2 + 3.
+	edmWriteComputePCS = (3*2 + 11) * edm.BlockPeriod
+	edmWriteSwitchPCS  = (4*2 + 11) * edm.BlockPeriod
+	edmWriteMemoryPCS  = (1*2 + 3) * edm.BlockPeriod
 )
 
 // Table1 computes the Table 1 breakdown for the given stack and operation.
@@ -157,8 +157,8 @@ func Table1(s Stack, write bool) Breakdown {
 	if write && s != StackEDM {
 		linkTraversals = 2
 	}
-	b.PMAPMD = 2 * linkTraversals * PMAPMDTransceiverEach
-	b.Propagation = linkTraversals * PropagationPerHop
+	b.PMAPMD = 2 * linkTraversals * edm.PMAPMDDelay
+	b.Propagation = linkTraversals * edm.DefaultPropDelay
 	return b
 }
 
@@ -177,13 +177,9 @@ func WireBytes(s Stack, n int) int {
 	case StackRawEthernet:
 		return mac.WireBytes(n)
 	case StackEDM:
-		// ceil(n/8) data blocks + /MS/ + /MT/, 66 bits each, on an
-		// otherwise idle-filled line whose idles EDM repurposes.
-		blocks := 2 + (n+7)/8
-		if n == 0 {
-			blocks = 1
-		}
-		return (blocks*66 + 7) / 8
+		// One memory message on an otherwise idle-filled line whose idles
+		// EDM repurposes.
+		return (phy.MemMsgWireBlocks(n)*phy.BlockBits + 7) / 8
 	}
 	return n
 }
