@@ -2,16 +2,25 @@
 # A/B the repository benchmark (go run ./benchmark, see BENCHMARK.json)
 # between a base ref and the working tree: per round, run it in both trees,
 # alternating which goes first so slow drift of the host hits both sides
-# alike, and keep each result. A wrapper only: it judges nothing itself, and
-# its exit status does not depend on the numbers.
+# alike, and keep each result. Its exit status does not depend on the
+# numbers.
 #
 # Without a workload each round runs the whole suite and prints the
 # benchmark's own comparison of the pair. With one, each round runs
 #   go run ./benchmark -workload W -seed 1 -seconds 10 -trace 0
 # in both trees, and the end prints, per end-to-end metric of
 # BENCHMARK.json: both sides' medians over the rounds, the base's
-# interquartile spread, and in how many rounds the working tree was better
-# (by the metric's "better" direction; a tie is no win).
+# interquartile range (IQR), in how many rounds the working tree was better
+# (by the metric's "better" direction; a tie is no win), and a verdict, the
+# first of these that holds:
+#   gain        at least ten rounds, at least 9/10 of them wins, and the
+#               head median better than the base median by more than the
+#               base IQR
+#   regression  the head median worse than the base median by more than
+#               the metric's bound (a fraction of the base median)
+#   unresolved  the base IQR wider than the bound, and not every head run
+#               better than every base run
+#   held        anything else
 #
 # Usage: scripts/bench_ab.sh <base-ref> [rounds] [workload]
 #   base-ref  commit to compare the working tree against (e.g. HEAD~1)
@@ -87,13 +96,15 @@ for r in $(seq 1 "$rounds"); do
 done
 
 if [ -n "$workload" ]; then
-    # The end-to-end metrics and their directions, in BENCHMARK.json's order.
+    # The end-to-end metrics, their directions and bounds, in BENCHMARK.json's
+    # order.
     awk '
         /"end_to_end"/ { on = 1 }
         on && /"name"/ {
             n = $0; sub(/.*"name": *"/, "", n); sub(/".*/, "", n)
             b = $0; sub(/.*"better": *"/, "", b); sub(/".*/, "", b)
-            print "dir", n, b
+            l = $0; sub(/.*"bound": */, "", l); sub(/[^-+0-9.eE].*/, "", l)
+            print "dir", n, b, l
         }
         on && /\]/ { on = 0 }
     ' BENCHMARK.json >"$out/dirs"
@@ -115,10 +126,12 @@ if [ -n "$workload" ]; then
                 }
             return n
         }
-        $1 == "dir" { order[++metrics] = $2; better[$2] = $3; next }
+        # gain: how much better x is than y, by the direction of the metric.
+        function gain(name, x, y) { return better[name] == "higher" ? x - y : y - x }
+        $1 == "dir" { order[++metrics] = $2; better[$2] = $3; bound[$2] = $4; next }
         { v[$1, $2, $3] = $4 + 0 }
         END {
-            printf "%-18s %-7s %14s %14s %12s %8s  %s\n", "metric", "better", "base median", "head median", "base IQR", "change", "wins"
+            printf "%-18s %-7s %14s %14s %12s %8s  %-5s  %s\n", "metric", "better", "base median", "head median", "base IQR", "change", "wins", "verdict"
             for (k = 1; k <= metrics; k++) {
                 name = order[k]
                 nb = sorted("base", name, bs)
@@ -129,11 +142,19 @@ if [ -n "$workload" ]; then
                 for (i = 1; i <= rounds; i++) {
                     if (!(("base" SUBSEP i SUBSEP name) in v) || !(("head" SUBSEP i SUBSEP name) in v)) continue
                     pairs++
-                    d = v["head", i, name] - v["base", i, name]
-                    if ((better[name] == "higher" && d > 0) || (better[name] == "lower" && d < 0)) wins++
+                    if (gain(name, v["head", i, name], v["base", i, name]) > 0) wins++
                 }
+                iqr = q(bs, nb, 0.75) - q(bs, nb, 0.25)
+                # Every head run beats every base run when the worst head
+                # run beats the best base run.
+                if (better[name] == "higher") apart = hs[1] > bs[nb]
+                else apart = hs[nh] < bs[1]
+                if (pairs >= 10 && wins >= 0.9 * pairs && gain(name, mh, mb) > iqr) verdict = "gain"
+                else if (-gain(name, mh, mb) > bound[name] * mb) verdict = "regression"
+                else if (iqr > bound[name] * mb && !apart) verdict = "unresolved"
+                else verdict = "held"
                 change = mb != 0 ? sprintf("%+.1f%%", 100 * (mh - mb) / mb) : "-"
-                printf "%-18s %-7s %14.6g %14.6g %12.4g %8s  %d/%d\n", name, better[name], mb, mh, q(bs, nb, 0.75) - q(bs, nb, 0.25), change, wins, pairs
+                printf "%-18s %-7s %14.6g %14.6g %12.4g %8s  %-5s  %s\n", name, better[name], mb, mh, iqr, change, wins "/" pairs, verdict
             }
         }
     ' "$out/dirs" "$out/values"
