@@ -186,8 +186,9 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) error {
 		snap.Counters["wire_server_replays_total"], snap.Counters["wire_server_stale_total"], snap.Counters["wire_server_garbage_total"],
 		snap.Counters["wire_server_rejected_total"], snap.Counters["wire_udp_sessions_started_total"],
 		snap.Counters["wire_udp_session_resets_total"], snap.Counters["wire_udp_sessions_expired_total"])
-	fmt.Fprintf(stdout, "edmd: udp rx parks %d empty polls %d, tx datagrams %d msgs %d\n",
+	fmt.Fprintf(stdout, "edmd: udp rx parks %d empty polls %d, tx datagrams %d msgs %d lone %d\n",
 		snap.Counters["wire_udp_rx_parks_total"], snap.Counters["wire_udp_rx_empty_polls_total"],
-		snap.Counters["wire_udp_tx_datagrams_total"], snap.Counters["wire_udp_tx_msgs_total"])
+		snap.Counters["wire_udp_tx_datagrams_total"], snap.Counters["wire_udp_tx_msgs_total"],
+		snap.Counters["wire_udp_tx_lone_total"])
 	return nil
 }

@@ -127,7 +127,7 @@ func TestEdmdServesAndReportsStats(t *testing.T) {
 	log := out.String()
 	for _, want := range []string{
 		`served reads 1 writes 1`, `sessions hello 1 bye 1`,
-		`udp rx parks \d+ empty polls \d+, tx datagrams [1-9]\d* msgs [1-9]\d*`,
+		`udp rx parks \d+ empty polls \d+, tx datagrams [1-9]\d* msgs [1-9]\d* lone \d+`,
 	} {
 		if !regexp.MustCompile(want).MatchString(log) {
 			t.Errorf("lifecycle log missing %q:\n%s", want, log)

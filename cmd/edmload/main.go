@@ -520,13 +520,13 @@ func report(w io.Writer, t *target, source string, ops []workload.Op, results []
 	c := t.metrics.Conn
 	fmt.Fprintf(tw, "transport\tsent %d retransmits %d timeouts %d", c.Datagrams.Load(), c.Retransmits.Load(), c.Timeouts.Load())
 	if len(t.udps) > 0 {
-		var parks, polls, datagrams, msgs uint64
+		var parks, polls, datagrams, msgs, lone uint64
 		for _, uc := range t.udps {
 			p, e := uc.RxStats()
-			d, m := uc.TxStats()
-			parks, polls, datagrams, msgs = parks+p, polls+e, datagrams+d, msgs+m
+			d, m, l := uc.TxStats()
+			parks, polls, datagrams, msgs, lone = parks+p, polls+e, datagrams+d, msgs+m, lone+l
 		}
-		fmt.Fprintf(tw, ", rx parks %d empty polls %d, tx datagrams %d msgs %d", parks, polls, datagrams, msgs)
+		fmt.Fprintf(tw, ", rx parks %d empty polls %d, tx datagrams %d msgs %d lone %d", parks, polls, datagrams, msgs, lone)
 	}
 	fmt.Fprintln(tw)
 	if sm := t.srv; sm != nil {

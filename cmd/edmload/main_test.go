@@ -194,7 +194,7 @@ func TestLiveEndpoint(t *testing.T) {
 		`endpoint\s+udp ` + regexp.QuoteMeta(addr),
 		`operations\s+issued \d+ done \d+ failed 0 shed 0`,
 		`latency \(ns\) \(all\)`,
-		`transport\s+sent \d+ .*, tx datagrams [1-9]\d* msgs [1-9]\d*`,
+		`transport\s+sent \d+ .*, tx datagrams [1-9]\d* msgs [1-9]\d* lone \d+`,
 	} {
 		if !regexp.MustCompile(want).MatchString(out) {
 			t.Errorf("report missing %q:\n%s", want, out)

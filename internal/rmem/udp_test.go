@@ -313,7 +313,7 @@ func TestUDPBundlesForm(t *testing.T) {
 		}
 	}
 
-	cd0, cm0 := uc.TxStats()
+	cd0, cm0, cl0 := uc.TxStats()
 	sd0, sm0 := sm.Tx.Datagrams.Load(), sm.Tx.Msgs.Load()
 	w := newWindow(window)
 	wcb := func(err error) { w.done(err) }
@@ -344,10 +344,10 @@ func TestUDPBundlesForm(t *testing.T) {
 		}
 	}
 	w.drain(t)
-	cd, cm := uc.TxStats()
+	cd, cm, cl := uc.TxStats()
 	sd, smsgs := sm.Tx.Datagrams.Load(), sm.Tx.Msgs.Load()
-	cd, cm, sd, smsgs = cd-cd0, cm-cm0, sd-sd0, smsgs-sm0
-	t.Logf("client %d msgs in %d datagrams, server %d in %d", cm, cd, smsgs, sd)
+	cd, cm, cl, sd, smsgs = cd-cd0, cm-cm0, cl-cl0, sd-sd0, smsgs-sm0
+	t.Logf("client %d msgs in %d datagrams (%d lone), server %d in %d", cm, cd, cl, smsgs, sd)
 	if cm < ops || smsgs < ops {
 		t.Fatalf("counted %d client and %d server messages for %d ops", cm, smsgs, ops)
 	}

@@ -108,16 +108,20 @@ func newUDPRxMetrics(r *telemetry.Registry) UDPRxMetrics {
 // UDPTxMetrics counts what a UDP send arena transmits, in its flush.
 // Messages per datagram is the bundle factor: 1 when every message left in
 // a datagram of its own, up to the number of replies a receive batch
-// produced (or requests a client queued) when they bundle.
+// produced (or requests a client queued) when they bundle. The mean hides
+// how the datagrams split: a few lone messages are few messages but as many
+// sends, so Lone counts them apart.
 type UDPTxMetrics struct {
 	Datagrams *telemetry.Counter // datagrams sent, bundles and lone messages alike
 	Msgs      *telemetry.Counter // messages those datagrams carried
+	Lone      *telemetry.Counter // datagrams that carried one message
 }
 
 func newUDPTxMetrics(r *telemetry.Registry) UDPTxMetrics {
 	return UDPTxMetrics{
 		Datagrams: r.Counter("wire_udp_tx_datagrams_total"),
 		Msgs:      r.Counter("wire_udp_tx_msgs_total"),
+		Lone:      r.Counter("wire_udp_tx_lone_total"),
 	}
 }
 

@@ -71,10 +71,11 @@ func (f *frames) next() {
 }
 
 // UDPClient is the client-side Pipe over a connected UDP socket. Its sends
-// go through the same corked arena as the
-// server's replies (txBatch): outside Run's receive batch a message leaves
-// at once, inside it the batch's messages leave together when it ends,
-// bundled (see bundleMarker), in one sendmmsg on platforms that have it.
+// go through the same corked arena as the server's replies (txBatch):
+// outside Run's receive batch (and the refill yield after one) a message
+// leaves at once, inside it the batch's messages leave together when it
+// ends, bundled (see bundleMarker), in one sendmmsg on platforms that have
+// it.
 type UDPClient struct {
 	conn *net.UDPConn
 	tx   *txBatch
@@ -125,15 +126,33 @@ func newUDPClient(conn *net.UDPConn) (*UDPClient, error) {
 //
 // Each receive batch is corked: what the completions send — and what
 // issuers they woke send meanwhile — leaves in one flush when the batch
-// ends. A batch that delivered more than one message yields the P once
-// before that flush, so an issuer those completions freed queues its next
-// requests into the cork (with one P it would otherwise run only after the
-// flush, and send them one datagram each). A batch of one message does not
-// yield: window-1 traffic pays nothing for the cork.
+// ends. After a batch that delivered more than one message the cork also
+// holds over the batch's refill (the requests an issuer those completions
+// freed sends next), however the Go scheduler orders that issuer and the
+// loop: the loop yields the P once, corked, before the batch's flush, and
+// again, corked, at the first empty poll after it, flushing when that yield
+// returns. The second yield is there because one Gosched is not a hand-off:
+// it puts the loop on the global run queue, which the scheduler serves ahead
+// of the woken issuer every 61st tick; the loop then resumes first, and the
+// issuer would send its refill uncorked, one datagram per request. A batch
+// of one message, and every later empty poll, yields uncorked: window-1
+// traffic pays nothing for the cork, and a lone request never waits for an
+// issuer's tail work.
 func (u *UDPClient) Run(deliver func([]byte)) {
 	r, err := newBatchReceiver(u.conn, false, u.rx)
 	if err != nil {
 		return
+	}
+	refill := false // the last batch delivered several messages; its refill may be pending
+	r.yield = func() {
+		if !refill {
+			runtime.Gosched()
+			return
+		}
+		refill = false
+		u.tx.cork()
+		runtime.Gosched()
+		u.tx.flush()
 	}
 	for {
 		n, err := r.recvBatch()
@@ -148,7 +167,7 @@ func (u *UDPClient) Run(deliver func([]byte)) {
 				msgs++
 			}
 		}
-		if msgs > 1 {
+		if refill = msgs > 1; refill {
 			runtime.Gosched()
 		}
 		u.tx.flush()
@@ -161,16 +180,18 @@ func (u *UDPClient) RxStats() (parks, emptyPolls uint64) {
 	return u.rx.Parks.Load(), u.rx.EmptyPolls.Load()
 }
 
-// TxStats reports what Send has transmitted so far: datagrams,
-// and the messages they carried (their ratio is the bundle factor).
-func (u *UDPClient) TxStats() (datagrams, msgs uint64) {
-	return u.tx.m.Datagrams.Load(), u.tx.m.Msgs.Load()
+// TxStats reports what Send has transmitted so far: datagrams, the
+// messages they carried (their ratio is the bundle factor), and the
+// datagrams that carried one message.
+func (u *UDPClient) TxStats() (datagrams, msgs, lone uint64) {
+	return u.tx.m.Datagrams.Load(), u.tx.m.Msgs.Load(), u.tx.m.Lone.Load()
 }
 
-// Send queues p: inside Run's receive batch it leaves when the batch ends,
-// outside it at once. An error is its datagram's alone: a send refused
-// because of an earlier ICMP port-unreachable consumes that pending error,
-// so the datagram is lost and the next one goes out.
+// Send queues p: inside Run's receive batch, or the refill yield after one
+// (see Run), it leaves when that ends, otherwise at once. An error is its
+// datagram's alone: a send refused because of an earlier ICMP
+// port-unreachable consumes that pending error, so the datagram is lost and
+// the next one goes out.
 func (u *UDPClient) Send(p []byte) error {
 	return u.tx.add(p, nil)
 }

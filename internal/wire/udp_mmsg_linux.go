@@ -210,6 +210,8 @@ type txBatch struct {
 	to     *peerAddr    // guarded by mu: the destination of the last queued datagram
 	open   int          // guarded by mu: that datagram's length as a bundle; 0: it cannot grow
 	msgs   int          // guarded by mu: messages queued since the last flush
+	lone   int          // guarded by mu: queued datagrams that carry one message
+	joined bool         // guarded by mu: the last queued datagram carries more than one
 	corked int          // guarded by mu: cork nesting depth
 	m      UDPTxMetrics // set at construction; its counters are atomic
 }
@@ -239,7 +241,7 @@ func (b *txBatch) add(p []byte, to *peerAddr) error {
 	if len(p) > txSlotBytes-bundleHead {
 		b.flushLocked() // its only error, a closed socket, fails the next flush too
 		b.tx.push(p, to)
-		b.msgs = 1
+		b.msgs, b.lone = 1, 1
 		return b.flushLocked()
 	}
 	if b.open > 0 && to == b.to && b.open+bundleLenBytes+len(p) <= maxBundle {
@@ -247,6 +249,10 @@ func (b *txBatch) add(p []byte, to *peerAddr) error {
 		binary.LittleEndian.PutUint16(slot[b.open:], uint16(len(p)))
 		b.open += bundleLenBytes + copy(slot[b.open+bundleLenBytes:], p)
 		b.tx.setLast(slot[:b.open])
+		if !b.joined {
+			b.joined = true
+			b.lone--
+		}
 	} else {
 		if b.tx.n == udpBatchSize {
 			b.flushLocked()
@@ -255,7 +261,8 @@ func (b *txBatch) add(p []byte, to *peerAddr) error {
 		slot[0] = bundleMarker
 		binary.LittleEndian.PutUint16(slot[1:], uint16(len(p)))
 		b.open = bundleHead + copy(slot[bundleHead:], p)
-		b.to = to
+		b.to, b.joined = to, false
+		b.lone++
 		b.tx.push(slot[bundleHead:b.open], to)
 	}
 	b.msgs++
@@ -287,7 +294,8 @@ func (b *txBatch) flushLocked() error {
 	}
 	b.m.Datagrams.Add(uint64(b.tx.n))
 	b.m.Msgs.Add(uint64(b.msgs))
-	b.open, b.msgs, b.to = 0, 0, nil
+	b.m.Lone.Add(uint64(b.lone))
+	b.open, b.msgs, b.lone, b.to = 0, 0, 0, nil
 	return b.tx.flush()
 }
 
@@ -308,6 +316,7 @@ type batchReceiver struct {
 
 	idleSince time.Time // the first empty poll since the last datagram; zero: none yet
 	park      bool      // idleSince is pollWindow old: the next empty poll parks
+	yield     func()    // yields the P on an empty poll; nil: runtime.Gosched
 	m         UDPRxMetrics
 }
 
@@ -339,12 +348,12 @@ func newBatchReceiver(c *net.UDPConn, capture bool, m UDPRxMetrics) (*batchRecei
 
 // recvBatch waits for at least one datagram and returns how many arrived.
 // It waits by poll-then-park: for pollWindow after traffic an empty socket is
-// polled again, and every empty poll first yields both the P (Gosched: the
-// issuer, retransmission clock and sibling loops of a GOMAXPROCS-1 process run) and
-// the CPU (sched_yield: a peer process sharing the core runs; without it two
-// pollers on one CPU each wait out the other's timeslice). Past the window it
-// parks in the netpoller. The clock is read once per empty poll, never per
-// datagram or per non-empty batch.
+// polled again, and every empty poll first yields both the P (yield, or
+// Gosched: the issuer, retransmission clock and sibling loops of a
+// GOMAXPROCS-1 process run) and the CPU (sched_yield: a peer process sharing
+// the core runs; without it two pollers on one CPU each wait out the other's
+// timeslice). Past the window it parks in the netpoller. The clock is read
+// once per empty poll, never per datagram or per non-empty batch.
 //
 //edmlint:hotpath once per receive batch
 //edmlint:allow walltime the poll window is real time by nature: it is sized against a kernel wake-up
@@ -374,7 +383,11 @@ func (r *batchReceiver) recvBatch() (int, error) {
 			r.park = true
 			continue
 		}
-		runtime.Gosched()
+		if r.yield != nil {
+			r.yield()
+		} else {
+			runtime.Gosched()
+		}
 		syscall.Syscall(syscall.SYS_SCHED_YIELD, 0, 0, 0)
 	}
 }

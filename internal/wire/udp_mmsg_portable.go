@@ -56,6 +56,7 @@ func (b *txBatch) add(p []byte, to *peerAddr) error {
 	}
 	b.m.Datagrams.Inc()
 	b.m.Msgs.Inc()
+	b.m.Lone.Inc()
 	return err
 }
 
@@ -69,6 +70,7 @@ type batchReceiver struct {
 	buf     []byte
 	n       int
 	from    netip.AddrPort
+	yield   func() // unused: a blocking read has no empty poll to yield on
 	m       UDPRxMetrics
 }
 

@@ -9,6 +9,7 @@ import (
 	"net"
 	"runtime"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -204,6 +205,112 @@ func TestUDPPollOneP(t *testing.T) {
 	}
 }
 
+// refillRound has a raw peer send a UDPClient one datagram of frames
+// messages. The client's deliver wakes an issuer goroutine, which yields the
+// P once (so it misses the yield of the batch that woke it) and then sends
+// frames requests. It returns how many datagrams carried those requests, and
+// whether the first of them was already at the peer when the issuer's last
+// Send returned.
+func refillRound(t *testing.T, frames int) (datagrams int, immediate bool) {
+	t.Helper()
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	sock, err := net.DialUDP("udp", nil, peer.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uc, err := newUDPClient(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uc.Close()
+	prc, err := peer.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wake := make(chan struct{})
+	delivered := 0
+	go uc.Run(func([]byte) {
+		if delivered++; delivered == frames {
+			close(wake)
+		}
+	})
+	buf := make([]byte, MaxDatagram)
+	first := make(chan int, 1) // the first datagram's length, 0 if none was there yet
+	go func() {
+		<-wake
+		runtime.Gosched()
+		for i := 0; i < frames; i++ {
+			uc.Send([]byte{Version, byte(i)})
+		}
+		n := 0
+		prc.Read(func(fd uintptr) bool {
+			if got, _, err := syscall.Recvfrom(int(fd), buf, syscall.MSG_DONTWAIT); err == nil {
+				n = got
+			}
+			return true
+		})
+		first <- n
+	}()
+
+	var batch [][]byte
+	for i := 0; i < frames; i++ {
+		batch = append(batch, []byte{Version, 0x80 | byte(i)})
+	}
+	dgram := batch[0]
+	if frames > 1 {
+		dgram = appendBundle(nil, batch...)
+	}
+	if _, err := peer.WriteToUDP(dgram, sock.LocalAddr().(*net.UDPAddr)); err != nil {
+		t.Fatal(err)
+	}
+	n := <-first
+	immediate = n > 0
+	got := 0
+	for {
+		if n > 0 {
+			datagrams++
+			got += len(splitAll(buf[:n]))
+		}
+		if got >= frames {
+			return datagrams, immediate
+		}
+		peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err = peer.Read(buf); err != nil {
+			t.Fatalf("%d of %d requests arrived: %v", got, frames, err)
+		}
+	}
+}
+
+// TestUDPRefillBundles: the requests an issuer sends in reply to a batch of
+// several messages leave in one bundle even when the issuer misses the
+// batch's own yield, because Run holds its cork over the first empty poll's
+// yield too. The scheduler serves the global run queue first every 61st
+// tick; when that tick falls on the batch's yield the issuer misses both, so
+// the bundle must form in one of three rounds. The refill of a
+// one-message batch is not corked: it has left when the issuer's Send
+// returns.
+func TestUDPRefillBundles(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const frames = 8
+	bundled := false
+	for round := 0; round < 3 && !bundled; round++ {
+		datagrams, _ := refillRound(t, frames)
+		t.Logf("round %d: %d requests left in %d datagrams", round, frames, datagrams)
+		bundled = datagrams == 1
+	}
+	if !bundled {
+		t.Errorf("in each of three rounds the refill of a %d-message batch left in more than one datagram", frames)
+	}
+	if datagrams, immediate := refillRound(t, 1); datagrams != 1 || !immediate {
+		t.Errorf("the refill of a one-message batch: %d datagrams, at the peer when Send returned: %v; want 1, true", datagrams, immediate)
+	}
+}
+
 // TestTxBatchBundles pins what a corked arena puts on the wire: consecutive
 // messages to one peer share a datagram of at most maxBundle bytes laid out
 // as bundleMarker documents; a lone message is sent plain, byte for byte; a
@@ -270,7 +377,8 @@ func TestTxBatchBundles(t *testing.T) {
 			t.Fatalf("datagram %d: got %d bytes % x..., want %d bytes % x...", i, n, buf[:min(n, 8)], len(w), w[:8])
 		}
 	}
-	if d, m := txm.Datagrams.Load(), txm.Msgs.Load(); d != uint64(len(want)) || m != uint64(len(small)+1+len(run)+1) {
-		t.Errorf("counted %d datagrams %d messages, want %d %d", d, m, len(want), len(small)+len(run)+2)
+	// Lone: the large message and the uncorked one.
+	if d, m, l := txm.Datagrams.Load(), txm.Msgs.Load(), txm.Lone.Load(); d != uint64(len(want)) || m != uint64(len(small)+1+len(run)+1) || l != 2 {
+		t.Errorf("counted %d datagrams %d messages %d lone, want %d %d 2", d, m, l, len(want), len(small)+len(run)+2)
 	}
 }

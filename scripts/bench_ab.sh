@@ -7,7 +7,7 @@
 #
 # Without a workload each round runs the whole suite and prints the
 # benchmark's own comparison of the pair. With one, each round runs
-#   go run ./benchmark -workload W -seed 1 -seconds 10 -trace 0
+#   go run ./benchmark -workload W -seed S -seconds 10 -trace 0
 # in both trees, and the end prints, per end-to-end metric of
 # BENCHMARK.json: both sides' medians over the rounds, the base's
 # interquartile range (IQR), in how many rounds the working tree was better
@@ -22,19 +22,23 @@
 #               better than every base run
 #   held        anything else
 #
-# Usage: scripts/bench_ab.sh <base-ref> [rounds] [workload]
+# Usage: scripts/bench_ab.sh <base-ref> [rounds] [workload [seed]]
 #   base-ref  commit to compare the working tree against (e.g. HEAD~1)
 #   rounds    pairs of runs (default 1)
 #   workload  one workload name from BENCHMARK.json (default: the suite)
+#   seed      the workload's -seed (default 1). A claim tuned while watching
+#             one seed is re-checked on another, not used during development:
+#             a gain that holds only for the seed it was found on is noise.
 set -eu
 cd "$(dirname "$0")/.."
 
-base="${1:?usage: scripts/bench_ab.sh <base-ref> [rounds] [workload]}"
+base="${1:?usage: scripts/bench_ab.sh <base-ref> [rounds] [workload [seed]]}"
 rounds="${2:-1}"
 workload="${3:-}"
+seed="${4:-1}"
 args=""
 if [ -n "$workload" ]; then
-    args="-workload $workload -seed 1 -seconds 10 -trace 0"
+    args="-workload $workload -seed $seed -seconds 10 -trace 0"
 fi
 out=$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")
 trap 'rm -rf "$out/base"' EXIT
@@ -108,7 +112,7 @@ if [ -n "$workload" ]; then
         }
         on && /\]/ { on = 0 }
     ' BENCHMARK.json >"$out/dirs"
-    echo "== $workload: $rounds rounds, base $base vs working tree"
+    echo "== $workload: $rounds rounds, seed $seed, base $base vs working tree"
     awk -v rounds="$rounds" '
         # q: the p-quantile of the sorted a[1..n], linear between ranks.
         function q(a, n, p,    h, i) {

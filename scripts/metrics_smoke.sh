@@ -2,8 +2,9 @@
 # End-to-end observability smoke: boot edmd with the HTTP admin endpoint,
 # push a short edmload run through it over real UDP, then assert that
 # /healthz answers, /metrics exposes the per-opcode series the run must
-# have populated, and the run's BYE retired its session. Exercises the full
-# path a dashboard would scrape.
+# have populated, and the run's BYE retired its session. A second, pipelined
+# (-window 32) run then checks that edmd's replies bundle across two real
+# processes. Exercises the full path a dashboard would scrape.
 #
 # Usage: scripts/metrics_smoke.sh
 set -eu
@@ -52,6 +53,7 @@ for want in \
     'wire_udp_rx_empty_polls_total' \
     'wire_udp_tx_datagrams_total' \
     'wire_udp_tx_msgs_total' \
+    'wire_udp_tx_lone_total' \
     'wire_server_requests_total'; do
     if ! printf '%s\n' "$metrics" | grep -qF "$want"; then
         echo "metrics_smoke: /metrics missing $want" >&2
@@ -71,10 +73,27 @@ if [ "$active" != "0" ] || [ -z "$retired" ] || [ "$retired" -lt 1 ]; then
     exit 1
 fi
 
+# Bundling between two processes: a window-32 run's replies share
+# datagrams, at least 4 messages per datagram (TestUDPBundlesForm's floor
+# for the same workload in one process). Counted over this run alone.
+counter() {
+    curl -fsS "http://$admin/metrics" | sed -n "s/^$1 \([0-9]*\)$/\1/p"
+}
+d0=$(counter wire_udp_tx_datagrams_total)
+m0=$(counter wire_udp_tx_msgs_total)
+/tmp/edmload_smoke -addr "$udp" -profile fixed64 -count 20000 -window 32 -seed 2
+dgrams=$(($(counter wire_udp_tx_datagrams_total) - d0))
+msgs=$(($(counter wire_udp_tx_msgs_total) - m0))
+if [ "$dgrams" -le 0 ] || [ "$msgs" -lt $((4 * dgrams)) ]; then
+    echo "metrics_smoke: window-32 run: edmd sent $msgs messages in $dgrams" \
+        "datagrams, want >= 4 messages per datagram" >&2
+    exit 1
+fi
+
 traces=$(curl -fsS "http://$admin/debug/traceops")
 if ! printf '%s\n' "$traces" | grep -q '"stage"'; then
     echo "metrics_smoke: /debug/traceops has no records" >&2
     exit 1
 fi
 
-echo "metrics_smoke: ok (udp $udp admin $admin)"
+echo "metrics_smoke: ok (udp $udp admin $admin, window-32 replies $msgs messages in $dgrams datagrams)"
