@@ -2,11 +2,13 @@ package edm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/memctl"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // TestBidirectionalPairNoIDCollision is the regression test for the
@@ -58,6 +60,63 @@ func TestBidirectionalPairNoIDCollision(t *testing.T) {
 	}
 	if timeouts != 0 {
 		t.Fatalf("%d reads timed out", timeouts)
+	}
+}
+
+// TestMixedTrafficLosesNoOps: a read by B from A and a write by A to B are
+// both A->B data, admitted by two hosts' independent windows, so a pair can
+// carry up to 2X notifications. The switch must hold them in the pair's
+// FIFO: a cap of X there rejected the excess, and each rejection silently
+// lost one op. Read-only and write-only traffic reach no pair from two
+// windows and guard the rows that never lost anything.
+func TestMixedTrafficLosesNoOps(t *testing.T) {
+	const nodes, count = 8, 2000
+	for _, readFrac := range []float64{0, 0.5, 1} {
+		for _, load := range []float64{0.3, 0.45, 0.6, 0.9} {
+			t.Run(fmt.Sprintf("read%g/load%g", readFrac, load), func(t *testing.T) {
+				// The trace a one-phase seed-3 fabric scenario replays.
+				part := workload.NewPartition(3).Sub("phase/0")
+				ops, err := workload.GeneratePartitioned(part, workload.GenConfig{
+					Nodes: nodes, Load: load, Bandwidth: LinkBandwidth,
+					Sizes: workload.Fixed(64), ReadFrac: readFrac, Count: count,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := New(DefaultConfig(nodes))
+				for i := 0; i < nodes; i++ {
+					f.AttachMemory(i, memctl.New(memctl.DefaultConfig()))
+				}
+				done, failed := 0, 0
+				finish := func(err error) {
+					done++
+					if err != nil {
+						failed++
+					}
+				}
+				for _, op := range ops {
+					op := op
+					addr := uint64(op.Index%1024) * 64
+					f.Engine.At(op.Arrival, func() {
+						if op.Read {
+							f.Host(op.Src).Read(op.Dst, addr, op.Size, func(_ []byte, err error) { finish(err) })
+						} else {
+							f.Host(op.Src).Write(op.Dst, addr, make([]byte, op.Size), finish)
+						}
+					})
+				}
+				f.Run()
+				var timeouts uint64
+				for i := 0; i < nodes; i++ {
+					timeouts += f.Host(i).Stats().Timeouts
+				}
+				rej := f.Switch().Stats().RejectedNotify
+				if done != count || failed != 0 || timeouts != 0 || rej != 0 {
+					t.Fatalf("completed %d of %d, failed %d, timeouts %d, rejected notifications %d",
+						done, count, failed, timeouts, rej)
+				}
+			})
+		}
 	}
 }
 

@@ -80,13 +80,10 @@ type grantItem struct {
 type HostStats struct {
 	ReadsIssued   uint64
 	WritesIssued  uint64
-	RMWsIssued    uint64
 	ReadsDone     uint64
 	WritesDone    uint64
 	Timeouts      uint64
 	RxErrors      uint64
-	BlocksTX      uint64
-	FramesRX      uint64
 	MemBlocksTX   uint64
 	FrameBlocksTX uint64
 }
@@ -184,7 +181,6 @@ func (h *Host) Write(dst int, addr uint64, data []byte, cb WriteCallback) {
 // RMW issues an atomic read-modify-write; cb receives the 8-byte result
 // (for CAS: 1 on success, 0 on failure; otherwise the previous value).
 func (h *Host) RMW(dst int, addr uint64, op memctl.RMWOp, args []uint64, cb ReadCallback) {
-	h.stats.RMWsIssued++
 	m := &Message{Kind: KindRMW, Src: h.port, Dst: dst, Addr: addr,
 		Op: op, Args: append([]uint64(nil), args...)}
 	h.submit(m, cb, nil)
@@ -197,8 +193,10 @@ func (h *Host) SendFrame(frame []byte) {
 	h.kickPump()
 }
 
-// submit assigns an id and either activates the message or holds it back to
-// respect the X active-notifications-per-pair bound (§3.1.2).
+// submit assigns an id and either activates the message or holds it back:
+// a host keeps at most X = sched.DefaultMaxActivePerPair active
+// notifications per destination, reads and writes together (§3.1.2). This
+// window is the fabric's only X bound (sched.Scheduler.Notify).
 //
 // The ID space is split by direction: writes take even IDs, reads (and
 // RMWs) odd. A read's response travels the reverse pair — this host's read
@@ -378,7 +376,6 @@ func (h *Host) pumpStep() {
 	b, src := h.mux.Next()
 	if src != phy.SrcIdle {
 		h.link.Send(b)
-		h.stats.BlocksTX++
 		if src == phy.SrcMemory {
 			h.stats.MemBlocksTX++
 		} else {
@@ -438,11 +435,8 @@ func (h *Host) receive(b phy.Block) {
 				if frame, fdone, err := h.fd.Feed(fb); err != nil {
 					h.stats.RxErrors++
 					h.fd = phy.FrameDecoder{}
-				} else if fdone {
-					h.stats.FramesRX++
-					if h.OnFrame != nil {
-						h.OnFrame(frame)
-					}
+				} else if fdone && h.OnFrame != nil {
+					h.OnFrame(frame)
 				}
 			}
 		}

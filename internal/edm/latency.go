@@ -42,6 +42,6 @@ const (
 )
 
 // ChunkBytes is the grant unit c of the 25 GbE testbed's scheduler (§4.1).
-// The rest of its setup is the paper's: X = sched.DefaultMaxActivePerPair
-// and SRPT.
+// The rest of its setup is the paper's: SRPT, and X =
+// sched.DefaultMaxActivePerPair as each host's window (Host.submit).
 const ChunkBytes = 64

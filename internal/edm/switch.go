@@ -10,10 +10,14 @@ import (
 
 // SwitchStats counts switch-level events.
 type SwitchStats struct {
-	NotifiesRX     uint64
-	RequestsRX     uint64
-	ChunksForward  uint64
-	GrantsTX       uint64
+	NotifiesRX    uint64
+	RequestsRX    uint64
+	ChunksForward uint64
+	GrantsTX      uint64
+	// RejectedNotify counts demands the scheduler refused (sched.ErrBadRef,
+	// sched.ErrDupID). A fault-free fabric rejects none; a request header
+	// that corruption damaged but the demux accepted can name one node as
+	// both ends. That faulty-link input is counted and dropped, like RxErrors.
 	RejectedNotify uint64
 	RxErrors       uint64
 	// CircuitResyncs counts stale circuit-FIFO heads discarded when a
@@ -52,12 +56,11 @@ type swPort struct {
 func newSwitch(engine *sim.Engine, cfg Config, schedClock sim.Time) *Switch {
 	sw := &Switch{engine: engine}
 	sw.sched = sched.New(engine, sched.Config{
-		Ports:            cfg.Ports,
-		ChunkBytes:       ChunkBytes,
-		LinkBandwidth:    LinkBandwidth,
-		ClockPeriod:      schedClock,
-		Policy:           sched.SRPT,
-		MaxActivePerPair: sched.DefaultMaxActivePerPair,
+		Ports:         cfg.Ports,
+		ChunkBytes:    ChunkBytes,
+		LinkBandwidth: LinkBandwidth,
+		ClockPeriod:   schedClock,
+		Policy:        sched.SRPT,
 	})
 	sw.sched.OnGrant = sw.onGrant
 	sw.ports = make([]*swPort, cfg.Ports)

@@ -6,6 +6,8 @@ import (
 	"repro/internal/edm"
 	"repro/internal/kvstore"
 	"repro/internal/memctl"
+	"repro/internal/phy"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/transport"
@@ -43,11 +45,12 @@ func wirePerOp(s transport.Stack, writeFrac float64) float64 {
 	rx := readFrac*float64(transport.WireBytes(s, 8)) +
 		writeFrac*float64(transport.WireBytes(s, fig6WriteBytes))
 	if s == transport.StackEDM {
-		// Grants and notifications share the links: one 9 B block per
-		// 256 B chunk granted plus one notification per write (§3.1.4).
-		chunks := float64((fig6ReadBytes + 255) / 256)
-		rx += readFrac*chunks*9 + writeFrac*9
-		tx += writeFrac * 9
+		// Grants and notifications share the links: one control block per
+		// chunk granted plus one notification per write (§3.1.4).
+		const ctl = phy.BlockWireBytes
+		chunks := float64((fig6ReadBytes + sched.DefaultChunkBytes - 1) / sched.DefaultChunkBytes)
+		rx += readFrac*chunks*ctl + writeFrac*ctl
+		tx += writeFrac * ctl
 	}
 	if tx > rx {
 		return tx

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"repro/internal/edm"
+	"repro/internal/phy"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -16,8 +17,8 @@ import (
 type EDM struct {
 	// ChunkBytes is the scheduler grant unit (0: sched.DefaultChunkBytes).
 	ChunkBytes int
-	// X is the per-pair active notification bound (0:
-	// sched.DefaultMaxActivePerPair).
+	// X is the sender window per data-direction pair, ops beyond it waiting
+	// at the sender (0: sched.DefaultMaxActivePerPair).
 	X int
 	// Policy is FCFS or SRPT (the zero value, SRPT).
 	Policy sched.Policy
@@ -38,7 +39,7 @@ func (e *EDM) Name() string { return "EDM" }
 // 66-bit blocks.
 func (e *EDM) WireBytes(n int) int {
 	total := 0
-	for _, c := range packetize(n, e.chunk()) {
+	for _, c := range packetize(n, orDefault(e.ChunkBytes, sched.DefaultChunkBytes)) {
 		total += edmWire(c)
 	}
 	return total
@@ -47,12 +48,12 @@ func (e *EDM) WireBytes(n int) int {
 // ReqWireBytes implements Protocol: an 8 B RREQ in three blocks.
 func (e *EDM) ReqWireBytes() int { return edmRreqWire }
 
-// chunk is the scheduler grant unit a run uses.
-func (e *EDM) chunk() int {
-	if e.ChunkBytes > 0 {
-		return e.ChunkBytes
+// orDefault returns a setting v, or def when v is 0 (unset).
+func orDefault(v, def int) int {
+	if v > 0 {
+		return v
 	}
-	return sched.DefaultChunkBytes
+	return def
 }
 
 // Fixed host/switch pipeline costs at every bandwidth. They are this
@@ -63,8 +64,8 @@ const (
 	edmHostTx    = 8 * sim.Nanosecond
 	edmHostRx    = 8 * sim.Nanosecond
 	edmSwitchFwd = 11 * sim.Nanosecond
-	edmNotifyLen = 9  // /N/ or /G/ block, bytes on wire
-	edmRreqWire  = 25 // 8 B RREQ in 3 blocks
+	edmNotifyLen = phy.BlockWireBytes // /N/ or /G/ block, bytes on wire
+	edmRreqWire  = 25                 // 8 B RREQ in 3 blocks
 )
 
 func edmWire(n int) int { return transport.WireBytes(transport.StackEDM, n) }
@@ -89,7 +90,6 @@ type edmRun struct {
 	sch      *sched.Scheduler
 	up, down []*pipe
 	track    *tracker
-	x        int // per-pair window
 	pairs    map[[2]int]*edmPair
 	ops      map[int]workload.Op
 	groups   map[int]*megaGroup // keyed by lead op index
@@ -108,13 +108,12 @@ func (e *EDM) Run(cfg Config, ops []workload.Op) (*Result, error) {
 			groups: make(map[int]*megaGroup),
 		}
 		r.sch = sched.New(eng, sched.Config{
-			Ports:            cfg.Nodes,
-			ChunkBytes:       int64(e.chunk()),
-			LinkBandwidth:    cfg.Bandwidth,
-			ClockPeriod:      sched.ASICClockPeriod,
-			Policy:           e.Policy,
-			MaxActivePerPair: e.X,
-			MaxIterations:    e.MaxIterations,
+			Ports:         cfg.Nodes,
+			ChunkBytes:    int64(orDefault(e.ChunkBytes, sched.DefaultChunkBytes)),
+			LinkBandwidth: cfg.Bandwidth,
+			ClockPeriod:   sched.ASICClockPeriod,
+			Policy:        e.Policy,
+			MaxIterations: e.MaxIterations,
 			// Pace grants at the chunk's true line occupancy, including the
 			// 66-bit block framing.
 			ChunkTime: func(l int64) sim.Time {
@@ -122,7 +121,6 @@ func (e *EDM) Run(cfg Config, ops []workload.Op) (*Result, error) {
 			},
 		})
 		r.sch.OnGrant = r.onGrant
-		r.x = r.sch.Config().MaxActivePerPair
 		r.up = make([]*pipe, cfg.Nodes)
 		r.down = make([]*pipe, cfg.Nodes)
 		for i := range r.up {
@@ -136,10 +134,10 @@ func (e *EDM) Run(cfg Config, ops []workload.Op) (*Result, error) {
 	})
 }
 
-// pairKeyOf keys the window by the DATA direction (for a read the data
-// message flows Dst->Src), which is exactly the scheduler's notion of a
-// source-destination pair, so the sender-side window of §3.1.2 can never
-// exceed the scheduler's per-pair bound.
+// pairKeyOf keys the sender window of §3.1.2 by the DATA direction (for a
+// read the data message flows Dst->Src): a read and a write that both move
+// data A->B share one window. The testbed's hosts window per peer instead
+// (README's Experiment map lists the difference).
 func pairKeyOf(op workload.Op) [2]int {
 	if op.Read {
 		return [2]int{op.Dst, op.Src}
@@ -154,7 +152,7 @@ func (r *edmRun) arrive(op workload.Op) {
 		p = &edmPair{}
 		r.pairs[pk] = p
 	}
-	if p.active >= r.x {
+	if p.active >= orDefault(r.p.X, sched.DefaultMaxActivePerPair) {
 		p.wait = append(p.wait, op)
 		return
 	}

@@ -194,6 +194,10 @@ func StartBlock(first7 []byte) Block { return ControlBlock(BTStart, first7) }
 // BlockBits is the size of one block on the wire.
 const BlockBits = 66
 
+// BlockWireBytes is one block's wire size rounded up to whole bytes: the
+// link cost of a lone /N/ or /G/ control block.
+const BlockWireBytes = (BlockBits + 7) / 8
+
 // BlockPayloadBytes is the data capacity of a /D/ block.
 const BlockPayloadBytes = 8
 

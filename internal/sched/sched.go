@@ -57,9 +57,6 @@ type Config struct {
 	ClockPeriod sim.Time
 	// Policy selects FCFS or SRPT.
 	Policy Policy
-	// MaxActivePerPair is X, the per source-destination notification bound;
-	// 0 means DefaultMaxActivePerPair. Notify returns ErrPairLimit beyond it.
-	MaxActivePerPair int
 	// MaxIterations caps PIM iterations per matching round; 0 means iterate
 	// to a maximal matching (the paper's behaviour, ~log N iterations on
 	// average). Values >0 are used by the ablation benchmarks.
@@ -76,7 +73,9 @@ type Config struct {
 const (
 	// DefaultChunkBytes is c in the simulations.
 	DefaultChunkBytes = 256
-	// DefaultMaxActivePerPair is X; the paper finds X = 3 best.
+	// DefaultMaxActivePerPair is X, the active notifications a sender
+	// keeps per peer (§3.1.2); the paper finds X = 3 best. The senders'
+	// windows enforce it; the scheduler does not check it.
 	DefaultMaxActivePerPair = 3
 	// ASICClockPeriod is the pipeline clock of the 3 GHz ASIC synthesis.
 	ASICClockPeriod = 333 * sim.Picosecond
@@ -85,12 +84,11 @@ const (
 // DefaultConfig mirrors the paper's simulation parameters (§4.3).
 func DefaultConfig(ports int) Config {
 	return Config{
-		Ports:            ports,
-		ChunkBytes:       DefaultChunkBytes,
-		LinkBandwidth:    100,
-		ClockPeriod:      ASICClockPeriod,
-		Policy:           SRPT,
-		MaxActivePerPair: DefaultMaxActivePerPair,
+		Ports:         ports,
+		ChunkBytes:    DefaultChunkBytes,
+		LinkBandwidth: 100,
+		ClockPeriod:   ASICClockPeriod,
+		Policy:        SRPT,
 	}
 }
 
@@ -124,16 +122,12 @@ type Grant struct {
 	First bool
 	// Final marks the grant that exhausts the message.
 	Final bool
-	// Iteration records which PIM iteration of the round produced the
-	// grant (1-based), for latency accounting and tests.
-	Iteration int
 }
 
 // Scheduler errors.
 var (
-	ErrPairLimit = errors.New("sched: per-pair active notification limit exceeded")
-	ErrBadRef    = errors.New("sched: invalid message reference")
-	ErrDupID     = errors.New("sched: duplicate message id for pair")
+	ErrBadRef = errors.New("sched: invalid message reference")
+	ErrDupID  = errors.New("sched: duplicate message id for pair")
 )
 
 type message struct {
@@ -141,7 +135,6 @@ type message struct {
 	remaining  int64
 	granted    int64
 	notifyTime sim.Time
-	enqueued   bool // currently the head of its pair FIFO, present in queues[dst]
 }
 
 type pairKey struct{ src, dst int }
@@ -170,7 +163,6 @@ type Scheduler struct {
 	notifies       uint64
 	totalIters     uint64
 	rounds         uint64
-	maxQueueLen    int
 	activeMessages int
 }
 
@@ -178,9 +170,6 @@ type Scheduler struct {
 func New(engine *sim.Engine, cfg Config) *Scheduler {
 	if cfg.Ports <= 0 || cfg.ChunkBytes <= 0 || cfg.LinkBandwidth <= 0 || cfg.ClockPeriod <= 0 {
 		panic("sched: invalid config")
-	}
-	if cfg.MaxActivePerPair <= 0 {
-		cfg.MaxActivePerPair = DefaultMaxActivePerPair
 	}
 	s := &Scheduler{
 		cfg:       cfg,
@@ -197,9 +186,6 @@ func New(engine *sim.Engine, cfg Config) *Scheduler {
 	}
 	return s
 }
-
-// Config returns the scheduler's configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
 
 // Stats reports grants issued, notifications accepted, matching rounds run
 // and total PIM iterations across them.
@@ -237,8 +223,11 @@ func (s *Scheduler) priority(m *message) int64 {
 }
 
 // Notify registers a demand notification: an explicit /N/ for a WREQ, or an
-// intercepted RREQ/RMWREQ standing in for its RRES. It returns ErrPairLimit
-// when the sender exceeded its X active notifications for this pair.
+// intercepted RREQ/RMWREQ standing in for its RRES. It caps no pair: the
+// senders' windows keep X (§3.1.2). A pair's demand comes from two hosts,
+// the writer's WREQs and the reader's RREQs, so its FIFO, served in
+// notification order, holds up to 2X (more only while a read that its host
+// timed out still has demand here).
 func (s *Scheduler) Notify(ref MsgRef) error {
 	if ref.Src < 0 || ref.Src >= s.cfg.Ports || ref.Dst < 0 || ref.Dst >= s.cfg.Ports {
 		return fmt.Errorf("%w: src=%d dst=%d", ErrBadRef, ref.Src, ref.Dst)
@@ -251,9 +240,6 @@ func (s *Scheduler) Notify(ref MsgRef) error {
 	}
 	key := pairKey{ref.Src, ref.Dst}
 	fifo := s.pairs[key]
-	if len(fifo) >= s.cfg.MaxActivePerPair {
-		return fmt.Errorf("%w: %d active for %d->%d", ErrPairLimit, len(fifo), ref.Src, ref.Dst)
-	}
 	for _, m := range fifo {
 		if m.ID == ref.ID {
 			return fmt.Errorf("%w: id=%d pair %d->%d", ErrDupID, ref.ID, ref.Src, ref.Dst)
@@ -274,13 +260,9 @@ func (s *Scheduler) Notify(ref MsgRef) error {
 // Only pair heads are eligible, which restricts SRPT to inter-pair
 // competition and guarantees in-order delivery within a pair.
 func (s *Scheduler) enqueueHead(m *message) {
-	m.enqueued = true
 	p := s.priority(m)
 	s.queues[m.Dst].Insert(p, m)
 	s.srcArrays[m.Src].Update(m.Dst, s.bestKeyFor(m.Src, m.Dst))
-	if l := s.queues[m.Dst].Len(); l > s.maxQueueLen {
-		s.maxQueueLen = l
-	}
 }
 
 // bestKeyFor returns the priority of the best enqueued message from src to
@@ -369,12 +351,11 @@ func (s *Scheduler) issue(m *message, iter int) {
 		l = m.remaining
 	}
 	g := Grant{
-		MsgRef:    m.MsgRef,
-		Offset:    m.granted,
-		Chunk:     l,
-		First:     m.granted == 0,
-		Final:     m.remaining == l,
-		Iteration: iter,
+		MsgRef: m.MsgRef,
+		Offset: m.granted,
+		Chunk:  l,
+		First:  m.granted == 0,
+		Final:  m.remaining == l,
 	}
 	m.granted += l
 	m.remaining -= l
@@ -413,7 +394,6 @@ func (s *Scheduler) issue(m *message, iter int) {
 // its pair, if any.
 func (s *Scheduler) retire(m *message) {
 	s.queues[m.Dst].DeleteWhere(func(x *message) bool { return x == m })
-	m.enqueued = false
 	key := pairKey{m.Src, m.Dst}
 	fifo := s.pairs[key]
 	if len(fifo) == 0 || fifo[0] != m {
