@@ -48,7 +48,7 @@ func (e *EDM) WireBytes(n int) int {
 // ReqWireBytes implements Protocol: an 8 B RREQ in three blocks.
 func (e *EDM) ReqWireBytes() int { return edmRreqWire }
 
-// orDefault returns a setting v, or def when v is 0 (unset).
+// orDefault returns a setting v, or def when v is unset (not positive).
 func orDefault(v, def int) int {
 	if v > 0 {
 		return v
