@@ -1,12 +1,14 @@
 // Package repro's root benchmarks regenerate every table and figure of the
-// paper's evaluation (one benchmark per artifact) plus the ablations
-// DESIGN.md calls out. Run with:
+// paper's evaluation (one benchmark per artifact) plus the ablations. Run
+// with:
 //
 //	go test -bench=. -benchmem
 //
 // Each benchmark reports paper-relevant metrics (latency in ns, normalized
 // ratios, throughput) via b.ReportMetric so `go test -bench` output doubles
-// as the experiment record; see EXPERIMENTS.md.
+// as the experiment record. README's Experiment map lists each artifact and
+// what checks it; `go run ./cmd/edmbench -experiment <name>` prints the same
+// rows as text.
 package repro
 
 import (

@@ -7,10 +7,11 @@
 //	edmbench -snapshot BENCH_1.json [-baseline BENCH_0.json]
 //	         [-count N] [-benchtime T] [-threshold pct]
 //
-// Output is textual rows matching the paper's presentation; see
-// EXPERIMENTS.md for the paper-vs-measured record. -snapshot instead runs
-// the wire/rmem Go benchmarks and records them as JSON (the BENCH_N.json
-// perf trajectory), optionally printing deltas against a baseline snapshot.
+// Output is textual rows matching the paper's presentation; README's
+// Experiment map lists each artifact and what checks it. -snapshot instead
+// runs the wire/rmem Go benchmarks and records them as JSON (the
+// BENCH_N.json perf trajectory), optionally printing deltas against a
+// baseline snapshot.
 // With -threshold the baseline comparison becomes a regression gate: the
 // key metrics (round-trip ns/op and allocs/op, pipelined ops/s) regressing
 // beyond pct percent exit nonzero, and an allocation-free baseline failing

@@ -74,8 +74,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	window := fs.Int("window", 1, "outstanding-operation window (pipelining depth; live mode)")
 	rate := fs.Float64("rate", 0, "target issue rate in ops/s (live mode; 0 = closed loop)")
 	slab := fs.Int64("slab", 64<<20, "loopback server: slab size in bytes")
-	retry := fs.Duration("retry", 20*time.Millisecond, "per-attempt retransmission timeout")
-	retries := fs.Int("retries", 5, "max retransmissions per operation")
+	defaults := wire.DefaultConnConfig()
+	retry := fs.Duration("retry", defaults.RetryTimeout, "per-attempt retransmission timeout")
+	retries := fs.Int("retries", defaults.MaxRetries, "max retransmissions per operation")
 	progress := fs.Duration("progress", 0, "print progress every interval (stderr; loopback counts on the virtual clock)")
 	traceOps := fs.Int("trace-ops", 0, "keep and dump the last N per-op trace records (stderr)")
 	if err := fs.Parse(args); err != nil {

@@ -19,7 +19,7 @@ func run(policy phy.MuxPolicy, label string) {
 	cfg.MuxPolicy = policy
 	fabric := edm.New(cfg)
 	mem := memctl.DefaultConfig()
-	mem.TRP, mem.TRCD, mem.TCAS, mem.TBurst, mem.Overhead = 0, 0, 0, 0, 0 // fabric-only
+	mem.Untimed = true // fabric-only
 	fabric.AttachMemory(1, memctl.New(mem))
 	if _, err := fabric.Host(1).Memory().Write(0, make([]byte, 64)); err != nil {
 		log.Fatal(err)

@@ -16,17 +16,11 @@ type Config struct {
 	Ports int
 	// MuxPolicy controls memory/frame interleaving on every TX path.
 	MuxPolicy phy.MuxPolicy
-	// ReadTimeout bounds outstanding reads; expiry yields a NULL response.
-	ReadTimeout sim.Time
 }
 
 // DefaultConfig is the 25 GbE testbed configuration.
 func DefaultConfig(ports int) Config {
-	return Config{
-		Ports:       ports,
-		MuxPolicy:   phy.PolicyFair,
-		ReadTimeout: 100 * sim.Microsecond,
-	}
+	return Config{Ports: ports, MuxPolicy: phy.PolicyFair}
 }
 
 // Fabric assembles hosts, links and the EDM switch into a runnable
@@ -60,7 +54,7 @@ func newFabric(cfg Config, schedClock sim.Time) *Fabric {
 		i := i
 		up := newLink(f.Engine)
 		down := newLink(f.Engine)
-		h := newHost(f.Engine, cfg, i, up)
+		h := newHost(f.Engine, cfg.MuxPolicy, i, up)
 		up.Deliver = func(b phy.Block) { f.sw.receive(i, b) }
 		down.Deliver = h.receive
 		f.sw.ports[i].egress = down

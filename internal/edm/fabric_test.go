@@ -13,7 +13,7 @@ import (
 // latency excluding DRAM access time.
 func fastMem() *memctl.Controller {
 	cfg := memctl.DefaultConfig()
-	cfg.TRP, cfg.TRCD, cfg.TCAS, cfg.TBurst, cfg.Overhead = 0, 0, 0, 0, 0
+	cfg.Untimed = true
 	return memctl.New(cfg)
 }
 
@@ -253,9 +253,7 @@ func TestWritesAreInOrderPerPair(t *testing.T) {
 }
 
 func TestReadTimeoutOnDisabledLink(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.ReadTimeout = 2 * sim.Microsecond
-	f := New(cfg)
+	f := New(DefaultConfig(2))
 	f.AttachMemory(1, fastMem())
 	f.DisableLink(1) // memory node unreachable
 	var gotErr error
@@ -276,9 +274,7 @@ func TestReadTimeoutOnDisabledLink(t *testing.T) {
 }
 
 func TestReadToNonMemoryNode(t *testing.T) {
-	cfg := DefaultConfig(3)
-	cfg.ReadTimeout = 2 * sim.Microsecond
-	f := New(cfg)
+	f := New(DefaultConfig(3))
 	f.AttachMemory(2, fastMem())
 	var gotErr error
 	f.Host(0).Read(1, 0, 64, func(d []byte, err error) { gotErr = err })
@@ -289,9 +285,7 @@ func TestReadToNonMemoryNode(t *testing.T) {
 }
 
 func TestLinkCorruptionDetected(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.ReadTimeout = 5 * sim.Microsecond
-	f := New(cfg)
+	f := New(DefaultConfig(2))
 	f.AttachMemory(1, fastMem())
 	f.UpLink(0).CorruptOneIn(2) // heavy corruption on the request path
 	var errs, oks int
@@ -332,8 +326,7 @@ func TestWriteReadBack(t *testing.T) {
 
 func TestBidirectionalTraffic(t *testing.T) {
 	// Two hosts each with memory, reading from each other concurrently.
-	cfg := DefaultConfig(2)
-	f := New(cfg)
+	f := New(DefaultConfig(2))
 	f.AttachMemory(0, fastMem())
 	f.AttachMemory(1, fastMem())
 	_, _ = f.Host(0).Memory().Write(0, bytes.Repeat([]byte{0xaa}, 64))

@@ -95,7 +95,6 @@ type HostStats struct {
 // remote reads/writes (compute role).
 type Host struct {
 	engine *sim.Engine
-	cfg    Config
 	port   int
 	mem    *memctl.Controller
 	link   *Link // toward the switch
@@ -131,13 +130,12 @@ type Host struct {
 	stats HostStats
 }
 
-func newHost(engine *sim.Engine, cfg Config, port int, link *Link) *Host {
+func newHost(engine *sim.Engine, policy phy.MuxPolicy, port int, link *Link) *Host {
 	h := &Host{
 		engine:   engine,
-		cfg:      cfg,
 		port:     port,
 		link:     link,
-		mux:      phy.NewTxMux(cfg.MuxPolicy),
+		mux:      phy.NewTxMux(policy),
 		waitQ:    make(map[int][]*Message),
 		active:   make(map[int]int),
 		nextID:   make(map[int]uint8),
@@ -242,9 +240,9 @@ func (h *Host) submit(m *Message, rcb ReadCallback, wcb WriteCallback) {
 	}
 	switch m.Kind {
 	case KindRREQ, KindRMW:
-		rs := &readState{cb: rcb, deadline: h.engine.Now() + h.cfg.ReadTimeout}
+		rs := &readState{cb: rcb, deadline: h.engine.Now() + ReadTimeout}
 		h.readTab[key] = rs
-		h.engine.After(h.cfg.ReadTimeout, func() { h.timeout(key) })
+		h.engine.After(ReadTimeout, func() { h.timeout(key) })
 	case KindWREQ:
 		// Register even a nil callback: the entry doubles as the write's
 		// in-flight marker for the ID-reuse guard above (the sendTab
@@ -297,7 +295,7 @@ func (h *Host) timeout(key skey) {
 	// state has drained (a blocked memory node keeps pumping chunks into
 	// the dead link, which drops them), so the ID never wedges
 	// permanently when the RREQ itself was lost.
-	h.engine.After(h.cfg.ReadTimeout, func() {
+	h.engine.After(ReadTimeout, func() {
 		if cur, ok := h.readTab[key]; ok && cur == rs {
 			delete(h.readTab, key)
 		}
@@ -593,7 +591,7 @@ func (h *Host) grantStep() {
 				// fail-fast on reuse is the honest signal.
 				key, ws := g.key, h.writeCBs[g.key]
 				if ws != nil {
-					h.engine.After(h.cfg.ReadTimeout, func() {
+					h.engine.After(ReadTimeout, func() {
 						if cur, ok := h.writeCBs[key]; ok && cur == ws {
 							delete(h.writeCBs, key)
 						}

@@ -39,6 +39,8 @@ const (
 	// LinkLatency is the fixed one-way latency of a link traversal after
 	// serialization: TX PMA + propagation + RX PMA.
 	LinkLatency = PMAPMDDelay + DefaultPropDelay + PMAPMDDelay
+	// ReadTimeout bounds an outstanding read; expiry is a NULL response (§3.3).
+	ReadTimeout = 100 * sim.Microsecond
 )
 
 // ChunkBytes is the grant unit c of the 25 GbE testbed's scheduler (§4.1).

@@ -48,9 +48,7 @@ type WriteCallback func(err error)
 // MAC, PCS and layer-2 forwarding latencies.
 type Network struct {
 	Engine *sim.Engine
-	// readTimeout bounds outstanding reads.
-	readTimeout sim.Time
-	hosts       []*Host
+	hosts  []*Host
 	// egress[i] serializes frames leaving the switch toward host i.
 	egress []*serializer
 	// egressQueueMax tracks the deepest egress backlog in bytes — the
@@ -87,7 +85,7 @@ func New(ports int) *Network {
 	if ports < 2 {
 		panic("ethstack: need at least 2 ports")
 	}
-	n := &Network{Engine: sim.NewEngine(), readTimeout: 100 * sim.Microsecond}
+	n := &Network{Engine: sim.NewEngine()}
 	n.hosts = make([]*Host, ports)
 	n.egress = make([]*serializer, ports)
 	for i := range n.hosts {
@@ -194,7 +192,7 @@ func (h *Host) Read(dst int, addr uint64, length int, cb ReadCallback) error {
 	h.nextID++
 	pr := &pendingRead{cb: cb}
 	h.readTab[id] = pr
-	h.net.Engine.After(h.net.readTimeout, func() {
+	h.net.Engine.After(edm.ReadTimeout, func() {
 		if pr.done {
 			return
 		}

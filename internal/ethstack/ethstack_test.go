@@ -13,7 +13,7 @@ import (
 
 func fastMem() *memctl.Controller {
 	cfg := memctl.DefaultConfig()
-	cfg.TRP, cfg.TRCD, cfg.TCAS, cfg.TBurst, cfg.Overhead = 0, 0, 0, 0, 0
+	cfg.Untimed = true
 	return memctl.New(cfg)
 }
 
@@ -142,7 +142,6 @@ func TestSmallMessagePaysMinFrame(t *testing.T) {
 
 func TestReadTimeout(t *testing.T) {
 	n := New(2) // no memory attached anywhere
-	n.readTimeout = 2 * sim.Microsecond
 	var gotErr error
 	if err := n.Host(0).Read(1, 0, 64, func(_ []byte, err error) { gotErr = err }); err != nil {
 		t.Fatal(err)

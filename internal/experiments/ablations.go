@@ -143,7 +143,6 @@ type PreemptionResult struct {
 	Policy       string
 	MeanReadNs   float64
 	MaxReadNs    float64
-	FramesRx     uint64
 	MemBlocksTx  uint64
 	FrameBlocksT uint64
 }

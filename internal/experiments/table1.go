@@ -45,7 +45,7 @@ var paperTotals = map[transport.Stack][2]sim.Time{ // [read, write]
 // the testbed measures pure fabric latency as Table 1 does.
 func zeroLatencyMemory() *memctl.Controller {
 	cfg := memctl.DefaultConfig()
-	cfg.TRP, cfg.TRCD, cfg.TCAS, cfg.TBurst, cfg.Overhead = 0, 0, 0, 0, 0
+	cfg.Untimed = true
 	return memctl.New(cfg)
 }
 

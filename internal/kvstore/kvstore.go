@@ -19,30 +19,18 @@ import (
 type Config struct {
 	// Slots is the number of keys.
 	Slots int
-	// SlotBytes is the fixed value size per key. Figure 6 uses 1 KB reads
-	// and 100 B writes; the slot must hold the larger.
+	// SlotBytes is the fixed value size per key; every Get reads a whole
+	// slot, and RunYCSB writes whole slots.
 	SlotBytes int
-	// ReadBytes and WriteBytes are the per-operation access sizes (both
-	// default to SlotBytes).
-	ReadBytes, WriteBytes int
 	// LocalSlots places keys [0, LocalSlots) in node-local DRAM; the rest
 	// live on the remote memory node (Figure 7's Local:Remote split).
 	LocalSlots int
 }
 
 // Validate checks the configuration.
-func (c *Config) Validate() error {
+func (c Config) Validate() error {
 	if c.Slots <= 0 || c.SlotBytes <= 0 {
-		return fmt.Errorf("kvstore: invalid geometry %+v", *c)
-	}
-	if c.ReadBytes == 0 {
-		c.ReadBytes = c.SlotBytes
-	}
-	if c.WriteBytes == 0 {
-		c.WriteBytes = c.SlotBytes
-	}
-	if c.ReadBytes > c.SlotBytes || c.WriteBytes > c.SlotBytes {
-		return fmt.Errorf("kvstore: access exceeds slot: %+v", *c)
+		return fmt.Errorf("kvstore: invalid geometry %+v", c)
 	}
 	if c.LocalSlots < 0 || c.LocalSlots > c.Slots {
 		return fmt.Errorf("kvstore: local slots %d of %d", c.LocalSlots, c.Slots)
@@ -108,7 +96,7 @@ func (s *Store) Get(key int, cb edm.ReadCallback) error {
 	}
 	if s.IsLocal(key) {
 		s.localOps++
-		data, lat, err := s.local.Read(a, s.cfg.ReadBytes)
+		data, lat, err := s.local.Read(a, s.cfg.SlotBytes)
 		if err != nil {
 			return err
 		}
@@ -116,7 +104,7 @@ func (s *Store) Get(key int, cb edm.ReadCallback) error {
 		return nil
 	}
 	s.remoteOps++
-	s.fabric.Host(s.client).Read(s.memNode, a, s.cfg.ReadBytes, cb)
+	s.fabric.Host(s.client).Read(s.memNode, a, s.cfg.SlotBytes, cb)
 	return nil
 }
 
@@ -184,7 +172,7 @@ type OpLatency struct {
 func (s *Store) RunYCSB(w workload.YCSBWorkload, count int, seed uint64) ([]OpLatency, error) {
 	gen := workload.NewYCSB(w, s.cfg.Slots, seed)
 	out := make([]OpLatency, 0, count)
-	val := make([]byte, s.cfg.WriteBytes)
+	val := make([]byte, s.cfg.SlotBytes)
 	for i := range val {
 		val[i] = byte(i)
 	}

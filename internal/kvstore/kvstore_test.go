@@ -20,8 +20,7 @@ func newStore(t *testing.T, localSlots int) *Store {
 		local = memctl.New(memctl.DefaultConfig())
 	}
 	s, err := New(f, 0, 1, local, Config{
-		Slots: 1024, SlotBytes: 1024, ReadBytes: 1024, WriteBytes: 100,
-		LocalSlots: localSlots,
+		Slots: 1024, SlotBytes: 1024, LocalSlots: localSlots,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +58,9 @@ func putGetSync(t *testing.T, s *Store, key int, val []byte) []byte {
 
 func TestPutGetRemote(t *testing.T) {
 	s := newStore(t, 0)
-	val := bytes.Repeat([]byte{0x7e}, 100)
+	val := bytes.Repeat([]byte{0x7e}, 1024)
 	got := putGetSync(t, s, 42, val)
-	if len(got) != 1024 || !bytes.Equal(got[:100], val) {
+	if !bytes.Equal(got, val) {
 		t.Fatal("remote value mismatch")
 	}
 	if l, r := s.Stats(); l != 0 || r != 2 {
@@ -71,9 +70,9 @@ func TestPutGetRemote(t *testing.T) {
 
 func TestPutGetLocal(t *testing.T) {
 	s := newStore(t, 512)
-	val := bytes.Repeat([]byte{0x11}, 100)
+	val := bytes.Repeat([]byte{0x11}, 1024)
 	got := putGetSync(t, s, 7, val) // key 7 < 512: local
-	if !bytes.Equal(got[:100], val) {
+	if !bytes.Equal(got, val) {
 		t.Fatal("local value mismatch")
 	}
 	if l, r := s.Stats(); l != 2 || r != 0 {

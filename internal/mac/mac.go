@@ -59,10 +59,6 @@ type Frame struct {
 	Dst, Src  Addr
 	EtherType uint16
 	Payload   []byte
-	// Padded reports how many pad bytes were appended to reach the minimum
-	// frame size (set by Unmarshal when length information is available
-	// from the payload's own framing; zero otherwise).
-	Padded int
 }
 
 // Marshal errors.

@@ -108,7 +108,7 @@ func rssGrowth(t *testing.T, c *Controller, access func(attempt int)) int64 {
 func TestUnwrittenReadsAddNoRSS(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // no collection: no neighbouring controller unmapped mid-test
 	const size = 3*chunkBytes + pageBytes + 100
-	c := New(Config{Size: size, Banks: 4, RowBytes: 2048, TBurst: 1})
+	c := New(Config{Size: size})
 	reads := []struct {
 		addr uint64
 		n    int
@@ -144,7 +144,7 @@ func newUnreachable(cfg Config) span { return New(cfg).mapping() }
 //
 //edmlint:allow walltime the cleanup runs on its own goroutine; the wait for it is bounded in real time
 func TestUnreachableControllerIsUnmapped(t *testing.T) {
-	cfg := Config{Size: 4 << 20, Banks: 4, RowBytes: 2048, TBurst: 1}
+	cfg := Config{Size: 4 << 20}
 	kept := New(cfg)
 	if _, err := kept.Write(0, []byte{1}); err != nil {
 		t.Fatal(err)

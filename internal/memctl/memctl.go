@@ -18,36 +18,30 @@ import (
 	"repro/internal/sim"
 )
 
-// Config describes the DRAM geometry and timing. The defaults approximate
-// DDR4-2400 with a controller overhead chosen so that a random (row-miss)
-// access lands near the ~82 ns local-DRAM latency the paper uses in
-// Figure 7.
+// The DRAM model: DDR4-2400 geometry and timing, with a controller overhead
+// chosen so that a random (row-miss) access lands near the ~82 ns
+// local-DRAM latency the paper uses in Figure 7.
+const (
+	banks       = 16
+	rowBytes    = 8192                   // row-buffer (page) size per bank
+	tRP         = 13320 * sim.Picosecond // precharge
+	tRCD        = 13320 * sim.Picosecond // activate (row to column delay)
+	tCAS        = 13320 * sim.Picosecond // column access (CL)
+	tBurst      = 3330 * sim.Picosecond  // one burst transfer (64 B)
+	ctlOverhead = 52 * sim.Nanosecond    // fixed controller/queueing overhead per access
+)
+
+// Config sizes a controller.
 type Config struct {
-	Size     uint64 // total bytes of addressable memory
-	Banks    int
-	RowBytes uint64 // row-buffer (page) size per bank
-
-	TRP      sim.Time // precharge
-	TRCD     sim.Time // activate (row to column delay)
-	TCAS     sim.Time // column access (CL)
-	TBurst   sim.Time // one burst transfer (64 B)
-	Overhead sim.Time // fixed controller/queueing overhead per access
+	Size uint64 // total bytes of addressable memory
+	// Untimed charges every access 0: Table 1 measures fabric latency
+	// excluding DRAM access time. The open-row bookkeeping still runs.
+	Untimed bool
 }
 
-// DefaultConfig returns the DDR4-2400-like configuration used throughout
-// the experiments.
-func DefaultConfig() Config {
-	return Config{
-		Size:     1 << 30, // 1 GiB
-		Banks:    16,
-		RowBytes: 8192,
-		TRP:      13320 * sim.Picosecond,
-		TRCD:     13320 * sim.Picosecond,
-		TCAS:     13320 * sim.Picosecond,
-		TBurst:   3330 * sim.Picosecond,
-		Overhead: 52 * sim.Nanosecond,
-	}
-}
+// DefaultConfig returns the 1 GiB timed controller used throughout the
+// experiments.
+func DefaultConfig() Config { return Config{Size: 1 << 30} }
 
 // BurstBytes is the DDR4 burst size: 8 beats of a 64-bit interface.
 const BurstBytes = 64
@@ -79,22 +73,22 @@ var (
 // catches a controller used without its caller's lock.
 type Controller struct {
 	cfg      Config
-	mem      []byte  // cfg.Size bytes, mapped by New; guarded by caller
-	openRow  []int64 // per bank; -1 = closed; guarded by caller
-	accesses uint64  // guarded by caller
-	rowHits  uint64  // guarded by caller
+	mem      []byte       // cfg.Size bytes, mapped by New; guarded by caller
+	openRow  [banks]int64 // -1 = closed; guarded by caller
+	accesses uint64       // guarded by caller
+	rowHits  uint64       // guarded by caller
 }
 
 // New returns a controller with the given configuration.
 func New(cfg Config) *Controller {
-	if cfg.Banks <= 0 || cfg.RowBytes == 0 || cfg.Size == 0 || cfg.Size > math.MaxInt {
+	if cfg.Size == 0 || cfg.Size > math.MaxInt {
 		panic("memctl: invalid config")
 	}
-	open := make([]int64, cfg.Banks)
-	for i := range open {
-		open[i] = -1
+	var closed [banks]int64
+	for i := range closed {
+		closed[i] = -1
 	}
-	c := &Controller{cfg: cfg, openRow: open}
+	c := &Controller{cfg: cfg, openRow: closed}
 	//edmlint:allow lockcheck c is not yet published; no other goroutine can observe it
 	c.mem = mapMemory(c, int(cfg.Size))
 	return c
@@ -120,18 +114,19 @@ func (c *Controller) check(addr uint64, n int) error {
 // closed form per row segment (the run of bursts whose first byte lies in
 // one row of one bank): a segment's first burst hits or misses the bank's
 // open row, the rest of it are row hits by construction. Consecutive bursts
-// pipeline at TBurst each; only the access's first burst pays the full
-// column latency, so the other bursts' TCAS comes off at the end.
+// pipeline at tBurst each; only the access's first burst pays the full
+// column latency, so the other bursts' tCAS comes off at the end. extra is
+// added to a timed controller's charge; an untimed one charges 0.
 //
 //edmlint:hotpath runs once per served memory access
-func (c *Controller) accessTime(addr uint64, n int) sim.Time {
-	total := c.cfg.Overhead
+func (c *Controller) accessTime(addr uint64, n int, extra sim.Time) sim.Time {
+	total := ctlOverhead + extra
 	off, end := addr&^(BurstBytes-1), addr+uint64(n)
 	var bursts uint64
 	for off < end {
-		g := off / c.cfg.RowBytes // global row: banks interleave at row granularity
-		bank, row := int(g%uint64(c.cfg.Banks)), int64(g/uint64(c.cfg.Banks))
-		segEnd := (g + 1) * c.cfg.RowBytes
+		g := off / rowBytes // global row: banks interleave at row granularity
+		bank, row := g%banks, int64(g/banks)
+		segEnd := (g + 1) * rowBytes
 		if segEnd > end {
 			segEnd = end
 		}
@@ -140,9 +135,9 @@ func (c *Controller) accessTime(addr uint64, n int) sim.Time {
 			c.rowHits++
 		} else {
 			if c.openRow[bank] >= 0 {
-				total += c.cfg.TRP // close the old row
+				total += tRP // close the old row
 			}
-			total += c.cfg.TRCD
+			total += tRCD
 			c.openRow[bank] = row
 		}
 		c.rowHits += k - 1
@@ -150,7 +145,10 @@ func (c *Controller) accessTime(addr uint64, n int) sim.Time {
 		off += k * BurstBytes
 	}
 	c.accesses += bursts
-	return total + sim.Time(bursts)*c.cfg.TBurst + c.cfg.TCAS
+	if c.cfg.Untimed {
+		return 0
+	}
+	return total + sim.Time(bursts)*tBurst + tCAS
 }
 
 // Read returns n bytes at addr and the access latency.
@@ -179,7 +177,7 @@ func (c *Controller) ReadInto(addr uint64, dst []byte) (sim.Time, error) {
 		return 0, err
 	}
 	copy(dst, c.mem[addr:])
-	return c.accessTime(addr, len(dst)), nil
+	return c.accessTime(addr, len(dst), 0), nil
 }
 
 // Write stores data at addr and returns the access latency.
@@ -190,7 +188,7 @@ func (c *Controller) Write(addr uint64, data []byte) (sim.Time, error) {
 		return 0, err
 	}
 	copy(c.mem[addr:], data)
-	return c.accessTime(addr, len(data)), nil
+	return c.accessTime(addr, len(data), 0), nil
 }
 
 // RMWOp is the opcode of an atomic read-modify-write (§2.3 RMWREQ).
@@ -296,6 +294,6 @@ func (c *Controller) RMW(addr uint64, op RMWOp, args ...uint64) (uint64, sim.Tim
 	}
 	binary.LittleEndian.PutUint64(word, newVal)
 	// Read + write to the same open row: one activate, two column accesses.
-	t := c.accessTime(addr, WordBytes) + c.cfg.TCAS + c.cfg.TBurst
+	t := c.accessTime(addr, WordBytes, tCAS+tBurst)
 	return result, t, nil
 }

@@ -228,10 +228,7 @@ func TestRMWArgCount(t *testing.T) {
 // Property: write-then-read returns exactly the written bytes for arbitrary
 // in-range addresses and sizes.
 func TestRoundTripProperty(t *testing.T) {
-	c := New(Config{
-		Size: 1 << 22, Banks: 4, RowBytes: 2048,
-		TRP: 1, TRCD: 1, TCAS: 1, TBurst: 1, Overhead: 1,
-	})
+	c := New(Config{Size: 1 << 22})
 	f := func(addr uint32, data []byte) bool {
 		if len(data) == 0 {
 			data = []byte{1}
@@ -268,23 +265,23 @@ func TestLatencyMonotoneProperty(t *testing.T) {
 // accessTimeOracle is the per-burst walk the closed-form accessTime
 // replaced, kept only as the differential test's reference.
 func (c *Controller) accessTimeOracle(addr uint64, n int) sim.Time {
-	total := c.cfg.Overhead
+	total := ctlOverhead
 	for off := addr &^ (BurstBytes - 1); off < addr+uint64(n); off += BurstBytes {
-		bank := int((off / c.cfg.RowBytes) % uint64(c.cfg.Banks))
-		row := int64(off / (c.cfg.RowBytes * uint64(c.cfg.Banks)))
+		bank := int((off / rowBytes) % banks)
+		row := int64(off / (rowBytes * banks))
 		c.accesses++
 		if c.openRow[bank] == row {
 			c.rowHits++
-			total += c.cfg.TCAS + c.cfg.TBurst
+			total += tCAS + tBurst
 		} else {
 			if c.openRow[bank] >= 0 {
-				total += c.cfg.TRP
+				total += tRP
 			}
-			total += c.cfg.TRCD + c.cfg.TCAS + c.cfg.TBurst
+			total += tRCD + tCAS + tBurst
 			c.openRow[bank] = row
 		}
 		if off > addr&^(BurstBytes-1) {
-			total -= c.cfg.TCAS
+			total -= tCAS
 		}
 	}
 	return total
@@ -302,37 +299,76 @@ func (c *Controller) firstOpenRowDiff(o *Controller) int {
 }
 
 // The closed form must agree with the per-burst walk on the returned time,
-// the counters and every bank's open row after each call — for row sizes
-// that are and are not a multiple of the burst, unaligned addresses and
-// accesses spanning many rows of the same bank.
+// the counters and every bank's open row after each call — for unaligned
+// addresses and accesses spanning many rows of the same bank.
 func TestAccessTimeMatchesPerBurstOracle(t *testing.T) {
 	const calls = 100_000
-	for _, rowBytes := range []uint64{64, 96, 1000, 4096, 8192} {
-		cfg := DefaultConfig()
-		cfg.Size, cfg.RowBytes = 1<<24, rowBytes
-		got, want := New(cfg), New(cfg)
-		rng := workload.NewRand(rowBytes)
-		for i := 0; i < calls; i++ {
-			n := 1 + rng.Intn(40_000)
-			if i%4 == 0 {
-				n = 1 + rng.Intn(256) // small accesses: row hits dominate
-			}
-			addr := rng.Uint64() % (cfg.Size - uint64(n))
-			if i%8 == 1 {
-				addr &^= BurstBytes - 1
-			}
-			tg, tw := got.accessTime(addr, n), want.accessTimeOracle(addr, n)
-			if tg != tw {
-				t.Fatalf("RowBytes=%d call %d addr=%#x n=%d: time %v, oracle %v", rowBytes, i, addr, n, tg, tw)
-			}
-			ga, gh := got.Stats()
-			wa, wh := want.Stats()
-			if ga != wa || gh != wh {
-				t.Fatalf("RowBytes=%d call %d addr=%#x n=%d: stats %d/%d, oracle %d/%d", rowBytes, i, addr, n, ga, gh, wa, wh)
-			}
-			if b := got.firstOpenRowDiff(want); b >= 0 {
-				t.Fatalf("RowBytes=%d call %d addr=%#x n=%d: bank %d's open row differs from the oracle's", rowBytes, i, addr, n, b)
-			}
+	cfg := Config{Size: 1 << 24}
+	got, want := New(cfg), New(cfg)
+	rng := workload.NewRand(rowBytes)
+	for i := 0; i < calls; i++ {
+		n := 1 + rng.Intn(40_000)
+		if i%4 == 0 {
+			n = 1 + rng.Intn(256) // small accesses: row hits dominate
+		}
+		addr := rng.Uint64() % (cfg.Size - uint64(n))
+		if i%8 == 1 {
+			addr &^= BurstBytes - 1
+		}
+		tg, tw := got.accessTime(addr, n, 0), want.accessTimeOracle(addr, n)
+		if tg != tw {
+			t.Fatalf("call %d addr=%#x n=%d: time %v, oracle %v", i, addr, n, tg, tw)
+		}
+		ga, gh := got.Stats()
+		wa, wh := want.Stats()
+		if ga != wa || gh != wh {
+			t.Fatalf("call %d addr=%#x n=%d: stats %d/%d, oracle %d/%d", i, addr, n, ga, gh, wa, wh)
+		}
+		if b := got.firstOpenRowDiff(want); b >= 0 {
+			t.Fatalf("call %d addr=%#x n=%d: bank %d's open row differs from the oracle's", i, addr, n, b)
+		}
+	}
+}
+
+// An untimed controller keeps the same bytes and row bookkeeping as a timed
+// one fed the same accesses, and charges 0 for a row hit, a row miss (a
+// closed bank) and a row conflict (another row open in the bank).
+func TestUntimedChargesNothing(t *testing.T) {
+	timed, untimed := New(Config{Size: 1 << 22}), New(Config{Size: 1 << 22, Untimed: true})
+	const conflict = rowBytes * banks // bank 0, row 1
+	steps := []struct {
+		name string
+		do   func(c *Controller) (sim.Time, error)
+	}{
+		{"miss", func(c *Controller) (sim.Time, error) { return c.Write(0, []byte{1, 2, 3}) }},
+		{"hit", func(c *Controller) (sim.Time, error) { _, lat, err := c.Read(0, 3); return lat, err }},
+		{"conflict", func(c *Controller) (sim.Time, error) { return c.Write(conflict, []byte{4}) }},
+		{"rmw hit", func(c *Controller) (sim.Time, error) { _, lat, err := c.RMW(conflict, OpFetchAdd, 5); return lat, err }},
+		{"rmw conflict", func(c *Controller) (sim.Time, error) { _, lat, err := c.RMW(0, OpSwap, 9); return lat, err }},
+		{"multi-row read", func(c *Controller) (sim.Time, error) { _, lat, err := c.Read(rowBytes-10, 3*rowBytes); return lat, err }},
+	}
+	for _, s := range steps {
+		tt, err := s.do(timed)
+		if err != nil || tt <= 0 {
+			t.Fatalf("%s: timed controller charged %v, %v", s.name, tt, err)
+		}
+		if ut, err := s.do(untimed); err != nil || ut != 0 {
+			t.Fatalf("%s: untimed controller charged %v, %v; want 0", s.name, ut, err)
+		}
+		ta, th := timed.Stats()
+		ua, uh := untimed.Stats()
+		if ta != ua || th != uh || timed.firstOpenRowDiff(untimed) >= 0 {
+			t.Fatalf("%s: untimed bookkeeping %d/%d differs from timed %d/%d", s.name, ua, uh, ta, th)
+		}
+	}
+	if _, hits := untimed.Stats(); hits == 0 {
+		t.Fatal("no row hit was exercised")
+	}
+	for _, addr := range []uint64{0, conflict, rowBytes - 10} {
+		tb, _, err1 := timed.Read(addr, 3*rowBytes)
+		ub, _, err2 := untimed.Read(addr, 3*rowBytes)
+		if err1 != nil || err2 != nil || !bytes.Equal(tb, ub) {
+			t.Fatalf("bytes at %#x differ between timed and untimed controllers", addr)
 		}
 	}
 }
@@ -341,7 +377,7 @@ func TestAccessTimeMatchesPerBurstOracle(t *testing.T) {
 // written bytes and across a huge-page boundary, and a write straddling
 // that boundary reads back whole.
 func TestUnwrittenMemoryReadsZero(t *testing.T) {
-	c := New(Config{Size: 3*chunkBytes + 100, Banks: 4, RowBytes: 2048, TBurst: 1})
+	c := New(Config{Size: 3*chunkBytes + 100})
 	if _, err := c.Write(chunkBytes-8, bytes.Repeat([]byte{0xee}, 16)); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +404,7 @@ func TestUnwrittenMemoryReadsZero(t *testing.T) {
 // word lands there.
 func TestLastPartialPage(t *testing.T) {
 	const size = chunkBytes + 3*pageBytes + 24
-	c := New(Config{Size: size, Banks: 4, RowBytes: 2048, TBurst: 1})
+	c := New(Config{Size: size})
 	tail := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30}
 	if _, err := c.Write(size-uint64(len(tail)), tail); err != nil {
 		t.Fatal(err)
@@ -412,7 +448,7 @@ func BenchmarkAccessTime(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkTime += c.accessTime(addrs[i%len(addrs)], n)
+				sinkTime += c.accessTime(addrs[i%len(addrs)], n, 0)
 			}
 		})
 	}

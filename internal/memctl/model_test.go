@@ -45,7 +45,7 @@ func newControllerModel(t testing.TB, b byte) *controllerModel {
 	clear(flat)
 	return &controllerModel{
 		t:    t,
-		c:    New(Config{Size: size, Banks: 4, RowBytes: 2048, TBurst: 1}),
+		c:    New(Config{Size: size}),
 		flat: flat,
 	}
 }

@@ -46,7 +46,7 @@ func (e *EDM) WireBytes(n int) int {
 }
 
 // ReqWireBytes implements Protocol: an 8 B RREQ in three blocks.
-func (e *EDM) ReqWireBytes() int { return edmRreqWire }
+func (e *EDM) ReqWireBytes() int { return edmWire(edmRreqBody) }
 
 // orDefault returns a setting v, or def when v is unset (not positive).
 func orDefault(v, def int) int {
@@ -65,7 +65,7 @@ const (
 	edmHostRx    = 8 * sim.Nanosecond
 	edmSwitchFwd = 11 * sim.Nanosecond
 	edmNotifyLen = phy.BlockWireBytes // /N/ or /G/ block, bytes on wire
-	edmRreqWire  = 25                 // 8 B RREQ in 3 blocks
+	edmRreqBody  = 8                  // an RREQ carries the target address
 )
 
 func edmWire(n int) int { return transport.WireBytes(transport.StackEDM, n) }
@@ -175,7 +175,7 @@ func (r *edmRun) start(op workload.Op) {
 	if op.Read {
 		// RREQ c->switch; interception notifies the RRES (m->c) demand.
 		r.eng.After(edmHostTx, func() {
-			r.up[src].send(edmRreqWire, func() {
+			r.up[src].send(edmWire(edmRreqBody), func() {
 				r.notify(sched.MsgRef{Src: dst, Dst: src, ID: uint64(op.Index), Size: int64(op.Size), Tag: op})
 			})
 		})
@@ -194,7 +194,7 @@ func (r *edmRun) onGrant(g sched.Grant) {
 		// The buffered RREQ is forwarded to the memory node as the first
 		// grant; the memory node responds with the first chunk.
 		r.eng.After(edmSwitchFwd, func() {
-			r.down[g.Src].send(edmRreqWire, func() {
+			r.down[g.Src].send(edmWire(edmRreqBody), func() {
 				r.eng.After(edmHostRx, func() { r.sendChunk(g) })
 			})
 		})

@@ -146,7 +146,7 @@ func TestEDMStaysNearUnloaded(t *testing.T) {
 // is catastrophically worst in normalized terms (arbiter bottleneck).
 // Normalized ratios for the TCP/RoCE-stack baselines are muted relative to
 // the paper because their multi-microsecond stacks dwarf queueing when the
-// network is kept below wire saturation; see EXPERIMENTS.md.
+// network is kept below wire saturation.
 func TestProtocolOrderingAtHighLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

@@ -39,8 +39,9 @@ func (s Source) String() string {
 	return "?"
 }
 
-// DefaultFrameBufferBlocks is the TX-side non-memory buffer bound. The paper
-// bounds it to 4 blocks by back-pressuring the MAC (§3.2.3).
+// DefaultFrameBufferBlocks is the TX-side non-memory buffer bound: beyond
+// it EnqueueFrame refuses a block, so the caller can model MAC
+// back-pressure. The paper bounds it to 4 blocks that way (§3.2.3).
 const DefaultFrameBufferBlocks = 4
 
 // TxMux is EDM's intra-frame preemption multiplexer. It sits at the output
@@ -56,10 +57,6 @@ const DefaultFrameBufferBlocks = 4
 type TxMux struct {
 	Policy MuxPolicy
 
-	// FrameBufferBlocks bounds the frame queue; EnqueueFrame reports whether
-	// it accepted the block so the caller can model MAC back-pressure.
-	FrameBufferBlocks int
-
 	frameQ   []Block
 	memQ     []Block
 	inMemMsg bool // mid /MS/../MT/: memory holds the line
@@ -68,19 +65,15 @@ type TxMux struct {
 	emitted map[Source]int
 }
 
-// NewTxMux returns a mux with the given policy and the default frame buffer.
+// NewTxMux returns a mux with the given policy.
 func NewTxMux(policy MuxPolicy) *TxMux {
-	return &TxMux{
-		Policy:            policy,
-		FrameBufferBlocks: DefaultFrameBufferBlocks,
-		emitted:           make(map[Source]int),
-	}
+	return &TxMux{Policy: policy, emitted: make(map[Source]int)}
 }
 
 // EnqueueFrame offers one frame block. It reports false when the TX buffer
 // is full, in which case the caller must retry later (MAC back-pressure).
 func (m *TxMux) EnqueueFrame(b Block) bool {
-	if len(m.frameQ) >= m.FrameBufferBlocks {
+	if len(m.frameQ) >= DefaultFrameBufferBlocks {
 		return false
 	}
 	m.frameQ = append(m.frameQ, b)
