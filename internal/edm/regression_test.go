@@ -228,3 +228,29 @@ func TestRandomizedMixedTraffic(t *testing.T) {
 		t.Errorf("timeouts under mixed traffic: %d", hs.Timeouts)
 	}
 }
+
+// TestSwitchDropsRequestNamingAnotherSource forges, on port 0, an RREQ whose
+// header names port 2 as its source: a header that corruption damaged into
+// another valid node's ID. The requester is the ingress port, so the switch
+// must drop it as malformed instead of granting an RRES toward port 2, which
+// never asked.
+func TestSwitchDropsRequestNamingAnotherSource(t *testing.T) {
+	f := New(DefaultConfig(3))
+	f.AttachMemory(1, fastMem())
+	m := Message{Kind: KindRREQ, Src: 2, Dst: 1, ID: 9, Len: 64}
+	w, err := m.MarshalRREQ()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range w.Encode() {
+		f.UpLink(0).Send(b)
+	}
+	f.Run()
+	ss := f.Switch().Stats()
+	if ss.RxErrors != 1 || ss.RequestsRX != 0 || ss.GrantsTX != 0 || ss.RejectedNotify != 0 {
+		t.Fatalf("switch stats %+v: want the request dropped as one RxError, no grant", ss)
+	}
+	if got := f.DownLink(2).Stats().Sent; got != 0 {
+		t.Fatalf("host 2 received %d blocks for a request it never sent", got)
+	}
+}

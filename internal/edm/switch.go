@@ -15,11 +15,10 @@ type SwitchStats struct {
 	ChunksForward uint64
 	GrantsTX      uint64
 	// RejectedNotify counts demands the scheduler refused (sched.ErrBadRef,
-	// sched.ErrDupID). A fault-free fabric rejects none; a request header
-	// that corruption damaged but the demux accepted can name one node as
-	// both ends. That faulty-link input is counted and dropped, like RxErrors.
+	// sched.ErrDupID). A fault-free fabric rejects none; a damaged header can
+	// name its sender as the destination: counted and dropped, like RxErrors.
 	RejectedNotify uint64
-	RxErrors       uint64
+	RxErrors       uint64 // malformed ingress, incl. a request whose src is not its port
 	// CircuitResyncs counts stale circuit-FIFO heads discarded when a
 	// granted chunk never materialized (its grant block was lost on a
 	// disabled or lossy link) — the §3.3 circuit-teardown repair path.
@@ -117,6 +116,10 @@ func (sw *Switch) handleMsg(p int, w phy.MemMsg) {
 	kind, src, dst, id, size, _ := PeekHeader(w)
 	switch kind {
 	case KindRREQ, KindRMW:
+		if src != p { // damaged: its RRES would go to a host that never asked
+			sw.stats.RxErrors++
+			return
+		}
 		sw.stats.RequestsRX++
 		sw.engine.After(sw.cycles(SwClassifyCycles), func() {
 			// The RREQ is an implicit demand notification for the RRES
