@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return cli.Usagef("-baseline/-threshold require -snapshot")
 	}
 
-	cfg := experiments.Fig8Config{Nodes: *nodes, Bandwidth: 100, OpsPerRun: *ops, Seed: *seed}
+	cfg := experiments.Fig8Config{Nodes: *nodes, OpsPerRun: *ops, Seed: *seed}
 
 	runners := map[string]func(io.Writer) error{
 		"table1":    table1,
@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		"fig8a":     func(w io.Writer) error { return fig8a(w, cfg) },
 		"fig8b":     func(w io.Writer) error { return fig8b(w, cfg) },
 		"ablations": func(w io.Writer) error { return ablations(w, cfg) },
-		"incast":    func(w io.Writer) error { return incast(w, cfg) },
+		"incast":    incast,
 	}
 	order := []string{"table1", "fig5", "fig6", "fig7", "fig8a", "fig8b", "ablations", "incast"}
 
@@ -157,7 +157,7 @@ func fig7(out io.Writer, ops int) error {
 }
 
 func fig8a(out io.Writer, cfg experiments.Fig8Config) error {
-	rows, err := experiments.Fig8a(cfg, nil)
+	rows, err := experiments.Fig8a(cfg)
 	if err != nil {
 		return err
 	}
@@ -170,7 +170,7 @@ func fig8a(out io.Writer, cfg experiments.Fig8Config) error {
 		return err
 	}
 	fmt.Fprintln(out, "\nMixed write:read at load 0.8:")
-	mix, err := experiments.Fig8aMix(cfg, nil)
+	mix, err := experiments.Fig8aMix(cfg)
 	if err != nil {
 		return err
 	}
@@ -196,28 +196,20 @@ func fig8b(out io.Writer, cfg experiments.Fig8Config) error {
 }
 
 func ablations(out io.Writer, cfg experiments.Fig8Config) error {
+	rows, err := experiments.Ablations(cfg)
+	if err != nil {
+		return err
+	}
 	w := tab(out)
 	fmt.Fprintln(w, "Ablation\tValue\tNormalized latency/MCT")
-	for _, run := range []func(experiments.Fig8Config) ([]experiments.AblationRow, error){
-		experiments.AblationChunkSize,
-		experiments.AblationNotifyCap,
-		experiments.AblationPolicy,
-		experiments.AblationPIMIterations,
-		experiments.AblationBatching,
-	} {
-		rows, err := run(cfg)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%s\t%.3f\n", r.Param, r.Value, r.Norm)
-		}
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s\t%s\t%.3f\n", r.Param, r.Value, r.Norm)
 	}
 	if err := w.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "\nIntra-frame preemption (block-level testbed):")
-	pre, err := experiments.AblationPreemption(20)
+	pre, err := experiments.AblationPreemption()
 	if err != nil {
 		return err
 	}
@@ -229,8 +221,8 @@ func ablations(out io.Writer, cfg experiments.Fig8Config) error {
 	return w.Flush()
 }
 
-func incast(out io.Writer, cfg experiments.Fig8Config) error {
-	rows, err := experiments.Incast(cfg, 16, 50)
+func incast(out io.Writer) error {
+	rows, err := experiments.Incast(16, 50)
 	if err != nil {
 		return err
 	}

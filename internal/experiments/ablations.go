@@ -19,118 +19,88 @@ type AblationRow struct {
 	Norm  float64 // mean normalized latency / MCT
 }
 
-func fig8aTrace(cfg Fig8Config, sizes workload.SizeDist, load float64) ([]workload.Op, error) {
-	return workload.Generate(workload.GenConfig{
-		Nodes: cfg.Nodes, Load: load, Bandwidth: cfg.Bandwidth,
-		Sizes: sizes, ReadFrac: 0.5, Count: cfg.OpsPerRun, Seed: cfg.Seed,
-	})
+// ablation is one design-choice sweep: the same seeded trace replayed
+// through netsim's EDM model at each step.
+type ablation struct {
+	param string
+	sizes workload.SizeDist
+	load  float64
+	steps []ablationStep
 }
 
-// AblationChunkSize sweeps the scheduler chunk size c (§3.1.3 sets the
-// floor at the matching latency; §4.3 uses 256 B).
-func AblationChunkSize(cfg Fig8Config) ([]AblationRow, error) {
-	ops, err := fig8aTrace(cfg, workload.Hadoop(), 0.8)
-	if err != nil {
-		return nil, err
-	}
+type ablationStep struct {
+	label string
+	edm   netsim.EDM
+}
+
+// ablations is every sweep Ablations runs, in presentation order.
+var ablations = []ablation{
+	// The scheduler chunk size c: §3.1.3 sets its floor at the matching
+	// latency; §4.3 uses 256 B.
+	{"chunk", workload.Hadoop(), 0.8, []ablationStep{
+		{"64B", netsim.EDM{ChunkBytes: 64}},
+		{"128B", netsim.EDM{ChunkBytes: 128}},
+		{"256B", netsim.EDM{ChunkBytes: 256}},
+		{"512B", netsim.EDM{ChunkBytes: 512}},
+		{"1024B", netsim.EDM{ChunkBytes: 1024}},
+	}},
+	// X, the active notifications allowed per pair (§3.1.2: "we
+	// empirically find that the value of X=3 works best").
+	{"X", workload.Fixed(64), 0.8, []ablationStep{
+		{"1", netsim.EDM{X: 1}},
+		{"2", netsim.EDM{X: 2}},
+		{"3", netsim.EDM{X: 3}},
+		{"8", netsim.EDM{X: 8}},
+	}},
+	// FCFS against SRPT on a heavy-tailed workload, where the paper argues
+	// SRPT is near-optimal (§3.1.1 property 4).
+	{"policy", workload.Hadoop(), 0.8, []ablationStep{
+		{sched.FCFS.String(), netsim.EDM{Policy: sched.FCFS}},
+		{sched.SRPT.String(), netsim.EDM{Policy: sched.SRPT}},
+	}},
+	// PIM iterations per matching round: 1 is classic single-round PIM;
+	// 0 iterates to a maximal matching, as EDM does.
+	{"pim-iterations", workload.Fixed(64), 0.8, []ablationStep{
+		{"1", netsim.EDM{MaxIterations: 1}},
+		{"2", netsim.EDM{MaxIterations: 2}},
+		{"4", netsim.EDM{MaxIterations: 4}},
+		{"maximal", netsim.EDM{MaxIterations: 0}},
+	}},
+	// §3.1.2's mega-message batching on a small-message-heavy workload
+	// (the Memcached profile) at high load.
+	{"batch", workload.Memcached(), 0.9, []ablationStep{
+		{"off", netsim.EDM{BatchBytes: 0}},
+		{"1024B", netsim.EDM{BatchBytes: 1024}},
+		{"4096B", netsim.EDM{BatchBytes: 4096}},
+	}},
+}
+
+// Ablations runs every EDM design-choice sweep at cfg's scale.
+func Ablations(cfg Fig8Config) ([]AblationRow, error) {
 	var rows []AblationRow
-	for _, c := range []int{64, 128, 256, 512, 1024} {
-		res, err := netsim.RunNormalized(&netsim.EDM{ChunkBytes: c}, cfg.netCfg(), ops)
+	for _, a := range ablations {
+		r, err := a.run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", c, err)
+			return nil, err
 		}
-		rows = append(rows, AblationRow{
-			Param: "chunk", Value: fmt.Sprintf("%dB", c),
-			Norm: res.NormalizedSummary(nil).Mean,
-		})
+		rows = append(rows, r...)
 	}
 	return rows, nil
 }
 
-// AblationNotifyCap sweeps X, the active notifications allowed per pair
-// (§3.1.2: "we empirically find that the value of X=3 works best").
-func AblationNotifyCap(cfg Fig8Config) ([]AblationRow, error) {
-	ops, err := fig8aTrace(cfg, workload.Fixed(64), 0.8)
+func (a ablation) run(cfg Fig8Config) ([]AblationRow, error) {
+	ops, err := cfg.trace(a.sizes, a.load, 0.5)
 	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow
-	for _, x := range []int{1, 2, 3, 8} {
-		res, err := netsim.RunNormalized(&netsim.EDM{X: x}, cfg.netCfg(), ops)
+	for _, st := range a.steps {
+		p := st.edm
+		res, err := netsim.RunNormalized(&p, cfg.netCfg(), ops)
 		if err != nil {
-			return nil, fmt.Errorf("X=%d: %w", x, err)
+			return nil, fmt.Errorf("%s %s: %w", a.param, st.label, err)
 		}
-		rows = append(rows, AblationRow{
-			Param: "X", Value: fmt.Sprintf("%d", x),
-			Norm: res.NormalizedSummary(nil).Mean,
-		})
-	}
-	return rows, nil
-}
-
-// AblationPolicy compares FCFS and SRPT on a heavy-tailed workload, where
-// the paper argues SRPT is near-optimal (§3.1.1 property 4).
-func AblationPolicy(cfg Fig8Config) ([]AblationRow, error) {
-	ops, err := fig8aTrace(cfg, workload.Hadoop(), 0.8)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for _, p := range []sched.Policy{sched.FCFS, sched.SRPT} {
-		res, err := netsim.RunNormalized(&netsim.EDM{Policy: p}, cfg.netCfg(), ops)
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", p, err)
-		}
-		rows = append(rows, AblationRow{
-			Param: "policy", Value: p.String(),
-			Norm: res.NormalizedSummary(nil).Mean,
-		})
-	}
-	return rows, nil
-}
-
-// AblationPIMIterations caps PIM iterations per matching round: 1 iteration
-// is classic single-round PIM; 0 iterates to a maximal matching as EDM
-// does.
-func AblationPIMIterations(cfg Fig8Config) ([]AblationRow, error) {
-	ops, err := fig8aTrace(cfg, workload.Fixed(64), 0.8)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for _, it := range []int{1, 2, 4, 0} {
-		res, err := netsim.RunNormalized(&netsim.EDM{MaxIterations: it}, cfg.netCfg(), ops)
-		if err != nil {
-			return nil, fmt.Errorf("iters=%d: %w", it, err)
-		}
-		label := fmt.Sprintf("%d", it)
-		if it == 0 {
-			label = "maximal"
-		}
-		rows = append(rows, AblationRow{Param: "pim-iterations", Value: label,
-			Norm: res.NormalizedSummary(nil).Mean})
-	}
-	return rows, nil
-}
-
-// AblationBatching compares the §3.1.2 mega-message batching on a
-// small-message-heavy workload (Memcached profile) at high load.
-func AblationBatching(cfg Fig8Config) ([]AblationRow, error) {
-	ops, err := fig8aTrace(cfg, workload.Memcached(), 0.9)
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for _, batch := range []int{0, 1024, 4096} {
-		res, err := netsim.RunNormalized(&netsim.EDM{BatchBytes: batch}, cfg.netCfg(), ops)
-		if err != nil {
-			return nil, fmt.Errorf("batch=%d: %w", batch, err)
-		}
-		label := "off"
-		if batch > 0 {
-			label = fmt.Sprintf("%dB", batch)
-		}
-		rows = append(rows, AblationRow{Param: "batch", Value: label,
+		rows = append(rows, AblationRow{Param: a.param, Value: st.label,
 			Norm: res.NormalizedSummary(nil).Mean})
 	}
 	return rows, nil
@@ -140,20 +110,18 @@ func AblationBatching(cfg Fig8Config) ([]AblationRow, error) {
 // intra-frame preemption while a host streams MTU frames (§3.2.3 and §2.4
 // limitation 3) on the block-level testbed.
 type PreemptionResult struct {
-	Policy       string
-	MeanReadNs   float64
-	MaxReadNs    float64
-	MemBlocksTx  uint64
-	FrameBlocksT uint64
+	Policy     string
+	MeanReadNs float64
+	MaxReadNs  float64
 }
+
+// preemptionReads is how many reads AblationPreemption times per policy.
+const preemptionReads = 20
 
 // AblationPreemption measures 64 B reads issued while the compute node
 // concurrently transmits 1500 B frames, under the fair (preempting) mux and
 // the frame-first (MAC-like, non-preempting) mux.
-func AblationPreemption(reads int) ([]PreemptionResult, error) {
-	if reads <= 0 {
-		reads = 20
-	}
+func AblationPreemption() ([]PreemptionResult, error) {
 	var out []PreemptionResult
 	for _, pol := range []struct {
 		name string
@@ -168,7 +136,7 @@ func AblationPreemption(reads int) ([]PreemptionResult, error) {
 		}
 		frame := make([]byte, 1500)
 		var sum, max float64
-		for i := 0; i < reads; i++ {
+		for i := 0; i < preemptionReads; i++ {
 			// Keep the frame pipe full: enqueue a fresh MTU frame right
 			// before each read.
 			f.Host(0).SendFrame(frame)
@@ -183,20 +151,16 @@ func AblationPreemption(reads int) ([]PreemptionResult, error) {
 				max = ns
 			}
 		}
-		f.Run() // drain remaining frames
-		hs := f.Host(0).Stats()
 		out = append(out, PreemptionResult{
-			Policy:       pol.name,
-			MeanReadNs:   sum / float64(reads),
-			MaxReadNs:    max,
-			MemBlocksTx:  hs.MemBlocksTX,
-			FrameBlocksT: hs.FrameBlocksTX,
+			Policy:     pol.name,
+			MeanReadNs: sum / preemptionReads,
+			MaxReadNs:  max,
 		})
 	}
 	return out, nil
 }
 
-// IncastResult is the bonus experiment: an N-to-1 incast of 64 B reads,
+// IncastResult is the bonus experiment: an N-to-1 incast of 64 B writes,
 // demonstrating limitation 6 (reactive protocols queue; EDM schedules).
 type IncastResult struct {
 	Proto    string
@@ -204,8 +168,9 @@ type IncastResult struct {
 	P99Norm  float64
 }
 
-// Incast runs an n-to-1 burst through EDM and DCTCP models.
-func Incast(cfg Fig8Config, senders, opsEach int) ([]IncastResult, error) {
+// Incast runs an n-to-1 burst through the EDM, DCTCP and CXL models at
+// §4.3's line rate.
+func Incast(senders, opsEach int) ([]IncastResult, error) {
 	if senders <= 0 {
 		senders = 16
 	}
@@ -225,7 +190,7 @@ func Incast(cfg Fig8Config, senders, opsEach int) ([]IncastResult, error) {
 	}
 	var out []IncastResult
 	for _, p := range []netsim.Protocol{&netsim.EDM{}, netsim.DCTCP{}, netsim.CXL{}} {
-		res, err := netsim.RunNormalized(p, netsim.Config{Nodes: senders + 1, Bandwidth: cfg.Bandwidth}, ops)
+		res, err := netsim.RunNormalized(p, netsim.Config{Nodes: senders + 1, Bandwidth: fig8Bandwidth}, ops)
 		if err != nil {
 			return nil, fmt.Errorf("incast %s: %w", p.Name(), err)
 		}

@@ -12,7 +12,23 @@ import (
 
 // smallFig8 keeps simulation-based tests fast.
 func smallFig8() Fig8Config {
-	return Fig8Config{Nodes: 16, Bandwidth: 100, OpsPerRun: 2000, Seed: 3}
+	return Fig8Config{Nodes: 16, OpsPerRun: 2000, Seed: 3}
+}
+
+// ablationRows runs the one sweep of the ablation table named param.
+func ablationRows(t *testing.T, cfg Fig8Config, param string) []AblationRow {
+	t.Helper()
+	for _, a := range ablations {
+		if a.param == param {
+			rows, err := a.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rows
+		}
+	}
+	t.Fatalf("no ablation %q", param)
+	return nil
 }
 
 func TestTable1ReproducesPaper(t *testing.T) {
@@ -164,7 +180,9 @@ func TestFig8aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := Fig8a(smallFig8(), []float64{0.2, 0.8})
+	// Each load has its own seeded trace, so the 0.2 and 0.8 rows do not
+	// depend on the other loads in the sweep.
+	rows, err := Fig8a(smallFig8())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +221,7 @@ func TestFig8bShape(t *testing.T) {
 	// pair FIFOs (§3.1.1 property 5) serialize small ops behind huge ones
 	// far more often than at the paper's 144 nodes. Use 64 nodes here;
 	// cmd/edmbench runs the full scale.
-	cfg := Fig8Config{Nodes: 64, Bandwidth: 100, OpsPerRun: 1500, Seed: 3}
+	cfg := Fig8Config{Nodes: 64, OpsPerRun: 1500, Seed: 3}
 	rows, err := Fig8b(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -247,10 +265,7 @@ func TestAblationChunkSize(t *testing.T) {
 	}
 	cfg := smallFig8()
 	cfg.OpsPerRun = 1000
-	rows, err := AblationChunkSize(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, cfg, "chunk")
 	for _, r := range rows {
 		t.Logf("chunk %s: %.3f", r.Value, r.Norm)
 		if r.Norm <= 0 {
@@ -265,10 +280,7 @@ func TestAblationPolicySRPTWinsOnHeavyTail(t *testing.T) {
 	}
 	cfg := smallFig8()
 	cfg.OpsPerRun = 1500
-	rows, err := AblationPolicy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, cfg, "policy")
 	var fcfs, srpt float64
 	for _, r := range rows {
 		t.Logf("policy %s: %.3f", r.Value, r.Norm)
@@ -285,7 +297,7 @@ func TestAblationPolicySRPTWinsOnHeavyTail(t *testing.T) {
 }
 
 func TestAblationPreemption(t *testing.T) {
-	res, err := AblationPreemption(10)
+	res, err := AblationPreemption()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +321,7 @@ func TestIncast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := Incast(smallFig8(), 8, 30)
+	res, err := Incast(8, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +353,11 @@ func TestWirePerOpSanity(t *testing.T) {
 
 func TestFig8TraceDeterminism(t *testing.T) {
 	cfg := smallFig8()
-	a, err := fig8aTrace(cfg, workload.Fixed(64), 0.5)
+	a, err := cfg.trace(workload.Fixed(64), 0.5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fig8aTrace(cfg, workload.Fixed(64), 0.5)
+	b, err := cfg.trace(workload.Fixed(64), 0.5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,10 +374,7 @@ func TestAblationBatching(t *testing.T) {
 	}
 	cfg := smallFig8()
 	cfg.OpsPerRun = 1500
-	rows, err := AblationBatching(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := ablationRows(t, cfg, "batch")
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -2,8 +2,8 @@
 // evaluation (§4): Table 1 and Figure 5 from the block-level testbed fabric
 // and the component-latency models, Figures 6-7 from the key-value store
 // application, and Figure 8 from the large-scale network simulator. Each
-// experiment returns plain row structs; cmd/edmbench formats them, and
-// bench_test.go wraps them as benchmarks.
+// experiment returns plain row structs, and cmd/edmbench, the one command
+// that regenerates the artifacts, formats them.
 package experiments
 
 import (
