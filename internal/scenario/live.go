@@ -61,6 +61,7 @@ type liveFaults struct {
 // LinkDown flaps darken a node's link transiently and bursts degrade it. On
 // the single-node backend absences (leave/join) are darkness too, as on the
 // fabric backend; on the cluster they are membership changes, not windows.
+// Every burst's OneIn is set: Run validates the spec first.
 func newLiveFaults(events []Event, nodes int, absencesDarken bool) *liveFaults {
 	fs := &liveFaults{dead: make([]bool, nodes), down: map[int][]interval{}}
 	flapW, absentW := outageWindows(events)
@@ -76,12 +77,8 @@ func newLiveFaults(events []Event, nodes int, absencesDarken bool) *liveFaults {
 		if e.Kind != CorruptBurst && e.Kind != DropBurst {
 			continue
 		}
-		oneIn := e.OneIn
-		if oneIn == 0 {
-			oneIn = 64
-		}
 		fs.rate = append(fs.rate, &rateWindow{interval: interval{e.At, e.Until},
-			node: e.Node, kind: e.Kind, oneIn: oneIn})
+			node: e.Node, kind: e.Kind, oneIn: e.OneIn})
 	}
 	return fs
 }

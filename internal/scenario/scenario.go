@@ -96,6 +96,14 @@ const (
 	NodeJoin EventKind = "join"
 )
 
+// The injection rates of a corrupt or drop window that its spec leaves
+// unset: Validate fills them into Event.OneIn and Prob, and into
+// Chaos.CorruptOneIn and CorruptProb.
+const (
+	defaultOneIn uint64 = 64   // fabric and live backends: 1 block or datagram in 64
+	defaultProb         = 0.25 // netsim backend: per-op probability
+)
+
 // Event is one timed fault.
 type Event struct {
 	Kind  EventKind `json:"kind"`
@@ -103,12 +111,12 @@ type Event struct {
 	At    sim.Time  `json:"at"`
 	Until sim.Time  `json:"until,omitempty"`
 	// OneIn is the fabric-backend injection rate (1-in-N blocks); 0 means
-	// the default (64). A zero-rate window cannot be expressed — delete
+	// defaultOneIn (64). A zero-rate window cannot be expressed — delete
 	// the event instead.
 	OneIn uint64 `json:"one_in,omitempty"`
-	// Prob is the netsim-backend per-op hit probability; 0 means the
-	// default (0.25). A zero-rate window cannot be expressed — delete the
-	// event instead.
+	// Prob is the netsim-backend per-op hit probability; 0 means
+	// defaultProb (0.25). A zero-rate window cannot be expressed — delete
+	// the event instead.
 	Prob float64 `json:"prob,omitempty"`
 }
 
@@ -126,10 +134,11 @@ type Chaos struct {
 	// BurstMin/BurstMax bound each burst's duration.
 	BurstMin sim.Time `json:"burst_min"`
 	BurstMax sim.Time `json:"burst_max"`
-	// CorruptOneIn is the fabric-backend burst rate (default 64).
+	// CorruptOneIn is the fabric-backend burst rate; 0 means defaultOneIn
+	// (64).
 	CorruptOneIn uint64 `json:"corrupt_one_in"`
 	// CorruptProb is the netsim-backend per-op corruption probability
-	// inside a burst (default 0.25).
+	// inside a burst; 0 means defaultProb (0.25).
 	CorruptProb float64 `json:"corrupt_prob"`
 }
 
@@ -252,10 +261,10 @@ func (s *Spec) Validate() error {
 				// the other: OneIn drives the fabric links, Prob the
 				// flow-level coin flips.
 				if s.Events[i].OneIn == 0 {
-					s.Events[i].OneIn = 64
+					s.Events[i].OneIn = defaultOneIn
 				}
 				if e.Prob == 0 {
-					s.Events[i].Prob = 0.25
+					s.Events[i].Prob = defaultProb
 				}
 			}
 		case NodeLeave, NodeJoin:
@@ -286,10 +295,10 @@ func (s *Spec) Validate() error {
 			ch.BurstMax = 4 * ch.BurstMin
 		}
 		if ch.CorruptOneIn == 0 {
-			ch.CorruptOneIn = 64
+			ch.CorruptOneIn = defaultOneIn
 		}
 		if ch.CorruptProb == 0 {
-			ch.CorruptProb = 0.25
+			ch.CorruptProb = defaultProb
 		}
 	}
 	return nil
