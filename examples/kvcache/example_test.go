@@ -13,5 +13,5 @@ func Example() {
 	//     10:90          150           69             393         150
 	//
 	// Remote accesses pay the ~300ns EDM fabric on top of DRAM;
-	// compare Figure 7 of the paper (and EXPERIMENTS.md).
+	// compare Figure 7 of the paper (README's Experiment map; edmbench -experiment fig7).
 }

@@ -61,5 +61,5 @@ func main() {
 			localPct, 100-localPct, sum/float64(len(lats)), lavg, ravg, rn)
 	}
 	fmt.Println("\nRemote accesses pay the ~300ns EDM fabric on top of DRAM;")
-	fmt.Println("compare Figure 7 of the paper (and EXPERIMENTS.md).")
+	fmt.Println("compare Figure 7 of the paper (README's Experiment map; edmbench -experiment fig7).")
 }
