@@ -95,8 +95,7 @@ func (a ablation) run(cfg Fig8Config) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, st := range a.steps {
-		p := st.edm
-		res, err := netsim.RunNormalized(&p, cfg.netCfg(), ops)
+		res, err := netsim.RunNormalized(&st.edm, cfg.netCfg(), ops)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", a.param, st.label, err)
 		}
