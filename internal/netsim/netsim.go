@@ -8,9 +8,10 @@
 // the block-level testbed in internal/edm: protocol dynamics and queueing
 // are modelled exactly, per-block pipelines by their published constants.
 //
-// Each baseline runs at one parameter set, held as named constants beside
-// its model; only EDM's scheduler knobs, which the ablations sweep, are
-// fields. A protocol value holds no state: every Run
+// PFC and CXL are one input-queued switch (iqSwitch), differing only in
+// their constants and flow control (pause frames, credits). Each baseline
+// runs at one parameter set, held as named constants beside its model;
+// only EDM's scheduler knobs, which the ablations sweep, are fields. A protocol value holds no state: every Run
 // builds its model afresh, so one value may run traces from several
 // goroutines at once.
 package netsim
@@ -109,8 +110,6 @@ type pipe struct {
 	bw        sim.Gbps
 	lat       sim.Time
 	busyUntil sim.Time
-	// paused freezes the pipe head (PFC); pending sends queue behind it.
-	pausedUntil sim.Time
 }
 
 func newPipe(eng *sim.Engine, bw sim.Gbps, lat sim.Time) *pipe {
@@ -128,21 +127,12 @@ func (p *pipe) queuedBytes() int64 {
 }
 
 // send enqueues n wire bytes; then runs when the last byte arrives at the
-// far end. It returns the queueing delay experienced.
-func (p *pipe) send(n int, then func()) sim.Time {
-	now := p.eng.Now()
-	start := now
-	if p.busyUntil > start {
-		start = p.busyUntil
-	}
-	if p.pausedUntil > start {
-		start = p.pausedUntil
-	}
-	p.busyUntil = start + sim.TransmissionTime(n, p.bw)
+// far end.
+func (p *pipe) send(n int, then func()) {
+	p.busyUntil = max(p.busyUntil, p.eng.Now()) + sim.TransmissionTime(n, p.bw)
 	if then != nil {
 		p.eng.At(p.busyUntil+p.lat, then)
 	}
-	return start - now
 }
 
 // packetize splits n bytes into payloads of at most mtu bytes.
