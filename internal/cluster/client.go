@@ -44,8 +44,12 @@ type Config struct {
 	// AutoEvict, when positive, declares a node dead after that many
 	// consecutive retry-budget timeouts: the map epoch advances without it
 	// and a background rebalance re-mirrors its extents. Zero leaves
-	// membership entirely to the caller (the deterministic scenario
-	// driver).
+	// membership to the caller (the deterministic scenario driver), with
+	// one exception whatever AutoEvict says: a node that missed a write
+	// its partner acked is evicted before the op completes. The re-mirror
+	// of what that eviction moved runs in the background when AutoEvict
+	// is positive, and otherwise first thing in the caller's next
+	// Rebalance.
 	AutoEvict int
 }
 
@@ -66,11 +70,12 @@ type Client struct {
 	subs sync.Pool
 
 	mu         sync.Mutex
-	m          *Map  // guarded by mu: the active route table
-	streak     []int // guarded by mu: consecutive deadline completions per node (auto-evict)
-	pendingOld *Map  // guarded by mu: baseline of a failed background rebalance awaiting retry
-	rebalBusy  bool  // guarded by mu: a background rebalance retry is in flight
-	closed     bool  // guarded by mu
+	m          *Map   // guarded by mu: the active route table
+	streak     []int  // guarded by mu: consecutive deadline completions per node (auto-evict)
+	pendingOld *Map   // guarded by mu: baseline of a failed background rebalance awaiting retry
+	owed       []move // guarded by mu: missed-write evictions not yet re-mirrored, oldest first
+	rebalBusy  bool   // guarded by mu: a background rebalance retry is in flight
+	closed     bool   // guarded by mu
 }
 
 // New builds a cluster client over connected node clients (Connect each
@@ -145,9 +150,9 @@ func (c *Client) Metrics() *Metrics { return c.metrics }
 
 // MarkDead advances the map epoch without node (a leave/kill event) and
 // returns the (old, new) maps for a follow-up Rebalance. Marking an
-// already-dead node is a pure epoch bump.
+// already-dead node is a pure epoch bump, and counts no eviction.
 func (c *Client) MarkDead(node int) (old, cur *Map, err error) {
-	if old, cur, err = c.advance(node, (*Map).Leave); err == nil {
+	if old, cur, err = c.advance(node, (*Map).Leave); err == nil && old.Alive(node) {
 		c.metrics.Evictions.Inc()
 	}
 	return old, cur, err
@@ -240,6 +245,39 @@ func (c *Client) noteDeadline(node int) {
 	}
 }
 
+// move is one map change: the map before it and the map after.
+type move struct{ old, cur *Map }
+
+// evictMissed takes node, which missed a write another replica acked, out
+// of the map, so that no read reaches its stale copy. The re-mirror of what
+// the eviction moved is owed to the next Rebalance (Config.AutoEvict says
+// whose). A node already out of the map is left as it is; one of the last
+// two alive cannot be evicted, and the caller fails the op.
+func (c *Client) evictMissed(node int) error {
+	c.mu.Lock()
+	old := c.m
+	if !old.Alive(node) {
+		c.mu.Unlock()
+		return nil
+	}
+	cur, err := old.Leave(node)
+	if err == nil {
+		c.m = cur
+		c.streak[node] = 0
+		c.owed = append(c.owed, move{old, cur})
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("cluster: node %d missed an acked write and cannot be evicted: %w", node, err)
+	}
+	c.metrics.Epoch.Set(int64(cur.Epoch()))
+	c.metrics.Evictions.Inc()
+	if c.cfg.AutoEvict > 0 {
+		go c.rebalancePass(cur, cur)
+	}
+	return nil
+}
+
 // evict is the auto-evict driver: epoch advance, then re-mirror.
 func (c *Client) evict(node int) {
 	old, cur, err := c.MarkDead(node)
@@ -294,8 +332,9 @@ const (
 
 // segState tracks one segment's replica outcomes.
 type segState struct {
-	acks  int // replicas that acked
-	fails int // replicas that timed out
+	acks   int // replicas that acked
+	fails  int // replicas that timed out
+	missed int // a replica that timed out on a write or an RMW; -1 if none
 }
 
 // opCB is the caller's callback: exactly one field is set.
@@ -473,6 +512,11 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 			} else {
 				o.failovers++
 				s.attempt = 1
+				if s.kind == kRMW {
+					// The primary may have missed the atomic the mirror
+					// now runs.
+					o.segs[s.seg].missed = s.node
+				}
 			}
 			o.mu.Unlock()
 			s.node = alt
@@ -510,6 +554,9 @@ func (o *clusterOp) subDone(s *subOp, err error, fatal bool) {
 		}
 	default:
 		o.segs[s.seg].fails++
+		if s.kind != kRead {
+			o.segs[s.seg].missed = s.node
+		}
 		o.dlErr = err
 	}
 	o.remaining--
@@ -547,6 +594,14 @@ func (o *clusterOp) finish() {
 			// only with its final outcome, so a re-route that acked leaves
 			// fails at zero.)
 			failovers++
+		}
+		if sg.acks > 0 && sg.missed >= 0 {
+			// The replica that missed an acked write leaves the map before
+			// the callback fires. (Lock order: o.mu, then c.mu; nothing
+			// takes them the other way round.)
+			if eerr := c.evictMissed(sg.missed); eerr != nil && err == nil {
+				err = eerr
+			}
 		}
 	}
 	if failovers > 0 {
@@ -649,7 +704,7 @@ func (c *Client) fanOut(cb opCB, kind opKind, addr uint64, n int, data []byte, r
 	o.cb = cb
 	o.segs = o.segs[:0]
 	for i := 0; i < nseg; i++ {
-		o.segs = append(o.segs, segState{})
+		o.segs = append(o.segs, segState{missed: -1})
 	}
 	o.remaining = homes*nseg + 1 // +1: the issuer's hold
 	o.mu.Unlock()

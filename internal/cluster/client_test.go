@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -630,40 +631,124 @@ func TestClusterClientContract(t *testing.T) {
 	})
 }
 
-// TestClusterFlappedReplicaServesStale names the fail-stop gap: a replica
-// that was only unreachable for a while (not evicted, not re-mirrored)
-// misses the writes its partner acked alone, and serves its old bytes once
-// it is back. Epoch fencing with re-mirroring of a flapped node (ROADMAP
-// item 1(c)) is the change that flips the last assertion to the new bytes.
-func TestClusterFlappedReplicaServesStale(t *testing.T) {
+// TestClusterFlappedReplicaIsEvicted: a replica that was only unreachable
+// for a while misses the writes its partner acked alone. The miss evicts it
+// before the write's callback fires, so once its link is back no read
+// reaches its old bytes. Each case darkens one replica of an extent for one
+// write or RMW; the op succeeds on the other replica.
+func TestClusterFlappedReplicaIsEvicted(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		darkPri bool // else the mirror is dark
+		rmw     bool
+	}{
+		{"write, primary dark", true, false},
+		{"write, mirror dark", false, false},
+		{"RMW, primary dark", true, true},
+		{"RMW write-through, mirror dark", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
+			addr := uint64(11 * testExtentBytes)
+			e, _ := cc.Map().Locate(addr)
+			pri, mir := cc.Map().Extent(e)
+			dark := mir
+			if tc.darkPri {
+				dark = pri
+			}
+			stale, fresh := pattern(64, 31), pattern(64, 37)
+			if err := cc.WriteSync(addr, stale); err != nil {
+				t.Fatalf("first write: %v", err)
+			}
+			nodes[dark].dead.Store(true)
+			var aliveAtAck bool
+			done := make(chan error, 1)
+			ack := func(err error) {
+				aliveAtAck = cc.Map().Alive(dark)
+				done <- err
+			}
+			var err error
+			if tc.rmw {
+				// Adding fresh - stale to the first word makes it fresh's.
+				add := binary.LittleEndian.Uint64(fresh) - binary.LittleEndian.Uint64(stale)
+				err = cc.RMW(addr, memctl.OpFetchAdd, []uint64{add}, func(_ uint64, err error) { ack(err) })
+				fresh = append(fresh[:8:8], stale[8:]...)
+			} else {
+				err = cc.Write(addr, fresh, ack)
+			}
+			if err == nil {
+				err = <-done
+			}
+			if err != nil {
+				t.Fatalf("op with node %d dark: %v", dark, err)
+			}
+			if aliveAtAck {
+				t.Fatalf("node %d, which missed the op, was still in the map when the op completed", dark)
+			}
+			mt := cc.Metrics()
+			if mt.Failovers.Load() != 1 || mt.Evictions.Load() != 1 || cc.Epoch() != 1 {
+				t.Fatalf("failovers %d, evictions %d, epoch %d: want one of each, the dark node evicted",
+					mt.Failovers.Load(), mt.Evictions.Load(), cc.Epoch())
+			}
+			nodes[dark].dead.Store(false)
+			got, err := cc.ReadSync(addr, 64)
+			if err != nil {
+				t.Fatalf("read after the link came back: %v", err)
+			}
+			if !bytes.Equal(got, fresh) {
+				t.Fatalf("read %x..., want the acked bytes %x... (the flapped node's were %x...)", got[:4], fresh[:4], stale[:4])
+			}
+		})
+	}
+}
+
+// TestClusterFlapThenDeathKeepsAckedWrite: a flap and one later death must
+// not lose an acked write. Write A; darken the primary and write B, which
+// only the mirror acks; bring the primary back; then kill the mirror. The
+// flapped primary was evicted by the write it missed, so the rebalance
+// copies B from the mirror before the mirror goes, and the read returns B.
+func TestClusterFlapThenDeathKeepsAckedWrite(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	addr := uint64(11 * testExtentBytes)
 	e, _ := cc.Map().Locate(addr)
 	pri, mir := cc.Map().Extent(e)
-	stale, fresh := pattern(64, 31), pattern(64, 37)
-	if err := cc.WriteSync(addr, stale); err != nil {
-		t.Fatalf("first write: %v", err)
+	a, b := pattern(64, 31), pattern(64, 37)
+	if err := cc.WriteSync(addr, a); err != nil {
+		t.Fatalf("write A: %v", err)
 	}
 	nodes[pri].dead.Store(true)
-	if err := cc.WriteSync(addr, fresh); err != nil {
-		t.Fatalf("write with the primary dark: %v", err)
-	}
-	if n := cc.Metrics().Failovers.Load(); n != 1 {
-		t.Fatalf("cluster_failover_total = %d, want 1 (the write the mirror acked alone)", n)
-	}
-	if got, err := nodes[mir].cl.ReadSync(addr, 64); err != nil || !bytes.Equal(got, fresh) {
-		t.Fatalf("mirror does not hold the write it acked: %v", err)
+	if err := cc.WriteSync(addr, b); err != nil {
+		t.Fatalf("write B with the primary dark: %v", err)
 	}
 	nodes[pri].dead.Store(false)
+	old, cur, err := cc.MarkDead(mir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cc.Rebalance(old, cur); err != nil || st.Lost != 0 {
+		t.Fatalf("rebalance after the mirror's death: %+v, %v", st, err)
+	}
 	got, err := cc.ReadSync(addr, 64)
 	if err != nil {
-		t.Fatalf("read after the link came back: %v", err)
+		t.Fatalf("read: %v", err)
 	}
-	if !bytes.Equal(got, stale) {
-		t.Fatalf("the flapped primary served %x...; today it serves the bytes from before the flap (%x...)", got[:4], stale[:4])
+	if !bytes.Equal(got, b) {
+		t.Fatalf("read %x..., want B %x... (A was %x...)", got[:4], b[:4], a[:4])
 	}
-	if cc.Epoch() != 0 || cc.Metrics().Failovers.Load() != 1 {
-		t.Fatalf("epoch %d, failovers %d: the stale read was noticed by nothing", cc.Epoch(), cc.Metrics().Failovers.Load())
+}
+
+// TestClusterMissedWriteWithTwoAlive: with two nodes alive a replica that
+// missed a write cannot be evicted, so the write fails rather than report
+// success from the one replica that has it.
+func TestClusterMissedWriteWithTwoAlive(t *testing.T) {
+	cc, nodes := newTestCluster(t, 2, Config{Seed: 42})
+	pri, _ := cc.Map().Extent(0)
+	nodes[pri].dead.Store(true)
+	if err := cc.WriteSync(0, pattern(64, 5)); !errors.Is(err, ErrTooFewNodes) {
+		t.Fatalf("write missed by node %d of two: err %v, want ErrTooFewNodes", pri, err)
+	}
+	if !cc.Map().Alive(pri) || cc.Epoch() != 0 {
+		t.Fatalf("node %d evicted from a two-node map (epoch %d)", pri, cc.Epoch())
 	}
 }
 

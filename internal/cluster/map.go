@@ -27,7 +27,11 @@
 // A re-issue that fails inline is fatal. An op succeeds when no outcome was
 // fatal and every segment was acked by at least one replica; a segment that
 // was re-routed, or acked by one replica and missed by the other, counts
-// one cluster_failover_total.
+// one cluster_failover_total. A replica that missed a write, an RMW's
+// write-through, or an RMW that failed over to the other replica is
+// evicted from the map before the op's callback fires, so no later read
+// reaches its stale copy; with only two nodes alive it cannot be, and the
+// op fails instead.
 //
 // Atomicity caveats: a split op is not atomic across extents; an RMW is
 // atomic only on its primary, the mirror's copy being a write-through that

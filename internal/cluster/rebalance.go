@@ -26,14 +26,47 @@ type RebalanceStats struct {
 // directly against the node clients (routed ops would write through to the
 // very replicas being rebuilt). Extents whose holders all died are counted
 // in Lost and skipped; the first copy error aborts the pass.
+//
+// Before old -> cur, it runs, in order, every re-mirror the client owes
+// from evicting a node that missed an acked write (Config.AutoEvict
+// documents when). A pass that fails stays owed.
 func (c *Client) Rebalance(old, cur *Map) (RebalanceStats, error) {
 	var st RebalanceStats
 	var start int64
 	if c.cfg.NowNS != nil {
 		start = c.cfg.NowNS()
 	}
-	moves := Diff(old, cur)
-	for _, mv := range moves {
+	for {
+		c.mu.Lock()
+		if len(c.owed) == 0 {
+			c.mu.Unlock()
+			break
+		}
+		mv := c.owed[0]
+		c.mu.Unlock()
+		if err := c.copyMoves(mv.old, mv.cur, &st); err != nil {
+			return st, err
+		}
+		c.mu.Lock()
+		if len(c.owed) > 0 && c.owed[0] == mv {
+			c.owed = c.owed[1:]
+		}
+		c.mu.Unlock()
+	}
+	if err := c.copyMoves(old, cur, &st); err != nil {
+		return st, err
+	}
+	if c.cfg.NowNS != nil {
+		st.DurNS = c.cfg.NowNS() - start
+		c.metrics.RebalanceNS.Observe(st.DurNS)
+	}
+	return st, nil
+}
+
+// copyMoves copies each extent Diff(old, cur) moves from its source to its
+// new holders, counting into st.
+func (c *Client) copyMoves(old, cur *Map, st *RebalanceStats) error {
+	for _, mv := range Diff(old, cur) {
 		if mv.From < 0 {
 			st.Lost++
 			continue
@@ -50,11 +83,11 @@ func (c *Client) Rebalance(old, cur *Map) (RebalanceStats, error) {
 			}
 			data, err := c.copyChunk(mv, a, n)
 			if err != nil {
-				return st, err
+				return err
 			}
 			for _, dst := range mv.To {
 				if err := c.nodes[dst].WriteSync(a, data); err != nil {
-					return st, fmt.Errorf("cluster: rebalance write extent %d to node %d: %w", mv.Extent, dst, err)
+					return fmt.Errorf("cluster: rebalance write extent %d to node %d: %w", mv.Extent, dst, err)
 				}
 				st.Bytes += uint64(n)
 				c.metrics.RebalanceBytes.Add(uint64(n))
@@ -63,11 +96,7 @@ func (c *Client) Rebalance(old, cur *Map) (RebalanceStats, error) {
 		st.Extents++
 		c.metrics.RebalanceExtents.Inc()
 	}
-	if c.cfg.NowNS != nil {
-		st.DurNS = c.cfg.NowNS() - start
-		c.metrics.RebalanceNS.Observe(st.DurNS)
-	}
-	return st, nil
+	return nil
 }
 
 // copyChunk reads [a, a+n) from the move's copy source.
