@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -232,7 +233,7 @@ func TestIRDConflictAccounting(t *testing.T) {
 	}
 }
 
-// TestCXLReadWrite: CXL flit accounting moves exactly the op's bytes.
+// TestCXLDelivery: CXL flit accounting moves exactly the op's bytes.
 func TestCXLDelivery(t *testing.T) {
 	ops := []workload.Op{
 		{Index: 0, Src: 0, Dst: 1, Size: 1000, Read: false, Arrival: 0},
@@ -498,5 +499,117 @@ func TestProtocolsRunConcurrently(t *testing.T) {
 				t.Errorf("%s run %d differs from the sequential run", p.Name(), i)
 			}
 		}
+	}
+}
+
+// flowProbe wraps a model's flow control on the input-queued switch and
+// records what the switch asked of it: how often a NIC with a packet ready
+// was held, how often a packet joining an ingress closed its sender (a PFC
+// pause), and the most packets each sender had between its NIC and the
+// egress.
+type flowProbe struct {
+	iqFlow
+	held, pauses        int
+	inFlight, maxFlight []int
+}
+
+func (p *flowProbe) mayTransmit(i int) bool {
+	ok := p.iqFlow.mayTransmit(i)
+	if !ok {
+		p.held++
+	}
+	return ok
+}
+
+func (p *flowProbe) started(i int) {
+	p.iqFlow.started(i)
+	p.inFlight[i]++
+	p.maxFlight[i] = max(p.maxFlight[i], p.inFlight[i])
+}
+
+func (p *flowProbe) joined(i int, pkt *iqPkt) {
+	open := p.iqFlow.mayTransmit(i)
+	p.iqFlow.joined(i, pkt)
+	if open && !p.iqFlow.mayTransmit(i) {
+		p.pauses++
+	}
+}
+
+func (p *flowProbe) left(i int, pkt *iqPkt) {
+	p.inFlight[i]--
+	p.iqFlow.left(i, pkt)
+}
+
+// TestInputQueuedHeadOfLineBlocking pins what PFC and CXL share, the
+// input-queued switch. Senders 1-3 write 64 KiB each to node 0, so egress 0
+// serves each of them at a third of the line rate. Sender 1 then writes
+// 64 B to node 4, whose egress is idle; that packet sits behind sender 1's
+// incast packets in the same NIC queue and ingress FIFO. Without the
+// blocking it would finish with sender 1's whole backlog pushed through an
+// idle switch; with it, it waits on egress 0's third share, about three
+// times as long. The test asks for twice. And each model's
+// flow control must engage: PFC pauses sender 1, and CXL's credits cap the
+// flits sender 1 has between its NIC and the egress at cxlCredits.
+func TestInputQueuedHeadOfLineBlocking(t *testing.T) {
+	const incast, victim = 64 << 10, 64
+	cfg := Config{Nodes: 5, Bandwidth: 100}
+	ops := []workload.Op{
+		{Index: 0, Src: 1, Dst: 0, Size: incast},
+		{Index: 1, Src: 2, Dst: 0, Size: incast},
+		{Index: 2, Src: 3, Dst: 0, Size: incast},
+		{Index: 3, Src: 1, Dst: 4, Size: victim, Arrival: sim.Nanosecond},
+	}
+	for _, tc := range []struct {
+		p interface {
+			Protocol
+			build(Config, *sim.Engine, *tracker) *iqSwitch
+		}
+		engaged func(*flowProbe) error
+	}{
+		{PFC{}, func(p *flowProbe) error {
+			if p.pauses == 0 {
+				return fmt.Errorf("no ingress paused its sender")
+			}
+			return nil
+		}},
+		{CXL{}, func(p *flowProbe) error {
+			for i, n := range p.maxFlight {
+				if n > cxlCredits {
+					return fmt.Errorf("sender %d had %d flits past its NIC, over its %d credits", i, n, cxlCredits)
+				}
+			}
+			if p.maxFlight[1] < cxlCredits {
+				return fmt.Errorf("sender 1 had at most %d flits past its NIC: its %d credits never ran out", p.maxFlight[1], cxlCredits)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.p.Name(), func(t *testing.T) {
+			var probe *flowProbe
+			res, err := drive(tc.p.Name(), cfg, ops, func(eng *sim.Engine, track *tracker) func(workload.Op) {
+				s := tc.p.build(cfg, eng, track)
+				probe = &flowProbe{iqFlow: s.flow, inFlight: make([]int, cfg.Nodes), maxFlight: make([]int, cfg.Nodes)}
+				s.flow = probe
+				return s.arrive
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone, err := tc.p.Run(cfg, []workload.Op{{Src: 1, Dst: 4, Size: incast + victim}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range res.Ops {
+				if bound := 2 * alone.Ops[0].Latency; o.Op.Index == 3 && o.Latency <= bound {
+					t.Errorf("victim latency %v, not above %v, twice sender 1's whole backlog through an idle switch: no head-of-line blocking", o.Latency, bound)
+				}
+			}
+			if probe.held == 0 {
+				t.Error("the flow control never held a NIC with a packet ready")
+			}
+			if err := tc.engaged(probe); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
