@@ -1,5 +1,6 @@
 // Package repro's root benchmarks time the simulators themselves: the
-// in-network scheduler, the block-level fabric and the flow-level EDM model.
+// in-network scheduler, the block-level fabric, the flow-level EDM model
+// and the input-queued switch under the flow-level PFC and CXL models.
 // They regenerate no paper artifact; `go run ./cmd/edmbench -experiment
 // <name>` does, and README's Experiment map lists each one and what checks
 // it. Run with:
@@ -80,4 +81,34 @@ func BenchmarkNetsimEDM(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(ops)), "ops-per-run")
+}
+
+// BenchmarkNetsimIQSwitch measures the input-queued switch that PFC and CXL
+// share: wall time per replay of a hadoop-sort trace at 144 nodes (the
+// paper's cluster) and load 0.8, arrivals scaled to each model's wire bytes
+// as Figure 8 runs them. The trace is four ops per node: at 144 nodes the
+// CXL model spends most of its time rescanning the switch, and one
+// iteration of both sub-benchmarks takes a few seconds.
+func BenchmarkNetsimIQSwitch(b *testing.B) {
+	const nodes = 144
+	ops, err := workload.Generate(workload.GenConfig{
+		Nodes: nodes, Load: 0.8, Bandwidth: 100,
+		Sizes: workload.Hadoop(), ReadFrac: 0.5, Count: 4 * nodes, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := netsim.Config{Nodes: nodes, Bandwidth: 100}
+	for _, p := range []netsim.Protocol{netsim.PFC{}, netsim.CXL{}} {
+		b.Run(p.Name(), func(b *testing.B) {
+			scaled := netsim.ScaleArrivals(p, ops)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Run(cfg, scaled); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(ops)), "ops-per-run")
+		})
+	}
 }
