@@ -332,9 +332,10 @@ const (
 
 // segState tracks one segment's replica outcomes.
 type segState struct {
-	acks   int // replicas that acked
-	fails  int // replicas that timed out
-	missed int // a replica that timed out on a write or an RMW; -1 if none
+	acks     int  // replicas that acked
+	fails    int  // replicas that timed out
+	missed   bool // a replica timed out on a write or an RMW:
+	missedBy int  // this one
 }
 
 // opCB is the caller's callback: exactly one field is set.
@@ -515,7 +516,7 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 				if s.kind == kRMW {
 					// The primary may have missed the atomic the mirror
 					// now runs.
-					o.segs[s.seg].missed = s.node
+					o.segs[s.seg].missed, o.segs[s.seg].missedBy = true, s.node
 				}
 			}
 			o.mu.Unlock()
@@ -555,7 +556,7 @@ func (o *clusterOp) subDone(s *subOp, err error, fatal bool) {
 	default:
 		o.segs[s.seg].fails++
 		if s.kind != kRead {
-			o.segs[s.seg].missed = s.node
+			o.segs[s.seg].missed, o.segs[s.seg].missedBy = true, s.node
 		}
 		o.dlErr = err
 	}
@@ -595,11 +596,11 @@ func (o *clusterOp) finish() {
 			// fails at zero.)
 			failovers++
 		}
-		if sg.acks > 0 && sg.missed >= 0 {
+		if sg.missed && sg.acks > 0 {
 			// The replica that missed an acked write leaves the map before
 			// the callback fires. (Lock order: o.mu, then c.mu; nothing
 			// takes them the other way round.)
-			if eerr := c.evictMissed(sg.missed); eerr != nil && err == nil {
+			if eerr := c.evictMissed(sg.missedBy); eerr != nil && err == nil {
 				err = eerr
 			}
 		}
@@ -704,7 +705,7 @@ func (c *Client) fanOut(cb opCB, kind opKind, addr uint64, n int, data []byte, r
 	o.cb = cb
 	o.segs = o.segs[:0]
 	for i := 0; i < nseg; i++ {
-		o.segs = append(o.segs, segState{missed: -1})
+		o.segs = append(o.segs, segState{})
 	}
 	o.remaining = homes*nseg + 1 // +1: the issuer's hold
 	o.mu.Unlock()
