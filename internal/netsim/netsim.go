@@ -11,9 +11,9 @@
 // PFC and CXL are one input-queued switch (iqSwitch), differing only in
 // their constants and flow control (pause frames, credits). Each baseline
 // runs at one parameter set, held as named constants beside its model;
-// only EDM's scheduler knobs, which the ablations sweep, are fields. A protocol value holds no state: every Run
-// builds its model afresh, so one value may run traces from several
-// goroutines at once.
+// only EDM's scheduler knobs, which the ablations sweep, are fields. A
+// protocol value holds no state: every Run builds its model afresh, so one
+// value may run traces from several goroutines at once.
 package netsim
 
 import (
