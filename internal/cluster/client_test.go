@@ -737,6 +737,71 @@ func TestClusterFlapThenDeathKeepsAckedWrite(t *testing.T) {
 	}
 }
 
+// TestClusterOwedRemirrorAfterDeath: a node that an owed re-mirror names
+// dies, dark, before the re-mirror runs. The primary missed write B and
+// was evicted; its re-mirror copies B from the mirror to a new holder.
+// Whether the mirror (B's copy source) or the new holder dies, Rebalance
+// completes rather than time out on the dead node, and counts as lost the
+// extents that only it and the evicted primary held. When the new holder
+// dies, B survives on the mirror. Either way nothing stays owed to block a
+// later Rebalance.
+func TestClusterOwedRemirrorAfterDeath(t *testing.T) {
+	for _, dies := range []string{"source", "new holder"} {
+		t.Run(dies, func(t *testing.T) {
+			cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
+			addr := uint64(11 * testExtentBytes)
+			m0 := cc.Map()
+			e, _ := m0.Locate(addr)
+			pri, mir := m0.Extent(e)
+			b := pattern(64, 37)
+			nodes[pri].dead.Store(true)
+			if err := cc.WriteSync(addr, b); err != nil {
+				t.Fatalf("write B with the primary dark: %v", err)
+			}
+			nodes[pri].dead.Store(false)
+			victim := mir
+			if dies == "new holder" {
+				// The holder the eviction gave extent e beside the mirror.
+				if p, q := cc.Map().Extent(e); p != mir {
+					victim = p
+				} else {
+					victim = q
+				}
+			}
+			// Lost: every extent the evicted primary shared with the
+			// victim, which was its only up-to-date copy.
+			wantLost := 0
+			for x := 0; x < m0.Extents(); x++ {
+				if p, q := m0.Extent(x); (p == pri && q == victim) || (p == victim && q == pri) {
+					wantLost++
+				}
+			}
+			nodes[victim].dead.Store(true)
+			old, cur, err := cc.MarkDead(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := cc.Rebalance(old, cur)
+			if err != nil || st.Lost != wantLost {
+				t.Fatalf("rebalance after node %d died: %+v, %v; want lost %d", victim, st, err, wantLost)
+			}
+			cc.mu.Lock()
+			owed := len(cc.owed)
+			cc.mu.Unlock()
+			if owed != 0 {
+				t.Fatalf("%d re-mirrors still owed", owed)
+			}
+			if dies == "source" {
+				return
+			}
+			got, err := cc.ReadSync(addr, 64)
+			if err != nil || !bytes.Equal(got, b) {
+				t.Fatalf("read %x..., %v; want B %x...", got[:min(4, len(got))], err, b[:4])
+			}
+		})
+	}
+}
+
 // TestClusterMissedWriteWithTwoAlive: with two nodes alive a replica that
 // missed a write cannot be evicted, so the write fails rather than report
 // success from the one replica that has it.

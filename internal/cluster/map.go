@@ -252,26 +252,32 @@ type Move struct {
 // Diff computes, in extent order, the copies needed to bring cur's replica
 // placement up to date from old. Only extents with at least one new holder
 // appear.
-func Diff(old, cur *Map) []Move {
+func Diff(old, cur *Map) []Move { return diff(old, cur, cur) }
+
+// diff is Diff for a change replayed after later ones, which left the
+// active map now: a new holder that has left now is dropped, and a copy
+// source still in now is preferred to one that has left it since.
+func diff(old, cur, now *Map) []Move {
 	var moves []Move
 	for e := range cur.primary {
 		op, om := old.primary[e], old.mirror[e]
 		var to []int
 		for _, n := range []int{cur.primary[e], cur.mirror[e]} {
-			if n != op && n != om {
+			if n != op && n != om && now.Alive(n) {
 				to = append(to, n)
 			}
 		}
 		if len(to) == 0 {
 			continue
 		}
-		from := -1
 		// Prefer the old primary as the copy source; it has the
-		// authoritative value even if a mirror write was lost.
-		if op >= 0 && cur.Alive(op) {
-			from = op
-		} else if om >= 0 && cur.Alive(om) {
-			from = om
+		// authoritative value even if a mirror write was lost. The mirror
+		// wins only when it is still in now and the primary is not.
+		from := -1
+		for _, n := range []int{op, om} {
+			if cur.Alive(n) && (from < 0 || now.Alive(n) && !now.Alive(from)) {
+				from = n
+			}
 		}
 		moves = append(moves, Move{Extent: e, From: from, To: to})
 	}

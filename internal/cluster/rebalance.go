@@ -29,7 +29,10 @@ type RebalanceStats struct {
 //
 // Before old -> cur, it runs, in order, every re-mirror the client owes
 // from evicting a node that missed an acked write (Config.AutoEvict
-// documents when). A pass that fails stays owed.
+// documents when). An owed re-mirror runs against the active map: a new
+// holder that has left it since is passed over, and an extent whose only
+// copy source has left it since and does not answer counts in Lost. A pass
+// that fails stays owed.
 func (c *Client) Rebalance(old, cur *Map) (RebalanceStats, error) {
 	var st RebalanceStats
 	var start int64
@@ -42,9 +45,9 @@ func (c *Client) Rebalance(old, cur *Map) (RebalanceStats, error) {
 			c.mu.Unlock()
 			break
 		}
-		mv := c.owed[0]
+		mv, now := c.owed[0], c.m
 		c.mu.Unlock()
-		if err := c.copyMoves(mv.old, mv.cur, &st); err != nil {
+		if err := c.copyMoves(diff(mv.old, mv.cur, now), now, &st); err != nil {
 			return st, err
 		}
 		c.mu.Lock()
@@ -53,7 +56,7 @@ func (c *Client) Rebalance(old, cur *Map) (RebalanceStats, error) {
 		}
 		c.mu.Unlock()
 	}
-	if err := c.copyMoves(old, cur, &st); err != nil {
+	if err := c.copyMoves(Diff(old, cur), cur, &st); err != nil {
 		return st, err
 	}
 	if c.cfg.NowNS != nil {
@@ -63,18 +66,21 @@ func (c *Client) Rebalance(old, cur *Map) (RebalanceStats, error) {
 	return st, nil
 }
 
-// copyMoves copies each extent Diff(old, cur) moves from its source to its
-// new holders, counting into st.
-func (c *Client) copyMoves(old, cur *Map, st *RebalanceStats) error {
-	for _, mv := range Diff(old, cur) {
-		if mv.From < 0 {
+// copyMoves copies each move's extent from its source to its new holders,
+// counting into st. A source out of the active map now that fails to
+// answer loses its extents rather than the pass, and is not asked again.
+func (c *Client) copyMoves(moves []Move, now *Map, st *RebalanceStats) error {
+	gone := make([]bool, len(c.nodes))
+moves:
+	for _, mv := range moves {
+		if mv.From < 0 || gone[mv.From] {
 			st.Lost++
 			continue
 		}
-		base := uint64(mv.Extent) * cur.ExtentBytes()
-		end := base + cur.ExtentBytes()
-		if end > cur.Size() {
-			end = cur.Size()
+		base := uint64(mv.Extent) * c.cfg.ExtentBytes
+		end := base + c.cfg.ExtentBytes
+		if end > c.cfg.Size {
+			end = c.cfg.Size
 		}
 		for a := base; a < end; a += rebalanceChunk {
 			n := int(end - a)
@@ -82,6 +88,11 @@ func (c *Client) copyMoves(old, cur *Map, st *RebalanceStats) error {
 				n = rebalanceChunk
 			}
 			data, err := c.copyChunk(mv, a, n)
+			if err != nil && !now.Alive(mv.From) {
+				gone[mv.From] = true
+				st.Lost++
+				continue moves
+			}
 			if err != nil {
 				return err
 			}

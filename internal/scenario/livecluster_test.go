@@ -117,3 +117,34 @@ func TestLiveClusterValidate(t *testing.T) {
 		t.Fatalf("event on memory node 7 of 8 rejected: %v", err)
 	}
 }
+
+// TestLiveClusterFlapThenPartnerLeaves: a link flap evicts a node that
+// misses a write, and a node that holds extents with it leaves before any
+// re-mirror has run. The owed re-mirror must pass over the node that left
+// (its extents that had no other holder count as lost) instead of timing
+// out on it and aborting the run.
+func TestLiveClusterFlapThenPartnerLeaves(t *testing.T) {
+	spec := &Spec{
+		Name: "flap-then-leave", Backend: BackendLiveCluster, Nodes: 4, MemNodes: 4, Seed: 9,
+		Phases: []Phase{
+			{Name: "p", Count: 600, Load: 0.3, ReadFrac: 0.5, Profile: "fixed64"},
+		},
+		Events: []Event{
+			{Kind: LinkDown, Node: 1, At: sim.Microsecond, Until: 2 * sim.Microsecond},
+			{Kind: NodeLeave, Node: 2, At: 4 * sim.Microsecond},
+		},
+	}
+	rep, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := rep.Cluster
+	// The flap's eviction, the leave, and an eviction of the leaving node
+	// for a write it missed while dark before the leave was detected.
+	if c.FinalEpoch != 3 {
+		t.Fatalf("final epoch %d, want 3", c.FinalEpoch)
+	}
+	if c.Rebalances != 1 || c.LostExtents == 0 {
+		t.Fatalf("leave of the flapped node's partner: %+v, want one pass with lost extents", c)
+	}
+}
