@@ -152,33 +152,38 @@ func (c *Client) Metrics() *Metrics { return c.metrics }
 // returns the (old, new) maps for a follow-up Rebalance. Marking an
 // already-dead node is a pure epoch bump, and counts no eviction.
 func (c *Client) MarkDead(node int) (old, cur *Map, err error) {
-	if old, cur, err = c.advance(node, (*Map).Leave); err == nil && old.Alive(node) {
-		c.metrics.Evictions.Inc()
-	}
-	return old, cur, err
+	return c.advance(node, (*Map).Leave, false)
 }
 
 // Rejoin re-admits node (a join event) and returns the (old, new) maps for
 // a follow-up Rebalance that copies the node's newly assigned extents in.
 func (c *Client) Rejoin(node int) (old, cur *Map, err error) {
-	return c.advance(node, (*Map).Join)
+	return c.advance(node, (*Map).Join, false)
 }
 
-// advance installs the active map's successor under step (Leave or Join of
-// node) and restarts the node's deadline streak.
-func (c *Client) advance(node int, step func(*Map, int) (*Map, error)) (old, cur *Map, err error) {
+// advance installs the active map's successor under step (of node),
+// restarts the node's deadline streak and counts an eviction when node
+// leaves the map. With owe, the change's re-mirror is owed to the next
+// Rebalance. A step that returns the map it was given changes nothing.
+func (c *Client) advance(node int, step func(*Map, int) (*Map, error), owe bool) (old, cur *Map, err error) {
 	c.mu.Lock()
 	old = c.m
 	cur, err = step(old, node)
-	if err == nil {
+	if err == nil && cur != old {
 		c.m = cur
 		c.streak[node] = 0
+		if owe {
+			c.owed = append(c.owed, move{old, cur})
+		}
 	}
 	c.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
 	c.metrics.Epoch.Set(int64(cur.Epoch()))
+	if old.Alive(node) && !cur.Alive(node) {
+		c.metrics.Evictions.Inc()
+	}
 	return old, cur, nil
 }
 
@@ -254,28 +259,23 @@ type move struct{ old, cur *Map }
 // whose). A node already out of the map is left as it is; one of the last
 // two alive cannot be evicted, and the caller fails the op.
 func (c *Client) evictMissed(node int) error {
-	c.mu.Lock()
-	old := c.m
-	if !old.Alive(node) {
-		c.mu.Unlock()
-		return nil
-	}
-	cur, err := old.Leave(node)
-	if err == nil {
-		c.m = cur
-		c.streak[node] = 0
-		c.owed = append(c.owed, move{old, cur})
-	}
-	c.mu.Unlock()
+	old, cur, err := c.advance(node, leaveAlive, true)
 	if err != nil {
 		return fmt.Errorf("cluster: node %d missed an acked write and cannot be evicted: %w", node, err)
 	}
-	c.metrics.Epoch.Set(int64(cur.Epoch()))
-	c.metrics.Evictions.Inc()
-	if c.cfg.AutoEvict > 0 {
+	if c.cfg.AutoEvict > 0 && cur != old {
 		go c.rebalancePass(cur, cur)
 	}
 	return nil
+}
+
+// leaveAlive is Map.Leave for a node in the map, and keeps the map as it
+// is for one already out of it.
+func leaveAlive(m *Map, node int) (*Map, error) {
+	if !m.Alive(node) {
+		return m, nil
+	}
+	return m.Leave(node)
 }
 
 // evict is the auto-evict driver: epoch advance, then re-mirror.
