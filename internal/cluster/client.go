@@ -42,14 +42,11 @@ type Config struct {
 	// (wall or virtual). Nil disables duration measurement.
 	NowNS func() int64
 	// AutoEvict, when positive, declares a node dead after that many
-	// consecutive retry-budget timeouts: the map epoch advances without it
-	// and a background rebalance re-mirrors its extents. Zero leaves
-	// membership to the caller (the deterministic scenario driver), with
-	// one exception whatever AutoEvict says: a node that missed a write
-	// its partner acked is evicted before the op completes. The re-mirror
-	// of what that eviction moved runs in the background when AutoEvict
-	// is positive, and otherwise first thing in the caller's next
-	// Rebalance.
+	// consecutive retry-budget timeouts, and drains the owed re-mirrors
+	// (see Rebalance) in the background. Zero leaves membership and
+	// Rebalance to the caller (the deterministic scenario driver), with one
+	// exception whatever AutoEvict says: a node that missed a write its
+	// partner acked is evicted before the op completes.
 	AutoEvict int
 }
 
@@ -69,13 +66,12 @@ type Client struct {
 	ops  sync.Pool
 	subs sync.Pool
 
-	mu         sync.Mutex
-	m          *Map   // guarded by mu: the active route table
-	streak     []int  // guarded by mu: consecutive deadline completions per node (auto-evict)
-	pendingOld *Map   // guarded by mu: baseline of a failed background rebalance awaiting retry
-	owed       []move // guarded by mu: missed-write evictions not yet re-mirrored, oldest first
-	rebalBusy  bool   // guarded by mu: a background rebalance retry is in flight
-	closed     bool   // guarded by mu
+	mu       sync.Mutex
+	m        *Map   // guarded by mu: the active route table
+	streak   []int  // guarded by mu: consecutive deadline completions per node (auto-evict)
+	owed     []move // guarded by mu: map changes not yet re-mirrored, oldest first
+	draining bool   // guarded by mu: a background drain of owed is running
+	closed   bool   // guarded by mu
 }
 
 // New builds a cluster client over connected node clients (Connect each
@@ -149,42 +145,40 @@ func (c *Client) ExtentBytes() uint64 { return c.cfg.ExtentBytes }
 func (c *Client) Metrics() *Metrics { return c.metrics }
 
 // MarkDead advances the map epoch without node (a leave/kill event) and
-// returns the (old, new) maps for a follow-up Rebalance. Marking an
-// already-dead node is a pure epoch bump, and counts no eviction.
-func (c *Client) MarkDead(node int) (old, cur *Map, err error) {
-	return c.advance(node, (*Map).Leave, false)
-}
+// queues the change's re-mirror for Rebalance. Marking an already-dead node
+// is a pure epoch bump, and counts no eviction.
+func (c *Client) MarkDead(node int) error { return c.advance(node, (*Map).Leave) }
 
-// Rejoin re-admits node (a join event) and returns the (old, new) maps for
-// a follow-up Rebalance that copies the node's newly assigned extents in.
-func (c *Client) Rejoin(node int) (old, cur *Map, err error) {
-	return c.advance(node, (*Map).Join, false)
-}
+// Rejoin re-admits node (a join event) and queues the copy of its newly
+// assigned extents for Rebalance.
+func (c *Client) Rejoin(node int) error { return c.advance(node, (*Map).Join) }
 
-// advance installs the active map's successor under step (of node),
-// restarts the node's deadline streak and counts an eviction when node
-// leaves the map. With owe, the change's re-mirror is owed to the next
-// Rebalance. A step that returns the map it was given changes nothing.
-func (c *Client) advance(node int, step func(*Map, int) (*Map, error), owe bool) (old, cur *Map, err error) {
+// move is one map change: the map before it and the map after.
+type move struct{ old, cur *Map }
+
+// advance installs the active map's successor under step (of node), queues
+// the change's re-mirror, restarts the node's deadline streak and counts an
+// eviction when node leaves the map. A step that returns the map it was
+// given changes nothing.
+func (c *Client) advance(node int, step func(*Map, int) (*Map, error)) error {
 	c.mu.Lock()
-	old = c.m
-	cur, err = step(old, node)
+	old := c.m
+	cur, err := step(old, node)
 	if err == nil && cur != old {
 		c.m = cur
 		c.streak[node] = 0
-		if owe {
-			c.owed = append(c.owed, move{old, cur})
-		}
+		c.owed = append(c.owed, move{old, cur})
+		c.metrics.RemirrorsOwed.Set(int64(len(c.owed)))
 	}
 	c.mu.Unlock()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	c.metrics.Epoch.Set(int64(cur.Epoch()))
 	if old.Alive(node) && !cur.Alive(node) {
 		c.metrics.Evictions.Inc()
 	}
-	return old, cur, nil
+	return nil
 }
 
 // Close closes every node client.
@@ -218,13 +212,11 @@ func (c *Client) noteOK(node int) {
 }
 
 // noteDeadline counts a retry-budget timeout against node and, at the
-// auto-evict threshold, kicks off an eviction + rebalance in the
-// background. The threshold fires on equality so one burst of timeouts
-// evicts once; when the eviction cannot run then (the node is one of the
-// last two alive, or already out of the map) the streak starts over, so the
-// threshold comes round again once it can. Deadlines that evict nothing
-// re-arm the retry of any earlier failed background rebalance, so affected
-// extents do not stay single-homed until the next membership change.
+// auto-evict threshold, evicts it. The threshold fires on equality so one
+// burst of timeouts evicts once; when the eviction cannot run then (the node
+// is one of the last two alive, or already out of the map) the streak starts
+// over, so the threshold comes round again once it can. Any other deadline
+// kicks the drain of re-mirrors still owed, so a failed drain is retried.
 func (c *Client) noteDeadline(node int) {
 	if c.cfg.AutoEvict <= 0 {
 		return
@@ -238,35 +230,22 @@ func (c *Client) noteDeadline(node int) {
 			c.streak[node] = 0
 		}
 	}
-	retry := !hit && c.pendingOld != nil && !c.rebalBusy
-	if retry {
-		c.rebalBusy = true
-	}
 	c.mu.Unlock()
 	if hit {
-		go c.evict(node)
-	} else if retry {
-		go c.retryRebalance()
+		c.evict(node)
+	} else {
+		c.kick()
 	}
 }
 
-// move is one map change: the map before it and the map after.
-type move struct{ old, cur *Map }
-
-// evictMissed takes node, which missed a write another replica acked, out
-// of the map, so that no read reaches its stale copy. The re-mirror of what
-// the eviction moved is owed to the next Rebalance (Config.AutoEvict says
-// whose). A node already out of the map is left as it is; one of the last
-// two alive cannot be evicted, and the caller fails the op.
-func (c *Client) evictMissed(node int) error {
-	old, cur, err := c.advance(node, leaveAlive, true)
-	if err != nil {
-		return fmt.Errorf("cluster: node %d missed an acked write and cannot be evicted: %w", node, err)
-	}
-	if c.cfg.AutoEvict > 0 && cur != old {
-		go c.rebalancePass(cur, cur)
-	}
-	return nil
+// evict takes node out of the map on the client's own failure detection (a
+// missed acked write, or the auto-evict threshold), so that no read reaches
+// it, and kicks the drain of its re-mirror. A node already out of the map is
+// left as it is; one of the last two alive cannot be evicted.
+func (c *Client) evict(node int) error {
+	err := c.advance(node, leaveAlive)
+	c.kick()
+	return err
 }
 
 // leaveAlive is Map.Leave for a node in the map, and keeps the map as it
@@ -278,45 +257,38 @@ func leaveAlive(m *Map, node int) (*Map, error) {
 	return m.Leave(node)
 }
 
-// evict is the auto-evict driver: epoch advance, then re-mirror.
-func (c *Client) evict(node int) {
-	old, cur, err := c.MarkDead(node)
-	if err != nil {
+// kick starts the background drain of the owed re-mirrors under AutoEvict,
+// unless one is running or nothing is owed.
+func (c *Client) kick() {
+	if c.cfg.AutoEvict <= 0 {
 		return
 	}
-	c.rebalancePass(old, cur)
-}
-
-// retryRebalance re-runs a failed background rebalance against the current
-// map. The caller (noteDeadline) has already set rebalBusy.
-func (c *Client) retryRebalance() {
 	c.mu.Lock()
-	cur := c.m
+	start := !c.draining && len(c.owed) > 0
+	c.draining = c.draining || start
 	c.mu.Unlock()
-	c.rebalancePass(cur, cur)
-	c.mu.Lock()
-	c.rebalBusy = false
-	c.mu.Unlock()
-}
-
-// rebalancePass runs one background rebalance, widening the baseline to
-// that of any earlier failed pass so its outstanding copies are retried
-// too. A failure bumps cluster_rebalance_errors_total and keeps the
-// baseline for the next retry (a later deadline or epoch change).
-func (c *Client) rebalancePass(old, cur *Map) {
-	c.mu.Lock()
-	if c.pendingOld != nil {
-		old = c.pendingOld
-		c.pendingOld = nil
+	if start {
+		go c.drain()
 	}
-	c.mu.Unlock()
-	if _, err := c.Rebalance(old, cur); err != nil {
-		c.metrics.RebalanceErrors.Inc()
-		c.mu.Lock()
-		if c.pendingOld == nil {
-			c.pendingOld = old
+}
+
+// drain is the background Rebalance. A failed pass counts in
+// cluster_rebalance_errors_total and leaves its move owed to the next kick.
+// The busy flag is cleared under the same lock as the last empty-queue
+// check, so a change queued while a pass runs is drained by this one.
+func (c *Client) drain() {
+	for {
+		_, err := c.Rebalance()
+		if err != nil {
+			c.metrics.RebalanceErrors.Inc()
 		}
+		c.mu.Lock()
+		done := err != nil || len(c.owed) == 0
+		c.draining = !done
 		c.mu.Unlock()
+		if done {
+			return
+		}
 	}
 }
 
@@ -600,8 +572,9 @@ func (o *clusterOp) finish() {
 			// The replica that missed an acked write leaves the map before
 			// the callback fires. (Lock order: o.mu, then c.mu; nothing
 			// takes them the other way round.)
-			if eerr := c.evictMissed(sg.missedBy); eerr != nil && err == nil {
-				err = eerr
+			if eerr := c.evict(sg.missedBy); eerr != nil && err == nil {
+				//edmlint:allow hotpath only an op whose missed replica is one of the last two alive
+				err = fmt.Errorf("cluster: node %d missed an acked write and cannot be evicted: %w", sg.missedBy, eerr)
 			}
 		}
 	}

@@ -291,7 +291,7 @@ func TestClusterFailoverTargetAfterRehome(t *testing.T) {
 		}
 	}
 	const dead = 1
-	if _, _, err := cc.MarkDead(dead); err != nil {
+	if err := cc.MarkDead(dead); err != nil {
 		t.Fatal(err)
 	}
 	for e := 0; e < old.Extents(); e++ {
@@ -313,9 +313,9 @@ func TestClusterFailoverTargetAfterRehome(t *testing.T) {
 }
 
 // TestClusterRebalanceFailureSurfacedAndRetried exercises the background
-// rebalance failure path: a pass whose copy source is unreachable must bump
-// cluster_rebalance_errors_total and keep its baseline, and a later deadline
-// completion must re-arm a retry that finishes the outstanding copies.
+// rebalance failure path: a drain whose copy source is unreachable must bump
+// cluster_rebalance_errors_total and leave its move owed, and a later
+// deadline completion must kick a retry that finishes the outstanding copies.
 //
 //edmlint:allow walltime the test polls for the background retry under real wall-clock deadlines
 func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
@@ -328,43 +328,38 @@ func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
 	}
 	const dead = 1
 	nodes[dead].dead.Store(true)
-	old, cur, err := cc.MarkDead(dead)
-	if err != nil {
+	old := cc.Map()
+	if err := cc.MarkDead(dead); err != nil {
 		t.Fatal(err)
 	}
-	moves := Diff(old, cur)
+	moves := diff(old, cc.Map(), cc.Map())
 	if len(moves) == 0 {
 		t.Fatal("no moves after a node death")
 	}
-	// Kill the first move's copy source so the pass fails on its first copy.
+	// Kill the first move's copy source so the drain fails on its first copy.
 	src := moves[0].From
 	nodes[src].dead.Store(true)
-	cc.rebalancePass(old, cur)
+	cc.kick()
+	waitDrained(t, cc)
 	if n := cc.Metrics().RebalanceErrors.Load(); n == 0 {
 		t.Fatal("failed rebalance pass not counted in cluster_rebalance_errors_total")
 	}
 	cc.mu.Lock()
-	pending := cc.pendingOld != nil
+	pending := len(cc.owed) != 0
 	cc.mu.Unlock()
 	if !pending {
-		t.Fatal("failed pass dropped its baseline; retry impossible")
+		t.Fatal("failed pass dropped its owed move; retry impossible")
 	}
-	// Revive the source; the next deadline completion on any node re-arms
+	// Revive the source; the next deadline completion on any node kicks
 	// the retry in the background.
 	nodes[src].dead.Store(false)
 	cc.noteDeadline(0)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cc.mu.Lock()
-		done := cc.pendingOld == nil && !cc.rebalBusy
-		cc.mu.Unlock()
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background rebalance retry never completed")
-		}
-		time.Sleep(time.Millisecond)
+	waitDrained(t, cc)
+	cc.mu.Lock()
+	owed := len(cc.owed)
+	cc.mu.Unlock()
+	if owed != 0 {
+		t.Fatalf("background rebalance retry left %d moves owed", owed)
 	}
 	// Every re-homed extent is dual-homed again with the data on both homes.
 	m := cc.Map()
@@ -380,6 +375,92 @@ func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
 	}
 }
 
+// TestClusterChangeQueuedDuringDrainIsDrained: a map change queued while a
+// background drain runs is drained by that drain, with no later deadline to
+// kick another. A dark copy source holds the drain (a long retry budget keeps
+// its read pending) while a second node is marked dead.
+//
+//edmlint:allow walltime the drain's held read waits on a real wall-clock retry budget
+func TestClusterChangeQueuedDuringDrainIsDrained(t *testing.T) {
+	cc, nodes := newTestClusterRetry(t, 5, Config{Seed: 42, AutoEvict: 100},
+		wire.ConnConfig{RetryTimeout: 5 * time.Millisecond, MaxRetries: 200})
+	want := pattern(64, 13)
+	for e := 0; e < cc.Map().Extents(); e++ {
+		if err := cc.WriteSync(uint64(e)*cc.ExtentBytes(), want); err != nil {
+			t.Fatalf("seed extent %d: %v", e, err)
+		}
+	}
+	const first = 1
+	nodes[first].dead.Store(true)
+	old := cc.Map()
+	if err := cc.MarkDead(first); err != nil {
+		t.Fatal(err)
+	}
+	moves := diff(old, cc.Map(), cc.Map())
+	if len(moves) == 0 {
+		t.Fatal("no moves after a node death")
+	}
+	src := moves[0].From
+	nodes[src].dead.Store(true)
+	cc.kick()
+	// The second node holds nothing of moves[0]'s extent, so the held copy
+	// stays in the drain's first move whenever its goroutine reads the map.
+	pri, mir := cc.Map().Extent(moves[0].Extent)
+	second := -1
+	for n := range nodes {
+		if n != first && n != pri && n != mir {
+			second = n
+			break
+		}
+	}
+	if err := cc.MarkDead(second); err != nil {
+		t.Fatal(err)
+	}
+	cc.mu.Lock()
+	busy, owed := cc.draining, len(cc.owed)
+	cc.mu.Unlock()
+	if !busy || owed != 2 {
+		t.Fatalf("draining %v with %d owed; want the drain held on node %d and both changes owed", busy, owed, src)
+	}
+	nodes[src].dead.Store(false)
+	waitDrained(t, cc)
+	cc.mu.Lock()
+	owed = len(cc.owed)
+	cc.mu.Unlock()
+	if owed != 0 || cc.Metrics().RebalanceErrors.Load() != 0 || cc.Metrics().RemirrorsOwed.Load() != 0 {
+		t.Fatalf("drain ended with %d owed (gauge %d), %d errors", owed,
+			cc.Metrics().RemirrorsOwed.Load(), cc.Metrics().RebalanceErrors.Load())
+	}
+	m := cc.Map()
+	for e := 0; e < m.Extents(); e++ {
+		p, q := m.Extent(e)
+		for _, n := range []int{p, q} {
+			got, err := nodes[n].cl.ReadSync(uint64(e)*cc.ExtentBytes(), 64)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("extent %d replica on node %d missing after the drain: %v", e, n, err)
+			}
+		}
+	}
+}
+
+// waitDrained waits up to five seconds for the background drain to stop.
+//
+//edmlint:allow walltime the drain runs on real wall-clock retry budgets
+func waitDrained(t *testing.T, cc *Client) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		cc.mu.Lock()
+		busy := cc.draining
+		cc.mu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("background drain never stopped")
+		}
+	}
+}
+
 func TestClusterRebalanceRemirrors(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	// Seed every extent with a known pattern through the cluster.
@@ -391,11 +472,10 @@ func TestClusterRebalanceRemirrors(t *testing.T) {
 	}
 	const dead = 2
 	nodes[dead].dead.Store(true)
-	old, cur, err := cc.MarkDead(dead)
-	if err != nil {
+	if err := cc.MarkDead(dead); err != nil {
 		t.Fatal(err)
 	}
-	st, err := cc.Rebalance(old, cur)
+	st, err := cc.Rebalance()
 	if err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}
@@ -721,11 +801,10 @@ func TestClusterFlapThenDeathKeepsAckedWrite(t *testing.T) {
 		t.Fatalf("write B with the primary dark: %v", err)
 	}
 	nodes[pri].dead.Store(false)
-	old, cur, err := cc.MarkDead(mir)
-	if err != nil {
+	if err := cc.MarkDead(mir); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := cc.Rebalance(old, cur); err != nil || st.Lost != 0 {
+	if st, err := cc.Rebalance(); err != nil || st.Lost != 0 {
 		t.Fatalf("rebalance after the mirror's death: %+v, %v", st, err)
 	}
 	got, err := cc.ReadSync(addr, 64)
@@ -777,11 +856,10 @@ func TestClusterOwedRemirrorAfterDeath(t *testing.T) {
 				}
 			}
 			nodes[victim].dead.Store(true)
-			old, cur, err := cc.MarkDead(victim)
-			if err != nil {
+			if err := cc.MarkDead(victim); err != nil {
 				t.Fatal(err)
 			}
-			st, err := cc.Rebalance(old, cur)
+			st, err := cc.Rebalance()
 			if err != nil || st.Lost != wantLost {
 				t.Fatalf("rebalance after node %d died: %+v, %v; want lost %d", victim, st, err, wantLost)
 			}
@@ -864,7 +942,7 @@ func TestClusterAutoEvictAfterSkippedThreshold(t *testing.T) {
 		t.Fatalf("node %d evicted with only two nodes alive (evictions %d)", b, cc.Metrics().Evictions.Load())
 	}
 	nodes[a].dead.Store(false)
-	if _, _, err := cc.Rejoin(a); err != nil {
+	if err := cc.Rejoin(a); err != nil {
 		t.Fatal(err)
 	}
 	if !evicted(b, 2) {

@@ -249,21 +249,20 @@ type Move struct {
 	To     []int
 }
 
-// Diff computes, in extent order, the copies needed to bring cur's replica
-// placement up to date from old. Only extents with at least one new holder
-// appear.
-func Diff(old, cur *Map) []Move { return diff(old, cur, cur) }
-
-// diff is Diff for a change replayed after later ones, which left the
-// active map now: a new holder that has left now is dropped, and a copy
-// source still in now is preferred to one that has left it since.
+// diff computes, in extent order, the copies that bring replica placement
+// up to date with the change from old to cur, replayed when later changes
+// may have left the active map now. A copy goes only to a new holder of cur
+// that still holds the extent in now, so a holder a later change took back
+// gets nothing; a copy source still in now is preferred to one that has
+// left it since. Only extents with at least one such new holder appear.
 func diff(old, cur, now *Map) []Move {
 	var moves []Move
 	for e := range cur.primary {
 		op, om := old.primary[e], old.mirror[e]
+		np, nm := now.primary[e], now.mirror[e]
 		var to []int
 		for _, n := range []int{cur.primary[e], cur.mirror[e]} {
-			if n != op && n != om && now.Alive(n) {
+			if n != op && n != om && (n == np || n == nm) {
 				to = append(to, n)
 			}
 		}

@@ -159,7 +159,7 @@ func TestMapDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moves := Diff(m, m2)
+	moves := diff(m, m2, m2)
 	if len(moves) == 0 {
 		t.Fatal("no moves after a leave")
 	}

@@ -28,10 +28,13 @@ type Metrics struct {
 	RebalanceExtents *telemetry.Counter
 	RebalanceBytes   *telemetry.Counter
 	RebalanceNS      *telemetry.Histogram
-	// RebalanceErrors counts failed background rebalance passes. A non-zero
-	// value with no later successful pass means some extents are still
-	// single-homed; a manual Rebalance repairs them.
+	// RebalanceErrors counts failed background rebalance passes. Each
+	// leaves its re-mirror owed, and the next retry-budget timeout retries
+	// it (as does a manual Rebalance); RemirrorsOwed shows what is left.
 	RebalanceErrors *telemetry.Counter
+	// RemirrorsOwed is the number of map changes whose re-mirror has not
+	// run yet. Non-zero means some extents may still be single-homed.
+	RemirrorsOwed *telemetry.Gauge
 }
 
 // NewMetrics registers the cluster client family (`cluster_*`) in r for a
@@ -47,6 +50,7 @@ func NewMetrics(r *telemetry.Registry, nodes int) *Metrics {
 		RebalanceBytes:   r.Counter("cluster_rebalance_bytes_total"),
 		RebalanceNS:      r.Histogram("cluster_rebalance_duration_ns"),
 		RebalanceErrors:  r.Counter("cluster_rebalance_errors_total"),
+		RemirrorsOwed:    r.Gauge("cluster_remirrors_owed"),
 	}
 	m.NodeOps = make([]*telemetry.Counter, nodes)
 	for n := range m.NodeOps {

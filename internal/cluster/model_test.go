@@ -94,11 +94,10 @@ func (m *clusterModel) word(addr uint64) uint64 {
 // evict declares the killed node dead and re-mirrors its extents.
 func (m *clusterModel) evict() {
 	m.t.Helper()
-	old, cur, err := m.cc.MarkDead(m.down)
-	if err != nil {
+	if err := m.cc.MarkDead(m.down); err != nil {
 		m.t.Fatalf("evict node %d: %v", m.down, err)
 	}
-	if st, err := m.cc.Rebalance(old, cur); err != nil || st.Lost != 0 {
+	if st, err := m.cc.Rebalance(); err != nil || st.Lost != 0 {
 		m.t.Fatalf("re-mirror after node %d: %+v, %v", m.down, st, err)
 	}
 	m.evictIn, m.healed = -1, true
@@ -115,11 +114,10 @@ func (m *clusterModel) member(a, b byte) {
 	case m.healed && !m.rejoin:
 		m.rejoin = true
 		m.nodes[m.down].dead.Store(false)
-		old, cur, err := m.cc.Rejoin(m.down)
-		if err != nil {
+		if err := m.cc.Rejoin(m.down); err != nil {
 			m.t.Fatalf("rejoin node %d: %v", m.down, err)
 		}
-		if _, err := m.cc.Rebalance(old, cur); err != nil {
+		if _, err := m.cc.Rebalance(); err != nil {
 			m.t.Fatalf("copy-in for node %d: %v", m.down, err)
 		}
 	}

@@ -20,20 +20,17 @@ type RebalanceStats struct {
 	DurNS   int64  // wall/virtual duration, 0 when no clock is wired
 }
 
-// Rebalance brings replica placement up to date after an epoch change: for
-// every extent whose replica set changed between old and cur, it bulk-reads
-// the extent from a surviving holder and bulk-writes it to each new holder,
-// directly against the node clients (routed ops would write through to the
-// very replicas being rebuilt). Extents whose holders all died are counted
-// in Lost and skipped; the first copy error aborts the pass.
-//
-// Before old -> cur, it runs, in order, every re-mirror the client owes
-// from evicting a node that missed an acked write (Config.AutoEvict
-// documents when). An owed re-mirror runs against the active map: a new
-// holder that has left it since is passed over, and an extent whose only
-// copy source has left it since and does not answer counts in Lost. A pass
-// that fails stays owed.
-func (c *Client) Rebalance(old, cur *Map) (RebalanceStats, error) {
+// Rebalance runs the re-mirrors the client owes, oldest first. Every map
+// change is owed: a MarkDead, a Rejoin, or an eviction of the client's own
+// (Config.AutoEvict). For each, every extent whose replica set the change
+// altered is bulk-read from a surviving holder and bulk-written to each new
+// holder that still holds it in the active map, directly against the node
+// clients (routed ops would write through to the very replicas being
+// rebuilt). A copy source still in the active map is preferred; one that
+// has left it since is still tried, and if it does not answer, its extents
+// count in Lost, as do extents whose holders all left. The first other copy
+// error ends the pass, and the change it was copying stays owed.
+func (c *Client) Rebalance() (RebalanceStats, error) {
 	var st RebalanceStats
 	var start int64
 	if c.cfg.NowNS != nil {
@@ -53,11 +50,9 @@ func (c *Client) Rebalance(old, cur *Map) (RebalanceStats, error) {
 		c.mu.Lock()
 		if len(c.owed) > 0 && c.owed[0] == mv {
 			c.owed = c.owed[1:]
+			c.metrics.RemirrorsOwed.Set(int64(len(c.owed)))
 		}
 		c.mu.Unlock()
-	}
-	if err := c.copyMoves(Diff(old, cur), cur, &st); err != nil {
-		return st, err
 	}
 	if c.cfg.NowNS != nil {
 		st.DurNS = c.cfg.NowNS() - start

@@ -184,7 +184,7 @@ func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFault
 			md.steps = append(md.steps, memberStep{at: e.At, node: e.Node, kind: NodeJoin})
 			// A node with a pending join starts outside the membership, dark.
 			fs.setDead(e.Node, true)
-			if _, _, err := cc.MarkDead(e.Node); err != nil {
+			if err := cc.MarkDead(e.Node); err != nil {
 				return nil, fmt.Errorf("scenario %s: initial join set: %w", spec.Name, err)
 			}
 		}
@@ -203,19 +203,18 @@ func (md *membership) apply(upTo sim.Time) {
 			md.fs.setDead(s.node, true)
 			continue
 		}
-		var old, cur *cluster.Map
 		var err error
 		detect := md.spec.DetectDelay // recovery counts from the failure
 		if s.kind == NodeLeave {
-			old, cur, err = md.cc.MarkDead(s.node)
+			err = md.cc.MarkDead(s.node)
 		} else {
 			detect = 0
 			md.fs.setDead(s.node, false)
-			old, cur, err = md.cc.Rejoin(s.node)
+			err = md.cc.Rejoin(s.node)
 		}
 		var st cluster.RebalanceStats
 		if err == nil {
-			st, err = md.cc.Rebalance(old, cur)
+			st, err = md.cc.Rebalance()
 		}
 		if err != nil {
 			md.err = fmt.Errorf("scenario %s: node %d %s: %w", md.spec.Name, s.node, s.kind, err)
