@@ -156,7 +156,8 @@ type memberStep struct {
 
 // membership drives the cluster's map through the scenario's leave/join
 // events as the replay reaches their times — the only part of a live run
-// the single-node backend has no counterpart for.
+// the single-node backend has no counterpart for — and re-mirrors what the
+// client evicts on its own (a replica that missed an acked write).
 type membership struct {
 	spec  *Spec
 	cc    *cluster.Client
@@ -165,6 +166,11 @@ type membership struct {
 	steps []memberStep // in time order
 	next  int
 	err   error // first failure; later steps are skipped
+	// epoch is the client's map epoch after the driver's last pass; the
+	// client has evicted a node since when it differs. killed counts the
+	// killed nodes whose leave step has not run yet.
+	epoch  uint64
+	killed int
 
 	rebalances int
 	movedBytes uint64
@@ -190,10 +196,17 @@ func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFault
 		}
 	}
 	sort.SliceStable(md.steps, func(i, j int) bool { return md.steps[i].at < md.steps[j].at })
+	// The pre-join nodes' changes stay owed until their joins, whose passes
+	// copy nothing for them: every holder they added has given it back.
+	md.epoch = cc.Epoch()
 	return md, nil
 }
 
-// apply runs every step due by upTo, each at its own time on the clock.
+// apply runs every step due by upTo, each at its own time on the clock, and
+// then re-mirrors what the client has evicted on its own since the driver's
+// last pass (recovery counts from the eviction). While a killed node awaits
+// its leave step, that re-mirror waits for the step's pass: it would time
+// out on the dark node, which is still in the map.
 func (md *membership) apply(upTo sim.Time) {
 	for md.err == nil && md.next < len(md.steps) && md.steps[md.next].at <= upTo {
 		s := md.steps[md.next]
@@ -201,30 +214,43 @@ func (md *membership) apply(upTo sim.Time) {
 		md.clock.AdvanceTo(s.at)
 		if s.kill {
 			md.fs.setDead(s.node, true)
+			md.killed++
 			continue
 		}
 		var err error
 		detect := md.spec.DetectDelay // recovery counts from the failure
 		if s.kind == NodeLeave {
+			md.killed--
 			err = md.cc.MarkDead(s.node)
 		} else {
 			detect = 0
 			md.fs.setDead(s.node, false)
 			err = md.cc.Rejoin(s.node)
 		}
-		var st cluster.RebalanceStats
-		if err == nil {
-			st, err = md.cc.Rebalance()
-		}
 		if err != nil {
 			md.err = fmt.Errorf("scenario %s: node %d %s: %w", md.spec.Name, s.node, s.kind, err)
 			return
 		}
-		md.rebalances++
-		md.movedBytes += st.Bytes
-		md.lostExt += st.Lost
-		md.recoveryUS = append(md.recoveryUS, (detect + sim.Time(st.DurNS)*sim.Nanosecond).Microseconds())
+		md.rebalance(fmt.Sprintf("node %d %s", s.node, s.kind), detect)
 	}
+	if md.err == nil && md.killed == 0 && md.cc.Epoch() != md.epoch {
+		md.rebalance("eviction", 0)
+	}
+}
+
+// rebalance drains the client's owed re-mirrors and counts the pass, its
+// recovery being detect plus the pass's duration.
+func (md *membership) rebalance(cause string, detect sim.Time) {
+	st, err := md.cc.Rebalance()
+	if err != nil {
+		md.err = fmt.Errorf("scenario %s: %s: %w", md.spec.Name, cause, err)
+		return
+	}
+	md.epoch = md.cc.Epoch()
+	md.rebalances++
+	md.movedBytes += st.Bytes
+	md.lostExt += st.Lost
+	md.recoveryUS = append(md.recoveryUS, (detect + sim.Time(st.DurNS)*sim.Nanosecond).Microseconds())
 }
 
 // runLive executes the scenario against the real wire/rmem code path over
@@ -423,6 +449,7 @@ func runLive(spec *Spec) (*Report, error) {
 			Rebalances:  md.rebalances,
 			MovedBytes:  md.movedBytes,
 			LostExtents: md.lostExt,
+			Owed:        cc.Metrics().RemirrorsOwed.Load(),
 			RecoveryUS:  stats.Summarize(md.recoveryUS),
 		}
 	}

@@ -81,12 +81,14 @@ type ClusterReport struct {
 	ExtentBytes uint64
 	FinalEpoch  uint64 // map epoch after all membership changes
 	Failovers   uint64 // segments that survived on one replica or re-routed
-	Rebalances  int    // membership changes that triggered a re-mirror pass
+	Rebalances  int    // re-mirror passes: one per membership step, one per drain of the client's own evictions
 	MovedBytes  uint64 // bytes copied to new extent holders
 	LostExtents int    // extents whose every holder died (should be 0)
-	// RecoveryUS summarizes, per membership change, the virtual time from
-	// the failure to full re-mirroring: the spec's DetectDelay plus the
-	// measured rebalance duration (joins contribute just the re-mirror).
+	Owed        int64  // map changes whose re-mirror had not run at the end (should be 0)
+	// RecoveryUS summarizes, per pass, the virtual time from the failure
+	// to full re-mirroring: the spec's DetectDelay plus the measured
+	// rebalance duration (joins and the client's own evictions contribute
+	// just the re-mirror).
 	RecoveryUS stats.Summary
 }
 
@@ -185,8 +187,8 @@ func (r *Report) Format(w io.Writer) error {
 	if c := r.Cluster; c != nil {
 		fmt.Fprintf(tw, "cluster\tmem nodes %d extents %d x %d B epoch %d\n",
 			c.MemNodes, c.Extents, c.ExtentBytes, c.FinalEpoch)
-		fmt.Fprintf(tw, "cluster faults\tfailovers %d rebalances %d moved %d B lost %d\n",
-			c.Failovers, c.Rebalances, c.MovedBytes, c.LostExtents)
+		fmt.Fprintf(tw, "cluster faults\tfailovers %d rebalances %d moved %d B lost %d owed %d\n",
+			c.Failovers, c.Rebalances, c.MovedBytes, c.LostExtents, c.Owed)
 		if c.RecoveryUS.N > 0 {
 			fmt.Fprintf(tw, "cluster recovery (us)\t%s\n", c.RecoveryUS.Row())
 		}
