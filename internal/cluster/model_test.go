@@ -23,9 +23,11 @@ const (
 // memctl.Controller, the same word semantics the nodes run): a read returns
 // the slab's bytes, an RMW the slab's result, nothing fails while at most
 // one node is down. The script kills one node, the driver evicts it and
-// re-mirrors a few ops later, and the script may let it rejoin. At the end
-// both replicas of every extent hold the slab's bytes and every counter
-// holds the sum of its acked fetch-adds.
+// re-mirrors a few ops later, and the script may let it rejoin. It may also
+// flap a node while every node is in the map: dark for a few ops, never
+// evicted by the model (the client evicts it if it misses a write), then back
+// and rejoined. At the end both replicas of every extent hold the slab's
+// bytes and every counter holds the sum of its acked fetch-adds.
 type clusterModel struct {
 	t     testing.TB
 	cc    *Client
@@ -38,12 +40,17 @@ type clusterModel struct {
 	healed  bool
 	rejoin  bool
 	ops     [8]int // ops run, by script opcode
+
+	flapped  int // the node dark for a flap, -1 when none
+	flapFor  int // ops left until it is back
+	flaps    int // flaps ended
+	flapOuts int // flapped nodes the client evicted
 }
 
 func newClusterModel(t testing.TB) *clusterModel {
 	cfg := memctl.DefaultConfig()
 	cfg.Size = modelSize
-	m := &clusterModel{t: t, ref: memctl.New(cfg), sums: map[uint64]uint64{}, down: -1, evictIn: -1}
+	m := &clusterModel{t: t, ref: memctl.New(cfg), sums: map[uint64]uint64{}, down: -1, evictIn: -1, flapped: -1}
 	m.cc, m.nodes = newTestCluster(t, modelNodes, Config{Seed: 42, Size: modelSize, ExtentBytes: modelExtent})
 	return m
 }
@@ -103,11 +110,19 @@ func (m *clusterModel) evict() {
 	m.evictIn, m.healed = -1, true
 }
 
-// member is the script's membership step: the first kills a node (evicted
-// 0..7 ops later), the next one after the eviction lets it rejoin.
-func (m *clusterModel) member(a, b byte) {
+// member is the script's membership step. With c odd it flaps node a for
+// 1..8 ops, when every node is in the map and none is flapping. Otherwise the
+// first kills a node (evicted 0..7 ops later), when none is flapping, and the
+// next one after the eviction lets it rejoin.
+func (m *clusterModel) member(a, b, c byte) {
 	m.t.Helper()
 	switch {
+	case c%2 == 1:
+		if m.flapped < 0 && (m.down < 0 || m.rejoin) {
+			m.flapped, m.flapFor = int(a)%modelNodes, 1+int(b)%8
+			m.nodes[m.flapped].dead.Store(true)
+		}
+	case m.flapped >= 0:
 	case m.down < 0:
 		m.down, m.evictIn = int(a)%modelNodes, int(b)%8
 		m.nodes[m.down].dead.Store(true)
@@ -123,6 +138,25 @@ func (m *clusterModel) member(a, b byte) {
 	}
 }
 
+// back ends a flap: the node's link returns, and the model rejoins it and
+// copies in what it missed.
+func (m *clusterModel) back() {
+	m.t.Helper()
+	n := m.flapped
+	m.nodes[n].dead.Store(false)
+	if !m.cc.Map().Alive(n) {
+		m.flapOuts++
+	}
+	if err := m.cc.Rejoin(n); err != nil {
+		m.t.Fatalf("rejoin flapped node %d: %v", n, err)
+	}
+	if st, err := m.cc.Rebalance(); err != nil || st.Lost != 0 {
+		m.t.Fatalf("copy-in for flapped node %d: %+v, %v", n, st, err)
+	}
+	m.flapped = -1
+	m.flaps++
+}
+
 // run interprets script four bytes at a time: opcode, then three operands.
 func (m *clusterModel) run(script []byte) {
 	m.t.Helper()
@@ -131,6 +165,11 @@ func (m *clusterModel) run(script []byte) {
 			m.evict()
 		} else if m.evictIn > 0 {
 			m.evictIn--
+		}
+		if m.flapFor == 0 && m.flapped >= 0 {
+			m.back()
+		} else if m.flapped >= 0 {
+			m.flapFor--
 		}
 		op, a, b, c := script[0]%8, script[1], script[2], script[3]
 		m.ops[op]++
@@ -168,7 +207,7 @@ func (m *clusterModel) run(script []byte) {
 				m.read(addr, n)
 			}
 		case 7:
-			m.member(a, b)
+			m.member(a, b, c)
 		}
 	}
 }
@@ -176,10 +215,13 @@ func (m *clusterModel) run(script []byte) {
 // check is the end-of-script sweep.
 func (m *clusterModel) check() {
 	m.t.Helper()
+	if m.flapped >= 0 {
+		m.back()
+	}
 	if m.down >= 0 && !m.healed {
 		m.evict()
 	}
-	if m.down < 0 {
+	if m.down < 0 && m.flaps == 0 {
 		if n := m.cc.Metrics().Failovers.Load(); n != 0 {
 			m.t.Fatalf("%d failovers with every node up", n)
 		}
@@ -209,8 +251,9 @@ func (m *clusterModel) check() {
 	}
 }
 
-// modelScript is a seeded script of steps ops with the kill a third of the
-// way in and the rejoin at two thirds; no other membership steps.
+// modelScript is a seeded script of steps ops with a flap a sixth of the way
+// in, the kill at a third and the rejoin at two thirds; no other membership
+// steps.
 func modelScript(seed uint64, steps int) []byte {
 	script := make([]byte, 4*steps)
 	x := seed * 0x9e3779b97f4a7c15
@@ -223,15 +266,20 @@ func modelScript(seed uint64, steps int) []byte {
 			script[i]--
 		}
 	}
-	kill, rejoin := steps/3+int(x%16), 2*steps/3+int(x>>8%16)
-	script[4*kill], script[4*rejoin] = 7, 7
+	flap, kill, rejoin := steps/6+int(x>>16%16), steps/3+int(x%16), 2*steps/3+int(x>>8%16)
+	script[4*flap], script[4*kill], script[4*rejoin] = 7, 7, 7
+	script[4*flap+3] |= 1
+	script[4*kill+3] &^= 1
+	script[4*rejoin+3] &^= 1
 	script[4*kill+2] |= 4 // at least four ops with the node down and not yet evicted
 	return script
 }
 
 // TestClusterModel runs seeded scripts through the model and makes sure
-// each one reached every op kind, the failover window and the rejoin.
+// each one reached every op kind, the failover window and the rejoin, and
+// that some flapped node was evicted by a write it missed.
 func TestClusterModel(t *testing.T) {
+	flapOuts := 0
 	for seed := uint64(1); seed <= 6; seed++ {
 		m := newClusterModel(t)
 		m.run(modelScript(seed, 400))
@@ -241,13 +289,18 @@ func TestClusterModel(t *testing.T) {
 				t.Fatalf("seed %d: script never ran opcode %d", seed, op)
 			}
 		}
-		if !m.healed || !m.rejoin {
-			t.Fatalf("seed %d: evicted %v, rejoined %v", seed, m.healed, m.rejoin)
+		if !m.healed || !m.rejoin || m.flaps != 1 {
+			t.Fatalf("seed %d: evicted %v, rejoined %v, flaps %d", seed, m.healed, m.rejoin, m.flaps)
 		}
 		mt := m.cc.Metrics()
-		if mt.Failovers.Load() == 0 || mt.SplitOps.Load() == 0 || mt.Evictions.Load() != 1 {
-			t.Fatalf("seed %d: failovers %d, splits %d, evictions %d", seed, mt.Failovers.Load(), mt.SplitOps.Load(), mt.Evictions.Load())
+		if mt.Failovers.Load() == 0 || mt.SplitOps.Load() == 0 || mt.Evictions.Load() != uint64(1+m.flapOuts) {
+			t.Fatalf("seed %d: failovers %d, splits %d, evictions %d (flapped nodes evicted %d)",
+				seed, mt.Failovers.Load(), mt.SplitOps.Load(), mt.Evictions.Load(), m.flapOuts)
 		}
+		flapOuts += m.flapOuts
+	}
+	if flapOuts == 0 {
+		t.Fatal("no seed's flapped node missed a write")
 	}
 }
 
@@ -256,6 +309,8 @@ func TestClusterModel(t *testing.T) {
 func FuzzClusterModel(f *testing.F) {
 	f.Add([]byte{2, 1, 250, 255, 0, 1, 250, 255, 7, 1, 3, 0, 6, 3, 70, 200, 4, 0, 8, 9, 5, 2, 0, 7, 0, 0, 0, 255, 7, 0, 0, 0, 6, 3, 6, 200})
 	f.Add([]byte{7, 0, 0, 0, 4, 0, 0, 1, 4, 0, 0, 9, 5, 0, 0, 3, 5, 0, 0, 4, 6, 0, 65, 255, 6, 0, 1, 255})
+	// A flap of node 1 for four ops, with writes that miss it.
+	f.Add([]byte{7, 1, 3, 1, 2, 0, 16, 200, 3, 2, 0, 255, 6, 3, 70, 200, 4, 0, 8, 9, 0, 0, 0, 255, 1, 2, 0, 255})
 	f.Add(modelScript(7, 120))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		m := newClusterModel(t)
