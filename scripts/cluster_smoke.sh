@@ -4,8 +4,9 @@
 # sharded dual-homed cluster service over real UDP with edmload, kill the
 # victim mid-run, and assert that the run completes with zero failed ops,
 # that the client's /metrics serves its node clients' shared rmem_client_* and
-# wire_client_* families next to cluster_*, and that cluster_failover_total
-# went positive there.
+# wire_client_* families next to cluster_* (cluster_remirrors_owed included),
+# that cluster_failover_total went positive there, and that the final report
+# counts the victim's eviction.
 #
 # Usage: scripts/cluster_smoke.sh
 set -eu
@@ -75,6 +76,12 @@ for series in rmem_client_issued_total wire_client_datagrams_total; do
     fi
 done
 
+if ! printf '%s\n' "$scrape" | grep -Eq '^cluster_remirrors_owed [0-9]+$'; then
+    echo "cluster_smoke: edmload's /metrics has no cluster_remirrors_owed gauge:" >&2
+    printf '%s\n' "$scrape" >&2
+    exit 1
+fi
+
 kill "$victimpid"
 
 # The failover counter must go positive while the run is still in flight.
@@ -112,4 +119,12 @@ if [ "$failovers" -eq 0 ]; then
     exit 1
 fi
 
-echo "cluster_smoke: ok (nodes $n0,$n1,$n2 victim $victim failovers $failovers)"
+# The victim left the map: -evict counted it in the report.
+evictions=$(sed -n 's/.*evictions \([0-9]*\).*/\1/p' "$loadlog" | head -1)
+if [ "${evictions:-0}" -lt 1 ]; then
+    echo "cluster_smoke: the killed victim was never evicted:" >&2
+    cat "$loadlog" >&2
+    exit 1
+fi
+
+echo "cluster_smoke: ok (nodes $n0,$n1,$n2 victim $victim failovers $failovers evictions $evictions)"
