@@ -309,7 +309,7 @@ func TestLiveRatePaced(t *testing.T) {
 	// Wall-clock progress runs on a ticker, not on op completions: three ops
 	// 10 ms apart still report every 2 ms in between, and the horizon prints
 	// as a time.Duration.
-	both := loadBoth(t, "-addr", addr, "-profile", "fixed64", "-count", "3", "-rate", "100", "-progress", "2ms")
+	both := loadBoth(t, "-addr", addr, "-profile", "fixed64", "-nodes", "3", "-count", "3", "-rate", "100", "-progress", "2ms")
 	lines := regexp.MustCompile(`(?m)^edmload: progress done [0-3] failed 0 shed 0 of 3, retransmits 0, elapsed \S+ms$`).FindAllString(both, -1)
 	if len(lines) < 5 {
 		t.Errorf("%d progress lines over a 20 ms paced run, want at least 5:\n%s", len(lines), both)

@@ -38,7 +38,9 @@ type GenConfig struct {
 	// ReadFrac is the fraction of operations that are reads (the rest are
 	// writes). Figure 8a sweeps this via the W:R mixtures.
 	ReadFrac float64
-	// Count is the total number of operations to generate.
+	// Count is the total number of operations to generate, rounded down to
+	// a multiple of Nodes: every node issues Count/Nodes of them (600 ops
+	// at 144 nodes give 576). It must be at least Nodes.
 	Count int
 	// Seed makes the trace reproducible.
 	Seed uint64
@@ -61,8 +63,8 @@ func (c GenConfig) Validate() error {
 	if c.ReadFrac < 0 || c.ReadFrac > 1 {
 		return fmt.Errorf("workload: read fraction %f", c.ReadFrac)
 	}
-	if c.Count <= 0 {
-		return fmt.Errorf("workload: count %d", c.Count)
+	if c.Count < c.Nodes {
+		return fmt.Errorf("workload: count %d below one op per node (%d nodes)", c.Count, c.Nodes)
 	}
 	return nil
 }
@@ -94,17 +96,14 @@ func GeneratePartitioned(part *Partition, cfg GenConfig) ([]Op, error) {
 	meanGap := (cfg.Sizes.Mean() * 8) / (cfg.Load * bitsPerPs) // picoseconds
 
 	perNode := cfg.Count / cfg.Nodes
-	if perNode == 0 {
-		perNode = 1
-	}
-	ops := make([]Op, 0, cfg.Count)
-	for n := 0; n < cfg.Nodes && len(ops) < cfg.Count; n++ {
+	ops := make([]Op, 0, perNode*cfg.Nodes)
+	for n := 0; n < cfg.Nodes; n++ {
 		arrivals := part.StreamN("arrival", n)
 		dsts := part.StreamN("dst", n)
 		sizes := part.StreamN("size", n)
 		rw := part.StreamN("rw", n)
 		t := 0.0
-		for k := 0; k < perNode && len(ops) < cfg.Count; k++ {
+		for k := 0; k < perNode; k++ {
 			t += arrivals.Exp(meanGap)
 			dst := dsts.Intn(cfg.Nodes - 1)
 			if dst >= n {

@@ -208,12 +208,22 @@ func TestGenerateValidation(t *testing.T) {
 		{Nodes: 4, Load: 0.5, Bandwidth: 0, Sizes: Fixed(64), Count: 10},
 		{Nodes: 4, Load: 0.5, Bandwidth: 100, Sizes: nil, Count: 10},
 		{Nodes: 4, Load: 0.5, Bandwidth: 100, Sizes: Fixed(64), Count: 0},
+		{Nodes: 4, Load: 0.5, Bandwidth: 100, Sizes: Fixed(64), Count: 3},
 		{Nodes: 4, Load: 0.5, Bandwidth: 100, Sizes: Fixed(64), ReadFrac: 2, Count: 10},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
+	}
+}
+
+// TestGenerateRoundsCountDown: every node issues Count/Nodes ops, so a
+// count that is not a multiple of the node count is rounded down.
+func TestGenerateRoundsCountDown(t *testing.T) {
+	ops, err := Generate(GenConfig{Nodes: 144, Load: 0.5, Bandwidth: 100, Sizes: Fixed(64), Count: 600, Seed: 1})
+	if err != nil || len(ops) != 576 {
+		t.Fatalf("600 ops at 144 nodes: %d ops, %v; want 576", len(ops), err)
 	}
 }
 
