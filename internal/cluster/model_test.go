@@ -122,7 +122,7 @@ func (m *clusterModel) member(a, b, c byte) {
 			m.flapped, m.flapFor = int(a)%modelNodes, 1+int(b)%8
 			m.nodes[m.flapped].dead.Store(true)
 		}
-	case m.flapped >= 0:
+	case m.flapped >= 0: // no kill while a node is dark
 	case m.down < 0:
 		m.down, m.evictIn = int(a)%modelNodes, int(b)%8
 		m.nodes[m.down].dead.Store(true)
