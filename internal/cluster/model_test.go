@@ -309,9 +309,9 @@ func TestClusterModel(t *testing.T) {
 func FuzzClusterModel(f *testing.F) {
 	f.Add([]byte{2, 1, 250, 255, 0, 1, 250, 255, 7, 1, 3, 0, 6, 3, 70, 200, 4, 0, 8, 9, 5, 2, 0, 7, 0, 0, 0, 255, 7, 0, 0, 0, 6, 3, 6, 200})
 	f.Add([]byte{7, 0, 0, 0, 4, 0, 0, 1, 4, 0, 0, 9, 5, 0, 0, 3, 5, 0, 0, 4, 6, 0, 65, 255, 6, 0, 1, 255})
+	f.Add(modelScript(7, 120))
 	// A flap of node 1 for four ops, with writes that miss it.
 	f.Add([]byte{7, 1, 3, 1, 2, 0, 16, 200, 3, 2, 0, 255, 6, 3, 70, 200, 4, 0, 8, 9, 0, 0, 0, 255, 1, 2, 0, 255})
-	f.Add(modelScript(7, 120))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		m := newClusterModel(t)
 		m.run(script)
