@@ -9,7 +9,10 @@
 // are modelled exactly, per-block pipelines by their published constants.
 //
 // PFC and CXL are one input-queued switch (iqSwitch), differing only in
-// their constants and flow control (pause frames, credits). Each baseline
+// their constants and flow control (pause frames, credits). pFabric and
+// DCTCP are one windowed sender (tcpNet, tcp.go), differing only in their
+// constants, their switch egress (SRPT dropping the lowest priority; tail
+// drop with ECN marks) and their window rule (fixed; DCTCP's α). Each baseline
 // runs at one parameter set, held as named constants beside its model;
 // only EDM's scheduler knobs, which the ablations sweep, are fields. A
 // protocol value holds no state: every Run builds its model afresh, so one
