@@ -613,3 +613,101 @@ func TestInputQueuedHeadOfLineBlocking(t *testing.T) {
 		})
 	}
 }
+
+// tcpProbe wraps a model's hooks on the windowed sender and records what
+// the sender asked of them: timeouts, ACKs of ECN-marked packets, window
+// cuts by an ACK (DCTCP cuts only at a window boundary), and the range of
+// windows the hooks left.
+type tcpProbe struct {
+	tcpModel
+	timeouts, markedAcks, cuts int
+	minCwnd, maxCwnd           float64
+}
+
+func (p *tcpProbe) saw(c *tcpConn) {
+	p.minCwnd = min(p.minCwnd, c.cwnd)
+	p.maxCwnd = max(p.maxCwnd, c.cwnd)
+}
+
+func (p *tcpProbe) acked(c *tcpConn, pkt *tcpPkt) {
+	before := c.cwnd
+	p.tcpModel.acked(c, pkt)
+	if pkt.marked {
+		p.markedAcks++
+	}
+	if c.cwnd < before {
+		p.cuts++
+	}
+	p.saw(c)
+}
+
+func (p *tcpProbe) timedOut(c *tcpConn) {
+	p.timeouts++
+	p.tcpModel.timedOut(c)
+	p.saw(c)
+}
+
+// TestTCPModelsUnderIncast pins how the two models on the windowed sender
+// meet the same incast: senders 1-3 write 64 KiB each to node 0. pFabric's
+// three windows of 12 MTU packets overflow its 24 KiB egress, so it drops
+// and recovers by timeout, and its window never changes. DCTCP's 256 KiB
+// egress holds the incast, so no packet is lost, but its queue passes K:
+// ACKs carry ECN marks and some connection's window is cut. Every op
+// completes under both.
+func TestTCPModelsUnderIncast(t *testing.T) {
+	const incast = 64 << 10
+	cfg := Config{Nodes: 5, Bandwidth: 100}
+	ops := []workload.Op{
+		{Index: 0, Src: 1, Dst: 0, Size: incast},
+		{Index: 1, Src: 2, Dst: 0, Size: incast},
+		{Index: 2, Src: 3, Dst: 0, Size: incast},
+	}
+	for _, tc := range []struct {
+		p interface {
+			Protocol
+			build(Config, *sim.Engine, *tracker) *tcpNet
+		}
+		reacted func(*tcpProbe) error
+	}{
+		{PFabric{}, func(p *tcpProbe) error {
+			if p.timeouts == 0 {
+				return fmt.Errorf("no timeout fired: the %d B egress never overflowed", pfabricBufferBytes)
+			}
+			if p.minCwnd != pfabricWindow || p.maxCwnd != pfabricWindow {
+				return fmt.Errorf("window ranged over [%v, %v], not fixed at %d", p.minCwnd, p.maxCwnd, pfabricWindow)
+			}
+			return nil
+		}},
+		{DCTCP{}, func(p *tcpProbe) error {
+			if p.timeouts != 0 {
+				return fmt.Errorf("%d timeouts fired: the %d B egress dropped", p.timeouts, dctcpBufferBytes)
+			}
+			if p.markedAcks == 0 {
+				return fmt.Errorf("no ACK carried an ECN mark: the egress never passed %d B", dctcpMarkThreshold)
+			}
+			if p.cuts == 0 {
+				return fmt.Errorf("%d marked ACKs and no window was cut", p.markedAcks)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.p.Name(), func(t *testing.T) {
+			var probe *tcpProbe
+			res, err := drive(tc.p.Name(), cfg, ops, func(eng *sim.Engine, track *tracker) func(workload.Op) {
+				n := tc.p.build(cfg, eng, track)
+				probe = &tcpProbe{tcpModel: n.model, minCwnd: n.cwnd, maxCwnd: n.cwnd}
+				n.model = probe
+				return n.arrive
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed != len(ops) {
+				t.Errorf("%d of %d ops completed", res.Completed, len(ops))
+			}
+			if err := tc.reacted(probe); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
