@@ -1,6 +1,7 @@
 // Package repro's root benchmarks time the simulators themselves: the
-// in-network scheduler, the block-level fabric, the flow-level EDM model
-// and the input-queued switch under the flow-level PFC and CXL models.
+// in-network scheduler, the block-level fabric, the flow-level EDM model,
+// the input-queued switch under the flow-level PFC and CXL models, and the
+// windowed sender under the flow-level pFabric and DCTCP models.
 // They regenerate no paper artifact; `go run ./cmd/edmbench -experiment
 // <name>` does, and README's Experiment map lists each one and what checks
 // it. Run with:
@@ -90,6 +91,20 @@ func BenchmarkNetsimEDM(b *testing.B) {
 // CXL model spends most of its time rescanning the switch, and one
 // iteration of both sub-benchmarks takes a few seconds.
 func BenchmarkNetsimIQSwitch(b *testing.B) {
+	benchmarkHadoopReplay(b, netsim.PFC{}, netsim.CXL{})
+}
+
+// BenchmarkNetsimTCP measures the windowed sender that pFabric and DCTCP
+// share on the same trace. Under it pFabric's egresses overflow and its
+// timeouts fire, and DCTCP marks packets and cuts its windows, so each
+// model's congestion path runs too.
+func BenchmarkNetsimTCP(b *testing.B) {
+	benchmarkHadoopReplay(b, netsim.PFabric{}, netsim.DCTCP{})
+}
+
+// benchmarkHadoopReplay runs one sub-benchmark per protocol, each replaying
+// the 144-node hadoop-sort trace.
+func benchmarkHadoopReplay(b *testing.B, protos ...netsim.Protocol) {
 	const nodes = 144
 	ops, err := workload.Generate(workload.GenConfig{
 		Nodes: nodes, Load: 0.8, Bandwidth: 100,
@@ -99,7 +114,7 @@ func BenchmarkNetsimIQSwitch(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := netsim.Config{Nodes: nodes, Bandwidth: 100}
-	for _, p := range []netsim.Protocol{netsim.PFC{}, netsim.CXL{}} {
+	for _, p := range protos {
 		b.Run(p.Name(), func(b *testing.B) {
 			scaled := netsim.ScaleArrivals(p, ops)
 			b.ResetTimer()
