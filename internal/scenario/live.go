@@ -203,10 +203,11 @@ func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFault
 }
 
 // apply runs every step due by upTo, each at its own time on the clock, and
-// then re-mirrors what the client has evicted on its own since the driver's
-// last pass (recovery counts from the eviction). While a killed node awaits
-// its leave step, that re-mirror waits for the step's pass: it would time
-// out on the dark node, which is still in the map.
+// then re-mirrors what the client has evicted on its own since the driver's last
+// pass (recovery counts from the eviction). While a killed node awaits its
+// leave step, every pass waits, a step's own included: it would time out on
+// the dark node, which is still in the map. The map changes stay queued in
+// the client, and the next pass drains them.
 func (md *membership) apply(upTo sim.Time) {
 	for md.err == nil && md.next < len(md.steps) && md.steps[md.next].at <= upTo {
 		s := md.steps[md.next]
@@ -231,7 +232,9 @@ func (md *membership) apply(upTo sim.Time) {
 			md.err = fmt.Errorf("scenario %s: node %d %s: %w", md.spec.Name, s.node, s.kind, err)
 			return
 		}
-		md.rebalance(fmt.Sprintf("node %d %s", s.node, s.kind), detect)
+		if md.killed == 0 {
+			md.rebalance(fmt.Sprintf("node %d %s", s.node, s.kind), detect)
+		}
 	}
 	if md.err == nil && md.killed == 0 && md.cc.Epoch() != md.epoch {
 		md.rebalance("eviction", 0)

@@ -164,6 +164,36 @@ func TestLiveClusterFlapThenPartnerLeaves(t *testing.T) {
 	}
 }
 
+// TestLiveClusterOverlappingLeaves: nodes 1 and 2 are killed 0.1 us apart,
+// so node 1's leave step runs while node 2 is dark but still in the map. A
+// read-only trace misses no write on node 2, so nothing evicts it first.
+// The driver holds node 1's pass until node 2's leave step, whose one pass
+// re-mirrors both; it must not time out on node 2 and abort the run. The
+// extents that both nodes held had no copy left and count as lost.
+func TestLiveClusterOverlappingLeaves(t *testing.T) {
+	for _, tc := range []struct{ memNodes, lost int }{{4, 10}, {8, 4}, {16, 1}} {
+		spec := &Spec{
+			Name: "overlapping-leaves", Backend: BackendLiveCluster,
+			Nodes: tc.memNodes, MemNodes: tc.memNodes, Seed: 3,
+			Phases: []Phase{
+				{Name: "p", Count: 600, Load: 0.3, ReadFrac: 1, Profile: "fixed64"},
+			},
+			Events: []Event{
+				{Kind: NodeLeave, Node: 1, At: sim.Microsecond},
+				{Kind: NodeLeave, Node: 2, At: 1100 * sim.Nanosecond},
+			},
+		}
+		rep, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%d memory nodes: %v", tc.memNodes, err)
+		}
+		c := rep.Cluster
+		if c.FinalEpoch != 2 || c.Rebalances != 1 || c.Owed != 0 || c.LostExtents != tc.lost {
+			t.Fatalf("%d memory nodes: %+v, want epoch 2, 1 pass, nothing owed, %d extents lost", tc.memNodes, c, tc.lost)
+		}
+	}
+}
+
 // TestLiveClusterFlapsDrained: eight link flaps over eight memory nodes and
 // no leave event. Each flapped node that misses a write is evicted, and the
 // driver runs the owed re-mirror before the next op, so the run ends with
