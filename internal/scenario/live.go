@@ -156,8 +156,9 @@ type memberStep struct {
 
 // membership drives the cluster's map through the scenario's leave/join
 // events as the replay reaches their times — the only part of a live run
-// the single-node backend has no counterpart for — and re-mirrors what the
-// client evicts on its own (a replica that missed an acked write).
+// the single-node backend has no counterpart for — re-mirrors what the
+// client evicts on its own (a replica that missed an acked write), and
+// rejoins an evicted node once its link is back.
 type membership struct {
 	spec  *Spec
 	cc    *cluster.Client
@@ -171,6 +172,9 @@ type membership struct {
 	// killed nodes whose leave step has not run yet.
 	epoch  uint64
 	killed int
+	// out marks the nodes the spec has taken out: killed or left, or
+	// awaiting a join. The driver rejoins no such node.
+	out []bool
 
 	rebalances int
 	movedBytes uint64
@@ -179,7 +183,7 @@ type membership struct {
 }
 
 func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFaults, clock *wire.VirtualClock) (*membership, error) {
-	md := &membership{spec: spec, cc: cc, fs: fs, clock: clock}
+	md := &membership{spec: spec, cc: cc, fs: fs, clock: clock, out: make([]bool, spec.MemNodes)}
 	for _, e := range events {
 		switch e.Kind {
 		case NodeLeave:
@@ -189,6 +193,7 @@ func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFault
 		case NodeJoin:
 			md.steps = append(md.steps, memberStep{at: e.At, node: e.Node, kind: NodeJoin})
 			// A node with a pending join starts outside the membership, dark.
+			md.out[e.Node] = true
 			fs.setDead(e.Node, true)
 			if err := cc.MarkDead(e.Node); err != nil {
 				return nil, fmt.Errorf("scenario %s: initial join set: %w", spec.Name, err)
@@ -202,8 +207,9 @@ func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFault
 	return md, nil
 }
 
-// apply runs every step due by upTo, each at its own time on the clock, and
-// then re-mirrors what the client has evicted on its own since the driver's last
+// apply runs every step due by upTo, each at its own time on the clock. It
+// then rejoins every node the client evicted whose link is back at upTo, and
+// re-mirrors what the client has evicted on its own since the driver's last
 // pass (recovery counts from the eviction). While a killed node awaits its
 // leave step, every pass waits, a step's own included: it would time out on
 // the dark node, which is still in the map. The map changes stay queued in
@@ -215,6 +221,7 @@ func (md *membership) apply(upTo sim.Time) {
 		md.clock.AdvanceTo(s.at)
 		if s.kill {
 			md.fs.setDead(s.node, true)
+			md.out[s.node] = true
 			md.killed++
 			continue
 		}
@@ -225,6 +232,7 @@ func (md *membership) apply(upTo sim.Time) {
 			err = md.cc.MarkDead(s.node)
 		} else {
 			detect = 0
+			md.out[s.node] = false
 			md.fs.setDead(s.node, false)
 			err = md.cc.Rejoin(s.node)
 		}
@@ -236,8 +244,21 @@ func (md *membership) apply(upTo sim.Time) {
 			md.rebalance(fmt.Sprintf("node %d %s", s.node, s.kind), detect)
 		}
 	}
-	if md.err == nil && md.killed == 0 && md.cc.Epoch() != md.epoch {
-		md.rebalance("eviction", 0)
+	if md.err != nil || md.killed > 0 {
+		return
+	}
+	m := md.cc.Map()
+	for n, out := range md.out {
+		if _, dark := covering(md.fs.down[n], upTo); out || dark || m.Alive(n) {
+			continue
+		}
+		if err := md.cc.Rejoin(n); err != nil {
+			md.err = fmt.Errorf("scenario %s: node %d rejoin: %w", md.spec.Name, n, err)
+			return
+		}
+	}
+	if md.cc.Epoch() != md.epoch {
+		md.rebalance("eviction or rejoin", 0)
 	}
 }
 

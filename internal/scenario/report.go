@@ -81,7 +81,7 @@ type ClusterReport struct {
 	ExtentBytes uint64
 	FinalEpoch  uint64 // map epoch after all membership changes
 	Failovers   uint64 // segments that survived on one replica or re-routed
-	Rebalances  int    // re-mirror passes after membership steps and evictions; none while a killed node awaits its leave step
+	Rebalances  int    // re-mirror passes after membership steps, evictions and rejoins; none while a killed node awaits its leave step
 	MovedBytes  uint64 // bytes copied to new extent holders
 	LostExtents int    // extents whose every holder died (should be 0)
 	Owed        int64  // map changes whose re-mirror had not run at the end (should be 0)
