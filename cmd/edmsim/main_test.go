@@ -57,7 +57,7 @@ func checkGolden(t *testing.T, name, got string) {
 // is a pure function of its spec, so the bytes only move when a simulator,
 // the wire protocol, the timing model or the report format does.
 func TestScenarioGolden(t *testing.T) {
-	for _, name := range []string{"failover-16", "corruption-soak", "chaos-1024", "live-loopback", "live-cluster"} {
+	for _, name := range []string{"failover-16", "corruption-soak", "chaos-1024", "live-loopback", "live-cluster", "live-cluster-flaps"} {
 		checkGolden(t, name, sim16(t, "", "-scenario", name))
 	}
 }

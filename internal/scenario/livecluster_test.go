@@ -195,20 +195,13 @@ func TestLiveClusterOverlappingLeaves(t *testing.T) {
 	}
 }
 
-// TestLiveClusterFlapsDrained: eight link flaps over eight memory nodes and
-// no leave event. Each flapped node that misses a write is evicted, the
+// TestLiveClusterFlapsDrained: the live-cluster-flaps builtin, eight link
+// flaps over eight memory nodes and no leave event. Each flapped node that misses a write is evicted, the
 // driver runs the owed re-mirror before the next op and rejoins the node
 // once its flap ends, so the run ends with every map change re-mirrored and
 // every read intact.
 func TestLiveClusterFlapsDrained(t *testing.T) {
-	spec := &Spec{
-		Name: "flaps", Backend: BackendLiveCluster, Nodes: 8, MemNodes: 8, Seed: 4,
-		Phases: []Phase{
-			{Name: "steady", Count: 1200, Load: 0.3, ReadFrac: 0.5, Profile: "fixed64"},
-		},
-		Chaos: Chaos{LinkFlaps: 8},
-	}
-	rep, err := Run(spec)
+	rep, err := Run(Builtin("live-cluster-flaps"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -413,6 +413,18 @@ func Builtins() []*Spec {
 			},
 		},
 		{
+			Name:        "live-cluster-flaps",
+			Description: "8-node dual-homed cluster whose memory nodes' links flap: a replica that misses an acked write is evicted, re-mirrored, and rejoined once its link is back",
+			Backend:     BackendLiveCluster,
+			Nodes:       8,
+			MemNodes:    8,
+			Seed:        4,
+			Phases: []Phase{
+				{Name: "steady", Count: 1200, Load: 0.3, ReadFrac: 0.5, Profile: "fixed64"},
+			},
+			Chaos: Chaos{LinkFlaps: 8},
+		},
+		{
 			Name:        "corruption-soak",
 			Description: "8-host block-level soak with seeded random corruption bursts on live links",
 			Backend:     BackendFabric,
