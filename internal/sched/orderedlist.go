@@ -2,23 +2,21 @@ package sched
 
 import "sort"
 
-// The hardware data structures the scheduler is built from, with their
-// cycle costs. The paper's scheduler achieves constant-time PIM iterations
-// by using recent hardware ordered-list designs (Shrivastav, SIGCOMM'19/'22;
-// PIFO, SIGCOMM'16) plus a priority encoder. In hardware these structures
-// perform parallel reads, comparisons and shifts across all entries in a
-// single clock; in software we model the same interface with conventional
-// algorithms, and the scheduler charges the documented cycle costs
-// (IterationCycles) when computing latency.
-
-// Cycle costs of the ordered-list hardware (§3.1.2): inserts and deletes
-// take 2 cycles and are fully pipelined (a new operation may be issued every
-// cycle); reading the head takes 1 cycle.
-const (
-	InsertCycles = 2
-	DeleteCycles = 2
-	PeekCycles   = 1
-)
+// The hardware data structures the scheduler is built from. The paper's
+// scheduler achieves constant-time PIM iterations by using recent hardware
+// ordered-list designs (Shrivastav, SIGCOMM'19/'22; PIFO, SIGCOMM'16) plus a
+// per-source priority encoder. In hardware these structures perform parallel
+// reads, comparisons and shifts across all entries in a single clock; in
+// software we model the same interface with conventional algorithms, and
+// the scheduler charges the documented cycle cost (IterationCycles) when
+// computing latency.
+//
+// The paper's per-source sorted array (§3.1.2) is not kept as a structure of
+// its own. Each destination queue holds one message per source (only pair
+// heads are queued), so the array's entry for a destination is always that
+// head's queue key, ordered among equal keys by when it was last keyed.
+// The scheduler therefore computes the encoder's result from the requests'
+// own keys and key stamps (Scheduler.round).
 
 // entry is one ordered-list element: a 64-bit priority key (lower value =
 // higher priority) and an opaque value.
@@ -54,14 +52,6 @@ func (l *orderedList[V]) Insert(key int64, v V) {
 	l.entries[i] = e
 }
 
-// PeekMin returns the highest-priority entry without removing it.
-func (l *orderedList[V]) PeekMin() (entry[V], bool) {
-	if len(l.entries) == 0 {
-		return entry[V]{}, false
-	}
-	return l.entries[0], true
-}
-
 // PeekMinWhere returns the highest-priority entry satisfying pred. In
 // hardware the predicate is a parallel mask over all entries evaluated in
 // the same cycle as the read (this is how PIM step 1 skips busy sources).
@@ -72,16 +62,6 @@ func (l *orderedList[V]) PeekMinWhere(pred func(V) bool) (entry[V], bool) {
 		}
 	}
 	return entry[V]{}, false
-}
-
-// DeleteMin removes and returns the highest-priority entry.
-func (l *orderedList[V]) DeleteMin() (entry[V], bool) {
-	if len(l.entries) == 0 {
-		return entry[V]{}, false
-	}
-	e := l.entries[0]
-	l.entries = l.entries[1:]
-	return e, true
 }
 
 // DeleteWhere removes the first (highest-priority) entry satisfying pred and
@@ -107,38 +87,4 @@ func (l *orderedList[V]) UpdateKey(pred func(V) bool, newKey int64) bool {
 	}
 	l.Insert(newKey, e.Value)
 	return true
-}
-
-// sortedArray is the per-source-port structure from §3.1.2: the destination
-// ports kept sorted by the priority of each destination's best pending
-// message. In hardware a priority encoder over the array indices resolves
-// PIM's second cycle: each requesting destination sets the bit at its
-// position in parallel, and the encoder returns the lowest set position —
-// the highest-priority requester — in one cycle. The zero value is empty.
-type sortedArray struct {
-	list orderedList[int] // value = destination port
-}
-
-// Update sets destination dst's priority key, inserting it if absent. Called
-// on every demand notification arrival and priority change, mirroring the
-// notification queue updates.
-func (s *sortedArray) Update(dst int, key int64) {
-	s.list.DeleteWhere(func(d int) bool { return d == dst })
-	s.list.Insert(key, dst)
-}
-
-// Remove deletes destination dst from the array (its queue went empty).
-func (s *sortedArray) Remove(dst int) {
-	s.list.DeleteWhere(func(d int) bool { return d == dst })
-}
-
-// Len reports how many destinations are present.
-func (s *sortedArray) Len() int { return s.list.Len() }
-
-// Arbitrate resolves one PIM grant cycle: given the set of destinations
-// requesting this source, it returns the one whose queue priority is
-// highest — what the encoder reports.
-func (s *sortedArray) Arbitrate(requesting map[int]bool) (int, bool) {
-	e, ok := s.list.PeekMinWhere(func(d int) bool { return requesting[d] })
-	return e.Value, ok
 }

@@ -135,6 +135,9 @@ type message struct {
 	remaining  int64
 	granted    int64
 	notifyTime sim.Time
+	// stamp orders messages by when their queue key was last set: a
+	// source's encoder breaks equal keys in favour of the older stamp.
+	stamp uint64
 }
 
 type pairKey struct{ src, dst int }
@@ -150,11 +153,14 @@ type Scheduler struct {
 	// grant propagation to the sender.
 	OnGrant func(Grant)
 
-	queues    []*orderedList[*message] // per destination port
-	srcArrays []*sortedArray           // per source port
-	busySrc   []bool
-	busyDst   []bool
-	pairs     map[pairKey][]*message
+	queues  []*orderedList[*message] // per destination port
+	busySrc []bool
+	busyDst []bool
+	pairs   map[pairKey][]*message
+	// best is the encoders' register: per source port, the best request
+	// seen in the current PIM iteration (nil when none).
+	best      []*message
+	nextStamp uint64
 
 	roundPending bool
 
@@ -172,17 +178,16 @@ func New(engine *sim.Engine, cfg Config) *Scheduler {
 		panic("sched: invalid config")
 	}
 	s := &Scheduler{
-		cfg:       cfg,
-		engine:    engine,
-		queues:    make([]*orderedList[*message], cfg.Ports),
-		srcArrays: make([]*sortedArray, cfg.Ports),
-		busySrc:   make([]bool, cfg.Ports),
-		busyDst:   make([]bool, cfg.Ports),
-		pairs:     make(map[pairKey][]*message),
+		cfg:     cfg,
+		engine:  engine,
+		queues:  make([]*orderedList[*message], cfg.Ports),
+		busySrc: make([]bool, cfg.Ports),
+		busyDst: make([]bool, cfg.Ports),
+		pairs:   make(map[pairKey][]*message),
+		best:    make([]*message, cfg.Ports),
 	}
 	for i := range s.queues {
 		s.queues[i] = &orderedList[*message]{}
-		s.srcArrays[i] = &sortedArray{}
 	}
 	return s
 }
@@ -220,6 +225,21 @@ func (s *Scheduler) priority(m *message) int64 {
 		return m.remaining
 	}
 	return int64(m.notifyTime)
+}
+
+// restamp records that m's queue key was just set.
+func (s *Scheduler) restamp(m *message) {
+	m.stamp = s.nextStamp
+	s.nextStamp++
+}
+
+// outranks reports whether a source's encoder prefers request a to b: the
+// lower queue key, then the older key stamp.
+func (s *Scheduler) outranks(a, b *message) bool {
+	if pa, pb := s.priority(a), s.priority(b); pa != pb {
+		return pa < pb
+	}
+	return a.stamp < b.stamp
 }
 
 // Notify registers a demand notification: an explicit /N/ for a WREQ, or an
@@ -260,19 +280,8 @@ func (s *Scheduler) Notify(ref MsgRef) error {
 // Only pair heads are eligible, which restricts SRPT to inter-pair
 // competition and guarantees in-order delivery within a pair.
 func (s *Scheduler) enqueueHead(m *message) {
-	p := s.priority(m)
-	s.queues[m.Dst].Insert(p, m)
-	s.srcArrays[m.Src].Update(m.Dst, s.bestKeyFor(m.Src, m.Dst))
-}
-
-// bestKeyFor returns the priority of the best enqueued message from src to
-// dst, for maintaining the per-source sorted arrays.
-func (s *Scheduler) bestKeyFor(src, dst int) int64 {
-	e, ok := s.queues[dst].PeekMinWhere(func(m *message) bool { return m.Src == src })
-	if !ok {
-		return 1 << 62
-	}
-	return e.Key
+	s.queues[m.Dst].Insert(s.priority(m), m)
+	s.restamp(m)
 }
 
 // kick coalesces round requests: at most one matching round is pending at a
@@ -291,53 +300,40 @@ func (s *Scheduler) kick() {
 func (s *Scheduler) round() {
 	s.roundPending = false
 	s.rounds++
-	iter := 0
-	for {
-		if s.cfg.MaxIterations > 0 && iter >= s.cfg.MaxIterations {
-			return
-		}
+	for iter := 1; s.cfg.MaxIterations == 0 || iter <= s.cfg.MaxIterations; iter++ {
 		// Cycle 1: every free destination port peeks the highest-priority
-		// eligible message in its notification queue, in parallel.
-		reqBySrc := make([][]*message, s.cfg.Ports)
+		// eligible message in its notification queue, in parallel, and
+		// requests that message's source.
+		// Cycle 2: every source port's priority encoder picks the best of
+		// its requests. A destination queue holds one message per source
+		// (its pair head), so the best request is the one with the lowest
+		// queue key, the earliest keyed among equals: what the paper's
+		// per-source sorted array of destinations would report.
 		any := false
-		for d := 0; d < s.cfg.Ports; d++ {
-			if s.busyDst[d] || s.queues[d].Len() == 0 {
+		for d, q := range s.queues {
+			if s.busyDst[d] {
 				continue
 			}
-			e, ok := s.queues[d].PeekMinWhere(func(m *message) bool { return !s.busySrc[m.Src] })
+			e, ok := q.PeekMinWhere(func(m *message) bool { return !s.busySrc[m.Src] })
 			if !ok {
 				continue
 			}
 			m := e.Value
-			reqBySrc[m.Src] = append(reqBySrc[m.Src], m)
+			if b := s.best[m.Src]; b == nil || s.outranks(m, b) {
+				s.best[m.Src] = m
+			}
 			any = true
 		}
 		if !any {
 			return
 		}
-		iter++
 		s.totalIters++
-		// Cycle 2: every source port with requests arbitrates with its
-		// priority encoder over the sorted destination array.
-		for src := 0; src < s.cfg.Ports; src++ {
-			reqs := reqBySrc[src]
-			if len(reqs) == 0 {
-				continue
+		// Cycle 3: commit each source's match and issue its grant.
+		for src, m := range s.best {
+			if m != nil {
+				s.best[src] = nil
+				s.issue(m, iter)
 			}
-			winner := reqs[0]
-			if len(reqs) > 1 {
-				set := make(map[int]bool, len(reqs))
-				byDst := make(map[int]*message, len(reqs))
-				for _, m := range reqs {
-					set[m.Dst] = true
-					byDst[m.Dst] = m
-				}
-				if d, ok := s.srcArrays[src].Arbitrate(set); ok {
-					winner = byDst[d]
-				}
-			}
-			// Cycle 3: commit the match and issue the grant.
-			s.issue(winner, iter)
 		}
 	}
 }
@@ -383,10 +379,10 @@ func (s *Scheduler) issue(m *message, iter int) {
 	if g.Final {
 		s.retire(m)
 	} else if s.cfg.Policy == SRPT {
-		// Remaining bytes changed: reposition in the destination queue and
-		// refresh the source array (a delete+insert pipeline in hardware).
+		// Remaining bytes changed: reposition in the destination queue (a
+		// delete+insert pipeline in hardware).
 		s.queues[m.Dst].UpdateKey(func(x *message) bool { return x == m }, s.priority(m))
-		s.srcArrays[m.Src].Update(m.Dst, s.bestKeyFor(m.Src, m.Dst))
+		s.restamp(m)
 	}
 }
 
@@ -403,7 +399,6 @@ func (s *Scheduler) retire(m *message) {
 	s.activeMessages--
 	if len(fifo) == 0 {
 		delete(s.pairs, key)
-		s.srcArrays[m.Src].Remove(m.Dst)
 		return
 	}
 	s.pairs[key] = fifo

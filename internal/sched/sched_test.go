@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -215,6 +216,52 @@ func TestSRPTPrefersShort(t *testing.T) {
 	}
 }
 
+func TestEncoderPicksBestRequest(t *testing.T) {
+	// Several destinations request one source in the same PIM iteration;
+	// the source's priority encoder grants the request with the best queue
+	// key, and among equal keys the one keyed first. Every message is
+	// notified at time 0, so FCFS keys are all equal.
+	cases := []struct {
+		name   string
+		policy Policy
+		dsts   []int   // notified in this order, all from source 0
+		sizes  []int64 // per notification
+		first  int     // destination of the first grant
+		finals []int   // destinations in the order their messages finish
+	}{
+		{"SRPT grants the shortest", SRPT, []int{1, 2, 3}, []int64{640, 64, 320}, 2, []int{2, 3, 1}},
+		{"FCFS ties go in key order", FCFS, []int{3, 1, 2}, []int64{64, 64, 64}, 3, []int{3, 1, 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testCfg(4)
+			cfg.Policy = tc.policy
+			e, s, c := newSched(t, cfg)
+			for i, d := range tc.dsts {
+				if err := s.Notify(MsgRef{Src: 0, Dst: d, ID: uint64(i), Size: tc.sizes[i]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Run()
+			if len(c.grants) == 0 {
+				t.Fatal("no grants")
+			}
+			if d := c.grants[0].Dst; d != tc.first {
+				t.Fatalf("first grant to destination %d, want %d", d, tc.first)
+			}
+			var finals []int
+			for _, g := range c.grants {
+				if g.Final {
+					finals = append(finals, g.Dst)
+				}
+			}
+			if fmt.Sprint(finals) != fmt.Sprint(tc.finals) {
+				t.Fatalf("messages finished at destinations %v, want %v", finals, tc.finals)
+			}
+		})
+	}
+}
+
 func TestInOrderWithinPair(t *testing.T) {
 	// Under SRPT, a shorter later message between the SAME pair must not
 	// overtake an earlier longer one (§3.1.1 property 5). The pair's FIFO
@@ -351,24 +398,43 @@ func TestStatsAndQueueLen(t *testing.T) {
 	}
 }
 
-// Property-style test: random workloads always (a) grant every byte exactly
-// once, (b) never overlap a port, (c) deliver pairs in order.
-func TestRandomWorkloadInvariants(t *testing.T) {
+// FuzzSchedulerInvariants checks that random workloads, under either policy
+// and any iteration cap, (a) grant every byte exactly once, (b) never
+// overlap a port, (c) deliver pairs in order. For (b), a port's next grant
+// (as a source, or as a destination) reaches OnGrant no earlier than the
+// previous one's time plus its chunk time.
+func FuzzSchedulerInvariants(f *testing.F) {
 	for seed := uint64(0); seed < 10; seed++ {
+		f.Add(seed, seed%2 == 0, uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, fcfs bool, maxIters uint8) {
 		rng := workload.NewPartition(seed).Stream("sched-invariants")
 		cfg := testCfg(6)
-		if seed%2 == 0 {
+		if fcfs {
 			cfg.Policy = FCFS
 		}
+		cfg.MaxIterations = int(maxIters % 4)
 		e := sim.NewEngine()
 		s := New(e, cfg)
 		granted := map[uint64]int64{}
 		sizes := map[uint64]int64{}
 		firstGrant := map[uint64]int{}
 		finalGrant := map[uint64]int{}
+		srcFreeAt := make([]sim.Time, cfg.Ports)
+		dstFreeAt := make([]sim.Time, cfg.Ports)
 		idx := 0
 		s.OnGrant = func(g Grant) {
+			if g.Offset != granted[g.ID] {
+				t.Fatalf("msg %d granted at offset %d after %d bytes", g.ID, g.Offset, granted[g.ID])
+			}
 			granted[g.ID] += g.Chunk
+			now := e.Now()
+			if now < srcFreeAt[g.Src] || now < dstFreeAt[g.Dst] {
+				t.Fatalf("grant %d->%d at %v overlaps: source free at %v, destination at %v",
+					g.Src, g.Dst, now, srcFreeAt[g.Src], dstFreeAt[g.Dst])
+			}
+			end := now + sim.TransmissionTime(int(g.Chunk), cfg.LinkBandwidth)
+			srcFreeAt[g.Src], dstFreeAt[g.Dst] = end, end
 			if g.First {
 				firstGrant[g.ID] = idx
 			}
@@ -388,32 +454,30 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 			size := int64(1 + rng.Intn(500))
 			at := sim.Time(rng.Intn(100)) * sim.Nanosecond
 			ref := MsgRef{Src: src, Dst: dst, ID: id, Size: size}
-			myID := id
 			e.At(at, func() {
 				if err := s.Notify(ref); err == nil {
-					sizes[myID] = size
-					pairSeq[pairKey{src, dst}] = append(pairSeq[pairKey{src, dst}], myID)
+					sizes[ref.ID] = size
+					pairSeq[pairKey{src, dst}] = append(pairSeq[pairKey{src, dst}], ref.ID)
 				}
 			})
 		}
 		e.Run()
 		for mid, size := range sizes {
 			if granted[mid] != size {
-				t.Fatalf("seed %d: msg %d granted %d of %d", seed, mid, granted[mid], size)
+				t.Fatalf("msg %d granted %d of %d", mid, granted[mid], size)
 			}
 		}
 		for pk, seq := range pairSeq {
 			for i := 1; i < len(seq); i++ {
 				if firstGrant[seq[i]] < finalGrant[seq[i-1]] {
-					t.Fatalf("seed %d pair %v: msg %d started before %d finished",
-						seed, pk, seq[i], seq[i-1])
+					t.Fatalf("pair %v: msg %d started before %d finished", pk, seq[i], seq[i-1])
 				}
 			}
 		}
 		if s.Active() != 0 {
-			t.Fatalf("seed %d: %d messages stuck", seed, s.Active())
+			t.Fatalf("%d messages stuck", s.Active())
 		}
-	}
+	})
 }
 
 func TestChunkTimeOverridesPacing(t *testing.T) {
