@@ -539,8 +539,8 @@ func report(w io.Writer, t *target, source string, ops []workload.Op, results []
 		m := cc.Metrics()
 		fmt.Fprintf(tw, "cluster\tnodes %d extents %d x %d B epoch %d\n",
 			len(t.conns), cc.Map().Extents(), cc.ExtentBytes(), cc.Epoch())
-		fmt.Fprintf(tw, "cluster faults\tfailovers %d splits %d evictions %d\n",
-			m.Failovers.Load(), m.SplitOps.Load(), m.Evictions.Load())
+		fmt.Fprintf(tw, "cluster faults\tfailovers %d splits %d evictions %d owed %d\n",
+			m.Failovers.Load(), m.SplitOps.Load(), m.Evictions.Load(), m.RemirrorsOwed.Load())
 	}
 	return tw.Flush()
 }

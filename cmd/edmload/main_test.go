@@ -222,7 +222,7 @@ func TestClusterEndpoint(t *testing.T) {
 		`operations\s+issued \d+ done \d+ failed 0`,
 		`latency \(ns\) \(all\)`,
 		`cluster\s+nodes 4 extents \d+ x \d+ B epoch 0`,
-		`cluster faults\s+failovers 0 splits \d+ evictions 0`,
+		`cluster faults\s+failovers 0 splits \d+ evictions 0 owed 0`,
 		`edmload: metrics on http://`,
 	} {
 		if !regexp.MustCompile(want).MatchString(out) {
