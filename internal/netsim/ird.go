@@ -132,7 +132,7 @@ func (r *irdRun) sendMsg(src int, m *irdMsg) {
 		n := n
 		wire := transport.WireBytes(transport.StackRoCE, n)
 		r.up[src].send(wire, nil)
-		arrive := r.up[src].busyUntil + edm.DefaultPropDelay + transport.L2ForwardingLatency
+		arrive := r.up[src].busyUntil + edm.LinkLatency + transport.L2ForwardingLatency
 		r.eng.At(arrive, func() {
 			r.down[m.dst].send(wire, func() {
 				r.track.delivered(m.opIdx, n)
