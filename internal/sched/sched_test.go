@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -216,7 +217,11 @@ func TestSRPTPrefersShort(t *testing.T) {
 	}
 }
 
-func TestEncoderPicksBestRequest(t *testing.T) {
+// The TestSortedArray* tests check what the paper's per-source sorted array
+// of destinations reports (§3.1.2); the scheduler computes the same answer
+// from the requests' own queue keys.
+
+func TestSortedArrayArbitrate(t *testing.T) {
 	// Several destinations request one source in the same PIM iteration;
 	// the source's priority encoder grants the request with the best queue
 	// key, and among equal keys the one keyed first. Every message is
@@ -259,6 +264,87 @@ func TestEncoderPicksBestRequest(t *testing.T) {
 				t.Fatalf("messages finished at destinations %v, want %v", finals, tc.finals)
 			}
 		})
+	}
+}
+
+func TestSortedArrayUpdateMovesPriority(t *testing.T) {
+	// Under SRPT a granted chunk re-keys its message, and the encoder must
+	// rank it by the new key. Source 0 has A (dst 1, 200 B) and B (dst 2,
+	// 150 B); C (source 3, dst 2, 64 B) holds dst 2 in the first iteration,
+	// so A takes a chunk there and drops to 136 B. In the next round A and
+	// B both request source 0, and A, at its new key, must beat B.
+	cfg := testCfg(4)
+	cfg.Policy = SRPT
+	e, s, c := newSched(t, cfg)
+	for _, ref := range []MsgRef{
+		{Src: 0, Dst: 1, ID: 1, Size: 200},
+		{Src: 0, Dst: 2, ID: 2, Size: 150},
+		{Src: 3, Dst: 2, ID: 3, Size: 64},
+	} {
+		if err := s.Notify(ref); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Run()
+	if len(c.grants) < 3 {
+		t.Fatalf("grants = %d", len(c.grants))
+	}
+	if g := c.grants[0]; g.ID != 1 || g.Chunk != 64 {
+		t.Fatalf("first grant = %+v, want 64 B of message 1", g)
+	}
+	if g := c.grants[1]; g.ID != 3 {
+		t.Fatalf("second grant = %+v, want message 3", g)
+	}
+	if g := c.grants[2]; g.ID != 1 {
+		t.Fatalf("third grant to message %d; the re-keyed message 1 (136 B) must outrank message 2 (150 B)", g.ID)
+	}
+	var finals []uint64
+	for _, g := range c.grants {
+		if g.Final {
+			finals = append(finals, g.ID)
+		}
+	}
+	if fmt.Sprint(finals) != "[3 1 2]" {
+		t.Fatalf("messages finished in order %v, want [3 1 2]", finals)
+	}
+	for d := 0; d < cfg.Ports; d++ {
+		if n := s.QueueLen(d); n != 0 {
+			t.Fatalf("queue %d holds %d after drain", d, n)
+		}
+	}
+}
+
+// Property: the first grant of source 0 goes to the requesting destination
+// with the minimum key, the first-keyed one among equals.
+func TestSortedArrayArbitrateProperty(t *testing.T) {
+	f := func(keys []uint8, mask uint8) bool {
+		if len(keys) > 8 {
+			keys = keys[:8]
+		}
+		cfg := testCfg(9)
+		cfg.Policy = SRPT
+		e, s, c := newSched(t, cfg)
+		best := -1
+		for d, k := range keys {
+			if mask&(1<<uint(d)) == 0 {
+				continue
+			}
+			// Sizes stay within one chunk, so the SRPT key is the size.
+			if err := s.Notify(MsgRef{Src: 0, Dst: d + 1, ID: uint64(d), Size: int64(k)%64 + 1}); err != nil {
+				t.Fatal(err)
+			}
+			if best < 0 || keys[d]%64 < keys[best]%64 {
+				best = d
+			}
+		}
+		e.Run()
+		if best < 0 {
+			return len(c.grants) == 0
+		}
+		return len(c.grants) > 0 && c.grants[0].Dst == best+1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
