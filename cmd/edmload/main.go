@@ -12,6 +12,9 @@
 // (open loop; shed ops are counted, never queued). Writes carry an
 // address-derived pattern and every read is checked against it; a read
 // that returns anything else counts as failed and shows as "mismatched N".
+// A cluster run ends with one re-mirror pass once the replay has returned
+// (no op in flight): the copies every eviction owes, reported on the
+// "cluster faults" row; a failed pass exits non-zero.
 //
 // Against the loopback endpoint the run is deterministic: arrivals are
 // replayed on the transport's virtual clock at window 1 and every latency
@@ -230,7 +233,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	}
 	results := rmem.Replay(t.mem, ops, addrs, rc)
 	stopProgress()
-	if err := report(stdout, &t, source, ops, results, rc.Now()); err != nil {
+	horizon := rc.Now()
+	// The cluster re-mirrors what its evictions owe only now: a pass that
+	// runs while routed writes land can overwrite them on the new holders.
+	var remirrorErr error
+	if t.cc != nil {
+		if t.remirror, remirrorErr = t.cc.Rebalance(); remirrorErr != nil {
+			remirrorErr = fmt.Errorf("cluster re-mirror: %w", remirrorErr)
+		}
+	}
+	if err := report(stdout, &t, source, ops, results, horizon); err != nil {
 		return err
 	}
 	if ccfg.Trace != nil {
@@ -239,7 +251,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 				r.Seq, r.ID, r.Stage, wire.Kind(r.Op), r.TS, r.Arg)
 		}
 	}
-	return nil
+	return remirrorErr
 }
 
 // target is an assembled endpoint: the memory the replay drives, the node
@@ -249,12 +261,13 @@ type target struct {
 	clock    string // what the run's clock reads: "virtual" or "elapsed"
 	mem      rmem.Memory
 	conns    []*rmem.Client
-	metrics  *rmem.ClientMetrics // what every one of conns counts on
-	udps     []*wire.UDPClient   // udp: the sockets under conns
-	size     uint64              // addressable bytes
-	lb       *wire.Loopback      // loopback: the transport whose virtual clock times the run
-	srv      *rmem.ServerMetrics // loopback: the in-process server's counters
-	cc       *cluster.Client     // cluster: the router in front of conns
+	metrics  *rmem.ClientMetrics    // what every one of conns counts on
+	udps     []*wire.UDPClient      // udp: the sockets under conns
+	size     uint64                 // addressable bytes
+	lb       *wire.Loopback         // loopback: the transport whose virtual clock times the run
+	srv      *rmem.ServerMetrics    // loopback: the in-process server's counters
+	cc       *cluster.Client        // cluster: the router in front of conns
+	remirror cluster.RebalanceStats // cluster: the re-mirror pass after the replay
 	close    func()
 }
 
@@ -386,8 +399,8 @@ func dial(addrs []string, ccfg rmem.ClientConfig) (target, error) {
 // cluster_* series and the node clients' shared rmem_client_*/wire_client_*
 // ones; -metrics serves it.
 func dialCluster(addrs []string, seed uint64, evict int, metricsAddr string, ccfg rmem.ClientConfig, stdout io.Writer) (target, error) {
-	// A routed op fans out up to two datagrams per node, and a background
-	// re-mirror shares the node windows; give them headroom.
+	// A routed op fans out up to two datagrams per node; give the node
+	// windows headroom.
 	ccfg.Window *= 4
 	if ccfg.Window > rmem.MaxWindow {
 		ccfg.Window = rmem.MaxWindow
@@ -539,8 +552,9 @@ func report(w io.Writer, t *target, source string, ops []workload.Op, results []
 		m := cc.Metrics()
 		fmt.Fprintf(tw, "cluster\tnodes %d extents %d x %d B epoch %d\n",
 			len(t.conns), cc.Map().Extents(), cc.ExtentBytes(), cc.Epoch())
-		fmt.Fprintf(tw, "cluster faults\tfailovers %d splits %d evictions %d owed %d\n",
-			m.Failovers.Load(), m.SplitOps.Load(), m.Evictions.Load(), m.RemirrorsOwed.Load())
+		fmt.Fprintf(tw, "cluster faults\tfailovers %d splits %d evictions %d moved %d B lost %d owed %d\n",
+			m.Failovers.Load(), m.SplitOps.Load(), m.Evictions.Load(),
+			t.remirror.Bytes, t.remirror.Lost, m.RemirrorsOwed.Load())
 	}
 	return tw.Flush()
 }

@@ -41,12 +41,13 @@ type Config struct {
 	// NowNS supplies timestamps for the rebalance-duration histogram
 	// (wall or virtual). Nil disables duration measurement.
 	NowNS func() int64
-	// AutoEvict, when positive, declares a node dead after that many
-	// consecutive retry-budget timeouts, and drains the owed re-mirrors
-	// (see Rebalance) in the background. Zero leaves membership and
-	// Rebalance to the caller (the deterministic scenario driver), with one
-	// exception whatever AutoEvict says: a node that missed a write its
-	// partner acked is evicted before the op completes.
+	// AutoEvict, when positive, evicts a node after that many consecutive
+	// retry-budget timeouts. Zero leaves membership to the caller (the
+	// deterministic scenario driver), with one exception whatever
+	// AutoEvict says: a node that missed a write its partner acked is
+	// evicted before the op completes. Either way an eviction's re-mirror
+	// is owed to the caller's next Rebalance: the client starts no
+	// goroutine of its own.
 	AutoEvict int
 }
 
@@ -66,12 +67,11 @@ type Client struct {
 	ops  sync.Pool
 	subs sync.Pool
 
-	mu       sync.Mutex
-	m        *Map   // guarded by mu: the active route table
-	streak   []int  // guarded by mu: consecutive deadline completions per node (auto-evict)
-	owed     []move // guarded by mu: map changes not yet re-mirrored, oldest first
-	draining bool   // guarded by mu: a background drain of owed is running
-	closed   bool   // guarded by mu
+	mu     sync.Mutex
+	m      *Map   // guarded by mu: the active route table
+	streak []int  // guarded by mu: consecutive deadline completions per node (auto-evict)
+	owed   []move // guarded by mu: map changes not yet re-mirrored, oldest first
+	closed bool   // guarded by mu
 }
 
 // New builds a cluster client over connected node clients (Connect each
@@ -215,8 +215,7 @@ func (c *Client) noteOK(node int) {
 // auto-evict threshold, evicts it. The threshold fires on equality so one
 // burst of timeouts evicts once; when the eviction cannot run then (the node
 // is one of the last two alive, or already out of the map) the streak starts
-// over, so the threshold comes round again once it can. Any other deadline
-// kicks the drain of re-mirrors still owed, so a failed drain is retried.
+// over, so the threshold comes round again once it can.
 func (c *Client) noteDeadline(node int) {
 	if c.cfg.AutoEvict <= 0 {
 		return
@@ -233,63 +232,20 @@ func (c *Client) noteDeadline(node int) {
 	c.mu.Unlock()
 	if hit {
 		c.evict(node)
-	} else {
-		c.kick()
 	}
 }
 
 // evict takes node out of the map on the client's own failure detection (a
 // missed acked write, or the auto-evict threshold), so that no read reaches
-// it, and kicks the drain of its re-mirror. A node already out of the map is
-// left as it is; one of the last two alive cannot be evicted.
+// it; its re-mirror is owed to the next Rebalance. A node already out of the
+// map is left as it is; one of the last two alive cannot be evicted.
 func (c *Client) evict(node int) error {
-	err := c.advance(node, leaveAlive)
-	c.kick()
-	return err
-}
-
-// leaveAlive is Map.Leave for a node in the map, and keeps the map as it
-// is for one already out of it.
-func leaveAlive(m *Map, node int) (*Map, error) {
-	if !m.Alive(node) {
-		return m, nil
-	}
-	return m.Leave(node)
-}
-
-// kick starts the background drain of the owed re-mirrors under AutoEvict,
-// unless one is running or nothing is owed.
-func (c *Client) kick() {
-	if c.cfg.AutoEvict <= 0 {
-		return
-	}
-	c.mu.Lock()
-	start := !c.draining && len(c.owed) > 0
-	c.draining = c.draining || start
-	c.mu.Unlock()
-	if start {
-		go c.drain()
-	}
-}
-
-// drain is the background Rebalance. A failed pass counts in
-// cluster_rebalance_errors_total and leaves its move owed to the next kick.
-// The busy flag is cleared under the same lock as the last empty-queue
-// check, so a change queued while a pass runs is drained by this one.
-func (c *Client) drain() {
-	for {
-		_, err := c.Rebalance()
-		if err != nil {
-			c.metrics.RebalanceErrors.Inc()
+	return c.advance(node, func(m *Map, node int) (*Map, error) {
+		if !m.Alive(node) {
+			return m, nil
 		}
-		c.mu.Lock()
-		done := err != nil || len(c.owed) == 0
-		c.draining = !done
-		c.mu.Unlock()
-		if done {
-			return
-		}
-	}
+		return m.Leave(node)
+	})
 }
 
 // opKind is a subOp's request flavour.

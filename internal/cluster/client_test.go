@@ -232,12 +232,13 @@ func TestClusterAllReplicasDead(t *testing.T) {
 	}
 }
 
-//edmlint:allow walltime the test polls for the asynchronous eviction under real wall-clock deadlines
+// TestClusterAutoEvict: the deadline streak evicts a dead node within the
+// op that reaches the threshold, before its callback fires.
 func TestClusterAutoEvict(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42, AutoEvict: 2})
 	const dead = 1
 	nodes[dead].dead.Store(true)
-	// Find an extent homed on the dead node and hammer it until the deadline
+	// Find an extent homed on the dead node and read it until the deadline
 	// streak evicts the node and the epoch advances.
 	m := cc.Map()
 	addr := uint64(0)
@@ -247,18 +248,11 @@ func TestClusterAutoEvict(t *testing.T) {
 			break
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for cc.Epoch() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("auto-evict never advanced the epoch")
-		}
+	for i := 0; i < 2 && cc.Epoch() == 0; i++ {
 		_, _ = cc.ReadSync(addr, 64)
 	}
-	for wait := time.Now().Add(5 * time.Second); cc.Map().Alive(dead); {
-		if time.Now().After(wait) {
-			t.Fatal("epoch advanced but node still alive")
-		}
-		time.Sleep(time.Millisecond)
+	if cc.Epoch() == 0 || cc.Map().Alive(dead) {
+		t.Fatalf("two deadlines on node %d left it in the map (epoch %d)", dead, cc.Epoch())
 	}
 	// Routed ops now avoid the dead node entirely: no more failovers needed.
 	before := cc.Metrics().Failovers.Load()
@@ -312,14 +306,12 @@ func TestClusterFailoverTargetAfterRehome(t *testing.T) {
 	}
 }
 
-// TestClusterRebalanceFailureSurfacedAndRetried exercises the background
-// rebalance failure path: a drain whose copy source is unreachable must bump
-// cluster_rebalance_errors_total and leave its move owed, and a later
-// deadline completion must kick a retry that finishes the outstanding copies.
-//
-//edmlint:allow walltime the test polls for the background retry under real wall-clock deadlines
+// TestClusterRebalanceFailureSurfacedAndRetried: a pass whose copy source
+// is unreachable fails, counts in cluster_rebalance_errors_total and leaves
+// its move owed; once the source answers again the next Rebalance finishes
+// the outstanding copies.
 func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
-	cc, nodes := newTestCluster(t, 4, Config{Seed: 42, AutoEvict: 100})
+	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	want := pattern(64, 7)
 	for e := 0; e < cc.Map().Extents(); e++ {
 		if err := cc.WriteSync(uint64(e)*cc.ExtentBytes(), want); err != nil {
@@ -336,30 +328,25 @@ func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
 	if len(moves) == 0 {
 		t.Fatal("no moves after a node death")
 	}
-	// Kill the first move's copy source so the drain fails on its first copy.
+	// Take the first move's copy source dark so the pass fails on its
+	// first copy.
 	src := moves[0].From
 	nodes[src].dead.Store(true)
-	cc.kick()
-	waitDrained(t, cc)
-	if n := cc.Metrics().RebalanceErrors.Load(); n == 0 {
-		t.Fatal("failed rebalance pass not counted in cluster_rebalance_errors_total")
+	if _, err := cc.Rebalance(); !errors.Is(err, wire.ErrTimeout) {
+		t.Fatalf("rebalance from a dark source: %v, want a wire.ErrTimeout", err)
 	}
-	cc.mu.Lock()
-	pending := len(cc.owed) != 0
-	cc.mu.Unlock()
-	if !pending {
-		t.Fatal("failed pass dropped its owed move; retry impossible")
+	if n := cc.Metrics().RebalanceErrors.Load(); n != 1 {
+		t.Fatalf("cluster_rebalance_errors_total %d after one failed pass, want 1", n)
 	}
-	// Revive the source; the next deadline completion on any node kicks
-	// the retry in the background.
+	if n := cc.Metrics().RemirrorsOwed.Load(); n != 1 {
+		t.Fatalf("failed pass left %d re-mirrors owed, want its move still owed", n)
+	}
 	nodes[src].dead.Store(false)
-	cc.noteDeadline(0)
-	waitDrained(t, cc)
-	cc.mu.Lock()
-	owed := len(cc.owed)
-	cc.mu.Unlock()
-	if owed != 0 {
-		t.Fatalf("background rebalance retry left %d moves owed", owed)
+	if _, err := cc.Rebalance(); err != nil {
+		t.Fatalf("rebalance after the source came back: %v", err)
+	}
+	if n := cc.Metrics().RemirrorsOwed.Load(); n != 0 || cc.Metrics().RebalanceErrors.Load() != 1 {
+		t.Fatalf("retried pass left %d owed, %d errors", n, cc.Metrics().RebalanceErrors.Load())
 	}
 	// Every re-homed extent is dual-homed again with the data on both homes.
 	m := cc.Map()
@@ -375,88 +362,72 @@ func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
 	}
 }
 
-// TestClusterChangeQueuedDuringDrainIsDrained: a map change queued while a
-// background drain runs is drained by that drain, with no later deadline to
-// kick another. A dark copy source holds the drain (a long retry budget keeps
-// its read pending) while a second node is marked dead.
-//
-//edmlint:allow walltime the drain's held read waits on a real wall-clock retry budget
-func TestClusterChangeQueuedDuringDrainIsDrained(t *testing.T) {
-	cc, nodes := newTestClusterRetry(t, 5, Config{Seed: 42, AutoEvict: 100},
-		wire.ConnConfig{RetryTimeout: 5 * time.Millisecond, MaxRetries: 200})
-	want := pattern(64, 13)
+// TestClusterAutoEvictLeavesRemirrorOwed: an auto-eviction queues its
+// re-mirror and nothing runs it behind the caller's back, however many
+// routed ops follow; the caller's Rebalance, with no op in flight, does.
+func TestClusterAutoEvictLeavesRemirrorOwed(t *testing.T) {
+	cc, nodes := newTestCluster(t, 4, Config{Seed: 42, AutoEvict: 2})
+	want := pattern(64, 19)
 	for e := 0; e < cc.Map().Extents(); e++ {
 		if err := cc.WriteSync(uint64(e)*cc.ExtentBytes(), want); err != nil {
 			t.Fatalf("seed extent %d: %v", e, err)
 		}
 	}
-	const first = 1
-	nodes[first].dead.Store(true)
+	const dead = 2
 	old := cc.Map()
-	if err := cc.MarkDead(first); err != nil {
-		t.Fatal(err)
-	}
-	moves := diff(old, cc.Map(), cc.Map())
-	if len(moves) == 0 {
-		t.Fatal("no moves after a node death")
-	}
-	src := moves[0].From
-	nodes[src].dead.Store(true)
-	cc.kick()
-	// The second node holds nothing of moves[0]'s extent, so the held copy
-	// stays in the drain's first move whenever its goroutine reads the map.
-	pri, mir := cc.Map().Extent(moves[0].Extent)
-	second := -1
-	for n := range nodes {
-		if n != first && n != pri && n != mir {
-			second = n
+	addr := uint64(0)
+	for e := 0; e < old.Extents(); e++ {
+		if pri, _ := old.Extent(e); pri == dead {
+			addr = uint64(e) * cc.ExtentBytes()
 			break
 		}
 	}
-	if err := cc.MarkDead(second); err != nil {
-		t.Fatal(err)
+	nodes[dead].dead.Store(true)
+	for i := 0; i < 2 && cc.Map().Alive(dead); i++ {
+		if _, err := cc.ReadSync(addr, 64); err != nil {
+			t.Fatalf("read failing over from node %d: %v", dead, err)
+		}
 	}
-	cc.mu.Lock()
-	busy, owed := cc.draining, len(cc.owed)
-	cc.mu.Unlock()
-	if !busy || owed != 2 {
-		t.Fatalf("draining %v with %d owed; want the drain held on node %d and both changes owed", busy, owed, src)
+	if cc.Map().Alive(dead) {
+		t.Fatalf("node %d not evicted after two deadlines", dead)
 	}
-	nodes[src].dead.Store(false)
-	waitDrained(t, cc)
-	cc.mu.Lock()
-	owed = len(cc.owed)
-	cc.mu.Unlock()
-	if owed != 0 || cc.Metrics().RebalanceErrors.Load() != 0 || cc.Metrics().RemirrorsOwed.Load() != 0 {
-		t.Fatalf("drain ended with %d owed (gauge %d), %d errors", owed,
-			cc.Metrics().RemirrorsOwed.Load(), cc.Metrics().RebalanceErrors.Load())
+	moves := diff(old, cc.Map(), cc.Map())
+	if len(moves) == 0 {
+		t.Fatal("no moves after the eviction")
 	}
-	m := cc.Map()
-	for e := 0; e < m.Extents(); e++ {
-		p, q := m.Extent(e)
-		for _, n := range []int{p, q} {
-			got, err := nodes[n].cl.ReadSync(uint64(e)*cc.ExtentBytes(), 64)
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("extent %d replica on node %d missing after the drain: %v", e, n, err)
+	// Routed reads sweep the address space; none of them re-mirrors.
+	for i := 0; i < 100; i++ {
+		a := uint64(i%old.Extents()) * cc.ExtentBytes()
+		if got, err := cc.ReadSync(a, 64); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("routed read %d at %#x: %v", i, a, err)
+		}
+	}
+	if n := cc.Metrics().RemirrorsOwed.Load(); n != 1 {
+		t.Fatalf("cluster_remirrors_owed %d after 100 routed reads, want the eviction still owed", n)
+	}
+	zero := make([]byte, len(want))
+	for _, mv := range moves {
+		for _, n := range mv.To {
+			got, err := nodes[n].cl.ReadSync(uint64(mv.Extent)*cc.ExtentBytes(), 64)
+			if err != nil || !bytes.Equal(got, zero) {
+				t.Fatalf("extent %d's new holder %d holds %x..., %v before Rebalance; want zeros", mv.Extent, n, got[:min(4, len(got))], err)
 			}
 		}
 	}
-}
-
-// waitDrained waits up to five seconds for the background drain to stop.
-//
-//edmlint:allow walltime the drain runs on real wall-clock retry budgets
-func waitDrained(t *testing.T, cc *Client) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		cc.mu.Lock()
-		busy := cc.draining
-		cc.mu.Unlock()
-		if !busy {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background drain never stopped")
+	if _, err := cc.Rebalance(); err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+	if n := cc.Metrics().RemirrorsOwed.Load(); n != 0 {
+		t.Fatalf("rebalance left %d re-mirrors owed", n)
+	}
+	m := cc.Map()
+	for _, mv := range moves {
+		pri, mir := m.Extent(mv.Extent)
+		for _, n := range []int{pri, mir} {
+			got, err := nodes[n].cl.ReadSync(uint64(mv.Extent)*cc.ExtentBytes(), 64)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("extent %d replica on node %d missing after rebalance: %v", mv.Extent, n, err)
+			}
 		}
 	}
 }
@@ -898,13 +869,11 @@ func TestClusterMissedWriteWithTwoAlive(t *testing.T) {
 // TestClusterAutoEvictAfterSkippedThreshold: a node whose deadline streak
 // reaches the threshold while only two nodes are alive cannot be evicted
 // then, and must still be evicted once a third node is back.
-//
-//edmlint:allow walltime the test polls for the asynchronous eviction under real wall-clock deadlines
 func TestClusterAutoEvictAfterSkippedThreshold(t *testing.T) {
 	cc, nodes := newTestCluster(t, 3, Config{Seed: 42, AutoEvict: 2})
 	const a, b = 0, 1
 	// readHomedOn costs node one retry-budget timeout; false once the map
-	// homes nothing on it (the background evictor got there first).
+	// homes nothing on it.
 	readHomedOn := func(node int) bool {
 		m := cc.Map()
 		for e := 0; e < m.Extents(); e++ {
@@ -915,18 +884,13 @@ func TestClusterAutoEvictAfterSkippedThreshold(t *testing.T) {
 		}
 		return false
 	}
-	// evicted hammers node until the map drops it as the nth eviction, at
-	// most 20 timeouts and two seconds of waiting for the background evictor
-	// (which counts the eviction just after it installs the map).
+	// evicted reads node until the map drops it, at most 20 timeouts, and
+	// reports whether that was the nth eviction.
 	evicted := func(node int, nth uint64) bool {
 		t.Helper()
-		gone := func() bool { return !cc.Map().Alive(node) && cc.Metrics().Evictions.Load() == nth }
 		for i := 0; i < 20 && readHomedOn(node); i++ {
 		}
-		for wait := time.Now().Add(2 * time.Second); !gone() && time.Now().Before(wait); {
-			time.Sleep(time.Millisecond)
-		}
-		return gone()
+		return !cc.Map().Alive(node) && cc.Metrics().Evictions.Load() == nth
 	}
 	nodes[a].dead.Store(true)
 	if !evicted(a, 1) {

@@ -31,7 +31,8 @@
 // write-through, or an RMW that failed over to the other replica is
 // evicted from the map before the op's callback fires, so no later read
 // reaches its stale copy; with only two nodes alive it cannot be, and the
-// op fails instead.
+// op fails instead. Every map change's re-mirror waits for the caller's
+// Rebalance, which must run while no routed op is in flight.
 //
 // Atomicity caveats: a split op is not atomic across extents; an RMW is
 // atomic only on its primary, the mirror's copy being a write-through that

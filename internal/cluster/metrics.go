@@ -28,9 +28,8 @@ type Metrics struct {
 	RebalanceExtents *telemetry.Counter
 	RebalanceBytes   *telemetry.Counter
 	RebalanceNS      *telemetry.Histogram
-	// RebalanceErrors counts failed background rebalance passes. Each
-	// leaves its re-mirror owed, and the next retry-budget timeout retries
-	// it (as does a manual Rebalance); RemirrorsOwed shows what is left.
+	// RebalanceErrors counts failed Rebalance passes. Each leaves its
+	// re-mirror owed to the next call; RemirrorsOwed shows what is left.
 	RebalanceErrors *telemetry.Counter
 	// RemirrorsOwed is the number of map changes whose re-mirror has not
 	// run yet. Non-zero means some extents may still be single-homed.

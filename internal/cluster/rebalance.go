@@ -22,14 +22,21 @@ type RebalanceStats struct {
 
 // Rebalance runs the re-mirrors the client owes, oldest first. Every map
 // change is owed: a MarkDead, a Rejoin, or an eviction of the client's own
-// (Config.AutoEvict). For each, every extent whose replica set the change
-// altered is bulk-read from a surviving holder and bulk-written to each new
-// holder that still holds it in the active map, directly against the node
-// clients (routed ops would write through to the very replicas being
-// rebuilt). A copy source still in the active map is preferred; one that
-// has left it since is still tried, and if it does not answer, its extents
-// count in Lost, as do extents whose holders all left. The first other copy
-// error ends the pass, and the change it was copying stays owed.
+// (a missed acked write, or Config.AutoEvict). For each, every extent whose
+// replica set the change altered is bulk-read from a surviving holder and
+// bulk-written to each new holder that still holds it in the active map,
+// directly against the node clients (routed ops would write through to the
+// very replicas being rebuilt). A copy source still in the active map is
+// preferred; one that has left it since is still tried, and if it does not
+// answer, its extents count in Lost, as do extents whose holders all left.
+// The first other copy error ends the pass, counts in
+// cluster_rebalance_errors_total, and leaves the change it was copying owed
+// to the next call.
+//
+// The caller must call Rebalance only while no routed op is in flight. A
+// routed write that lands on a new holder between a chunk's read from the
+// source and its write to that holder is overwritten by the older bytes,
+// and the acked write is lost on that replica. Nothing fences the two.
 func (c *Client) Rebalance() (RebalanceStats, error) {
 	var st RebalanceStats
 	var start int64
@@ -45,6 +52,7 @@ func (c *Client) Rebalance() (RebalanceStats, error) {
 		mv, now := c.owed[0], c.m
 		c.mu.Unlock()
 		if err := c.copyMoves(diff(mv.old, mv.cur, now), now, &st); err != nil {
+			c.metrics.RebalanceErrors.Inc()
 			return st, err
 		}
 		c.mu.Lock()

@@ -142,6 +142,13 @@ type message struct {
 
 type pairKey struct{ src, dst int }
 
+// srcGrant is a source port's reused grant record, with its delivery and
+// port release bound once at New so that issuing a grant allocates nothing.
+type srcGrant struct {
+	g                Grant
+	deliver, release sim.Handler
+}
+
 // Scheduler is the central PIM scheduler. It is event-driven: notifications
 // and port releases trigger matching rounds on the provided engine. Not
 // safe for concurrent use (the engine is single-threaded).
@@ -156,7 +163,11 @@ type Scheduler struct {
 	queues  []*orderedList[*message] // per destination port
 	busySrc []bool
 	busyDst []bool
-	pairs   map[pairKey][]*message
+	// inFlight is each source port's grant between issue and release:
+	// busySrc allows one per source, and its delivery fires first.
+	inFlight []srcGrant
+	roundFn  sim.Handler // s.round, bound once
+	pairs    map[pairKey][]*message
 	// best is the encoders' register: per source port, the best request
 	// seen in the current PIM iteration (nil when none).
 	best      []*message
@@ -189,6 +200,17 @@ func New(engine *sim.Engine, cfg Config) *Scheduler {
 	for i := range s.queues {
 		s.queues[i] = &orderedList[*message]{}
 	}
+	s.inFlight = make([]srcGrant, cfg.Ports)
+	for i := range s.inFlight {
+		f := &s.inFlight[i]
+		f.deliver = func() { s.OnGrant(f.g) }
+		f.release = func() {
+			s.busySrc[f.g.Src] = false
+			s.busyDst[f.g.Dst] = false
+			s.kick()
+		}
+	}
+	s.roundFn = s.round
 	return s
 }
 
@@ -291,7 +313,7 @@ func (s *Scheduler) kick() {
 		return
 	}
 	s.roundPending = true
-	s.engine.After(0, s.round)
+	s.engine.After(0, s.roundFn)
 }
 
 // round runs PIM iterations until the matching is maximal (or the
@@ -346,7 +368,8 @@ func (s *Scheduler) issue(m *message, iter int) {
 	if m.remaining < l {
 		l = m.remaining
 	}
-	g := Grant{
+	f := &s.inFlight[m.Src]
+	f.g = Grant{
 		MsgRef: m.MsgRef,
 		Offset: m.granted,
 		Chunk:  l,
@@ -360,23 +383,16 @@ func (s *Scheduler) issue(m *message, iter int) {
 	s.grantsIssued++
 
 	issueDelay := sim.Time(IterationCycles*iter) * s.cfg.ClockPeriod
-	src, dst := m.Src, m.Dst
 	if s.OnGrant != nil {
-		gg := g
-		s.engine.After(issueDelay, func() { s.OnGrant(gg) })
+		s.engine.After(issueDelay, f.deliver)
 	}
 	chunkTime := sim.TransmissionTime(int(l), s.cfg.LinkBandwidth)
 	if s.cfg.ChunkTime != nil {
 		chunkTime = s.cfg.ChunkTime(l)
 	}
-	release := issueDelay + chunkTime
-	s.engine.After(release, func() {
-		s.busySrc[src] = false
-		s.busyDst[dst] = false
-		s.kick()
-	})
+	s.engine.After(issueDelay+chunkTime, f.release)
 
-	if g.Final {
+	if f.g.Final {
 		s.retire(m)
 	} else if s.cfg.Policy == SRPT {
 		// Remaining bytes changed: reposition in the destination queue (a

@@ -10,10 +10,7 @@
 // scheduled, which makes runs bit-for-bit reproducible.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a simulated instant or duration in picoseconds.
 type Time int64
@@ -58,28 +55,12 @@ type event struct {
 	fn  Handler
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the queue order: time, then scheduling order.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is a single-threaded discrete-event scheduler.
@@ -87,7 +68,7 @@ func (q *eventQueue) Pop() any {
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   eventQueue
+	queue   []event // binary min-heap in before order, held by value
 	fired   uint64
 	stopped bool
 }
@@ -111,7 +92,16 @@ func (e *Engine) At(t Time, fn Handler) {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.queue, &event{at: t, seq: e.seq, fn: fn})
+	e.queue = append(e.queue, event{at: t, seq: e.seq, fn: fn})
+	q := e.queue
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
 }
 
 // After schedules fn to run d after the current time.
@@ -157,7 +147,26 @@ func (e *Engine) RunUntil(deadline Time) {
 }
 
 func (e *Engine) step() {
-	ev := heap.Pop(&e.queue).(*event)
+	q := e.queue
+	ev := q[0]
+	n := len(q) - 1
+	q[0], q[n] = q[n], event{}
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	e.queue = q
 	e.now = ev.at
 	e.fired++
 	ev.fn()

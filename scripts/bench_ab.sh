@@ -22,20 +22,39 @@
 #               better than every base run
 #   held        anything else
 #
+# With -c, the same pairing runs Go benchmarks instead: each tree's test
+# binary for one package is built once (go test -c), and each round runs
+#   X.test -test.run '^$' -test.bench PATTERN -test.benchmem -test.timeout 10m
+# from both, in the package's directory. The end prints the same table for
+# each matched benchmark's ns/op, B/op and allocs/op (lower is better; the
+# regression bound is CI's bench gate, 15 %).
+#
 # Usage: scripts/bench_ab.sh <base-ref> [rounds] [workload [seed]]
+#        scripts/bench_ab.sh -c <base-ref> <rounds> <package> <pattern>
 #   base-ref  commit to compare the working tree against (e.g. HEAD~1)
 #   rounds    pairs of runs (default 1)
 #   workload  one workload name from BENCHMARK.json (default: the suite)
 #   seed      the workload's -seed (default 1). A claim tuned while watching
 #             one seed is re-checked on another, not used during development:
 #             a gain that holds only for the seed it was found on is noise.
+#   package   the package whose benchmarks run (e.g. . or ./internal/sched)
+#   pattern   the -test.bench regexp (e.g. '^BenchmarkSchedulerThroughput$')
 set -eu
 cd "$(dirname "$0")/.."
 
-base="${1:?usage: scripts/bench_ab.sh <base-ref> [rounds] [workload [seed]]}"
-rounds="${2:-1}"
-workload="${3:-}"
-seed="${4:-1}"
+usage="usage: scripts/bench_ab.sh <base-ref> [rounds] [workload [seed]]
+       scripts/bench_ab.sh -c <base-ref> <rounds> <package> <pattern>"
+gotest=""
+if [ "${1:-}" = "-c" ]; then
+    [ $# -eq 5 ] || { echo "$usage" >&2; exit 2; }
+    gotest=1 base="$2" rounds="$3" pkg="$4" pattern="$5"
+    workload="" seed=""
+else
+    base="${1:?$usage}"
+    rounds="${2:-1}"
+    workload="${3:-}"
+    seed="${4:-1}"
+fi
 args=""
 if [ -n "$workload" ]; then
     args="-workload $workload -seed $seed -seconds 10 -trace 0"
@@ -48,9 +67,31 @@ trap 'rm -rf "$out/base"' EXIT
 mkdir "$out/base"
 git archive "$base" | tar -x -C "$out/base"
 
+if [ -n "$gotest" ]; then
+    for side in base head; do
+        tree=.
+        [ "$side" = base ] && tree="$out/base"
+        (cd "$tree" && go test -c -o "$out/$side.test" "$pkg") || {
+            echo "bench_ab: go test -c $pkg failed in $tree" >&2
+            exit 1
+        }
+    done
+fi
+
 # run TREE NAME: run the benchmark in TREE and keep its result as NAME.json
-# (the suite's results.json, or a single workload's closing JSON line).
+# (the suite's results.json, or a single workload's closing JSON line); with
+# -c, run the side's test binary in the package's directory of TREE and keep
+# its output as NAME.txt.
 run() {
+    if [ -n "$gotest" ]; then
+        (cd "$1/$pkg" && "$out/${2%%.*}.test" -test.run '^$' -test.bench "$pattern" \
+            -test.benchmem -test.timeout 10m >"$out/$2.txt" 2>&1) || {
+            echo "bench_ab: benchmark failed in $1:" >&2
+            cat "$out/$2.txt" >&2
+            exit 1
+        }
+        return
+    fi
     # $args is unquoted on purpose: it is empty or several words, none
     # with spaces (workload names have none).
     (cd "$1" && go run ./benchmark $args >"$out/$2.log" 2>&1) || {
@@ -66,8 +107,17 @@ run() {
 }
 
 # values SIDE ROUND: "SIDE ROUND metric value" for each metric of the
-# round's one-line result.
+# round's one-line result; with -c, for each ns/op, B/op and allocs/op of
+# each benchmark line ("BenchmarkX:allocs/op", the -GOMAXPROCS suffix cut).
 values() {
+    if [ -n "$gotest" ]; then
+        awk -v side="$1" -v round="$2" '/^Benchmark/ {
+            name = $1; sub(/-[0-9]+$/, "", name)
+            for (i = 3; i < NF; i += 2)
+                if ($(i + 1) ~ /^(ns|B|allocs)\/op$/) print side, round, name ":" $(i + 1), $i
+        }' "$out/$1.$2.txt"
+        return
+    fi
     awk -v side="$1" -v round="$2" '{
         s = $0
         while (match(s, /"[A-Za-z0-9_.]+":[{]"value":[-+0-9.eE]+/)) {
@@ -89,7 +139,12 @@ for r in $(seq 1 "$rounds"); do
         run "$out/base" "base.$r"
     fi
     echo "== round $r of $rounds (base $base first: $((r % 2)))"
-    if [ -n "$workload" ]; then
+    if [ -n "$gotest" ]; then
+        grep '^Benchmark' "$out/base.$r.txt" | sed 's/^/base /'
+        grep '^Benchmark' "$out/head.$r.txt" | sed 's/^/head /'
+        values base "$r" >>"$out/values"
+        values head "$r" >>"$out/values"
+    elif [ -n "$workload" ]; then
         echo "base $(cat "$out/base.$r.json")"
         echo "head $(cat "$out/head.$r.json")"
         values base "$r" >>"$out/values"
@@ -99,7 +154,11 @@ for r in $(seq 1 "$rounds"); do
     fi
 done
 
-if [ -n "$workload" ]; then
+if [ -n "$gotest" ]; then
+    # Every benchmark metric is a cost: lower is better, bound 15 %.
+    awk '!seen[$3]++ { print "dir", $3, "lower", 0.15 }' "$out/values" >"$out/dirs"
+    echo "== $pkg $pattern: $rounds rounds, base $base vs working tree"
+elif [ -n "$workload" ]; then
     # The end-to-end metrics, their directions and bounds, in BENCHMARK.json's
     # order.
     awk '
@@ -113,6 +172,8 @@ if [ -n "$workload" ]; then
         on && /\]/ { on = 0 }
     ' BENCHMARK.json >"$out/dirs"
     echo "== $workload: $rounds rounds, seed $seed, base $base vs working tree"
+fi
+if [ -n "$gotest$workload" ]; then
     awk -v rounds="$rounds" '
         # q: the p-quantile of the sorted a[1..n], linear between ranks.
         function q(a, n, p,    h, i) {
@@ -132,10 +193,15 @@ if [ -n "$workload" ]; then
         }
         # gain: how much better x is than y, by the direction of the metric.
         function gain(name, x, y) { return better[name] == "higher" ? x - y : y - x }
-        $1 == "dir" { order[++metrics] = $2; better[$2] = $3; bound[$2] = $4; next }
+        $1 == "dir" {
+            order[++metrics] = $2; better[$2] = $3; bound[$2] = $4
+            if (length($2) > w) w = length($2)
+            next
+        }
         { v[$1, $2, $3] = $4 + 0 }
         END {
-            printf "%-18s %-7s %14s %14s %12s %8s  %-5s  %s\n", "metric", "better", "base median", "head median", "base IQR", "change", "wins", "verdict"
+            if (w < 18) w = 18
+            printf "%-" w "s %-7s %14s %14s %12s %8s  %-5s  %s\n", "metric", "better", "base median", "head median", "base IQR", "change", "wins", "verdict"
             for (k = 1; k <= metrics; k++) {
                 name = order[k]
                 nb = sorted("base", name, bs)
@@ -158,7 +224,7 @@ if [ -n "$workload" ]; then
                 else if (iqr > bound[name] * mb && !apart) verdict = "unresolved"
                 else verdict = "held"
                 change = mb != 0 ? sprintf("%+.1f%%", 100 * (mh - mb) / mb) : "-"
-                printf "%-18s %-7s %14.6g %14.6g %12.4g %8s  %-5s  %s\n", name, better[name], mb, mh, iqr, change, wins "/" pairs, verdict
+                printf "%-" w "s %-7s %14.6g %14.6g %12.4g %8s  %-5s  %s\n", name, better[name], mb, mh, iqr, change, wins "/" pairs, verdict
             }
         }
     ' "$out/dirs" "$out/values"

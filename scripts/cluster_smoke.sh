@@ -6,7 +6,8 @@
 # that the client's /metrics serves its node clients' shared rmem_client_* and
 # wire_client_* families next to cluster_* (cluster_remirrors_owed included),
 # that cluster_failover_total went positive there, and that the final report
-# counts the victim's eviction.
+# counts the victim's eviction and ends with its re-mirror done: the pass
+# edmload runs after the replay moved more than 0 bytes and left owed 0.
 #
 # Usage: scripts/cluster_smoke.sh
 set -eu
@@ -127,4 +128,13 @@ if [ "${evictions:-0}" -lt 1 ]; then
     exit 1
 fi
 
-echo "cluster_smoke: ok (nodes $n0,$n1,$n2 victim $victim failovers $failovers evictions $evictions)"
+# The re-mirror pass after the replay copied the victim's extents and left
+# nothing owed.
+moved=$(sed -n 's/.*cluster faults.* moved \([0-9]*\) B .*/\1/p' "$loadlog" | head -1)
+if [ "${moved:-0}" -eq 0 ] || ! grep -Eq 'cluster faults.* owed 0$' "$loadlog"; then
+    echo "cluster_smoke: the victim's re-mirror did not run to completion:" >&2
+    cat "$loadlog" >&2
+    exit 1
+fi
+
+echo "cluster_smoke: ok (nodes $n0,$n1,$n2 victim $victim failovers $failovers evictions $evictions moved $moved B)"
