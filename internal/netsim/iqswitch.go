@@ -25,6 +25,9 @@ type iqSwitch struct {
 	ingress [][]*iqPkt // indexed by sender
 	egBusy  []bool
 	rr      []int // per-egress round-robin ingress pointer
+	// heads counts, per egress, the ingress heads that target it: an
+	// egress with none has nothing to forward, without a scan.
+	heads []int
 }
 
 // iqParams are a model's constants on the shared switch.
@@ -60,7 +63,8 @@ func newIQSwitch(cfg Config, eng *sim.Engine, track *tracker, p iqParams) *iqSwi
 	n := cfg.Nodes
 	return &iqSwitch{iqParams: p, cfg: cfg, eng: eng, track: track,
 		nicQ: make([][]*iqPkt, n), nicBusy: make([]bool, n),
-		ingress: make([][]*iqPkt, n), egBusy: make([]bool, n), rr: make([]int, n)}
+		ingress: make([][]*iqPkt, n), egBusy: make([]bool, n), rr: make([]int, n),
+		heads: make([]int, n)}
 }
 
 func (s *iqSwitch) arrive(op workload.Op) {
@@ -102,6 +106,9 @@ func (s *iqSwitch) nicPump(src int) {
 	})
 	s.eng.After(tx+edm.LinkLatency, func() {
 		s.ingress[src] = append(s.ingress[src], p)
+		if len(s.ingress[src]) == 1 {
+			s.heads[p.dst]++
+		}
 		s.flow.joined(src, p)
 		s.tryForward(p.dst)
 	})
@@ -110,7 +117,7 @@ func (s *iqSwitch) nicPump(src int) {
 // tryForward starts egress d, if free, on the first ingress head that
 // targets it, round-robin from the egress's pointer.
 func (s *iqSwitch) tryForward(d int) {
-	if s.egBusy[d] {
+	if s.egBusy[d] || s.heads[d] == 0 {
 		return
 	}
 	n := s.cfg.Nodes
@@ -123,6 +130,10 @@ func (s *iqSwitch) tryForward(d int) {
 		s.rr[d] = (i + 1) % n
 		p := q[0]
 		s.ingress[i] = q[1:]
+		s.heads[d]--
+		if len(q) > 1 {
+			s.heads[q[1].dst]++
+		}
 		s.flow.left(i, p)
 		s.egBusy[d] = true
 		// The egress is occupied for the serialization time only; the
