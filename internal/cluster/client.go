@@ -13,10 +13,12 @@ import (
 
 // Client errors.
 var (
-	// ErrNoReplica means every replica of a segment exhausted its retry
-	// budget: the address range is unreachable until a rebalance re-homes
-	// it. (When a concrete timeout is available it is returned instead, so
-	// errors.Is(err, wire.ErrTimeout) is the usual triage.)
+	// ErrNoReplica means no in-sync replica of a segment answered: each
+	// exhausted its retry budget, or a holder the owed re-mirror has not
+	// reached was the only one left. The address range is unreachable until
+	// Rebalance copies it in. (When a concrete timeout is available it is
+	// returned instead, so errors.Is(err, wire.ErrTimeout) is the usual
+	// triage.)
 	ErrNoReplica = errors.New("cluster: no reachable replica")
 	ErrClosed    = errors.New("cluster: client closed")
 )
@@ -71,7 +73,10 @@ type Client struct {
 	m      *Map   // guarded by mu: the active route table
 	streak []int  // guarded by mu: consecutive deadline completions per node (auto-evict)
 	owed   []move // guarded by mu: map changes not yet re-mirrored, oldest first
-	closed bool   // guarded by mu
+	// unsynced is owed's fence, rebuilt whenever owed or the map changes
+	// and never mutated once published (guarded by mu).
+	unsynced unsynced
+	closed   bool // guarded by mu
 }
 
 // New builds a cluster client over connected node clients (Connect each
@@ -156,6 +161,35 @@ func (c *Client) Rejoin(node int) error { return c.advance(node, (*Map).Join) }
 // move is one map change: the map before it and the map after.
 type move struct{ old, cur *Map }
 
+// holder is one node's replica of one extent.
+type holder struct{ extent, node int }
+
+// unsynced is the set of holders that an owed re-mirror has still to copy
+// to: they take every write, but serve no read, RMW or failover until
+// Rebalance has copied them in. Nil when none is owed.
+type unsynced map[holder]bool
+
+// serves reports whether node's replica of extent may serve a read or an
+// RMW: it is not awaiting its copy.
+func (u unsynced) serves(extent, node int) bool { return !u[holder{extent, node}] }
+
+// fenceLocked rebuilds c.unsynced from the owed re-mirrors against the
+// active map: diff names every holder that still awaits its copy.
+func (c *Client) fenceLocked() {
+	var u unsynced
+	for _, mv := range c.owed {
+		for _, d := range diff(mv.old, mv.cur, c.m) {
+			for _, n := range d.To {
+				if u == nil {
+					u = unsynced{}
+				}
+				u[holder{d.Extent, n}] = true
+			}
+		}
+	}
+	c.unsynced = u
+}
+
 // advance installs the active map's successor under step (of node), queues
 // the change's re-mirror, restarts the node's deadline streak and counts an
 // eviction when node leaves the map. A step that returns the map it was
@@ -169,6 +203,7 @@ func (c *Client) advance(node int, step func(*Map, int) (*Map, error)) error {
 		c.streak[node] = 0
 		c.owed = append(c.owed, move{old, cur})
 		c.metrics.RemirrorsOwed.Set(int64(len(c.owed)))
+		c.fenceLocked()
 	}
 	c.mu.Unlock()
 	if err != nil {
@@ -344,24 +379,26 @@ func (c *Client) getSub() *subOp {
 	return s
 }
 
-// route reads the active map once; the op is routed entirely under that
-// epoch even if it advances mid-flight (failover re-resolves).
+// route reads the active map and its fence once; the op is routed
+// entirely under that epoch even if it advances mid-flight (failover
+// re-resolves).
 //
 //edmlint:hotpath one map read per routed op
-func (c *Client) route() (*Map, error) {
+func (c *Client) route() (*Map, unsynced, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
-	return c.m, nil
+	return c.m, c.unsynced, nil
 }
 
 // altFor re-resolves s's extent under the CURRENT map (the epoch may have
 // advanced since the op was routed) and returns the best replica that is
-// not the node that just timed out.
-func (c *Client) altFor(s *subOp) (int, bool) {
-	m, err := c.route()
+// not s's node. A failover (a read or an RMW whose node timed out) takes
+// only an in-sync replica; an RMW's write-through goes to any holder.
+func (c *Client) altFor(s *subOp, failover bool) (int, bool) {
+	m, u, err := c.route()
 	if err != nil {
 		return 0, false
 	}
@@ -374,9 +411,10 @@ func (c *Client) altFor(s *subOp) (int, bool) {
 	// s.node, so the n != s.node filter falls through to the mirror (the
 	// usual failover); after a re-home the promoted primary is the old
 	// mirror — the replica that holds the data — while the new mirror may be
-	// an empty node the rebalance has not reached yet, and must not serve.
+	// an empty node the rebalance has not reached yet: the fence keeps a
+	// failover off it.
 	for _, n := range [2]int{pri, mir} {
-		if n >= 0 && n != s.node && m.Alive(n) {
+		if n >= 0 && n != s.node && m.Alive(n) && (!failover || u.serves(e, n)) {
 			return n, true
 		}
 	}
@@ -431,7 +469,7 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 		fatal = true
 	}
 	if again {
-		if alt, ok := c.altFor(s); ok {
+		if alt, ok := c.altFor(s, err != nil); ok {
 			o.mu.Lock()
 			if err == nil {
 				// The primary's ack is banked; the record carries the
@@ -607,7 +645,7 @@ func (c *Client) fanOut(cb opCB, kind opKind, addr uint64, n int, data []byte, r
 	if n < 0 || addr+uint64(n) > c.cfg.Size || addr+uint64(n) < addr {
 		return fmt.Errorf("%w: [%d, %d+%d)", ErrBadExtent, addr, addr, n)
 	}
-	m, err := c.route()
+	m, u, err := c.route()
 	if err != nil {
 		return err
 	}
@@ -647,6 +685,16 @@ func (c *Client) fanOut(cb opCB, kind opKind, addr uint64, n int, data []byte, r
 		e, _ := m.Locate(addr)
 		pri, mir := m.Extent(e)
 		replicas := [2]int{pri, mir}
+		if u != nil && kind != kWrite {
+			// A read or an RMW goes to the first in-sync replica.
+			replicas[0] = -1
+			for _, n := range [2]int{pri, mir} {
+				if u.serves(e, n) {
+					replicas[0] = n
+					break
+				}
+			}
+		}
 		for _, node := range replicas[:homes] {
 			s := c.getSub()
 			s.op, s.seg = o, seg
@@ -655,6 +703,12 @@ func (c *Client) fanOut(cb opCB, kind opKind, addr uint64, n int, data []byte, r
 			s.rmwOp, s.rmwArgs = rmwOp, args
 			if kind == kWrite {
 				s.wdata = data[off : off+ln]
+			}
+			if node < 0 {
+				// Both holders await their copy: the segment fails, through
+				// the callback, rather than read bytes neither may serve.
+				o.subDone(s, ErrNoReplica, true)
+				continue
 			}
 			if err := c.issueSub(s); err != nil {
 				o.subDone(s, err, true)

@@ -277,10 +277,10 @@ func TestClusterFailoverTargetAfterRehome(t *testing.T) {
 	for e := 0; e < old.Extents(); e++ {
 		pri, mir := old.Extent(e)
 		addr := uint64(e) * cc.ExtentBytes()
-		if alt, ok := cc.altFor(&subOp{addr: addr, node: pri}); !ok || alt != mir {
+		if alt, ok := cc.altFor(&subOp{addr: addr, node: pri}, true); !ok || alt != mir {
 			t.Fatalf("extent %d: primary timeout failed over to %d (%v), want mirror %d", e, alt, ok, mir)
 		}
-		if alt, ok := cc.altFor(&subOp{addr: addr, node: mir}); !ok || alt != pri {
+		if alt, ok := cc.altFor(&subOp{addr: addr, node: mir}, true); !ok || alt != pri {
 			t.Fatalf("extent %d: mirror timeout failed over to %d (%v), want primary %d", e, alt, ok, pri)
 		}
 	}
@@ -296,7 +296,7 @@ func TestClusterFailoverTargetAfterRehome(t *testing.T) {
 		// An op routed under the old epoch whose retry budget expired on the
 		// dead primary after the re-home: the only replica with the data is
 		// the promoted old mirror.
-		alt, ok := cc.altFor(&subOp{addr: uint64(e) * cc.ExtentBytes(), node: dead})
+		alt, ok := cc.altFor(&subOp{addr: uint64(e) * cc.ExtentBytes(), node: dead}, true)
 		if !ok {
 			t.Fatalf("extent %d: no failover target after re-home", e)
 		}
@@ -784,6 +784,123 @@ func TestClusterFlapThenDeathKeepsAckedWrite(t *testing.T) {
 	}
 	if !bytes.Equal(got, b) {
 		t.Fatalf("read %x..., want B %x... (A was %x...)", got[:4], b[:4], a[:4])
+	}
+}
+
+// TestClusterRejoinBeforeRebalanceReadsAckedWrite: a node rejoined before
+// its copy-in must not serve. Write A; darken the primary and write B, which
+// evicts it; bring it back and Rejoin it. Map.Join gives the node its old
+// roles, so it is the extent's primary again while it still holds A. Reads
+// and RMWs routed before Rebalance go to the mirror, which holds B; writes
+// reach both holders; after Rebalance both hold the last write.
+func TestClusterRejoinBeforeRebalanceReadsAckedWrite(t *testing.T) {
+	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
+	addr := uint64(11 * testExtentBytes)
+	e, _ := cc.Map().Locate(addr)
+	pri, mir := cc.Map().Extent(e)
+	a, b := pattern(64, 31), pattern(64, 37)
+	if err := cc.WriteSync(addr, a); err != nil {
+		t.Fatalf("write A: %v", err)
+	}
+	nodes[pri].dead.Store(true)
+	if err := cc.WriteSync(addr, b); err != nil {
+		t.Fatalf("write B with the primary dark: %v", err)
+	}
+	nodes[pri].dead.Store(false)
+	if err := cc.Rejoin(pri); err != nil {
+		t.Fatal(err)
+	}
+	if p, q := cc.Map().Extent(e); p != pri || q != mir {
+		t.Fatalf("extent %d homed on %d/%d after the rejoin, want its old %d/%d", e, p, q, pri, mir)
+	}
+	got, err := cc.ReadSync(addr, 64)
+	if err != nil || !bytes.Equal(got, b) {
+		t.Fatalf("read before Rebalance: %x..., %v; want B %x... (A was %x...)", got[:min(4, len(got))], err, b[:4], a[:4])
+	}
+	word := binary.LittleEndian.Uint64(b)
+	if v, err := cc.RMWSync(addr, memctl.OpFetchAdd, 1); err != nil || v != word {
+		t.Fatalf("fetch-add before Rebalance = %#x, %v; want B's word %#x", v, err, word)
+	}
+	binary.LittleEndian.PutUint64(b, word+1)
+	if _, err := cc.Rebalance(); err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+	for _, n := range []int{pri, mir} {
+		if got, err := nodes[n].cl.ReadSync(addr, 64); err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("node %d after Rebalance: %x..., %v; want %x...", n, got[:min(4, len(got))], err, b[:4])
+		}
+	}
+}
+
+// TestClusterFailoverIntoUncopiedHolderFails: a failover must not reach a
+// holder that awaits its copy. Write A; darken the primary and write B,
+// which evicts it: the old mirror is promoted and a new, uncopied mirror
+// joins the extent. Darken the promoted primary too. Its only other holder
+// holds zeros, so reads and RMWs fail instead of returning them; once the
+// primary answers again and Rebalance has copied B in, the read returns B.
+func TestClusterFailoverIntoUncopiedHolderFails(t *testing.T) {
+	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
+	addr := uint64(11 * testExtentBytes)
+	e, _ := cc.Map().Locate(addr)
+	pri, mir := cc.Map().Extent(e)
+	a, b := pattern(64, 31), pattern(64, 37)
+	if err := cc.WriteSync(addr, a); err != nil {
+		t.Fatalf("write A: %v", err)
+	}
+	nodes[pri].dead.Store(true)
+	if err := cc.WriteSync(addr, b); err != nil {
+		t.Fatalf("write B with the primary dark: %v", err)
+	}
+	p, q := cc.Map().Extent(e)
+	if p != mir || q == pri {
+		t.Fatalf("extent %d homed on %d/%d after evicting %d, want the old mirror %d promoted", e, p, q, pri, mir)
+	}
+	nodes[mir].dead.Store(true)
+	if got, err := cc.ReadSync(addr, 64); err == nil {
+		t.Fatalf("read with only the uncopied holder %d answering returned %x..., nil", q, got[:min(4, len(got))])
+	}
+	if v, err := cc.RMWSync(addr, memctl.OpFetchAdd, 0); err == nil {
+		t.Fatalf("fetch-add with only the uncopied holder %d answering returned %#x, nil", q, v)
+	}
+	nodes[mir].dead.Store(false)
+	if _, err := cc.Rebalance(); err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+	if got, err := cc.ReadSync(addr, 64); err != nil || !bytes.Equal(got, b) {
+		t.Fatalf("read after Rebalance: %x..., %v; want B %x...", got[:min(4, len(got))], err, b[:4])
+	}
+}
+
+// TestClusterNoInSyncHolderFailsWithoutIssue: when both holders of an
+// extent await their copy, a read fails with ErrNoReplica at once, and a
+// write still reaches both.
+func TestClusterNoInSyncHolderFailsWithoutIssue(t *testing.T) {
+	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
+	addr := uint64(11 * testExtentBytes)
+	e, _ := cc.Map().Locate(addr)
+	pri, mir := cc.Map().Extent(e)
+	if err := cc.MarkDead(pri); err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.MarkDead(mir); err != nil {
+		t.Fatal(err)
+	}
+	p, q := cc.Map().Extent(e)
+	before := nodeOps(cc)
+	if _, err := cc.ReadSync(addr, 64); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("read with both holders %d/%d uncopied: err %v, want ErrNoReplica", p, q, err)
+	}
+	if n := nodeOps(cc) - before; n != 0 {
+		t.Fatalf("the refused read issued %d node requests", n)
+	}
+	b := pattern(64, 41)
+	if err := cc.WriteSync(addr, b); err != nil {
+		t.Fatalf("write to the uncopied holders: %v", err)
+	}
+	for _, n := range []int{p, q} {
+		if got, err := nodes[n].cl.ReadSync(addr, 64); err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("holder %d missed the write: %x..., %v", n, got[:min(4, len(got))], err)
+		}
 	}
 }
 

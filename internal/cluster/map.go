@@ -32,7 +32,9 @@
 // evicted from the map before the op's callback fires, so no later read
 // reaches its stale copy; with only two nodes alive it cannot be, and the
 // op fails instead. Every map change's re-mirror waits for the caller's
-// Rebalance, which must run while no routed op is in flight.
+// Rebalance, which must run while no routed op is in flight. Until then
+// the holders it has still to copy to take writes but serve no read, RMW
+// or failover: an op with no in-sync replica answering fails.
 //
 // Atomicity caveats: a split op is not atomic across extents; an RMW is
 // atomic only on its primary, the mirror's copy being a write-through that

@@ -26,8 +26,10 @@ const (
 // re-mirrors a few ops later, and the script may let it rejoin. It may also
 // flap a node while every node is in the map: dark for a few ops, never
 // evicted by the model (the client evicts it if it misses a write), then back
-// and rejoined. At the end both replicas of every extent hold the slab's
-// bytes and every counter holds the sum of its acked fetch-adds.
+// and rejoined. A rejoin's copy-in may wait a few ops, which route while
+// the rejoined node is in the map with stale bytes. At the end both replicas
+// of every extent hold the slab's bytes and every counter holds the sum of
+// its acked fetch-adds.
 type clusterModel struct {
 	t     testing.TB
 	cc    *Client
@@ -43,14 +45,18 @@ type clusterModel struct {
 
 	flapped  int // the node dark for a flap, -1 when none
 	flapFor  int // ops left until it is back
+	flapSync int // ops its copy-in waits once it is back
 	flaps    int // flaps ended
 	flapOuts int // flapped nodes the client evicted
+
+	syncIn  int // ops left until the owed copy-in runs; -1: none pending
+	unsyncd int // ops routed while a copy-in was pending
 }
 
 func newClusterModel(t testing.TB) *clusterModel {
 	cfg := memctl.DefaultConfig()
 	cfg.Size = modelSize
-	m := &clusterModel{t: t, ref: memctl.New(cfg), sums: map[uint64]uint64{}, down: -1, evictIn: -1, flapped: -1}
+	m := &clusterModel{t: t, ref: memctl.New(cfg), sums: map[uint64]uint64{}, down: -1, evictIn: -1, flapped: -1, syncIn: -1}
 	m.cc, m.nodes = newTestCluster(t, modelNodes, Config{Seed: 42, Size: modelSize, ExtentBytes: modelExtent})
 	return m
 }
@@ -98,31 +104,50 @@ func (m *clusterModel) word(addr uint64) uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
+// sync runs every owed re-mirror.
+func (m *clusterModel) sync() {
+	m.t.Helper()
+	if st, err := m.cc.Rebalance(); err != nil || st.Lost != 0 {
+		m.t.Fatalf("re-mirror: %+v, %v", st, err)
+	}
+	m.syncIn = -1
+}
+
+// syncAfter runs the owed re-mirrors now (ops 0) or after ops more ops.
+func (m *clusterModel) syncAfter(ops int) {
+	m.t.Helper()
+	if ops == 0 {
+		m.sync()
+		return
+	}
+	m.syncIn = ops
+}
+
 // evict declares the killed node dead and re-mirrors its extents.
 func (m *clusterModel) evict() {
 	m.t.Helper()
 	if err := m.cc.MarkDead(m.down); err != nil {
 		m.t.Fatalf("evict node %d: %v", m.down, err)
 	}
-	if st, err := m.cc.Rebalance(); err != nil || st.Lost != 0 {
-		m.t.Fatalf("re-mirror after node %d: %+v, %v", m.down, st, err)
-	}
+	m.sync()
 	m.evictIn, m.healed = -1, true
 }
 
 // member is the script's membership step. With c odd it flaps node a for
-// 1..8 ops, when every node is in the map and none is flapping. Otherwise the
-// first kills a node (evicted 0..7 ops later), when none is flapping, and the
-// next one after the eviction lets it rejoin.
+// 1..8 ops, when every node is in the map, none is flapping and no copy-in
+// is pending; the flapped node's copy-in waits (c>>1)%8 ops once it is back.
+// Otherwise the first kills a node (evicted 0..7 ops later), when none is
+// flapping and no copy-in is pending, and the next one after the eviction
+// lets it rejoin, with its copy-in b%8 ops later.
 func (m *clusterModel) member(a, b, c byte) {
 	m.t.Helper()
 	switch {
 	case c%2 == 1:
-		if m.flapped < 0 && (m.down < 0 || m.rejoin) {
-			m.flapped, m.flapFor = int(a)%modelNodes, 1+int(b)%8
+		if m.flapped < 0 && m.syncIn < 0 && (m.down < 0 || m.rejoin) {
+			m.flapped, m.flapFor, m.flapSync = int(a)%modelNodes, 1+int(b)%8, int(c>>1)%8
 			m.nodes[m.flapped].dead.Store(true)
 		}
-	case m.flapped >= 0: // no kill while a node is dark
+	case m.flapped >= 0 || m.syncIn >= 0: // no kill while a node is dark or unsynced
 	case m.down < 0:
 		m.down, m.evictIn = int(a)%modelNodes, int(b)%8
 		m.nodes[m.down].dead.Store(true)
@@ -132,9 +157,7 @@ func (m *clusterModel) member(a, b, c byte) {
 		if err := m.cc.Rejoin(m.down); err != nil {
 			m.t.Fatalf("rejoin node %d: %v", m.down, err)
 		}
-		if _, err := m.cc.Rebalance(); err != nil {
-			m.t.Fatalf("copy-in for node %d: %v", m.down, err)
-		}
+		m.syncAfter(int(b) % 8)
 	}
 }
 
@@ -150,11 +173,9 @@ func (m *clusterModel) back() {
 	if err := m.cc.Rejoin(n); err != nil {
 		m.t.Fatalf("rejoin flapped node %d: %v", n, err)
 	}
-	if st, err := m.cc.Rebalance(); err != nil || st.Lost != 0 {
-		m.t.Fatalf("copy-in for flapped node %d: %+v, %v", n, st, err)
-	}
 	m.flapped = -1
 	m.flaps++
+	m.syncAfter(m.flapSync)
 }
 
 // run interprets script four bytes at a time: opcode, then three operands.
@@ -170,6 +191,12 @@ func (m *clusterModel) run(script []byte) {
 			m.back()
 		} else if m.flapped >= 0 {
 			m.flapFor--
+		}
+		if m.syncIn == 0 {
+			m.sync()
+		} else if m.syncIn > 0 {
+			m.syncIn--
+			m.unsyncd++
 		}
 		op, a, b, c := script[0]%8, script[1], script[2], script[3]
 		m.ops[op]++
@@ -221,6 +248,9 @@ func (m *clusterModel) check() {
 	if m.down >= 0 && !m.healed {
 		m.evict()
 	}
+	if m.syncIn >= 0 {
+		m.sync()
+	}
 	if m.down < 0 && m.flaps == 0 {
 		if n := m.cc.Metrics().Failovers.Load(); n != 0 {
 			m.t.Fatalf("%d failovers with every node up", n)
@@ -252,8 +282,8 @@ func (m *clusterModel) check() {
 }
 
 // modelScript is a seeded script of steps ops with a flap a sixth of the way
-// in, the kill at a third and the rejoin at two thirds; no other membership
-// steps.
+// in, the kill at a third and the rejoin at two thirds, whose copy-in waits
+// at least four ops; no other membership steps.
 func modelScript(seed uint64, steps int) []byte {
 	script := make([]byte, 4*steps)
 	x := seed * 0x9e3779b97f4a7c15
@@ -271,13 +301,15 @@ func modelScript(seed uint64, steps int) []byte {
 	script[4*flap+3] |= 1
 	script[4*kill+3] &^= 1
 	script[4*rejoin+3] &^= 1
-	script[4*kill+2] |= 4 // at least four ops with the node down and not yet evicted
+	script[4*kill+2] |= 4   // at least four ops with the node down and not yet evicted
+	script[4*rejoin+2] |= 4 // at least four ops routed before the rejoin's copy-in
 	return script
 }
 
 // TestClusterModel runs seeded scripts through the model and makes sure
-// each one reached every op kind, the failover window and the rejoin, and
-// that some flapped node was evicted by a write it missed.
+// each one reached every op kind, the failover window, the rejoin and ops
+// routed before its copy-in, and that some flapped node was evicted by a
+// write it missed.
 func TestClusterModel(t *testing.T) {
 	flapOuts := 0
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -289,8 +321,9 @@ func TestClusterModel(t *testing.T) {
 				t.Fatalf("seed %d: script never ran opcode %d", seed, op)
 			}
 		}
-		if !m.healed || !m.rejoin || m.flaps != 1 {
-			t.Fatalf("seed %d: evicted %v, rejoined %v, flaps %d", seed, m.healed, m.rejoin, m.flaps)
+		if !m.healed || !m.rejoin || m.flaps != 1 || m.unsyncd < 4 {
+			t.Fatalf("seed %d: evicted %v, rejoined %v, flaps %d, ops before a copy-in %d",
+				seed, m.healed, m.rejoin, m.flaps, m.unsyncd)
 		}
 		mt := m.cc.Metrics()
 		if mt.Failovers.Load() == 0 || mt.SplitOps.Load() == 0 || mt.Evictions.Load() != uint64(1+m.flapOuts) {
@@ -312,9 +345,26 @@ func FuzzClusterModel(f *testing.F) {
 	f.Add(modelScript(7, 120))
 	// A flap of node 1 for four ops, with writes that miss it.
 	f.Add([]byte{7, 1, 3, 1, 2, 0, 16, 200, 3, 2, 0, 255, 6, 3, 70, 200, 4, 0, 8, 9, 0, 0, 0, 255, 1, 2, 0, 255})
+	f.Add(rejoinScript())
 	f.Fuzz(func(t *testing.T, script []byte) {
 		m := newClusterModel(t)
 		m.run(script)
 		m.check()
 	})
+}
+
+// rejoinScript kills node 1, writes every byte below the counters while it
+// is out, rejoins it with its copy-in seven ops away, and reads the whole
+// space back in those seven ops: every extent the node is primary of again
+// is read before the copy-in.
+func rejoinScript() []byte {
+	script := []byte{7, 1, 0, 0}
+	for a := byte(0); a < modelCounters/256; a++ {
+		script = append(script, 2, a, 0, 255)
+	}
+	script = append(script, 7, 0, 7, 0)
+	for _, a := range []byte{0, 3, 6, 9, 12, 13} {
+		script = append(script, 6, a, 0, 255)
+	}
+	return script
 }

@@ -59,6 +59,7 @@ func (c *Client) Rebalance() (RebalanceStats, error) {
 		if len(c.owed) > 0 && c.owed[0] == mv {
 			c.owed = c.owed[1:]
 			c.metrics.RemirrorsOwed.Set(int64(len(c.owed)))
+			c.fenceLocked()
 		}
 		c.mu.Unlock()
 	}
