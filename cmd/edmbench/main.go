@@ -4,19 +4,14 @@
 //
 //	edmbench -experiment table1|fig5|fig6|fig7|fig8a|fig8b|ablations|incast|all
 //	         [-nodes N] [-ops N] [-seed N]
-//	edmbench -snapshot BENCH_1.json [-baseline BENCH_0.json]
-//	         [-count N] [-benchtime T] [-threshold pct]
+//	edmbench -snapshot BENCH_1.json [-count N] [-benchtime T]
 //
 // Output is textual rows matching the paper's presentation; README's
 // Experiment map lists each artifact and what checks it. -snapshot instead
 // runs the wire/rmem Go benchmarks and records them as JSON (the
-// BENCH_N.json perf trajectory), optionally printing deltas against a
-// baseline snapshot.
-// With -threshold the baseline comparison becomes a regression gate: the
-// key metrics (round-trip ns/op and allocs/op, pipelined ops/s) regressing
-// beyond pct percent exit nonzero, and an allocation-free baseline failing
-// allocation-free is an unconditional failure. CI's bench-gate job runs
-// this against the newest committed BENCH_*.json.
+// BENCH_N.json perf trajectory). A snapshot is a record, not a gate: CI's
+// bench-gate job pairs the head against its base on one host with
+// scripts/bench_ab.sh -c.
 package main
 
 import (
@@ -47,10 +42,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "trace seed")
 	fig7ops := fs.Int("fig7ops", 400, "YCSB operations per fig7 ratio")
 	snapshot := fs.String("snapshot", "", "run the wire/rmem benchmarks and write a JSON snapshot to this file")
-	baseline := fs.String("baseline", "", "with -snapshot: print deltas against this earlier snapshot")
 	count := fs.Int("count", 1, "with -snapshot: benchmark repetitions; the snapshot records the best of N")
 	benchtime := fs.String("benchtime", "", "with -snapshot: -benchtime passed to go test (e.g. 100ms)")
-	threshold := fs.Float64("threshold", 0, "with -snapshot and -baseline: exit nonzero when key metrics regress beyond this percentage")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
@@ -59,10 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *snapshot != "" {
-		return runSnapshot(*snapshot, *baseline, *count, *benchtime, *threshold, stdout, stderr)
-	}
-	if *threshold != 0 || *baseline != "" {
-		return cli.Usagef("-baseline/-threshold require -snapshot")
+		return runSnapshot(*snapshot, *count, *benchtime, stdout, stderr)
 	}
 
 	cfg := experiments.Fig8Config{Nodes: *nodes, OpsPerRun: *ops, Seed: *seed}

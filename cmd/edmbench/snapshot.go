@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"text/tabwriter"
 )
 
 // benchPackages are the hot-path packages whose Go benchmarks the snapshot
@@ -37,11 +36,8 @@ type Snapshot struct {
 }
 
 // runSnapshot benchmarks the hot-path packages count times, records the
-// best-of-N per metric, writes the snapshot to outPath, and (with a
-// baseline) prints the delta table. A positive threshold additionally turns
-// the baseline comparison into a gate: key metrics regressing beyond
-// threshold percent make it return an error (nonzero exit).
-func runSnapshot(outPath, baselinePath string, count int, benchtime string, threshold float64, stdout, stderr io.Writer) error {
+// best-of-N per metric and writes the snapshot to outPath.
+func runSnapshot(outPath string, count int, benchtime string, stdout, stderr io.Writer) error {
 	if count < 1 {
 		count = 1
 	}
@@ -67,23 +63,6 @@ func runSnapshot(outPath, baselinePath string, count int, benchtime string, thre
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %d benchmarks to %s (count=%d, best-of-N)\n", len(snap.Benchmarks), outPath, count)
-	if baselinePath == "" {
-		return nil
-	}
-	old, err := loadSnapshot(baselinePath)
-	if err != nil {
-		return err
-	}
-	if err := printDelta(stdout, old, snap); err != nil {
-		return err
-	}
-	if threshold <= 0 {
-		return nil
-	}
-	if err := checkThreshold(old, snap, threshold); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "bench gate: key metrics within %.0f%% of baseline\n", threshold)
 	return nil
 }
 
@@ -174,109 +153,4 @@ func mergeRuns(benches []Benchmark) []Benchmark {
 		}
 	}
 	return out
-}
-
-func loadSnapshot(path string) (Snapshot, error) {
-	var s Snapshot
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return s, err
-	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, fmt.Errorf("edmbench: %s: %w", path, err)
-	}
-	return s, nil
-}
-
-// printDelta compares ns/op and allocs/op against a baseline snapshot.
-func printDelta(out io.Writer, old, cur Snapshot) error {
-	byKey := make(map[string]Benchmark, len(old.Benchmarks))
-	for _, b := range old.Benchmarks {
-		byKey[b.Pkg+" "+b.Name] = b
-	}
-	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Benchmark\tns/op\tbaseline\tdelta\tallocs/op\tbaseline")
-	for _, b := range cur.Benchmarks {
-		o, ok := byKey[b.Pkg+" "+b.Name]
-		if !ok {
-			fmt.Fprintf(w, "%s\t%.1f\t-\tnew\t%.0f\t-\n", b.Name, b.Metrics["ns/op"], b.Metrics["allocs/op"])
-			continue
-		}
-		ns, ons := b.Metrics["ns/op"], o.Metrics["ns/op"]
-		delta := "-"
-		if ons > 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(ns-ons)/ons)
-		}
-		fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%s\t%.0f\t%.0f\n",
-			b.Name, ns, ons, delta, b.Metrics["allocs/op"], o.Metrics["allocs/op"])
-	}
-	return w.Flush()
-}
-
-// gated reports whether a benchmark's metrics are regression-gated: the
-// round-trip latency and pipelined throughput benches are the repo's key
-// perf indicators (ROADMAP "Performance"), everything else is informational.
-func gated(name string) bool {
-	return strings.Contains(name, "RoundTrip") ||
-		strings.Contains(name, "Pipelined")
-}
-
-// checkThreshold is the bench gate: on the gated benchmarks, ns/op and
-// allocs/op may not rise — and ops/s may not fall — by more than pct percent
-// versus the baseline. An allocation-free baseline (allocs/op == 0) is a
-// hard invariant: any new allocation fails regardless of pct. A gated
-// baseline benchmark that disappeared also fails, so the gate cannot be
-// dodged by deleting the benchmark.
-func checkThreshold(old, cur Snapshot, pct float64) error {
-	byKey := make(map[string]Benchmark, len(old.Benchmarks))
-	for _, b := range old.Benchmarks {
-		byKey[b.Pkg+" "+b.Name] = b
-	}
-	curKeys := make(map[string]bool, len(cur.Benchmarks))
-	var fails []string
-	for _, b := range cur.Benchmarks {
-		curKeys[b.Pkg+" "+b.Name] = true
-		if !gated(b.Name) {
-			continue
-		}
-		o, ok := byKey[b.Pkg+" "+b.Name]
-		if !ok {
-			continue // new benchmark: no baseline yet
-		}
-		worse := func(metric string, newV, oldV float64) {
-			fails = append(fails, fmt.Sprintf("%s %s: %.4g -> %.4g (limit %.0f%%)",
-				b.Name, metric, oldV, newV, pct))
-		}
-		for _, metric := range []string{"ns/op", "allocs/op"} {
-			nv, okN := b.Metrics[metric]
-			ov, okO := o.Metrics[metric]
-			if !okN || !okO {
-				continue
-			}
-			if metric == "allocs/op" && ov == 0 {
-				if nv > 0.5 {
-					fails = append(fails, fmt.Sprintf("%s allocs/op: baseline is allocation-free, now %.4g", b.Name, nv))
-				}
-				continue
-			}
-			if ov > 0 && nv > ov*(1+pct/100) {
-				worse(metric, nv, ov)
-			}
-		}
-		if nv, okN := b.Metrics["ops/s"]; okN {
-			if ov, okO := o.Metrics["ops/s"]; okO && ov > 0 && nv < ov*(1-pct/100) {
-				worse("ops/s", nv, ov)
-			}
-		}
-	}
-	for _, o := range old.Benchmarks {
-		if gated(o.Name) && !curKeys[o.Pkg+" "+o.Name] {
-			fails = append(fails, fmt.Sprintf("%s: gated benchmark missing from this run", o.Name))
-		}
-	}
-	if len(fails) > 0 {
-		return fmt.Errorf("bench gate: %d key-metric regression(s) beyond %.0f%%:\n  %s",
-			len(fails), pct, strings.Join(fails, "\n  "))
-	}
-	return nil
 }

@@ -67,44 +67,6 @@ func TestParseBenchMergesCountRuns(t *testing.T) {
 	}
 }
 
-func snapOf(name string, metrics map[string]float64) Snapshot {
-	return Snapshot{Benchmarks: []Benchmark{{Name: name, Pkg: "repro/internal/rmem", Iters: 1, Metrics: metrics}}}
-}
-
-func TestCheckThreshold(t *testing.T) {
-	base := snapOf("BenchmarkPipelinedRead", map[string]float64{"ns/op": 1000, "ops/s": 1e6, "allocs/op": 0})
-	cases := []struct {
-		name string
-		cur  Snapshot
-		pct  float64
-		fail bool
-	}{
-		{"within", snapOf("BenchmarkPipelinedRead", map[string]float64{"ns/op": 1100, "ops/s": 0.95e6, "allocs/op": 0}), 15, false},
-		{"latency regressed 20%", snapOf("BenchmarkPipelinedRead", map[string]float64{"ns/op": 1200, "ops/s": 1e6, "allocs/op": 0}), 15, true},
-		{"throughput regressed 20%", snapOf("BenchmarkPipelinedRead", map[string]float64{"ns/op": 1000, "ops/s": 0.8e6, "allocs/op": 0}), 15, true},
-		{"new allocation on allocation-free baseline", snapOf("BenchmarkPipelinedRead", map[string]float64{"ns/op": 1000, "ops/s": 1e6, "allocs/op": 1}), 15, true},
-		{"gated benchmark deleted", snapOf("BenchmarkOther", map[string]float64{"ns/op": 1}), 15, true},
-		{"ungated ignored", snapOf("BenchmarkEncode", map[string]float64{"ns/op": 99999}), 15, true}, // still fails: PipelinedRead missing
-	}
-	for _, tc := range cases {
-		err := checkThreshold(base, tc.cur, tc.pct)
-		if (err != nil) != tc.fail {
-			t.Errorf("%s: err=%v, want fail=%v", tc.name, err, tc.fail)
-		}
-	}
-	// An ungated benchmark regressing does not trip the gate.
-	baseTwo := Snapshot{Benchmarks: append(base.Benchmarks, Benchmark{
-		Name: "BenchmarkEncode", Pkg: "repro/internal/wire", Iters: 1,
-		Metrics: map[string]float64{"ns/op": 100}})}
-	curTwo := Snapshot{Benchmarks: append(snapOf("BenchmarkPipelinedRead",
-		map[string]float64{"ns/op": 1000, "ops/s": 1e6, "allocs/op": 0}).Benchmarks, Benchmark{
-		Name: "BenchmarkEncode", Pkg: "repro/internal/wire", Iters: 1,
-		Metrics: map[string]float64{"ns/op": 1000}})}
-	if err := checkThreshold(baseTwo, curTwo, 15); err != nil {
-		t.Errorf("ungated regression tripped the gate: %v", err)
-	}
-}
-
 func TestParseBenchIgnoresNoise(t *testing.T) {
 	if got := parseBench("goos: linux\nPASS\nok x 1s\n"); len(got) != 0 {
 		t.Fatalf("parsed %d benchmarks from noise", len(got))

@@ -9,6 +9,7 @@ package wire
 
 import (
 	"fmt"
+	"hash/crc32"
 	"testing"
 )
 
@@ -108,4 +109,25 @@ func growTestBytes(d []byte, n int) []byte {
 		return make([]byte, n)
 	}
 	return d[:n]
+}
+
+// calibrationSum keeps BenchmarkHostCalibration's checksums live.
+var calibrationSum uint32
+
+// BenchmarkHostCalibration measures the host, not the code: a fixed 64 KiB
+// memmove and the CRC-32C of the copy, the two per-byte costs of the data
+// path, and no other code. Every BENCH_N.json then carries a row that says
+// how fast its recording host was, so two files from different hosts can
+// be told apart from two different trees.
+func BenchmarkHostCalibration(b *testing.B) {
+	src, dst := make([]byte, 64<<10), make([]byte, 64<<10)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(dst, src)
+		calibrationSum ^= crc32.Checksum(dst, castagnoli)
+	}
 }

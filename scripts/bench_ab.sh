@@ -13,6 +13,9 @@
 # interquartile range (IQR), in how many rounds the working tree was better
 # (by the metric's "better" direction; a tie is no win), and a verdict, the
 # first of these that holds:
+#   missing     the base has the metric and no head run does (a deleted or
+#               renamed benchmark, or a workload that stopped reporting it);
+#               a metric only the head has is not printed
 #   gain        at least ten rounds, at least 9/10 of them wins, and the
 #               head median better than the base median by more than the
 #               base IQR
@@ -27,7 +30,9 @@
 #   X.test -test.run '^$' -test.bench PATTERN -test.benchmem -test.timeout 10m
 # from both, in the package's directory. The end prints the same table for
 # each matched benchmark's ns/op, B/op and allocs/op (lower is better; the
-# regression bound is CI's bench gate, 15 %).
+# regression bound is 15 %, and any allocation over a 0 allocs/op base
+# median is a regression). CI's bench-gate job is this form, run against the
+# change's base, and fails on any row that reads regression or missing.
 #
 # Usage: scripts/bench_ab.sh <base-ref> [rounds] [workload [seed]]
 #        scripts/bench_ab.sh -c <base-ref> <rounds> <package> <pattern>
@@ -206,7 +211,11 @@ if [ -n "$gotest$workload" ]; then
                 name = order[k]
                 nb = sorted("base", name, bs)
                 nh = sorted("head", name, hs)
-                if (nb == 0 || nh == 0) continue
+                if (nb == 0) continue
+                if (nh == 0) {
+                    printf "%-" w "s %-7s %14.6g %14s %12s %8s  %-5s  %s\n", name, better[name], q(bs, nb, 0.5), "-", "-", "-", "-", "missing"
+                    continue
+                }
                 mb = q(bs, nb, 0.5); mh = q(hs, nh, 0.5)
                 wins = 0; pairs = 0
                 for (i = 1; i <= rounds; i++) {
