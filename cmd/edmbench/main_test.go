@@ -46,8 +46,8 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"-experiment", "fig9"}, &out, &errb); !errors.As(err, &ue) {
 		t.Errorf("edmbench -experiment fig9: err %v, want a usage error", err)
 	}
-	// -baseline and -threshold were the unpaired bench gate's flags; the
-	// gate is now scripts/bench_ab.sh -c, and they are unknown flags.
+	// The bench gate is scripts/bench_ab.sh -c, so edmbench has no
+	// -baseline or -threshold.
 	for _, args := range [][]string{
 		{"-nope"},
 		{"-snapshot", "x.json", "-baseline", "BENCH_0.json"},

@@ -685,14 +685,11 @@ func (c *Client) fanOut(cb opCB, kind opKind, addr uint64, n int, data []byte, r
 		e, _ := m.Locate(addr)
 		pri, mir := m.Extent(e)
 		replicas := [2]int{pri, mir}
-		if u != nil && kind != kWrite {
-			// A read or an RMW goes to the first in-sync replica.
+		if u != nil && kind != kWrite && !u.serves(e, pri) {
+			// A read or an RMW goes only to an in-sync replica.
 			replicas[0] = -1
-			for _, n := range [2]int{pri, mir} {
-				if u.serves(e, n) {
-					replicas[0] = n
-					break
-				}
+			if u.serves(e, mir) {
+				replicas[0] = mir
 			}
 		}
 		for _, node := range replicas[:homes] {
