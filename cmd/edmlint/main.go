@@ -8,17 +8,11 @@
 //	edmlint ./...                 # the whole module
 //	edmlint -only walltime ./...  # one analyzer
 //	edmlint -list                 # describe the suite
-//	edmlint -json ./...           # machine-readable findings on stdout
-//	edmlint -sarif -out f.sarif ./...  # SARIF 2.1.0 for code-scanning UIs
 //
-// With -json or -sarif the human diagnostics move to stderr and the report
-// goes to stdout (or the -out file), so CI can both show the findings in
-// the log and archive/annotate from the structured output. A per-analyzer
-// timing summary is printed to stderr either way.
+// Diagnostics go to stdout; a per-analyzer timing summary goes to stderr.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -37,48 +31,17 @@ func main() {
 	cli.Exit("edmlint", run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonFinding is one diagnostic in the -json report, with the file path
-// already relativized the way the text output prints it.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// jsonReport is the -json output contract: stable field names, findings
-// sorted the same way the text output is, timing in nanoseconds.
-type jsonReport struct {
-	Findings  []jsonFinding    `json:"findings"`
-	Analyzers []analyzerTiming `json:"analyzers"`
-}
-
-type analyzerTiming struct {
-	Name    string `json:"name"`
-	Elapsed int64  `json:"elapsed_ns"`
-}
-
 // run is the testable entry point: patterns in, diagnostics out.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("edmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "run only these analyzers (comma-separated)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	asJSON := fs.Bool("json", false, "write a JSON report to stdout (or -out)")
-	asSARIF := fs.Bool("sarif", false, "write a SARIF 2.1.0 report to stdout (or -out)")
-	outFile := fs.String("out", "", "write the -json/-sarif report to this file instead of stdout")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return cli.ErrFlagParse
-	}
-	if *asJSON && *asSARIF {
-		return cli.Usagef("-json and -sarif are mutually exclusive")
-	}
-	if *outFile != "" && !*asJSON && !*asSARIF {
-		return cli.Usagef("-out requires -json or -sarif")
 	}
 
 	analyzers := lint.Analyzers()
@@ -138,51 +101,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}}
 	}
 
-	var findings []jsonFinding
+	findings := 0
 	for _, p := range pkgs {
 		for _, f := range lint.Check(p, timed) {
-			findings = append(findings, jsonFinding{
-				File:     relPath(f.Pos.Filename),
-				Line:     f.Pos.Line,
-				Column:   f.Pos.Column,
-				Analyzer: f.Analyzer,
-				Message:  f.Message,
-			})
+			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", relPath(f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
+			findings++
 		}
-	}
-
-	// Human diagnostics: stdout normally, stderr when stdout carries a
-	// structured report.
-	diagOut := stdout
-	if *asJSON || *asSARIF {
-		diagOut = stderr
-	}
-	for _, f := range findings {
-		fmt.Fprintf(diagOut, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
 	}
 	fmt.Fprintf(stderr, "edmlint: %s\n", timingLine(analyzers, elapsed))
 
-	if *asJSON || *asSARIF {
-		var data []byte
-		if *asJSON {
-			data, err = jsonBytes(analyzers, elapsed, findings)
-		} else {
-			data, err = sarifBytes(analyzers, findings)
-		}
-		if err != nil {
-			return err
-		}
-		if *outFile != "" {
-			if err := os.WriteFile(*outFile, data, 0o644); err != nil {
-				return err
-			}
-		} else {
-			stdout.Write(data)
-		}
-	}
-
-	if len(findings) > 0 {
-		return fmt.Errorf("%d finding(s)", len(findings))
+	if findings > 0 {
+		return fmt.Errorf("%d finding(s)", findings)
 	}
 	return nil
 }
@@ -201,112 +130,6 @@ func timingLine(analyzers []*lint.Analyzer, elapsed map[string]*time.Duration) s
 		parts[i] = fmt.Sprintf("%s %s", n, elapsed[n].Round(time.Microsecond))
 	}
 	return "analyzer timing: " + strings.Join(parts, ", ")
-}
-
-func jsonBytes(analyzers []*lint.Analyzer, elapsed map[string]*time.Duration, findings []jsonFinding) ([]byte, error) {
-	rep := jsonReport{Findings: findings, Analyzers: make([]analyzerTiming, len(analyzers))}
-	if rep.Findings == nil {
-		rep.Findings = []jsonFinding{}
-	}
-	for i, a := range analyzers {
-		rep.Analyzers[i] = analyzerTiming{Name: a.Name, Elapsed: int64(*elapsed[a.Name])}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// SARIF 2.1.0 subset: enough structure for code-scanning UIs to place each
-// finding (tool driver with rules, results with physical locations).
-type sarifLog struct {
-	Version string     `json:"version"`
-	Schema  string     `json:"$schema"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID        string       `json:"id"`
-	ShortDesc sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-func sarifBytes(analyzers []*lint.Analyzer, findings []jsonFinding) ([]byte, error) {
-	rules := make([]sarifRule, len(analyzers), len(analyzers)+1)
-	for i, a := range analyzers {
-		rules[i] = sarifRule{ID: a.Name, ShortDesc: sarifMessage{Text: a.Doc}}
-	}
-	// Malformed suppression directives report under their own rule ID.
-	rules = append(rules, sarifRule{ID: "directive",
-		ShortDesc: sarifMessage{Text: "malformed //edmlint: directive"}})
-	results := make([]sarifResult, len(findings))
-	for i, f := range findings {
-		results[i] = sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(f.File)},
-				Region:           sarifRegion{StartLine: f.Line, StartColumn: f.Column},
-			}}},
-		}
-	}
-	log := sarifLog{
-		Version: "2.1.0",
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "edmlint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	data, err := json.MarshalIndent(log, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 // relPath shortens filenames to be relative to the working directory when

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -87,123 +86,6 @@ func TestRepoClean(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "analyzer timing:") {
 		t.Errorf("stderr missing analyzer timing line:\n%s", errb.String())
-	}
-}
-
-func TestJSONReport(t *testing.T) {
-	var out, errb bytes.Buffer
-	err := run([]string{"-json", "-only", "walltime", "../../internal/lint/testdata/walltime"}, &out, &errb)
-	if err == nil {
-		t.Fatal("violating fixture under -json: expected findings error")
-	}
-	var rep struct {
-		Findings []struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		} `json:"findings"`
-		Analyzers []struct {
-			Name    string `json:"name"`
-			Elapsed int64  `json:"elapsed_ns"`
-		} `json:"analyzers"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("stdout is not valid JSON: %v\n%s", err, out.String())
-	}
-	if len(rep.Findings) == 0 {
-		t.Fatal("JSON report has no findings for a violating fixture")
-	}
-	for _, f := range rep.Findings {
-		if f.Analyzer != "walltime" || f.File == "" || f.Line == 0 || f.Message == "" {
-			t.Errorf("incomplete finding: %+v", f)
-		}
-	}
-	if len(rep.Analyzers) != 1 || rep.Analyzers[0].Name != "walltime" {
-		t.Errorf("timing section should cover exactly the analyzers run: %+v", rep.Analyzers)
-	}
-	// Human diagnostics moved to stderr.
-	if !strings.Contains(errb.String(), "[walltime]") {
-		t.Errorf("stderr missing human diagnostics under -json:\n%s", errb.String())
-	}
-}
-
-func TestJSONCleanReportIsEmptyArray(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run([]string{"-json", "../../internal/lint/testdata/clean"}, &out, &errb); err != nil {
-		t.Fatalf("clean fixture under -json: %v", err)
-	}
-	if !strings.Contains(out.String(), `"findings": []`) {
-		t.Errorf("clean report should serialize findings as [], got:\n%s", out.String())
-	}
-}
-
-func TestSARIFReport(t *testing.T) {
-	var out, errb bytes.Buffer
-	outFile := filepath.Join(t.TempDir(), "lint.sarif")
-	err := run([]string{"-sarif", "-out", outFile, "-only", "walltime",
-		"../../internal/lint/testdata/walltime"}, &out, &errb)
-	if err == nil {
-		t.Fatal("violating fixture under -sarif: expected findings error")
-	}
-	data, rerr := os.ReadFile(outFile)
-	if rerr != nil {
-		t.Fatalf("reading -out file: %v", rerr)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("-out file is not valid JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("not a single-run SARIF 2.1.0 log: version=%q runs=%d", log.Version, len(log.Runs))
-	}
-	r := log.Runs[0]
-	if r.Tool.Driver.Name != "edmlint" || len(r.Tool.Driver.Rules) == 0 {
-		t.Errorf("driver incomplete: %+v", r.Tool.Driver)
-	}
-	if len(r.Results) == 0 {
-		t.Fatal("SARIF results empty for a violating fixture")
-	}
-	for _, res := range r.Results {
-		if res.RuleID != "walltime" || res.Level != "error" || len(res.Locations) != 1 ||
-			res.Locations[0].PhysicalLocation.Region.StartLine == 0 {
-			t.Errorf("incomplete result: %+v", res)
-		}
-	}
-}
-
-func TestJSONAndSARIFAreExclusive(t *testing.T) {
-	var out, errb bytes.Buffer
-	err := run([]string{"-json", "-sarif"}, &out, &errb)
-	var ue cli.UsageError
-	if !errors.As(err, &ue) {
-		t.Fatalf("-json -sarif: got %v, want UsageError", err)
 	}
 }
 

@@ -457,7 +457,7 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 			copy(o.data[s.off:s.off+s.n], data)
 		case kRMW:
 			o.rmwVal = value
-			if stored, mutated := rmwStore(s.rmwOp, s.rmwArgs, value); mutated && s.attempt == 0 {
+			if stored, ok := rmwStore(s.rmwOp, s.rmwArgs, value); ok && s.attempt == 0 {
 				binary.LittleEndian.PutUint64(s.val8[:], stored)
 				again = true
 			}
@@ -598,38 +598,17 @@ func (o *clusterOp) finish() {
 	}
 }
 
-// rmwStore computes the value an RMW left in memory from its opcode, args,
-// and result (the memctl menu semantics), and whether memory changed at
-// all. It is what the mirror write-through stores.
-func rmwStore(op memctl.RMWOp, args []uint64, result uint64) (val uint64, mutated bool) {
-	switch op {
-	case memctl.OpCAS:
-		if result == 1 && len(args) >= 2 {
-			return args[1], true
-		}
-		return 0, false
-	case memctl.OpFetchAdd:
-		return result + args[0], true
-	case memctl.OpSwap:
-		return args[0], true
-	case memctl.OpAnd:
-		return result & args[0], true
-	case memctl.OpOr:
-		return result | args[0], true
-	case memctl.OpXor:
-		return result ^ args[0], true
-	case memctl.OpMin:
-		if int64(args[0]) < int64(result) {
-			return args[0], true
-		}
-		return result, true
-	case memctl.OpMax:
-		if int64(args[0]) > int64(result) {
-			return args[0], true
-		}
-		return result, true
+// rmwStore is the word a successful RMW left in memory, from its opcode,
+// args and result, and whether the atomic stored one. A CAS stores args[1]
+// only when it swapped (its result is 1 or 0, not the old word); every other
+// op's result is the old word, and it stores memctl.Apply's value even when
+// that equals the old one. It is what the mirror write-through stores.
+func rmwStore(op memctl.RMWOp, args []uint64, result uint64) (val uint64, ok bool) {
+	if op == memctl.OpCAS {
+		return args[1], result == 1
 	}
-	return 0, false
+	val, _ = memctl.Apply(op, result, args)
+	return val, true
 }
 
 // fanOut routes one operation: range check, one map read, then one segment
@@ -751,16 +730,4 @@ func (c *Client) Write(addr uint64, data []byte, cb func(error)) error {
 //edmlint:hotpath
 func (c *Client) RMW(addr uint64, op memctl.RMWOp, args []uint64, cb func(uint64, error)) error {
 	return c.fanOut(opCB{rmw: cb}, kRMW, addr, 8, nil, op, args)
-}
-
-// ReadSync, WriteSync and RMWSync are the blocking forms, shared with the
-// single-node client through rmem.Memory.
-func (c *Client) ReadSync(addr uint64, n int) ([]byte, error) { return rmem.ReadSync(c, addr, n) }
-
-// WriteSync is the blocking form of Write.
-func (c *Client) WriteSync(addr uint64, data []byte) error { return rmem.WriteSync(c, addr, data) }
-
-// RMWSync is the blocking form of RMW.
-func (c *Client) RMWSync(addr uint64, op memctl.RMWOp, args ...uint64) (uint64, error) {
-	return rmem.RMWSync(c, addr, op, args...)
 }

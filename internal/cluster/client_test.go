@@ -90,10 +90,10 @@ func TestClusterRoundTripSplit(t *testing.T) {
 	// likely to two different primaries.
 	addr := uint64(testExtentBytes) - 100
 	want := pattern(200, 3)
-	if err := cc.WriteSync(addr, want); err != nil {
+	if err := rmem.WriteSync(cc, addr, want); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, err := cc.ReadSync(addr, len(want))
+	got, err := rmem.ReadSync(cc, addr, len(want))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestClusterWriteThrough(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	addr := uint64(2 * testExtentBytes)
 	want := pattern(128, 9)
-	if err := cc.WriteSync(addr, want); err != nil {
+	if err := rmem.WriteSync(cc, addr, want); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	e, err := cc.Map().Locate(addr)
@@ -133,13 +133,13 @@ func TestClusterReadFailover(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	addr := uint64(5 * testExtentBytes)
 	want := pattern(256, 1)
-	if err := cc.WriteSync(addr, want); err != nil {
+	if err := rmem.WriteSync(cc, addr, want); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	e, _ := cc.Map().Locate(addr)
 	pri, _ := cc.Map().Extent(e)
 	nodes[pri].dead.Store(true)
-	got, err := cc.ReadSync(addr, len(want))
+	got, err := rmem.ReadSync(cc, addr, len(want))
 	if err != nil {
 		t.Fatalf("read with dead primary: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestClusterKillMirrorLosesNoAcks(t *testing.T) {
 	// Every write is acked by the primary alone; none may fail.
 	want := pattern(64, 5)
 	for i := 0; i < 4; i++ {
-		if err := cc.WriteSync(addr+uint64(i)*64, want); err != nil {
+		if err := rmem.WriteSync(cc, addr+uint64(i)*64, want); err != nil {
 			t.Fatalf("write %d with dead mirror: %v", i, err)
 		}
 	}
@@ -173,37 +173,59 @@ func TestClusterKillMirrorLosesNoAcks(t *testing.T) {
 	}
 }
 
+// TestClusterRMWWriteThrough runs every opcode of the RMW menu on one word
+// and checks, after each, that the primary's word equals the mirror's: the
+// computed stored value is written through before the callback fires, and
+// a CAS that does not swap writes nothing through.
 func TestClusterRMWWriteThrough(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	addr := uint64(3 * testExtentBytes)
-	v, err := cc.RMWSync(addr, memctl.OpFetchAdd, 5)
-	if err != nil || v != 0 {
-		t.Fatalf("fetchadd = %d, %v; want 0", v, err)
-	}
-	v, err = cc.RMWSync(addr, memctl.OpFetchAdd, 5)
-	if err != nil || v != 5 {
-		t.Fatalf("second fetchadd = %d, %v; want 5", v, err)
-	}
 	e, _ := cc.Map().Locate(addr)
-	_, mir := cc.Map().Extent(e)
-	// The computed stored value is written through before the callback, so
-	// the mirror already holds 10.
-	got, err := nodes[mir].cl.RMWSync(addr, memctl.OpFetchAdd, 0)
-	if err != nil || got != 10 {
-		t.Fatalf("mirror holds %d, %v; want 10", got, err)
+	pri, mir := cc.Map().Extent(e)
+	neg3 := uint64(1<<64 - 3) // int64(-3)
+	for _, tc := range []struct {
+		op         memctl.RMWOp
+		args       []uint64
+		result, is uint64 // the op's result, and the word it leaves
+	}{
+		{memctl.OpCAS, []uint64{0, 10}, 1, 10},
+		{memctl.OpCAS, []uint64{0, 99}, 0, 10},
+		{memctl.OpFetchAdd, []uint64{5}, 10, 15},
+		{memctl.OpSwap, []uint64{0xf0f0}, 15, 0xf0f0},
+		{memctl.OpAnd, []uint64{0xff00}, 0xf0f0, 0xf000},
+		{memctl.OpOr, []uint64{0x000f}, 0xf000, 0xf00f},
+		{memctl.OpXor, []uint64{0xffff}, 0xf00f, 0x0ff0},
+		{memctl.OpMin, []uint64{neg3}, 0x0ff0, neg3}, // signed: -3 < 0x0ff0
+		{memctl.OpMax, []uint64{42}, neg3, 42},
+	} {
+		v, err := rmem.RMWSync(cc, addr, tc.op, tc.args...)
+		if err != nil || v != tc.result {
+			t.Fatalf("%v %v = %d, %v; want %d", tc.op, tc.args, v, err, tc.result)
+		}
+		var words [2]uint64
+		for i, node := range []int{pri, mir} {
+			b, err := rmem.ReadSync(nodes[node].cl, addr, 8)
+			if err != nil {
+				t.Fatalf("%v: read node %d: %v", tc.op, node, err)
+			}
+			words[i] = binary.LittleEndian.Uint64(b)
+		}
+		if words[0] != tc.is || words[1] != tc.is {
+			t.Fatalf("after %v %v: primary %#x, mirror %#x; want both %#x", tc.op, tc.args, words[0], words[1], tc.is)
+		}
 	}
 }
 
 func TestClusterRMWFailover(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	addr := uint64(9 * testExtentBytes)
-	if _, err := cc.RMWSync(addr, memctl.OpSwap, 77); err != nil {
+	if _, err := rmem.RMWSync(cc, addr, memctl.OpSwap, 77); err != nil {
 		t.Fatalf("seed swap: %v", err)
 	}
 	e, _ := cc.Map().Locate(addr)
 	pri, _ := cc.Map().Extent(e)
 	nodes[pri].dead.Store(true)
-	v, err := cc.RMWSync(addr, memctl.OpFetchAdd, 1)
+	v, err := rmem.RMWSync(cc, addr, memctl.OpFetchAdd, 1)
 	if err != nil {
 		t.Fatalf("RMW with dead primary: %v", err)
 	}
@@ -220,14 +242,14 @@ func TestClusterAllReplicasDead(t *testing.T) {
 	// Two nodes: every extent is homed on both; killing both strands all.
 	nodes[0].dead.Store(true)
 	nodes[1].dead.Store(true)
-	_, err := cc.ReadSync(0, 64)
+	_, err := rmem.ReadSync(cc, 0, 64)
 	if err == nil {
 		t.Fatal("read with every replica dead succeeded")
 	}
 	if !errors.Is(err, wire.ErrTimeout) {
 		t.Fatalf("err = %v, want a wire.ErrTimeout", err)
 	}
-	if err := cc.WriteSync(0, make([]byte, 64)); !errors.Is(err, wire.ErrTimeout) {
+	if err := rmem.WriteSync(cc, 0, make([]byte, 64)); !errors.Is(err, wire.ErrTimeout) {
 		t.Fatalf("write err = %v, want a wire.ErrTimeout", err)
 	}
 }
@@ -249,14 +271,14 @@ func TestClusterAutoEvict(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2 && cc.Epoch() == 0; i++ {
-		_, _ = cc.ReadSync(addr, 64)
+		_, _ = rmem.ReadSync(cc, addr, 64)
 	}
 	if cc.Epoch() == 0 || cc.Map().Alive(dead) {
 		t.Fatalf("two deadlines on node %d left it in the map (epoch %d)", dead, cc.Epoch())
 	}
 	// Routed ops now avoid the dead node entirely: no more failovers needed.
 	before := cc.Metrics().Failovers.Load()
-	if _, err := cc.ReadSync(addr, 64); err != nil {
+	if _, err := rmem.ReadSync(cc, addr, 64); err != nil {
 		t.Fatalf("read after eviction: %v", err)
 	}
 	if n := cc.Metrics().Failovers.Load(); n != before {
@@ -314,7 +336,7 @@ func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	want := pattern(64, 7)
 	for e := 0; e < cc.Map().Extents(); e++ {
-		if err := cc.WriteSync(uint64(e)*cc.ExtentBytes(), want); err != nil {
+		if err := rmem.WriteSync(cc, uint64(e)*cc.ExtentBytes(), want); err != nil {
 			t.Fatalf("seed extent %d: %v", e, err)
 		}
 	}
@@ -369,7 +391,7 @@ func TestClusterAutoEvictLeavesRemirrorOwed(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42, AutoEvict: 2})
 	want := pattern(64, 19)
 	for e := 0; e < cc.Map().Extents(); e++ {
-		if err := cc.WriteSync(uint64(e)*cc.ExtentBytes(), want); err != nil {
+		if err := rmem.WriteSync(cc, uint64(e)*cc.ExtentBytes(), want); err != nil {
 			t.Fatalf("seed extent %d: %v", e, err)
 		}
 	}
@@ -384,7 +406,7 @@ func TestClusterAutoEvictLeavesRemirrorOwed(t *testing.T) {
 	}
 	nodes[dead].dead.Store(true)
 	for i := 0; i < 2 && cc.Map().Alive(dead); i++ {
-		if _, err := cc.ReadSync(addr, 64); err != nil {
+		if _, err := rmem.ReadSync(cc, addr, 64); err != nil {
 			t.Fatalf("read failing over from node %d: %v", dead, err)
 		}
 	}
@@ -398,7 +420,7 @@ func TestClusterAutoEvictLeavesRemirrorOwed(t *testing.T) {
 	// Routed reads sweep the address space; none of them re-mirrors.
 	for i := 0; i < 100; i++ {
 		a := uint64(i%old.Extents()) * cc.ExtentBytes()
-		if got, err := cc.ReadSync(a, 64); err != nil || !bytes.Equal(got, want) {
+		if got, err := rmem.ReadSync(cc, a, 64); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("routed read %d at %#x: %v", i, a, err)
 		}
 	}
@@ -437,7 +459,7 @@ func TestClusterRebalanceRemirrors(t *testing.T) {
 	// Seed every extent with a known pattern through the cluster.
 	want := pattern(64, 11)
 	for e := 0; e < cc.Map().Extents(); e++ {
-		if err := cc.WriteSync(uint64(e)*cc.ExtentBytes(), want); err != nil {
+		if err := rmem.WriteSync(cc, uint64(e)*cc.ExtentBytes(), want); err != nil {
 			t.Fatalf("seed extent %d: %v", e, err)
 		}
 	}
@@ -519,10 +541,10 @@ func TestClusterClientContract(t *testing.T) {
 			t.Fatalf("%d sub-ops issued for ops refused inline", n)
 		}
 		// The last byte and the last word are in range.
-		if err := cc.WriteSync(size-8, pattern(8, 1)); err != nil {
+		if err := rmem.WriteSync(cc, size-8, pattern(8, 1)); err != nil {
 			t.Fatalf("write of the last word: %v", err)
 		}
-		if got, err := cc.ReadSync(size-1, 1); err != nil || got[0] != pattern(8, 1)[7] {
+		if got, err := rmem.ReadSync(cc, size-1, 1); err != nil || got[0] != pattern(8, 1)[7] {
 			t.Fatalf("read of the last byte = %v, %v", got, err)
 		}
 	})
@@ -557,13 +579,13 @@ func TestClusterClientContract(t *testing.T) {
 		addr := uint64(5*eb + 1000)
 		want := pattern(3*eb, 17) // ends 1000 bytes into the fourth extent
 		before := nodeOps(cc)
-		if err := cc.WriteSync(addr, want); err != nil {
+		if err := rmem.WriteSync(cc, addr, want); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		if n := nodeOps(cc) - before; n != 8 {
 			t.Fatalf("write issued %d sub-ops, want 8 (4 segments x 2 replicas)", n)
 		}
-		got, err := cc.ReadSync(addr, len(want))
+		got, err := rmem.ReadSync(cc, addr, len(want))
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("read back: equal=%v err=%v", bytes.Equal(got, want), err)
 		}
@@ -708,7 +730,7 @@ func TestClusterFlappedReplicaIsEvicted(t *testing.T) {
 				dark = pri
 			}
 			stale, fresh := pattern(64, 31), pattern(64, 37)
-			if err := cc.WriteSync(addr, stale); err != nil {
+			if err := rmem.WriteSync(cc, addr, stale); err != nil {
 				t.Fatalf("first write: %v", err)
 			}
 			nodes[dark].dead.Store(true)
@@ -742,7 +764,7 @@ func TestClusterFlappedReplicaIsEvicted(t *testing.T) {
 					mt.Failovers.Load(), mt.Evictions.Load(), cc.Epoch())
 			}
 			nodes[dark].dead.Store(false)
-			got, err := cc.ReadSync(addr, 64)
+			got, err := rmem.ReadSync(cc, addr, 64)
 			if err != nil {
 				t.Fatalf("read after the link came back: %v", err)
 			}
@@ -764,11 +786,11 @@ func TestClusterFlapThenDeathKeepsAckedWrite(t *testing.T) {
 	e, _ := cc.Map().Locate(addr)
 	pri, mir := cc.Map().Extent(e)
 	a, b := pattern(64, 31), pattern(64, 37)
-	if err := cc.WriteSync(addr, a); err != nil {
+	if err := rmem.WriteSync(cc, addr, a); err != nil {
 		t.Fatalf("write A: %v", err)
 	}
 	nodes[pri].dead.Store(true)
-	if err := cc.WriteSync(addr, b); err != nil {
+	if err := rmem.WriteSync(cc, addr, b); err != nil {
 		t.Fatalf("write B with the primary dark: %v", err)
 	}
 	nodes[pri].dead.Store(false)
@@ -778,7 +800,7 @@ func TestClusterFlapThenDeathKeepsAckedWrite(t *testing.T) {
 	if st, err := cc.Rebalance(); err != nil || st.Lost != 0 {
 		t.Fatalf("rebalance after the mirror's death: %+v, %v", st, err)
 	}
-	got, err := cc.ReadSync(addr, 64)
+	got, err := rmem.ReadSync(cc, addr, 64)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -799,11 +821,11 @@ func TestClusterRejoinBeforeRebalanceReadsAckedWrite(t *testing.T) {
 	e, _ := cc.Map().Locate(addr)
 	pri, mir := cc.Map().Extent(e)
 	a, b := pattern(64, 31), pattern(64, 37)
-	if err := cc.WriteSync(addr, a); err != nil {
+	if err := rmem.WriteSync(cc, addr, a); err != nil {
 		t.Fatalf("write A: %v", err)
 	}
 	nodes[pri].dead.Store(true)
-	if err := cc.WriteSync(addr, b); err != nil {
+	if err := rmem.WriteSync(cc, addr, b); err != nil {
 		t.Fatalf("write B with the primary dark: %v", err)
 	}
 	nodes[pri].dead.Store(false)
@@ -813,12 +835,12 @@ func TestClusterRejoinBeforeRebalanceReadsAckedWrite(t *testing.T) {
 	if p, q := cc.Map().Extent(e); p != pri || q != mir {
 		t.Fatalf("extent %d homed on %d/%d after the rejoin, want its old %d/%d", e, p, q, pri, mir)
 	}
-	got, err := cc.ReadSync(addr, 64)
+	got, err := rmem.ReadSync(cc, addr, 64)
 	if err != nil || !bytes.Equal(got, b) {
 		t.Fatalf("read before Rebalance: %x..., %v; want B %x... (A was %x...)", got[:min(4, len(got))], err, b[:4], a[:4])
 	}
 	word := binary.LittleEndian.Uint64(b)
-	if v, err := cc.RMWSync(addr, memctl.OpFetchAdd, 1); err != nil || v != word {
+	if v, err := rmem.RMWSync(cc, addr, memctl.OpFetchAdd, 1); err != nil || v != word {
 		t.Fatalf("fetch-add before Rebalance = %#x, %v; want B's word %#x", v, err, word)
 	}
 	binary.LittleEndian.PutUint64(b, word+1)
@@ -844,11 +866,11 @@ func TestClusterFailoverIntoUncopiedHolderFails(t *testing.T) {
 	e, _ := cc.Map().Locate(addr)
 	pri, mir := cc.Map().Extent(e)
 	a, b := pattern(64, 31), pattern(64, 37)
-	if err := cc.WriteSync(addr, a); err != nil {
+	if err := rmem.WriteSync(cc, addr, a); err != nil {
 		t.Fatalf("write A: %v", err)
 	}
 	nodes[pri].dead.Store(true)
-	if err := cc.WriteSync(addr, b); err != nil {
+	if err := rmem.WriteSync(cc, addr, b); err != nil {
 		t.Fatalf("write B with the primary dark: %v", err)
 	}
 	p, q := cc.Map().Extent(e)
@@ -856,17 +878,17 @@ func TestClusterFailoverIntoUncopiedHolderFails(t *testing.T) {
 		t.Fatalf("extent %d homed on %d/%d after evicting %d, want the old mirror %d promoted", e, p, q, pri, mir)
 	}
 	nodes[mir].dead.Store(true)
-	if got, err := cc.ReadSync(addr, 64); err == nil {
+	if got, err := rmem.ReadSync(cc, addr, 64); err == nil {
 		t.Fatalf("read with only the uncopied holder %d answering returned %x..., nil", q, got[:min(4, len(got))])
 	}
-	if v, err := cc.RMWSync(addr, memctl.OpFetchAdd, 0); err == nil {
+	if v, err := rmem.RMWSync(cc, addr, memctl.OpFetchAdd, 0); err == nil {
 		t.Fatalf("fetch-add with only the uncopied holder %d answering returned %#x, nil", q, v)
 	}
 	nodes[mir].dead.Store(false)
 	if _, err := cc.Rebalance(); err != nil {
 		t.Fatalf("rebalance: %v", err)
 	}
-	if got, err := cc.ReadSync(addr, 64); err != nil || !bytes.Equal(got, b) {
+	if got, err := rmem.ReadSync(cc, addr, 64); err != nil || !bytes.Equal(got, b) {
 		t.Fatalf("read after Rebalance: %x..., %v; want B %x...", got[:min(4, len(got))], err, b[:4])
 	}
 }
@@ -887,14 +909,14 @@ func TestClusterNoInSyncHolderFailsWithoutIssue(t *testing.T) {
 	}
 	p, q := cc.Map().Extent(e)
 	before := nodeOps(cc)
-	if _, err := cc.ReadSync(addr, 64); !errors.Is(err, ErrNoReplica) {
+	if _, err := rmem.ReadSync(cc, addr, 64); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("read with both holders %d/%d uncopied: err %v, want ErrNoReplica", p, q, err)
 	}
 	if n := nodeOps(cc) - before; n != 0 {
 		t.Fatalf("the refused read issued %d node requests", n)
 	}
 	b := pattern(64, 41)
-	if err := cc.WriteSync(addr, b); err != nil {
+	if err := rmem.WriteSync(cc, addr, b); err != nil {
 		t.Fatalf("write to the uncopied holders: %v", err)
 	}
 	for _, n := range []int{p, q} {
@@ -922,7 +944,7 @@ func TestClusterOwedRemirrorAfterDeath(t *testing.T) {
 			pri, mir := m0.Extent(e)
 			b := pattern(64, 37)
 			nodes[pri].dead.Store(true)
-			if err := cc.WriteSync(addr, b); err != nil {
+			if err := rmem.WriteSync(cc, addr, b); err != nil {
 				t.Fatalf("write B with the primary dark: %v", err)
 			}
 			nodes[pri].dead.Store(false)
@@ -960,7 +982,7 @@ func TestClusterOwedRemirrorAfterDeath(t *testing.T) {
 			if dies == "source" {
 				return
 			}
-			got, err := cc.ReadSync(addr, 64)
+			got, err := rmem.ReadSync(cc, addr, 64)
 			if err != nil || !bytes.Equal(got, b) {
 				t.Fatalf("read %x..., %v; want B %x...", got[:min(4, len(got))], err, b[:4])
 			}
@@ -975,7 +997,7 @@ func TestClusterMissedWriteWithTwoAlive(t *testing.T) {
 	cc, nodes := newTestCluster(t, 2, Config{Seed: 42})
 	pri, _ := cc.Map().Extent(0)
 	nodes[pri].dead.Store(true)
-	if err := cc.WriteSync(0, pattern(64, 5)); !errors.Is(err, ErrTooFewNodes) {
+	if err := rmem.WriteSync(cc, 0, pattern(64, 5)); !errors.Is(err, ErrTooFewNodes) {
 		t.Fatalf("write missed by node %d of two: err %v, want ErrTooFewNodes", pri, err)
 	}
 	if !cc.Map().Alive(pri) || cc.Epoch() != 0 {
@@ -995,7 +1017,7 @@ func TestClusterAutoEvictAfterSkippedThreshold(t *testing.T) {
 		m := cc.Map()
 		for e := 0; e < m.Extents(); e++ {
 			if pri, _ := m.Extent(e); pri == node {
-				cc.ReadSync(uint64(e)*cc.ExtentBytes(), 64)
+				rmem.ReadSync(cc, uint64(e)*cc.ExtentBytes(), 64)
 				return true
 			}
 		}
@@ -1037,10 +1059,10 @@ func TestClusterAutoEvictAfterSkippedThreshold(t *testing.T) {
 func TestClusterReadCallbackKeepsData(t *testing.T) {
 	cc, _ := newTestCluster(t, 4, Config{Seed: 42})
 	outer, inner := pattern(256, 41), pattern(256, 43)
-	if err := cc.WriteSync(0, outer); err != nil {
+	if err := rmem.WriteSync(cc, 0, outer); err != nil {
 		t.Fatal(err)
 	}
-	if err := cc.WriteSync(testExtentBytes, inner); err != nil {
+	if err := rmem.WriteSync(cc, testExtentBytes, inner); err != nil {
 		t.Fatal(err)
 	}
 	nested := false

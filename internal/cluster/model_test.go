@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/memctl"
+	"repro/internal/rmem"
 )
 
 // The model's cluster: 16 extents of 512 B over 4 nodes, so a few hundred
@@ -74,7 +75,7 @@ func fill(n int, a, b byte) []byte {
 
 func (m *clusterModel) read(addr uint64, n int) {
 	m.t.Helper()
-	got, err := m.cc.ReadSync(addr, n)
+	got, err := rmem.ReadSync(m.cc, addr, n)
 	want, _, _ := m.ref.Read(addr, n)
 	if err != nil || !bytes.Equal(got, want) {
 		m.t.Fatalf("read [%d,+%d): err %v, equal to the model %v", addr, n, err, bytes.Equal(got, want))
@@ -83,7 +84,7 @@ func (m *clusterModel) read(addr uint64, n int) {
 
 func (m *clusterModel) write(addr uint64, data []byte) {
 	m.t.Helper()
-	if err := m.cc.WriteSync(addr, data); err != nil {
+	if err := rmem.WriteSync(m.cc, addr, data); err != nil {
 		m.t.Fatalf("write [%d,+%d): %v", addr, len(data), err)
 	}
 	m.ref.Write(addr, data)
@@ -91,7 +92,7 @@ func (m *clusterModel) write(addr uint64, data []byte) {
 
 func (m *clusterModel) rmw(addr uint64, op memctl.RMWOp, args ...uint64) {
 	m.t.Helper()
-	got, err := m.cc.RMWSync(addr, op, args...)
+	got, err := rmem.RMWSync(m.cc, addr, op, args...)
 	want, _, _ := m.ref.RMW(addr, op, args...)
 	if err != nil || got != want {
 		m.t.Fatalf("%v %v at %d = %d, %v; the model says %d", op, args, addr, got, err, want)
@@ -275,7 +276,7 @@ func (m *clusterModel) check() {
 		if got := m.word(addr); got != sum {
 			m.t.Fatalf("model counter %d = %d, acked adds sum to %d", addr, got, sum)
 		}
-		if got, err := m.cc.RMWSync(addr, memctl.OpFetchAdd, 0); err != nil || got != sum {
+		if got, err := rmem.RMWSync(m.cc, addr, memctl.OpFetchAdd, 0); err != nil || got != sum {
 			m.t.Fatalf("counter %d = %d, %v; acked adds sum to %d", addr, got, err, sum)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/memctl"
+	"repro/internal/rmem"
 )
 
 // TestClusterStress drives 8 concurrent sessions over a 4-node cluster:
@@ -38,18 +39,18 @@ func TestClusterStress(t *testing.T) {
 				buf[i] = byte(s + i)
 			}
 			for i := 0; i < addsEach; i++ {
-				if _, err := cc.RMWSync(shared[i%counters], memctl.OpFetchAdd, 1); err != nil {
+				if _, err := rmem.RMWSync(cc, shared[i%counters], memctl.OpFetchAdd, 1); err != nil {
 					errs <- err
 					return
 				}
 				if i%8 != 0 {
 					continue
 				}
-				if err := cc.WriteSync(private, buf); err != nil {
+				if err := rmem.WriteSync(cc, private, buf); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := cc.ReadSync(private, len(buf)); err != nil {
+				if _, err := rmem.ReadSync(cc, private, len(buf)); err != nil {
 					errs <- err
 					return
 				}
@@ -66,7 +67,7 @@ func TestClusterStress(t *testing.T) {
 	// but the primary's RMW stream is serialized by the node).
 	want := uint64(sessions * addsEach / counters)
 	for i, addr := range shared {
-		got, err := cc.RMWSync(addr, memctl.OpFetchAdd, 0)
+		got, err := rmem.RMWSync(cc, addr, memctl.OpFetchAdd, 0)
 		if err != nil {
 			t.Fatalf("counter %d read: %v", i, err)
 		}

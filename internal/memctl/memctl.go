@@ -239,6 +239,41 @@ func RMWArgCount(op RMWOp) (int, error) {
 	return 0, fmt.Errorf("%w: %d", ErrBadOpcode, op)
 }
 
+// Apply is the menu's rule: the word op leaves behind when it runs on old
+// with args, and the result it returns (for CAS: 1 if it swapped, else 0;
+// for the others: old). args must hold RMWArgCount(op) values. A replica
+// that stores what an atomic elsewhere left behind derives it here.
+//
+//edmlint:hotpath
+func Apply(op RMWOp, old uint64, args []uint64) (newVal, result uint64) {
+	switch op {
+	case OpCAS:
+		if old == args[0] {
+			return args[1], 1
+		}
+		return old, 0
+	case OpFetchAdd:
+		return old + args[0], old
+	case OpSwap:
+		return args[0], old
+	case OpAnd:
+		return old & args[0], old
+	case OpOr:
+		return old | args[0], old
+	case OpXor:
+		return old ^ args[0], old
+	case OpMin:
+		if int64(args[0]) < int64(old) {
+			return args[0], old
+		}
+	case OpMax:
+		if int64(args[0]) > int64(old) {
+			return args[0], old
+		}
+	}
+	return old, old
+}
+
 // RMW performs an atomic read-modify-write on the 64-bit word at addr and
 // returns the operation result (for CAS: 1 if it swapped, else 0; for the
 // others: the previous value) and the access latency. The three steps —
@@ -262,36 +297,7 @@ func (c *Controller) RMW(addr uint64, op RMWOp, args ...uint64) (uint64, sim.Tim
 		return 0, 0, fmt.Errorf("memctl: %v needs %d args, got %d", op, want, len(args))
 	}
 	word := c.mem[addr : addr+WordBytes]
-	old := binary.LittleEndian.Uint64(word)
-	var newVal, result uint64
-	switch op {
-	case OpCAS:
-		if old == args[0] {
-			newVal, result = args[1], 1
-		} else {
-			newVal, result = old, 0
-		}
-	case OpFetchAdd:
-		newVal, result = old+args[0], old
-	case OpSwap:
-		newVal, result = args[0], old
-	case OpAnd:
-		newVal, result = old&args[0], old
-	case OpOr:
-		newVal, result = old|args[0], old
-	case OpXor:
-		newVal, result = old^args[0], old
-	case OpMin:
-		newVal, result = old, old
-		if int64(args[0]) < int64(old) {
-			newVal = args[0]
-		}
-	case OpMax:
-		newVal, result = old, old
-		if int64(args[0]) > int64(old) {
-			newVal = args[0]
-		}
-	}
+	newVal, result := Apply(op, binary.LittleEndian.Uint64(word), args)
 	binary.LittleEndian.PutUint64(word, newVal)
 	// Read + write to the same open row: one activate, two column accesses.
 	t := c.accessTime(addr, WordBytes, tCAS+tBurst)

@@ -212,68 +212,42 @@ func grow(d []byte, n int) []byte {
 	return d[:n]
 }
 
-// read fills dst from slab address addr, locking the spanned shards
-// piecewise in ascending order, and returns the summed modeled latency.
+// access copies between buf and the slab at addr (into buf, or from it when
+// write is set), locking the spanned shards piecewise in ascending order,
+// and returns the summed modeled latency.
 //
-//edmlint:hotpath one call per served RREQ
-func (s *Server) read(addr uint64, dst []byte) (sim.Time, error) {
-	if len(dst) == 0 {
+//edmlint:hotpath one call per served RREQ or WREQ
+func (s *Server) access(addr uint64, buf []byte, write bool) (sim.Time, error) {
+	if len(buf) == 0 {
 		return 0, memctl.ErrBadLength
 	}
-	if addr >= s.cfg.SlabBytes || uint64(len(dst)) > s.cfg.SlabBytes-addr {
-		return 0, fmt.Errorf("%w: addr=%#x len=%d size=%#x", memctl.ErrOutOfRange, addr, len(dst), s.cfg.SlabBytes)
+	if addr >= s.cfg.SlabBytes || uint64(len(buf)) > s.cfg.SlabBytes-addr {
+		return 0, fmt.Errorf("%w: addr=%#x len=%d size=%#x", memctl.ErrOutOfRange, addr, len(buf), s.cfg.SlabBytes)
 	}
 	var total sim.Time
-	for len(dst) > 0 {
+	for len(buf) > 0 {
 		si := int(addr / s.shardBytes)
 		base := uint64(si) * s.shardBytes
-		n := len(dst)
+		n := len(buf)
 		if room := base + s.shardBytes - addr; uint64(n) > room {
 			n = int(room)
 		}
 		sh := &s.shards[si]
+		var lat sim.Time
+		var err error
 		sh.mu.Lock()
-		lat, err := sh.mem.ReadInto(addr-base, dst[:n])
+		if write {
+			lat, err = sh.mem.Write(addr-base, buf[:n])
+		} else {
+			lat, err = sh.mem.ReadInto(addr-base, buf[:n])
+		}
 		sh.mu.Unlock()
 		if err != nil {
 			return 0, err
 		}
 		total += lat
 		addr += uint64(n)
-		dst = dst[n:]
-	}
-	return total, nil
-}
-
-// write stores src at slab address addr, locking the spanned shards
-// piecewise in ascending order, and returns the summed modeled latency.
-//
-//edmlint:hotpath one call per served WREQ
-func (s *Server) write(addr uint64, src []byte) (sim.Time, error) {
-	if len(src) == 0 {
-		return 0, memctl.ErrBadLength
-	}
-	if addr >= s.cfg.SlabBytes || uint64(len(src)) > s.cfg.SlabBytes-addr {
-		return 0, fmt.Errorf("%w: addr=%#x len=%d size=%#x", memctl.ErrOutOfRange, addr, len(src), s.cfg.SlabBytes)
-	}
-	var total sim.Time
-	for len(src) > 0 {
-		si := int(addr / s.shardBytes)
-		base := uint64(si) * s.shardBytes
-		n := len(src)
-		if room := base + s.shardBytes - addr; uint64(n) > room {
-			n = int(room)
-		}
-		sh := &s.shards[si]
-		sh.mu.Lock()
-		lat, err := sh.mem.Write(addr-base, src[:n])
-		sh.mu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-		total += lat
-		addr += uint64(n)
-		src = src[n:]
+		buf = buf[n:]
 	}
 	return total, nil
 }
@@ -328,7 +302,7 @@ func (s *Server) Handle(m, resp *wire.Msg) {
 			break
 		}
 		resp.Data = grow(resp.Data, int(m.Count))
-		lat, err := s.read(m.Addr, resp.Data)
+		lat, err := s.access(m.Addr, resp.Data, false)
 		if err != nil {
 			resp.Data = resp.Data[:0]
 			resp.Status = statusOf(err)
@@ -337,7 +311,7 @@ func (s *Server) Handle(m, resp *wire.Msg) {
 		mt.BytesRead.Add(uint64(len(resp.Data)))
 		mt.ModeledDRAMPS.Add(uint64(lat))
 	case wire.KindWREQ:
-		lat, err := s.write(m.Addr, m.Data)
+		lat, err := s.access(m.Addr, m.Data, true)
 		if err != nil {
 			resp.Status = statusOf(err)
 			break

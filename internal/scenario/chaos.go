@@ -7,11 +7,6 @@ import (
 	"repro/internal/workload"
 )
 
-// sizeDist resolves a phase profile name.
-func sizeDist(name string) (workload.SizeDist, error) {
-	return workload.SizeDistByName(name)
-}
-
 // expandChaos turns the chaos knobs into concrete fault events over
 // [0, horizon), drawing every choice (victim node, window position, window
 // length) from the partition's isolated chaos streams. The schedule is a

@@ -6,7 +6,6 @@ import (
 	"repro/internal/edm"
 	"repro/internal/memctl"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // maxFabricMsg caps op sizes on the block-level backend: the EDM message
@@ -25,14 +24,10 @@ func runFabric(spec *Spec) (*Report, error) {
 		return nil, fmt.Errorf("scenario %s: %d nodes exceeds the fabric backend's %d ports (use backend %q)",
 			spec.Name, spec.Nodes, edm.MaxPorts, BackendNetsim)
 	}
-	part := workload.NewPartition(spec.Seed)
-	tagged, bounds, horizon, err := buildTrace(part, spec)
+	part, tagged, bounds, _, events, err := prologue(spec, spec.Nodes)
 	if err != nil {
 		return nil, err
 	}
-	events := append(append([]Event(nil), spec.Events...),
-		expandChaos(part.Sub("chaos"), spec.Chaos, spec.Nodes, horizon)...)
-	sortEvents(events)
 
 	fabric := edm.New(edm.DefaultConfig(spec.Nodes))
 	memCfg := memctl.DefaultConfig()

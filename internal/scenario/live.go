@@ -292,19 +292,15 @@ func (md *membership) rebalance(cause string, detect sim.Time) {
 // every replica surface as drops, the live analogue of the fabric backend's
 // NULL-response timeouts; so do reads whose data fails the replay's check.
 func runLive(spec *Spec) (*Report, error) {
-	part := workload.NewPartition(spec.Seed)
-	tagged, bounds, horizon, err := buildTrace(part, spec)
-	if err != nil {
-		return nil, err
-	}
 	clustered := spec.Backend == BackendLiveCluster
 	faultNodes := spec.Nodes
 	if clustered {
 		faultNodes = spec.MemNodes
 	}
-	events := append(append([]Event(nil), spec.Events...),
-		expandChaos(part.Sub("chaos"), spec.Chaos, faultNodes, horizon)...)
-	sortEvents(events)
+	part, tagged, bounds, horizon, events, err := prologue(spec, faultNodes)
+	if err != nil {
+		return nil, err
+	}
 	fs := newLiveFaults(events, faultNodes, !clustered)
 
 	// One clock across every transport: each delivered or dropped datagram

@@ -42,25 +42,27 @@ type taggedOp struct {
 	meta opMeta
 }
 
-// buildTrace generates the phase-shifted load schedule: each phase's ops
-// come from an isolated sub-partition and are offset to start where the
-// previous phase's arrival window ends. It returns the tagged ops sorted by
-// arrival, the per-phase arrival windows, and the trace horizon.
-func buildTrace(part *workload.Partition, spec *Spec) ([]taggedOp, []interval, sim.Time, error) {
-	var tagged []taggedOp
-	bounds := make([]interval, len(spec.Phases))
-	offset := sim.Time(0)
+// prologue is every backend's seeded start. It generates the phase-shifted
+// load schedule: each phase's ops come from an isolated sub-partition and
+// are offset to start where the previous phase's arrival window ends. It
+// returns the partition, the tagged ops sorted by arrival, the per-phase
+// arrival windows, the trace horizon, and the spec's events merged with its
+// chaos expanded over faultNodes, in replay order. The partition's stream
+// names ("phase/N", "chaos") fix every seeded report.
+func prologue(spec *Spec, faultNodes int) (part *workload.Partition, tagged []taggedOp, bounds []interval, horizon sim.Time, events []Event, err error) {
+	part = workload.NewPartition(spec.Seed)
+	bounds = make([]interval, len(spec.Phases))
 	for i, ph := range spec.Phases {
-		dist, err := sizeDist(ph.Profile)
+		dist, err := workload.SizeDistByName(ph.Profile)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, nil, 0, nil, err
 		}
 		ops, err := workload.GeneratePartitioned(part.Sub(fmt.Sprintf("phase/%d", i)), workload.GenConfig{
 			Nodes: spec.Nodes, Load: ph.Load, Bandwidth: spec.Bandwidth,
 			Sizes: dist, ReadFrac: ph.ReadFrac, Count: ph.Count,
 		})
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, nil, 0, nil, err
 		}
 		var span sim.Time
 		for _, op := range ops {
@@ -69,14 +71,17 @@ func buildTrace(part *workload.Partition, spec *Spec) ([]taggedOp, []interval, s
 			}
 		}
 		for _, op := range ops {
-			op.Arrival += offset
+			op.Arrival += horizon
 			tagged = append(tagged, taggedOp{op: op, meta: opMeta{phase: i}})
 		}
-		bounds[i] = interval{offset, offset + span + 1}
-		offset += span + 1
+		bounds[i] = interval{horizon, horizon + span + 1}
+		horizon += span + 1
 	}
 	sortTagged(tagged)
-	return tagged, bounds, offset, nil
+	events = append(append([]Event(nil), spec.Events...),
+		expandChaos(part.Sub("chaos"), spec.Chaos, faultNodes, horizon)...)
+	sortEvents(events)
+	return part, tagged, bounds, horizon, events, nil
 }
 
 func sortTagged(tagged []taggedOp) {
@@ -216,14 +221,10 @@ func runNetsim(spec *Spec) (*Report, error) {
 	if proto == nil {
 		return nil, fmt.Errorf("scenario %s: unknown protocol %q", spec.Name, spec.Protocol)
 	}
-	part := workload.NewPartition(spec.Seed)
-	tagged, bounds, horizon, err := buildTrace(part, spec)
+	part, tagged, bounds, _, events, err := prologue(spec, spec.Nodes)
 	if err != nil {
 		return nil, err
 	}
-	events := append(append([]Event(nil), spec.Events...),
-		expandChaos(part.Sub("chaos"), spec.Chaos, spec.Nodes, horizon)...)
-	sortEvents(events)
 	applyFaults(part, spec, tagged, events)
 	ops, meta := liveOps(tagged)
 	if len(ops) == 0 {

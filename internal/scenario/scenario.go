@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/edm"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Backend selects the simulation layer a scenario runs on.
@@ -233,7 +234,7 @@ func (s *Spec) Validate() error {
 		if p.ReadFrac < 0 || p.ReadFrac > 1 {
 			return fmt.Errorf("scenario %s: phase %d read_frac=%f", s.Name, i, p.ReadFrac)
 		}
-		if _, err := sizeDist(p.Profile); err != nil {
+		if _, err := workload.SizeDistByName(p.Profile); err != nil {
 			return fmt.Errorf("scenario %s: phase %d: %w", s.Name, i, err)
 		}
 	}

@@ -65,7 +65,9 @@ if [ -n "$workload" ]; then
     args="-workload $workload -seed $seed -seconds 10 -trace 0"
 fi
 out=$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")
-trap 'rm -rf "$out/base"' EXIT
+# The base tree and the two test binaries are tens of MB; the round logs
+# and values stay.
+trap 'rm -rf "$out/base" "$out/base.test" "$out/head.test"' EXIT
 
 # The base tree is an export of the ref, not a checkout: nothing to
 # unregister afterwards, and it cannot be committed to by accident.
