@@ -64,7 +64,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "", "live endpoint (host:port of an edmd; empty = in-process loopback server)")
 	clusterAddrs := fs.String("cluster", "", "comma-separated edmd addresses: drive the sharded dual-homed cluster service over UDP")
-	evict := fs.Int("evict", 0, "cluster mode: auto-evict a node after N consecutive retry-budget timeouts (0 = off)")
 	metricsAddr := fs.String("metrics", "", "cluster mode: HTTP address serving the client-side /metrics (empty = off)")
 	traceFile := fs.String("trace", "-", "trace file ('-' = stdin)")
 	profile := fs.String("profile", "", "generate a workload instead of reading a trace: hadoop, spark, sparksql, graphlab, memcached, fixed64")
@@ -119,8 +118,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		if *window > rmem.MaxWindow/2 {
 			return cli.Usagef("-window must be at most %d with -cluster, got %d", rmem.MaxWindow/2, *window)
 		}
-	} else if set["evict"] || set["metrics"] {
-		return cli.Usagef("-evict and -metrics only apply with -cluster")
+	} else if set["metrics"] {
+		return cli.Usagef("-metrics only applies with -cluster")
 	}
 	if *clusterAddrs != "" || *addr != "" {
 		if set["slab"] {
@@ -198,7 +197,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	var err error
 	switch {
 	case *clusterAddrs != "":
-		t, err = dialCluster(strings.Split(*clusterAddrs, ","), *seed, *evict, *metricsAddr, ccfg, stdout)
+		t, err = dialCluster(strings.Split(*clusterAddrs, ","), *seed, *metricsAddr, ccfg, stdout)
 	case *addr != "":
 		t, err = dial([]string{*addr}, ccfg)
 	default:
@@ -398,7 +397,7 @@ func dial(addrs []string, ccfg rmem.ClientConfig) (target, error) {
 // mirror, writes go through to both. One registry holds the router's
 // cluster_* series and the node clients' shared rmem_client_*/wire_client_*
 // ones; -metrics serves it.
-func dialCluster(addrs []string, seed uint64, evict int, metricsAddr string, ccfg rmem.ClientConfig, stdout io.Writer) (target, error) {
+func dialCluster(addrs []string, seed uint64, metricsAddr string, ccfg rmem.ClientConfig, stdout io.Writer) (target, error) {
 	// A routed op fans out up to two datagrams per node; give the node
 	// windows headroom.
 	ccfg.Window *= 4
@@ -412,10 +411,9 @@ func dialCluster(addrs []string, seed uint64, evict int, metricsAddr string, ccf
 		return target{}, err
 	}
 	cc, err := cluster.New(t.conns, cluster.Config{
-		Seed:      seed,
-		Metrics:   cluster.NewMetrics(reg, len(addrs)),
-		NowNS:     func() int64 { return time.Now().UnixNano() },
-		AutoEvict: evict,
+		Seed:    seed,
+		Metrics: cluster.NewMetrics(reg, len(addrs)),
+		NowNS:   func() int64 { return time.Now().UnixNano() },
 	})
 	if err != nil {
 		t.close()

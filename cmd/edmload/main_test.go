@@ -146,7 +146,7 @@ func TestEdmloadUsageErrors(t *testing.T) {
 		{"-cluster", "h:1,h:2", "-slab", "64"},     // live servers own their geometry
 		{"-cluster", "h:1,h:2", "-trace-ops", "8"}, // the trace ring follows one connection
 		{"-cluster", "h:1,h:2", "-window", "513"},  // two datagrams per node per op must fit MaxWindow
-		{"-evict", "3"},                            // cluster knob without -cluster
+		{"-cluster", "h:1,h:2", "-evict", "3"},     // no such flag: eviction has one rule, no knob
 		{"-metrics", "127.0.0.1:0"},                // cluster knob without -cluster
 	}
 	for _, args := range cases {

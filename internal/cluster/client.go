@@ -43,14 +43,6 @@ type Config struct {
 	// NowNS supplies timestamps for the rebalance-duration histogram
 	// (wall or virtual). Nil disables duration measurement.
 	NowNS func() int64
-	// AutoEvict, when positive, evicts a node after that many consecutive
-	// retry-budget timeouts. Zero leaves membership to the caller (the
-	// deterministic scenario driver), with one exception whatever
-	// AutoEvict says: a node that missed a write its partner acked is
-	// evicted before the op completes. Either way an eviction's re-mirror
-	// is owed to the caller's next Rebalance: the client starts no
-	// goroutine of its own.
-	AutoEvict int
 }
 
 // Client stripes the flat cluster address space over N rmem.Clients by
@@ -58,7 +50,11 @@ type Config struct {
 // segments and issues them, subOp.done is the kind x outcome table, and the
 // op's callback fires when the last segment is in. The routed hot path
 // recycles its fan-out records through pools, so steady state allocates
-// nothing. The atomicity caveats are the package comment's.
+// nothing. The client evicts a node on one rule, the package comment's: a
+// replica that timed out while its partner answered the same segment. Every
+// other map change is the caller's (MarkDead, Rejoin), and every change's
+// re-mirror is owed to the caller's Rebalance: the client starts no
+// goroutine of its own. The atomicity caveats are the package comment's.
 type Client struct {
 	nodes   []*rmem.Client
 	cfg     Config
@@ -69,10 +65,9 @@ type Client struct {
 	ops  sync.Pool
 	subs sync.Pool
 
-	mu     sync.Mutex
-	m      *Map   // guarded by mu: the active route table
-	streak []int  // guarded by mu: consecutive deadline completions per node (auto-evict)
-	owed   []move // guarded by mu: map changes not yet re-mirrored, oldest first
+	mu   sync.Mutex
+	m    *Map   // guarded by mu: the active route table
+	owed []move // guarded by mu: map changes not yet re-mirrored, oldest first
 	// unsynced is owed's fence, rebuilt whenever owed or the map changes
 	// and never mutated once published (guarded by mu).
 	unsynced unsynced
@@ -124,7 +119,6 @@ func New(nodes []*rmem.Client, cfg Config) (*Client, error) {
 		cfg:     cfg,
 		metrics: cfg.Metrics,
 		m:       m,
-		streak:  make([]int, len(nodes)),
 	}
 	c.metrics.Epoch.Set(int64(m.Epoch()))
 	return c, nil
@@ -149,9 +143,10 @@ func (c *Client) ExtentBytes() uint64 { return c.cfg.ExtentBytes }
 // Metrics returns the client's metrics (never nil after New).
 func (c *Client) Metrics() *Metrics { return c.metrics }
 
-// MarkDead advances the map epoch without node (a leave/kill event) and
-// queues the change's re-mirror for Rebalance. Marking an already-dead node
-// is a pure epoch bump, and counts no eviction.
+// MarkDead advances the map epoch without node (a leave/kill event, or the
+// client's own eviction of a replica that missed an op its partner
+// answered), queues the change's re-mirror for Rebalance and counts an
+// eviction. Marking a node already out of the map changes nothing.
 func (c *Client) MarkDead(node int) error { return c.advance(node, (*Map).Leave) }
 
 // Rejoin re-admits node (a join event) and queues the copy of its newly
@@ -191,16 +186,14 @@ func (c *Client) fenceLocked() {
 }
 
 // advance installs the active map's successor under step (of node), queues
-// the change's re-mirror, restarts the node's deadline streak and counts an
-// eviction when node leaves the map. A step that returns the map it was
-// given changes nothing.
+// the change's re-mirror and counts an eviction when node leaves the map. A
+// step that returns the map it was given changes nothing.
 func (c *Client) advance(node int, step func(*Map, int) (*Map, error)) error {
 	c.mu.Lock()
 	old := c.m
 	cur, err := step(old, node)
 	if err == nil && cur != old {
 		c.m = cur
-		c.streak[node] = 0
 		c.owed = append(c.owed, move{old, cur})
 		c.metrics.RemirrorsOwed.Set(int64(len(c.owed)))
 		c.fenceLocked()
@@ -234,55 +227,6 @@ func (c *Client) Close() error {
 	return first
 }
 
-// noteOK resets node's deadline streak (auto-evict bookkeeping).
-//
-//edmlint:hotpath one call per successful sub-completion
-func (c *Client) noteOK(node int) {
-	if c.cfg.AutoEvict <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.streak[node] = 0
-	c.mu.Unlock()
-}
-
-// noteDeadline counts a retry-budget timeout against node and, at the
-// auto-evict threshold, evicts it. The threshold fires on equality so one
-// burst of timeouts evicts once; when the eviction cannot run then (the node
-// is one of the last two alive, or already out of the map) the streak starts
-// over, so the threshold comes round again once it can.
-func (c *Client) noteDeadline(node int) {
-	if c.cfg.AutoEvict <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.streak[node]++
-	hit := false
-	if c.streak[node] == c.cfg.AutoEvict {
-		hit = c.m.Alive(node) && c.m.AliveCount() > 2
-		if !hit {
-			c.streak[node] = 0
-		}
-	}
-	c.mu.Unlock()
-	if hit {
-		c.evict(node)
-	}
-}
-
-// evict takes node out of the map on the client's own failure detection (a
-// missed acked write, or the auto-evict threshold), so that no read reaches
-// it; its re-mirror is owed to the next Rebalance. A node already out of the
-// map is left as it is; one of the last two alive cannot be evicted.
-func (c *Client) evict(node int) error {
-	return c.advance(node, func(m *Map, node int) (*Map, error) {
-		if !m.Alive(node) {
-			return m, nil
-		}
-		return m.Leave(node)
-	})
-}
-
 // opKind is a subOp's request flavour.
 type opKind uint8
 
@@ -297,7 +241,7 @@ const (
 type segState struct {
 	acks     int  // replicas that acked
 	fails    int  // replicas that timed out
-	missed   bool // a replica timed out on a write or an RMW:
+	missed   bool // a replica timed out:
 	missedBy int  // this one
 }
 
@@ -449,7 +393,6 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 	fatal, again := false, false // again: the record goes out once more, to the extent's other replica
 	switch {
 	case err == nil:
-		c.noteOK(s.node)
 		switch s.kind {
 		case kRead:
 			// data is transient, so the copy happens here, inside the rmem
@@ -463,7 +406,6 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 			}
 		}
 	case errors.Is(err, wire.ErrTimeout):
-		c.noteDeadline(s.node)
 		again = s.attempt == 0 && (s.kind == kRead || s.kind == kRMW)
 	default:
 		fatal = true
@@ -477,13 +419,12 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 				o.segs[s.seg].acks++
 				s.kind, s.wdata = kMirror, s.val8[:]
 			} else {
+				// The node that timed out is gone if the other replica
+				// answers; an RMW's may also have missed the atomic the
+				// other replica now runs.
 				o.failovers++
 				s.attempt = 1
-				if s.kind == kRMW {
-					// The primary may have missed the atomic the mirror
-					// now runs.
-					o.segs[s.seg].missed, o.segs[s.seg].missedBy = true, s.node
-				}
+				o.segs[s.seg].missed, o.segs[s.seg].missedBy = true, s.node
 			}
 			o.mu.Unlock()
 			s.node = alt
@@ -521,9 +462,7 @@ func (o *clusterOp) subDone(s *subOp, err error, fatal bool) {
 		}
 	default:
 		o.segs[s.seg].fails++
-		if s.kind != kRead {
-			o.segs[s.seg].missed, o.segs[s.seg].missedBy = true, s.node
-		}
+		o.segs[s.seg].missed, o.segs[s.seg].missedBy = true, s.node
 		o.dlErr = err
 	}
 	o.remaining--
@@ -563,10 +502,13 @@ func (o *clusterOp) finish() {
 			failovers++
 		}
 		if sg.missed && sg.acks > 0 {
-			// The replica that missed an acked write leaves the map before
-			// the callback fires. (Lock order: o.mu, then c.mu; nothing
-			// takes them the other way round.)
-			if eerr := c.evict(sg.missedBy); eerr != nil && err == nil {
+			// The replica that timed out while its partner answered leaves
+			// the map before the callback fires. When it cannot (it is one
+			// of the last two alive), a read still returns its data: only
+			// a write, an RMW or a write-through can leave a stale replica
+			// behind. (Lock order: o.mu, then c.mu; nothing takes them the
+			// other way round.)
+			if eerr := c.MarkDead(sg.missedBy); eerr != nil && err == nil && o.cb.read == nil {
 				//edmlint:allow hotpath only an op whose missed replica is one of the last two alive
 				err = fmt.Errorf("cluster: node %d missed an acked write and cannot be evicted: %w", sg.missedBy, eerr)
 			}

@@ -254,35 +254,120 @@ func TestClusterAllReplicasDead(t *testing.T) {
 	}
 }
 
-// TestClusterAutoEvict: the deadline streak evicts a dead node within the
-// op that reaches the threshold, before its callback fires.
-func TestClusterAutoEvict(t *testing.T) {
-	cc, nodes := newTestCluster(t, 4, Config{Seed: 42, AutoEvict: 2})
-	const dead = 1
-	nodes[dead].dead.Store(true)
-	// Find an extent homed on the dead node and read it until the deadline
-	// streak evicts the node and the epoch advances.
+// homedOn is the address of the first extent whose primary is node.
+func homedOn(t *testing.T, cc *Client, node int) uint64 {
+	t.Helper()
 	m := cc.Map()
-	addr := uint64(0)
 	for e := 0; e < m.Extents(); e++ {
-		if pri, _ := m.Extent(e); pri == dead {
-			addr = uint64(e) * cc.ExtentBytes()
-			break
+		if pri, _ := m.Extent(e); pri == node {
+			return uint64(e) * cc.ExtentBytes()
 		}
 	}
-	for i := 0; i < 2 && cc.Epoch() == 0; i++ {
-		_, _ = rmem.ReadSync(cc, addr, 64)
+	t.Fatalf("no extent has node %d as its primary", node)
+	return 0
+}
+
+// readSeeing reads n bytes at addr and reports whether node was still in
+// the map when the read's callback fired.
+func readSeeing(t *testing.T, cc *Client, addr uint64, n, node int) ([]byte, bool) {
+	t.Helper()
+	var got []byte
+	var alive bool
+	done := make(chan error, 1)
+	err := cc.Read(addr, n, func(d []byte, err error) {
+		alive = cc.Map().Alive(node)
+		got = append([]byte(nil), d...)
+		done <- err
+	})
+	if err == nil {
+		err = <-done
 	}
-	if cc.Epoch() == 0 || cc.Map().Alive(dead) {
-		t.Fatalf("two deadlines on node %d left it in the map (epoch %d)", dead, cc.Epoch())
+	if err != nil {
+		t.Fatalf("read at %#x: %v", addr, err)
 	}
-	// Routed ops now avoid the dead node entirely: no more failovers needed.
-	before := cc.Metrics().Failovers.Load()
-	if _, err := rmem.ReadSync(cc, addr, 64); err != nil {
+	return got, alive
+}
+
+// TestClusterReadMissEvicts: a read whose primary times out fails over to
+// the mirror, and the mirror's answer evicts the primary before the read's
+// callback fires. The next read goes straight to the surviving replica, and
+// the eviction's re-mirror stays owed until the caller's Rebalance.
+func TestClusterReadMissEvicts(t *testing.T) {
+	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
+	const dead = 1
+	addr := homedOn(t, cc, dead)
+	want := pattern(64, 13)
+	if err := rmem.WriteSync(cc, addr, want); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	nodes[dead].dead.Store(true)
+	got, alive := readSeeing(t, cc, addr, len(want), dead)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("failover read %x..., want %x...", got[:4], want[:4])
+	}
+	if alive {
+		t.Fatalf("node %d, which missed the read, was still in the map when the read completed", dead)
+	}
+	mt := cc.Metrics()
+	if mt.Failovers.Load() != 1 || mt.Evictions.Load() != 1 || cc.Epoch() != 1 {
+		t.Fatalf("failovers %d, evictions %d, epoch %d: want one of each",
+			mt.Failovers.Load(), mt.Evictions.Load(), cc.Epoch())
+	}
+	if got, err := rmem.ReadSync(cc, addr, len(want)); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("read after eviction: %v", err)
 	}
-	if n := cc.Metrics().Failovers.Load(); n != before {
+	if n := mt.Failovers.Load(); n != 1 {
 		t.Fatal("post-eviction read still failed over")
+	}
+	if n := mt.RemirrorsOwed.Load(); n != 1 {
+		t.Fatalf("cluster_remirrors_owed %d before Rebalance, want the eviction owed", n)
+	}
+	if _, err := cc.Rebalance(); err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+	if n := mt.RemirrorsOwed.Load(); n != 0 {
+		t.Fatalf("rebalance left %d re-mirrors owed", n)
+	}
+}
+
+// TestClusterMarkDeadOfEvictedNodeChangesNothing: marking a node that is
+// already out of the map bumps no epoch, queues no re-mirror and counts no
+// eviction.
+func TestClusterMarkDeadOfEvictedNodeChangesNothing(t *testing.T) {
+	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
+	const dead = 1
+	nodes[dead].dead.Store(true)
+	if _, alive := readSeeing(t, cc, homedOn(t, cc, dead), 64, dead); alive {
+		t.Fatalf("read failover left node %d in the map", dead)
+	}
+	mt := cc.Metrics()
+	epoch, owed, evictions := cc.Epoch(), mt.RemirrorsOwed.Load(), mt.Evictions.Load()
+	if err := cc.MarkDead(dead); err != nil {
+		t.Fatal(err)
+	}
+	if cc.Epoch() != epoch || mt.RemirrorsOwed.Load() != owed || mt.Evictions.Load() != evictions {
+		t.Fatalf("MarkDead of evicted node %d: epoch %d -> %d, owed %d -> %d, evictions %d -> %d; want no change",
+			dead, epoch, cc.Epoch(), owed, mt.RemirrorsOwed.Load(), evictions, mt.Evictions.Load())
+	}
+}
+
+// TestClusterTwoNodeReadFailover: with two nodes the primary that a read
+// missed cannot be evicted, and the read still returns the mirror's bytes:
+// a read leaves no stale replica behind, so it does not fail on that.
+func TestClusterTwoNodeReadFailover(t *testing.T) {
+	cc, nodes := newTestCluster(t, 2, Config{Seed: 42})
+	want := pattern(64, 17)
+	if err := rmem.WriteSync(cc, 0, want); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	pri, _ := cc.Map().Extent(0)
+	nodes[pri].dead.Store(true)
+	got, err := rmem.ReadSync(cc, 0, len(want))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read with node %d of two dark: %v", pri, err)
+	}
+	if !cc.Map().Alive(pri) || cc.Epoch() != 0 {
+		t.Fatalf("node %d evicted from a two-node map (epoch %d)", pri, cc.Epoch())
 	}
 }
 
@@ -384,11 +469,12 @@ func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
 	}
 }
 
-// TestClusterAutoEvictLeavesRemirrorOwed: an auto-eviction queues its
-// re-mirror and nothing runs it behind the caller's back, however many
-// routed ops follow; the caller's Rebalance, with no op in flight, does.
-func TestClusterAutoEvictLeavesRemirrorOwed(t *testing.T) {
-	cc, nodes := newTestCluster(t, 4, Config{Seed: 42, AutoEvict: 2})
+// TestClusterReadEvictionLeavesRemirrorOwed: the eviction a read failover
+// makes queues its re-mirror, and nothing runs it behind the caller's back,
+// however many routed ops follow; the caller's Rebalance, with no op in
+// flight, does.
+func TestClusterReadEvictionLeavesRemirrorOwed(t *testing.T) {
+	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	want := pattern(64, 19)
 	for e := 0; e < cc.Map().Extents(); e++ {
 		if err := rmem.WriteSync(cc, uint64(e)*cc.ExtentBytes(), want); err != nil {
@@ -397,32 +483,24 @@ func TestClusterAutoEvictLeavesRemirrorOwed(t *testing.T) {
 	}
 	const dead = 2
 	old := cc.Map()
-	addr := uint64(0)
-	for e := 0; e < old.Extents(); e++ {
-		if pri, _ := old.Extent(e); pri == dead {
-			addr = uint64(e) * cc.ExtentBytes()
-			break
-		}
-	}
 	nodes[dead].dead.Store(true)
-	for i := 0; i < 2 && cc.Map().Alive(dead); i++ {
-		if _, err := rmem.ReadSync(cc, addr, 64); err != nil {
-			t.Fatalf("read failing over from node %d: %v", dead, err)
-		}
-	}
-	if cc.Map().Alive(dead) {
-		t.Fatalf("node %d not evicted after two deadlines", dead)
+	if got, alive := readSeeing(t, cc, homedOn(t, cc, dead), 64, dead); alive || !bytes.Equal(got, want) {
+		t.Fatalf("read failing over from node %d: equal %v, node still in the map %v", dead, bytes.Equal(got, want), alive)
 	}
 	moves := diff(old, cc.Map(), cc.Map())
 	if len(moves) == 0 {
 		t.Fatal("no moves after the eviction")
 	}
-	// Routed reads sweep the address space; none of them re-mirrors.
+	// Routed reads sweep the address space; none of them fails over or
+	// re-mirrors.
 	for i := 0; i < 100; i++ {
 		a := uint64(i%old.Extents()) * cc.ExtentBytes()
 		if got, err := rmem.ReadSync(cc, a, 64); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("routed read %d at %#x: %v", i, a, err)
 		}
+	}
+	if n := cc.Metrics().Failovers.Load(); n != 1 {
+		t.Fatalf("cluster_failover_total %d after the sweep, want only the evicting read's", n)
 	}
 	if n := cc.Metrics().RemirrorsOwed.Load(); n != 1 {
 		t.Fatalf("cluster_remirrors_owed %d after 100 routed reads, want the eviction still owed", n)
@@ -1005,51 +1083,69 @@ func TestClusterMissedWriteWithTwoAlive(t *testing.T) {
 	}
 }
 
-// TestClusterAutoEvictAfterSkippedThreshold: a node whose deadline streak
-// reaches the threshold while only two nodes are alive cannot be evicted
-// then, and must still be evicted once a third node is back.
-func TestClusterAutoEvictAfterSkippedThreshold(t *testing.T) {
-	cc, nodes := newTestCluster(t, 3, Config{Seed: 42, AutoEvict: 2})
+// TestClusterTwoAliveKeepsMissedNode: with two nodes alive a node that
+// misses reads cannot be evicted, so it stays in the map and the reads fail
+// over and succeed. Once a third node is back in the map, the next read
+// whose partner answers evicts it, and Rebalance then brings every extent
+// back on two in-sync holders.
+func TestClusterTwoAliveKeepsMissedNode(t *testing.T) {
+	cc, nodes := newTestCluster(t, 3, Config{Seed: 42})
 	const a, b = 0, 1
-	// readHomedOn costs node one retry-budget timeout; false once the map
-	// homes nothing on it.
-	readHomedOn := func(node int) bool {
-		m := cc.Map()
-		for e := 0; e < m.Extents(); e++ {
-			if pri, _ := m.Extent(e); pri == node {
-				rmem.ReadSync(cc, uint64(e)*cc.ExtentBytes(), 64)
-				return true
-			}
+	want := pattern(64, 47)
+	for e := 0; e < cc.Map().Extents(); e++ {
+		if err := rmem.WriteSync(cc, uint64(e)*cc.ExtentBytes(), want); err != nil {
+			t.Fatalf("seed extent %d: %v", e, err)
 		}
-		return false
-	}
-	// evicted reads node until the map drops it, at most 20 timeouts, and
-	// reports whether that was the nth eviction.
-	evicted := func(node int, nth uint64) bool {
-		t.Helper()
-		for i := 0; i < 20 && readHomedOn(node); i++ {
-		}
-		return !cc.Map().Alive(node) && cc.Metrics().Evictions.Load() == nth
 	}
 	nodes[a].dead.Store(true)
-	if !evicted(a, 1) {
-		t.Fatal("first dead node never evicted")
+	if _, alive := readSeeing(t, cc, homedOn(t, cc, a), 64, a); alive {
+		t.Fatalf("node %d not evicted while three nodes were alive", a)
+	}
+	if _, err := cc.Rebalance(); err != nil {
+		t.Fatalf("rebalance after node %d left: %v", a, err)
 	}
 	nodes[b].dead.Store(true)
-	for i := 0; i < 6; i++ { // well past the threshold
-		if !readHomedOn(b) {
-			t.Fatalf("no extent has node %d as its primary", b)
+	addr := homedOn(t, cc, b)
+	for i := 0; i < 3; i++ {
+		if got, alive := readSeeing(t, cc, addr, 64, b); !alive || !bytes.Equal(got, want) {
+			t.Fatalf("read %d with node %d dark and two alive: equal %v, node in the map %v", i, b, bytes.Equal(got, want), alive)
 		}
 	}
-	if !cc.Map().Alive(b) || cc.Metrics().Evictions.Load() != 1 {
-		t.Fatalf("node %d evicted with only two nodes alive (evictions %d)", b, cc.Metrics().Evictions.Load())
+	if cc.Metrics().Evictions.Load() != 1 || cc.Epoch() != 1 {
+		t.Fatalf("evictions %d, epoch %d with two nodes alive; want node %d's eviction only",
+			cc.Metrics().Evictions.Load(), cc.Epoch(), a)
 	}
 	nodes[a].dead.Store(false)
 	if err := cc.Rejoin(a); err != nil {
 		t.Fatal(err)
 	}
-	if !evicted(b, 2) {
-		t.Fatalf("node %d, dead since before node %d rejoined, is never evicted (cluster_evictions_total %d, want 2)", b, a, cc.Metrics().Evictions.Load())
+	// Node b's extents that node a did not take back still fail over to
+	// the third node, whose answer evicts b.
+	m := cc.Map()
+	addr = 0
+	for e := 0; e < m.Extents(); e++ {
+		if pri, mir := m.Extent(e); pri == b && mir != a {
+			addr = uint64(e) * cc.ExtentBytes()
+			break
+		}
+	}
+	if got, alive := readSeeing(t, cc, addr, 64, b); alive || !bytes.Equal(got, want) {
+		t.Fatalf("read with node %d back: equal %v, node %d still in the map %v", a, bytes.Equal(got, want), b, alive)
+	}
+	if n := cc.Metrics().Evictions.Load(); n != 2 {
+		t.Fatalf("cluster_evictions_total %d, want 2", n)
+	}
+	if st, err := cc.Rebalance(); err != nil || st.Lost != 0 {
+		t.Fatalf("rebalance after node %d left: %+v, %v", b, st, err)
+	}
+	m = cc.Map()
+	for e := 0; e < m.Extents(); e++ {
+		pri, mir := m.Extent(e)
+		for _, n := range []int{pri, mir} {
+			if got, err := nodes[n].cl.ReadSync(uint64(e)*cc.ExtentBytes(), 64); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("extent %d on node %d after the rebalance: %v", e, n, err)
+			}
+		}
 	}
 }
 

@@ -17,24 +17,26 @@
 //	                  join buffer, ack                               and it ran where it was routed: bank
 //	                                                                 the ack, write the stored value
 //	                                                                 through to the mirror; otherwise ack
-//	wire.ErrTimeout   count against the   count against the node,    as read
-//	                  node; first time:   replica miss
-//	                  re-route to the
-//	                  other replica;
-//	                  after that: miss
+//	wire.ErrTimeout   replica miss;       replica miss               as read
+//	                  first time: re-
+//	                  route to the other
+//	                  replica
 //	anything else     fatal               fatal                      fatal
 //
 // A re-issue that fails inline is fatal. An op succeeds when no outcome was
 // fatal and every segment was acked by at least one replica; a segment that
 // was re-routed, or acked by one replica and missed by the other, counts
-// one cluster_failover_total. A replica that missed a write, an RMW's
-// write-through, or an RMW that failed over to the other replica is
-// evicted from the map before the op's callback fires, so no later read
-// reaches its stale copy; with only two nodes alive it cannot be, and the
-// op fails instead. Every map change's re-mirror waits for the caller's
-// Rebalance, which must run while no routed op is in flight. Until then
-// the holders it has still to copy to take writes but serve no read, RMW
-// or failover: an op with no in-sync replica answering fails.
+// one cluster_failover_total. A replica miss on a segment that another
+// replica answered evicts the replica that missed before the op's callback
+// fires, whatever the op kind: no later op waits out its retry budget, and
+// no later read reaches a copy that missed a write. That is the client's one
+// eviction rule, so a node whose partner does not answer either stays in the
+// map. With only two nodes alive the replica cannot be evicted: a write, an
+// RMW or a write-through then fails, while a read still returns its data.
+// Every map change's re-mirror waits for the caller's Rebalance, which must
+// run while no routed op is in flight. Until then the holders it has still
+// to copy to take writes but serve no read, RMW or failover: an op with no
+// in-sync replica answering fails.
 //
 // Atomicity caveats: a split op is not atomic across extents; an RMW is
 // atomic only on its primary, the mirror's copy being a write-through that
@@ -165,11 +167,14 @@ func (m *Map) clone() *Map {
 }
 
 // Leave returns the successor map without node. It fails with ErrTooFewNodes
-// when fewer than two alive nodes would remain, and is a pure epoch bump if
-// the node is already dead.
+// when fewer than two alive nodes would remain, and returns the receiver
+// itself, epoch unchanged, if the node is already dead.
 func (m *Map) Leave(node int) (*Map, error) {
 	if node < 0 || node >= len(m.alive) {
 		return nil, fmt.Errorf("cluster: leave of unknown node %d", node)
+	}
+	if !m.alive[node] {
+		return m, nil
 	}
 	c := m.clone()
 	c.alive[node] = false

@@ -18,8 +18,8 @@ type Metrics struct {
 	// retry-budget timeout (reads re-routed to the mirror; writes or RMWs
 	// acked by only one replica).
 	Failovers *telemetry.Counter
-	// Evictions counts nodes the client declared dead (scenario events or
-	// the auto-evict threshold).
+	// Evictions counts nodes taken out of the map (MarkDead, or a replica
+	// that timed out while its partner answered).
 	Evictions *telemetry.Counter
 	// Epoch mirrors the active map epoch.
 	Epoch *telemetry.Gauge

@@ -22,14 +22,14 @@ type RebalanceStats struct {
 
 // Rebalance runs the re-mirrors the client owes, oldest first. Every map
 // change is owed: a MarkDead, a Rejoin, or an eviction of the client's own
-// (a missed acked write, or Config.AutoEvict). For each, every extent whose
-// replica set the change altered is bulk-read from a surviving holder and
-// bulk-written to each new holder that still holds it in the active map,
-// directly against the node clients (routed ops would write through to the
-// very replicas being rebuilt). A copy source still in the active map is
-// preferred; one that has left it since is still tried, and if it does not
-// answer, its extents count in Lost, as do extents whose holders all left.
-// The first other copy error ends the pass, counts in
+// (a replica that timed out while its partner answered). For each, every
+// extent whose replica set the change altered is bulk-read from a surviving
+// holder and bulk-written to each new holder that still holds it in the
+// active map, directly against the node clients (routed ops would write
+// through to the very replicas being rebuilt). A copy source still in the
+// active map is preferred; one that has left it since is still tried, and if
+// it does not answer, its extents count in Lost, as do extents whose holders
+// all left. The first other copy error ends the pass, counts in
 // cluster_rebalance_errors_total, and leaves the change it was copying owed
 // to the next call.
 //
