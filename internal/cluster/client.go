@@ -14,11 +14,11 @@ import (
 // Client errors.
 var (
 	// ErrNoReplica means no in-sync replica of a segment answered: each
-	// exhausted its retry budget, or a holder the owed re-mirror has not
-	// reached was the only one left. The address range is unreachable until
-	// Rebalance copies it in. (When a concrete timeout is available it is
-	// returned instead, so errors.Is(err, wire.ErrTimeout) is the usual
-	// triage.)
+	// exhausted its retry budget, or a holder that awaits its copy was the
+	// only one left, or no node in the map holds the extent's acked writes.
+	// The address range is unreachable until Rebalance copies it in. (When a
+	// concrete timeout is available it is returned instead, so
+	// errors.Is(err, wire.ErrTimeout) is the usual triage.)
 	ErrNoReplica = errors.New("cluster: no reachable replica")
 	ErrClosed    = errors.New("cluster: client closed")
 )
@@ -52,9 +52,10 @@ type Config struct {
 // recycles its fan-out records through pools, so steady state allocates
 // nothing. The client evicts a node on one rule, the package comment's: a
 // replica that timed out while its partner answered the same segment. Every
-// other map change is the caller's (MarkDead, Rejoin), and every change's
-// re-mirror is owed to the caller's Rebalance: the client starts no
-// goroutine of its own. The atomicity caveats are the package comment's.
+// other map change is the caller's (MarkDead, Rejoin). Every change rebuilds
+// the replica record that routing, failover and Rebalance read, and its
+// copies are owed to the caller's Rebalance: the client starts no goroutine
+// of its own. The atomicity caveats are the package comment's.
 type Client struct {
 	nodes   []*rmem.Client
 	cfg     Config
@@ -65,13 +66,12 @@ type Client struct {
 	ops  sync.Pool
 	subs sync.Pool
 
-	mu   sync.Mutex
-	m    *Map   // guarded by mu: the active route table
-	owed []move // guarded by mu: map changes not yet re-mirrored, oldest first
-	// unsynced is owed's fence, rebuilt whenever owed or the map changes
-	// and never mutated once published (guarded by mu).
-	unsynced unsynced
-	closed   bool // guarded by mu
+	mu sync.Mutex
+	m  *Map // guarded by mu: the active map
+	// rec is the replica record, one entry per extent, rebuilt on every map
+	// change and pass and never mutated once published (guarded by mu).
+	rec    []replicas
+	closed bool // guarded by mu
 }
 
 // New builds a cluster client over connected node clients (Connect each
@@ -120,6 +120,7 @@ func New(nodes []*rmem.Client, cfg Config) (*Client, error) {
 		metrics: cfg.Metrics,
 		m:       m,
 	}
+	c.publishLocked(nil)
 	c.metrics.Epoch.Set(int64(m.Epoch()))
 	return c, nil
 }
@@ -145,58 +146,25 @@ func (c *Client) Metrics() *Metrics { return c.metrics }
 
 // MarkDead advances the map epoch without node (a leave/kill event, or the
 // client's own eviction of a replica that missed an op its partner
-// answered), queues the change's re-mirror for Rebalance and counts an
-// eviction. Marking a node already out of the map changes nothing.
+// answered), rebuilds the replica record and counts an eviction. Marking a
+// node already out of the map changes nothing.
 func (c *Client) MarkDead(node int) error { return c.advance(node, (*Map).Leave) }
 
-// Rejoin re-admits node (a join event) and queues the copy of its newly
-// assigned extents for Rebalance.
+// Rejoin re-admits node (a join event); it serves its newly assigned
+// extents once Rebalance has copied them in.
 func (c *Client) Rejoin(node int) error { return c.advance(node, (*Map).Join) }
 
-// move is one map change: the map before it and the map after.
-type move struct{ old, cur *Map }
-
-// holder is one node's replica of one extent.
-type holder struct{ extent, node int }
-
-// unsynced is the set of holders that an owed re-mirror has still to copy
-// to: they take every write, but serve no read, RMW or failover until
-// Rebalance has copied them in. Nil when none is owed.
-type unsynced map[holder]bool
-
-// serves reports whether node's replica of extent may serve a read or an
-// RMW: it is not awaiting its copy.
-func (u unsynced) serves(extent, node int) bool { return !u[holder{extent, node}] }
-
-// fenceLocked rebuilds c.unsynced from the owed re-mirrors against the
-// active map: diff names every holder that still awaits its copy.
-func (c *Client) fenceLocked() {
-	var u unsynced
-	for _, mv := range c.owed {
-		for _, d := range diff(mv.old, mv.cur, c.m) {
-			for _, n := range d.To {
-				if u == nil {
-					u = unsynced{}
-				}
-				u[holder{d.Extent, n}] = true
-			}
-		}
-	}
-	c.unsynced = u
-}
-
-// advance installs the active map's successor under step (of node), queues
-// the change's re-mirror and counts an eviction when node leaves the map. A
-// step that returns the map it was given changes nothing.
+// advance installs the active map's successor under step (of node),
+// rebuilds the replica record from the old one and counts an eviction when
+// node leaves the map. A step that returns the map it was given changes
+// nothing.
 func (c *Client) advance(node int, step func(*Map, int) (*Map, error)) error {
 	c.mu.Lock()
 	old := c.m
 	cur, err := step(old, node)
 	if err == nil && cur != old {
 		c.m = cur
-		c.owed = append(c.owed, move{old, cur})
-		c.metrics.RemirrorsOwed.Set(int64(len(c.owed)))
-		c.fenceLocked()
+		c.publishLocked(c.rec)
 	}
 	c.mu.Unlock()
 	if err != nil {
@@ -293,6 +261,7 @@ type subOp struct {
 	rmwOp   memctl.RMWOp
 	rmwArgs []uint64 // aliases caller args; captured at issue
 	attempt int      // 0 on the routed target, 1 after failover
+	inSync  bool     // node holds every acked write: its ack counts
 	val8    [8]byte  // kMirror payload: the computed RMW result
 
 	readCB  func([]byte, error)
@@ -323,46 +292,39 @@ func (c *Client) getSub() *subOp {
 	return s
 }
 
-// route reads the active map and its fence once; the op is routed
-// entirely under that epoch even if it advances mid-flight (failover
-// re-resolves).
+// route reads the replica record once; the op is routed entirely under it
+// even if a map change replaces it mid-flight (failover re-resolves).
 //
-//edmlint:hotpath one map read per routed op
-func (c *Client) route() (*Map, unsynced, error) {
+//edmlint:hotpath one record read per routed op
+func (c *Client) route() ([]replicas, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
-	return c.m, c.unsynced, nil
+	return c.rec, nil
 }
 
-// altFor re-resolves s's extent under the CURRENT map (the epoch may have
-// advanced since the op was routed) and returns the best replica that is
-// not s's node. A failover (a read or an RMW whose node timed out) takes
-// only an in-sync replica; an RMW's write-through goes to any holder.
-func (c *Client) altFor(s *subOp, failover bool) (int, bool) {
-	m, u, err := c.route()
+// retarget re-resolves s's extent under the CURRENT record (a map change
+// may have replaced it since the op was routed) and points s at the first
+// routed node that is not s's own. A failover (a read or an RMW whose node
+// timed out) takes only a node in sync; an RMW's write-through goes to
+// either. Under the routing record the primary IS s.node, so a failover
+// reaches the mirror; after a re-home the record's primary is the replica
+// that holds the data, and an uncopied new holder is never a failover's.
+func (c *Client) retarget(s *subOp, failover bool) bool {
+	rec, err := c.route()
 	if err != nil {
-		return 0, false
+		return false
 	}
-	e, err := m.Locate(s.addr)
-	if err != nil {
-		return 0, false
-	}
-	pri, mir := m.Extent(e)
-	// Try the current primary first. Under the routing epoch the primary IS
-	// s.node, so the n != s.node filter falls through to the mirror (the
-	// usual failover); after a re-home the promoted primary is the old
-	// mirror — the replica that holds the data — while the new mirror may be
-	// an empty node the rebalance has not reached yet: the fence keeps a
-	// failover off it.
-	for _, n := range [2]int{pri, mir} {
-		if n >= 0 && n != s.node && m.Alive(n) && (!failover || u.serves(e, n)) {
-			return n, true
+	r := &rec[s.addr/c.cfg.ExtentBytes]
+	for i, n := range r.node {
+		if in := i == 0 || r.in; !r.out && n != s.node && (in || !failover) {
+			s.node, s.inSync = n, in
+			return true
 		}
 	}
-	return 0, false
+	return false
 }
 
 // issueSub routes one segment request to its node client.
@@ -411,7 +373,7 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 		fatal = true
 	}
 	if again {
-		if alt, ok := c.altFor(s, err != nil); ok {
+		if from := s.node; c.retarget(s, err != nil) {
 			o.mu.Lock()
 			if err == nil {
 				// The primary's ack is banked; the record carries the
@@ -424,10 +386,9 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 				// other replica now runs.
 				o.failovers++
 				s.attempt = 1
-				o.segs[s.seg].missed, o.segs[s.seg].missedBy = true, s.node
+				o.segs[s.seg].missed, o.segs[s.seg].missedBy = true, from
 			}
 			o.mu.Unlock()
-			s.node = alt
 			if err = c.issueSub(s); err == nil {
 				return // still outstanding
 			}
@@ -439,10 +400,10 @@ func (s *subOp) done(data []byte, value uint64, err error) {
 
 // subDone takes back one remaining count and finishes the op on the last.
 // With a segment's record s, which it recycles (the bound closures stay):
-// err nil acks the segment, a deadline marks a replica miss, fatal an error
-// that fails the whole op. With no segment it is the issuer's release after
-// fan-out: a non-nil err (window exhausted) has gone back to the caller
-// inline, so the callback must never fire. Segments issued around the
+// err nil acks the segment when s's node is in sync, a deadline marks a
+// replica miss, fatal an error that fails the whole op. With no segment it
+// is the issuer's release after fan-out: a non-nil err (window exhausted)
+// has gone back to the caller inline, so the callback must never fire. Segments issued around the
 // failure still land; a partially issued write is not rolled back, matching
 // the split-op atomicity caveat.
 //
@@ -455,7 +416,9 @@ func (o *clusterOp) subDone(s *subOp, err error, fatal bool) {
 			o.cb = opCB{}
 		}
 	case err == nil:
-		o.segs[s.seg].acks++
+		if s.inSync {
+			o.segs[s.seg].acks++
+		}
 	case fatal:
 		if o.err == nil {
 			o.err = err
@@ -553,12 +516,12 @@ func rmwStore(op memctl.RMWOp, args []uint64, result uint64) (val uint64, ok boo
 	return val, true
 }
 
-// fanOut routes one operation: range check, one map read, then one segment
-// per extent touched (an RMW is one segment whatever its address: a word that
-// straddles an extent boundary is the node's to refuse), each issued to its
-// primary and, for writes, its mirror. Every segment and the issuer's own
-// hold are charged before the first issue, so a synchronous transport
-// (loopback) cannot finish the op mid-fan-out. An issue that fails inline
+// fanOut routes one operation: range check, one record read, then one
+// segment per extent touched (an RMW is one segment whatever its address: a
+// word that straddles an extent boundary is the node's to refuse), each
+// issued to its record's primary and, for writes, its mirror. Every segment
+// and the issuer's own hold are charged before the first issue, so a
+// synchronous transport (loopback) cannot finish the op mid-fan-out. An issue that fails inline
 // (window exhausted) is returned inline and silences cb.
 //
 //edmlint:hotpath one call per routed op
@@ -566,7 +529,7 @@ func (c *Client) fanOut(cb opCB, kind opKind, addr uint64, n int, data []byte, r
 	if n < 0 || addr+uint64(n) > c.cfg.Size || addr+uint64(n) < addr {
 		return fmt.Errorf("%w: [%d, %d+%d)", ErrBadExtent, addr, addr, n)
 	}
-	m, u, err := c.route()
+	rec, err := c.route()
 	if err != nil {
 		return err
 	}
@@ -603,28 +566,20 @@ func (c *Client) fanOut(cb opCB, kind opKind, addr uint64, n int, data []byte, r
 		if rem := int(eb - addr%eb); kind != kRMW && ln > rem {
 			ln = rem
 		}
-		e, _ := m.Locate(addr)
-		pri, mir := m.Extent(e)
-		replicas := [2]int{pri, mir}
-		if u != nil && kind != kWrite && !u.serves(e, pri) {
-			// A read or an RMW goes only to an in-sync replica.
-			replicas[0] = -1
-			if u.serves(e, mir) {
-				replicas[0] = mir
-			}
-		}
-		for _, node := range replicas[:homes] {
+		r := &rec[addr/eb]
+		for i := 0; i < homes; i++ {
 			s := c.getSub()
 			s.op, s.seg = o, seg
-			s.kind, s.node, s.attempt = kind, node, 0
+			s.kind, s.node, s.attempt, s.inSync = kind, r.node[i], 0, i == 0 || r.in
 			s.addr, s.n, s.off = addr, ln, off
 			s.rmwOp, s.rmwArgs = rmwOp, args
 			if kind == kWrite {
 				s.wdata = data[off : off+ln]
 			}
-			if node < 0 {
-				// Both holders await their copy: the segment fails, through
-				// the callback, rather than read bytes neither may serve.
+			if r.out {
+				// No node in the map holds the extent's acked writes: the
+				// segment fails, through the callback, rather than serve or
+				// take bytes that Rebalance would copy over.
 				o.subDone(s, ErrNoReplica, true)
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,6 +83,16 @@ func pattern(n int, seed byte) []byte {
 		b[i] = seed + byte(i*7)
 	}
 	return b
+}
+
+// seedAll writes want at the start of every extent through the cluster.
+func seedAll(t *testing.T, cc *Client, want []byte) {
+	t.Helper()
+	for e := 0; e < cc.Map().Extents(); e++ {
+		if err := rmem.WriteSync(cc, uint64(e)*cc.ExtentBytes(), want); err != nil {
+			t.Fatalf("seed extent %d: %v", e, err)
+		}
+	}
 }
 
 func TestClusterRoundTripSplit(t *testing.T) {
@@ -319,8 +330,8 @@ func TestClusterReadMissEvicts(t *testing.T) {
 	if n := mt.Failovers.Load(); n != 1 {
 		t.Fatal("post-eviction read still failed over")
 	}
-	if n := mt.RemirrorsOwed.Load(); n != 1 {
-		t.Fatalf("cluster_remirrors_owed %d before Rebalance, want the eviction owed", n)
+	if n := mt.RemirrorsOwed.Load(); n == 0 {
+		t.Fatal("cluster_remirrors_owed 0 before Rebalance, want the eviction's extents owed")
 	}
 	if _, err := cc.Rebalance(); err != nil {
 		t.Fatalf("rebalance: %v", err)
@@ -384,11 +395,11 @@ func TestClusterFailoverTargetAfterRehome(t *testing.T) {
 	for e := 0; e < old.Extents(); e++ {
 		pri, mir := old.Extent(e)
 		addr := uint64(e) * cc.ExtentBytes()
-		if alt, ok := cc.altFor(&subOp{addr: addr, node: pri}, true); !ok || alt != mir {
-			t.Fatalf("extent %d: primary timeout failed over to %d (%v), want mirror %d", e, alt, ok, mir)
+		if s := (&subOp{addr: addr, node: pri}); !cc.retarget(s, true) || s.node != mir {
+			t.Fatalf("extent %d: primary timeout failed over to %d, want mirror %d", e, s.node, mir)
 		}
-		if alt, ok := cc.altFor(&subOp{addr: addr, node: mir}, true); !ok || alt != pri {
-			t.Fatalf("extent %d: mirror timeout failed over to %d (%v), want primary %d", e, alt, ok, pri)
+		if s := (&subOp{addr: addr, node: mir}); !cc.retarget(s, true) || s.node != pri {
+			t.Fatalf("extent %d: mirror timeout failed over to %d, want primary %d", e, s.node, pri)
 		}
 	}
 	const dead = 1
@@ -403,41 +414,40 @@ func TestClusterFailoverTargetAfterRehome(t *testing.T) {
 		// An op routed under the old epoch whose retry budget expired on the
 		// dead primary after the re-home: the only replica with the data is
 		// the promoted old mirror.
-		alt, ok := cc.altFor(&subOp{addr: uint64(e) * cc.ExtentBytes(), node: dead}, true)
-		if !ok {
+		s := &subOp{addr: uint64(e) * cc.ExtentBytes(), node: dead}
+		if !cc.retarget(s, true) {
 			t.Fatalf("extent %d: no failover target after re-home", e)
 		}
-		if alt != mir {
-			t.Fatalf("extent %d: failover chose node %d, want the promoted old mirror %d (the replica holding the data)", e, alt, mir)
+		if s.node != mir {
+			t.Fatalf("extent %d: failover chose node %d, want the promoted old mirror %d (the replica holding the data)", e, s.node, mir)
 		}
 	}
 }
 
-// TestClusterRebalanceFailureSurfacedAndRetried: a pass whose copy source
-// is unreachable fails, counts in cluster_rebalance_errors_total and leaves
-// its move owed; once the source answers again the next Rebalance finishes
-// the outstanding copies.
+// TestClusterRebalanceFailureSurfacedAndRetried: a pass whose only copy
+// source is unreachable fails, counts in cluster_rebalance_errors_total and
+// leaves its extents owed; once the source answers again the next Rebalance
+// finishes the outstanding copies.
 func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	want := pattern(64, 7)
-	for e := 0; e < cc.Map().Extents(); e++ {
-		if err := rmem.WriteSync(cc, uint64(e)*cc.ExtentBytes(), want); err != nil {
-			t.Fatalf("seed extent %d: %v", e, err)
-		}
-	}
+	seedAll(t, cc, want)
 	const dead = 1
 	nodes[dead].dead.Store(true)
 	old := cc.Map()
 	if err := cc.MarkDead(dead); err != nil {
 		t.Fatal(err)
 	}
-	moves := diff(old, cc.Map(), cc.Map())
-	if len(moves) == 0 {
-		t.Fatal("no moves after a node death")
+	moved := movedFrom(old, dead)
+	if len(moved) == 0 {
+		t.Fatal("no extents moved after a node death")
 	}
-	// Take the first move's copy source dark so the pass fails on its
-	// first copy.
-	src := moves[0].From
+	// Take the first moved extent's surviving holder, its only copy source,
+	// dark so the pass fails on its first copy.
+	src, _ := old.Extent(moved[0])
+	if src == dead {
+		_, src = old.Extent(moved[0])
+	}
 	nodes[src].dead.Store(true)
 	if _, err := cc.Rebalance(); !errors.Is(err, wire.ErrTimeout) {
 		t.Fatalf("rebalance from a dark source: %v, want a wire.ErrTimeout", err)
@@ -445,8 +455,8 @@ func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
 	if n := cc.Metrics().RebalanceErrors.Load(); n != 1 {
 		t.Fatalf("cluster_rebalance_errors_total %d after one failed pass, want 1", n)
 	}
-	if n := cc.Metrics().RemirrorsOwed.Load(); n != 1 {
-		t.Fatalf("failed pass left %d re-mirrors owed, want its move still owed", n)
+	if n := cc.Metrics().RemirrorsOwed.Load(); n == 0 {
+		t.Fatal("failed pass left no extent owed")
 	}
 	nodes[src].dead.Store(false)
 	if _, err := cc.Rebalance(); err != nil {
@@ -457,16 +467,27 @@ func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
 	}
 	// Every re-homed extent is dual-homed again with the data on both homes.
 	m := cc.Map()
-	for _, mv := range moves {
-		addr := uint64(mv.Extent) * cc.ExtentBytes()
-		pri, mir := m.Extent(mv.Extent)
+	for _, e := range moved {
+		addr := uint64(e) * cc.ExtentBytes()
+		pri, mir := m.Extent(e)
 		for _, n := range []int{pri, mir} {
 			got, err := nodes[n].cl.ReadSync(addr, 64)
 			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("extent %d replica on node %d missing after retried rebalance: %v", mv.Extent, n, err)
+				t.Fatalf("extent %d replica on node %d missing after retried rebalance: %v", e, n, err)
 			}
 		}
 	}
+}
+
+// movedFrom lists, in extent order, the extents that node held in old.
+func movedFrom(old *Map, node int) []int {
+	var moved []int
+	for e := 0; e < old.Extents(); e++ {
+		if p, q := old.Extent(e); p == node || q == node {
+			moved = append(moved, e)
+		}
+	}
+	return moved
 }
 
 // TestClusterReadEvictionLeavesRemirrorOwed: the eviction a read failover
@@ -476,20 +497,16 @@ func TestClusterRebalanceFailureSurfacedAndRetried(t *testing.T) {
 func TestClusterReadEvictionLeavesRemirrorOwed(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	want := pattern(64, 19)
-	for e := 0; e < cc.Map().Extents(); e++ {
-		if err := rmem.WriteSync(cc, uint64(e)*cc.ExtentBytes(), want); err != nil {
-			t.Fatalf("seed extent %d: %v", e, err)
-		}
-	}
+	seedAll(t, cc, want)
 	const dead = 2
 	old := cc.Map()
 	nodes[dead].dead.Store(true)
 	if got, alive := readSeeing(t, cc, homedOn(t, cc, dead), 64, dead); alive || !bytes.Equal(got, want) {
 		t.Fatalf("read failing over from node %d: equal %v, node still in the map %v", dead, bytes.Equal(got, want), alive)
 	}
-	moves := diff(old, cc.Map(), cc.Map())
-	if len(moves) == 0 {
-		t.Fatal("no moves after the eviction")
+	moved := movedFrom(old, dead)
+	if len(moved) == 0 {
+		t.Fatal("no extents moved after the eviction")
 	}
 	// Routed reads sweep the address space; none of them fails over or
 	// re-mirrors.
@@ -502,15 +519,19 @@ func TestClusterReadEvictionLeavesRemirrorOwed(t *testing.T) {
 	if n := cc.Metrics().Failovers.Load(); n != 1 {
 		t.Fatalf("cluster_failover_total %d after the sweep, want only the evicting read's", n)
 	}
-	if n := cc.Metrics().RemirrorsOwed.Load(); n != 1 {
-		t.Fatalf("cluster_remirrors_owed %d after 100 routed reads, want the eviction still owed", n)
+	if n := cc.Metrics().RemirrorsOwed.Load(); n != int64(len(moved)) {
+		t.Fatalf("cluster_remirrors_owed %d after 100 routed reads, want the eviction's %d extents still owed", n, len(moved))
 	}
 	zero := make([]byte, len(want))
-	for _, mv := range moves {
-		for _, n := range mv.To {
-			got, err := nodes[n].cl.ReadSync(uint64(mv.Extent)*cc.ExtentBytes(), 64)
+	for _, e := range moved {
+		p, q := old.Extent(e)
+		for _, n := range pair(cc.Map(), e) {
+			if n == p || n == q {
+				continue
+			}
+			got, err := nodes[n].cl.ReadSync(uint64(e)*cc.ExtentBytes(), 64)
 			if err != nil || !bytes.Equal(got, zero) {
-				t.Fatalf("extent %d's new holder %d holds %x..., %v before Rebalance; want zeros", mv.Extent, n, got[:min(4, len(got))], err)
+				t.Fatalf("extent %d's new holder %d holds %x..., %v before Rebalance; want zeros", e, n, got[:min(4, len(got))], err)
 			}
 		}
 	}
@@ -520,27 +541,26 @@ func TestClusterReadEvictionLeavesRemirrorOwed(t *testing.T) {
 	if n := cc.Metrics().RemirrorsOwed.Load(); n != 0 {
 		t.Fatalf("rebalance left %d re-mirrors owed", n)
 	}
-	m := cc.Map()
-	for _, mv := range moves {
-		pri, mir := m.Extent(mv.Extent)
-		for _, n := range []int{pri, mir} {
-			got, err := nodes[n].cl.ReadSync(uint64(mv.Extent)*cc.ExtentBytes(), 64)
+	for _, e := range moved {
+		for _, n := range pair(cc.Map(), e) {
+			got, err := nodes[n].cl.ReadSync(uint64(e)*cc.ExtentBytes(), 64)
 			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("extent %d replica on node %d missing after rebalance: %v", mv.Extent, n, err)
+				t.Fatalf("extent %d replica on node %d missing after rebalance: %v", e, n, err)
 			}
 		}
 	}
 }
 
+// pair is extent e's (primary, mirror) under m.
+func pair(m *Map, e int) [2]int {
+	p, q := m.Extent(e)
+	return [2]int{p, q}
+}
+
 func TestClusterRebalanceRemirrors(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
-	// Seed every extent with a known pattern through the cluster.
 	want := pattern(64, 11)
-	for e := 0; e < cc.Map().Extents(); e++ {
-		if err := rmem.WriteSync(cc, uint64(e)*cc.ExtentBytes(), want); err != nil {
-			t.Fatalf("seed extent %d: %v", e, err)
-		}
-	}
+	seedAll(t, cc, want)
 	const dead = 2
 	nodes[dead].dead.Store(true)
 	if err := cc.MarkDead(dead); err != nil {
@@ -855,15 +875,17 @@ func TestClusterFlappedReplicaIsEvicted(t *testing.T) {
 
 // TestClusterFlapThenDeathKeepsAckedWrite: a flap and one later death must
 // not lose an acked write. Write A; darken the primary and write B, which
-// only the mirror acks; bring the primary back; then kill the mirror. The
-// flapped primary was evicted by the write it missed, so the rebalance
-// copies B from the mirror before the mirror goes, and the read returns B.
+// only the mirror acks; bring the primary back; then the mirror, the last
+// holder of B, leaves the map. The flapped primary was evicted by the write
+// it missed, so write W is refused rather than acked by the two uncopied
+// holders, the rebalance copies B from the mirror that left, and the read
+// returns B.
 func TestClusterFlapThenDeathKeepsAckedWrite(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	addr := uint64(11 * testExtentBytes)
 	e, _ := cc.Map().Locate(addr)
 	pri, mir := cc.Map().Extent(e)
-	a, b := pattern(64, 31), pattern(64, 37)
+	a, b, w := pattern(64, 31), pattern(64, 37), pattern(64, 43)
 	if err := rmem.WriteSync(cc, addr, a); err != nil {
 		t.Fatalf("write A: %v", err)
 	}
@@ -874,6 +896,9 @@ func TestClusterFlapThenDeathKeepsAckedWrite(t *testing.T) {
 	nodes[pri].dead.Store(false)
 	if err := cc.MarkDead(mir); err != nil {
 		t.Fatal(err)
+	}
+	if err := rmem.WriteSync(cc, addr, w); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("write W with B's last holder out of the map: %v, want ErrNoReplica", err)
 	}
 	if st, err := cc.Rebalance(); err != nil || st.Lost != 0 {
 		t.Fatalf("rebalance after the mirror's death: %+v, %v", st, err)
@@ -936,14 +961,17 @@ func TestClusterRejoinBeforeRebalanceReadsAckedWrite(t *testing.T) {
 // holder that awaits its copy. Write A; darken the primary and write B,
 // which evicts it: the old mirror is promoted and a new, uncopied mirror
 // joins the extent. Darken the promoted primary too. Its only other holder
-// holds zeros, so reads and RMWs fail instead of returning them; once the
-// primary answers again and Rebalance has copied B in, the read returns B.
+// holds zeros, so reads and RMWs fail instead of returning them. Write C
+// reaches only the uncopied holder, whose ack alone acks nothing: the write
+// fails and evicts no one, since Rebalance would copy B over C. Once the
+// promoted primary answers again and Rebalance has copied B in, both
+// holders hold B.
 func TestClusterFailoverIntoUncopiedHolderFails(t *testing.T) {
 	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
 	addr := uint64(11 * testExtentBytes)
 	e, _ := cc.Map().Locate(addr)
 	pri, mir := cc.Map().Extent(e)
-	a, b := pattern(64, 31), pattern(64, 37)
+	a, b, c := pattern(64, 31), pattern(64, 37), pattern(64, 47)
 	if err := rmem.WriteSync(cc, addr, a); err != nil {
 		t.Fatalf("write A: %v", err)
 	}
@@ -962,45 +990,62 @@ func TestClusterFailoverIntoUncopiedHolderFails(t *testing.T) {
 	if v, err := rmem.RMWSync(cc, addr, memctl.OpFetchAdd, 0); err == nil {
 		t.Fatalf("fetch-add with only the uncopied holder %d answering returned %#x, nil", q, v)
 	}
-	nodes[mir].dead.Store(false)
-	if _, err := cc.Rebalance(); err != nil {
-		t.Fatalf("rebalance: %v", err)
+	if err := rmem.WriteSync(cc, addr, c); !errors.Is(err, wire.ErrTimeout) {
+		t.Fatalf("write C acked only by the uncopied holder %d: %v, want a wire.ErrTimeout", q, err)
 	}
-	if got, err := rmem.ReadSync(cc, addr, 64); err != nil || !bytes.Equal(got, b) {
-		t.Fatalf("read after Rebalance: %x..., %v; want B %x...", got[:min(4, len(got))], err, b[:4])
+	if !cc.Map().Alive(mir) {
+		t.Fatalf("node %d, B's only in-sync holder, was evicted by a write no in-sync node acked", mir)
+	}
+	nodes[mir].dead.Store(false)
+	if st, err := cc.Rebalance(); err != nil || st.Lost != 0 {
+		t.Fatalf("rebalance: %+v, %v", st, err)
+	}
+	for _, n := range []int{p, q} {
+		if got, err := nodes[n].cl.ReadSync(addr, 64); err != nil || !bytes.Equal(got, b) {
+			t.Fatalf("node %d after Rebalance: %x..., %v; want B %x...", n, got[:min(4, len(got))], err, b[:4])
+		}
 	}
 }
 
-// TestClusterNoInSyncHolderFailsWithoutIssue: when both holders of an
-// extent await their copy, a read fails with ErrNoReplica at once, and a
-// write still reaches both.
+// TestClusterNoInSyncHolderFailsWithoutIssue: write A; both holders of the
+// extent then leave the map while they still answer, so both new holders
+// await their copy and no node in the map holds A. A read and a write both
+// fail with ErrNoReplica at once: a write the uncopied holders acked would
+// be overwritten by Rebalance's copy. Rebalance copies A from the holder
+// that left, and the extent serves again.
 func TestClusterNoInSyncHolderFailsWithoutIssue(t *testing.T) {
-	cc, nodes := newTestCluster(t, 4, Config{Seed: 42})
+	cc, _ := newTestCluster(t, 4, Config{Seed: 42})
 	addr := uint64(11 * testExtentBytes)
 	e, _ := cc.Map().Locate(addr)
 	pri, mir := cc.Map().Extent(e)
-	if err := cc.MarkDead(pri); err != nil {
-		t.Fatal(err)
+	a, b := pattern(64, 31), pattern(64, 41)
+	if err := rmem.WriteSync(cc, addr, a); err != nil {
+		t.Fatalf("write A: %v", err)
 	}
-	if err := cc.MarkDead(mir); err != nil {
-		t.Fatal(err)
+	for _, n := range []int{pri, mir} {
+		if err := cc.MarkDead(n); err != nil {
+			t.Fatal(err)
+		}
 	}
 	p, q := cc.Map().Extent(e)
 	before := nodeOps(cc)
 	if _, err := rmem.ReadSync(cc, addr, 64); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("read with both holders %d/%d uncopied: err %v, want ErrNoReplica", p, q, err)
 	}
+	if err := rmem.WriteSync(cc, addr, b); !errors.Is(err, ErrNoReplica) {
+		t.Fatalf("write with both holders %d/%d uncopied: err %v, want ErrNoReplica", p, q, err)
+	}
 	if n := nodeOps(cc) - before; n != 0 {
-		t.Fatalf("the refused read issued %d node requests", n)
+		t.Fatalf("the refused ops issued %d node requests", n)
 	}
-	b := pattern(64, 41)
+	if st, err := cc.Rebalance(); err != nil || st.Lost != 0 {
+		t.Fatalf("rebalance: %+v, %v", st, err)
+	}
+	if got, err := rmem.ReadSync(cc, addr, 64); err != nil || !bytes.Equal(got, a) {
+		t.Fatalf("read after Rebalance: %x..., %v; want A %x...", got[:min(4, len(got))], err, a[:4])
+	}
 	if err := rmem.WriteSync(cc, addr, b); err != nil {
-		t.Fatalf("write to the uncopied holders: %v", err)
-	}
-	for _, n := range []int{p, q} {
-		if got, err := nodes[n].cl.ReadSync(addr, 64); err != nil || !bytes.Equal(got, b) {
-			t.Fatalf("holder %d missed the write: %x..., %v", n, got[:min(4, len(got))], err)
-		}
+		t.Fatalf("write after Rebalance: %v", err)
 	}
 }
 
@@ -1051,11 +1096,8 @@ func TestClusterOwedRemirrorAfterDeath(t *testing.T) {
 			if err != nil || st.Lost != wantLost {
 				t.Fatalf("rebalance after node %d died: %+v, %v; want lost %d", victim, st, err, wantLost)
 			}
-			cc.mu.Lock()
-			owed := len(cc.owed)
-			cc.mu.Unlock()
-			if owed != 0 {
-				t.Fatalf("%d re-mirrors still owed", owed)
+			if owed := cc.Metrics().RemirrorsOwed.Load(); owed != 0 {
+				t.Fatalf("%d extents still owed", owed)
 			}
 			if dies == "source" {
 				return
@@ -1092,11 +1134,7 @@ func TestClusterTwoAliveKeepsMissedNode(t *testing.T) {
 	cc, nodes := newTestCluster(t, 3, Config{Seed: 42})
 	const a, b = 0, 1
 	want := pattern(64, 47)
-	for e := 0; e < cc.Map().Extents(); e++ {
-		if err := rmem.WriteSync(cc, uint64(e)*cc.ExtentBytes(), want); err != nil {
-			t.Fatalf("seed extent %d: %v", e, err)
-		}
-	}
+	seedAll(t, cc, want)
 	nodes[a].dead.Store(true)
 	if _, alive := readSeeing(t, cc, homedOn(t, cc, a), 64, a); alive {
 		t.Fatalf("node %d not evicted while three nodes were alive", a)
@@ -1178,5 +1216,90 @@ func TestClusterReadCallbackKeepsData(t *testing.T) {
 	})
 	if err != nil || !nested {
 		t.Fatalf("outer read %v, nested read completed intact %v", err, nested)
+	}
+}
+
+// TestClusterJoinThenDeathKeepsAckedWrite: a rejoin displaces a holder that
+// still has every acked write, and the rejoined node has none until its
+// copy. Node k leaves and is re-mirrored, then rejoins; an extent it takes
+// back gets write X; then the extent's other target leaves and Rebalance
+// runs. The displaced holder took X in the uncopied node's place, so the
+// read returns X, not the bytes from before it.
+func TestClusterJoinThenDeathKeepsAckedWrite(t *testing.T) {
+	for _, nodesN := range []int{4, 3} {
+		t.Run(fmt.Sprintf("%d nodes", nodesN), func(t *testing.T) {
+			cc, _ := newTestCluster(t, nodesN, Config{Seed: 42})
+			a, x := pattern(64, 51), pattern(64, 53)
+			seedAll(t, cc, a)
+			k := nodesN - 1
+			if err := cc.MarkDead(k); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cc.Rebalance(); err != nil {
+				t.Fatalf("rebalance after node %d left: %v", k, err)
+			}
+			before := cc.Map()
+			if err := cc.Rejoin(k); err != nil {
+				t.Fatal(err)
+			}
+			e, other := -1, -1
+			for i := 0; i < before.Extents() && e < 0; i++ {
+				p, q := cc.Map().Extent(i)
+				bp, bq := before.Extent(i)
+				if (p == k || q == k) && (p == bp || p == bq || q == bp || q == bq) {
+					e, other = i, p+q-k
+				}
+			}
+			if e < 0 {
+				t.Fatalf("node %d took back no extent that kept a holder", k)
+			}
+			addr := uint64(e) * cc.ExtentBytes()
+			if err := rmem.WriteSync(cc, addr, x); err != nil {
+				t.Fatalf("write X to extent %d: %v", e, err)
+			}
+			if err := cc.MarkDead(other); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := cc.Rebalance(); err != nil || st.Lost != 0 {
+				t.Fatalf("rebalance after node %d left: %+v, %v", other, st, err)
+			}
+			if got, err := rmem.ReadSync(cc, addr, 64); err != nil || !bytes.Equal(got, x) {
+				t.Fatalf("extent %d read %x..., %v; want X %x... (before it: %x...)", e, got[:min(4, len(got))], err, x[:4], a[:4])
+			}
+		})
+	}
+}
+
+// TestClusterRebalanceFallsBackToOtherSource: 3 nodes. Node 0 is evicted by
+// a read failover and re-mirrored; node 1 goes dark; node 0 rejoins. Its
+// copy-in falls back from dark node 1 to node 2, which holds every extent,
+// so the pass succeeds and every extent reads back.
+func TestClusterRebalanceFallsBackToOtherSource(t *testing.T) {
+	cc, nodes := newTestCluster(t, 3, Config{Seed: 42})
+	want := pattern(64, 59)
+	seedAll(t, cc, want)
+	nodes[0].dead.Store(true)
+	if _, alive := readSeeing(t, cc, homedOn(t, cc, 0), 64, 0); alive {
+		t.Fatal("node 0 not evicted by the read failover")
+	}
+	if _, err := cc.Rebalance(); err != nil {
+		t.Fatalf("rebalance after node 0 left: %v", err)
+	}
+	nodes[0].dead.Store(false)
+	nodes[1].dead.Store(true)
+	if err := cc.Rejoin(0); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cc.Rebalance(); err != nil || st.Lost != 0 {
+		t.Fatalf("rebalance with node 1 dark: %+v, %v", st, err)
+	}
+	failed := 0
+	for e := 0; e < cc.Map().Extents(); e++ {
+		if got, err := rmem.ReadSync(cc, uint64(e)*cc.ExtentBytes(), 64); err != nil || !bytes.Equal(got, want) {
+			failed++
+		}
+	}
+	if failed != 0 {
+		t.Fatalf("%d of %d extents failed their reads, though node 2 holds them all", failed, cc.Map().Extents())
 	}
 }

@@ -4,7 +4,7 @@
 // a primary and a mirror node (never the same node), writes go through to
 // both, and reads fail over to the mirror when the primary's retry budget
 // runs out. The assignment is a versioned, seed-deterministic rendezvous
-// hash, so joins and leaves move only the extents that must move and every
+// hash, so joins and leaves reassign only the extents they must and every
 // routing decision is stamped with the map epoch that produced it.
 //
 // The client has one pipeline for the three request kinds. An op is cut
@@ -24,19 +24,27 @@
 //	anything else     fatal               fatal                      fatal
 //
 // A re-issue that fails inline is fatal. An op succeeds when no outcome was
-// fatal and every segment was acked by at least one replica; a segment that
-// was re-routed, or acked by one replica and missed by the other, counts
-// one cluster_failover_total. A replica miss on a segment that another
-// replica answered evicts the replica that missed before the op's callback
-// fires, whatever the op kind: no later op waits out its retry budget, and
-// no later read reaches a copy that missed a write. That is the client's one
-// eviction rule, so a node whose partner does not answer either stays in the
-// map. With only two nodes alive the replica cannot be evicted: a write, an
-// RMW or a write-through then fails, while a read still returns its data.
-// Every map change's re-mirror waits for the caller's Rebalance, which must
-// run while no routed op is in flight. Until then the holders it has still
-// to copy to take writes but serve no read, RMW or failover: an op with no
-// in-sync replica answering fails.
+// fatal and every segment was acked by at least one in-sync replica; a
+// segment that was re-routed, or acked by one replica and missed by the
+// other, counts one cluster_failover_total. A replica miss on a segment
+// that an in-sync replica acked evicts the replica that missed before the
+// op's callback fires, whatever the op kind: no later op waits out its
+// retry budget, and no later read reaches a copy that missed a write. That
+// is the client's one eviction rule, so a node whose partner does not answer
+// either stays in the map. With only two nodes alive the replica cannot be
+// evicted: a write, an RMW or a write-through then fails, while a read still
+// returns its data.
+//
+// Routing, failover and Rebalance read one replica record: for each extent,
+// the two nodes its routed ops go to, primary first, and whether each holds
+// every acked write. Every map change rebuilds it from the old record, and
+// the caller's Rebalance, run while no routed op is in flight, copies each
+// extent to the map's pair. Until then a new or returning holder takes
+// writes but serves no read, RMW or failover, and its ack alone acks
+// nothing; a displaced node that holds every acked write takes its place
+// while it is still in the map; and an extent whose last such node has left
+// the map serves nothing, writes included. An op with no in-sync replica
+// answering fails.
 //
 // Atomicity caveats: a split op is not atomic across extents; an RMW is
 // atomic only on its primary, the mirror's copy being a write-through that
@@ -221,17 +229,6 @@ func (m *Map) Nodes() int { return len(m.alive) }
 // Alive reports whether node is in the alive set.
 func (m *Map) Alive(node int) bool { return node >= 0 && node < len(m.alive) && m.alive[node] }
 
-// AliveCount is the number of alive nodes.
-func (m *Map) AliveCount() int {
-	n := 0
-	for _, a := range m.alive {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
 // Locate maps an address to its extent index.
 //
 //edmlint:hotpath one lookup per routed segment
@@ -246,47 +243,3 @@ func (m *Map) Locate(addr uint64) (int, error) {
 //
 //edmlint:hotpath one lookup per routed segment
 func (m *Map) Extent(e int) (primary, mirror int) { return m.primary[e], m.mirror[e] }
-
-// Move describes one extent whose replica set changed between two maps:
-// From is a surviving holder to copy from (-1 when both old holders are
-// gone — the data for that extent is lost), To are the nodes that must
-// receive a copy.
-type Move struct {
-	Extent int
-	From   int
-	To     []int
-}
-
-// diff computes, in extent order, the copies that bring replica placement
-// up to date with the change from old to cur, replayed when later changes
-// may have left the active map now. A copy goes only to a new holder of cur
-// that still holds the extent in now, so a holder a later change took back
-// gets nothing; a copy source still in now is preferred to one that has
-// left it since. Only extents with at least one such new holder appear.
-func diff(old, cur, now *Map) []Move {
-	var moves []Move
-	for e := range cur.primary {
-		op, om := old.primary[e], old.mirror[e]
-		np, nm := now.primary[e], now.mirror[e]
-		var to []int
-		for _, n := range []int{cur.primary[e], cur.mirror[e]} {
-			if n != op && n != om && (n == np || n == nm) {
-				to = append(to, n)
-			}
-		}
-		if len(to) == 0 {
-			continue
-		}
-		// Prefer the old primary as the copy source; it has the
-		// authoritative value even if a mirror write was lost. The mirror
-		// wins only when it is still in now and the primary is not.
-		from := -1
-		for _, n := range []int{op, om} {
-			if cur.Alive(n) && (from < 0 || now.Alive(n) && !now.Alive(from)) {
-				from = n
-			}
-		}
-		moves = append(moves, Move{Extent: e, From: from, To: to})
-	}
-	return moves
-}

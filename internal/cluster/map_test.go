@@ -152,49 +152,89 @@ func TestMapLeaveTooFew(t *testing.T) {
 	}
 }
 
-func TestMapDiff(t *testing.T) {
+// TestReplicaRecord walks the record's rules through a leave, a rejoin and
+// the leave of an extent's last in-sync holder, extent by extent against the
+// maps' pairs.
+func TestReplicaRecord(t *testing.T) {
 	m := newTestMap(t, 42, 8)
 	const dead = 3
-	m2, err := m.Leave(dead)
+	synced, owed := record(nil, m)
+	if owed != 0 {
+		t.Fatalf("fresh record owes %d extents", owed)
+	}
+	m1, err := m.Leave(dead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	moves := diff(m, m2, m2)
-	if len(moves) == 0 {
-		t.Fatal("no moves after a leave")
-	}
-	byExtent := map[int]Move{}
-	for _, mv := range moves {
-		byExtent[mv.Extent] = mv
-	}
+	// A leave: the surviving holder is primary and in sync, the new holder
+	// awaits its copy; extents the node did not hold keep their pair.
+	left, owed := record(synced, m1)
+	moved := 0
 	for e := 0; e < m.Extents(); e++ {
-		op, om := m.Extent(e)
-		np, nm := m2.Extent(e)
-		mv, ok := byExtent[e]
-		if op != dead && om != dead {
-			if ok {
-				t.Fatalf("extent %d in diff but did not move", e)
+		p, q := m.Extent(e)
+		np, nq := m1.Extent(e)
+		r := left[e]
+		if p != dead && q != dead {
+			if r != (replicas{node: [2]int{np, nq}, in: true}) {
+				t.Fatalf("extent %d on %d/%d, untouched by the leave: record %+v", e, np, nq, r)
 			}
 			continue
 		}
-		if !ok {
-			t.Fatalf("extent %d lost node %d but not in diff", e, dead)
+		moved++
+		survivor := p
+		if p == dead {
+			survivor = q
 		}
-		// The source must be a surviving old holder, preferring the primary.
-		wantFrom := om
-		if op != dead {
-			wantFrom = op
+		if r.node[0] != survivor || r.in || r.out || (r.node[1] != np && r.node[1] != nq) || r.node[1] == survivor {
+			t.Fatalf("extent %d %d/%d -> %d/%d: record %+v, want survivor %d first and the new holder uncopied", e, p, q, np, nq, r, survivor)
 		}
-		if mv.From != wantFrom {
-			t.Fatalf("extent %d: copy from %d, want surviving holder %d", e, mv.From, wantFrom)
+	}
+	if moved == 0 || owed != moved {
+		t.Fatalf("owed %d after a leave that moved %d extents", owed, moved)
+	}
+	// A rejoin once every extent is in sync on m1: the returning node
+	// awaits its copy, and the holder it displaces keeps its place.
+	m2, err := m1.Join(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	synced1, _ := record(nil, m1)
+	joined, owed := record(synced1, m2)
+	if owed != moved {
+		t.Fatalf("owed %d after the rejoin, want the %d extents it takes back", owed, moved)
+	}
+	for e := 0; e < m.Extents(); e++ {
+		r, was := joined[e], synced1[e]
+		if p, q := m2.Extent(e); p != dead && q != dead {
+			continue
 		}
-		for _, to := range mv.To {
-			if to == op || to == om {
-				t.Fatalf("extent %d: copy to %d, already a holder", e, to)
-			}
-			if to != np && to != nm {
-				t.Fatalf("extent %d: copy to %d, not a new holder (%d,%d)", e, to, np, nm)
-			}
+		if !r.in || r.out || r.node[0] == dead || r.node[1] == dead || !was.holds(r.node[0]) || !was.holds(r.node[1]) {
+			t.Fatalf("extent %d after the rejoin: record %+v, want its in-sync pair %+v kept", e, r, was.node)
 		}
+	}
+	// The last in-sync holder leaves before the copy: the extent serves
+	// nothing, and the holder that left is the only source.
+	for e := 0; e < m.Extents(); e++ {
+		r := left[e]
+		if r.in {
+			continue
+		}
+		m3, err := m1.Leave(r.node[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := record(left, m3)
+		if want := (replicas{node: [2]int{r.node[0], -1}, out: true}); rec[e] != want {
+			t.Fatalf("extent %d after its last in-sync holder left: %+v, want %+v", e, rec[e], want)
+		}
+		// Its return puts it back in sync.
+		m4, err := m3.Join(r.node[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, _ := record(rec, m4); back[e].out || !back[e].holds(r.node[0]) {
+			t.Fatalf("extent %d after node %d's return: %+v", e, r.node[0], back[e])
+		}
+		break
 	}
 }

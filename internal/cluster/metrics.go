@@ -28,11 +28,13 @@ type Metrics struct {
 	RebalanceExtents *telemetry.Counter
 	RebalanceBytes   *telemetry.Counter
 	RebalanceNS      *telemetry.Histogram
-	// RebalanceErrors counts failed Rebalance passes. Each leaves its
-	// re-mirror owed to the next call; RemirrorsOwed shows what is left.
+	// RebalanceErrors counts failed Rebalance passes. Each leaves the
+	// extents it did not copy owed to the next call; RemirrorsOwed shows
+	// how many.
 	RebalanceErrors *telemetry.Counter
-	// RemirrorsOwed is the number of map changes whose re-mirror has not
-	// run yet. Non-zero means some extents may still be single-homed.
+	// RemirrorsOwed is the number of extents not yet on the map's pair in
+	// sync: each has a holder that awaits its copy, or no node in the map
+	// that holds its acked writes. Rebalance takes it to zero.
 	RemirrorsOwed *telemetry.Gauge
 }
 

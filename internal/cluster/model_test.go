@@ -24,7 +24,9 @@ const (
 // memctl.Controller, the same word semantics the nodes run): a read returns
 // the slab's bytes, an RMW the slab's result, nothing fails while at most
 // one node is down. The script kills one node, the driver evicts it and
-// re-mirrors a few ops later, and the script may let it rejoin. It may also
+// re-mirrors a few ops later, and the script may let it rejoin. While that
+// rejoin's copy-in is pending it may kill a second node, whose eviction's
+// re-mirror runs the copy-in too; one node is down at a time. It may also
 // flap a node while every node is in the map: dark for a few ops, never
 // evicted by the model (the client evicts it if it misses a write), then back
 // and rejoined. A rejoin's copy-in may wait a few ops, which route while
@@ -39,6 +41,7 @@ type clusterModel struct {
 	sums  map[uint64]uint64 // counter word -> acked fetch-add total
 
 	down    int // the killed node, -1 before the kill
+	kills   int // nodes killed
 	evictIn int // ops left until the driver evicts it; -1: not pending
 	healed  bool
 	rejoin  bool
@@ -50,8 +53,9 @@ type clusterModel struct {
 	flaps    int // flaps ended
 	flapOuts int // flapped nodes the client evicted
 
-	syncIn  int // ops left until the owed copy-in runs; -1: none pending
-	unsyncd int // ops routed while a copy-in was pending
+	syncIn  int  // ops left until the owed copy-in runs; -1: none pending
+	joining bool // the pending copy-in is the killed node's rejoin
+	unsyncd int  // ops routed while a copy-in was pending
 }
 
 func newClusterModel(t testing.TB) *clusterModel {
@@ -111,7 +115,7 @@ func (m *clusterModel) sync() {
 	if st, err := m.cc.Rebalance(); err != nil || st.Lost != 0 {
 		m.t.Fatalf("re-mirror: %+v, %v", st, err)
 	}
-	m.syncIn = -1
+	m.syncIn, m.joining = -1, false
 }
 
 // syncAfter runs the owed re-mirrors now (ops 0) or after ops more ops.
@@ -139,17 +143,24 @@ func (m *clusterModel) evict() {
 // is pending; the flapped node's copy-in waits (c>>1)%8 ops once it is back.
 // Otherwise the first kills a node (evicted 0..7 ops later), when none is
 // flapping and no copy-in is pending, and the next one after the eviction
-// lets it rejoin, with its copy-in b%8 ops later.
+// lets it rejoin, with its copy-in b%8 ops later. One more, while that
+// copy-in is pending, kills node a if it is another node (evicted 0..7 ops
+// later); the eviction's re-mirror takes over the copy-in.
 func (m *clusterModel) member(a, b, c byte) {
 	m.t.Helper()
 	switch {
 	case c%2 == 1:
-		if m.flapped < 0 && m.syncIn < 0 && (m.down < 0 || m.rejoin) {
+		if m.flapped < 0 && m.syncIn < 0 && (m.down < 0 || m.rejoin && m.healed) {
 			m.flapped, m.flapFor, m.flapSync = int(a)%modelNodes, 1+int(b)%8, int(c>>1)%8
 			m.nodes[m.flapped].dead.Store(true)
 		}
+	case m.joining && m.kills == 1 && int(a)%modelNodes != m.down:
+		m.kills++
+		m.down, m.evictIn, m.healed, m.syncIn, m.joining = int(a)%modelNodes, int(b)%8, false, -1, false
+		m.nodes[m.down].dead.Store(true)
 	case m.flapped >= 0 || m.syncIn >= 0: // no kill while a node is dark or unsynced
 	case m.down < 0:
+		m.kills++
 		m.down, m.evictIn = int(a)%modelNodes, int(b)%8
 		m.nodes[m.down].dead.Store(true)
 	case m.healed && !m.rejoin:
@@ -159,6 +170,7 @@ func (m *clusterModel) member(a, b, c byte) {
 			m.t.Fatalf("rejoin node %d: %v", m.down, err)
 		}
 		m.syncAfter(int(b) % 8)
+		m.joining = m.syncIn >= 0
 	}
 }
 
@@ -347,6 +359,10 @@ func FuzzClusterModel(f *testing.F) {
 	// A flap of node 1 for four ops, with writes that miss it.
 	f.Add([]byte{7, 1, 3, 1, 2, 0, 16, 200, 3, 2, 0, 255, 6, 3, 70, 200, 4, 0, 8, 9, 0, 0, 0, 255, 1, 2, 0, 255})
 	f.Add(rejoinScript())
+	// A second kill of each node, after the first kill of another.
+	for victim, first := range [modelNodes]byte{1, 0, 0, 0} {
+		f.Add(secondKillScript(first, byte(victim)))
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		m := newClusterModel(t)
 		m.run(script)
@@ -365,6 +381,32 @@ func rejoinScript() []byte {
 	}
 	script = append(script, 7, 0, 7, 0)
 	for _, a := range []byte{0, 3, 6, 9, 12, 13} {
+		script = append(script, 6, a, 0, 255)
+	}
+	return script
+}
+
+// secondKillScript kills node first and evicts it, writes every
+// byte below the counters, rejoins it with its copy-in seven ops away, and
+// writes every extent again in five ops that cross extent boundaries. Then
+// it kills victim and writes every extent in the seven ops before the
+// driver's eviction, which re-mirrors everything owed, and reads the whole
+// space back.
+func secondKillScript(first, victim byte) []byte {
+	script := []byte{7, first, 0, 0}
+	for a := byte(0); a < modelCounters/256; a++ {
+		script = append(script, 2, a, 0, 255)
+	}
+	script = append(script, 7, 0, 7, 0)
+	for _, a := range []byte{0, 3, 6, 9, 12} {
+		script = append(script, 6, a, 64, 255)
+	}
+	script = append(script, 7, victim, 7, 0)
+	for _, a := range []byte{0, 3, 6, 9, 12} {
+		script = append(script, 6, a, 64|5, 255)
+	}
+	script = append(script, 2, 0, 9, 255, 2, 1, 9, 255)
+	for _, a := range []byte{0, 3, 6, 9, 12} {
 		script = append(script, 6, a, 0, 255)
 	}
 	return script

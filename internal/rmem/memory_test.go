@@ -1,11 +1,9 @@
 package rmem_test
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/memctl"
 	"repro/internal/rmem"
 	"repro/internal/sim"
@@ -34,21 +32,6 @@ func loopNode(t testing.TB, clock *wire.VirtualClock) *rmem.Client {
 	return cl
 }
 
-// loopCluster fronts n loopback nodes with a cluster client whose extents
-// are small enough that seededOps straddles them.
-func loopCluster(t testing.TB, clock *wire.VirtualClock, n int) *cluster.Client {
-	t.Helper()
-	nodes := make([]*rmem.Client, n)
-	for i := range nodes {
-		nodes[i] = loopNode(t, clock)
-	}
-	cc, err := cluster.New(nodes, cluster.Config{Seed: 1, ExtentBytes: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cc
-}
-
 // seededOps draws n ops over a small region, so reads land on written and
 // unwritten words alike, with sizes that end mid-word.
 func seededOps(seed uint64, n int) ([]workload.Op, []uint64) {
@@ -60,52 +43,6 @@ func seededOps(seed uint64, n int) ([]workload.Op, []uint64) {
 		addrs[i] = (st.Uint64() % (64 << 10)) &^ 7
 	}
 	return ops, addrs
-}
-
-// TestReplaySameThroughBothClients runs one seeded op list through the
-// replay over a single loopback client and over a 4-node loopback cluster:
-// as rmem.Memory they must be indistinguishable in outcome and in data.
-func TestReplaySameThroughBothClients(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		seed uint64
-		n    int
-	}{{"short", 1, 50}, {"mixed", 7, 2000}} {
-		t.Run(tc.name, func(t *testing.T) {
-			ops, addrs := seededOps(tc.seed, tc.n)
-			var images [2][]byte
-			var outcomes [2][]rmem.OpResult
-			for k, mk := range []func(*wire.VirtualClock) rmem.Memory{
-				func(c *wire.VirtualClock) rmem.Memory { return loopNode(t, c) },
-				func(c *wire.VirtualClock) rmem.Memory { return loopCluster(t, c, 4) },
-			} {
-				clock := wire.NewVirtualClock()
-				mem := mk(clock)
-				outcomes[k] = rmem.Replay(mem, ops, addrs, rmem.ReplayConfig{Window: 1, Now: clock.Now})
-				for a := uint64(0); a < 66<<10; a += 2048 {
-					chunk, err := rmem.ReadSync(mem, a, 2048)
-					if err != nil {
-						t.Fatal(err)
-					}
-					images[k] = append(images[k], chunk...)
-				}
-			}
-			for i := range ops {
-				if a, b := outcomes[0][i], outcomes[1][i]; a.Err != nil || b.Err != nil || a.Shed || b.Shed {
-					t.Fatalf("op %d (%+v @%#x): single %+v, cluster %+v", i, ops[i], addrs[i], a, b)
-				}
-				if outcomes[0][i].Latency <= 0 || outcomes[1][i].Latency < outcomes[0][i].Latency {
-					t.Fatalf("op %d: latency single %v cluster %v", i, outcomes[0][i].Latency, outcomes[1][i].Latency)
-				}
-			}
-			if !bytes.Equal(images[0], images[1]) {
-				t.Fatal("the two memories hold different data after the same replay")
-			}
-			if bytes.Equal(images[0], make([]byte, len(images[0]))) {
-				t.Fatal("replay wrote nothing")
-			}
-		})
-	}
 }
 
 // heldMemory completes ops inline, or queues their completions while hold

@@ -212,8 +212,8 @@ func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFault
 // re-mirrors what the client has evicted on its own since the driver's last
 // pass (recovery counts from the eviction). While a killed node awaits its
 // leave step, every pass waits, a step's own included: it would time out on
-// the dark node, which is still in the map. The map changes stay queued in
-// the client, and the next pass drains them.
+// the dark node, which is still in the map. The client's replica record
+// keeps the changes owed, and the next pass copies them.
 func (md *membership) apply(upTo sim.Time) {
 	for md.err == nil && md.next < len(md.steps) && md.steps[md.next].at <= upTo {
 		s := md.steps[md.next]

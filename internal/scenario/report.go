@@ -84,7 +84,7 @@ type ClusterReport struct {
 	Rebalances  int    // re-mirror passes after membership steps, evictions and rejoins; none while a killed node awaits its leave step
 	MovedBytes  uint64 // bytes copied to new extent holders
 	LostExtents int    // extents whose every holder died (should be 0)
-	Owed        int64  // map changes whose re-mirror had not run at the end (should be 0)
+	Owed        int64  // extents not on their map pair in sync at the end (should be 0)
 	// RecoveryUS summarizes, per pass, the virtual time from the failure
 	// to full re-mirroring: the spec's DetectDelay plus the measured
 	// rebalance duration (joins and the client's own evictions contribute
