@@ -193,9 +193,7 @@ func BenchmarkBulkRoundTrip(b *testing.B) {
 
 // BenchmarkUDPWindow32 is the real-socket rung: one session, window 32, 64 B
 // reads against an in-process wire.UDPServer on 127.0.0.1, so recvmmsg,
-// the ingress loop, the reply batch and sendmmsg are all on the path. The
-// name deliberately matches none of the bench gate's patterns: a kernel
-// round trip spreads wider than the gate's 15 %.
+// the ingress loop, the reply batch and sendmmsg are all on the path.
 func BenchmarkUDPWindow32(b *testing.B) { benchUDPWindow(b, 32) }
 
 // BenchmarkUDPWindow1 is the unloaded rung of the same path: one read in
