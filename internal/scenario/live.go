@@ -192,17 +192,27 @@ func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFault
 				memberStep{at: e.At + spec.DetectDelay, node: e.Node, kind: NodeLeave})
 		case NodeJoin:
 			md.steps = append(md.steps, memberStep{at: e.At, node: e.Node, kind: NodeJoin})
-			// A node with a pending join starts outside the membership, dark.
+			// A node with a pending join starts outside the membership.
 			md.out[e.Node] = true
-			fs.setDead(e.Node, true)
 			if err := cc.MarkDead(e.Node); err != nil {
 				return nil, fmt.Errorf("scenario %s: initial join set: %w", spec.Name, err)
 			}
 		}
 	}
 	sort.SliceStable(md.steps, func(i, j int) bool { return md.steps[i].at < md.steps[j].at })
-	// The pre-join nodes' changes stay owed until their joins, whose passes
-	// copy nothing for them: every holder they added has given it back.
+	// One set-up pass puts every extent on a pair of members before the
+	// first op: an extent whose first pair are both pre-join nodes would
+	// otherwise start with no in-sync holder in the map. The pre-join nodes
+	// are fresh and still answer here, so the pass copies from them; they go
+	// dark only after it. The report does not count it among its passes.
+	if _, err := cc.Rebalance(); err != nil {
+		return nil, fmt.Errorf("scenario %s: initial join set: %w", spec.Name, err)
+	}
+	for n, out := range md.out {
+		if out {
+			fs.setDead(n, true)
+		}
+	}
 	md.epoch = cc.Epoch()
 	return md, nil
 }
