@@ -201,6 +201,15 @@ func BenchmarkUDPWindow32(b *testing.B) { benchUDPWindow(b, 32) }
 // receivers' wait (polled inside wire's poll window, parked past it).
 func BenchmarkUDPWindow1(b *testing.B) { benchUDPWindow(b, 1) }
 
+// BenchmarkUDPWindow1OneP is BenchmarkUDPWindow1 under GOMAXPROCS 1, the
+// shape of the repository benchmark's load generator pinned to one CPU: the
+// issuer, the client's read loop and the server's one ingress loop share a
+// P, so when the read loop hands the P to the issuer it woke is on the path.
+func BenchmarkUDPWindow1OneP(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchUDPWindow(b, 1)
+}
+
 func benchUDPWindow(b *testing.B, window int) {
 	const size = 64
 	srv, err := NewServer(ServerConfig{Geometry: Geometry{SlabBytes: 1 << 24}})

@@ -134,10 +134,20 @@ func newUDPClient(conn *net.UDPConn) (*UDPClient, error) {
 // returns. The second yield is there because one Gosched is not a hand-off:
 // it puts the loop on the global run queue, which the scheduler serves ahead
 // of the woken issuer every 61st tick; the loop then resumes first, and the
-// issuer would send its refill uncorked, one datagram per request. A batch
-// of one message, and every later empty poll, yields uncorked: window-1
-// traffic pays nothing for the cork, and a lone request never waits for an
-// issuer's tail work.
+// issuer would send its refill uncorked, one datagram per request.
+//
+// After a batch of one message the loop yields the P once, uncorked, right
+// after the flush and before it polls again: the issuer that completion woke
+// (a window-1 caller waiting on its one op) sends its next request at once,
+// instead of after an empty recvmmsg and the empty poll's yield. With one P
+// the hand-off holds because the issuer woken from this goroutine waits on
+// the P's local queue and the yielding loop goes to the global one, served
+// first only on every 61st tick (then the issuer runs at the empty poll's
+// yield, as before). Uncorked,
+// that request leaves the moment Send is called, so neither the lone
+// request nor the issuer's tail work waits on the other; with nothing else
+// runnable the yield costs one pass through the scheduler. Every later empty
+// poll also yields uncorked.
 func (u *UDPClient) Run(deliver func([]byte)) {
 	r, err := newBatchReceiver(u.conn, false, u.rx)
 	if err != nil {
@@ -171,6 +181,9 @@ func (u *UDPClient) Run(deliver func([]byte)) {
 			runtime.Gosched()
 		}
 		u.tx.flush()
+		if msgs == 1 {
+			runtime.Gosched()
+		}
 	}
 }
 

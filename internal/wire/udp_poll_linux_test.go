@@ -311,6 +311,66 @@ func TestUDPRefillBundles(t *testing.T) {
 	}
 }
 
+// TestUDPLoneRefillBeforeNextPoll: with one P, an issuer that the
+// completion of a one-message batch woke sends its next request before Run
+// polls the socket again. A raw peer sends the client 50 plain datagrams,
+// one at a time, each after the request the previous one caused. The
+// client's deliver hands the empty-poll count to the waiting issuer, which
+// reads it again when it runs and then sends; an empty poll in between means
+// the request waited out an empty recvmmsg. The scheduler serves its global
+// run queue first on every 61st tick, so a few rounds may miss.
+func TestUDPLoneRefillBeforeNextPoll(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	sock, err := net.DialUDP("udp", nil, peer.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uc, err := newUDPClient(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uc.Close()
+
+	const rounds = 50
+	woke := make(chan uint64, 1) // the empty-poll count at delivery
+	go uc.Run(func([]byte) {
+		_, polls := uc.RxStats()
+		woke <- polls
+	})
+	early := make(chan int, 1) // the rounds with no empty poll in between
+	go func() {
+		n := 0
+		for i := 0; i < rounds; i++ {
+			at := <-woke
+			if _, polls := uc.RxStats(); polls == at {
+				n++
+			}
+			uc.Send([]byte{Version, byte(i)})
+		}
+		early <- n
+	}()
+	buf := make([]byte, MaxDatagram)
+	for i := 0; i < rounds; i++ {
+		if _, err := peer.WriteToUDP([]byte{Version, 0x80 | byte(i)}, sock.LocalAddr().(*net.UDPAddr)); err != nil {
+			t.Fatal(err)
+		}
+		peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := peer.Read(buf); err != nil {
+			t.Fatalf("round %d: no request: %v", i, err)
+		}
+	}
+	before := <-early
+	t.Logf("%d of %d requests left before the read loop's next empty poll", before, rounds)
+	if before < rounds-5 {
+		t.Errorf("%d of %d requests left before the read loop's next empty poll, want at least %d", before, rounds, rounds-5)
+	}
+}
+
 // TestTxBatchBundles pins what a corked arena puts on the wire: consecutive
 // messages to one peer share a datagram of at most maxBundle bytes laid out
 // as bundleMarker documents; a lone message is sent plain, byte for byte; a
