@@ -143,11 +143,10 @@ func newUDPClient(conn *net.UDPConn) (*UDPClient, error) {
 // the hand-off holds because the issuer woken from this goroutine waits on
 // the P's local queue and the yielding loop goes to the global one, served
 // first only on every 61st tick (then the issuer runs at the empty poll's
-// yield, as before). Uncorked,
-// that request leaves the moment Send is called, so neither the lone
-// request nor the issuer's tail work waits on the other; with nothing else
-// runnable the yield costs one pass through the scheduler. Every later empty
-// poll also yields uncorked.
+// yield, as before). Uncorked, that request leaves the moment Send is
+// called, so neither the lone request nor the issuer's tail work waits on
+// the other; with nothing else runnable the yield costs one pass through the
+// scheduler. Every later empty poll also yields uncorked.
 func (u *UDPClient) Run(deliver func([]byte)) {
 	r, err := newBatchReceiver(u.conn, false, u.rx)
 	if err != nil {

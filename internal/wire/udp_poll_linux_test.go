@@ -205,6 +205,27 @@ func TestUDPPollOneP(t *testing.T) {
 	}
 }
 
+// rawPeer connects a UDPClient to a plain socket on 127.0.0.1 that the test
+// reads and writes by hand. The caller closes both.
+func rawPeer(t *testing.T) (*net.UDPConn, *UDPClient) {
+	t.Helper()
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock, err := net.DialUDP("udp", nil, peer.LocalAddr().(*net.UDPAddr))
+	if err == nil {
+		var uc *UDPClient
+		if uc, err = newUDPClient(sock); err == nil {
+			return peer, uc
+		}
+		sock.Close()
+	}
+	peer.Close()
+	t.Fatal(err)
+	return nil, nil
+}
+
 // refillRound has a raw peer send a UDPClient one datagram of frames
 // messages. The client's deliver wakes an issuer goroutine, which yields the
 // P once (so it misses the yield of the batch that woke it) and then sends
@@ -213,19 +234,8 @@ func TestUDPPollOneP(t *testing.T) {
 // Send returned.
 func refillRound(t *testing.T, frames int) (datagrams int, immediate bool) {
 	t.Helper()
-	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	peer, uc := rawPeer(t)
 	defer peer.Close()
-	sock, err := net.DialUDP("udp", nil, peer.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	uc, err := newUDPClient(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer uc.Close()
 	prc, err := peer.SyscallConn()
 	if err != nil {
@@ -265,7 +275,7 @@ func refillRound(t *testing.T, frames int) (datagrams int, immediate bool) {
 	if frames > 1 {
 		dgram = appendBundle(nil, batch...)
 	}
-	if _, err := peer.WriteToUDP(dgram, sock.LocalAddr().(*net.UDPAddr)); err != nil {
+	if _, err := peer.WriteToUDP(dgram, uc.conn.LocalAddr().(*net.UDPAddr)); err != nil {
 		t.Fatal(err)
 	}
 	n := <-first
@@ -321,19 +331,8 @@ func TestUDPRefillBundles(t *testing.T) {
 // run queue first on every 61st tick, so a few rounds may miss.
 func TestUDPLoneRefillBeforeNextPoll(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	peer, uc := rawPeer(t)
 	defer peer.Close()
-	sock, err := net.DialUDP("udp", nil, peer.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	uc, err := newUDPClient(sock)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer uc.Close()
 
 	const rounds = 50
@@ -355,8 +354,9 @@ func TestUDPLoneRefillBeforeNextPoll(t *testing.T) {
 		early <- n
 	}()
 	buf := make([]byte, MaxDatagram)
+	to := uc.conn.LocalAddr().(*net.UDPAddr)
 	for i := 0; i < rounds; i++ {
-		if _, err := peer.WriteToUDP([]byte{Version, 0x80 | byte(i)}, sock.LocalAddr().(*net.UDPAddr)); err != nil {
+		if _, err := peer.WriteToUDP([]byte{Version, 0x80 | byte(i)}, to); err != nil {
 			t.Fatal(err)
 		}
 		peer.SetReadDeadline(time.Now().Add(5 * time.Second))
