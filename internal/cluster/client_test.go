@@ -43,31 +43,9 @@ func newTestClusterRetry(t testing.TB, n int, cfg Config, retry wire.ConnConfig)
 	}
 	nodes := make([]*testNode, n)
 	clients := make([]*rmem.Client, n)
-	for i := 0; i < n; i++ {
-		tn := &testNode{}
-		srv, err := rmem.NewServer(rmem.ServerConfig{Geometry: rmem.Geometry{SlabBytes: testSlabBytes}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb := wire.NewLoopback(wire.LoopbackConfig{
-			Fault: func(sim.Time, wire.Dir, []byte) wire.Fault {
-				if tn.dead.Load() {
-					return wire.FaultDrop
-				}
-				return wire.FaultNone
-			},
-		})
-		cl := rmem.NewClient(lb.ClientPipe(), rmem.ClientConfig{
-			Window: 8,
-			Retry:  retry,
-		})
-		lb.BindServer(srv.NewSession(lb.ServerPipe()).Deliver)
-		lb.BindClient(cl.Deliver)
-		if err := cl.Connect(); err != nil {
-			t.Fatal(err)
-		}
-		tn.cl = cl
-		nodes[i], clients[i] = tn, cl
+	for i := range nodes {
+		nodes[i] = newTestNode(t, testSlabBytes, retry)
+		clients[i] = nodes[i].cl
 	}
 	cc, err := New(clients, cfg)
 	if err != nil {
@@ -75,6 +53,36 @@ func newTestClusterRetry(t testing.TB, n int, cfg Config, retry wire.ConnConfig)
 	}
 	t.Cleanup(func() { cc.Close() })
 	return cc, nodes
+}
+
+// newTestNode connects a client to one in-process memory node of slab bytes
+// over a loopback that drops everything once the node is killed.
+func newTestNode(t testing.TB, slab uint64, retry wire.ConnConfig) *testNode {
+	t.Helper()
+	tn := &testNode{}
+	srv, err := rmem.NewServer(rmem.ServerConfig{Geometry: rmem.Geometry{SlabBytes: slab}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := wire.NewLoopback(wire.LoopbackConfig{
+		Fault: func(sim.Time, wire.Dir, []byte) wire.Fault {
+			if tn.dead.Load() {
+				return wire.FaultDrop
+			}
+			return wire.FaultNone
+		},
+	})
+	cl := rmem.NewClient(lb.ClientPipe(), rmem.ClientConfig{
+		Window: 8,
+		Retry:  retry,
+	})
+	lb.BindServer(srv.NewSession(lb.ServerPipe()).Deliver)
+	lb.BindClient(cl.Deliver)
+	if err := cl.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	tn.cl = cl
+	return tn
 }
 
 func pattern(n int, seed byte) []byte {
