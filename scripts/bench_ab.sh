@@ -64,6 +64,13 @@ args=""
 if [ -n "$workload" ]; then
     args="-workload $workload -seed $seed -seconds 10 -trace 0"
 fi
+# Both trees build the same bytes from the same source: go embeds the build
+# directory in every binary and, for go build in a git checkout, the
+# revision, so without these flags the base (built from an export) and the
+# head (built in the checkout) differ in layout before any change of code.
+# Every build below inherits them, the benchmark's own build of edmd too.
+GOFLAGS="${GOFLAGS:+$GOFLAGS }-trimpath -buildvcs=false"
+export GOFLAGS
 out=$(mktemp -d "${TMPDIR:-/tmp}/bench_ab.XXXXXX")
 # The base tree and the two test binaries are tens of MB; the round logs
 # and values stay.
