@@ -79,15 +79,6 @@ type Client struct {
 // index in the slice is the node identity in the map, metrics labels, and
 // scenario events.
 func New(nodes []*rmem.Client, cfg Config) (*Client, error) {
-	if len(nodes) < 2 {
-		return nil, fmt.Errorf("%w: %d", ErrTooFewNodes, len(nodes))
-	}
-	if cfg.ExtentBytes == 0 {
-		cfg.ExtentBytes = DefaultExtentBytes
-	}
-	if cfg.ExtentBytes%8 != 0 {
-		return nil, fmt.Errorf("cluster: extent size %d not a multiple of 8", cfg.ExtentBytes)
-	}
 	if cfg.Size == 0 {
 		for _, n := range nodes {
 			if s := n.Geometry().SlabBytes; cfg.Size == 0 || s < cfg.Size {
@@ -95,21 +86,18 @@ func New(nodes []*rmem.Client, cfg Config) (*Client, error) {
 			}
 		}
 	}
-	// Whole extents only, so the map, checkRange, and Rebalance all agree
-	// on the addressable space and never touch past-the-end addresses.
-	cfg.Size -= cfg.Size % cfg.ExtentBytes
-	if cfg.Size == 0 {
-		return nil, fmt.Errorf("cluster: size smaller than one extent (%d)", cfg.ExtentBytes)
+	m, err := NewMap(cfg.Seed, cfg.Size, cfg.ExtentBytes, len(nodes))
+	if err != nil {
+		return nil, err
 	}
+	// The map's whole extents, so it, checkRange and Rebalance all agree on
+	// the addressable space and never touch past-the-end addresses.
+	cfg.Size, cfg.ExtentBytes = m.Size(), m.ExtentBytes()
 	for i, n := range nodes {
 		// Geometry is only advertised after Connect; zero means unknown.
 		if s := n.Geometry().SlabBytes; s > 0 && cfg.Size > s {
 			return nil, fmt.Errorf("cluster: size %d exceeds node %d slab %d", cfg.Size, i, s)
 		}
-	}
-	m, err := NewMap(cfg.Seed, cfg.Size, cfg.ExtentBytes, len(nodes))
-	if err != nil {
-		return nil, err
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(nil, len(nodes))
@@ -136,7 +124,7 @@ func (c *Client) Map() *Map {
 func (c *Client) Epoch() uint64 { return c.Map().Epoch() }
 
 // Size is the cluster address space in bytes.
-func (c *Client) Size() uint64 { return c.Map().Size() }
+func (c *Client) Size() uint64 { return c.cfg.Size }
 
 // ExtentBytes is the striping grain.
 func (c *Client) ExtentBytes() uint64 { return c.cfg.ExtentBytes }

@@ -74,21 +74,20 @@ var (
 )
 
 // Map is an immutable, seed-deterministic assignment of extents to a
-// (primary, mirror) node pair. Leave and Join return a successor map with
-// the epoch advanced; they never mutate the receiver, so a Map can be read
-// without locks once published.
+// (primary, mirror) node pair, ranked on demand from the alive set. Leave
+// and Join return a successor map with the epoch advanced; they never
+// mutate the receiver, so a Map can be read without locks once published.
 type Map struct {
 	seed        uint64
 	size        uint64 // cluster address space in bytes
 	extentBytes uint64
 	epoch       uint64
 	alive       []bool // indexed by node
-	primary     []int  // indexed by extent
-	mirror      []int  // indexed by extent
 }
 
 // NewMap builds the epoch-0 map: size bytes of address space in extents of
-// extentBytes (0 takes DefaultExtentBytes), dual-homed over nodes alive
+// extentBytes (0 takes DefaultExtentBytes, and it must be a multiple of 8 so
+// an aligned RMW word never spans extents), dual-homed over nodes alive
 // nodes. size is rounded down to a whole number of extents — never up, so
 // Map.Size() only ever reports space the backing slabs actually hold — and
 // must cover at least one extent.
@@ -96,25 +95,24 @@ func NewMap(seed, size, extentBytes uint64, nodes int) (*Map, error) {
 	if extentBytes == 0 {
 		extentBytes = DefaultExtentBytes
 	}
+	if extentBytes%8 != 0 {
+		return nil, fmt.Errorf("cluster: extent size %d not a multiple of 8", extentBytes)
+	}
 	if nodes < 2 {
 		return nil, fmt.Errorf("%w: %d", ErrTooFewNodes, nodes)
 	}
-	extents := int(size / extentBytes)
-	if extents == 0 {
+	if size < extentBytes {
 		return nil, fmt.Errorf("cluster: size %d smaller than one extent (%d)", size, extentBytes)
 	}
 	m := &Map{
 		seed:        seed,
-		size:        uint64(extents) * extentBytes,
+		size:        size - size%extentBytes,
 		extentBytes: extentBytes,
 		alive:       make([]bool, nodes),
-		primary:     make([]int, extents),
-		mirror:      make([]int, extents),
 	}
 	for n := range m.alive {
 		m.alive[n] = true
 	}
-	m.assign()
 	return m, nil
 }
 
@@ -137,41 +135,12 @@ func (m *Map) weight(extent, node int) uint64 {
 	return mix64(m.seed ^ mix64(uint64(extent)+0x9e3779b97f4a7c15) ^ mix64(uint64(node)+0x2545f4914f6cdd1d))
 }
 
-// assign recomputes primary/mirror for every extent from the alive set.
-func (m *Map) assign() {
-	for e := range m.primary {
-		best, second := -1, -1
-		var bestW, secondW uint64
-		for n := range m.alive {
-			if !m.alive[n] {
-				continue
-			}
-			w := m.weight(e, n)
-			switch {
-			case best < 0 || w > bestW:
-				second, secondW = best, bestW
-				best, bestW = n, w
-			case second < 0 || w > secondW:
-				second, secondW = n, w
-			}
-		}
-		m.primary[e] = best
-		m.mirror[e] = second
-	}
-}
-
 // clone copies the map with the epoch advanced by one.
 func (m *Map) clone() *Map {
-	c := &Map{
-		seed:        m.seed,
-		size:        m.size,
-		extentBytes: m.extentBytes,
-		epoch:       m.epoch + 1,
-		alive:       append([]bool(nil), m.alive...),
-		primary:     append([]int(nil), m.primary...),
-		mirror:      append([]int(nil), m.mirror...),
-	}
-	return c
+	c := *m
+	c.epoch++
+	c.alive = append([]bool(nil), m.alive...)
+	return &c
 }
 
 // Leave returns the successor map without node. It fails with ErrTooFewNodes
@@ -195,7 +164,6 @@ func (m *Map) Leave(node int) (*Map, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: %d after node %d leaves", ErrTooFewNodes, n, node)
 	}
-	c.assign()
 	return c, nil
 }
 
@@ -207,7 +175,6 @@ func (m *Map) Join(node int) (*Map, error) {
 	}
 	c := m.clone()
 	c.alive[node] = true
-	c.assign()
 	return c, nil
 }
 
@@ -221,7 +188,7 @@ func (m *Map) Size() uint64 { return m.size }
 func (m *Map) ExtentBytes() uint64 { return m.extentBytes }
 
 // Extents is the extent count.
-func (m *Map) Extents() int { return len(m.primary) }
+func (m *Map) Extents() int { return int(m.size / m.extentBytes) }
 
 // Nodes is the total node count (alive or not).
 func (m *Map) Nodes() int { return len(m.alive) }
@@ -230,8 +197,6 @@ func (m *Map) Nodes() int { return len(m.alive) }
 func (m *Map) Alive(node int) bool { return node >= 0 && node < len(m.alive) && m.alive[node] }
 
 // Locate maps an address to its extent index.
-//
-//edmlint:hotpath one lookup per routed segment
 func (m *Map) Locate(addr uint64) (int, error) {
 	if addr >= m.size {
 		return 0, ErrBadExtent
@@ -239,7 +204,23 @@ func (m *Map) Locate(addr uint64) (int, error) {
 	return int(addr / m.extentBytes), nil
 }
 
-// Extent returns extent e's (primary, mirror) pair.
-//
-//edmlint:hotpath one lookup per routed segment
-func (m *Map) Extent(e int) (primary, mirror int) { return m.primary[e], m.mirror[e] }
+// Extent ranks the alive nodes for extent e by weight and returns the top
+// two as its (primary, mirror) pair.
+func (m *Map) Extent(e int) (primary, mirror int) {
+	primary, mirror = -1, -1
+	var pw, mw uint64
+	for n, a := range m.alive {
+		if !a {
+			continue
+		}
+		w := m.weight(e, n)
+		switch {
+		case primary < 0 || w > pw:
+			mirror, mw = primary, pw
+			primary, pw = n, w
+		case mirror < 0 || w > mw:
+			mirror, mw = n, w
+		}
+	}
+	return primary, mirror
+}
