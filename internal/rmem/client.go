@@ -131,7 +131,7 @@ func (c *Client) Connect() error {
 		err error
 	}
 	ch := make(chan result, 1)
-	if _, err := c.conn.Call(&wire.Msg{Kind: wire.KindHello, Data: c.token[:]}, func(m *wire.Msg, err error) {
+	if _, err := c.conn.CallC(&wire.Msg{Kind: wire.KindHello, Data: c.token[:]}, wire.CompletionFunc(func(m *wire.Msg, err error) {
 		if err == nil {
 			err = m.Status.Err()
 		}
@@ -141,7 +141,7 @@ func (c *Client) Connect() error {
 		}
 		geo, err := DecodeGeometry(m.Data)
 		ch <- result{geo: geo, err: err}
-	}); err != nil {
+	})); err != nil {
 		return err
 	}
 	select {
@@ -394,9 +394,9 @@ func (c *Client) Close() error {
 		wait = 250 * time.Millisecond
 	}
 	ch := make(chan struct{}, 1)
-	if _, err := c.conn.Call(&wire.Msg{Kind: wire.KindBye}, func(*wire.Msg, error) {
+	if _, err := c.conn.CallC(&wire.Msg{Kind: wire.KindBye}, wire.CompletionFunc(func(*wire.Msg, error) {
 		ch <- struct{}{}
-	}); err == nil {
+	})); err == nil {
 		select {
 		case <-ch:
 		case <-time.After(wait):

@@ -91,7 +91,7 @@ func BenchmarkLoopbackRoundTrip(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				done = false
-				if _, err := conn.Call(req, cb); err != nil {
+				if _, err := conn.CallC(req, CompletionFunc(cb)); err != nil {
 					b.Fatal(err)
 				}
 				if !done {

@@ -46,7 +46,7 @@ func hourConn(t *testing.T, pipe Pipe, maxRetries int) *Conn {
 // issue starts one read whose outcome lands in *got.
 func issue(t *testing.T, c *Conn, got *error) uint32 {
 	t.Helper()
-	id, err := c.Call(&Msg{Kind: KindRREQ, Count: 8}, func(_ *Msg, err error) { *got = err })
+	id, err := c.CallC(&Msg{Kind: KindRREQ, Count: 8}, CompletionFunc(func(_ *Msg, err error) { *got = err }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,44 +300,32 @@ func (c *Conn) retireLocked(cl *call) {
 	}
 }
 
-// Call transmits a request and invokes cb exactly once: with the response,
-// or with ErrTimeout after the retry budget, or with ErrClosed if the
-// connection closes first. The assigned message ID is returned; with
-// MaxSlots calls already in flight it fails with ErrSlotsBusy. cb may be
-// invoked synchronously (before Call returns) on transports that deliver
-// in the caller's stack, such as the loopback. The response Msg is valid
-// only during the callback; Clone it to retain it.
-//
-//edmlint:hotpath one Call per client operation
-func (c *Conn) Call(m *Msg, cb func(*Msg, error)) (uint32, error) {
-	return c.CallC(m, funcCompletion(cb))
-}
+// CompletionFunc is a callback as a Completion; a nil one drops the
+// outcome. A func value is pointer-shaped, so the conversion to the
+// interface allocates nothing.
+type CompletionFunc func(*Msg, error)
 
-// funcCompletion is a callback as a Completion; a nil one drops the outcome.
-// A func value is pointer-shaped, so the conversion to the interface
-// allocates nothing.
-type funcCompletion func(*Msg, error)
-
-func (f funcCompletion) Done(m *Msg, err error) {
+func (f CompletionFunc) Done(m *Msg, err error) {
 	if f != nil {
 		f(m, err)
 	}
 }
 
-// CallC is Call with a Completion instead of a closure: the caller supplies
-// a reusable per-op struct, so issuing a request allocates nothing. comp
-// must not be nil.
+// CallC transmits a request and invokes comp.Done exactly once: with the
+// response, or with ErrTimeout after the retry budget, or with ErrClosed if
+// the connection closes first. The assigned message ID is returned; with
+// MaxSlots calls already in flight it fails with ErrSlotsBusy. Done may be
+// invoked synchronously (before CallC returns) on transports that deliver
+// in the caller's stack, such as the loopback. The response Msg is valid
+// only during Done; Clone it to retain it. comp must not be nil: a caller
+// with a reusable per-op struct allocates nothing per request, and a
+// closure goes through CompletionFunc.
+//
+// m is encoded into a pooled call record and not retained: it may be
+// pooled or reused the moment CallC returns.
 //
 //edmlint:hotpath one CallC per client operation
 func (c *Conn) CallC(m *Msg, comp Completion) (uint32, error) {
-	return c.submit(m, comp)
-}
-
-// submit encodes m into a pooled call record and transmits it. m itself is
-// not retained: it may be pooled or reused the moment submit returns.
-//
-//edmlint:hotpath the one submission path for every request
-func (c *Conn) submit(m *Msg, comp Completion) (uint32, error) {
 	if !m.Kind.IsRequest() {
 		return 0, fmt.Errorf("%w: %v is not a request", ErrBadMsg, m.Kind)
 	}

@@ -58,14 +58,14 @@ func callSync(t *testing.T, conn *Conn, m *Msg) (*Msg, error) {
 	ch := make(chan struct{})
 	var resp *Msg
 	var cerr error
-	if _, err := conn.Call(m, func(r *Msg, err error) {
+	if _, err := conn.CallC(m, CompletionFunc(func(r *Msg, err error) {
 		// The response is pooled and valid only during the callback.
 		if r != nil {
 			resp = r.Clone()
 		}
 		cerr = err
 		close(ch)
-	}); err != nil {
+	})); err != nil {
 		return nil, err
 	}
 	select {
@@ -192,7 +192,7 @@ func TestConnCloseFailsPending(t *testing.T) {
 	cfg := LoopbackConfig{Fault: func(sim.Time, Dir, []byte) Fault { return FaultDrop }}
 	_, conn, _ := pair(t, cfg, ConnConfig{RetryTimeout: time.Second, MaxRetries: 5}, nil)
 	ch := make(chan error, 1)
-	if _, err := conn.Call(&Msg{Kind: KindRREQ, Count: 8}, func(_ *Msg, err error) { ch <- err }); err != nil {
+	if _, err := conn.CallC(&Msg{Kind: KindRREQ, Count: 8}, CompletionFunc(func(_ *Msg, err error) { ch <- err })); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.Close(); err != nil {
@@ -206,7 +206,7 @@ func TestConnCloseFailsPending(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("pending call never failed")
 	}
-	if _, err := conn.Call(&Msg{Kind: KindRREQ}, nil); !errors.Is(err, ErrClosed) {
+	if _, err := conn.CallC(&Msg{Kind: KindRREQ}, CompletionFunc(nil)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call on closed conn: %v", err)
 	}
 }
@@ -261,7 +261,7 @@ func TestConnPipelined(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			done := make(chan struct{})
-			_, err := conn.Call(&Msg{Kind: KindRREQ, Addr: uint64(i), Count: 16}, func(r *Msg, err error) {
+			_, err := conn.CallC(&Msg{Kind: KindRREQ, Addr: uint64(i), Count: 16}, CompletionFunc(func(r *Msg, err error) {
 				defer close(done)
 				if err != nil {
 					errs <- err
@@ -273,7 +273,7 @@ func TestConnPipelined(t *testing.T) {
 						return
 					}
 				}
-			})
+			}))
 			if err != nil {
 				errs <- err
 				return

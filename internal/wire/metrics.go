@@ -18,7 +18,7 @@ func kindLabel(base string, k Kind) string {
 type ConnMetrics struct {
 	// Datagrams transmitted, including retransmissions.
 	Datagrams *telemetry.Counter
-	// Requests issued (one per Call), by request kind.
+	// Requests issued (one per CallC), by request kind.
 	Requests [NumKinds]*telemetry.Counter
 	// Responses matched to a pending call; RecvByKind splits by kind.
 	Responses  *telemetry.Counter

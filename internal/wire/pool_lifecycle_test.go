@@ -63,8 +63,8 @@ func TestRetransmitBufferStableUnderChurn(t *testing.T) {
 	p.conn = c
 
 	victimDone := make(chan error, 1)
-	if _, err := c.Call(&Msg{Kind: KindRREQ, Addr: 0xabcd, Count: 64},
-		func(_ *Msg, err error) { victimDone <- err }); err != nil {
+	if _, err := c.CallC(&Msg{Kind: KindRREQ, Addr: 0xabcd, Count: 64},
+		CompletionFunc(func(_ *Msg, err error) { victimDone <- err })); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,14 +77,14 @@ func TestRetransmitBufferStableUnderChurn(t *testing.T) {
 		}
 		payload := data[:64+(i%7)*64]
 		done := false
-		if _, err := c.Call(&Msg{Kind: KindWREQ, Addr: uint64(i) * 8,
+		if _, err := c.CallC(&Msg{Kind: KindWREQ, Addr: uint64(i) * 8,
 			Count: uint32(len(payload)), Data: payload},
-			func(_ *Msg, err error) {
+			CompletionFunc(func(_ *Msg, err error) {
 				if err != nil {
 					t.Error(err)
 				}
 				done = true
-			}); err != nil {
+			})); err != nil {
 			t.Fatal(err)
 		}
 		if !done {

@@ -282,13 +282,13 @@ func udpCallSync(t *testing.T, c *Conn, m *Msg) *Msg {
 	ch := make(chan res, 1)
 	// Clone into a fresh variable: the response is pooled and valid only
 	// during the callback.
-	if _, err := c.Call(m, func(r *Msg, err error) {
+	if _, err := c.CallC(m, CompletionFunc(func(r *Msg, err error) {
 		var cp *Msg
 		if r != nil {
 			cp = r.Clone()
 		}
 		ch <- res{cp, err}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -310,7 +310,7 @@ func TestConnDisableRetries(t *testing.T) {
 	conn := NewConn(lb.ClientPipe(), ConnConfig{RetryTimeout: 2 * time.Millisecond, MaxRetries: -1})
 	lb.BindClient(conn.Deliver)
 	ch := make(chan error, 1)
-	if _, err := conn.Call(&Msg{Kind: KindRREQ, Count: 8}, func(_ *Msg, err error) { ch <- err }); err != nil {
+	if _, err := conn.CallC(&Msg{Kind: KindRREQ, Count: 8}, CompletionFunc(func(_ *Msg, err error) { ch <- err })); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -188,9 +188,9 @@ func TestResponderRetainsOnePerSlot(t *testing.T) {
 	})
 	for i := 0; i < 10000; i++ {
 		ok := false
-		if _, err := conn.Call(&Msg{Kind: KindRREQ, Addr: uint64(i), Count: size}, func(m *Msg, err error) {
+		if _, err := conn.CallC(&Msg{Kind: KindRREQ, Addr: uint64(i), Count: size}, CompletionFunc(func(m *Msg, err error) {
 			ok = err == nil && len(m.Data) == size && m.Data[0] == byte(i) && m.Data[size-1] == byte(i>>8)
-		}); err != nil || !ok {
+		})); err != nil || !ok {
 			t.Fatalf("read %d: err %v, completed intact %v", i, err, ok)
 		}
 	}
@@ -286,13 +286,13 @@ func TestAbortedCallSlotReuse(t *testing.T) {
 	}
 	call := func(addr uint64) (uint32, chan outcome) {
 		ch := make(chan outcome, 1)
-		id, err := conn.Call(&Msg{Kind: KindRMWREQ, Addr: addr, Op: 2, Args: []uint64{1}}, func(m *Msg, err error) {
+		id, err := conn.CallC(&Msg{Kind: KindRMWREQ, Addr: addr, Op: 2, Args: []uint64{1}}, CompletionFunc(func(m *Msg, err error) {
 			o := outcome{err: err}
 			if err == nil {
 				o.addr = binary.LittleEndian.Uint64(m.Data)
 			}
 			ch <- o
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func TestConnLateResponseToReusedSlot(t *testing.T) {
 	c := NewConn(nullPipe{}, ConnConfig{RetryTimeout: 2 * time.Millisecond, MaxRetries: -1})
 	defer c.Close()
 	timedOut := make(chan error, 1)
-	first, err := c.Call(&Msg{Kind: KindRREQ, Count: 8}, func(_ *Msg, err error) { timedOut <- err })
+	first, err := c.CallC(&Msg{Kind: KindRREQ, Count: 8}, CompletionFunc(func(_ *Msg, err error) { timedOut <- err }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,12 +401,12 @@ func TestConnLateResponseToReusedSlot(t *testing.T) {
 	c.mu.Lock()
 	c.cfg.RetryTimeout = time.Hour // the second call must not time out under the test
 	c.mu.Unlock()
-	second, err := c.Call(&Msg{Kind: KindRREQ, Count: 8}, func(m *Msg, err error) {
+	second, err := c.CallC(&Msg{Kind: KindRREQ, Count: 8}, CompletionFunc(func(m *Msg, err error) {
 		completions++
 		if err == nil {
 			got = append(got, m.Data...)
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestConnAllSlotsBusy(t *testing.T) {
 	defer c.Close()
 	seen := map[uint32]bool{}
 	for i := 0; i < MaxSlots; i++ {
-		id, err := c.Call(&Msg{Kind: KindRREQ, Count: 8}, nil)
+		id, err := c.CallC(&Msg{Kind: KindRREQ, Count: 8}, CompletionFunc(nil))
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -450,14 +450,14 @@ func TestConnAllSlotsBusy(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if _, err := c.Call(&Msg{Kind: KindRREQ, Count: 8}, nil); !errors.Is(err, ErrSlotsBusy) {
+	if _, err := c.CallC(&Msg{Kind: KindRREQ, Count: 8}, CompletionFunc(nil)); !errors.Is(err, ErrSlotsBusy) {
 		t.Fatalf("call with every slot in flight: %v, want ErrSlotsBusy", err)
 	}
 	if c.Pending() != MaxSlots {
 		t.Fatalf("pending %d", c.Pending())
 	}
 	respond(t, c, KindRRESP, 1234)
-	id, err := c.Call(&Msg{Kind: KindRREQ, Count: 8}, nil)
+	id, err := c.CallC(&Msg{Kind: KindRREQ, Count: 8}, CompletionFunc(nil))
 	if err != nil || id != 1234+MaxSlots {
 		t.Fatalf("call after slot 1234 completed: ID %#x, err %v", id, err)
 	}
@@ -483,7 +483,7 @@ func TestConnIDsRise(t *testing.T) {
 			live = append(live[:k], live[k+1:]...)
 			continue
 		}
-		id, err := c.Call(&Msg{Kind: KindRREQ, Count: 8}, nil)
+		id, err := c.CallC(&Msg{Kind: KindRREQ, Count: 8}, CompletionFunc(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +506,7 @@ func TestConnIDsRise(t *testing.T) {
 	c.newest += 1<<18<<slotBits + MaxSlots
 	behind := c.free.id
 	c.mu.Unlock()
-	if id, err := c.Call(&Msg{Kind: KindRREQ, Count: 8}, nil); err != nil || id != behind+MaxSlots {
+	if id, err := c.CallC(&Msg{Kind: KindRREQ, Count: 8}, CompletionFunc(nil)); err != nil || id != behind+MaxSlots {
 		t.Fatalf("a slot 2^18 uses behind got ID %#x (err %v), want its own next, %#x", id, err, behind+MaxSlots)
 	}
 }
@@ -523,11 +523,11 @@ func TestSeqWrapEndToEnd(t *testing.T) {
 	roundTrip := func(addr uint64) uint32 {
 		t.Helper()
 		var got uint64
-		id, err := conn.Call(&Msg{Kind: KindRMWREQ, Addr: addr, Op: 2, Args: []uint64{1}}, func(m *Msg, err error) {
+		id, err := conn.CallC(&Msg{Kind: KindRMWREQ, Addr: addr, Op: 2, Args: []uint64{1}}, CompletionFunc(func(m *Msg, err error) {
 			if err == nil {
 				got = binary.LittleEndian.Uint64(m.Data)
 			}
-		})
+		}))
 		if err != nil || got != addr {
 			t.Fatalf("call %d: err %v, answered %d", addr, err, got)
 		}
