@@ -107,6 +107,23 @@ func outageWindows(events []Event) (flaps, absent map[int][]interval) {
 	return flaps, absent
 }
 
+// darkWindows merges each of nodes' flap windows, and with absences its
+// leave/join absences too, into the sorted, disjoint windows in which its
+// link is dark.
+func darkWindows(events []Event, nodes int, absences bool) map[int][]interval {
+	flaps, absent := outageWindows(events)
+	down := make(map[int][]interval, nodes)
+	for n := 0; n < nodes; n++ {
+		iv := append([]interval(nil), flaps[n]...)
+		if absences {
+			iv = append(iv, absent[n]...)
+		}
+		sortIntervals(iv)
+		down[n] = mergeIntervals(iv)
+	}
+	return down
+}
+
 func sortIntervals(iv []interval) {
 	sort.Slice(iv, func(i, j int) bool { return iv[i].start < iv[j].start })
 }

@@ -24,7 +24,7 @@ func runFabric(spec *Spec) (*Report, error) {
 		return nil, fmt.Errorf("scenario %s: %d nodes exceeds the fabric backend's %d ports (use backend %q)",
 			spec.Name, spec.Nodes, edm.MaxPorts, BackendNetsim)
 	}
-	part, tagged, bounds, _, events, err := prologue(spec, spec.Nodes)
+	part, tagged, bounds, _, events, err := prologue(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -38,13 +38,7 @@ func runFabric(spec *Spec) (*Report, error) {
 
 	// Outages: merged per-node windows drive DisableLink/EnableLink. At
 	// block level flaps and absences are the same thing — the link is dark.
-	flaps, absent := outageWindows(events)
-	down := map[int][]interval{}
-	for n := 0; n < spec.Nodes; n++ {
-		iv := append(append([]interval(nil), flaps[n]...), absent[n]...)
-		sortIntervals(iv)
-		down[n] = mergeIntervals(iv)
-	}
+	down := darkWindows(events, spec.Nodes, true)
 	for n := 0; n < spec.Nodes; n++ {
 		for _, iv := range down[n] {
 			n, iv := n, iv

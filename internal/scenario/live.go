@@ -63,16 +63,7 @@ type liveFaults struct {
 // fabric backend; on the cluster they are membership changes, not windows.
 // Every burst's OneIn is set: Run validates the spec first.
 func newLiveFaults(events []Event, nodes int, absencesDarken bool) *liveFaults {
-	fs := &liveFaults{dead: make([]bool, nodes), down: map[int][]interval{}}
-	flapW, absentW := outageWindows(events)
-	for n := 0; n < nodes; n++ {
-		iv := append([]interval(nil), flapW[n]...)
-		if absencesDarken {
-			iv = append(iv, absentW[n]...)
-		}
-		sortIntervals(iv)
-		fs.down[n] = mergeIntervals(iv)
-	}
+	fs := &liveFaults{dead: make([]bool, nodes), down: darkWindows(events, nodes, absencesDarken)}
 	for _, e := range events {
 		if e.Kind != CorruptBurst && e.Kind != DropBurst {
 			continue
@@ -183,7 +174,7 @@ type membership struct {
 }
 
 func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFaults, clock *wire.VirtualClock) (*membership, error) {
-	md := &membership{spec: spec, cc: cc, fs: fs, clock: clock, out: make([]bool, spec.MemNodes)}
+	md := &membership{spec: spec, cc: cc, fs: fs, clock: clock, out: make([]bool, spec.Nodes)}
 	for _, e := range events {
 		switch e.Kind {
 		case NodeLeave:
@@ -289,7 +280,7 @@ func (md *membership) rebalance(cause string, detect sim.Time) {
 
 // runLive executes the scenario against the real wire/rmem code path over
 // loopback transports sharing one virtual clock: a single in-process rmem
-// server (backend "live"), or MemNodes of them fronted by a dual-homed
+// server (backend "live"), or Nodes of them fronted by a dual-homed
 // cluster.Client ("live-cluster"). Either way the far side is an
 // rmem.Memory and the trace is replayed through it closed-loop at window 1
 // (arrivals honoured via AdvanceTo, membership events interleaved at their
@@ -303,15 +294,11 @@ func (md *membership) rebalance(cause string, detect sim.Time) {
 // NULL-response timeouts; so do reads whose data fails the replay's check.
 func runLive(spec *Spec) (*Report, error) {
 	clustered := spec.Backend == BackendLiveCluster
-	faultNodes := spec.Nodes
-	if clustered {
-		faultNodes = spec.MemNodes
-	}
-	part, tagged, bounds, horizon, events, err := prologue(spec, faultNodes)
+	part, tagged, bounds, horizon, events, err := prologue(spec)
 	if err != nil {
 		return nil, err
 	}
-	fs := newLiveFaults(events, faultNodes, !clustered)
+	fs := newLiveFaults(events, spec.Nodes, !clustered)
 
 	// One clock across every transport: each delivered or dropped datagram
 	// anywhere charges the same timebase.
@@ -345,7 +332,7 @@ func runLive(spec *Spec) (*Report, error) {
 		}
 		mem, space = conns[0], conns[0].Geometry().SlabBytes
 	} else {
-		for n := 0; n < spec.MemNodes; n++ {
+		for n := 0; n < spec.Nodes; n++ {
 			if err := connect(n, clusterSlabBytes, rmem.ClientConfig{Window: 4, Retry: clusterRetry}); err != nil {
 				return nil, err
 			}
@@ -471,7 +458,7 @@ func runLive(spec *Spec) (*Report, error) {
 	if cc != nil {
 		cc.Close()
 		rep.Cluster = &ClusterReport{
-			MemNodes:    spec.MemNodes,
+			MemNodes:    spec.Nodes,
 			Extents:     cc.Map().Extents(),
 			ExtentBytes: cc.ExtentBytes(),
 			FinalEpoch:  cc.Epoch(),

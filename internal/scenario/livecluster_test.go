@@ -68,7 +68,7 @@ func TestLiveClusterDeterministic(t *testing.T) {
 // membership, is admitted at the event time, and receives its extents.
 func TestLiveClusterJoin(t *testing.T) {
 	spec := &Spec{
-		Name: "cluster-join", Backend: BackendLiveCluster, Nodes: 4, MemNodes: 4, Seed: 9,
+		Name: "cluster-join", Backend: BackendLiveCluster, Nodes: 4, Seed: 9,
 		Phases: []Phase{
 			{Name: "p", Count: 300, Load: 0.3, ReadFrac: 0.5, Profile: "fixed64"},
 		},
@@ -101,7 +101,7 @@ func TestLiveClusterJoin(t *testing.T) {
 // written, so none is lost and no op drops.
 func TestLiveClusterJoinOfBothHolders(t *testing.T) {
 	spec := &Spec{
-		Name: "cluster-join-pair", Backend: BackendLiveCluster, Nodes: 4, MemNodes: 4, Seed: 9,
+		Name: "cluster-join-pair", Backend: BackendLiveCluster, Nodes: 4, Seed: 9,
 		Phases: []Phase{
 			{Name: "p", Count: 300, Load: 0.3, ReadFrac: 0.5, Profile: "fixed64"},
 		},
@@ -119,28 +119,13 @@ func TestLiveClusterJoinOfBothHolders(t *testing.T) {
 	}
 }
 
-// TestLiveClusterValidate: the backend requires at least two memory nodes
-// and defaults MemNodes to Nodes.
+// TestLiveClusterValidate: the backend, like every other, rejects a
+// single-node spec: dual-homing needs two memory nodes.
 func TestLiveClusterValidate(t *testing.T) {
-	s := &Spec{Name: "v", Backend: BackendLiveCluster, Nodes: 4,
-		Phases: []Phase{{Count: 10, Load: 0.5, Profile: "fixed64"}}}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.MemNodes != 4 {
-		t.Fatalf("MemNodes default %d, want Nodes", s.MemNodes)
-	}
-	bad := &Spec{Name: "v", Backend: BackendLiveCluster, Nodes: 4, MemNodes: 1,
+	bad := &Spec{Name: "v", Backend: BackendLiveCluster, Nodes: 1,
 		Phases: []Phase{{Count: 10, Load: 0.5, Profile: "fixed64"}}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("single-node cluster accepted")
-	}
-	// Events must target memory nodes, not compute nodes.
-	evt := &Spec{Name: "v", Backend: BackendLiveCluster, Nodes: 2, MemNodes: 8,
-		Phases: []Phase{{Count: 10, Load: 0.5, Profile: "fixed64"}},
-		Events: []Event{{Kind: NodeLeave, Node: 7, At: sim.Microsecond}}}
-	if err := evt.Validate(); err != nil {
-		t.Fatalf("event on memory node 7 of 8 rejected: %v", err)
 	}
 }
 
@@ -163,7 +148,7 @@ func TestLiveClusterFlapThenPartnerLeaves(t *testing.T) {
 		{1090 * sim.Nanosecond, 2, true},
 	} {
 		spec := &Spec{
-			Name: "flap-then-leave", Backend: BackendLiveCluster, Nodes: 4, MemNodes: 4, Seed: 9,
+			Name: "flap-then-leave", Backend: BackendLiveCluster, Nodes: 4, Seed: 9,
 			Phases: []Phase{
 				{Name: "p", Count: 600, Load: 0.3, ReadFrac: 0.5, Profile: "fixed64"},
 			},
@@ -201,7 +186,7 @@ func TestLiveClusterOverlappingLeaves(t *testing.T) {
 	for _, tc := range []struct{ memNodes, lost int }{{4, 10}, {8, 4}, {16, 1}} {
 		spec := &Spec{
 			Name: "overlapping-leaves", Backend: BackendLiveCluster,
-			Nodes: tc.memNodes, MemNodes: tc.memNodes, Seed: 3,
+			Nodes: tc.memNodes, Seed: 3,
 			Phases: []Phase{
 				{Name: "p", Count: 600, Load: 0.3, ReadFrac: 1, Profile: "fixed64"},
 			},

@@ -47,9 +47,9 @@ type taggedOp struct {
 // are offset to start where the previous phase's arrival window ends. It
 // returns the partition, the tagged ops sorted by arrival, the per-phase
 // arrival windows, the trace horizon, and the spec's events merged with its
-// chaos expanded over faultNodes, in replay order. The partition's stream
+// chaos expanded over its nodes, in replay order. The partition's stream
 // names ("phase/N", "chaos") fix every seeded report.
-func prologue(spec *Spec, faultNodes int) (part *workload.Partition, tagged []taggedOp, bounds []interval, horizon sim.Time, events []Event, err error) {
+func prologue(spec *Spec) (part *workload.Partition, tagged []taggedOp, bounds []interval, horizon sim.Time, events []Event, err error) {
 	part = workload.NewPartition(spec.Seed)
 	bounds = make([]interval, len(spec.Phases))
 	for i, ph := range spec.Phases {
@@ -79,7 +79,7 @@ func prologue(spec *Spec, faultNodes int) (part *workload.Partition, tagged []ta
 	}
 	sortTagged(tagged)
 	events = append(append([]Event(nil), spec.Events...),
-		expandChaos(part.Sub("chaos"), spec.Chaos, faultNodes, horizon)...)
+		expandChaos(part.Sub("chaos"), spec.Chaos, spec.Nodes, horizon)...)
 	sortEvents(events)
 	return part, tagged, bounds, horizon, events, nil
 }
@@ -221,7 +221,7 @@ func runNetsim(spec *Spec) (*Report, error) {
 	if proto == nil {
 		return nil, fmt.Errorf("scenario %s: unknown protocol %q", spec.Name, spec.Protocol)
 	}
-	part, tagged, bounds, _, events, err := prologue(spec, spec.Nodes)
+	part, tagged, bounds, _, events, err := prologue(spec)
 	if err != nil {
 		return nil, err
 	}

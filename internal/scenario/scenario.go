@@ -42,7 +42,7 @@ const (
 	// datagram drops/corruptions recovered by retransmission. Reports are
 	// deterministic functions of the spec, like the other backends.
 	BackendLive Backend = "live"
-	// BackendLiveCluster runs the dual-homed cluster service: MemNodes rmem
+	// BackendLiveCluster runs the dual-homed cluster service: Nodes rmem
 	// memory nodes, each behind its own loopback transport, all charging one
 	// shared virtual clock, fronted by a cluster.Client that stripes the
 	// address space by extent. Fault events target memory nodes: NodeLeave
@@ -154,11 +154,7 @@ type Spec struct {
 	Description string  `json:"description,omitempty"`
 	Backend     Backend `json:"backend"`
 	Nodes       int     `json:"nodes"`
-	// MemNodes is the memory-node count on the live-cluster backend (the
-	// cluster being striped over); fault events there target memory nodes.
-	// Zero defaults to Nodes. Ignored by the other backends.
-	MemNodes int    `json:"mem_nodes,omitempty"`
-	Seed     uint64 `json:"seed"`
+	Seed        uint64  `json:"seed"`
 	// Protocol picks the netsim protocol model (EDM, IRD, pFabric, PFC,
 	// DCTCP, CXL, Fastpass). Ignored by the fabric backend, which always
 	// runs the EDM block-level stack.
@@ -186,16 +182,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Nodes < 2 {
 		return fmt.Errorf("scenario %s: nodes=%d", s.Name, s.Nodes)
-	}
-	if s.Backend == BackendLiveCluster {
-		if s.MemNodes == 0 {
-			s.MemNodes = s.Nodes
-		}
-		if s.MemNodes < 2 {
-			return fmt.Errorf("scenario %s: mem_nodes=%d (dual-homing needs 2)", s.Name, s.MemNodes)
-		}
-	} else {
-		s.MemNodes = 0
 	}
 	if s.Protocol == "" {
 		s.Protocol = "EDM"
@@ -238,15 +224,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %s: phase %d: %w", s.Name, i, err)
 		}
 	}
-	// Fault events target memory nodes on the cluster backend, fabric/flow
-	// nodes everywhere else.
-	eventNodes := s.Nodes
-	if s.Backend == BackendLiveCluster {
-		eventNodes = s.MemNodes
-	}
 	for i, e := range s.Events {
-		if e.Node < 0 || e.Node >= eventNodes {
-			return fmt.Errorf("scenario %s: event %d node=%d of %d", s.Name, i, e.Node, eventNodes)
+		if e.Node < 0 || e.Node >= s.Nodes {
+			return fmt.Errorf("scenario %s: event %d node=%d of %d", s.Name, i, e.Node, s.Nodes)
 		}
 		switch e.Kind {
 		case LinkDown, CorruptBurst, DropBurst:
@@ -397,7 +377,6 @@ func Builtins() []*Spec {
 			Description: "16-node dual-homed cluster over loopback transports sharing one virtual clock; a mid-run node kill exercises read failover, write-through, and extent re-mirroring",
 			Backend:     BackendLiveCluster,
 			Nodes:       16,
-			MemNodes:    16,
 			Seed:        1,
 			// Short detection keeps the failover window (where every op
 			// touching the dead node burns a real retry budget) a bounded
@@ -418,7 +397,6 @@ func Builtins() []*Spec {
 			Description: "8-node dual-homed cluster whose memory nodes' links flap: a replica that misses an acked write is evicted, re-mirrored, and rejoined once its link is back",
 			Backend:     BackendLiveCluster,
 			Nodes:       8,
-			MemNodes:    8,
 			Seed:        4,
 			Phases: []Phase{
 				{Name: "steady", Count: 1200, Load: 0.3, ReadFrac: 0.5, Profile: "fixed64"},
