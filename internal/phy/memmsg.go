@@ -91,9 +91,6 @@ type RxDemux struct {
 	body  []byte
 }
 
-// InMessage reports whether the demux is mid-memory-message.
-func (d *RxDemux) InMessage() bool { return d.inMsg }
-
 // Feed consumes one block.
 func (d *RxDemux) Feed(b Block) (RxEvent, error) {
 	if b.IsData() {

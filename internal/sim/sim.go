@@ -69,7 +69,6 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   []event // binary min-heap in before order, held by value
-	fired   uint64
 	stopped bool
 }
 
@@ -78,9 +77,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// Fired reports how many events have been dispatched so far.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are waiting to fire.
 func (e *Engine) Pending() int { return len(e.queue) }
@@ -168,7 +164,6 @@ func (e *Engine) step() {
 	}
 	e.queue = q
 	e.now = ev.at
-	e.fired++
 	ev.fn()
 }
 
