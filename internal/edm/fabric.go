@@ -1,6 +1,7 @@
 package edm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/memctl"
@@ -158,9 +159,7 @@ func (f *Fabric) RMWSync(from, memNode int, addr uint64, op memctl.RMWOp, args .
 	done := false
 	f.hosts[from].RMW(memNode, addr, op, args, func(d []byte, e error) {
 		if e == nil && len(d) == 8 {
-			for i := 7; i >= 0; i-- {
-				result = result<<8 | uint64(d[i])
-			}
+			result = binary.LittleEndian.Uint64(d)
 		}
 		err, done = e, true
 	})

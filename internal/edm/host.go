@@ -1,6 +1,7 @@
 package edm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -494,8 +495,7 @@ func (h *Host) handleRequest(w phy.MemMsg) {
 			var result uint64
 			result, lat, err = h.mem.RMW(req.Addr, req.Op, req.Args...)
 			if err == nil {
-				data = make([]byte, 8)
-				putUint64(data, result)
+				data = binary.LittleEndian.AppendUint64(nil, result)
 			}
 		}
 		if err != nil {
@@ -515,12 +515,6 @@ func (h *Host) handleRequest(w phy.MemMsg) {
 			h.kickGrants()
 		})
 	})
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // kickGrants starts the grant-queue pump. Grants are served strictly in
@@ -643,11 +637,7 @@ func (h *Host) applyWrite(src int, id uint8, body []byte) {
 		h.stats.RxErrors++
 		return
 	}
-	addr := uint64(0)
-	for i := 7; i >= 0; i-- {
-		addr = addr<<8 | uint64(body[i])
-	}
-	lat, err := h.mem.Write(addr, body[8:])
+	lat, err := h.mem.Write(binary.LittleEndian.Uint64(body), body[8:])
 	if err != nil {
 		h.stats.RxErrors++
 		return

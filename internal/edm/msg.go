@@ -180,22 +180,6 @@ func (m *Message) hdr(size int, cont bool) (header, error) {
 	}, nil
 }
 
-// Marshal renders the entire message as one PHY memory message.
-func (m *Message) Marshal() (phy.MemMsg, error) {
-	if err := m.validate(); err != nil {
-		return phy.MemMsg{}, err
-	}
-	body, err := m.Body()
-	if err != nil {
-		return phy.MemMsg{}, err
-	}
-	h, err := m.hdr(len(body), false)
-	if err != nil {
-		return phy.MemMsg{}, err
-	}
-	return phy.MemMsg{Header: h.pack(), Body: body}, nil
-}
-
 // MarshalChunk renders the chunk [offset, offset+n) of the message body as
 // its own PHY memory message. Chunks after the first carry the continuation
 // flag; the header's size field always holds the total body size so the
@@ -222,13 +206,6 @@ func (m *Message) parseBody(body []byte) error {
 			return fmt.Errorf("%w: RREQ body %d bytes", ErrBadWire, len(body))
 		}
 		m.Addr = binary.LittleEndian.Uint64(body)
-	case KindWREQ:
-		if len(body) < 8 {
-			return fmt.Errorf("%w: WREQ body %d bytes", ErrBadWire, len(body))
-		}
-		m.Addr = binary.LittleEndian.Uint64(body)
-		m.Data = append([]byte(nil), body[8:]...)
-		m.Len = uint32(len(m.Data))
 	case KindRMW:
 		if len(body) < 8 || (len(body)-8)%8 != 0 {
 			return fmt.Errorf("%w: RMW body %d bytes", ErrBadWire, len(body))
@@ -242,33 +219,10 @@ func (m *Message) parseBody(body []byte) error {
 		for i := range m.Args {
 			m.Args[i] = binary.LittleEndian.Uint64(body[8+8*i:])
 		}
-	case KindRRES:
-		m.Data = append([]byte(nil), body...)
-		m.Len = uint32(len(body))
 	default:
 		return fmt.Errorf("%w: kind %d", ErrBadWire, m.Kind)
 	}
 	return nil
-}
-
-// Unmarshal decodes a complete (unchunked) PHY memory message.
-func Unmarshal(w phy.MemMsg) (*Message, error) {
-	h := unpackHeader(w.Header)
-	if h.cont {
-		return nil, fmt.Errorf("%w: continuation chunk passed to Unmarshal", ErrBadWire)
-	}
-	if int(h.size) != len(w.Body) {
-		return nil, fmt.Errorf("%w: header size %d, body %d", ErrBadWire, h.size, len(w.Body))
-	}
-	m := &Message{Kind: h.kind, Src: h.src, Dst: h.dst, ID: h.id, Op: memctl.RMWOp(h.op)}
-	if m.Kind == KindRREQ {
-		// For RREQ the size field carries the read demand, not body size;
-		// handled below.
-	}
-	if err := m.parseBody(w.Body); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // MarshalRREQ is a special case: the header's size field carries the read

@@ -2,6 +2,7 @@ package edm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,16 @@ import (
 	"repro/internal/phy"
 )
 
+// marshalWhole renders a WREQ or RRES as one chunk spanning its whole body,
+// the form the host sends when the body fits a single grant.
+func marshalWhole(m *Message) (phy.MemMsg, error) {
+	body, err := m.Body()
+	if err != nil {
+		return phy.MemMsg{}, err
+	}
+	return m.MarshalChunk(body, 0, len(body))
+}
+
 func TestMessageWireRoundTrip(t *testing.T) {
 	cases := []*Message{
 		{Kind: KindWREQ, Src: 3, Dst: 200, ID: 7, Addr: 0xdeadbeef, Data: bytes.Repeat([]byte{9}, 64)},
@@ -17,21 +28,24 @@ func TestMessageWireRoundTrip(t *testing.T) {
 		{Kind: KindRRES, Src: 511, Dst: 0, ID: 42, Data: bytes.Repeat([]byte{3}, 100)},
 	}
 	for _, in := range cases {
-		w, err := in.Marshal()
+		w, err := marshalWhole(in)
 		if err != nil {
 			t.Fatalf("%v: %v", in.Kind, err)
 		}
-		out, err := Unmarshal(w)
-		if err != nil {
-			t.Fatalf("%v: %v", in.Kind, err)
+		kind, src, dst, id, size, cont := PeekHeader(w)
+		if kind != in.Kind || src != in.Src || dst != in.Dst || id != in.ID || cont || size != len(w.Body) {
+			t.Fatalf("%v: header mismatch kind=%v src=%d dst=%d id=%d size=%d cont=%v",
+				in.Kind, kind, src, dst, id, size, cont)
 		}
-		if out.Kind != in.Kind || out.Src != in.Src || out.Dst != in.Dst || out.ID != in.ID {
-			t.Fatalf("%v: header mismatch %+v", in.Kind, out)
+		data := w.Body
+		if in.Kind == KindWREQ {
+			// The host's applyWrite reads the address off the body's head.
+			if addr := binary.LittleEndian.Uint64(data); addr != in.Addr {
+				t.Fatalf("%v: addr %#x != %#x", in.Kind, addr, in.Addr)
+			}
+			data = data[8:]
 		}
-		if in.Kind != KindRRES && out.Addr != in.Addr {
-			t.Fatalf("%v: addr %#x != %#x", in.Kind, out.Addr, in.Addr)
-		}
-		if !bytes.Equal(out.Data, in.Data) {
+		if !bytes.Equal(data, in.Data) {
 			t.Fatalf("%v: data mismatch", in.Kind)
 		}
 	}
@@ -124,7 +138,7 @@ func TestChunkValidation(t *testing.T) {
 
 func TestWireSizeLimits(t *testing.T) {
 	m := &Message{Kind: KindWREQ, Src: 1, Dst: 2, Data: make([]byte, MaxMsgLen)}
-	if _, err := m.Marshal(); !errors.Is(err, ErrMsgTooLarge) {
+	if _, err := marshalWhole(m); !errors.Is(err, ErrMsgTooLarge) {
 		t.Errorf("oversize: %v", err)
 	}
 	m2 := &Message{Kind: KindRREQ, Src: 600, Dst: 2}
@@ -189,24 +203,39 @@ func TestHeaderPackProperty(t *testing.T) {
 
 func TestPeekKindMatchesUnmarshal(t *testing.T) {
 	msgs := []*Message{
-		{Kind: KindRREQ, Src: 1, Dst: 2, Len: 64},
-		{Kind: KindRMW, Src: 1, Dst: 2, Op: memctl.OpSwap, Args: []uint64{1}},
+		{Kind: KindRREQ, Src: 1, Dst: 2, ID: 4, Len: 64},
+		{Kind: KindRMW, Src: 1, Dst: 2, ID: 5, Op: memctl.OpSwap, Args: []uint64{1}},
 		{Kind: KindWREQ, Src: 1, Dst: 2, Data: []byte{1, 2, 3}},
 		{Kind: KindRRES, Src: 2, Dst: 1, Data: []byte{9}},
 	}
 	for _, m := range msgs {
 		var w phy.MemMsg
 		var err error
-		if m.Kind == KindRREQ || m.Kind == KindRMW {
+		req := m.Kind == KindRREQ || m.Kind == KindRMW
+		if req {
 			w, err = m.MarshalRREQ()
 		} else {
-			w, err = m.Marshal()
+			w, err = marshalWhole(m)
 		}
 		if err != nil {
 			t.Fatalf("%v: %v", m.Kind, err)
 		}
-		if got, _, _, _, _, _ := PeekHeader(w); got != m.Kind {
-			t.Errorf("PeekHeader kind = %v, want %v", got, m.Kind)
+		kind, src, dst, id, size, _ := PeekHeader(w)
+		if kind != m.Kind {
+			t.Errorf("PeekHeader kind = %v, want %v", kind, m.Kind)
+		}
+		if !req {
+			continue
+		}
+		// The switch classifies by PeekHeader and the memory node decodes
+		// by UnmarshalRREQ: both must read the same routing fields.
+		out, demand, err := UnmarshalRREQ(w)
+		if err != nil {
+			t.Fatalf("%v: %v", m.Kind, err)
+		}
+		if out.Kind != kind || out.Src != src || out.Dst != dst || out.ID != id || demand != size {
+			t.Errorf("%v: UnmarshalRREQ %+v demand %d, PeekHeader %v %d->%d id %d size %d",
+				m.Kind, out, demand, kind, src, dst, id, size)
 		}
 	}
 }
@@ -222,10 +251,14 @@ func TestKindString(t *testing.T) {
 }
 
 func TestWireSizeMatchesBody(t *testing.T) {
-	// A WREQ's body is its 8-byte address followed by the data.
+	// A WREQ's body is its 8-byte address followed by the data, and its
+	// header's size field is the whole body's length.
 	m := &Message{Kind: KindWREQ, Src: 0, Dst: 1, Addr: 4, Data: make([]byte, 100)}
-	w, err := m.Marshal()
+	w, err := marshalWhole(m)
 	if err != nil || len(w.Body) != 108 {
 		t.Fatalf("marshalled body = %d bytes, %v", len(w.Body), err)
+	}
+	if _, _, _, _, size, _ := PeekHeader(w); size != 108 {
+		t.Fatalf("header size = %d, want 108", size)
 	}
 }
