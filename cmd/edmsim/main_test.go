@@ -53,12 +53,21 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 // TestScenarioGolden pins the reports of every builtin scenario but
-// protocol-storm (3 s; scripts/sim_identical.sh covers it): each seeded run
-// is a pure function of its spec, so the bytes only move when a simulator,
-// the wire protocol, the timing model or the report format does.
+// protocol-storm (3 s; scripts/sim_identical.sh covers it), and of every
+// testdata/*.json spec run with -scenario-file (fault paths no builtin
+// reaches): each seeded run is a pure function of its spec, so the bytes
+// only move when a simulator, the wire protocol, the timing model or the
+// report format does.
 func TestScenarioGolden(t *testing.T) {
 	for _, name := range []string{"failover-16", "corruption-soak", "chaos-1024", "live-loopback", "live-cluster", "live-cluster-flaps"} {
 		checkGolden(t, name, sim16(t, "", "-scenario", name))
+	}
+	specs, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(specs) == 0 {
+		t.Fatalf("no testdata/*.json specs: %v", err)
+	}
+	for _, path := range specs {
+		checkGolden(t, strings.TrimSuffix(filepath.Base(path), ".json"), sim16(t, "", "-scenario-file", path))
 	}
 }
 

@@ -5,13 +5,29 @@ import (
 
 	"repro/internal/edm"
 	"repro/internal/memctl"
-	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // maxFabricMsg caps op sizes on the block-level backend: the EDM message
 // header carries a 16-bit length, so heavy-tailed profile samples are
 // clamped here (the flow-level backend carries them unclamped).
 const maxFabricMsg = 32 * 1024
+
+// place readies the trace for the block-level and live backends: each op
+// with its size clamped to maxFabricMsg, so runs of one spec on either stay
+// comparable, at a 64 B-aligned address in [0, space-maxFabricMsg) drawn
+// from the partition's addr stream.
+func place(part *workload.Partition, tagged []taggedOp, space uint64) ([]workload.Op, []uint64) {
+	ops := make([]workload.Op, len(tagged))
+	addrs := make([]uint64, len(tagged))
+	stream := part.Stream("addr")
+	for i, t := range tagged {
+		ops[i] = t.op
+		ops[i].Size = min(ops[i].Size, maxFabricMsg)
+		addrs[i] = (stream.Uint64() % (space - maxFabricMsg)) &^ 63
+	}
+	return ops, addrs
+}
 
 // runFabric executes the scenario on the block-level edm.Fabric testbed.
 // Faults are injected into the live links at their scheduled times — reads
@@ -91,32 +107,20 @@ func runFabric(spec *Spec) (*Report, error) {
 		}
 	}
 
-	// Issue the trace. Completion state is recorded per op index.
-	type opDone struct {
-		done    bool
-		failed  bool
-		latency sim.Time
-	}
-	results := make([]opDone, len(tagged))
-	addrs := part.Stream("addr")
-	addrSpace := memCfg.Size - maxFabricMsg
-	for i := range tagged {
-		i := i
-		op := tagged[i].op
-		if op.Size > maxFabricMsg {
-			op.Size = maxFabricMsg
-		}
-		addr := (addrs.Uint64() % addrSpace) &^ 63
+	// Issue the trace; each op's callback records its outcome.
+	outcomes := make([]opOutcome, len(tagged))
+	ops, addrs := place(part, tagged, memCfg.Size)
+	for i, op := range ops {
 		engine.At(op.Arrival, func() {
 			start := engine.Now()
+			done := func(err error) {
+				lat := engine.Now() - start
+				outcomes[i] = opOutcome{completed: err == nil, latency: lat, recovery: lat}
+			}
 			if op.Read {
-				fabric.Host(op.Src).Read(op.Dst, addr, op.Size, func(_ []byte, err error) {
-					results[i] = opDone{done: true, failed: err != nil, latency: engine.Now() - start}
-				})
+				fabric.Host(op.Src).Read(op.Dst, addrs[i], op.Size, func(_ []byte, err error) { done(err) })
 			} else {
-				fabric.Host(op.Src).Write(op.Dst, addr, make([]byte, op.Size), func(err error) {
-					results[i] = opDone{done: true, failed: err != nil, latency: engine.Now() - start}
-				})
+				fabric.Host(op.Src).Write(op.Dst, addrs[i], make([]byte, op.Size), done)
 			}
 		})
 	}
@@ -134,8 +138,8 @@ func runFabric(spec *Spec) (*Report, error) {
 	// Fault exposure is read off the windows of the op's src and dst.
 	corrupt := probWindows(events, CorruptBurst)
 	rep.tally(spec, bounds, tagged, func(i int) opOutcome {
-		o := opOutcome{completed: results[i].done && !results[i].failed, latency: results[i].latency}
-		o.outage, o.corrupted = exposure(&tagged[i].op, down, corrupt, spec.DetectDelay)
+		o := outcomes[i]
+		o.outage, o.corrupted = exposure(&ops[i], down, corrupt, spec.DetectDelay)
 		return o
 	})
 	return rep, nil

@@ -128,6 +128,12 @@ func (fs *liveFaults) setCur(op *workload.Op) {
 	fs.mu.Unlock()
 }
 
+func (fs *liveFaults) isDead(n int) bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.dead[n]
+}
+
 func (fs *liveFaults) setDead(n int, dead bool) {
 	fs.mu.Lock()
 	fs.dead[n] = dead
@@ -163,9 +169,6 @@ type membership struct {
 	// killed nodes whose leave step has not run yet.
 	epoch  uint64
 	killed int
-	// out marks the nodes the spec has taken out: killed or left, or
-	// awaiting a join. The driver rejoins no such node.
-	out []bool
 
 	rebalances int
 	movedBytes uint64
@@ -174,7 +177,7 @@ type membership struct {
 }
 
 func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFaults, clock *wire.VirtualClock) (*membership, error) {
-	md := &membership{spec: spec, cc: cc, fs: fs, clock: clock, out: make([]bool, spec.Nodes)}
+	md := &membership{spec: spec, cc: cc, fs: fs, clock: clock}
 	for _, e := range events {
 		switch e.Kind {
 		case NodeLeave:
@@ -184,7 +187,6 @@ func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFault
 		case NodeJoin:
 			md.steps = append(md.steps, memberStep{at: e.At, node: e.Node, kind: NodeJoin})
 			// A node with a pending join starts outside the membership.
-			md.out[e.Node] = true
 			if err := cc.MarkDead(e.Node); err != nil {
 				return nil, fmt.Errorf("scenario %s: initial join set: %w", spec.Name, err)
 			}
@@ -199,9 +201,9 @@ func newMembership(spec *Spec, events []Event, cc *cluster.Client, fs *liveFault
 	if _, err := cc.Rebalance(); err != nil {
 		return nil, fmt.Errorf("scenario %s: initial join set: %w", spec.Name, err)
 	}
-	for n, out := range md.out {
-		if out {
-			fs.setDead(n, true)
+	for _, s := range md.steps {
+		if s.kind == NodeJoin {
+			fs.setDead(s.node, true)
 		}
 	}
 	md.epoch = cc.Epoch()
@@ -222,7 +224,6 @@ func (md *membership) apply(upTo sim.Time) {
 		md.clock.AdvanceTo(s.at)
 		if s.kill {
 			md.fs.setDead(s.node, true)
-			md.out[s.node] = true
 			md.killed++
 			continue
 		}
@@ -233,7 +234,6 @@ func (md *membership) apply(upTo sim.Time) {
 			err = md.cc.MarkDead(s.node)
 		} else {
 			detect = 0
-			md.out[s.node] = false
 			md.fs.setDead(s.node, false)
 			err = md.cc.Rejoin(s.node)
 		}
@@ -248,9 +248,11 @@ func (md *membership) apply(upTo sim.Time) {
 	if md.err != nil || md.killed > 0 {
 		return
 	}
+	// A dead node (killed, left or awaiting a join) is the spec's, not the
+	// driver's, to bring back.
 	m := md.cc.Map()
-	for n, out := range md.out {
-		if _, dark := covering(md.fs.down[n], upTo); out || dark || m.Alive(n) {
+	for n := 0; n < md.spec.Nodes; n++ {
+		if _, dark := covering(md.fs.down[n], upTo); dark || m.Alive(n) || md.fs.isDead(n) {
 			continue
 		}
 		if err := md.cc.Rejoin(n); err != nil {
@@ -351,19 +353,7 @@ func runLive(spec *Spec) (*Report, error) {
 		mem, space = cc, cc.Size()
 	}
 
-	// Addresses come from the partition's addr stream, the same discipline
-	// as the fabric backend; sizes are clamped to the block-level cap so
-	// live and fabric runs of one spec stay comparable.
-	ops := make([]workload.Op, len(tagged))
-	addrs := make([]uint64, len(tagged))
-	addrStream := part.Stream("addr")
-	for i := range tagged {
-		ops[i] = tagged[i].op
-		if ops[i].Size > maxFabricMsg {
-			ops[i].Size = maxFabricMsg
-		}
-		addrs[i] = (addrStream.Uint64() % (space - maxFabricMsg)) &^ 63
-	}
+	ops, addrs := place(part, tagged, space)
 
 	// Per-phase transport deltas: counters are snapshotted at every phase
 	// boundary of the (arrival-ordered) replay, so each phase's row in the
@@ -478,7 +468,7 @@ func runLive(spec *Spec) (*Report, error) {
 	// failover when the router says it was one.
 	corrupt := probWindows(events, CorruptBurst)
 	rep.tally(spec, bounds, tagged, func(i int) opOutcome {
-		o := opOutcome{completed: results[i].Err == nil, latency: results[i].Latency}
+		o := opOutcome{completed: results[i].Err == nil, latency: results[i].Latency, recovery: results[i].Latency}
 		if errors.Is(results[i].Err, rmem.ErrMismatch) {
 			rep.Mismatched++
 		}

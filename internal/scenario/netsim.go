@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -196,24 +195,26 @@ func applyFaults(part *workload.Partition, spec *Spec, tagged []taggedOp, events
 	}
 }
 
-// liveOps drops discarded ops, re-sorts (failover moved arrivals) and
-// re-indexes; the returned meta slice is aligned with op Index.
-func liveOps(tagged []taggedOp) ([]workload.Op, []opMeta) {
+// liveOps drops discarded ops, re-sorts the rest (failover moved arrivals)
+// and indexes each by its place in ops; at[i] is tagged op i's place (0 for
+// a discarded op).
+func liveOps(tagged []taggedOp) (ops []workload.Op, at []int) {
 	live := tagged[:0:0]
-	for _, t := range tagged {
+	for i, t := range tagged {
 		if !t.meta.dropped {
+			t.op.Index = i
 			live = append(live, t)
 		}
 	}
 	sortTagged(live)
-	ops := make([]workload.Op, len(live))
-	meta := make([]opMeta, len(live))
+	ops = make([]workload.Op, len(live))
+	at = make([]int, len(tagged))
 	for i, t := range live {
+		at[t.op.Index] = i
 		t.op.Index = i
 		ops[i] = t.op
-		meta[i] = t.meta
 	}
-	return ops, meta
+	return ops, at
 }
 
 func runNetsim(spec *Spec) (*Report, error) {
@@ -226,7 +227,7 @@ func runNetsim(spec *Spec) (*Report, error) {
 		return nil, err
 	}
 	applyFaults(part, spec, tagged, events)
-	ops, meta := liveOps(tagged)
+	ops, at := liveOps(tagged)
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("scenario %s: every op was dropped", spec.Name)
 	}
@@ -236,78 +237,41 @@ func runNetsim(spec *Spec) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
-	// Corruption penalty: detection happens only once the full message has
-	// arrived, and the retransmission traverses the same loaded path — one
-	// hit doubles the op's completion latency.
-	for i := range res.Ops {
-		if meta[res.Ops[i].Op.Index].corrupt {
-			res.Ops[i].Latency *= 2
-		}
+	byOp := make([]netsim.OpResult, len(ops))
+	for _, o := range res.Ops {
+		byOp[o.Op.Index] = o
+	}
+	// Report phase windows in the same timebase as Horizon: RunNormalized
+	// stretches arrivals by the protocol's wire inflation, so the trace-
+	// timebase bounds are mapped through the same ratio.
+	wire, data := netsim.ArrivalScale(proto, ops)
+	for i, b := range bounds {
+		bounds[i] = interval{netsim.ScaleArrival(b.start, wire, data), netsim.ScaleArrival(b.end, wire, data)}
 	}
 
 	rep := &Report{
 		Scenario: spec.Name, Backend: spec.Backend, Protocol: proto.Name(),
 		Nodes: spec.Nodes, Seed: spec.Seed,
-		Horizon: res.Horizon, Issued: len(tagged), Completed: res.Completed,
-		Events: len(events),
+		Horizon: res.Horizon, Issued: len(tagged), Events: len(events),
 	}
-	type phaseAcc struct {
-		absNs, norm, recovery []float64
-	}
-	acc := make([]phaseAcc, len(spec.Phases))
-	var recovery []float64
-	for _, t := range tagged {
-		m := t.meta
+	rep.tally(spec, bounds, tagged, func(i int) opOutcome {
+		m := tagged[i].meta
 		if m.dropped {
-			rep.Dropped++
+			return opOutcome{}
 		}
-		if m.failover {
-			rep.Failovers++
-			recovery = append(recovery, m.recovery.Microseconds())
+		r := byOp[at[i]]
+		// Corruption penalty: detection happens only once the full message
+		// has arrived, and the retransmission traverses the same loaded
+		// path — one hit doubles the op's completion latency.
+		if m.corrupt {
+			r.Latency *= 2
 		}
-		if m.corrupt && !m.dropped {
-			rep.Corrupted++
+		o := opOutcome{completed: true, latency: r.Latency, recovery: m.recovery,
+			outage: m.failover, corrupted: m.corrupt}
+		if r.Ideal > 0 {
+			o.norm = float64(r.Latency) / float64(r.Ideal)
 		}
-	}
-	for _, o := range res.Ops {
-		m := meta[o.Op.Index]
-		a := &acc[m.phase]
-		a.absNs = append(a.absNs, o.Latency.Nanoseconds())
-		if o.Ideal > 0 {
-			a.norm = append(a.norm, float64(o.Latency)/float64(o.Ideal))
-		}
-	}
-	rep.Recovery = stats.Summarize(recovery)
-	// Report phase windows in the same timebase as Horizon: RunNormalized
-	// stretches arrivals by the protocol's wire inflation, so the trace-
-	// timebase bounds are mapped through the same ratio.
-	wire, data := netsim.ArrivalScale(proto, ops)
-	for i, ph := range spec.Phases {
-		pr := PhaseReport{
-			Name:  ph.Name,
-			Start: netsim.ScaleArrival(bounds[i].start, wire, data),
-			End:   netsim.ScaleArrival(bounds[i].end, wire, data),
-			AbsNs: stats.Summarize(acc[i].absNs),
-			Norm:  stats.Summarize(acc[i].norm),
-			Done:  len(acc[i].absNs),
-		}
-		for _, t := range tagged {
-			if t.meta.phase != i {
-				continue
-			}
-			pr.Issued++
-			if t.meta.dropped {
-				pr.Dropped++
-			} else {
-				if t.meta.corrupt {
-					pr.Corrupt++
-				}
-				if t.meta.failover {
-					pr.Failover++
-				}
-			}
-		}
-		rep.Phases = append(rep.Phases, pr)
-	}
+		return o
+	})
 	return rep, nil
 }

@@ -59,11 +59,13 @@ type Report struct {
 	Failovers  int
 	Corrupted  int
 	Timeouts   uint64 // fabric backend: reads answered by NULL (§3.3)
-	// Recovery summarizes fault-window ops in microseconds. On the netsim
-	// backend each sample is a rerouted op's deferral: how long after its
-	// intended arrival it could be issued. On the fabric backend each
-	// sample is the raw completion latency of an op issued inside (or
-	// within DetectDelay of) a fault window that still completed — the
+	// Recovery summarizes fault-window ops in microseconds, one sample per
+	// op that Failovers counts. On the netsim backend that is a rerouted op
+	// that completed (one a drop burst discarded after its reroute counts
+	// nowhere), and its sample is its deferral: how long after its intended
+	// arrival it could be issued. On the other backends each sample is the
+	// raw completion latency of an op that rode out a fault window (issued
+	// inside it or within DetectDelay of its end) and still completed — the
 	// latency tail the fault imposed.
 	Recovery stats.Summary
 	Events   int           // fault events applied (authored + chaos)
@@ -92,11 +94,15 @@ type ClusterReport struct {
 	RecoveryUS stats.Summary
 }
 
-// opOutcome is how one op of a block-level or live run ended, as the report
-// counts it.
+// opOutcome is how one op of a run ended, as the report counts it.
 type opOutcome struct {
 	completed bool     // done, without error
 	latency   sim.Time // issue to completion, when completed
+	// recovery is the op's sample for the recovery summary when it rode out
+	// an outage and completed: its deferral on the netsim backend, its
+	// latency on the others.
+	recovery sim.Time
+	norm     float64 // latency over the unloaded ideal; 0 = none
 	// Fault exposure: the op arrived while an outage affecting it was active
 	// (or within DetectDelay of its end), or during a corrupt burst.
 	outage, corrupted bool
@@ -118,16 +124,19 @@ func exposure(op *workload.Op, down map[int][]interval, corrupt map[int][]probWi
 }
 
 // tally fills in the op counters, the recovery summary and the per-phase
-// rows from the outcome of every op of the trace.
+// rows from the outcome of every op of the trace, so a report's totals are
+// its phase rows' sums.
 func (r *Report) tally(spec *Spec, bounds []interval, tagged []taggedOp, outcome func(i int) opOutcome) {
 	prs := make([]PhaseReport, len(spec.Phases))
 	absNs := make([][]float64, len(spec.Phases))
+	norm := make([][]float64, len(spec.Phases))
 	for i, ph := range spec.Phases {
 		prs[i] = PhaseReport{Name: ph.Name, Start: bounds[i].start, End: bounds[i].end}
 	}
 	var recovery []float64
 	for i, t := range tagged {
-		pr := &prs[t.meta.phase]
+		ph := t.meta.phase
+		pr := &prs[ph]
 		pr.Issued++
 		o := outcome(i)
 		if o.corrupted {
@@ -135,25 +144,28 @@ func (r *Report) tally(spec *Spec, bounds []interval, tagged []taggedOp, outcome
 			r.Corrupted++
 		}
 		if !o.completed {
-			// Timed-out reads, writes lost on a dead link, failed data checks.
+			// Timed-out reads, ops lost on a dead link, failed data checks.
 			r.Dropped++
 			pr.Dropped++
 			continue
 		}
 		r.Completed++
 		pr.Done++
-		absNs[t.meta.phase] = append(absNs[t.meta.phase], o.latency.Nanoseconds())
+		absNs[ph] = append(absNs[ph], o.latency.Nanoseconds())
+		if o.norm > 0 {
+			norm[ph] = append(norm[ph], o.norm)
+		}
 		if o.outage {
-			// The op rode out a fault window and still completed: its
-			// latency is the failover tail the fault imposed.
+			// The op rode out a fault window and still completed.
 			pr.Failover++
 			r.Failovers++
-			recovery = append(recovery, o.latency.Microseconds())
+			recovery = append(recovery, o.recovery.Microseconds())
 		}
 	}
 	r.Recovery = stats.Summarize(recovery)
 	for i := range prs {
 		prs[i].AbsNs = stats.Summarize(absNs[i])
+		prs[i].Norm = stats.Summarize(norm[i])
 	}
 	r.Phases = prs
 }

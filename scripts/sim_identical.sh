@@ -4,8 +4,11 @@
 # tree, and diff what they print. The commands are
 #   edmbench -experiment all -nodes 16 -ops 500 -fig7ops 100
 #   edmsim -scenario S      for every builtin scenario S (edmsim -list-scenarios)
+#   edmsim -scenario-file F for every spec F in cmd/edmsim/testdata/*.json
 #   each program under examples/
-# and their stdout and stderr are compared. A refactor of the simulators
+# and their stdout and stderr are compared. The spec files are read from the
+# working tree on both sides, so the base runs a spec it may not have: fault
+# paths that no builtin reaches are checked too. A refactor of the simulators
 # (internal/edm, internal/netsim, internal/sched, ...) must pass it; a change
 # meant to move a number fails it and says where.
 #
@@ -38,6 +41,10 @@ outputs() {
     run "$dst/scenarios" "$bin/edmsim" -list-scenarios
     for s in $(awk '{ print $1 }' "$dst/scenarios"); do
         run "$dst/scenario-$s" "$bin/edmsim" -scenario "$s"
+    done
+    for f in cmd/edmsim/testdata/*.json; do
+        [ -e "$f" ] || continue
+        run "$dst/spec-$(basename "$f" .json)" "$bin/edmsim" -scenario-file "$f"
     done
     for d in "$1"/examples/*/; do
         e=$(basename "$d")
